@@ -16,7 +16,8 @@
 
 use crate::instance::{GroupInstance, HwInstance};
 use crate::report::{Anomaly, JobReport, SessionReport};
-use extract::{IntelExtractor, IntelKey, IntelMessage};
+use crate::stream::StreamState;
+use extract::{IntelKey, IntelMessage};
 use hwgraph::{split_instances, GroupRel, HwGraph, Lifespan};
 use serde::{Deserialize, Serialize};
 use spell::{KeyId, Session, SpellParser};
@@ -55,6 +56,31 @@ impl Detector {
         }
     }
 
+    /// Check the cross-references between the parts: detection indexes
+    /// `keys` with the parser's key ids and `graph.groups` with the graph's
+    /// stored group indices, both unchecked. [`Trainer`] output always
+    /// passes; whatever loads a detector from outside the program (the
+    /// model store) must call this before serving from it.
+    ///
+    /// [`Trainer`]: crate::Trainer
+    pub fn validate(&self) -> Result<(), String> {
+        if self.keys.len() != self.parser.len() {
+            return Err(format!(
+                "{} Intel Keys for {} log keys",
+                self.keys.len(),
+                self.parser.len()
+            ));
+        }
+        let mut keys = self.keys.iter().enumerate();
+        if let Some((i, key)) = keys.find(|(i, key)| key.key_id.0 as usize != *i) {
+            return Err(format!(
+                "Intel Key at position {i} carries id {}",
+                key.key_id.0
+            ));
+        }
+        self.graph.validate()
+    }
+
     /// Detect anomalies in one session.
     pub fn detect_session(&self, session: &Session) -> SessionReport {
         self.detect_session_detailed(session).0
@@ -62,72 +88,15 @@ impl Detector {
 
     /// Detect anomalies in one session, returning the reconstructed
     /// HW-graph instance alongside the report (paper §4.2; the case studies
-    /// inspect instances directly).
+    /// inspect instances directly). This is the streaming detector run to
+    /// completion: one [`StreamState`], every line fed, then closed.
     pub fn detect_session_detailed(&self, session: &Session) -> (SessionReport, HwInstance) {
         let _span = obs::span!("anomaly.detect_session");
-        obs::inc!("anomaly.sessions_checked");
-        let extractor = IntelExtractor::new();
-        let mut report = SessionReport {
-            session: session.id.clone(),
-            lines: session.lines.len(),
-            anomalies: Vec::new(),
-        };
-
-        // 1. Match lines to keys; collect Intel Messages, flag unexpected.
-        // The parser is frozen during detection, so repeated token
-        // sequences (retries, per-task message families with recurring
-        // variable values) are memoised per session.
-        let mut memo = spell::MatchMemo::new();
-        let mut messages: Vec<IntelMessage> = Vec::with_capacity(session.lines.len());
-        // Span + interned-id buffers reused across all lines of the session
-        // (the zero-copy ingest path: matching allocates nothing; token
-        // strings are materialised only for lines that feed extraction).
-        let mut ids: Vec<spell::TokenId> = Vec::new();
-        let mut spans: Vec<spell::Span> = Vec::new();
-        let materialize = |spans: &[spell::Span], msg: &str| -> Vec<String> {
-            spans.iter().map(|s| s.of(msg).to_string()).collect()
-        };
+        let mut state = StreamState::begin(session.id.as_str());
         for line in &session.lines {
-            self.parser
-                .lookup_line_into(&line.message, &mut spans, &mut ids);
-            match self.parser.match_ids_memo(&ids, &mut memo) {
-                Some(kid) if self.ignored_keys.contains(&kid) => {}
-                Some(kid) => {
-                    let ik = &self.keys[kid.0 as usize];
-                    let tokens = materialize(&spans, &line.message);
-                    messages.push(IntelMessage::instantiate(
-                        ik,
-                        &tokens,
-                        &session.id,
-                        line.ts_ms,
-                    ));
-                }
-                None => {
-                    let adhoc_key = extractor.extract_adhoc(&line.message);
-                    let tokens = materialize(&spans, &line.message);
-                    let intel =
-                        IntelMessage::instantiate(&adhoc_key, &tokens, &session.id, line.ts_ms);
-                    let groups = self.groups_of_entities(&intel.entities);
-                    obs::inc!("anomaly.verdict.unexpected-message");
-                    obs::event!("anomaly.unexpected_message", "session" = session.id);
-                    report.anomalies.push(Anomaly::UnexpectedMessage {
-                        ts_ms: line.ts_ms,
-                        text: line.message.clone(),
-                        intel,
-                        groups,
-                    });
-                }
-            }
+            state.feed(self, line);
         }
-
-        let instance = self.structural_checks(&messages, &mut report);
-        (
-            report,
-            HwInstance {
-                session: session.id.clone(),
-                groups: instance,
-            },
-        )
+        state.finish_detailed(self)
     }
 
     /// The end-of-session structural checks (§4.2 steps 2–5): subroutine

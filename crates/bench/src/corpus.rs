@@ -144,7 +144,7 @@ pub fn score_jobs(results: &[(bool, &EvalJob)]) -> JobScore {
 /// `n_probes` probe messages mixing the three matcher paths — exact key
 /// instances (trie fast path), near-misses with one constant changed
 /// (scored/LCS path) and fully unknown messages (pruned to no match).
-pub fn synthetic_keyset(n_keys: usize, n_probes: usize) -> (spell::SpellParser, Vec<Vec<String>>) {
+pub fn synthetic_keyset(n_keys: usize, n_probes: usize) -> (spell::SpellParser, Vec<String>) {
     let base = |i: usize| -> Vec<String> {
         // 6 key-unique tokens + 3 shared: max cross-key LCS is 3, well
         // below the required ceil(9/1.7) = 6, so keys never merge.
@@ -162,12 +162,12 @@ pub fn synthetic_keyset(n_keys: usize, n_probes: usize) -> (spell::SpellParser, 
     };
     let mut p = spell::SpellParser::default();
     for i in 0..n_keys {
-        p.parse_tokens(base(i));
+        p.parse_message(&base(i).join(" "));
         // second instance differing in the trailing id/latency → two stars
         let mut v = base(i);
         v[7] = format!("id{}", i * 13 + 1);
         v[8] = format!("{}ms", i + 1);
-        p.parse_tokens(v);
+        p.parse_message(&v.join(" "));
     }
     let probes = (0..n_probes)
         .map(|j| {
@@ -185,10 +185,25 @@ pub fn synthetic_keyset(n_keys: usize, n_probes: usize) -> (spell::SpellParser, 
                 }
                 _ => {}
             }
-            m
+            m.join(" ")
         })
         .collect();
     (p, probes)
+}
+
+/// Read-only interned form of each probe message against `parser` (unseen
+/// tokens become `UNKNOWN_ID`), so matcher benches time `match_ids` and
+/// `match_ids_linear` on identical input with tokenising left out.
+pub fn intern_probes(parser: &spell::SpellParser, probes: &[String]) -> Vec<Vec<spell::TokenId>> {
+    let mut spans = Vec::new();
+    probes
+        .iter()
+        .map(|m| {
+            let mut ids = Vec::new();
+            parser.lookup_line_into(m, &mut spans, &mut ids);
+            ids
+        })
+        .collect()
 }
 
 /// Precision / recall / F1 from flat counts.

@@ -29,7 +29,7 @@ pub fn match_keyseq(parser: &SpellParser, session: &Session) -> Vec<KeyId> {
     session
         .lines
         .iter()
-        .map(|l| parser.match_raw(&l.message).unwrap_or(UNKNOWN_KEY))
+        .map(|l| parser.match_line(&l.message).unwrap_or(UNKNOWN_KEY))
         .collect()
 }
 
@@ -44,8 +44,8 @@ pub fn intel_messages(parser: &SpellParser, sessions: &[Session]) -> Vec<Vec<Int
             s.lines
                 .iter()
                 .filter_map(|l| {
-                    let toks = spell::tokenize_message(&l.message);
-                    parser.match_message(&toks).map(|kid| {
+                    parser.match_line(&l.message).map(|kid| {
+                        let toks = spell::tokenize_message(&l.message);
                         IntelMessage::instantiate(&keys[kid.0 as usize], &toks, &s.id, l.ts_ms)
                     })
                 })

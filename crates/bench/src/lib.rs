@@ -18,7 +18,7 @@ pub mod keyseq;
 
 pub use accuracy::{evaluate, AccuracyRow, FieldCounts};
 pub use corpus::{
-    prf, score_jobs, synthetic_keyset, table6_jobs, training_jobs, training_sessions, EvalJob,
-    JobScore,
+    intern_probes, prf, score_jobs, synthetic_keyset, table6_jobs, training_jobs,
+    training_sessions, EvalJob, JobScore,
 };
 pub use keyseq::{intel_messages, match_keyseq, train_keyseqs, UNKNOWN_KEY};

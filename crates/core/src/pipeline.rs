@@ -39,8 +39,8 @@ impl IntelLogBuilder {
 
     /// Train on normal-execution sessions.
     ///
-    /// Training runs on rayon's current thread pool (tokenisation,
-    /// speculative Spell batching, Intel-Key extraction and Intel-Message
+    /// Training runs on rayon's current thread pool (Spell is one
+    /// sequential stream; Intel-Key extraction and Intel-Message
     /// instantiation are parallel; see [`anomaly::Trainer::train`]) and is
     /// bit-identical to [`IntelLogBuilder::train_sequential`].
     pub fn train(self, sessions: &[Session]) -> IntelLog {
@@ -61,7 +61,6 @@ impl IntelLogBuilder {
         Trainer {
             spell_threshold: self.spell_threshold.unwrap_or(1.7),
             matcher: self.matcher.clone().unwrap_or_default(),
-            ..Default::default()
         }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Two contracts guard the perf work:
 //!
-//! 1. the indexed Spell matcher is observationally identical to the
-//!    linear-scan reference matcher over realistic corpora from every
-//!    simulated system (Spark, MapReduce, Tez, YARN, Nova);
+//! 1. `match_ids` — on the frozen automaton and on a thawed clone's live
+//!    index — is observationally identical to the linear-scan reference
+//!    matcher over realistic corpora from every simulated system (Spark,
+//!    MapReduce, Tez, YARN, Nova);
 //! 2. parallel training produces a byte-identical detector (and therefore
 //!    byte-identical reports) to the sequential reference trainer.
 
@@ -36,22 +37,30 @@ fn corpus(system: SystemKind, seed: u64, jobs: usize) -> Vec<Session> {
     out
 }
 
-/// Train a parser over the corpus and check indexed == linear on every
-/// line of `probes` (typically a different corpus, so unknown tokens and
-/// unmatched messages are exercised too).
+/// Train a parser over the corpus and check frozen == thawed == linear on
+/// every line of `probes` (typically a different corpus, so unknown tokens
+/// and unmatched messages are exercised too).
 fn assert_matcher_equivalence(train: &[Session], probes: &[Session]) {
     let il = IntelLog::train(train);
     let parser = &il.detector().parser;
+    assert!(parser.is_frozen());
+    let mut thawed = parser.clone();
+    thawed.thaw();
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
     for session in train.iter().chain(probes) {
         for line in &session.lines {
-            let tokens = spell::tokenize_message(&line.message);
-            assert_eq!(
-                parser.match_message(&tokens),
-                parser.match_message_linear(&tokens),
-                "matcher divergence on {:?} (session {})",
-                line.message,
-                session.id
-            );
+            parser.lookup_line_into(&line.message, &mut spans, &mut ids);
+            let linear = parser.match_ids_linear(&ids);
+            for (name, got) in [
+                ("frozen", parser.match_ids(&ids)),
+                ("thawed", thawed.match_ids(&ids)),
+            ] {
+                assert_eq!(
+                    got, linear,
+                    "{name} matcher diverged from linear on {:?} (session {})",
+                    line.message, session.id
+                );
+            }
         }
     }
 }
@@ -70,13 +79,19 @@ fn parallel_training_equals_sequential_on_all_systems() {
     for system in SYSTEMS {
         let sessions = corpus(system, 7, 2);
         let trainer = Trainer::default();
-        let par = trainer.train(&sessions);
-        let seq = trainer.train_sequential(&sessions);
-        assert_eq!(
-            serde_json::to_string(&par).unwrap(),
-            serde_json::to_string(&seq).unwrap(),
-            "detector divergence for {system:?}"
-        );
+        let seq = serde_json::to_string(&trainer.train_sequential(&sessions)).unwrap();
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let par = pool.install(|| trainer.train(&sessions));
+            assert_eq!(
+                serde_json::to_string(&par).unwrap(),
+                seq,
+                "detector divergence for {system:?} on {threads} pool thread(s)"
+            );
+        }
     }
 }
 

@@ -213,6 +213,41 @@ impl HwGraph {
         }
     }
 
+    /// Check every group index the graph stores against `groups.len()`.
+    /// [`HwGraph::build`] always produces a graph that passes; one read
+    /// from a model file may not, and detection and rendering index
+    /// `groups` and `hierarchy.nodes` with these values unchecked.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.groups.len();
+        let h = &self.hierarchy;
+        if h.nodes.len() != n {
+            return Err(format!(
+                "hierarchy has {} nodes for {n} groups",
+                h.nodes.len()
+            ));
+        }
+        let key_groups = self.key_groups.values().flatten();
+        let profiles = self.profiles.profiles.iter().flat_map(|p| {
+            p.groups
+                .iter()
+                .chain(&p.mandatory)
+                .chain(p.subroutines.keys())
+        });
+        let hierarchy = h.roots.iter().chain(
+            h.nodes
+                .iter()
+                .flat_map(|node| node.parent.iter().chain(&node.children).chain(&node.before)),
+        );
+        match key_groups
+            .chain(profiles)
+            .chain(hierarchy)
+            .find(|&&g| g >= n)
+        {
+            Some(g) => Err(format!("group index {g} out of range ({n} groups)")),
+            None => Ok(()),
+        }
+    }
+
     /// The groups a key belongs to.
     pub fn groups_of_key(&self, k: KeyId) -> &[usize] {
         self.key_groups.get(&k).map(Vec::as_slice).unwrap_or(&[])

@@ -15,8 +15,8 @@
 //! they are looking at; the CRC-32 (IEEE, as in zip/png) covers the whole
 //! payload, and `len` catches truncation even when the cut lands on a
 //! JSON-valid prefix. Loading checks magic → version → length → checksum →
-//! JSON, in that order, and reports the first failure as a typed
-//! [`StoreError`].
+//! JSON → [`Detector::validate`], in that order, and reports the first
+//! failure as a typed [`StoreError`].
 
 use anomaly::Detector;
 use std::fmt;
@@ -60,9 +60,9 @@ pub enum StoreError {
         /// Checksum of the bytes on disk.
         found: u32,
     },
-    /// Checksum passed but the payload did not deserialise (written by a
-    /// build with a different `Detector` shape under the same version —
-    /// a bug, but still refused cleanly).
+    /// Checksum passed but the payload did not deserialise into a
+    /// consistent `Detector` (written by a build with a different shape
+    /// under the same version, or by hand — still refused cleanly).
     Parse(String),
 }
 
@@ -142,10 +142,15 @@ impl ModelStore {
         let bytes =
             std::fs::read(path).map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
         let payload = Self::verify(&bytes)?;
-        serde_json::from_str(
+        let detector: Detector = serde_json::from_str(
             std::str::from_utf8(payload).map_err(|e| StoreError::Parse(e.to_string()))?,
         )
-        .map_err(|e| StoreError::Parse(e.to_string()))
+        .map_err(|e| StoreError::Parse(e.to_string()))?;
+        // A payload can be intact and well-formed yet inconsistent (keys
+        // missing, group indices out of range); detection would index out
+        // of bounds on the first matching line.
+        detector.validate().map_err(StoreError::Parse)?;
+        Ok(detector)
     }
 
     /// Check framing and integrity, returning the payload slice.

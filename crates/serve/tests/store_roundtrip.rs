@@ -141,3 +141,74 @@ fn legacy_bare_json_is_refused_as_not_a_model() {
     ));
     std::fs::remove_file(&path).unwrap();
 }
+
+/// Frame `payload` exactly as `save` would (valid header, valid CRC) and
+/// load it back.
+fn load_framed(name: &str, payload: &str) -> Result<Detector, StoreError> {
+    let path = tmp_path(name);
+    std::fs::write(&path, ModelStore::encode(payload.as_bytes())).unwrap();
+    let loaded = ModelStore::load(&path);
+    std::fs::remove_file(&path).unwrap();
+    loaded
+}
+
+/// A payload can pass every integrity check and deserialise, yet describe
+/// a model whose parts do not fit together. Detection indexes `keys` by
+/// the parser's key ids and `graph.groups` by the stored group indices, so
+/// each of these used to load cleanly and then panic a shard thread on the
+/// first matching line. They must be refused at the door instead.
+#[test]
+fn inconsistent_but_intact_models_are_refused() {
+    let good = trained();
+    let json = |d: &Detector| serde_json::to_string(d).unwrap();
+    assert!(load_framed("consistent", &json(&good)).is_ok());
+
+    let mut corrupt: Vec<(&str, String)> = Vec::new();
+
+    // fewer Intel Keys than the parser has log keys
+    let mut d = good.clone();
+    d.keys.pop();
+    corrupt.push(("short-keys", json(&d)));
+
+    // Intel Keys out of KeyId order
+    let mut d = good.clone();
+    d.keys.swap(0, 1);
+    corrupt.push(("swapped-keys", json(&d)));
+
+    // log key ids not dense and in order (SpellParser::from_parts)
+    let text = json(&good);
+    let skewed = text.replacen("\"id\":0", "\"id\":7", 1);
+    assert_ne!(skewed, text, "fixture must contain log key id 0");
+    corrupt.push(("sparse-key-ids", skewed));
+
+    // group indices past graph.groups, in each structure that stores them
+    let beyond = good.graph.groups.len() + 5;
+    let mut d = good.clone();
+    d.graph
+        .key_groups
+        .values_mut()
+        .next()
+        .expect("trained graph maps keys to groups")
+        .push(beyond);
+    corrupt.push(("key-groups", json(&d)));
+
+    let mut d = good.clone();
+    d.graph.profiles.profiles[0].mandatory.insert(beyond);
+    corrupt.push(("profile-mandatory", json(&d)));
+
+    let mut d = good.clone();
+    d.graph.hierarchy.nodes[0].parent = Some(beyond);
+    corrupt.push(("hierarchy-parent", json(&d)));
+
+    let mut d = good.clone();
+    d.graph.hierarchy.nodes.pop();
+    corrupt.push(("hierarchy-short", json(&d)));
+
+    for (name, payload) in corrupt {
+        match load_framed(name, &payload) {
+            Err(StoreError::Parse(_)) => {}
+            Err(other) => panic!("{name}: expected Parse, got {other:?}"),
+            Ok(_) => panic!("{name}: inconsistent model must be refused"),
+        }
+    }
+}

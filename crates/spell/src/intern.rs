@@ -171,26 +171,6 @@ impl Interner {
         // `*` is always present, so the interner is never logically empty.
         false
     }
-
-    /// Intern every token of a message (training path).
-    pub fn intern_all(&mut self, tokens: &[String]) -> Vec<TokenId> {
-        tokens.iter().map(|t| self.intern(t)).collect()
-    }
-
-    /// Look up every token of a message without interning (detection path);
-    /// unseen tokens become [`UNKNOWN_ID`].
-    pub fn lookup_all(&self, tokens: &[String]) -> Vec<TokenId> {
-        let mut out = Vec::with_capacity(tokens.len());
-        self.lookup_all_into(tokens, &mut out);
-        out
-    }
-
-    /// [`Interner::lookup_all`] into a caller-provided buffer (cleared
-    /// first), so per-line detection loops reuse one allocation.
-    pub fn lookup_all_into(&self, tokens: &[String], out: &mut Vec<TokenId>) {
-        out.clear();
-        out.extend(tokens.iter().map(|t| self.lookup(t).unwrap_or(UNKNOWN_ID)));
-    }
 }
 
 #[cfg(test)]
@@ -216,11 +196,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_all_marks_unknown() {
+    fn lookup_never_interns() {
         let mut it = Interner::new();
         it.intern("seen");
-        let ids = it.lookup_all(&["seen".into(), "unseen".into(), "*".into()]);
-        assert_eq!(ids, vec![TokenId(1), UNKNOWN_ID, STAR_ID]);
+        assert_eq!(it.lookup("seen"), Some(TokenId(1)));
+        assert_eq!(it.lookup("unseen"), None);
+        assert_eq!(it.lookup(STAR), Some(STAR_ID));
+        assert_eq!(it.len(), 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use format::{Level, LogFormat, LogLine};
 pub use intern::{Interner, TokenId, STAR_ID, UNKNOWN_ID};
 pub use key::{KeyId, LogKey, STAR};
 pub use lognlp::{tokenize_spans, Span};
-pub use parser::{tokenize_message, LineOutcome, MatchMemo, ParseOutcome, SpellParser};
+pub use parser::{tokenize_message, ParseOutcome, SpellParser};
 
 use serde::{Deserialize, Serialize};
 

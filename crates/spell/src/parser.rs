@@ -13,8 +13,17 @@
 //! [`MatchIndex`] — a prefix tree for the exact-instance fast path plus an
 //! inverted `token → key` index whose overlap bound prunes keys before the
 //! LCS dynamic program runs (see `index.rs` for the soundness argument).
-//! [`SpellParser::match_message_linear`] keeps the unindexed scan as the
+//! [`SpellParser::match_ids_linear`] keeps the unindexed scan as the
 //! executable specification; property tests assert the two agree.
+//!
+//! # One door per job
+//!
+//! Training writes through [`SpellParser::parse_message`]. Everything that
+//! only reads goes through [`SpellParser::match_ids`] — reached with the
+//! per-thread scratch buffers by [`SpellParser::match_line`], or with the
+//! caller's own buffers by [`SpellParser::lookup_line_into`] when the token
+//! spans are needed after the match (detection instantiates Intel Messages
+//! from them).
 //!
 //! # Matching contract
 //!
@@ -30,7 +39,6 @@ use crate::key::{KeyId, LogKey, STAR};
 use crate::lcs::{lcs_len_wild_ids, positional_matches_wild_ids};
 use lognlp::Span;
 use serde::{Content, DeError, Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Tokenise a log message body for Spell.
 ///
@@ -55,45 +63,6 @@ pub struct ParseOutcome {
     pub tokens: Vec<String>,
 }
 
-/// Result of feeding one raw line through the zero-copy ingest path
-/// ([`SpellParser::parse_line`]). Unlike [`ParseOutcome`] it carries no
-/// materialised tokens — steady-state ingest never builds them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineOutcome {
-    /// The key this message belongs to.
-    pub key_id: KeyId,
-    /// Whether the message founded a brand-new key.
-    pub is_new_key: bool,
-}
-
-/// Per-caller memo for repeated-message matching against a *frozen* parser.
-///
-/// Detection workloads re-match the same token sequence many times (every
-/// `Starting task N` line differs only in variable positions that are often
-/// themselves repeated). The memo maps an interned token sequence to its
-/// match result. It is only sound while the parser is not being trained —
-/// refinement can change what an existing sequence matches — so the parser
-/// never owns one; detection call sites keep a memo per session or stream.
-#[derive(Debug, Clone, Default)]
-pub struct MatchMemo {
-    map: HashMap<Vec<TokenId>, Option<KeyId>>,
-}
-
-impl MatchMemo {
-    pub fn new() -> MatchMemo {
-        MatchMemo::default()
-    }
-
-    /// Number of distinct sequences memoised.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 /// Streaming Spell log-key extractor.
 #[derive(Debug, Clone)]
 pub struct SpellParser {
@@ -110,14 +79,6 @@ pub struct SpellParser {
     /// Compiled matcher over the frozen key set ([`SpellParser::freeze`]);
     /// `None` while training. Any structural mutation invalidates it.
     automaton: Option<KeyAutomaton>,
-    /// Counts structural changes (new key, token flipped to `*`). Lets
-    /// batch callers validate speculative match results: a match computed
-    /// against a snapshot is still exact iff the counter is unchanged.
-    mutations: u64,
-    /// Ablation switch: when `false`, [`SpellParser::match_ids`] runs the
-    /// linear reference scan instead of the index (results are identical;
-    /// used by benchmarks to measure the index's contribution).
-    use_index: bool,
 }
 
 impl Default for SpellParser {
@@ -145,8 +106,6 @@ impl SpellParser {
             ikeys: Vec::new(),
             index: MatchIndex::new(),
             automaton: None,
-            mutations: 0,
-            use_index: true,
         }
     }
 
@@ -174,12 +133,6 @@ impl SpellParser {
         self.automaton.as_ref().map(|a| a.stats())
     }
 
-    /// Enable/disable the candidate index (benchmark ablation; matching
-    /// results are identical either way, only the cost changes).
-    pub fn set_use_index(&mut self, on: bool) {
-        self.use_index = on;
-    }
-
     /// The matching threshold `t`.
     pub fn threshold(&self) -> f64 {
         self.threshold
@@ -195,11 +148,6 @@ impl SpellParser {
         &self.keys[id.0 as usize]
     }
 
-    /// Interned tokens of a key, parallel to [`LogKey::tokens`].
-    pub fn key_ids(&self, id: KeyId) -> &[TokenId] {
-        &self.ikeys[id.0 as usize]
-    }
-
     /// Number of keys discovered.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -210,52 +158,19 @@ impl SpellParser {
         self.keys.is_empty()
     }
 
-    /// Structural-mutation counter: bumps when a key is founded or a key
-    /// position flips to `*`. (Pure count increments don't bump it — they
-    /// cannot change any match result.)
-    pub fn mutations(&self) -> u64 {
-        self.mutations
-    }
-
     /// Minimum LCS length required for a message of `n` tokens to match.
     fn required_lcs(&self, n: usize) -> usize {
         required_for(self.threshold, n)
     }
 
-    /// Intern a tokenised message for read-only matching: unseen tokens map
-    /// to the unknown sentinel (they cannot equal any key constant).
-    pub fn lookup_ids(&self, tokens: &[String]) -> Vec<TokenId> {
-        self.interner.lookup_all(tokens)
-    }
-
-    /// [`SpellParser::lookup_ids`] into a caller-provided buffer (cleared
-    /// first), so per-line detection loops reuse one allocation.
-    pub fn lookup_ids_into(&self, tokens: &[String], out: &mut Vec<TokenId>) {
-        self.interner.lookup_all_into(tokens, out);
-    }
-
-    /// Find the best-matching existing key for `tokens` without mutating
-    /// anything. Used in the detection phase, where an unmatched message is
-    /// an *unexpected log message* anomaly rather than a new key. The
-    /// interned-id buffer lives in per-thread scratch — batch trainers call
-    /// this once per message from pool workers.
-    pub fn match_message(&self, tokens: &[String]) -> Option<KeyId> {
-        crate::scratch::with_ids(|ids| {
-            self.interner.lookup_all_into(tokens, ids);
-            self.match_ids(ids)
-        })
-    }
-
     // lint: ingest-hot(begin)
 
-    /// Matcher over interned tokens. See the module docs for the matching
-    /// contract; equivalent to [`SpellParser::match_ids_linear`]. Dispatch:
-    /// the compiled automaton when frozen, the live prefix-tree + inverted
-    /// index otherwise, the linear scan under the ablation switch.
+    /// The matcher: best key for a message of interned tokens, mutating
+    /// nothing. See the module docs for the matching contract; equivalent
+    /// to [`SpellParser::match_ids_linear`]. Runs the compiled automaton
+    /// when frozen and the live prefix-tree + inverted index while
+    /// training.
     pub fn match_ids(&self, ids: &[TokenId]) -> Option<KeyId> {
-        if !self.use_index {
-            return self.match_ids_linear(ids);
-        }
         if let Some(auto) = &self.automaton {
             return match auto.match_ids(ids) {
                 AutoMatch::Exact(ki) => {
@@ -275,10 +190,9 @@ impl SpellParser {
         self.match_ids_index(ids)
     }
 
-    /// The live-index matcher (prefix tree + inverted index), regardless of
-    /// freeze state. Public so benchmarks and equivalence tests can compare
-    /// it against the automaton directly.
-    pub fn match_ids_index(&self, ids: &[TokenId]) -> Option<KeyId> {
+    /// The live-index matcher (prefix tree + inverted index): what
+    /// [`SpellParser::match_ids`] runs on a thawed parser.
+    fn match_ids_index(&self, ids: &[TokenId]) -> Option<KeyId> {
         // Exact-instance fast path: the prefix tree yields every key this
         // message instantiates (stale paths are filtered by verification);
         // an exact instance has the maximal LCS `n`, so the lowest such
@@ -333,18 +247,6 @@ impl SpellParser {
 
     // lint: ingest-hot(end)
 
-    /// Memoised [`SpellParser::match_ids`] for frozen-parser workloads.
-    /// See [`MatchMemo`] for the soundness condition.
-    pub fn match_ids_memo(&self, ids: &[TokenId], memo: &mut MatchMemo) -> Option<KeyId> {
-        if let Some(&hit) = memo.map.get(ids) {
-            obs::inc!("spell.match.memo_hits");
-            return hit;
-        }
-        let result = self.match_ids(ids);
-        memo.map.insert(ids.to_vec(), result);
-        result
-    }
-
     /// Reference matcher: a plain linear scan with one score — the wildcard
     /// LCS — for every same-length key. This is the executable
     /// specification of the matching contract; `match_ids` must agree with
@@ -363,53 +265,6 @@ impl SpellParser {
             }
         }
         best.map(|(_, ki)| self.keys[ki as usize].id)
-    }
-
-    /// String-token form of [`SpellParser::match_ids_linear`].
-    pub fn match_message_linear(&self, tokens: &[String]) -> Option<KeyId> {
-        self.match_ids_linear(&self.lookup_ids(tokens))
-    }
-
-    /// Feed one pre-tokenised message; returns the key it was assigned to.
-    pub fn parse_tokens(&mut self, tokens: Vec<String>) -> ParseOutcome {
-        self.parse_tokens_with_hint(tokens, None)
-    }
-
-    /// Feed one pre-tokenised message, optionally supplying a precomputed
-    /// match result (`hint`). The hint must have been computed by
-    /// `match_message`/`match_ids` on this parser while its
-    /// [`SpellParser::mutations`] counter held its current value — batch
-    /// trainers compute hints in parallel against a snapshot and pass them
-    /// here only when the counter is unchanged, which makes parallel
-    /// training bit-identical to sequential.
-    pub fn parse_tokens_with_hint(
-        &mut self,
-        tokens: Vec<String>,
-        hint: Option<Option<KeyId>>,
-    ) -> ParseOutcome {
-        // Training invalidates any compiled automaton (its key set would
-        // go stale on the first refinement or new key).
-        self.automaton = None;
-        obs::inc!("spell.lines_parsed");
-        let ids = self.interner.intern_all(&tokens);
-        let matched = match hint {
-            Some(precomputed) => precomputed,
-            None => self.match_ids(&ids),
-        };
-        if let Some(id) = matched {
-            self.refine(id, &ids);
-            return ParseOutcome {
-                key_id: id,
-                is_new_key: false,
-                tokens,
-            };
-        }
-        let id = self.found_key(ids, tokens.clone());
-        ParseOutcome {
-            key_id: id,
-            is_new_key: true,
-            tokens,
-        }
     }
 
     /// Refine key `id` against a matched message: any position where the
@@ -434,7 +289,6 @@ impl SpellParser {
             obs::inc!("spell.keys_refined");
             obs::add!("spell.positions_wildcarded", flipped as u64);
             obs::event!("spell.key_refined", "key" = id.0, "flipped" = flipped);
-            self.mutations += 1;
             self.index.note_refinement(id.0, &self.ikeys[ki], flipped);
             if self.index.needs_rebuild() {
                 obs::inc!("spell.index_rebuilds");
@@ -448,7 +302,6 @@ impl SpellParser {
         let id = KeyId(self.keys.len() as u32);
         obs::inc!("spell.keys_created");
         obs::event!("spell.new_key", "key" = id.0, "len" = ids.len());
-        self.mutations += 1;
         self.index
             .insert_key(id.0, &ids, self.required_lcs(ids.len()));
         self.keys.push(LogKey {
@@ -461,49 +314,31 @@ impl SpellParser {
         id
     }
 
-    /// Feed one raw message string.
+    /// Feed one raw message to the parser — the training path. Returns the
+    /// key it was assigned to along with the message's tokens, which every
+    /// caller goes on to feed `IntelMessage::instantiate`.
     pub fn parse_message(&mut self, message: &str) -> ParseOutcome {
-        self.parse_tokens(tokenize_message(message))
+        // Training invalidates any compiled automaton (its key set would
+        // go stale on the first refinement or new key).
+        self.automaton = None;
+        obs::inc!("spell.lines_parsed");
+        let tokens = tokenize_message(message);
+        let ids: Vec<TokenId> = tokens.iter().map(|t| self.interner.intern(t)).collect();
+        let (key_id, is_new_key) = match self.match_ids(&ids) {
+            Some(id) => {
+                self.refine(id, &ids);
+                (id, false)
+            }
+            None => (self.found_key(ids, tokens.clone()), true),
+        };
+        ParseOutcome {
+            key_id,
+            is_new_key,
+            tokens,
+        }
     }
 
     // lint: ingest-hot(begin)
-
-    /// Feed one raw line through the zero-copy ingest path: byte-span
-    /// tokenisation straight off the line buffer, span-slice interning,
-    /// and matching — with no per-line `String` or `Vec` in the steady
-    /// state (tokens are materialised only when the line founds a new key;
-    /// see `tests/zero_alloc.rs`). Equivalent to
-    /// [`SpellParser::parse_message`] minus the returned token vector.
-    pub fn parse_line(&mut self, message: &str) -> LineOutcome {
-        self.automaton = None;
-        obs::inc!("spell.lines_parsed");
-        crate::scratch::with_line(|line| {
-            lognlp::tokenize_spans(message, &mut line.spans);
-            line.ids.clear();
-            for s in line.spans.iter() {
-                line.ids.push(self.interner.intern(s.of(message)));
-            }
-            if let Some(id) = self.match_ids(&line.ids) {
-                self.refine(id, &line.ids);
-                return LineOutcome {
-                    key_id: id,
-                    is_new_key: false,
-                };
-            }
-            // lint: allow(alloc) — founding a key is a rare structural
-            // mutation; tokens are materialised only here.
-            let tokens: Vec<String> = line
-                .spans
-                .iter()
-                .map(|s| s.of(message).to_string())
-                .collect();
-            let id = self.found_key(line.ids.clone(), tokens);
-            LineOutcome {
-                key_id: id,
-                is_new_key: true,
-            }
-        })
-    }
 
     /// Match a raw line without mutating anything, through the zero-copy
     /// path: spans are resolved against the interner by byte slice
@@ -511,7 +346,7 @@ impl SpellParser {
     /// performs no allocation at all.
     pub fn match_line(&self, message: &str) -> Option<KeyId> {
         crate::scratch::with_line(|line| {
-            self.lookup_line_into_buffers(message, &mut line.spans, &mut line.ids);
+            self.lookup_line_into(message, &mut line.spans, &mut line.ids);
             self.match_ids(&line.ids)
         })
     }
@@ -520,17 +355,8 @@ impl SpellParser {
     /// buffers (both cleared first): spans index `message`, and unseen
     /// tokens map to [`UNKNOWN_ID`]. Streaming callers keep both buffers
     /// across lines so the per-line cost is allocation-free.
-    pub fn lookup_line_into(&self, message: &str, spans: &mut Vec<Span>, out: &mut Vec<TokenId>) {
-        self.lookup_line_into_buffers(message, spans, out);
-    }
-
     #[inline]
-    fn lookup_line_into_buffers(
-        &self,
-        message: &str,
-        spans: &mut Vec<Span>,
-        out: &mut Vec<TokenId>,
-    ) {
+    pub fn lookup_line_into(&self, message: &str, spans: &mut Vec<Span>, out: &mut Vec<TokenId>) {
         lognlp::tokenize_spans(message, spans);
         out.clear();
         for s in spans.iter() {
@@ -544,12 +370,6 @@ impl SpellParser {
 
     // lint: ingest-hot(end)
 
-    /// Match a raw message without mutating the key set. Routed through
-    /// the zero-copy span path ([`SpellParser::match_line`]).
-    pub fn match_raw(&self, message: &str) -> Option<KeyId> {
-        self.match_line(message)
-    }
-
     fn rebuild_index(&mut self) {
         let t = self.threshold;
         self.index.rebuild(&self.ikeys, &|n| required_for(t, n));
@@ -561,22 +381,33 @@ impl SpellParser {
     /// model store, serve/gateway `LOAD`, replay) is exactly the moment
     /// the key set stops changing, so the compiled matcher is active from
     /// the first line served.
-    fn from_parts(threshold: f64, keys: Vec<LogKey>) -> SpellParser {
+    ///
+    /// The parts come from a model file, so they are checked rather than
+    /// trusted: every matcher indexes `keys` by `KeyId`, which is only
+    /// sound when ids are dense and in order.
+    fn from_parts(threshold: f64, keys: Vec<LogKey>) -> Result<SpellParser, DeError> {
+        if threshold.is_nan() || threshold < 1.0 {
+            return Err(DeError::msg(format!(
+                "spell threshold {threshold} is below 1.0"
+            )));
+        }
         let mut p = SpellParser::new(threshold);
         for key in keys {
-            debug_assert_eq!(
-                key.id.0 as usize,
-                p.keys.len(),
-                "keys must arrive in id order"
-            );
-            let ids = p.interner.intern_all(&key.tokens);
+            if key.id.0 as usize != p.keys.len() {
+                return Err(DeError::msg(format!(
+                    "log key at position {} carries id {} (ids must be dense and in order)",
+                    p.keys.len(),
+                    key.id.0
+                )));
+            }
+            let ids: Vec<TokenId> = key.tokens.iter().map(|t| p.interner.intern(t)).collect();
             p.index
                 .insert_key(key.id.0, &ids, required_for(threshold, ids.len()));
             p.ikeys.push(ids);
             p.keys.push(key);
         }
         p.freeze();
-        p
+        Ok(p)
     }
 }
 
@@ -607,7 +438,7 @@ impl Serialize for SpellParser {
 impl Deserialize for SpellParser {
     fn deserialize_content(content: &Content) -> Result<Self, DeError> {
         let state = SpellParserState::deserialize_content(content)?;
-        Ok(SpellParser::from_parts(state.threshold, state.keys))
+        SpellParser::from_parts(state.threshold, state.keys)
     }
 }
 
@@ -683,12 +514,12 @@ mod tests {
     }
 
     #[test]
-    fn match_message_is_pure() {
+    fn match_line_is_pure() {
         let mut p = SpellParser::default();
         p.parse_message("container launched on host1");
         let before = p.len();
-        assert!(p.match_raw("container launched on host9").is_some());
-        assert!(p.match_raw("utterly different words entirely").is_none());
+        assert!(p.match_line("container launched on host9").is_some());
+        assert!(p.match_line("utterly different words entirely").is_none());
         assert_eq!(p.len(), before);
     }
 
@@ -707,7 +538,7 @@ mod tests {
         p.parse_message("alpha beta gamma delta epsilon yot eta");
         // second merged into first: key now has one star
         let probe = p
-            .match_raw("alpha beta gamma delta epsilon zeta eta")
+            .match_line("alpha beta gamma delta epsilon zeta eta")
             .unwrap();
         assert_eq!(probe, KeyId(0));
     }
@@ -725,18 +556,16 @@ mod tests {
         // with the probe, key1 shares 5 — key1 must win even though key0
         // was founded first and also clears the threshold.
         let mut p = SpellParser::new(1.7); // 6 tokens → LCS ≥ 4
-        let k0 = p.parse_tokens(toks("read block a1 from disk zero")).key_id;
-        let k1 = p.parse_tokens(toks("read block a1 from disk one")).key_id;
+        let k0 = p.parse_message("read block a1 from disk zero").key_id;
+        let k1 = p.parse_message("read block a1 from disk one").key_id;
         // the two founding messages merged? they share 5 of 6 → merged.
         assert_eq!(k0, k1);
-        let k2 = p.parse_tokens(toks("send chunk a1 over wire zero")).key_id;
+        let k2 = p.parse_message("send chunk a1 over wire zero").key_id;
         assert_ne!(k0, k2);
         // probe: LCS 4 with key0-family, exact with neither
-        let probe = toks("read block a1 from cable zero");
-        let got = p.match_message(&probe).unwrap();
-        let linear = p.match_message_linear(&probe).unwrap();
-        assert_eq!(got, linear);
-        assert_eq!(got, k0);
+        let probe = "read block a1 from cable zero";
+        assert_eq!(p.match_line(probe), Some(k0));
+        assert_eq!(match_linear(&p, probe), Some(k0));
     }
 
     #[test]
@@ -745,12 +574,12 @@ mod tests {
         // "p q" (LCS 2 < 4) so they found distinct keys; the probe reaches
         // LCS exactly 4 with both — a genuine tie, resolved to the lowest id.
         let mut p = SpellParser::new(1.7);
-        let a = p.parse_tokens(toks("a b c d p q")).key_id;
-        let b = p.parse_tokens(toks("w x y z p q")).key_id;
+        let a = p.parse_message("a b c d p q").key_id;
+        let b = p.parse_message("w x y z p q").key_id;
         assert_ne!(a, b);
-        let probe = toks("a b w x p q");
-        assert_eq!(p.match_message(&probe), Some(a));
-        assert_eq!(p.match_message_linear(&probe), Some(a));
+        let probe = "a b w x p q";
+        assert_eq!(p.match_line(probe), Some(a));
+        assert_eq!(match_linear(&p, probe), Some(a));
     }
 
     #[test]
@@ -775,32 +604,12 @@ mod tests {
             "starting task on host now extra",
         ];
         for probe in probes {
-            let tokens = tokenize_message(probe);
             assert_eq!(
-                p.match_message(&tokens),
-                p.match_message_linear(&tokens),
+                p.match_line(probe),
+                match_linear(&p, probe),
                 "divergence on {probe:?}"
             );
         }
-    }
-
-    #[test]
-    fn memo_agrees_with_direct_matching() {
-        let mut p = SpellParser::default();
-        p.parse_message("starting task 1 on host1");
-        p.parse_message("starting task 2 on host2");
-        p.parse_message("shutdown hook called");
-        let mut memo = MatchMemo::new();
-        let msgs = [
-            "starting task 9 on host9",
-            "shutdown hook called",
-            "nothing matches this",
-        ];
-        for m in msgs.iter().chain(msgs.iter()) {
-            let ids = p.lookup_ids(&tokenize_message(m));
-            assert_eq!(p.match_ids_memo(&ids, &mut memo), p.match_ids(&ids), "{m}");
-        }
-        assert_eq!(memo.len(), 3, "distinct sequences memoised once each");
     }
 
     #[test]
@@ -819,12 +628,7 @@ mod tests {
             "block manager registered with 9 GB memory",
             "no match here at all",
         ] {
-            let tokens = tokenize_message(probe);
-            assert_eq!(
-                q.match_message(&tokens),
-                p.match_message(&tokens),
-                "{probe}"
-            );
+            assert_eq!(q.match_line(probe), p.match_line(probe), "{probe}");
         }
         // serialised form is stable: re-serialising the round-tripped
         // parser is byte-identical
@@ -832,24 +636,20 @@ mod tests {
     }
 
     #[test]
-    fn hint_path_equals_unhinted_parse() {
-        let msgs: Vec<Vec<String>> = (0..40)
-            .map(|i| toks(&format!("worker {} sent {} bytes to driver", i % 4, i * 7)))
-            .collect();
-        let mut a = SpellParser::default();
-        let mut b = SpellParser::default();
-        for m in &msgs {
-            let snapshot = b.mutations();
-            let hint = b.match_message(m);
-            let oa = a.parse_tokens(m.clone());
-            let ob = if b.mutations() == snapshot {
-                b.parse_tokens_with_hint(m.clone(), Some(hint))
-            } else {
-                b.parse_tokens(m.clone())
-            };
-            assert_eq!(oa, ob);
-        }
-        assert_eq!(a.keys(), b.keys());
+    fn out_of_order_key_ids_are_refused() {
+        // `keys` is indexed by KeyId everywhere; a model file whose ids are
+        // not dense and in order must fail to load, not panic later.
+        let mut p = SpellParser::default();
+        p.parse_message("starting task 1 on host1");
+        p.parse_message("shutdown hook called");
+        let json = serde_json::to_string(&p).unwrap();
+        assert!(serde_json::from_str::<SpellParser>(&json).is_ok());
+        let swapped = json.replacen("\"id\":0", "\"id\":1", 1);
+        assert_ne!(swapped, json, "fixture must contain key id 0");
+        assert!(serde_json::from_str::<SpellParser>(&swapped).is_err());
+        let low = json.replacen("1.7", "0.5", 1);
+        assert_ne!(low, json, "fixture must contain the threshold");
+        assert!(serde_json::from_str::<SpellParser>(&low).is_err());
     }
 
     #[test]
@@ -859,13 +659,16 @@ mod tests {
         // throughout.
         let mut p = SpellParser::default();
         for i in 0..300 {
-            let m = toks(&format!("phase {} item {} state {} done", i % 10, i, i % 7));
-            p.parse_tokens(m.clone());
-            assert_eq!(p.match_message(&m), p.match_message_linear(&m));
+            let m = format!("phase {} item {} state {} done", i % 10, i, i % 7);
+            p.parse_message(&m);
+            assert_eq!(p.match_line(&m), match_linear(&p, &m));
         }
     }
 
-    fn toks(s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_string).collect()
+    /// The oracle over a raw message.
+    fn match_linear(p: &SpellParser, message: &str) -> Option<KeyId> {
+        let (mut spans, mut ids) = (Vec::new(), Vec::new());
+        p.lookup_line_into(message, &mut spans, &mut ids);
+        p.match_ids_linear(&ids)
     }
 }

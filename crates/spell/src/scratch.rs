@@ -23,8 +23,6 @@ thread_local! {
     static WALK: RefCell<(Vec<u32>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
     /// Token-count and key-overlap maps for inverted-index scoring.
     static SCORED: RefCell<ScoredScratch> = RefCell::new(ScoredScratch::default());
-    /// Interned-id buffer for read-only message lookups.
-    static IDS: RefCell<Vec<TokenId>> = const { RefCell::new(Vec::new()) };
     /// Span + id buffers for the zero-copy line ingest path.
     static LINE: RefCell<LineScratch> = const { RefCell::new(LineScratch::new()) };
     /// Exact-candidate output buffer for the trie walk.
@@ -110,10 +108,6 @@ pub(crate) fn with_walk<R>(f: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>) -> R) ->
 
 pub(crate) fn with_scored<R>(f: impl FnOnce(&mut ScoredScratch) -> R) -> R {
     SCORED.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-pub(crate) fn with_ids<R>(f: impl FnOnce(&mut Vec<TokenId>) -> R) -> R {
-    IDS.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 pub(crate) fn with_line<R>(f: impl FnOnce(&mut LineScratch) -> R) -> R {

@@ -1,7 +1,7 @@
 //! Property-based tests for Spell invariants.
 
 use proptest::prelude::*;
-use spell::{lcs::lcs_len, SpellParser, STAR};
+use spell::{lcs::lcs_len, ParseOutcome, SpellParser, TokenId, STAR};
 
 fn word() -> impl Strategy<Value = String> {
     "[a-z]{1,6}"
@@ -11,14 +11,29 @@ fn message() -> impl Strategy<Value = Vec<String>> {
     prop::collection::vec(word(), 1..12)
 }
 
+/// Feed one generated message through the parser's one parse door. Words
+/// are `[a-z]{1,6}`, so joining on spaces and re-tokenising is lossless
+/// (`deterministic_assignment` asserts it).
+fn parse(p: &mut SpellParser, msg: &[String]) -> ParseOutcome {
+    p.parse_message(&msg.join(" "))
+}
+
+/// Read-only interned form of a generated message (unseen → `UNKNOWN_ID`).
+fn ids_of(p: &SpellParser, msg: &[String]) -> Vec<TokenId> {
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
+    p.lookup_line_into(&msg.join(" "), &mut spans, &mut ids);
+    ids
+}
+
 proptest! {
     /// Feeding the same message twice always lands on the same key and
     /// never creates a second key.
     #[test]
     fn deterministic_assignment(msg in message()) {
         let mut p = SpellParser::default();
-        let a = p.parse_tokens(msg.clone());
-        let b = p.parse_tokens(msg);
+        let a = parse(&mut p, &msg);
+        let b = parse(&mut p, &msg);
+        prop_assert_eq!(&a.tokens, &msg);
         prop_assert_eq!(a.key_id, b.key_id);
         prop_assert!(a.is_new_key);
         prop_assert!(!b.is_new_key);
@@ -30,7 +45,7 @@ proptest! {
     fn assigned_key_matches_message(msgs in prop::collection::vec(message(), 1..30)) {
         let mut p = SpellParser::default();
         for m in msgs {
-            let out = p.parse_tokens(m.clone());
+            let out = parse(&mut p, &m);
             prop_assert!(p.key(out.key_id).matches(&m),
                 "key {:?} should match {:?}", p.key(out.key_id).tokens, m);
         }
@@ -43,7 +58,7 @@ proptest! {
         let mut p = SpellParser::default();
         let mut consts: std::collections::HashMap<spell::KeyId, usize> = Default::default();
         for m in msgs {
-            let out = p.parse_tokens(m);
+            let out = parse(&mut p, &m);
             let c = p.key(out.key_id).constant_len();
             if let Some(prev) = consts.insert(out.key_id, c) {
                 prop_assert!(c <= prev);
@@ -56,8 +71,8 @@ proptest! {
     fn key_count_bounded(msgs in prop::collection::vec(message(), 1..40)) {
         let mut p = SpellParser::default();
         let distinct: std::collections::HashSet<_> = msgs.iter().cloned().collect();
-        for m in msgs.clone() {
-            p.parse_tokens(m);
+        for m in &msgs {
+            parse(&mut p, m);
         }
         prop_assert!(p.len() <= distinct.len());
         let total: u64 = p.keys().iter().map(|k| k.count).sum();
@@ -69,8 +84,8 @@ proptest! {
     #[test]
     fn sample_instance_invariant(msgs in prop::collection::vec(message(), 1..30)) {
         let mut p = SpellParser::default();
-        for m in msgs {
-            p.parse_tokens(m);
+        for m in &msgs {
+            parse(&mut p, m);
         }
         for k in p.keys() {
             prop_assert!(k.matches(&k.sample));
@@ -90,23 +105,26 @@ proptest! {
         prop_assert!(l <= a.len().min(b.len()));
     }
 
-    /// The indexed matcher agrees with the linear-scan reference matcher —
-    /// both mid-training (after every parse, against the evolving key set)
-    /// and on held-out probes containing tokens the parser never interned.
+    /// The live-index matcher agrees with the linear-scan reference
+    /// matcher — both mid-training (after every parse, against the evolving
+    /// key set) and on held-out probes containing tokens the parser never
+    /// interned.
     #[test]
     fn indexed_matcher_equals_linear(
         msgs in prop::collection::vec(message(), 1..40),
         probes in prop::collection::vec(message(), 1..10),
     ) {
         let mut p = SpellParser::default();
-        for m in msgs {
-            p.parse_tokens(m.clone());
-            prop_assert_eq!(p.match_message(&m), p.match_message_linear(&m));
+        for m in &msgs {
+            parse(&mut p, m);
+            let ids = ids_of(&p, m);
+            prop_assert_eq!(p.match_ids(&ids), p.match_ids_linear(&ids));
         }
-        for probe in probes {
+        for probe in &probes {
+            let ids = ids_of(&p, probe);
             prop_assert_eq!(
-                p.match_message(&probe),
-                p.match_message_linear(&probe),
+                p.match_ids(&ids),
+                p.match_ids_linear(&ids),
                 "probe {:?} diverged", probe
             );
         }
@@ -120,8 +138,8 @@ proptest! {
         probes in prop::collection::vec(message(), 1..8),
     ) {
         let mut p = SpellParser::default();
-        for m in msgs {
-            p.parse_tokens(m);
+        for m in &msgs {
+            parse(&mut p, m);
         }
         let json = serde_json::to_string(&p).unwrap();
         let q: SpellParser = serde_json::from_str(&json).unwrap();
@@ -129,8 +147,9 @@ proptest! {
         // Deserialised parsers arrive frozen (the serving/replay read-path
         // configuration), so this also crosses automaton vs live index.
         prop_assert!(q.is_frozen());
-        for probe in probes {
-            prop_assert_eq!(q.match_message(&probe), p.match_message(&probe));
+        for probe in &probes {
+            let line = probe.join(" ");
+            prop_assert_eq!(q.match_line(&line), p.match_line(&line));
         }
     }
 
@@ -145,15 +164,17 @@ proptest! {
     ) {
         let mut p = SpellParser::default();
         for m in &msgs {
-            p.parse_tokens(m.clone());
+            parse(&mut p, m);
         }
         p.freeze();
         prop_assert!(p.is_frozen());
+        let mut thawed = p.clone();
+        thawed.thaw();
         for probe in msgs.iter().chain(&probes) {
-            let ids = p.lookup_ids(probe);
+            let ids = ids_of(&p, probe);
             let auto = p.match_ids(&ids);
             prop_assert_eq!(
-                auto, p.match_ids_index(&ids),
+                auto, thawed.match_ids(&ids),
                 "automaton vs live index diverged on {:?}", probe
             );
             prop_assert_eq!(
@@ -173,47 +194,18 @@ proptest! {
     ) {
         let mut p = SpellParser::default();
         for m in &before {
-            p.parse_tokens(m.clone());
+            parse(&mut p, m);
         }
         p.freeze();
         prop_assert!(p.is_frozen());
         for m in &after {
-            p.parse_tokens(m.clone());
+            parse(&mut p, m);
         }
         prop_assert!(!p.is_frozen(), "training must thaw the automaton");
         p.freeze();
         for probe in before.iter().chain(&after) {
-            let ids = p.lookup_ids(probe);
+            let ids = ids_of(&p, probe);
             prop_assert_eq!(p.match_ids(&ids), p.match_ids_linear(&ids));
-        }
-    }
-
-    /// The zero-alloc byte-level line path must be observationally
-    /// identical to the token-vector path: same key assignments during
-    /// training, same key set afterwards, same match verdicts when frozen.
-    #[test]
-    fn parse_line_equals_parse_message(
-        msgs in prop::collection::vec(message(), 1..30),
-        probes in prop::collection::vec(message(), 1..8),
-    ) {
-        let mut byte_path = SpellParser::default();
-        let mut token_path = SpellParser::default();
-        for m in &msgs {
-            let line = m.join(" ");
-            let a = byte_path.parse_line(&line);
-            let b = token_path.parse_message(&line);
-            prop_assert_eq!(a.key_id, b.key_id);
-            prop_assert_eq!(a.is_new_key, b.is_new_key);
-        }
-        prop_assert_eq!(byte_path.keys(), token_path.keys());
-        byte_path.freeze();
-        for probe in msgs.iter().chain(&probes) {
-            let line = probe.join(" ");
-            prop_assert_eq!(
-                byte_path.match_line(&line),
-                token_path.match_message(probe),
-                "line path diverged on {:?}", line
-            );
         }
     }
 }

@@ -7,10 +7,6 @@
 //! * `match_line` against a frozen parser performs **zero** heap
 //!   allocations — tokenise to spans, intern-lookup by byte slice, and
 //!   the compiled automaton all run out of per-thread scratch;
-//! * `parse_line` in the steady state (every line matches an existing
-//!   key, nothing flips to `*`) performs **zero** heap allocations —
-//!   founding or refining a key is the only allocating path, and neither
-//!   occurs once the key set has converged;
 //! * the `lognlp::format` adapters normalise foreign lines (HDFS/BGL
 //!   header, RFC-3164 syslog, JSON) with **zero** heap allocations — the
 //!   returned record borrows from the input — and feeding an adapted
@@ -115,7 +111,7 @@ fn frozen_match_line_is_allocation_free() {
     let _guard = lock();
     let mut parser = SpellParser::default();
     for line in corpus() {
-        parser.parse_line(&line);
+        parser.parse_message(&line);
     }
     parser.freeze();
     assert!(parser.is_frozen());
@@ -192,7 +188,7 @@ fn adapted_ingest_is_allocation_free() {
     let _guard = lock();
     let mut parser = SpellParser::default();
     for line in corpus() {
-        parser.parse_line(&line);
+        parser.parse_message(&line);
     }
     parser.freeze();
     let foreign = foreign_probes();
@@ -236,37 +232,4 @@ fn adapted_ingest_is_allocation_free() {
         0,
         "adapter normalisation + frozen match allocated on the steady state"
     );
-}
-
-#[test]
-fn steady_state_parse_line_is_allocation_free() {
-    let _guard = lock();
-    let mut parser = SpellParser::default();
-    let lines = corpus();
-    // Pass 1 founds the keys; pass 2 refines the parameter positions to
-    // `*` and warms the scratch. From pass 3 on nothing flips: every line
-    // is an instance of a converged key.
-    for _ in 0..2 {
-        for line in &lines {
-            parser.parse_line(line);
-        }
-    }
-    let keys_before = parser.len();
-
-    let before = allocations();
-    for _ in 0..3 {
-        for line in &lines {
-            let out = parser.parse_line(line);
-            assert!(!out.is_new_key);
-        }
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state parse_line allocated (keys: {} -> {})",
-        keys_before,
-        parser.len()
-    );
-    assert_eq!(parser.len(), keys_before, "steady state must not grow keys");
 }

@@ -5,20 +5,23 @@ Reads BENCH_pipeline.json and BENCH_serve.json (full-size runs, not
 --smoke: the smoke corpora are deliberately tiny and their scaling
 numbers are noise) and enforces:
 
-  * pipeline: threads4 parallel training/detection beats sequential by
+  * pipeline: threads4 parallel detection beats sequential by
     >= SPEEDUP_MIN when the host has >= 4 CPUs.  On smaller hosts a real
     speedup is physically impossible (the threadsN series just
     time-slices one core), so the gate degrades to a non-regression
     bound: threads4 >= PARITY_MIN * sequential, i.e. the executor's
     scheduling overhead stays bounded.
-  * pipeline: absolute per-stage throughput floors — Spell byte-level
-    parse, frozen-automaton match, and Intel-Key extraction — set far
-    below any observed run (local measurements after the zero-alloc
-    ingest + compiled-automaton work are ~1.5M parse / ~900k match msgs/s
-    and ~150k extraction keys/s; GitHub runners are slower but not 10x
+  * pipeline: threads4 training holds PARITY_MIN * sequential on every
+    host.  Spell (an order-dependent stream) and the HW-graph merge are
+    sequential in both trainers, so training makes no speedup claim; the
+    gate bounds what the parallel per-key/per-session stages cost.
+  * pipeline: absolute per-stage throughput floors — Spell streaming
+    parse (`parse_message`, the trainer's call), frozen-automaton
+    `match_ids`, and Intel-Key extraction — set far below any observed
+    run (see BENCH_pipeline.json; GitHub runners are slower but not 10x
     slower) so only a genuine hot-path regression trips them, plus the
-    indexed-vs-linear ratio floor which is load-independent because
-    both sides run back-to-back on identical probes.
+    automaton-vs-linear ratio floor which is load-independent because
+    both sides run back-to-back on identical pre-interned probes.
   * pipeline: every lognlp::format adapter (hdfs, syslog, json) keeps its
     normalisation overhead — header parse ahead of the same streaming
     Spell parse — at or below ADAPTER_OVERHEAD_MAX percent of the native
@@ -44,12 +47,12 @@ import json
 import os
 import sys
 
-SPEEDUP_MIN = 1.2  # threads4 vs sequential, hosts with >= 4 CPUs
-PARITY_MIN = 0.70  # threads4 vs sequential, smaller hosts (overhead bound)
+SPEEDUP_MIN = 1.2  # detection threads4 vs sequential, hosts with >= 4 CPUs
+PARITY_MIN = 0.70  # threads4 vs sequential: training always, detection < 4 CPUs
 SERVE_STEP_SLACK = 0.85  # per-step noise slack on the shard series
 CONN_FLOOR = 5_000  # gateway lines/s at any connection count
 CONN_PARITY = 0.60  # 8 connections vs 1 (sweep overhead bound)
-PARSE_FLOOR = 150_000  # Spell byte-level streaming parse, msgs/s
+PARSE_FLOOR = 150_000  # Spell streaming parse (parse_message), msgs/s
 MATCH_FLOOR = 100_000  # Spell frozen-automaton match, msgs/s
 EXTRACT_FLOOR = 20_000  # Intel-Key extraction, keys/s
 RATIO_FLOOR = 3.0  # indexed vs linear matcher, same probes
@@ -80,7 +83,7 @@ def main() -> int:
         seq = pipeline[section]["sequential_sessions_per_s"]
         t4 = pipeline[section]["threads4_sessions_per_s"]
         ratio = t4 / seq
-        if cpus >= 4:
+        if section == "detection" and cpus >= 4:
             gate(
                 ratio >= SPEEDUP_MIN,
                 f"{section}: threads4/seq = {ratio:.2f} >= {SPEEDUP_MIN} "
@@ -90,8 +93,7 @@ def main() -> int:
             gate(
                 ratio >= PARITY_MIN,
                 f"{section}: threads4/seq = {ratio:.2f} >= {PARITY_MIN} "
-                f"(non-regression bound; host has {cpus} CPU(s), "
-                f"real speedup impossible)",
+                f"(overhead bound; host has {cpus} CPU(s))",
             )
 
     # --- pipeline: per-stage Spell floors --------------------------------

@@ -33,9 +33,8 @@ Six rules over the workspace's Rust sources:
                    `.to_string()`, `String::from(`, `String::new()`,
                    `.to_owned()`, `Vec::new()`, `vec![`, `.to_vec()`,
                    `format!(`, `Box::new(`, `with_capacity(`. Escape per
-                   site with `// lint: allow(alloc)` plus a reason (e.g.
-                   the new-key materialisation in `parse_line`, which is
-                   rare by construction).
+                   site with `// lint: allow(alloc)` plus a reason (a
+                   path that is rare by construction).
 
 Escape hatch: a `// lint: allow(<rule>)` comment on the offending line or
 within the 5 lines above suppresses that rule there (used exactly once in

@@ -26,11 +26,14 @@ const ALL_SYSTEMS: [SystemKind; 6] = [
     SystemKind::TensorFlow,
 ];
 
-/// Assert the frozen automaton, the live index and the linear reference
-/// agree on every probe line. Returns how many probes matched some key,
-/// so callers can sanity-check that the hit path was actually exercised.
+/// Assert the frozen automaton, the live index (a thawed clone's
+/// `match_ids`) and the linear reference agree on every probe line.
+/// Returns how many probes matched some key, so callers can sanity-check
+/// that the hit path was actually exercised.
 fn assert_three_way(parser: &SpellParser, probes: &[String], ctx: &str) -> usize {
     assert!(parser.is_frozen(), "{ctx}: parser must be frozen");
+    let mut thawed = parser.clone();
+    thawed.thaw();
     let mut hits = 0;
     for line in probes {
         let mut spans = Vec::new();
@@ -39,7 +42,7 @@ fn assert_three_way(parser: &SpellParser, probes: &[String], ctx: &str) -> usize
         let auto = parser.match_ids(&ids);
         assert_eq!(
             auto,
-            parser.match_ids_index(&ids),
+            thawed.match_ids(&ids),
             "{ctx}: automaton vs live index diverged on {line:?}"
         );
         assert_eq!(
