@@ -22,5 +22,5 @@ pub use detector::Detector;
 pub use diagnose::{diagnose, Diagnosis};
 pub use instance::{GroupInstance, HwInstance};
 pub use report::{Anomaly, JobReport, SessionReport};
-pub use stream::{StreamDetector, StreamState};
+pub use stream::StreamState;
 pub use train::Trainer;

@@ -11,8 +11,7 @@
 //! split is what lets the serving layer move a live session between shard
 //! threads (snapshot/restore during a drain) and pin each session to one
 //! model version under hot reload — the state is an owned value, the model
-//! an `Arc` the caller threads through. [`StreamDetector`] packages the two
-//! back together for single-threaded callers.
+//! an `Arc` the caller threads through.
 //!
 //! [`StreamState::feed`] is the only per-line detection loop body in the
 //! crate: offline [`Detector::detect_session`] opens a state, feeds every
@@ -146,50 +145,6 @@ impl StreamState {
     }
 }
 
-/// An in-flight session being checked line by line, bundled with its
-/// detector — the borrow-based convenience wrapper over [`StreamState`].
-pub struct StreamDetector<'a> {
-    detector: &'a Detector,
-    state: StreamState,
-}
-
-impl<'a> StreamDetector<'a> {
-    /// Open a streaming session against a trained detector.
-    pub fn begin(detector: &'a Detector, session_id: impl Into<String>) -> StreamDetector<'a> {
-        StreamDetector {
-            detector,
-            state: StreamState::begin(session_id),
-        }
-    }
-
-    /// Feed one log line. Returns an anomaly immediately if the line is an
-    /// unexpected message (no Intel Key matches).
-    pub fn feed(&mut self, line: &LogLine) -> Option<Anomaly> {
-        self.state.feed(self.detector, line)
-    }
-
-    /// Number of lines consumed so far.
-    pub fn lines_seen(&self) -> usize {
-        self.state.lines_seen()
-    }
-
-    /// The session this stream belongs to.
-    pub fn session_id(&self) -> &str {
-        self.state.session_id()
-    }
-
-    /// Online (unexpected-message) anomalies surfaced so far.
-    pub fn online_anomaly_count(&self) -> usize {
-        self.state.online_anomaly_count()
-    }
-
-    /// Close the session: run the end-of-session structural checks and
-    /// return the full report (online anomalies included).
-    pub fn finish(self) -> SessionReport {
-        self.state.finish(self.detector)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,11 +185,11 @@ mod tests {
     #[test]
     fn unexpected_message_surfaces_immediately() {
         let d = trained();
-        let mut s = StreamDetector::begin(&d, "c9");
+        let mut s = StreamState::begin("c9");
         assert!(s
-            .feed(&line(0, "Registering block manager endpoint on host1"))
+            .feed(&d, &line(0, "Registering block manager endpoint on host1"))
             .is_none());
-        let a = s.feed(&line(5, "spill 1 written to /tmp/x.out"));
+        let a = s.feed(&d, &line(5, "spill 1 written to /tmp/x.out"));
         assert!(matches!(a, Some(Anomaly::UnexpectedMessage { .. })));
         assert_eq!(s.lines_seen(), 2);
     }
@@ -253,11 +208,11 @@ mod tests {
             ],
         );
         let batch = d.detect_session(&session);
-        let mut s = StreamDetector::begin(&d, "c9");
+        let mut s = StreamState::begin("c9");
         for l in &session.lines {
-            s.feed(l);
+            s.feed(&d, l);
         }
-        let streamed = s.finish();
+        let streamed = s.finish(&d);
         assert_eq!(batch.lines, streamed.lines);
         assert_eq!(
             batch.anomalies.len(),
@@ -275,16 +230,16 @@ mod tests {
     #[test]
     fn clean_stream_has_clean_close() {
         let d = trained();
-        let mut s = StreamDetector::begin(&d, "c9");
+        let mut s = StreamState::begin("c9");
         for l in [
             line(0, "Registering block manager endpoint on host1"),
             line(10, "Starting task 5 in stage 0"),
             line(20, "Finished task 5 in stage 0 and sent 9 bytes to driver"),
             line(30, "Shutdown hook called"),
         ] {
-            assert!(s.feed(&l).is_none());
+            assert!(s.feed(&d, &l).is_none());
         }
-        let report = s.finish();
+        let report = s.finish(&d);
         assert!(!report.is_problematic(), "{:?}", report.anomalies);
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the detector: totality on arbitrary log text,
 //! self-consistency on training data, and report invariants.
 
-use anomaly::{Anomaly, Detector, StreamDetector, Trainer};
+use anomaly::{Anomaly, Detector, StreamState, Trainer};
 use proptest::prelude::*;
 use spell::{Level, LogLine, Session};
 
@@ -83,11 +83,11 @@ proptest! {
     fn streaming_matches_batch(train in session_strategy("t"), eval in session_strategy("e")) {
         let d = trained_detector(&[train]);
         let batch = d.detect_session(&eval);
-        let mut sd = StreamDetector::begin(&d, eval.id.clone());
+        let mut sd = StreamState::begin(eval.id.clone());
         for l in &eval.lines {
-            sd.feed(l);
+            sd.feed(&d, l);
         }
-        let streamed = sd.finish();
+        let streamed = sd.finish(&d);
         prop_assert_eq!(batch.anomalies.len(), streamed.anomalies.len());
         prop_assert_eq!(batch.lines, streamed.lines);
     }

@@ -20,20 +20,19 @@
 //!   `training.threads{N}_sessions_per_s` — parallel training scaling;
 //! * `end_to_end.{sequential,parallel}_s` — train + detect wall-clock on
 //!   the Table 6-style corpus, plus `end_to_end.speedup_vs_sequential`;
-//! * `adapters[]` — per `lognlp::format` adapter (HDFS header, RFC-3164
-//!   syslog, JSON lines): raw-line ingest throughput of the native path
-//!   (`LogFormat` header parse + streaming Spell) vs the adapted path
-//!   (adapter header parse + streaming Spell) over the same message
-//!   bodies — `train` vs `train --format` on equal terms — and the
-//!   normalisation overhead percentage (regression bar: ≤ 15%).
+//! * `adapters[]` — per `lognlp::format` adapter (Hadoop, Spark, HDFS
+//!   header, RFC-3164 syslog, JSON lines): raw-line ingest throughput
+//!   (adapter header parse + streaming Spell, the `train --format` verb)
+//!   over the same message bodies in each syntax.
 //!
 //! Usage: `cargo run --release -p intellog-bench --bin bench_pipeline --
 //! [--smoke] [--out PATH] [--reps N]`. `--smoke` shrinks the corpora so CI
 //! can validate the emitter in seconds; its numbers are not meaningful.
 
-use dlasim::{ForeignFormat, SystemKind};
+use dlasim::SystemKind;
 use intellog_bench::{intern_probes, synthetic_keyset, training_jobs, training_sessions};
-use intellog_core::IntelLog;
+use intellog_core::{render_session, IntelLog};
+use lognlp::format::AdapterKind;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -54,20 +53,15 @@ struct SpellStats {
     automaton_buckets: usize,
 }
 
-/// One `lognlp::format` adapter's normalisation cost relative to native
-/// raw-line ingest. Both sides do the whole `train` ingestion verb on the
-/// same sessions — strip a header, then stream the message body through
-/// Spell parsing — differing only in which header grammar runs
-/// (`spell::LogFormat` natively, the `lognlp::format` adapter for the
-/// foreign rendering), so `overhead_pct` is exactly what `--format` costs
-/// over ingesting the same corpus in its native syntax.
+/// One `lognlp::format` adapter's raw-line ingest throughput: the whole
+/// `train --format` ingestion verb — strip the header, then stream the
+/// message body through Spell parsing — over the same sessions rendered in
+/// that adapter's syntax.
 #[derive(Serialize)]
 struct AdapterStats {
     name: String,
     lines: usize,
-    native_msgs_per_s: f64,
     adapted_msgs_per_s: f64,
-    overhead_pct: f64,
 }
 
 #[derive(Serialize)]
@@ -267,61 +261,40 @@ fn main() {
         spell_stats.index_speedup
     );
 
-    // --- format adapters: normalisation overhead --------------------------
-    // Render the same jobs the Spell corpus came from both natively and in
-    // each foreign syntax. Both sides run the whole ingest verb — header
-    // parse, then streaming Spell over the (identical) message bodies —
-    // so the delta is exactly what `--format` costs over native ingest.
+    // --- format adapters: raw-line ingest per syntax ------------------------
+    // Render the same jobs the Spell corpus came from in each line syntax
+    // and run the whole ingest verb — header parse, then streaming Spell
+    // over the (identical) message bodies.
     let adapter_jobs = training_jobs(SystemKind::MapReduce, spell_jobs, 1);
-    let native_format = dlasim::RawFormat::for_system(SystemKind::MapReduce);
-    let native_lines: Vec<String> = adapter_jobs
-        .iter()
-        .flat_map(|j| j.sessions.iter().flat_map(|s| s.raw_lines(native_format)))
-        .collect();
-    let native_grammar = spell::LogFormat::Hadoop;
-    let native_s = time_median(reps, || {
-        let mut p = spell::SpellParser::default();
-        let mut parsed = 0usize;
-        for line in &native_lines {
-            if let Some(l) = native_grammar.parse(line) {
-                p.parse_message(&l.message);
-                parsed += 1;
-            }
-        }
-        assert_eq!(parsed, native_lines.len(), "native header grammar missed");
-        p.len()
-    });
     let mut adapters: Vec<AdapterStats> = Vec::new();
-    for format in ForeignFormat::ALL {
-        let adapter = intellog_core::adapter_for(format).adapter();
-        let foreign_lines: Vec<String> = adapter_jobs
+    for kind in AdapterKind::ALL {
+        let adapter = kind.adapter();
+        let lines: Vec<String> = adapter_jobs
             .iter()
-            .flat_map(|j| j.sessions.iter().flat_map(|s| format.render_session(s)))
+            .flat_map(|j| j.sessions.iter().flat_map(|s| render_session(kind, s)))
             .collect();
-        assert_eq!(foreign_lines.len(), native_lines.len());
-        for l in &foreign_lines {
+        assert_eq!(lines.len(), messages.len());
+        for l in &lines {
             adapter
                 .parse_record(l)
-                .unwrap_or_else(|e| panic!("{}: rejected own rendering {l:?}: {e}", format.name()));
+                .unwrap_or_else(|e| panic!("{}: rejected own rendering {l:?}: {e}", kind.name()));
         }
         let adapted_s = time_median(reps, || {
             let mut p = spell::SpellParser::default();
-            for line in &foreign_lines {
+            for line in &lines {
                 let rec = adapter.parse_record(line).expect("validated above");
                 p.parse_message(rec.message);
             }
             p.len()
         });
         let stat = AdapterStats {
-            name: format.name().to_string(),
-            lines: foreign_lines.len(),
-            native_msgs_per_s: foreign_lines.len() as f64 / native_s,
-            adapted_msgs_per_s: foreign_lines.len() as f64 / adapted_s,
-            overhead_pct: (adapted_s - native_s) / native_s * 100.0,
+            name: kind.name().to_string(),
+            lines: lines.len(),
+            adapted_msgs_per_s: lines.len() as f64 / adapted_s,
         };
         eprintln!(
-            "adapter {}: native {:.0} vs adapted {:.0} msgs/s ({:+.1}% overhead)",
-            stat.name, stat.native_msgs_per_s, stat.adapted_msgs_per_s, stat.overhead_pct
+            "adapter {}: {:.0} msgs/s",
+            stat.name, stat.adapted_msgs_per_s
         );
         adapters.push(stat);
     }

@@ -4,17 +4,14 @@
 //!
 //! * [`session_from_gen`] — direct structural conversion (fast path used by
 //!   benchmarks);
-//! * [`sessions_from_raw`] — the full-fidelity path: the simulator renders
-//!   raw log text and the `spell` formatters parse it back, exercising the
-//!   same code a deployment against real log files would use;
-//! * [`sessions_from_foreign`] — the adapter path: the simulator renders a
-//!   *foreign* syntax (HDFS/BGL header, RFC-3164 syslog, JSON lines) and a
-//!   `lognlp::format` adapter normalises it back, exercising the
-//!   `--format` ingestion a deployment against outside corpora would use.
+//! * [`sessions_from_text`] — the full-fidelity path: the simulator renders
+//!   raw log text in one of the five line syntaxes and the matching
+//!   `lognlp::format` adapter parses it back, exercising the same code a
+//!   deployment against real log files (`--format`) would use.
 
 use dlasim::{ForeignFormat, GenJob, GenSession, RawFormat, SimLevel};
-use lognlp::format::{AdapterKind, RawLevel};
-use spell::{Level, LogFormat, LogLine, Session};
+use lognlp::format::AdapterKind;
+use spell::{Level, LogLine, Session};
 
 /// Map a simulator severity onto the formatter's level type.
 pub fn level_of(sim: SimLevel) -> Level {
@@ -45,75 +42,40 @@ pub fn sessions_from_job(job: &GenJob) -> Vec<Session> {
     job.sessions.iter().map(session_from_gen).collect()
 }
 
-/// Full-fidelity conversion: render to raw text, parse with the formatter.
-/// Lines the formatter rejects are dropped (like stack-trace continuations
-/// in real files).
-pub fn sessions_from_raw(job: &GenJob) -> Vec<Session> {
-    let raw_fmt = RawFormat::for_system(job.system);
-    let parse_fmt = match raw_fmt {
-        RawFormat::Hadoop => LogFormat::Hadoop,
-        RawFormat::Spark => LogFormat::Spark,
-    };
-    job.sessions
-        .iter()
-        .map(|s| {
-            let lines = s
-                .raw_lines(raw_fmt)
-                .iter()
-                .filter_map(|raw| parse_fmt.parse(raw))
-                .collect();
-            Session::new(s.id.clone(), lines)
-        })
-        .collect()
-}
-
-/// Map an adapter severity onto the formatter's level type.
-pub fn level_of_raw(raw: RawLevel) -> Level {
-    match raw {
-        RawLevel::Trace => Level::Trace,
-        RawLevel::Debug => Level::Debug,
-        RawLevel::Info => Level::Info,
-        RawLevel::Warn => Level::Warn,
-        RawLevel::Error => Level::Error,
-        RawLevel::Fatal => Level::Fatal,
+/// Render one generated session in the syntax `kind` parses.
+pub fn render_session(kind: AdapterKind, session: &GenSession) -> Vec<String> {
+    match kind {
+        AdapterKind::Hadoop => session.raw_lines(RawFormat::Hadoop),
+        AdapterKind::Spark => session.raw_lines(RawFormat::Spark),
+        AdapterKind::Hdfs => ForeignFormat::Hdfs.render_session(session),
+        AdapterKind::Syslog => ForeignFormat::Syslog.render_session(session),
+        AdapterKind::Json => ForeignFormat::Json.render_session(session),
     }
 }
 
-/// The adapter that understands a foreign rendering.
-pub fn adapter_for(format: ForeignFormat) -> AdapterKind {
-    match format {
-        ForeignFormat::Hdfs => AdapterKind::Hdfs,
-        ForeignFormat::Syslog => AdapterKind::Syslog,
-        ForeignFormat::Json => AdapterKind::Json,
-    }
-}
-
-/// Adapter-path conversion: render the job in a foreign syntax, normalise
-/// each line back through the matching `lognlp::format` adapter. Rejected
-/// lines are dropped, like the raw path. Within one session the stable
-/// sort in `Session::new` preserves emission order even where the foreign
+/// Full-fidelity conversion: render the job as raw text in `kind`'s syntax,
+/// normalise each line back through its adapter. Rejected lines are dropped
+/// (like stack-trace continuations in real files). Within one session the
+/// stable sort in `Session::new` preserves emission order even where a
 /// header's one-second resolution collapses distinct millisecond stamps.
-pub fn sessions_from_foreign(job: &GenJob, format: ForeignFormat) -> Vec<Session> {
-    let adapter = adapter_for(format).adapter();
+pub fn sessions_from_text(job: &GenJob, kind: AdapterKind) -> Vec<Session> {
+    let adapter = kind.adapter();
     job.sessions
         .iter()
         .map(|s| {
-            let lines = format
-                .render_session(s)
+            let lines = render_session(kind, s)
                 .iter()
-                .filter_map(|raw| {
-                    let rec = adapter.parse_record(raw).ok()?;
-                    Some(LogLine {
-                        ts_ms: rec.ts_ms,
-                        level: level_of_raw(rec.level),
-                        source: rec.source.to_string(),
-                        message: rec.message.to_string(),
-                    })
-                })
+                .filter_map(|raw| adapter.parse_record(raw).ok().map(LogLine::from))
                 .collect();
             Session::new(s.id.clone(), lines)
         })
         .collect()
+}
+
+/// Kept for `benchmark/`, remove when it moves to `AdapterKind`: adapters
+/// and `LogLine` share one `Level`, so this is the identity.
+pub fn level_of_raw(raw: Level) -> Level {
+    raw
 }
 
 #[cfg(test)]
@@ -137,54 +99,30 @@ mod tests {
         )
     }
 
+    /// Every syntax, over every evaluated system: the text round trip keeps
+    /// each line's message, source and level, and the emission order — even
+    /// where a one-second header collapsed distinct millisecond stamps.
     #[test]
-    fn structural_and_raw_paths_agree_on_messages() {
-        for system in SystemKind::ANALYTICS {
-            let j = job(system);
-            let a = sessions_from_job(&j);
-            let b = sessions_from_raw(&j);
-            assert_eq!(a.len(), b.len());
-            for (sa, sb) in a.iter().zip(&b) {
-                assert_eq!(sa.id, sb.id);
-                assert_eq!(sa.len(), sb.len(), "formatter dropped lines for {system:?}");
-                for (la, lb) in sa.lines.iter().zip(&sb.lines) {
-                    assert_eq!(la.message, lb.message);
-                    assert_eq!(la.level, lb.level);
-                    assert_eq!(la.source, lb.source);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn raw_path_preserves_ordering() {
-        let j = job(SystemKind::MapReduce);
-        for s in sessions_from_raw(&j) {
-            assert!(s.lines.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
-        }
-    }
-
-    #[test]
-    fn foreign_paths_agree_with_structural_on_messages() {
-        for system in [SystemKind::Spark, SystemKind::TensorFlow] {
+    fn structural_and_text_paths_agree() {
+        for system in SystemKind::EVALUATED {
             let j = job(system);
             let direct = sessions_from_job(&j);
-            for format in ForeignFormat::ALL {
-                let adapted = sessions_from_foreign(&j, format);
-                assert_eq!(direct.len(), adapted.len());
-                for (sa, sb) in direct.iter().zip(&adapted) {
+            for kind in AdapterKind::ALL {
+                let parsed = sessions_from_text(&j, kind);
+                assert_eq!(direct.len(), parsed.len());
+                for (sa, sb) in direct.iter().zip(&parsed) {
                     assert_eq!(sa.id, sb.id);
                     assert_eq!(
                         sa.len(),
                         sb.len(),
-                        "{format:?} adapter dropped lines for {system:?}"
+                        "{kind:?} adapter dropped lines for {system:?}"
                     );
+                    assert!(sb.lines.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
                     for (la, lb) in sa.lines.iter().zip(&sb.lines) {
-                        assert_eq!(la.message, lb.message);
+                        assert_eq!(la.message, lb.message, "{kind:?} reordered lines");
                         assert_eq!(la.source, lb.source);
-                        // levels survive every adapter except the syslog
-                        // PRI round-trip, which is also exact here (the
-                        // simulator only emits INFO/WARN/ERROR)
+                        // the syslog PRI round trip is exact here too: the
+                        // simulator only emits INFO/WARN/ERROR
                         assert_eq!(la.level, lb.level);
                     }
                 }
@@ -193,29 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn foreign_paths_preserve_ordering_despite_second_resolution() {
-        let j = job(SystemKind::TensorFlow);
-        let direct = sessions_from_job(&j);
-        for format in ForeignFormat::ALL {
-            for (sd, sf) in direct.iter().zip(sessions_from_foreign(&j, format)) {
-                assert!(sf.lines.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
-                // message order must equal the structural path even where
-                // one-second headers collapsed distinct millisecond stamps
-                let da: Vec<&str> = sd.lines.iter().map(|l| l.message.as_str()).collect();
-                let fa: Vec<&str> = sf.lines.iter().map(|l| l.message.as_str()).collect();
-                assert_eq!(da, fa, "{format:?} reordered lines");
-            }
-        }
-    }
-
-    #[test]
-    fn json_foreign_path_keeps_exact_millis() {
+    fn json_text_path_keeps_exact_millis() {
         let j = job(SystemKind::Spark);
         let direct = sessions_from_job(&j);
-        for (sd, sf) in direct
-            .iter()
-            .zip(sessions_from_foreign(&j, ForeignFormat::Json))
-        {
+        for (sd, sf) in direct.iter().zip(sessions_from_text(&j, AdapterKind::Json)) {
             for (ld, lf) in sd.lines.iter().zip(&sf.lines) {
                 assert_eq!(ld.ts_ms, lf.ts_ms);
             }

@@ -6,7 +6,7 @@
 //!   (rayon-parallel across sessions), diagnose, export HW-graphs;
 //! * [`bridge`] — conversions between the simulated cluster (`dlasim`) and
 //!   the log-session types the pipeline consumes, both structural and
-//!   through raw log text + formatters.
+//!   through raw log text + the `lognlp::format` adapters.
 
 #![forbid(unsafe_code)]
 
@@ -14,7 +14,6 @@ pub mod bridge;
 pub mod pipeline;
 
 pub use bridge::{
-    adapter_for, level_of_raw, session_from_gen, sessions_from_foreign, sessions_from_job,
-    sessions_from_raw,
+    level_of_raw, render_session, session_from_gen, sessions_from_job, sessions_from_text,
 };
 pub use pipeline::{IntelLog, IntelLogBuilder};

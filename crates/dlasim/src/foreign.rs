@@ -1,11 +1,12 @@
 //! Foreign log-syntax rendering — reproducible corpora for the adapters.
 //!
-//! The `lognlp::format` adapters normalise HDFS/BGL-style, RFC-3164 syslog
-//! and JSON-structured lines into the pipeline. To test them against
-//! corpora with known ground truth, the simulator can render any generated
-//! session in those same foreign syntaxes: one [`ForeignFormat`] per
-//! adapter, deterministic, with the message body byte-identical to the
-//! native rendering so cross-format detection results are comparable.
+//! Besides the two native syntaxes (`RawFormat`), the `lognlp::format`
+//! adapters normalise HDFS/BGL-style, RFC-3164 syslog and JSON-structured
+//! lines into the pipeline. To test them against corpora with known ground
+//! truth, the simulator can render any generated session in those same
+//! foreign syntaxes: one [`ForeignFormat`] per such adapter, deterministic,
+//! with the message body byte-identical to the native rendering so
+//! cross-format detection results are comparable.
 //!
 //! HDFS and syslog headers carry one-second timestamps — millisecond
 //! fidelity is deliberately lost, exactly like the real formats. Ordering
@@ -14,7 +15,7 @@
 
 use crate::types::{GenSession, SimLevel, SimLine};
 
-/// The foreign syntaxes, one per `lognlp::format::AdapterKind`.
+/// The foreign syntaxes, one per non-native `lognlp::format::AdapterKind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ForeignFormat {
     /// `190622 HHMMSS pid LEVEL source: message` (HDFS/BGL numeric header).
@@ -101,7 +102,7 @@ impl ForeignFormat {
 /// rolling through real month lengths. Sessions long enough to leave
 /// December (190+ simulated days — far beyond anything the generator
 /// produces) saturate at Dec 31 rather than emit a date adapters reject.
-fn calendar_2019(mut day: u64) -> (&'static str, u64, u64) {
+pub(crate) fn calendar_2019(mut day: u64) -> (&'static str, u64, u64) {
     const MONTHS: [(&str, u64, u64); 7] = [
         ("Jun", 6, 30),
         ("Jul", 7, 31),

@@ -52,7 +52,7 @@ impl SystemKind {
     ];
 }
 
-/// Log severity (mirrors `spell::Level` without the dependency).
+/// Log severity (mirrors `lognlp::format::Level` without the dependency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimLevel {
     /// INFO
@@ -107,13 +107,13 @@ pub struct GenSession {
 
 impl GenSession {
     /// Render all lines in the given raw log syntax, parseable by the
-    /// corresponding `spell::LogFormat`.
+    /// `lognlp::format` adapter of the same name.
     pub fn raw_lines(&self, format: RawFormat) -> Vec<String> {
         self.lines.iter().map(|l| format.render(l)).collect()
     }
 }
 
-/// Raw log syntaxes matching the `spell` formatters.
+/// The two native log syntaxes (`lognlp::format`'s `hadoop` and `spark`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RawFormat {
     /// `2019-06-22 HH:MM:SS,mmm LEVEL class: msg`
@@ -136,16 +136,16 @@ impl RawFormat {
         let ms = l.ts_ms % 1000;
         let total_s = l.ts_ms / 1000;
         let (s, m, h) = (total_s % 60, (total_s / 60) % 60, (total_s / 3600) % 24);
-        let day = 22 + (total_s / 86_400);
+        let (_, mon, day) = crate::foreign::calendar_2019(22 + total_s / 86_400);
         match self {
             RawFormat::Hadoop => format!(
-                "2019-06-{day:02} {h:02}:{m:02}:{s:02},{ms:03} {} {}: {}",
+                "2019-{mon:02}-{day:02} {h:02}:{m:02}:{s:02},{ms:03} {} {}: {}",
                 l.level.as_str(),
                 l.source,
                 l.message
             ),
             RawFormat::Spark => format!(
-                "19/06/{day:02} {h:02}:{m:02}:{s:02} {} {}: {}",
+                "19/{mon:02}/{day:02} {h:02}:{m:02}:{s:02} {} {}: {}",
                 l.level.as_str(),
                 l.source,
                 l.message
@@ -214,8 +214,8 @@ mod tests {
     }
 
     #[test]
-    fn rendering_rolls_over_midnight() {
-        let l = SimLine {
+    fn rendering_rolls_over_midnight_and_month() {
+        let mut l = SimLine {
             ts_ms: 86_400_000 + 1000,
             level: SimLevel::Warn,
             source: "X".into(),
@@ -225,6 +225,10 @@ mod tests {
         assert!(RawFormat::Hadoop
             .render(&l)
             .starts_with("2019-06-23 00:00:01"));
+        // 9 days past the Jun 22 epoch: a date the adapters accept, not Jun 31
+        l.ts_ms = 9 * 86_400_000;
+        assert!(RawFormat::Hadoop.render(&l).starts_with("2019-07-01 "));
+        assert!(RawFormat::Spark.render(&l).starts_with("19/07/01 "));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests over the cluster simulator.
 
 use dlasim::{FaultKind, FaultPlan, JobConfig, RawFormat, SystemKind};
+use lognlp::format::AdapterKind;
 use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = JobConfig> {
@@ -94,23 +95,24 @@ proptest! {
         }
     }
 
-    /// Raw rendering is parseable line-for-line by the matching spell
-    /// formatter.
+    /// Raw rendering is parseable line-for-line by the matching
+    /// `lognlp::format` adapter.
     #[test]
     fn raw_rendering_roundtrips(cfg in config_strategy()) {
         let job = dlasim::generate(&cfg, None);
         let raw_fmt = RawFormat::for_system(cfg.system);
-        let parse_fmt = match raw_fmt {
-            RawFormat::Hadoop => spell::LogFormat::Hadoop,
-            RawFormat::Spark => spell::LogFormat::Spark,
-        };
+        let adapter = match raw_fmt {
+            RawFormat::Hadoop => AdapterKind::Hadoop,
+            RawFormat::Spark => AdapterKind::Spark,
+        }
+        .adapter();
         for s in job.sessions.iter().take(3) {
             for (raw, line) in s.raw_lines(raw_fmt).iter().zip(&s.lines) {
-                let parsed = parse_fmt.parse(raw);
-                prop_assert!(parsed.is_some(), "unparseable: {raw}");
+                let parsed = adapter.parse_record(raw);
+                prop_assert!(parsed.is_ok(), "unparseable: {raw}");
                 let parsed = parsed.expect("checked");
-                prop_assert_eq!(&parsed.message, &line.message);
-                prop_assert_eq!(&parsed.source, &line.source);
+                prop_assert_eq!(parsed.message, line.message.as_str());
+                prop_assert_eq!(parsed.source, line.source.as_str());
             }
         }
     }

@@ -6,10 +6,11 @@
 //! corpus (`--format`-style syslog ingestion).
 
 use anomaly::Detector;
-use dlasim::{FaultKind, ForeignFormat, SystemKind};
+use dlasim::{FaultKind, SystemKind};
 use intellog_core::sessions_from_job;
 use intellog_gateway::{Gateway, GatewayConfig};
 use intellog_serve::{run_replay, Backpressure, ReplayConfig};
+use lognlp::format::AdapterKind;
 use spell::Session;
 use std::time::Duration;
 use sync::Arc;
@@ -45,7 +46,7 @@ fn replay_matches_offline_via(
     system: SystemKind,
     fault: Option<FaultKind>,
     connections: usize,
-    adapter: Option<ForeignFormat>,
+    adapter: Option<AdapterKind>,
 ) {
     let detector = Arc::new(anomaly::Trainer::default().train(&train_sessions(system, 2, 42)));
     let gateway = Gateway::bind(&gateway_config(), Arc::clone(&detector)).expect("bind");
@@ -129,7 +130,7 @@ fn adapted_syslog_replay_matches_offline() {
         SystemKind::Spark,
         Some(FaultKind::NetworkFailure),
         2,
-        Some(ForeignFormat::Syslog),
+        Some(AdapterKind::Syslog),
     );
 }
 

@@ -41,7 +41,7 @@ pub mod token;
 pub use camel::{is_camel_compound, split_camel};
 pub use clause::is_natural_language;
 pub use depparse::{parse, Arc, Parse, UdRel};
-pub use format::{AdapterKind, FormatError, LineAdapter, RawLevel, RawRecord};
+pub use format::{AdapterKind, FormatError, Level, LineAdapter, RawRecord};
 pub use lemma::{singularize, singularize_phrase, verb_base};
 pub use lexicon::Lexicon;
 pub use pos::{tag, tag_key_with_sample, TaggedToken};

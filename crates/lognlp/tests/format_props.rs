@@ -1,4 +1,4 @@
-//! Property-based tests for the foreign-format adapters.
+//! Property-based tests for the line-format adapters.
 //!
 //! Three families of properties:
 //!
@@ -11,7 +11,7 @@
 //!   spans the reference tokenizer produces on the normalised line, i.e.
 //!   adapters hand Spell byte-identical message bodies.
 
-use lognlp::format::{AdapterKind, RawLevel};
+use lognlp::format::{AdapterKind, Level};
 use lognlp::{tokenize_spans, Span};
 use proptest::prelude::*;
 
@@ -28,18 +28,17 @@ fn source_token() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9_.$]{0,20}"
 }
 
-fn level() -> impl Strategy<Value = RawLevel> {
-    prop_oneof![
-        Just(RawLevel::Info),
-        Just(RawLevel::Warn),
-        Just(RawLevel::Error),
-    ]
+fn level() -> impl Strategy<Value = Level> {
+    prop_oneof![Just(Level::Info), Just(Level::Warn), Just(Level::Error),]
 }
 
 fn any_line() -> impl Strategy<Value = String> {
     prop_oneof![
         // arbitrary printable junk
         "[ -~]{0,80}",
+        // near-miss log4j headers (Hadoop, Spark)
+        "[0-9]{1,5}-[0-9]{1,3}-[0-9]{1,3} [0-9:,]{4,14} [A-Z]{2,6}[ -~]{0,40}",
+        "[0-9]{1,3}/[0-9]{1,3}/[0-9]{1,3} [0-9:]{4,10} [A-Z]{2,6}[ -~]{0,40}",
         // near-miss HDFS headers
         "[0-9]{1,8} [0-9]{1,8} [0-9]{1,5} [A-Z]{2,6}[ -~]{0,40}",
         // near-miss syslog
@@ -71,6 +70,8 @@ proptest! {
         cut in 0usize..200,
     ) {
         let lines = [
+            format!("2019-06-22 12:00:00,042 INFO [main] {src}: {msg}"),
+            format!("19/06/22 12:00:00 INFO {src}: {msg}"),
             format!("190622 120000 42 INFO {src}: {msg}"),
             format!("<134>Jun 22 12:00:00 host9 {src}: {msg}"),
             format!(r#"{{"ts":7,"level":"INFO","source":"{src}","msg":"{msg}"}}"#),
@@ -82,6 +83,27 @@ proptest! {
                 let _ = kind.adapter().parse_record(&line[..cut]);
             }
         }
+    }
+
+    /// Hadoop and Spark render → parse round-trips level, source and message,
+    /// and Hadoop's millisecond field orders within the second.
+    #[test]
+    fn log4j_roundtrip(msg in plain_text(), src in source_token(), lv in level(),
+                       h in 0u32..24, m in 0u32..60, s in 0u32..60, ms in 0u64..999) {
+        let lines = [
+            (AdapterKind::Hadoop, format!("2019-06-22 {h:02}:{m:02}:{s:02},{ms:03} {} {src}: {msg}", lv.as_str())),
+            (AdapterKind::Hadoop, format!("2019-06-22 {h:02}:{m:02}:{s:02},{:03} {} [t 1] {src}: {msg}", ms + 1, lv.as_str())),
+            (AdapterKind::Spark, format!("19/06/22 {h:02}:{m:02}:{s:02} {} {src}: {msg}", lv.as_str())),
+        ];
+        let mut stamps = Vec::new();
+        for (kind, line) in &lines {
+            let rec = kind.adapter().parse_record(line).unwrap();
+            prop_assert_eq!(rec.level, lv);
+            prop_assert_eq!(rec.source, src.as_str());
+            prop_assert_eq!(rec.message, msg.as_str());
+            stamps.push(rec.ts_ms);
+        }
+        prop_assert_eq!(stamps[0] + 1, stamps[1]);
     }
 
     /// HDFS render → parse round-trips level, source and message.
@@ -100,8 +122,8 @@ proptest! {
     fn syslog_roundtrip(msg in plain_text(), src in source_token(), lv in level(),
                         day in 1u32..32, h in 0u32..24) {
         let pri = 128 + match lv {
-            RawLevel::Error => 3,
-            RawLevel::Warn => 4,
+            Level::Error => 3,
+            Level::Warn => 4,
             _ => 6,
         };
         let line = format!("<{pri}>Jun {day:>2} {h:02}:30:15 host3 {src}: {msg}");
@@ -140,6 +162,8 @@ proptest! {
         let ref_toks: Vec<&str> = reference.iter().map(|sp| sp.of(&msg)).collect();
 
         let lines = [
+            format!("2019-06-22 12:00:00,042 {} [main] {src}: {msg}", lv.as_str()),
+            format!("19/06/22 12:00:00 {} {src}: {msg}", lv.as_str()),
             format!("190622 120000 42 {} {src}: {msg}", lv.as_str()),
             format!("<134>Jun 22 12:00:00 host9 {src}: {msg}"),
             format!(r#"{{"ts":7,"level":"{}","source":"{src}","msg":"{msg}"}}"#, lv.as_str()),

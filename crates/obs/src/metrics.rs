@@ -456,6 +456,13 @@ mod tests {
     }
 
     #[test]
+    fn zero_latency_lands_in_first_bucket() {
+        let h = Histogram::default();
+        h.record_us(0);
+        assert_eq!(h.quantile_us(0.5), 2);
+    }
+
+    #[test]
     fn quantiles_are_monotone_and_bounded() {
         let h = Histogram::default();
         for v in [0, 1, 3, 3, 7, 100, 5_000, 5_100, 5_200, 80_000] {

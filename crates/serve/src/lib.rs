@@ -46,9 +46,7 @@ pub mod sink;
 pub mod store;
 
 pub use client::ServeClient;
-pub use metrics::{
-    LatencyHistogram, ShardMetrics, ShardSnapshot, StatsSnapshot, TenantMetrics, TenantSnapshot,
-};
+pub use metrics::{ShardMetrics, ShardSnapshot, StatsSnapshot, TenantMetrics, TenantSnapshot};
 pub use proto::{parse_log, render_log, DEFAULT_TENANT};
 pub use queue::{Backpressure, PushOutcome, ShardQueue};
 pub use registry::{LoadOutcome, ModelLease, ModelVersion, TenantEntry, TenantRegistry};

@@ -13,20 +13,11 @@
 use serde::{Deserialize, Serialize};
 use sync::atomic::{AtomicU64, Ordering};
 
-/// Number of power-of-two latency buckets (re-exported from `intellog-obs`
-/// since the bespoke histogram was replaced by the shared one).
-pub const LATENCY_BUCKETS: usize = obs::HISTOGRAM_BUCKETS;
-
-/// A wait-free fixed-bucket histogram of microsecond latencies — now the
-/// shared observability-layer histogram (identical bucket semantics to the
-/// bespoke one this replaces, plus a saturating `_sum` for Prometheus).
-pub type LatencyHistogram = obs::Histogram;
-
 /// Counters owned by one shard worker (shared with the acceptor threads
 /// that enqueue into it and with `STATS` snapshotting).
 #[derive(Debug, Default)]
 pub struct ShardMetrics {
-    /// Log lines fed into a `StreamDetector`.
+    /// Log lines fed into a session's `StreamState`.
     pub ingested: AtomicU64,
     /// Log lines dropped by the backpressure policy before processing.
     pub dropped: AtomicU64,
@@ -42,7 +33,7 @@ pub struct ShardMetrics {
     /// directly so `STATS` needs one load).
     pub sessions_live: AtomicU64,
     /// Enqueue→processed latency per line.
-    pub feed_latency: LatencyHistogram,
+    pub feed_latency: obs::Histogram,
 }
 
 /// Point-in-time, serialisable view of one shard ( `STATS` verb).
@@ -190,30 +181,6 @@ pub struct StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        // The shared obs histogram must keep the bucket semantics the
-        // bespoke serve histogram had (this test predates the swap).
-        let h = LatencyHistogram::default();
-        assert_eq!(h.quantile_us(0.5), 0);
-        for _ in 0..99 {
-            h.record_us(3); // bucket [2,4)
-        }
-        h.record_us(1_000_000); // one outlier
-        assert_eq!(h.count(), 100);
-        // interpolated within the bucket: p50 ≈ 3, p99 at the top edge
-        assert_eq!(h.quantile_us(0.50), 3);
-        assert_eq!(h.quantile_us(0.99), 4);
-        assert!(h.quantile_us(1.0) >= 1_000_000);
-    }
-
-    #[test]
-    fn zero_latency_lands_in_first_bucket() {
-        let h = LatencyHistogram::default();
-        h.record_us(0);
-        assert_eq!(h.quantile_us(0.5), 2);
-    }
 
     #[test]
     fn snapshot_reads_counters() {

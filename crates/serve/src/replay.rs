@@ -16,8 +16,9 @@
 use crate::client::ServeClient;
 use crate::metrics::StatsSnapshot;
 use anomaly::{Detector, SessionReport};
-use dlasim::{FaultKind, ForeignFormat, SystemKind, WorkloadGen};
-use intellog_core::{sessions_from_foreign, sessions_from_job, IntelLog};
+use dlasim::{FaultKind, SystemKind, WorkloadGen};
+use intellog_core::{sessions_from_job, sessions_from_text, IntelLog};
+use lognlp::format::AdapterKind;
 use spell::Session;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -47,12 +48,12 @@ pub struct ReplayConfig {
     /// Send traffic as this tenant (`TENANT` handshake) and scope the
     /// drain + report fetch to it; `None` uses the server default.
     pub tenant: Option<String>,
-    /// Render the corpus in a foreign syntax and normalise it back through
-    /// the matching `lognlp::format` adapter before sending — the
+    /// Render the corpus as raw text in this syntax and normalise it back
+    /// through its `lognlp::format` adapter before sending — the
     /// `--format` ingestion path. Offline verification runs on the same
     /// adapted sessions, so verdict equivalence is checked end to end
-    /// through the adapter. `None` replays the native structural path.
-    pub adapter: Option<ForeignFormat>,
+    /// through the adapter. `None` replays the structural path.
+    pub adapter: Option<AdapterKind>,
 }
 
 impl Default for ReplayConfig {
@@ -123,13 +124,13 @@ struct SenderPlan {
 }
 
 /// Convert one job into the sessions that will be both sent and verified:
-/// the structural path natively, or rendered foreign and normalised back
-/// through the adapter when one is configured. Using the same conversion
+/// the structural path, or rendered as text and normalised back through
+/// the adapter when one is configured. Using the same conversion
 /// for senders and the offline reference is what makes the verdict
 /// comparison exact through the adapter.
-fn job_sessions(job: &dlasim::GenJob, adapter: Option<ForeignFormat>) -> Vec<Session> {
+fn job_sessions(job: &dlasim::GenJob, adapter: Option<AdapterKind>) -> Vec<Session> {
     match adapter {
-        Some(format) => sessions_from_foreign(job, format),
+        Some(kind) => sessions_from_text(job, kind),
         None => sessions_from_job(job),
     }
 }

@@ -1,63 +1,12 @@
-//! Log formatters for the targeted systems (paper §5).
-//!
-//! The formats of logs generated by different systems vary, so IntelLog
-//! ships small formatters that recognise timestamps, levels, output classes
-//! and contents by pattern matching. Two concrete syntaxes cover the three
-//! targeted frameworks:
-//!
-//! * **Hadoop style** (MapReduce, Tez, YARN):
-//!   `2019-06-22 10:00:00,123 INFO [fetcher#1] org.apache.hadoop.X: message`
-//! * **Spark style**:
-//!   `19/06/22 10:00:00 INFO BlockManager: message`
-//!
-//! New systems plug in by implementing their own formatter (the paper calls
-//! this out as user-provided for new systems).
+//! The owned log line the pipeline stores, built from a borrowed
+//! `lognlp::format::RawRecord` (paper §5: the formatter strips timestamp,
+//! level and emitting class before Spell sees the message body). The line
+//! syntaxes themselves are `lognlp::format` adapters.
 
+use lognlp::format::{AdapterKind, RawRecord};
 use serde::{Deserialize, Serialize};
 
-/// Log severity level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Level {
-    /// TRACE
-    Trace,
-    /// DEBUG
-    Debug,
-    /// INFO
-    Info,
-    /// WARN
-    Warn,
-    /// ERROR
-    Error,
-    /// FATAL
-    Fatal,
-}
-
-impl Level {
-    /// Parse the conventional upper-case level token.
-    pub fn parse(s: &str) -> Option<Level> {
-        Some(match s {
-            "TRACE" => Level::Trace,
-            "DEBUG" => Level::Debug,
-            "INFO" => Level::Info,
-            "WARN" | "WARNING" => Level::Warn,
-            "ERROR" => Level::Error,
-            "FATAL" => Level::Fatal,
-            _ => return None,
-        })
-    }
-
-    /// Canonical upper-case rendering.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Level::Trace => "TRACE",
-            Level::Debug => "DEBUG",
-            Level::Info => "INFO",
-            Level::Warn => "WARN",
-            Level::Error => "ERROR",
-            Level::Fatal => "FATAL",
-        }
-    }
-}
+pub use lognlp::format::Level;
 
 /// A structured log line: what the formatter recovers from raw text.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,184 +22,34 @@ pub struct LogLine {
     pub message: String,
 }
 
-/// The log syntax families the built-in formatters understand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+impl From<RawRecord<'_>> for LogLine {
+    fn from(rec: RawRecord<'_>) -> LogLine {
+        LogLine {
+            ts_ms: rec.ts_ms,
+            level: rec.level,
+            source: rec.source.to_string(),
+            message: rec.message.to_string(),
+        }
+    }
+}
+
+/// Kept for `benchmark/`, remove when it moves to `AdapterKind`: the two
+/// native syntaxes as a delegate to their `lognlp::format` adapters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogFormat {
-    /// Hadoop/Tez/YARN: `YYYY-MM-DD HH:MM:SS,mmm LEVEL [thread] class: msg`
-    /// (the `[thread]` part is optional).
+    /// [`AdapterKind::Hadoop`]
     Hadoop,
-    /// Spark: `YY/MM/DD HH:MM:SS LEVEL class: msg`
+    /// [`AdapterKind::Spark`]
     Spark,
 }
 
 impl LogFormat {
-    /// Parse one raw line. Returns `None` for lines that do not match the
-    /// format (continuation lines of stack traces etc.).
+    /// Parse one raw line; `None` for lines the adapter rejects.
     pub fn parse(self, line: &str) -> Option<LogLine> {
-        match self {
-            LogFormat::Hadoop => parse_hadoop(line),
-            LogFormat::Spark => parse_spark(line),
-        }
-    }
-
-    /// Guess the format of a line.
-    pub fn detect(line: &str) -> Option<LogFormat> {
-        if parse_spark(line).is_some() {
-            Some(LogFormat::Spark)
-        } else if parse_hadoop(line).is_some() {
-            Some(LogFormat::Hadoop)
-        } else {
-            None
-        }
-    }
-}
-
-/// `"2019-06-22 10:00:01,123"` → milliseconds within the day (dates are
-/// folded in as day offsets; only ordering matters for lifespan analysis).
-fn parse_hadoop_ts(date: &str, time: &str) -> Option<u64> {
-    let dparts: Vec<&str> = date.split('-').collect();
-    if dparts.len() != 3 {
-        return None;
-    }
-    let day: u64 = dparts[2].parse().ok()?;
-    let (hms, ms) = time.split_once(',')?;
-    let t: Vec<&str> = hms.split(':').collect();
-    if t.len() != 3 {
-        return None;
-    }
-    let (h, m, s): (u64, u64, u64) = (t[0].parse().ok()?, t[1].parse().ok()?, t[2].parse().ok()?);
-    let millis: u64 = ms.parse().ok()?;
-    Some((((day * 24 + h) * 60 + m) * 60 + s) * 1000 + millis)
-}
-
-fn parse_spark_ts(date: &str, time: &str) -> Option<u64> {
-    let dparts: Vec<&str> = date.split('/').collect();
-    if dparts.len() != 3 {
-        return None;
-    }
-    let day: u64 = dparts[2].parse().ok()?;
-    let t: Vec<&str> = time.split(':').collect();
-    if t.len() != 3 {
-        return None;
-    }
-    let (h, m, s): (u64, u64, u64) = (t[0].parse().ok()?, t[1].parse().ok()?, t[2].parse().ok()?);
-    Some((((day * 24 + h) * 60 + m) * 60 + s) * 1000)
-}
-
-fn parse_hadoop(line: &str) -> Option<LogLine> {
-    let mut it = line.splitn(3, ' ');
-    let date = it.next()?;
-    let time = it.next()?;
-    let rest = it.next()?;
-    let ts_ms = parse_hadoop_ts(date, time)?;
-    let mut it = rest.splitn(2, ' ');
-    let level = Level::parse(it.next()?)?;
-    let mut rest = it.next()?.trim_start();
-    // optional [thread]
-    if rest.starts_with('[') {
-        if let Some(end) = rest.find(']') {
-            rest = rest[end + 1..].trim_start();
-        }
-    }
-    let (source, message) = rest.split_once(": ")?;
-    Some(LogLine {
-        ts_ms,
-        level,
-        source: source.to_string(),
-        message: message.to_string(),
-    })
-}
-
-fn parse_spark(line: &str) -> Option<LogLine> {
-    let mut it = line.splitn(4, ' ');
-    let date = it.next()?;
-    let time = it.next()?;
-    let level = Level::parse(it.next()?)?;
-    let rest = it.next()?;
-    let ts_ms = parse_spark_ts(date, time)?;
-    let (source, message) = rest.split_once(": ")?;
-    Some(LogLine {
-        ts_ms,
-        level,
-        source: source.to_string(),
-        message: message.to_string(),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hadoop_line_with_thread() {
-        let l = LogFormat::Hadoop
-            .parse("2019-06-22 10:00:01,123 INFO [fetcher#1] org.apache.hadoop.mapreduce.task.reduce.Fetcher: fetcher # 1 about to shuffle output of map attempt_01")
-            .unwrap();
-        assert_eq!(l.level, Level::Info);
-        assert_eq!(l.source, "org.apache.hadoop.mapreduce.task.reduce.Fetcher");
-        assert!(l.message.starts_with("fetcher # 1"));
-        assert!(l.ts_ms > 0);
-    }
-
-    #[test]
-    fn hadoop_line_without_thread() {
-        let l = LogFormat::Hadoop
-            .parse("2019-06-22 10:00:01,123 WARN org.apache.hadoop.yarn.NodeManager: Container killed on request")
-            .unwrap();
-        assert_eq!(l.level, Level::Warn);
-        assert_eq!(l.source, "org.apache.hadoop.yarn.NodeManager");
-    }
-
-    #[test]
-    fn spark_line() {
-        let l = LogFormat::Spark
-            .parse("19/06/22 10:00:02 INFO BlockManager: Registered BlockManager BlockManagerId(driver, host1, 41111)")
-            .unwrap();
-        assert_eq!(l.level, Level::Info);
-        assert_eq!(l.source, "BlockManager");
-        assert!(l.message.starts_with("Registered"));
-    }
-
-    #[test]
-    fn stack_trace_continuation_is_rejected() {
-        assert!(LogFormat::Hadoop
-            .parse("\tat org.apache.hadoop.ipc.Client.call(Client.java:1476)")
-            .is_none());
-        assert!(LogFormat::Spark
-            .parse("java.io.IOException: Connection refused")
-            .is_none());
-    }
-
-    #[test]
-    fn detection() {
-        assert_eq!(
-            LogFormat::detect("19/06/22 10:00:02 INFO BlockManager: ok then"),
-            Some(LogFormat::Spark)
-        );
-        assert_eq!(
-            LogFormat::detect("2019-06-22 10:00:01,123 INFO X: ok then"),
-            Some(LogFormat::Hadoop)
-        );
-        assert_eq!(LogFormat::detect("free text"), None);
-    }
-
-    #[test]
-    fn timestamps_order_across_midnight_days() {
-        let a = LogFormat::Hadoop
-            .parse("2019-06-22 23:59:59,999 INFO X: m")
-            .unwrap();
-        let b = LogFormat::Hadoop
-            .parse("2019-06-23 00:00:00,000 INFO X: m")
-            .unwrap();
-        assert!(b.ts_ms > a.ts_ms);
-    }
-
-    #[test]
-    fn level_roundtrip() {
-        for s in ["TRACE", "DEBUG", "INFO", "WARN", "ERROR", "FATAL"] {
-            assert_eq!(Level::parse(s).unwrap().as_str(), s);
-        }
-        assert_eq!(Level::parse("WARNING"), Some(Level::Warn));
-        assert_eq!(Level::parse("NOPE"), None);
+        let kind = match self {
+            LogFormat::Hadoop => AdapterKind::Hadoop,
+            LogFormat::Spark => AdapterKind::Spark,
+        };
+        kind.adapter().parse_record(line).ok().map(LogLine::from)
     }
 }

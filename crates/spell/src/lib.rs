@@ -6,9 +6,9 @@
 //! under *log keys* — the printing-statement abstractions in which constant
 //! fields keep their text and variable fields become `*`.
 //!
-//! The crate also ships the per-system log formatters (paper §5) that strip
-//! timestamps, levels and emitting classes before Spell sees the message
-//! body, plus a session container type used throughout the pipeline.
+//! The crate also holds the owned [`LogLine`] that `lognlp::format`'s
+//! adapters (the paper's §5 formatters) fill, and the session container
+//! type used throughout the pipeline.
 
 #![forbid(unsafe_code)]
 

@@ -7,8 +7,8 @@
 //! * `match_line` against a frozen parser performs **zero** heap
 //!   allocations — tokenise to spans, intern-lookup by byte slice, and
 //!   the compiled automaton all run out of per-thread scratch;
-//! * the `lognlp::format` adapters normalise foreign lines (HDFS/BGL
-//!   header, RFC-3164 syslog, JSON) with **zero** heap allocations — the
+//! * the `lognlp::format` adapters normalise raw lines (Hadoop, Spark,
+//!   HDFS/BGL header, RFC-3164 syslog, JSON) with **zero** heap allocations — the
 //!   returned record borrows from the input — and feeding an adapted
 //!   message to the frozen matcher stays allocation-free end to end.
 //!
@@ -143,13 +143,36 @@ fn frozen_match_line_is_allocation_free() {
     );
 }
 
-/// The probe corpus rendered in each foreign syntax, with headers typical
+/// The probe corpus rendered in each adapter's syntax, with headers typical
 /// of that format. Message bodies are the exact probe lines, so the
-/// adapted ingest exercises the same hit/miss mix as the native test.
+/// adapted ingest exercises the same hit/miss mix as the bare-message test.
 fn foreign_probes() -> Vec<(lognlp::format::AdapterKind, Vec<String>)> {
     use lognlp::format::AdapterKind;
     let probes = probes();
     vec![
+        (
+            AdapterKind::Hadoop,
+            probes
+                .iter()
+                .enumerate()
+                .map(|(i, m)| {
+                    format!(
+                        "2019-06-22 01:{:02}:{:02},{:03} INFO [task {i}] spell.Task: {m}",
+                        i / 60,
+                        i % 60,
+                        i % 1000
+                    )
+                })
+                .collect(),
+        ),
+        (
+            AdapterKind::Spark,
+            probes
+                .iter()
+                .enumerate()
+                .map(|(i, m)| format!("19/06/22 01:{:02}:{:02} INFO Task: {m}", i / 60, i % 60))
+                .collect(),
+        ),
         (
             AdapterKind::Hdfs,
             probes

@@ -2,13 +2,13 @@
 //!
 //! The paper's detection stage "consumes incoming logs" (Fig. 2). This
 //! example replays a faulty MapReduce reducer's log line by line through
-//! `anomaly::StreamDetector`: unexpected messages are reported the moment
+//! `anomaly::StreamState`: unexpected messages are reported the moment
 //! they arrive; the structural verdict (missing critical keys, orders,
 //! groups) lands when the session closes.
 //!
 //! Run with: `cargo run --release --example streaming_watch`
 
-use intellog::anomaly::StreamDetector;
+use intellog::anomaly::StreamState;
 use intellog::core::{sessions_from_job, IntelLog};
 use intellog::dlasim::{self, FaultKind, FaultPlan, SystemKind, WorkloadGen};
 
@@ -46,11 +46,11 @@ fn main() {
         session.len()
     );
 
-    let mut watcher = StreamDetector::begin(il.detector(), session.id.clone());
+    let mut watcher = StreamState::begin(session.id.clone());
     for l in &session.lines {
         if let Some(intellog::anomaly::Anomaly::UnexpectedMessage {
             ts_ms, text, intel, ..
-        }) = watcher.feed(l)
+        }) = watcher.feed(il.detector(), l)
         {
             println!(
                 "[t={ts_ms:>6}ms] UNEXPECTED: {text}\n            entities {:?} localities {:?}",
@@ -58,7 +58,7 @@ fn main() {
             );
         }
     }
-    let report = watcher.finish();
+    let report = watcher.finish(il.detector());
     println!(
         "\nsession closed: {} anomalies total ({} surfaced online)",
         report.anomalies.len(),

@@ -19,10 +19,10 @@ mod cliargs;
 
 use cliargs::FlagSet;
 use intellog::anomaly::{Detector, JobReport, Trainer};
-use intellog::core::{level_of_raw, IntelLog};
-use intellog::dlasim::{FaultKind, ForeignFormat, SystemKind};
+use intellog::core::{render_session, IntelLog};
+use intellog::dlasim::{FaultKind, SystemKind};
 use intellog::lognlp::format::AdapterKind;
-use intellog::spell::{LogFormat, LogLine, Session};
+use intellog::spell::{LogLine, Session};
 use intellog_gateway::{Gateway, GatewayConfig};
 use intellog_serve::{Backpressure, ModelStore, ReplayConfig, TenantRegistry};
 use std::path::{Path, PathBuf};
@@ -72,7 +72,8 @@ const USAGE: &str = "usage:
   intellog replay --model MODEL.ilm --addr HOST:PORT [--system spark|mapreduce|tez|tensorflow]
                   [--jobs N] [--seed N] [--hosts N] [--rate LINES_PER_S]
                   [--fault session-kill|network-failure|node-failure]
-                  [--connections N] [--tenant NAME] [--format native|hdfs|syslog|json]
+                  [--connections N] [--tenant NAME]
+                  [--format native|spark|hadoop|hdfs|syslog|json]
                   [--no-verify] [--expect-anomalies] [--shutdown]
   intellog emit   --sim spark|mapreduce|tez|tensorflow --out DIR
                   [--format spark|hadoop|hdfs|syslog|json] [--sim-jobs N] [--seed N]
@@ -94,10 +95,10 @@ online detectors, with per-tenant models ('--tenant-model', or the LOAD
 verb at runtime for hot reload) and live re-sharding (ADDSHARD /
 DRAINSHARD verbs). 'replay' drives simulated workloads through it over
 '--connections' concurrent sockets and checks the verdicts against
-offline detection; with '--format' the corpus is first rendered in a
-foreign syntax and normalised back through the matching adapter. 'emit'
-writes a simulated corpus to disk as raw per-session log files in any
-native or foreign syntax. 'demo' trains on simulated Spark jobs and
+offline detection; with '--format' the corpus is first rendered as raw
+text in that syntax and normalised back through its adapter. 'emit'
+writes a simulated corpus to disk as raw per-session log files in any of
+the five syntaxes. 'demo' trains on simulated Spark jobs and
 diagnoses an injected network failure.";
 
 /// Observability wiring for `train|detect|replay`: `--metrics <path|->`
@@ -135,34 +136,11 @@ impl ObsSetup {
     }
 }
 
-/// Pull `--flag value` / `--flag=value` out of an argument list; returns
-/// (value, remaining). Kept for the original call sites — new code uses
-/// [`FlagSet`] directly.
-fn take_flag(args: &[String], flag: &str) -> (Option<String>, Vec<String>) {
-    let mut flags = FlagSet::new(args);
-    let value = flags.value(flag).filter(|v| !v.is_empty());
-    (value, flags.finish())
-}
-
-/// What `--format` selects: one of the two native `spell` formatters, or a
-/// `lognlp::format` adapter for a foreign syntax.
-#[derive(Debug, Clone, Copy)]
-enum InputFormat {
-    Native(LogFormat),
-    Foreign(AdapterKind),
-}
-
-fn parse_format(s: Option<String>) -> Result<InputFormat, String> {
-    match s.as_deref() {
-        Some("spark") => Ok(InputFormat::Native(LogFormat::Spark)),
-        Some("hadoop") | None => Ok(InputFormat::Native(LogFormat::Hadoop)),
-        Some(other) => match AdapterKind::parse(other) {
-            Some(kind) => Ok(InputFormat::Foreign(kind)),
-            None => Err(format!(
-                "unknown --format '{other}' (use spark, hadoop, hdfs, syslog or json)"
-            )),
-        },
-    }
+/// Resolve a `--format` name to its line adapter.
+fn parse_format(name: &str) -> Result<AdapterKind, String> {
+    AdapterKind::parse(name).ok_or_else(|| {
+        format!("unknown --format '{name}' (use spark, hadoop, hdfs, syslog or json)")
+    })
 }
 
 fn parse_system(s: &str) -> Result<SystemKind, String> {
@@ -188,30 +166,15 @@ fn parse_fault(s: &str) -> Result<FaultKind, String> {
     })
 }
 
-/// Read one log file as a session; lines the formatter or adapter rejects
-/// (stack-trace continuations, partial writes) are skipped.
-fn read_session(path: &Path, format: InputFormat) -> Result<Session, String> {
+/// Read one log file as a session; lines the adapter rejects (stack-trace
+/// continuations, partial writes) are skipped.
+fn read_session(path: &Path, format: AdapterKind) -> Result<Session, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let lines = match format {
-        InputFormat::Native(fmt) => text
-            .lines()
-            .filter_map(|l| fmt.parse(l))
-            .collect::<Vec<_>>(),
-        InputFormat::Foreign(kind) => {
-            let adapter = kind.adapter();
-            text.lines()
-                .filter_map(|l| {
-                    let rec = adapter.parse_record(l).ok()?;
-                    Some(LogLine {
-                        ts_ms: rec.ts_ms,
-                        level: level_of_raw(rec.level),
-                        source: rec.source.to_string(),
-                        message: rec.message.to_string(),
-                    })
-                })
-                .collect()
-        }
-    };
+    let adapter = format.adapter();
+    let lines: Vec<LogLine> = text
+        .lines()
+        .filter_map(|l| adapter.parse_record(l).ok().map(LogLine::from))
+        .collect();
     if lines.is_empty() {
         return Err(format!(
             "{}: no parseable log lines (wrong --format?)",
@@ -225,7 +188,12 @@ fn read_session(path: &Path, format: InputFormat) -> Result<Session, String> {
     Ok(Session::new(id, lines))
 }
 
-fn read_sessions(files: &[String], format: InputFormat) -> Result<Vec<Session>, String> {
+/// Read each file as one session in the `--format` syntax (Hadoop when the
+/// flag is absent).
+fn read_sessions(files: &[String], format: Option<String>) -> Result<Vec<Session>, String> {
+    let format = format
+        .as_deref()
+        .map_or(Ok(AdapterKind::Hadoop), parse_format)?;
     if files.is_empty() {
         return Err("no log files given".into());
     }
@@ -269,7 +237,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             }
             simulated_sessions(parse_system(&system)?, sim_jobs, seed)
         }
-        None => read_sessions(&files, parse_format(format)?)?,
+        None => read_sessions(&files, format)?,
     };
     let detector = Trainer::default().train(&sessions);
     let bytes = ModelStore::save(&model, &detector).map_err(|e| e.to_string())?;
@@ -299,7 +267,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     let json = flags.bool("--json");
     let format = flags.value("--format");
     let files = flags.finish();
-    let sessions = read_sessions(&files, parse_format(format)?)?;
+    let sessions = read_sessions(&files, format)?;
     let report: JobReport = detector.detect_job(&sessions);
     if json {
         // machine-readable: one SessionReport JSON object per line, the
@@ -339,8 +307,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_graph(args: &[String]) -> Result<(), String> {
-    let (model, _rest) = take_flag(args, "--model");
-    let detector = load_model(model)?;
+    let detector = load_model(FlagSet::new(args).value("--model"))?;
     print!("{}", detector.graph.render_text(&detector.keys));
     Ok(())
 }
@@ -434,12 +401,11 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         verify: !flags.bool("--no-verify"),
         connections: flags.parse("--connections", 1)?,
         tenant: flags.value("--tenant").filter(|v| !v.is_empty()),
-        adapter: match flags.value("--format").as_deref() {
-            None | Some("native") => None,
-            Some(name) => Some(ForeignFormat::parse(name).ok_or_else(|| {
-                format!("unknown --format '{name}' (use native, hdfs, syslog or json)")
-            })?),
-        },
+        adapter: flags
+            .value("--format")
+            .filter(|name| name != "native")
+            .map(|name| parse_format(&name))
+            .transpose()?,
     };
     let expect_anomalies = flags.bool("--expect-anomalies");
     let shutdown = flags.bool("--shutdown");
@@ -498,7 +464,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 }
 
 /// `intellog emit` — write a simulated corpus to disk as raw log files,
-/// one per session, in a native or foreign syntax. Pairs with `--format`
+/// one per session, in any of the five line syntaxes. Pairs with `--format`
 /// on `train`/`detect`: the emitted files are what a deployment against
 /// that corpus shape would ingest, so CI can smoke the adapter path end to
 /// end without checked-in fixtures.
@@ -508,7 +474,10 @@ fn cmd_emit(args: &[String]) -> Result<(), String> {
     let system = parse_system(&flags.value("--sim").unwrap_or_else(|| "spark".into()))?;
     let jobs: usize = flags.parse("--sim-jobs", 2)?;
     let seed: u64 = flags.parse("--seed", 7)?;
-    let format_name = flags.value("--format").unwrap_or_else(|| "syslog".into());
+    let format = flags
+        .value("--format")
+        .as_deref()
+        .map_or(Ok(AdapterKind::Syslog), parse_format)?;
     let out_dir = flags
         .value("--out")
         .filter(|v| !v.is_empty())
@@ -535,20 +504,8 @@ fn cmd_emit(args: &[String]) -> Result<(), String> {
         };
         let job = dlasim::generate(&cfg, plan.as_ref());
         for s in &job.sessions {
-            let rendered: Vec<String> = match ForeignFormat::parse(&format_name) {
-                Some(foreign) => foreign.render_session(s),
-                None => match format_name.as_str() {
-                    "spark" => s.raw_lines(dlasim::RawFormat::Spark),
-                    "hadoop" => s.raw_lines(dlasim::RawFormat::Hadoop),
-                    other => {
-                        return Err(format!(
-                            "unknown --format '{other}' (use spark, hadoop, hdfs, syslog or json)"
-                        ))
-                    }
-                },
-            };
             let path = out_dir.join(format!("j{j}_{}.log", s.id));
-            let mut text = rendered.join("\n");
+            let mut text = render_session(format, s).join("\n");
             text.push('\n');
             std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
             sessions += 1;
@@ -556,7 +513,8 @@ fn cmd_emit(args: &[String]) -> Result<(), String> {
         }
     }
     println!(
-        "emitted {sessions} sessions ({lines} lines) as {format_name} under {}",
+        "emitted {sessions} sessions ({lines} lines) as {} under {}",
+        format.name(),
         out_dir.display()
     );
     Ok(())

@@ -9,12 +9,13 @@
 //! corpora from **every** dlasim workload generator — Spark, MapReduce,
 //! Tez, Yarn, Nova and TensorFlow — on trained lines, held-out evaluation
 //! lines (fresh parameter values, unseen tokens) and adversarial probes,
-//! plus every adapter-normalised foreign rendering (HDFS header, RFC-3164
-//! syslog, JSON lines) of each system's detection corpus.
+//! plus every adapter-normalised rendering (Hadoop, Spark, HDFS header,
+//! RFC-3164 syslog, JSON lines) of each system's detection corpus.
 
-use dlasim::{ForeignFormat, SystemKind};
+use dlasim::SystemKind;
 use intellog_bench::training_sessions;
-use intellog_core::sessions_from_foreign;
+use intellog_core::sessions_from_text;
+use lognlp::format::AdapterKind;
 use spell::SpellParser;
 
 const ALL_SYSTEMS: [SystemKind; 6] = [
@@ -103,8 +104,8 @@ fn all_six_systems_agree_across_matchers() {
 }
 
 /// Adapter-normalised corpora flow through the same three-way check:
-/// messages recovered from HDFS-, syslog- and JSON-rendered renderings of
-/// every system's detection corpus must get identical verdicts from the
+/// messages recovered from renderings of every system's detection corpus
+/// in each of the five line syntaxes must get identical verdicts from the
 /// automaton, the live index and the linear reference. The adapters hand
 /// Spell byte-identical message bodies, so the held-out hit rate must be
 /// non-zero exactly as it is on the structural path.
@@ -115,8 +116,8 @@ fn adapter_normalized_corpora_agree_across_matchers() {
         let detector = anomaly::Trainer::default().train(&train);
         let mut gen = dlasim::WorkloadGen::new(60 + system as u64, 8);
         let job = dlasim::generate(&gen.detection_config(system, 0), None);
-        for format in ForeignFormat::ALL {
-            let probes: Vec<String> = sessions_from_foreign(&job, format)
+        for format in AdapterKind::ALL {
+            let probes: Vec<String> = sessions_from_text(&job, format)
                 .iter()
                 .flat_map(|s| s.lines.iter().map(|l| l.message.clone()))
                 .collect();

@@ -18,7 +18,8 @@
 use baselines::{SemVec, SemVecConfig};
 use dlasim::{ForeignFormat, RawFormat, SystemKind};
 use intellog_bench::{evaluate, prf, score_jobs, table6_jobs, training_jobs, AccuracyRow, EvalJob};
-use intellog_core::{sessions_from_foreign, sessions_from_job, IntelLog};
+use intellog_core::{sessions_from_job, sessions_from_text, IntelLog};
+use lognlp::format::AdapterKind;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -371,10 +372,10 @@ fn adapted_training_is_equivalent_to_native() {
         let jobs = training_jobs(system, TRAIN_JOBS, TRAIN_SEED);
         let native: Vec<_> = jobs.iter().flat_map(sessions_from_job).collect();
         let il_native = IntelLog::train(&native);
-        for format in ForeignFormat::ALL {
+        for format in AdapterKind::ALL {
             let adapted: Vec<_> = jobs
                 .iter()
-                .flat_map(|j| sessions_from_foreign(j, format))
+                .flat_map(|j| sessions_from_text(j, format))
                 .collect();
             let il = IntelLog::train(&adapted);
             assert_eq!(

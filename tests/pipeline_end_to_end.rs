@@ -4,9 +4,10 @@
 
 use intellog::anomaly::Anomaly;
 use intellog::baselines::{DeepLog, DeepLogConfig, LogCluster, LogClusterConfig, S3Graph};
-use intellog::core::{sessions_from_job, sessions_from_raw, IntelLog};
+use intellog::core::{sessions_from_job, sessions_from_text, IntelLog};
 use intellog::dlasim::{self, FaultKind, SystemKind, WorkloadGen};
 use intellog::extract::{IntelExtractor, IntelMessage};
+use intellog::lognlp::format::AdapterKind;
 use intellog::spell::{Session, SpellParser};
 
 fn corpus(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
@@ -57,12 +58,12 @@ fn injected_faults_are_detected_on_all_systems() {
 #[test]
 fn raw_text_path_matches_structural_path_for_mapreduce() {
     // The full-fidelity path (render to Hadoop log syntax, re-parse with
-    // the formatter) trains an equivalent model.
+    // the adapter) trains an equivalent model.
     let mut gen = WorkloadGen::new(5, 6);
     let cfg = gen.training_config(SystemKind::MapReduce);
     let job = dlasim::generate(&cfg, None);
     let a = sessions_from_job(&job);
-    let b = sessions_from_raw(&job);
+    let b = sessions_from_text(&job, AdapterKind::Hadoop);
     assert_eq!(a.len(), b.len());
     let ila = IntelLog::train(&a);
     let ilb = IntelLog::train(&b);

@@ -1,6 +1,6 @@
 //! Differential test: online vs offline detection.
 //!
-//! The streaming detector (`StreamDetector::begin`/`feed`/`finish`) and the
+//! The streaming detector (`StreamState::begin`/`feed`/`finish`) and the
 //! offline batch path (`Detector::detect_session`) must produce the same
 //! report for the same session — the online form only changes *when*
 //! unexpected messages are surfaced, not *what* is detected. This sweeps
@@ -10,9 +10,10 @@
 //! (syslog-rendered Spark, the lossiest header format) through the same
 //! differential, covering the `--format` ingestion path.
 
-use anomaly::StreamDetector;
-use dlasim::{FaultKind, ForeignFormat, SystemKind, WorkloadGen};
-use intellog_core::{sessions_from_foreign, sessions_from_job, IntelLog};
+use anomaly::StreamState;
+use dlasim::{FaultKind, SystemKind, WorkloadGen};
+use intellog_core::{sessions_from_job, sessions_from_text, IntelLog};
+use lognlp::format::AdapterKind;
 
 const ALL_SYSTEMS: [SystemKind; 6] = [
     SystemKind::Spark,
@@ -56,11 +57,11 @@ fn stream_and_offline_agree_on_every_system_and_fault() {
         for (fault, job) in &faulted_jobs {
             for session in sessions_from_job(job) {
                 let offline = detector.detect_session(&session);
-                let mut stream = StreamDetector::begin(detector, session.id.clone());
+                let mut stream = StreamState::begin(session.id.clone());
                 for line in &session.lines {
-                    stream.feed(line);
+                    stream.feed(detector, line);
                 }
-                let online = stream.finish();
+                let online = stream.finish(detector);
                 assert_eq!(
                     offline,
                     online,
@@ -75,19 +76,19 @@ fn stream_and_offline_agree_on_every_system_and_fault() {
 
 /// Seventh scenario: the adapter-normalised foreign corpus. Training and
 /// detection both run on sessions recovered from a syslog rendering of
-/// Spark jobs (second-resolution timestamps — the lossiest of the three
+/// Spark jobs (second-resolution timestamps — the lossiest of the
 /// adapters), crossed with every fault kind. Stream-vs-offline agreement
 /// must survive the `--format` ingestion path exactly as it does on the
 /// structural path.
 #[test]
 fn stream_and_offline_agree_on_adapted_foreign_corpus() {
     let system = SystemKind::Spark;
-    let format = ForeignFormat::Syslog;
+    let format = AdapterKind::Syslog;
     let mut gen = WorkloadGen::new(40 + system as u64, 8);
     let train: Vec<_> = (0..2)
         .flat_map(|_| {
             let job = dlasim::generate(&gen.training_config(system), None);
-            sessions_from_foreign(&job, format)
+            sessions_from_text(&job, format)
         })
         .collect();
     let il = IntelLog::train(&train);
@@ -105,13 +106,13 @@ fn stream_and_offline_agree_on_adapted_foreign_corpus() {
     ));
 
     for (fault, job) in &jobs {
-        for session in sessions_from_foreign(job, format) {
+        for session in sessions_from_text(job, format) {
             let offline = detector.detect_session(&session);
-            let mut stream = StreamDetector::begin(detector, session.id.clone());
+            let mut stream = StreamState::begin(session.id.clone());
             for line in &session.lines {
-                stream.feed(line);
+                stream.feed(detector, line);
             }
-            let online = stream.finish();
+            let online = stream.finish(detector);
             assert_eq!(
                 offline,
                 online,
