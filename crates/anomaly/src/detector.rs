@@ -18,10 +18,10 @@ use crate::instance::{GroupInstance, HwInstance};
 use crate::report::{Anomaly, JobReport, SessionReport};
 use crate::stream::StreamState;
 use extract::{IntelKey, IntelMessage};
-use hwgraph::{split_instances, GroupRel, HwGraph, Lifespan};
+use hwgraph::{split_instances, FirstSeen, GroupRel, HwGraph, Lifespan};
 use serde::{Deserialize, Serialize};
 use spell::{KeyId, Session, SpellParser};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A trained IntelLog model ready for detection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -81,107 +81,112 @@ impl Detector {
         self.graph.validate()
     }
 
-    /// Detect anomalies in one session.
+    /// Detect anomalies in one session. This is the streaming detector run
+    /// to completion: one [`StreamState`], every line fed, then closed.
     pub fn detect_session(&self, session: &Session) -> SessionReport {
-        self.detect_session_detailed(session).0
+        let _span = obs::span!("anomaly.detect_session");
+        self.stream_through(session).finish(self)
     }
 
-    /// Detect anomalies in one session, returning the reconstructed
-    /// HW-graph instance alongside the report (paper §4.2; the case studies
-    /// inspect instances directly). This is the streaming detector run to
-    /// completion: one [`StreamState`], every line fed, then closed.
+    /// [`Detector::detect_session`], returning the reconstructed HW-graph
+    /// instance alongside the report (paper §4.2; the case studies inspect
+    /// instances directly).
     pub fn detect_session_detailed(&self, session: &Session) -> (SessionReport, HwInstance) {
         let _span = obs::span!("anomaly.detect_session");
+        self.stream_through(session).finish_detailed(self)
+    }
+
+    fn stream_through(&self, session: &Session) -> StreamState {
         let mut state = StreamState::begin(session.id.as_str());
         for line in &session.lines {
             state.feed(self, line);
         }
-        state.finish_detailed(self)
+        state
     }
 
     /// The end-of-session structural checks (§4.2 steps 2–5): subroutine
     /// instances, critical keys, BEFORE orders, mandatory groups, hierarchy.
-    /// Shared by batch and streaming detection. Returns the per-group
-    /// HW-graph instance material.
+    /// Shared by batch and streaming detection. With `instance` given, the
+    /// per-group HW-graph instance material is rendered into it; without,
+    /// only what a reported anomaly quotes is.
     pub(crate) fn structural_checks(
         &self,
         messages: &[IntelMessage],
         report: &mut SessionReport,
-    ) -> std::collections::BTreeMap<usize, GroupInstance> {
+        mut instance: Option<&mut BTreeMap<usize, GroupInstance>>,
+    ) {
         let verdicts_before = report.anomalies.len();
         // 2. Route matched messages into groups; track lifespans. BTreeMap
         //    so downstream anomaly ordering is deterministic (HashMap
         //    iteration order varies per instance).
-        let mut per_group: std::collections::BTreeMap<usize, Vec<&IntelMessage>> =
-            Default::default();
-        let mut spans: HashMap<usize, Lifespan> = HashMap::new();
+        let mut per_group: BTreeMap<usize, (Lifespan, Vec<&IntelMessage>)> = BTreeMap::new();
         for m in messages {
             for &g in self.graph.groups_of_key(m.key_id) {
-                per_group.entry(g).or_default().push(m);
-                spans
+                let (span, msgs) = per_group
                     .entry(g)
-                    .and_modify(|l| l.extend(m.ts_ms))
-                    .or_insert_with(|| Lifespan::at(m.ts_ms));
+                    .or_insert_with(|| (Lifespan::at(m.ts_ms), Vec::new()));
+                span.extend(m.ts_ms);
+                msgs.push(m);
             }
         }
+        let span_of = |g: usize| per_group.get(&g).map(|(span, _)| span);
 
         // The session is checked against its best-matching *session
         // profile* (session type): heterogeneous containers (AM vs map vs
         // reduce) have different mandatory groups and subroutine shapes.
-        let fingerprint: std::collections::BTreeSet<usize> = per_group.keys().copied().collect();
+        let fingerprint: BTreeSet<usize> = per_group.keys().copied().collect();
         let matched = self.graph.profiles.best_match_scored(&fingerprint);
         let profile = matched.map(|(_, p, _)| p);
 
-        // 3. Per-group subroutine-instance checks; the instances are also
-        //    collected into the session's HW-graph instance.
-        let mut collected: std::collections::BTreeMap<usize, GroupInstance> = Default::default();
-        for (&g, msgs) in &per_group {
+        // 3. Per-group subroutine-instance checks.
+        let mut instances_checked = 0;
+        for (&g, (span, msgs)) in &per_group {
             let gm = &self.graph.groups[g];
             let profile_subs = profile.and_then(|p| p.subroutines.get(&g));
-            let instances = split_instances(msgs.as_slice());
-            collected.insert(
-                g,
-                GroupInstance {
-                    group: gm.name.clone(),
-                    lifespan: spans.get(&g).copied(),
-                    subroutines: instances.clone(),
-                    messages: msgs.len(),
-                },
-            );
-            for inst in instances {
+            let split = split_instances(msgs.as_slice());
+            instances_checked += split.len();
+            if let Some(groups) = instance.as_deref_mut() {
+                groups.insert(
+                    g,
+                    GroupInstance {
+                        group: gm.name.clone(),
+                        lifespan: Some(*span),
+                        subroutines: split.render(),
+                        messages: msgs.len(),
+                    },
+                );
+            }
+            for inst in split.iter() {
                 // Prefer the per-profile learner; fall back to the global
                 // one for signatures the profile never saw (a signature is
                 // only *unknown* if neither learner knows it).
                 let model = profile_subs
-                    .and_then(|s| s.get(&inst.signature))
-                    .or_else(|| gm.subroutines.get(&inst.signature));
+                    .and_then(|s| s.of_instance(inst))
+                    .or_else(|| gm.subroutines.of_instance(inst));
                 match model {
                     None => report.anomalies.push(Anomaly::UnknownSignature {
                         group: gm.name.clone(),
-                        signature: inst.signature.clone(),
+                        signature: inst.signature(),
                     }),
                     Some(model) => {
                         // first-occurrence order of keys in this instance
-                        let mut first: HashMap<KeyId, usize> = HashMap::new();
-                        for (i, &k) in inst.keys.iter().enumerate() {
-                            first.entry(k).or_insert(i);
-                        }
+                        let first = FirstSeen::of(inst.keys());
                         for &crit in &model.critical {
-                            if !first.contains_key(&crit) {
+                            if first.get(crit).is_none() {
                                 report.anomalies.push(Anomaly::MissingCriticalKey {
                                     group: gm.name.clone(),
-                                    signature: inst.signature.clone(),
+                                    signature: inst.signature(),
                                     key: crit,
-                                    instance: inst.id_values.clone(),
+                                    instance: inst.id_values(),
                                 });
                             }
                         }
                         for &(a, b) in &model.before {
-                            if let (Some(&ia), Some(&ib)) = (first.get(&a), first.get(&b)) {
+                            if let (Some(ia), Some(ib)) = (first.get(a), first.get(b)) {
                                 if ia >= ib {
                                     report.anomalies.push(Anomaly::BrokenOrder {
                                         group: gm.name.clone(),
-                                        signature: inst.signature.clone(),
+                                        signature: inst.signature(),
                                         first: a,
                                         second: b,
                                     });
@@ -216,8 +221,8 @@ impl Detector {
 
         // 5. Hierarchy checks on instance lifespans.
         for (g, node) in self.graph.hierarchy.nodes.iter().enumerate() {
-            if let (Some(p), Some(lg)) = (node.parent, spans.get(&g)) {
-                if let Some(lp) = spans.get(&p) {
+            if let (Some(p), Some(lg)) = (node.parent, span_of(g)) {
+                if let Some(lp) = span_of(p) {
                     if !lg.within(lp) {
                         report.anomalies.push(Anomaly::HierarchyViolation {
                             parent: self.graph.groups[p].name.clone(),
@@ -227,7 +232,7 @@ impl Detector {
                 }
             }
             for &b in &node.before {
-                if let (Some(la), Some(lb)) = (spans.get(&g), spans.get(&b)) {
+                if let (Some(la), Some(lb)) = (span_of(g), span_of(b)) {
                     if !la.before(lb) {
                         report.anomalies.push(Anomaly::GroupOrderViolation {
                             before: self.graph.groups[g].name.clone(),
@@ -239,15 +244,8 @@ impl Detector {
         }
         let _ = GroupRel::Parallel; // relations other than parent/before need no check
         crate::report::count_verdicts(&report.anomalies[verdicts_before..]);
-        obs::add!("hwgraph.instance_groups", collected.len() as u64);
-        obs::add!(
-            "hwgraph.instances",
-            collected
-                .values()
-                .map(|gi| gi.subroutines.len() as u64)
-                .sum::<u64>()
-        );
-        collected
+        obs::add!("hwgraph.instance_groups", per_group.len() as u64);
+        obs::add!("hwgraph.instances", instances_checked as u64);
     }
 
     /// Detect anomalies across a whole job.

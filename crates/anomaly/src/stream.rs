@@ -24,10 +24,11 @@
 //! storing the model `Arc` next to the state.
 
 use crate::detector::Detector;
-use crate::instance::HwInstance;
+use crate::instance::{GroupInstance, HwInstance};
 use crate::report::{Anomaly, SessionReport};
 use extract::{IntelExtractor, IntelMessage};
 use spell::LogLine;
+use std::collections::BTreeMap;
 
 /// Owned, movable state of one in-flight streaming session. See the module
 /// docs for the one-detector-per-state contract.
@@ -122,26 +123,38 @@ impl StreamState {
     }
 
     /// Close the session: run the end-of-session structural checks and
-    /// return the full report (online anomalies included).
+    /// return the full report (online anomalies included). Builds no
+    /// HW-graph instance: of the subroutine instances' identifier strings
+    /// only those a reported anomaly quotes are rendered.
     pub fn finish(self, detector: &Detector) -> SessionReport {
-        self.finish_detailed(detector).0
+        self.close(detector, None)
     }
 
     /// [`StreamState::finish`], also returning the reconstructed HW-graph
     /// instance (paper §4.2; the case studies inspect instances directly).
     pub fn finish_detailed(self, detector: &Detector) -> (SessionReport, HwInstance) {
+        let mut groups = BTreeMap::new();
+        let report = self.close(detector, Some(&mut groups));
+        let instance = HwInstance {
+            session: report.session.clone(),
+            groups,
+        };
+        (report, instance)
+    }
+
+    fn close(
+        self,
+        detector: &Detector,
+        instance: Option<&mut BTreeMap<usize, GroupInstance>>,
+    ) -> SessionReport {
         obs::inc!("anomaly.sessions_checked");
         let mut report = SessionReport {
             session: self.session_id,
             lines: self.lines,
             anomalies: self.online_anomalies,
         };
-        let groups = detector.structural_checks(&self.messages, &mut report);
-        let instance = HwInstance {
-            session: report.session.clone(),
-            groups,
-        };
-        (report, instance)
+        detector.structural_checks(&self.messages, &mut report, instance);
+        report
     }
 }
 

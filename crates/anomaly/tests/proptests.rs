@@ -92,3 +92,50 @@ proptest! {
         prop_assert_eq!(batch.lines, streamed.lines);
     }
 }
+
+/// The long-session row: one client's 20,000-line session, a distinct task
+/// on every line and one stage shared by all, so the 'task' group ends with
+/// 20,000 subroutine instances that all hold the stage's value. Closing it
+/// must agree with offline detection, and must not hold a shard for
+/// seconds: Algorithm 2 as a scan over the open instances took 12 s on it in
+/// a release build.
+#[test]
+fn long_session_closes_in_bounded_time_and_matches_offline() {
+    let task_lines = |tasks: std::ops::Range<u32>, stage: u32, finish: bool| -> Vec<LogLine> {
+        tasks
+            .flat_map(|k| {
+                let at = u64::from(k) * 10;
+                let start = line(at, &format!("Starting task {k} in stage {stage}"));
+                let done = line(
+                    at + 5,
+                    &format!("Finished task {k} in stage {stage} and sent 9 bytes to driver"),
+                );
+                std::iter::once(start).chain(finish.then_some(done))
+            })
+            .collect()
+    };
+    let d = trained_detector(&[
+        Session::new("c0", task_lines(0..2, 0, true)),
+        Session::new("c1", task_lines(2..3, 1, true)),
+        Session::new("c2", task_lines(3..6, 2, true)),
+    ]);
+    let long = Session::new("c9", task_lines(0..20_000, 7, false));
+
+    let mut stream = StreamState::begin(long.id.clone());
+    for l in &long.lines {
+        stream.feed(&d, l);
+    }
+    let started = std::time::Instant::now();
+    let streamed = stream.finish(&d);
+    let took = started.elapsed();
+    assert!(took.as_secs_f64() < 5.0, "finish took {took:?}");
+
+    let (offline, instance) = d.detect_session_detailed(&long);
+    assert_eq!(streamed, offline);
+    assert_eq!(instance.subroutine_instance_count("task"), 20_000);
+    let held = &instance.group("task").expect("task group").subroutines[7].id_values;
+    assert!(
+        held.contains("STAGE:7") && held.contains("TASK:7"),
+        "every instance holds the shared stage value: {held:?}"
+    );
+}

@@ -10,7 +10,7 @@ use crate::group::{group_entities, Grouping};
 use crate::hierarchy::Hierarchy;
 use crate::lifespan::{GroupRelations, Lifespan};
 use crate::profile::ProfileSet;
-use crate::subroutine::SubroutineSet;
+use crate::subroutine::{split_instances, InstanceSplit, SubroutineSet};
 use extract::{IntelKey, IntelMessage};
 use serde::{Deserialize, Serialize};
 use spell::KeyId;
@@ -114,14 +114,11 @@ impl HwGraph {
 
         // 3. Per-session lifespans and subroutine training; track per-key
         //    per-session repetition for the critical-group criterion.
-        let mut session_lifespans: Vec<HashMap<usize, Lifespan>> =
-            Vec::with_capacity(sessions.len());
+        let mut session_lifespans: Vec<Vec<(usize, Lifespan)>> = Vec::with_capacity(sessions.len());
         let mut key_repeats_in_session: BTreeSet<KeyId> = BTreeSet::new();
         let mut profiles = ProfileSet::new();
         for session in sessions {
-            let mut spans: HashMap<usize, Lifespan> = HashMap::new();
-            let mut per_group: std::collections::BTreeMap<usize, Vec<&IntelMessage>> =
-                Default::default();
+            let mut per_group: BTreeMap<usize, (Lifespan, Vec<&IntelMessage>)> = BTreeMap::new();
             let mut key_counts: HashMap<KeyId, u32> = HashMap::new();
             for m in session {
                 *key_counts.entry(m.key_id).or_insert(0) += 1;
@@ -129,11 +126,11 @@ impl HwGraph {
                     continue;
                 };
                 for &g in gs {
-                    spans
+                    let (span, msgs) = per_group
                         .entry(g)
-                        .and_modify(|l| l.extend(m.ts_ms))
-                        .or_insert_with(|| Lifespan::at(m.ts_ms));
-                    per_group.entry(g).or_default().push(m);
+                        .or_insert_with(|| (Lifespan::at(m.ts_ms), Vec::new()));
+                    span.extend(m.ts_ms);
+                    msgs.push(m);
                 }
             }
             for (k, c) in key_counts {
@@ -141,14 +138,20 @@ impl HwGraph {
                     key_repeats_in_session.insert(k);
                 }
             }
+            session_lifespans.push(per_group.iter().map(|(&g, &(span, _))| (g, span)).collect());
+            // Algorithm 2 runs once per (session, group); the profile learner
+            // and the group's own learner consume the same instances.
+            let splits: BTreeMap<usize, InstanceSplit<'_>> = per_group
+                .iter()
+                .map(|(&g, (_, msgs))| (g, split_instances(msgs)))
+                .collect();
             if !session.is_empty() {
-                profiles.train_session(&per_group);
+                profiles.train_session(&splits);
             }
-            for (g, msgs) in per_group {
-                groups[g].sessions_seen += 1;
-                groups[g].subroutines.train_session(&msgs);
+            for (g, split) in &splits {
+                groups[*g].sessions_seen += 1;
+                groups[*g].subroutines.train_instances(split);
             }
-            session_lifespans.push(spans);
         }
 
         // 4. Critical and mandatory flags (§6.3 / §6.4 case 3).
@@ -452,6 +455,48 @@ mod tests {
         assert_eq!(sub.keys.len(), 2, "{sub:?}");
         assert!(sub.is_before(sub.keys[0], sub.keys[1]));
         assert_eq!(sub.critical.len(), 2);
+    }
+
+    /// Splitting each (session, group) once and handing both learners the
+    /// same instances changes nothing: the model is, byte for byte, the one
+    /// got by training each learner from the reference split.
+    #[test]
+    fn build_equals_training_both_learners_through_the_oracle() {
+        use crate::subroutine::split_instances_oracle;
+        let (keys, mut sessions) = mini_corpus();
+        // a longer session whose task instances interleave
+        let mut long = sessions[0].clone();
+        long.extend(sessions[1].iter().cloned());
+        long.sort_by_key(|m| m.ts_ms);
+        sessions.push(long);
+        let built = HwGraph::build(&keys, &sessions);
+
+        let mut expected = built.clone();
+        for g in &mut expected.groups {
+            g.subroutines = SubroutineSet::default();
+        }
+        expected.profiles = ProfileSet::new();
+        for session in &sessions {
+            let mut per_group: BTreeMap<usize, Vec<&IntelMessage>> = BTreeMap::new();
+            for m in session {
+                for &g in built.groups_of_key(m.key_id) {
+                    per_group.entry(g).or_default().push(m);
+                }
+            }
+            let profile = expected.profiles.join(per_group.keys().copied().collect());
+            for (g, msgs) in &per_group {
+                let instances = split_instances_oracle(msgs);
+                let learner = profile.subroutines.entry(*g).or_default();
+                learner.train_rendered(&instances);
+                expected.groups[*g].subroutines.train_rendered(&instances);
+            }
+        }
+        let mut learned = built
+            .groups
+            .iter()
+            .flat_map(|g| g.subroutines.subroutines());
+        assert!(learned.any(|s| !s.signature.is_empty() && s.instances > 3));
+        assert_eq!(built.to_json(), expected.to_json());
     }
 
     #[test]

@@ -150,17 +150,12 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::lifespan::{GroupRelations, Lifespan};
-    use std::collections::HashMap;
 
     fn span(a: u64, b: u64) -> Lifespan {
         Lifespan { first: a, last: b }
     }
 
     fn relations(sessions: Vec<Vec<(usize, Lifespan)>>, n: usize) -> GroupRelations {
-        let sessions: Vec<HashMap<usize, Lifespan>> = sessions
-            .into_iter()
-            .map(|s| s.into_iter().collect())
-            .collect();
         GroupRelations::compute(n, &sessions)
     }
 

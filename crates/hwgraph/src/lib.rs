@@ -31,4 +31,7 @@ pub use group::{
 pub use hierarchy::{Hierarchy, HierarchyNode};
 pub use lifespan::{GroupRel, GroupRelations, Lifespan};
 pub use profile::{ProfileSet, SessionProfile};
-pub use subroutine::{split_instances, Signature, Subroutine, SubroutineInstance, SubroutineSet};
+pub use subroutine::{
+    split_instances, FirstSeen, Instance, InstanceSplit, Signature, Subroutine, SubroutineInstance,
+    SubroutineSet,
+};

@@ -76,43 +76,39 @@ pub struct GroupRelations {
 }
 
 impl GroupRelations {
-    /// Compute relations from per-session lifespans: for each session, a map
-    /// group-index → lifespan (absent groups do not constrain the pair).
-    pub fn compute(n: usize, sessions: &[HashMap<usize, Lifespan>]) -> GroupRelations {
-        let mut rel = HashMap::new();
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let mut co_occurred = false;
-                let mut always_parent = true; // b within a, strictly smaller
-                let mut always_before = true; // a before b
-                for s in sessions {
-                    let (Some(la), Some(lb)) = (s.get(&a), s.get(&b)) else {
-                        continue;
-                    };
-                    co_occurred = true;
-                    let strictly_contains = lb.within(la) && !(la.within(lb));
-                    if !strictly_contains {
-                        always_parent = false;
+    /// Compute relations from per-session lifespans: for each session, the
+    /// lifespan of every group present in it, each group at most once
+    /// (absent groups do not constrain the pair).
+    pub fn compute(n: usize, sessions: &[Vec<(usize, Lifespan)>]) -> GroupRelations {
+        // Per ordered pair `(a, b)`, what its co-occurrences have shown so far.
+        const SEEN: u8 = 1;
+        const NOT_PARENT: u8 = 2; // some session: b not strictly within a
+        const NOT_BEFORE: u8 = 4; // some session: a not before b
+        let mut pairs = vec![0u8; n * n];
+        for s in sessions {
+            for &(a, la) in s.iter().filter(|&&(a, _)| a < n) {
+                for &(b, lb) in s.iter().filter(|&&(b, _)| b < n && b != a) {
+                    let mut seen = SEEN;
+                    if !lb.within(&la) || la.within(&lb) {
+                        seen |= NOT_PARENT;
                     }
-                    if !la.before(lb) {
-                        always_before = false;
+                    if !la.before(&lb) {
+                        seen |= NOT_BEFORE;
                     }
+                    pairs[a * n + b] |= seen;
                 }
-                if !co_occurred {
-                    continue;
-                }
-                let r = if always_parent {
-                    GroupRel::Parent
-                } else if always_before {
-                    GroupRel::Before
-                } else {
-                    GroupRel::Parallel
-                };
-                rel.insert((a, b), r);
             }
+        }
+        let mut rel = HashMap::new();
+        for (i, &seen) in pairs.iter().enumerate().filter(|&(_, &seen)| seen != 0) {
+            let r = if seen & NOT_PARENT == 0 {
+                GroupRel::Parent
+            } else if seen & NOT_BEFORE == 0 {
+                GroupRel::Before
+            } else {
+                GroupRel::Parallel
+            };
+            rel.insert((i / n, i % n), r);
         }
         GroupRelations { n, rel }
     }
@@ -151,8 +147,84 @@ mod tests {
         Lifespan { first: a, last: b }
     }
 
-    fn sess(entries: &[(usize, Lifespan)]) -> HashMap<usize, Lifespan> {
-        entries.iter().copied().collect()
+    fn sess(entries: &[(usize, Lifespan)]) -> Vec<(usize, Lifespan)> {
+        entries.to_vec()
+    }
+
+    /// The relations as first computed: every ordered pair of all `n`
+    /// groups probed in every session.
+    fn compute_by_probing(n: usize, sessions: &[Vec<(usize, Lifespan)>]) -> GroupRelations {
+        let sessions: Vec<HashMap<usize, Lifespan>> = sessions
+            .iter()
+            .map(|s| s.iter().copied().collect())
+            .collect();
+        let mut rel = HashMap::new();
+        for a in 0..n {
+            for b in 0..n {
+                if a == b {
+                    continue;
+                }
+                let mut co_occurred = false;
+                let mut always_parent = true; // b within a, strictly smaller
+                let mut always_before = true; // a before b
+                for s in &sessions {
+                    let (Some(la), Some(lb)) = (s.get(&a), s.get(&b)) else {
+                        continue;
+                    };
+                    co_occurred = true;
+                    let strictly_contains = lb.within(la) && !(la.within(lb));
+                    if !strictly_contains {
+                        always_parent = false;
+                    }
+                    if !la.before(lb) {
+                        always_before = false;
+                    }
+                }
+                if !co_occurred {
+                    continue;
+                }
+                let r = if always_parent {
+                    GroupRel::Parent
+                } else if always_before {
+                    GroupRel::Before
+                } else {
+                    GroupRel::Parallel
+                };
+                rel.insert((a, b), r);
+            }
+        }
+        GroupRelations { n, rel }
+    }
+
+    proptest::proptest! {
+        /// One pass over the pairs present in each session finds the same
+        /// relations as probing every pair in every session; groups numbered
+        /// `n` or above are ignored by both.
+        #[test]
+        fn one_pass_equals_probing(
+            n in 0usize..7,
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0usize..8, 0u64..12, 0u64..6), 0..6),
+                0..6,
+            ),
+        ) {
+            let sessions: Vec<Vec<(usize, Lifespan)>> = raw
+                .iter()
+                .map(|s| {
+                    let mut present: Vec<(usize, Lifespan)> = Vec::new();
+                    for &(g, first, len) in s {
+                        if present.iter().all(|&(p, _)| p != g) {
+                            present.push((g, span(first, first + len)));
+                        }
+                    }
+                    present
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                GroupRelations::compute(n, &sessions),
+                compute_by_probing(n, &sessions)
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! mandatory groups and subroutines per cluster. At detection time a
 //! session is checked against its best-matching profile.
 
-use crate::subroutine::SubroutineSet;
-use extract::IntelMessage;
+use crate::subroutine::{InstanceSplit, SubroutineSet};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -71,10 +70,19 @@ impl ProfileSet {
         self.profiles.is_empty()
     }
 
-    /// Train on one session: `per_group` holds the session's messages per
-    /// entity group.
-    pub fn train_session(&mut self, per_group: &BTreeMap<usize, Vec<&IntelMessage>>) {
-        let fingerprint: BTreeSet<usize> = per_group.keys().copied().collect();
+    /// Train on one session: `per_group` holds the subroutine instances of
+    /// the session's messages per entity group.
+    pub fn train_session(&mut self, per_group: &BTreeMap<usize, InstanceSplit<'_>>) {
+        let p = self.join(per_group.keys().copied().collect());
+        for (&g, split) in per_group {
+            p.subroutines.entry(g).or_default().train_instances(split);
+        }
+    }
+
+    /// Count one session with this group fingerprint into the profile it
+    /// clusters with (a new one if none is similar enough) and return that
+    /// profile.
+    pub(crate) fn join(&mut self, fingerprint: BTreeSet<usize>) -> &mut SessionProfile {
         let best = self
             .profiles
             .iter()
@@ -97,9 +105,7 @@ impl ProfileSet {
         p.groups.extend(fingerprint.iter().copied());
         p.mandatory.retain(|g| fingerprint.contains(g));
         p.sessions_seen += 1;
-        for (&g, msgs) in per_group {
-            p.subroutines.entry(g).or_default().train_session(msgs);
-        }
+        p
     }
 
     /// Best-matching profile for a fingerprint (detection time), with the
@@ -124,6 +130,8 @@ impl ProfileSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subroutine::split_instances;
+    use extract::IntelMessage;
     use spell::KeyId;
 
     fn msg(key: u32, ids: &[(&str, &str)]) -> IntelMessage {
@@ -150,7 +158,11 @@ mod tests {
     fn train(ps: &mut ProfileSet, s: &BTreeMap<usize, Vec<IntelMessage>>) {
         let by_ref: BTreeMap<usize, Vec<&IntelMessage>> =
             s.iter().map(|(g, v)| (*g, v.iter().collect())).collect();
-        ps.train_session(&by_ref);
+        let splits = by_ref
+            .iter()
+            .map(|(g, msgs)| (*g, split_instances(msgs)))
+            .collect();
+        ps.train_session(&splits);
     }
 
     #[test]

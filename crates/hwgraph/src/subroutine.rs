@@ -17,7 +17,8 @@
 use extract::IntelMessage;
 use serde::{Deserialize, Serialize};
 use spell::KeyId;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap};
 
 /// The signature of a subroutine: the set of identifier types its instances
 /// carry (`{"STAGE", "TASK"}`). The empty signature is the `NONE` bucket.
@@ -46,13 +47,9 @@ impl Subroutine {
 
     /// Consume one instance: the keys of the instance's messages in order.
     pub fn update(&mut self, seq: &[KeyId]) {
-        // First-occurrence index per key in this instance.
-        let mut first: HashMap<KeyId, usize> = HashMap::new();
-        for (i, &k) in seq.iter().enumerate() {
-            first.entry(k).or_insert(i);
-        }
+        let first = FirstSeen::of(seq);
         if self.instances == 0 {
-            self.keys = dedup_in_order(seq);
+            self.keys = first.distinct().collect();
             for (i, &a) in self.keys.iter().enumerate() {
                 for &b in &self.keys[i + 1..] {
                     self.before.insert((a, b));
@@ -61,7 +58,7 @@ impl Subroutine {
             self.critical = self.keys.iter().copied().collect();
         } else {
             // Register unseen keys (not critical: they were missing before).
-            for &k in &dedup_in_order(seq) {
+            for k in first.distinct() {
                 if !self.keys.contains(&k) {
                     self.keys.push(k);
                 }
@@ -69,20 +66,60 @@ impl Subroutine {
             // Break BEFORE pairs contradicted by this instance. Pairs whose
             // keys do not co-occur here are left untouched.
             self.before
-                .retain(|&(a, b)| match (first.get(&a), first.get(&b)) {
-                    (Some(&ia), Some(&ib)) => ia < ib,
+                .retain(|&(a, b)| match (first.get(a), first.get(b)) {
+                    (Some(ia), Some(ib)) => ia < ib,
                     _ => true,
                 });
             // A key missed by this instance stops being critical (Fig. 5).
-            self.critical.retain(|k| first.contains_key(k));
+            self.critical.retain(|&k| first.get(k).is_some());
         }
         self.instances += 1;
     }
 }
 
-fn dedup_in_order(seq: &[KeyId]) -> Vec<KeyId> {
-    let mut seen = HashSet::new();
-    seq.iter().copied().filter(|k| seen.insert(*k)).collect()
+/// First-occurrence positions of the keys of one instance's key sequence:
+/// what both the learner ([`Subroutine::update`]) and the end-of-session
+/// checks ask of an instance. Instances average fewer than two keys, so a
+/// short sequence is scanned in place and nothing is allocated; only a long
+/// one (a NONE bucket collecting a whole session) gets a map.
+pub struct FirstSeen<'a> {
+    seq: &'a [KeyId],
+    /// Filled only when `seq` is longer than [`FirstSeen::SCAN_MAX`].
+    index: HashMap<KeyId, usize>,
+}
+
+impl<'a> FirstSeen<'a> {
+    /// Longest sequence answered by scanning it.
+    const SCAN_MAX: usize = 16;
+
+    /// Index one instance's key sequence.
+    pub fn of(seq: &'a [KeyId]) -> FirstSeen<'a> {
+        let mut index = HashMap::new();
+        if seq.len() > Self::SCAN_MAX {
+            for (i, &k) in seq.iter().enumerate() {
+                index.entry(k).or_insert(i);
+            }
+        }
+        FirstSeen { seq, index }
+    }
+
+    /// Position of `k`'s first occurrence, if it occurs.
+    pub fn get(&self, k: KeyId) -> Option<usize> {
+        if self.seq.len() > Self::SCAN_MAX {
+            self.index.get(&k).copied()
+        } else {
+            self.seq.iter().position(|&x| x == k)
+        }
+    }
+
+    /// The distinct keys in first-occurrence order.
+    pub fn distinct(&self) -> impl Iterator<Item = KeyId> + '_ {
+        self.seq
+            .iter()
+            .enumerate()
+            .filter(|&(i, &k)| self.get(k) == Some(i))
+            .map(|(_, &k)| k)
+    }
 }
 
 /// One subroutine *instance* recovered from a session (Algorithm 2's
@@ -99,9 +136,412 @@ pub struct SubroutineInstance {
     pub keys: Vec<KeyId>,
 }
 
+/// A run of one of an [`InstanceSplit`]'s arrays.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+/// `n` as one of the kernel's 32-bit numbers (instances, values, array
+/// positions). Each is bounded by the identifier text of the session, which
+/// at 2³² would not be in memory to split.
+fn number(n: usize) -> u32 {
+    u32::try_from(n).expect("a session's instances and identifiers number below 2^32")
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+
+    fn of<T>(self, array: &[T]) -> &[T] {
+        &array[self.range()]
+    }
+
+    /// The span from `start` to the end of `array`.
+    fn tail_of(array: &[u32], start: usize) -> Span {
+        Span {
+            start: number(start),
+            len: number(array.len() - start),
+        }
+    }
+}
+
+/// One instance inside an [`InstanceSplit`], as spans of its arrays.
+#[derive(Debug, Clone, Copy, Default)]
+struct Numbered {
+    /// `S_v` as distinct value numbers, in `value_sets`.
+    values: Span,
+    /// Distinct identifier-type numbers, in `type_sets`.
+    types: Span,
+    /// Its messages, in `message_indices` and `keys`.
+    messages: Span,
+}
+
+/// The result of Algorithm 2 for one (session, group) message sequence,
+/// before any string is built: identifier types and scoped values are
+/// numbers, and every instance is a few spans of shared arrays. The learners
+/// and the end-of-session checks read key sequences and compare signatures
+/// through it as they are; [`Instance::signature`] / [`Instance::id_values`]
+/// build the strings of one instance (an anomaly being reported) and
+/// [`InstanceSplit::render`] those of all of them (a [`SubroutineInstance`]
+/// list for inspection).
+#[derive(Debug)]
+pub struct InstanceSplit<'a> {
+    /// Identifier types by number.
+    types: Vec<&'a str>,
+    /// One `(type, value)` spelling per scoped-value number.
+    values: Vec<(&'a str, &'a str)>,
+    value_sets: Vec<u32>,
+    type_sets: Vec<u32>,
+    /// Message indices grouped by instance, in order within each.
+    message_indices: Vec<usize>,
+    /// Key of each entry of `message_indices`.
+    keys: Vec<KeyId>,
+    /// The NONE bucket first (if any message had no identifier), then the
+    /// identified instances in creation order.
+    instances: Vec<Numbered>,
+}
+
+/// A view of one instance of an [`InstanceSplit`].
+#[derive(Debug, Clone, Copy)]
+pub struct Instance<'s> {
+    split: &'s InstanceSplit<'s>,
+    raw: Numbered,
+}
+
+impl<'a> InstanceSplit<'a> {
+    /// Number of instances.
+    pub fn len(&self) -> usize {
+        self.instances.len()
+    }
+
+    /// `true` for an empty message sequence.
+    pub fn is_empty(&self) -> bool {
+        self.instances.is_empty()
+    }
+
+    /// The instances: the NONE bucket first, then in creation order.
+    pub fn iter(&self) -> impl Iterator<Item = Instance<'_>> {
+        self.instances
+            .iter()
+            .map(move |&raw| Instance { split: self, raw })
+    }
+
+    /// Every instance with its strings built.
+    pub fn render(&self) -> Vec<SubroutineInstance> {
+        self.iter()
+            .map(|inst| SubroutineInstance {
+                id_values: inst.id_values(),
+                signature: inst.signature(),
+                message_indices: inst.raw.messages.of(&self.message_indices).to_vec(),
+                keys: inst.keys().to_vec(),
+            })
+            .collect()
+    }
+}
+
+impl<'s> Instance<'s> {
+    /// Key of each message, in order.
+    pub fn keys(&self) -> &'s [KeyId] {
+        self.raw.messages.of(&self.split.keys)
+    }
+
+    fn type_names(&self) -> impl Iterator<Item = &'s str> + '_ {
+        let types = self.raw.types.of(&self.split.type_sets);
+        types.iter().map(|&t| self.split.types[t as usize])
+    }
+
+    /// `true` if the instance's identifier types are exactly `signature`.
+    pub fn has_signature(&self, signature: &Signature) -> bool {
+        // Type numbers are distinct per instance and per spelling, so equal
+        // sizes plus containment is set equality.
+        signature.len() == self.raw.types.len as usize
+            && self.type_names().all(|t| signature.contains(t))
+    }
+
+    /// The identifier types seen (the signature this instance belongs to).
+    pub fn signature(&self) -> Signature {
+        self.type_names().map(str::to_string).collect()
+    }
+
+    /// Union of identifier values seen (`S_v`), each scoped as `type:value`;
+    /// empty for the NONE bucket.
+    pub fn id_values(&self) -> BTreeSet<String> {
+        let values = self.raw.values.of(&self.split.value_sets);
+        values
+            .iter()
+            .map(|&v| {
+                let (t, v) = self.split.values[v as usize];
+                [t, ":", v].concat()
+            })
+            .collect()
+    }
+}
+
+/// Number `s` among `table`'s entries, adding it if new. The tables are a
+/// handful of identifier types, so a scan beats hashing.
+fn number_in<'a>(table: &mut Vec<&'a str>, s: &'a str) -> u32 {
+    let n = table.iter().position(|&x| x == s).unwrap_or_else(|| {
+        table.push(s);
+        table.len() - 1
+    });
+    number(n)
+}
+
+/// Lists of instance numbers, one per scoped value, linked through one
+/// array (a value held by one instance costs no allocation of its own).
+#[derive(Default)]
+struct InstanceLists {
+    /// Per list: its newest link (`NIL` if empty) and its length.
+    heads: Vec<(u32, u32)>,
+    /// `(instance, next link)`.
+    links: Vec<(u32, u32)>,
+}
+
+const NIL: u32 = u32::MAX;
+
+impl InstanceLists {
+    fn add_list(&mut self) {
+        self.heads.push((NIL, 0));
+    }
+
+    fn len(&self, list: u32) -> u32 {
+        self.heads[list as usize].1
+    }
+
+    fn push(&mut self, list: u32, instance: u32) {
+        let (head, len) = &mut self.heads[list as usize];
+        self.links.push((instance, *head));
+        *head = number(self.links.len() - 1);
+        *len += 1;
+    }
+
+    fn iter(&self, list: u32) -> impl Iterator<Item = u32> + '_ {
+        let mut link = self.heads[list as usize].0;
+        std::iter::from_fn(move || {
+            let (instance, next) = *self.links.get(link as usize)?;
+            link = next;
+            Some(instance)
+        })
+    }
+}
+
 /// Split one session's group-local message sequence into subroutine
-/// instances (Algorithm 2 lines 4–15).
-pub fn split_instances(messages: &[&IntelMessage]) -> Vec<SubroutineInstance> {
+/// instances (Algorithm 2 lines 4–15): a message joins the first instance
+/// whose value set `S_v` is ⊆-comparable with its own identifier values
+/// `ids`, else opens one.
+///
+/// Values are scoped by their identifier type: bare numerals collide across
+/// types ('executor 3' vs 'task 3'), while real-world ids like
+/// 'attempt_…_m_000003_0' are naturally self-scoping. Two scoped values are
+/// the same value when their `type:value` spellings are.
+///
+/// The search is indexed, not a scan over the open instances. Scoped values
+/// are numbered, and two non-empty sets can only be ⊆-comparable if they
+/// share a value, so per value there are two lists of instances:
+///
+/// * `postings[v]` — the instances holding `v`. An instance with `ids ⊆ S_v`
+///   holds every value of the message, so it is in the *shortest* of their
+///   postings; each one there is checked for the rest.
+/// * `anchored[v]` — the instances opened while `v` was the rarest value of
+///   the opening message (their *anchor*; `S_v` only grows, so it stays in
+///   it). An instance with `S_v ⊆ ids` has its anchor among the message's
+///   values; each one anchored there is checked for `S_v ⊆ ids`.
+///
+/// The lowest-numbered instance that passes either check is the one a scan
+/// in creation order would have stopped at. A value that every instance
+/// shares (one STAGE for a session of TASKs) is in a long posting list but is
+/// never the rarest of a message with a fresher value, so it costs nothing.
+pub fn split_instances<'a>(messages: &[&'a IntelMessage]) -> InstanceSplit<'a> {
+    let mut types: Vec<&'a str> = Vec::new();
+    // What scoped values are numbered under: the `type:value` spelling cut at
+    // its first ':' — (number of the head, tail) — which is `(type, value)`
+    // as given unless the type itself contains a ':'.
+    let mut numbers: HashMap<(u32, Cow<'a, str>), u32> = HashMap::new();
+    let mut values: Vec<(&'a str, &'a str)> = Vec::new();
+    let mut postings = InstanceLists::default();
+    let mut anchored = InstanceLists::default();
+    let mut value_sets: Vec<u32> = Vec::new();
+    let mut type_sets: Vec<u32> = Vec::new();
+    // Instance 0 is the NONE bucket, held by no list.
+    let mut instances = vec![Numbered::default()];
+    number(messages.len()); // positions among the messages are 32-bit too
+    let mut owner: Vec<u32> = Vec::with_capacity(messages.len());
+    let mut ids: Vec<u32> = Vec::new();
+    let mut tys: Vec<u32> = Vec::new();
+
+    for m in messages {
+        ids.clear();
+        tys.clear();
+        for (t, v) in &m.identifiers {
+            let ty = number_in(&mut types, t);
+            if !tys.contains(&ty) {
+                tys.push(ty);
+            }
+            let scoped = match t.split_once(':') {
+                None => (ty, Cow::Borrowed(v.as_str())),
+                Some((head, rest)) => (
+                    number_in(&mut types, head),
+                    Cow::Owned([rest, ":", v].concat()),
+                ),
+            };
+            let id = *numbers.entry(scoped).or_insert_with(|| {
+                values.push((t, v));
+                postings.add_list();
+                anchored.add_list();
+                number(values.len() - 1)
+            });
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        let Some(&rarest) = ids.iter().min_by_key(|&&v| postings.len(v)) else {
+            instances[0].messages.len += 1;
+            owner.push(0);
+            continue;
+        };
+
+        let mut found = NIL;
+        for i in postings.iter(rarest) {
+            let held = instances[i as usize].values.of(&value_sets);
+            if i < found && ids.iter().all(|v| held.contains(v)) {
+                found = i;
+            }
+        }
+        for &v in &ids {
+            for i in anchored.iter(v) {
+                let held = instances[i as usize].values.of(&value_sets);
+                if i < found && held.iter().all(|v| ids.contains(v)) {
+                    found = i;
+                }
+            }
+        }
+        if found == NIL {
+            found = number(instances.len());
+            instances.push(Numbered::default());
+            anchored.push(rarest, found);
+        }
+
+        let inst = &mut instances[found as usize];
+        // ⊆-comparable, so the union is the larger of the two sets.
+        if ids.len() > inst.values.len as usize {
+            let held = inst.values.of(&value_sets);
+            for &v in ids.iter().filter(|v| !held.contains(v)) {
+                postings.push(v, found);
+            }
+            let start = value_sets.len();
+            value_sets.extend_from_slice(&ids);
+            inst.values = Span::tail_of(&value_sets, start);
+        }
+        if tys.iter().any(|t| !inst.types.of(&type_sets).contains(t)) {
+            let start = type_sets.len();
+            type_sets.extend_from_within(inst.types.range());
+            for &t in &tys {
+                if !type_sets[start..].contains(&t) {
+                    type_sets.push(t);
+                }
+            }
+            inst.types = Span::tail_of(&type_sets, start);
+        }
+        inst.messages.len += 1;
+        owner.push(found);
+    }
+
+    // Group the messages by owner, keeping their order within each.
+    let mut next = 0;
+    for inst in &mut instances {
+        inst.messages.start = next;
+        next += inst.messages.len;
+    }
+    let mut message_indices = vec![0; messages.len()];
+    let mut keys = vec![KeyId(0); messages.len()];
+    let mut fill: Vec<u32> = instances.iter().map(|inst| inst.messages.start).collect();
+    for (mi, (&o, m)) in owner.iter().zip(messages).enumerate() {
+        let at = &mut fill[o as usize];
+        message_indices[*at as usize] = mi;
+        keys[*at as usize] = m.key_id;
+        *at += 1;
+    }
+    if instances[0].messages.len == 0 {
+        instances.remove(0);
+    }
+    InstanceSplit {
+        types,
+        values,
+        value_sets,
+        type_sets,
+        message_indices,
+        keys,
+        instances,
+    }
+}
+
+/// The per-group subroutine learner: `D_ti` of Algorithm 2, one
+/// [`Subroutine`] per signature. (Stored as a vector rather than a
+/// signature-keyed map so the type serialises to JSON.)
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SubroutineSet {
+    /// Learned subroutines, one per signature, in first-seen order.
+    pub subs: Vec<Subroutine>,
+}
+
+impl SubroutineSet {
+    /// The subroutine for a signature, if learned.
+    pub fn get(&self, signature: &Signature) -> Option<&Subroutine> {
+        self.subs.iter().find(|s| &s.signature == signature)
+    }
+
+    /// The subroutine an instance belongs to (by signature), if learned.
+    pub fn of_instance(&self, inst: Instance<'_>) -> Option<&Subroutine> {
+        self.subs.iter().find(|s| inst.has_signature(&s.signature))
+    }
+
+    /// Consume the instances of one session's group-local messages
+    /// (training).
+    pub fn train_instances(&mut self, split: &InstanceSplit<'_>) {
+        for inst in split.iter() {
+            let known = self
+                .subs
+                .iter()
+                .position(|s| inst.has_signature(&s.signature));
+            let i = known.unwrap_or_else(|| {
+                self.subs.push(Subroutine {
+                    signature: inst.signature(),
+                    ..Default::default()
+                });
+                self.subs.len() - 1
+            });
+            self.subs[i].update(inst.keys());
+        }
+    }
+
+    /// All learned subroutines.
+    pub fn subroutines(&self) -> impl Iterator<Item = &Subroutine> {
+        self.subs.iter()
+    }
+
+    /// Number of subroutines (signatures).
+    pub fn len(&self) -> usize {
+        self.subs.len()
+    }
+
+    /// `true` if nothing was learned yet.
+    pub fn is_empty(&self) -> bool {
+        self.subs.is_empty()
+    }
+
+    /// Longest key skeleton length over all subroutines.
+    pub fn max_len(&self) -> usize {
+        self.subs.iter().map(|s| s.keys.len()).max().unwrap_or(0)
+    }
+}
+
+/// Algorithm 2 as first written — a scan over every open instance with
+/// string sets — kept as the reference [`split_instances`] is tested against.
+#[cfg(test)]
+pub(crate) fn split_instances_oracle(messages: &[&IntelMessage]) -> Vec<SubroutineInstance> {
     let mut instances: Vec<SubroutineInstance> = Vec::new();
     // NONE bucket is instance 0.
     instances.push(SubroutineInstance {
@@ -111,9 +551,6 @@ pub fn split_instances(messages: &[&IntelMessage]) -> Vec<SubroutineInstance> {
         keys: Vec::new(),
     });
     for (mi, m) in messages.iter().enumerate() {
-        // Values are scoped by their identifier type: bare numerals collide
-        // across types ('executor 3' vs 'task 3'), while real-world ids
-        // like 'attempt_…_m_000003_0' are naturally self-scoping.
         let ids: BTreeSet<String> = m
             .identifiers
             .iter()
@@ -151,64 +588,29 @@ pub fn split_instances(messages: &[&IntelMessage]) -> Vec<SubroutineInstance> {
     instances
 }
 
-/// The per-group subroutine learner: `D_ti` of Algorithm 2, one
-/// [`Subroutine`] per signature. (Stored as a vector rather than a
-/// signature-keyed map so the type serialises to JSON.)
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SubroutineSet {
-    /// Learned subroutines, one per signature, in first-seen order.
-    pub subs: Vec<Subroutine>,
-}
-
+#[cfg(test)]
 impl SubroutineSet {
-    /// The subroutine for a signature, if learned.
-    pub fn get(&self, signature: &Signature) -> Option<&Subroutine> {
-        self.subs.iter().find(|s| &s.signature == signature)
-    }
-
-    fn get_or_insert(&mut self, signature: &Signature) -> &mut Subroutine {
-        if let Some(i) = self.subs.iter().position(|s| &s.signature == signature) {
-            &mut self.subs[i]
-        } else {
-            self.subs.push(Subroutine {
-                signature: signature.clone(),
-                ..Default::default()
+    /// [`SubroutineSet::train_instances`] from rendered instances, for
+    /// training a reference model through the oracle.
+    pub(crate) fn train_rendered(&mut self, instances: &[SubroutineInstance]) {
+        for inst in instances {
+            let known = self.subs.iter().position(|s| s.signature == inst.signature);
+            let i = known.unwrap_or_else(|| {
+                self.subs.push(Subroutine {
+                    signature: inst.signature.clone(),
+                    ..Default::default()
+                });
+                self.subs.len() - 1
             });
-            self.subs.last_mut().expect("just pushed")
+            self.subs[i].update(&inst.keys);
         }
-    }
-
-    /// Consume one session's group-local messages (training).
-    pub fn train_session(&mut self, messages: &[&IntelMessage]) {
-        for inst in split_instances(messages) {
-            self.get_or_insert(&inst.signature).update(&inst.keys);
-        }
-    }
-
-    /// All learned subroutines.
-    pub fn subroutines(&self) -> impl Iterator<Item = &Subroutine> {
-        self.subs.iter()
-    }
-
-    /// Number of subroutines (signatures).
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// `true` if nothing was learned yet.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
-    }
-
-    /// Longest key skeleton length over all subroutines.
-    pub fn max_len(&self) -> usize {
-        self.subs.iter().map(|s| s.keys.len()).max().unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn msg(key: u32, ids: &[(&str, &str)]) -> IntelMessage {
         IntelMessage {
@@ -263,7 +665,7 @@ mod tests {
             msg(2, &[]),
         ];
         let refs: Vec<&IntelMessage> = ms.iter().collect();
-        let insts = split_instances(&refs);
+        let insts = split_instances(&refs).render();
         assert_eq!(insts.len(), 3);
         let none = insts.iter().find(|i| i.signature.is_empty()).unwrap();
         assert_eq!(none.keys, [KeyId(2)]);
@@ -283,7 +685,7 @@ mod tests {
             msg(2, &[("ATTEMPT", "a1")]),
         ];
         let refs: Vec<&IntelMessage> = ms.iter().collect();
-        let insts = split_instances(&refs);
+        let insts = split_instances(&refs).render();
         assert_eq!(insts.len(), 1, "{insts:?}");
         assert_eq!(insts[0].keys, [KeyId(0), KeyId(1), KeyId(2)]);
         assert_eq!(
@@ -301,8 +703,8 @@ mod tests {
             msg(9, &[]),
         ];
         let refs: Vec<&IntelMessage> = s1.iter().collect();
-        set.train_session(&refs);
-        set.train_session(&refs);
+        set.train_instances(&split_instances(&refs));
+        set.train_instances(&split_instances(&refs));
         assert_eq!(set.len(), 2); // FETCHER signature + NONE
         let fet = set.get(&BTreeSet::from(["FETCHER".to_string()])).unwrap();
         assert_eq!(fet.keys, [KeyId(0), KeyId(1)]);
@@ -328,5 +730,117 @@ mod tests {
         // after 1.
         assert!(sub.is_before(KeyId(0), KeyId(1)));
         assert_eq!(sub.keys, [KeyId(0), KeyId(1)]);
+    }
+
+    #[test]
+    fn widened_instance_wins_over_a_newer_one() {
+        // {a1,b1,c1} is a superset of both open instances, joins the older
+        // and widens it; {b1} then fits both and must again go to the older,
+        // although the newer instance was listed under b1 first.
+        let ms = [
+            msg(0, &[("A", "1")]),
+            msg(1, &[("B", "1")]),
+            msg(2, &[("A", "1"), ("B", "1"), ("C", "1")]),
+            msg(3, &[("B", "1")]),
+        ];
+        let refs: Vec<&IntelMessage> = ms.iter().collect();
+        let insts = split_instances(&refs).render();
+        assert_eq!(insts, split_instances_oracle(&refs));
+        assert_eq!(insts[0].keys, [KeyId(0), KeyId(2), KeyId(3)]);
+        assert_eq!(insts[1].keys, [KeyId(1)]);
+    }
+
+    #[test]
+    fn coinciding_spellings_are_one_value() {
+        // ("T", "1:2") and ("T:1", "2") both spell `T:1:2`: one value, two
+        // identifier types.
+        let ms = [msg(0, &[("T", "1:2")]), msg(1, &[("T:1", "2")])];
+        let refs: Vec<&IntelMessage> = ms.iter().collect();
+        let split = split_instances(&refs);
+        assert_eq!(split.render(), split_instances_oracle(&refs));
+        assert_eq!(split.len(), 1);
+        let inst = split.iter().next().unwrap();
+        assert_eq!(inst.id_values(), BTreeSet::from(["T:1:2".to_string()]));
+        assert_eq!(
+            inst.signature(),
+            BTreeSet::from(["T".to_string(), "T:1".to_string()])
+        );
+        assert!(inst.has_signature(&inst.signature()));
+        assert!(!inst.has_signature(&BTreeSet::from(["T".to_string()])));
+    }
+
+    /// One client's 20,000-line session — a distinct TASK value per line and
+    /// one STAGE value shared by all — must not hold its shard for seconds:
+    /// every line opens an instance and every instance holds the shared
+    /// value, the worst case for the search. The scan over string sets took
+    /// 12 s on this in a release build.
+    #[test]
+    fn long_session_sharing_one_value_splits_in_bounded_time() {
+        let ms: Vec<IntelMessage> = (0..20_000)
+            .map(|i| msg(0, &[("TASK", &i.to_string()), ("STAGE", "0")]))
+            .collect();
+        let refs: Vec<&IntelMessage> = ms.iter().collect();
+        let started = std::time::Instant::now();
+        let split = split_instances(&refs);
+        let took = started.elapsed();
+        assert_eq!(split.len(), 20_000);
+        assert!(took.as_secs_f64() < 5.0, "split took {took:?}");
+    }
+
+    fn identifier() -> impl Strategy<Value = (&'static str, &'static str)> {
+        // Small alphabets, so sets nest, widen and repeat; `T`/`T:1` with
+        // `1:2`/`2` spell the same scoped value under two types.
+        (
+            prop_oneof![Just("TASK"), Just("STAGE"), Just("T"), Just("T:1")],
+            prop_oneof![Just("1"), Just("2"), Just("3"), Just("1:2")],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// The indexed kernel is the scan, for every input: same instances in
+        /// the same order with the same strings; the views agree with what
+        /// they render to.
+        #[test]
+        fn split_equals_oracle(
+            raw in prop::collection::vec(
+                (0u32..6, prop::collection::vec(identifier(), 0..5)),
+                0..40,
+            )
+        ) {
+            let ms: Vec<IntelMessage> = raw.iter().map(|(k, ids)| msg(*k, ids)).collect();
+            let refs: Vec<&IntelMessage> = ms.iter().collect();
+            let split = split_instances(&refs);
+            let rendered = split.render();
+            prop_assert_eq!(&rendered, &split_instances_oracle(&refs));
+            prop_assert_eq!(split.len(), rendered.len());
+            for (view, inst) in split.iter().zip(&rendered) {
+                prop_assert_eq!(view.keys(), inst.keys.as_slice());
+                prop_assert!(view.has_signature(&inst.signature));
+            }
+        }
+    }
+
+    proptest! {
+        /// `FirstSeen` answers as a first-occurrence map does, on either
+        /// side of its scan/map switch.
+        #[test]
+        fn first_seen_equals_map(seq in prop::collection::vec(0u32..12, 0..40)) {
+            let seq: Vec<KeyId> = seq.into_iter().map(KeyId).collect();
+            let mut map: HashMap<KeyId, usize> = HashMap::new();
+            let mut order = Vec::new();
+            for (i, &k) in seq.iter().enumerate() {
+                map.entry(k).or_insert_with(|| {
+                    order.push(k);
+                    i
+                });
+            }
+            let first = FirstSeen::of(&seq);
+            for k in (0..12).map(KeyId) {
+                prop_assert_eq!(first.get(k), map.get(&k).copied());
+            }
+            prop_assert_eq!(first.distinct().collect::<Vec<_>>(), order);
+        }
     }
 }

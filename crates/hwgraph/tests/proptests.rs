@@ -5,7 +5,6 @@ use hwgraph::{
 };
 use proptest::prelude::*;
 use spell::KeyId;
-use std::collections::HashMap;
 
 fn phrase() -> impl Strategy<Value = String> {
     prop::collection::vec(
@@ -104,13 +103,13 @@ proptest! {
         raw in prop::collection::vec((0u64..100, 1u64..50), 1..8),
     ) {
         // one synthetic session assigning a lifespan to each group index
-        let mut sessions: Vec<HashMap<usize, Lifespan>> = Vec::new();
-        let mut m = HashMap::new();
-        for (g, &(start, len)) in raw.iter().enumerate().take(n) {
-            m.insert(g, Lifespan { first: start, last: start + len });
-        }
-        sessions.push(m);
-        let rel = GroupRelations::compute(n, &sessions);
+        let session: Vec<(usize, Lifespan)> = raw
+            .iter()
+            .enumerate()
+            .take(n)
+            .map(|(g, &(start, len))| (g, Lifespan { first: start, last: start + len }))
+            .collect();
+        let rel = GroupRelations::compute(n, &[session]);
         let h = Hierarchy::build(&rel);
         prop_assert_eq!(h.nodes.len(), n);
         let df = h.depth_first();

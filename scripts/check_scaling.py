@@ -22,6 +22,16 @@ numbers are noise) and enforces:
     slower) so only a genuine hot-path regression trips them, plus the
     automaton-vs-linear ratio floor which is load-independent because
     both sides run back-to-back on identical pre-interned probes.
+  * pipeline: the two session-rate stages Algorithm 2 sits in — HW-graph
+    training (`hwgraph.sessions_per_s`) and sequential detection
+    (`detection.sequential_sessions_per_s`) — clear floors at about half
+    the checked-in measurement (11.1k and 17.4k sessions/s after ISSUE 14's
+    indexed kernel).  The bench corpus is short MapReduce sessions, where
+    the old scan over open instances still managed 6.0k and 11.2k on the
+    same host, so these floors catch a collapse of either stage rather
+    than every return towards the scan; that is held by the kernel's own
+    bounded-time regression tests (`long_session_*` in crates/hwgraph and
+    crates/anomaly).
   * pipeline: every lognlp::format adapter (hadoop, spark, hdfs, syslog,
     json) clears an absolute raw-line ingest floor — header parse ahead
     of the same streaming Spell parse — so no `--format` can silently
@@ -56,6 +66,8 @@ MATCH_FLOOR = 100_000  # Spell frozen-automaton match, msgs/s
 EXTRACT_FLOOR = 20_000  # Intel-Key extraction, keys/s
 RATIO_FLOOR = 3.0  # indexed vs linear matcher, same probes
 ADAPTER_FLOOR = 100_000  # raw-line (header + parse) ingest per adapter, msgs/s
+HWGRAPH_FLOOR = 5_500  # full training incl. HwGraph::build, sessions/s
+DETECT_FLOOR = 8_500  # sequential detection, sessions/s
 
 
 def main() -> int:
@@ -114,6 +126,15 @@ def main() -> int:
     gate(
         extraction["keys_per_s"] >= EXTRACT_FLOOR,
         f"extraction: {extraction['keys_per_s']:.0f} keys/s >= {EXTRACT_FLOOR}",
+    )
+
+    # --- pipeline: session-rate floors (Algorithm 2's two callers) --------
+    hw = pipeline["hwgraph"]["sessions_per_s"]
+    gate(hw >= HWGRAPH_FLOOR, f"hwgraph: {hw:.0f} sessions/s >= {HWGRAPH_FLOOR}")
+    det = pipeline["detection"]["sequential_sessions_per_s"]
+    gate(
+        det >= DETECT_FLOOR,
+        f"detection sequential: {det:.0f} sessions/s >= {DETECT_FLOOR}",
     )
 
     # --- pipeline: format-adapter raw-line ingest floor -------------------

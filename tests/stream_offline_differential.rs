@@ -9,11 +9,20 @@
 //! scenarios — and a seventh: an adapter-normalised foreign corpus
 //! (syslog-rendered Spark, the lossiest header format) through the same
 //! differential, covering the `--format` ingestion path.
+//!
+//! The same sweep also pins the two ways of closing a session to each other
+//! (`finish`, which builds no HW-graph instance, against `finish_detailed`)
+//! and the instance `finish_detailed` returns to one rebuilt here from
+//! Algorithm 2 as a plain scan over string sets.
 
-use anomaly::StreamState;
+use anomaly::{Detector, GroupInstance, HwInstance, StreamState};
 use dlasim::{FaultKind, SystemKind, WorkloadGen};
+use extract::IntelMessage;
+use hwgraph::{Lifespan, SubroutineInstance};
 use intellog_core::{sessions_from_job, sessions_from_text, IntelLog};
 use lognlp::format::AdapterKind;
+use spell::Session;
+use std::collections::{BTreeMap, BTreeSet};
 
 const ALL_SYSTEMS: [SystemKind; 6] = [
     SystemKind::Spark,
@@ -31,6 +40,132 @@ const ALL_FAULTS: [FaultKind; 5] = [
     FaultKind::MemorySpill,
     FaultKind::Starvation,
 ];
+
+/// Algorithm 2 (§4.1) read off the paper: scan the open instances in
+/// creation order, join the first whose value set is ⊆-comparable.
+fn split_by_scanning(messages: &[&IntelMessage]) -> Vec<SubroutineInstance> {
+    let empty = || SubroutineInstance {
+        id_values: BTreeSet::new(),
+        signature: BTreeSet::new(),
+        message_indices: Vec::new(),
+        keys: Vec::new(),
+    };
+    let mut none = empty();
+    let mut open: Vec<SubroutineInstance> = Vec::new();
+    for (mi, m) in messages.iter().enumerate() {
+        let ids: BTreeSet<String> = m
+            .identifiers
+            .iter()
+            .map(|(t, v)| format!("{t}:{v}"))
+            .collect();
+        let joined = if ids.is_empty() {
+            &mut none
+        } else {
+            let comparable = |inst: &SubroutineInstance| {
+                ids.is_subset(&inst.id_values) || inst.id_values.is_subset(&ids)
+            };
+            let at = open.iter().position(comparable).unwrap_or_else(|| {
+                open.push(empty());
+                open.len() - 1
+            });
+            &mut open[at]
+        };
+        joined.id_values.extend(ids);
+        joined
+            .signature
+            .extend(m.identifiers.iter().map(|(t, _)| t.clone()));
+        joined.message_indices.push(mi);
+        joined.keys.push(m.key_id);
+    }
+    let none = Some(none).filter(|n| !n.keys.is_empty());
+    none.into_iter().chain(open).collect()
+}
+
+/// The HW-graph instance of `session`, rebuilt from the detector's public
+/// parts and [`split_by_scanning`].
+fn instance_by_scanning(detector: &Detector, session: &Session) -> HwInstance {
+    let messages: Vec<IntelMessage> = session
+        .lines
+        .iter()
+        .filter_map(|l| {
+            let key = detector.parser.match_line(&l.message)?;
+            (!detector.ignored_keys.contains(&key)).then(|| {
+                IntelMessage::instantiate(
+                    &detector.keys[key.0 as usize],
+                    &spell::tokenize_message(&l.message),
+                    &session.id,
+                    l.ts_ms,
+                )
+            })
+        })
+        .collect();
+    let mut per_group: BTreeMap<usize, (Lifespan, Vec<&IntelMessage>)> = BTreeMap::new();
+    for m in &messages {
+        for &g in detector.graph.groups_of_key(m.key_id) {
+            let (span, routed) = per_group
+                .entry(g)
+                .or_insert_with(|| (Lifespan::at(m.ts_ms), Vec::new()));
+            span.extend(m.ts_ms);
+            routed.push(m);
+        }
+    }
+    let groups = per_group
+        .into_iter()
+        .map(|(g, (span, routed))| {
+            let instance = GroupInstance {
+                group: detector.graph.groups[g].name.clone(),
+                lifespan: Some(span),
+                subroutines: split_by_scanning(&routed),
+                messages: routed.len(),
+            };
+            (g, instance)
+        })
+        .collect();
+    HwInstance {
+        session: session.id.clone(),
+        groups,
+    }
+}
+
+/// Online == offline for one session, by either way of closing it, and the
+/// detailed close's HW-graph instance is the one the scan rebuilds.
+fn assert_session_agrees(detector: &Detector, session: &Session, context: &str) {
+    let offline = detector.detect_session(session);
+    let feed = || {
+        let mut stream = StreamState::begin(session.id.clone());
+        for line in &session.lines {
+            stream.feed(detector, line);
+        }
+        stream
+    };
+    let online = feed().finish(detector);
+    assert_eq!(
+        offline, online,
+        "online and offline reports diverge: {context} session={}",
+        session.id
+    );
+    let (detailed, instance) = feed().finish_detailed(detector);
+    assert_eq!(
+        online, detailed,
+        "finish and finish_detailed diverge: {context} session={}",
+        session.id
+    );
+    assert_eq!(
+        (detailed, instance.to_json()),
+        {
+            let (report, instance) = detector.detect_session_detailed(session);
+            (report, instance.to_json())
+        },
+        "finish_detailed and detect_session_detailed diverge: {context} session={}",
+        session.id
+    );
+    assert_eq!(
+        instance.to_json(),
+        instance_by_scanning(detector, session).to_json(),
+        "HW-graph instance differs from the scan's: {context} session={}",
+        session.id
+    );
+}
 
 #[test]
 fn stream_and_offline_agree_on_every_system_and_fault() {
@@ -55,20 +190,9 @@ fn stream_and_offline_agree_on_every_system_and_fault() {
         ));
 
         for (fault, job) in &faulted_jobs {
+            let context = format!("system={} fault={fault}", system.name());
             for session in sessions_from_job(job) {
-                let offline = detector.detect_session(&session);
-                let mut stream = StreamState::begin(session.id.clone());
-                for line in &session.lines {
-                    stream.feed(detector, line);
-                }
-                let online = stream.finish(detector);
-                assert_eq!(
-                    offline,
-                    online,
-                    "online and offline reports diverge: system={} fault={fault} session={}",
-                    system.name(),
-                    session.id
-                );
+                assert_session_agrees(detector, &session, &context);
             }
         }
     }
@@ -106,20 +230,9 @@ fn stream_and_offline_agree_on_adapted_foreign_corpus() {
     ));
 
     for (fault, job) in &jobs {
+        let context = format!("format={} fault={fault}", format.name());
         for session in sessions_from_text(job, format) {
-            let offline = detector.detect_session(&session);
-            let mut stream = StreamState::begin(session.id.clone());
-            for line in &session.lines {
-                stream.feed(detector, line);
-            }
-            let online = stream.finish(detector);
-            assert_eq!(
-                offline,
-                online,
-                "adapted corpus diverged: format={} fault={fault} session={}",
-                format.name(),
-                session.id
-            );
+            assert_session_agrees(detector, &session, &context);
         }
     }
 }
