@@ -17,8 +17,8 @@
 use crate::instance::{GroupInstance, HwInstance};
 use crate::report::{Anomaly, JobReport, SessionReport};
 use crate::stream::StreamState;
-use extract::{IntelKey, IntelMessage};
-use hwgraph::{split_instances, FirstSeen, GroupRel, HwGraph, Lifespan};
+use extract::{IntelKey, SessionLog};
+use hwgraph::{rows_by_group, split_instances, FirstSeen, GroupRel, HwGraph};
 use serde::{Deserialize, Serialize};
 use spell::{KeyId, Session, SpellParser};
 use std::collections::{BTreeMap, BTreeSet};
@@ -106,29 +106,18 @@ impl Detector {
 
     /// The end-of-session structural checks (§4.2 steps 2–5): subroutine
     /// instances, critical keys, BEFORE orders, mandatory groups, hierarchy.
-    /// Shared by batch and streaming detection. With `instance` given, the
-    /// per-group HW-graph instance material is rendered into it; without,
-    /// only what a reported anomaly quotes is.
+    /// Run over the session's log of matched lines. With `instance` given,
+    /// the per-group HW-graph instance material is rendered into it;
+    /// without, only what a reported anomaly quotes is.
     pub(crate) fn structural_checks(
         &self,
-        messages: &[IntelMessage],
+        log: &SessionLog,
         report: &mut SessionReport,
         mut instance: Option<&mut BTreeMap<usize, GroupInstance>>,
     ) {
         let verdicts_before = report.anomalies.len();
-        // 2. Route matched messages into groups; track lifespans. BTreeMap
-        //    so downstream anomaly ordering is deterministic (HashMap
-        //    iteration order varies per instance).
-        let mut per_group: BTreeMap<usize, (Lifespan, Vec<&IntelMessage>)> = BTreeMap::new();
-        for m in messages {
-            for &g in self.graph.groups_of_key(m.key_id) {
-                let (span, msgs) = per_group
-                    .entry(g)
-                    .or_insert_with(|| (Lifespan::at(m.ts_ms), Vec::new()));
-                span.extend(m.ts_ms);
-                msgs.push(m);
-            }
-        }
+        // 2. Route matched lines into groups; track lifespans.
+        let per_group = rows_by_group(&self.graph.key_groups, log);
         let span_of = |g: usize| per_group.get(&g).map(|(span, _)| span);
 
         // The session is checked against its best-matching *session
@@ -140,10 +129,10 @@ impl Detector {
 
         // 3. Per-group subroutine-instance checks.
         let mut instances_checked = 0;
-        for (&g, (span, msgs)) in &per_group {
+        for (&g, (span, rows)) in &per_group {
             let gm = &self.graph.groups[g];
             let profile_subs = profile.and_then(|p| p.subroutines.get(&g));
-            let split = split_instances(msgs.as_slice());
+            let split = split_instances(log, rows);
             instances_checked += split.len();
             if let Some(groups) = instance.as_deref_mut() {
                 groups.insert(
@@ -152,7 +141,7 @@ impl Detector {
                         group: gm.name.clone(),
                         lifespan: Some(*span),
                         subroutines: split.render(),
-                        messages: msgs.len(),
+                        messages: rows.len(),
                     },
                 );
             }

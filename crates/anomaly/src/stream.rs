@@ -17,16 +17,22 @@
 //! crate: offline [`Detector::detect_session`] opens a state, feeds every
 //! line and finishes it, so online == offline holds by construction.
 //!
+//! Of a matched line the state retains one row of its [`SessionLog`] — key
+//! id, timestamp, identifier numbers — written straight from the line's
+//! token spans: no token `String`, no [`IntelMessage`], and in the steady
+//! state no allocation (`tests/stream_zero_alloc.rs`). Only an unexpected
+//! message, which is reported with its strings, is instantiated.
+//!
 //! Correctness contract: all `feed` calls and the final `finish` for one
-//! `StreamState` must use the *same* `Detector` — the accumulated
-//! [`IntelMessage`]s carry key ids that are only meaningful against the
-//! model they were matched with. The serving layer guarantees this by
-//! storing the model `Arc` next to the state.
+//! `StreamState` must use the *same* `Detector` — the logged rows carry key
+//! ids that are only meaningful against the model they were matched with.
+//! The serving layer guarantees this by storing the model `Arc` next to the
+//! state.
 
 use crate::detector::Detector;
 use crate::instance::{GroupInstance, HwInstance};
 use crate::report::{Anomaly, SessionReport};
-use extract::{IntelExtractor, IntelMessage};
+use extract::{IntelExtractor, IntelMessage, SessionLog};
 use spell::LogLine;
 use std::collections::BTreeMap;
 
@@ -36,7 +42,8 @@ pub struct StreamState {
     extractor: IntelExtractor,
     session_id: String,
     lines: usize,
-    messages: Vec<IntelMessage>,
+    /// One row per matched, non-ignored line.
+    log: SessionLog,
     online_anomalies: Vec<Anomaly>,
     /// Interned-id buffer reused across `feed` calls.
     ids: Vec<spell::TokenId>,
@@ -52,59 +59,58 @@ impl StreamState {
             extractor: IntelExtractor::new(),
             session_id: session_id.into(),
             lines: 0,
-            messages: Vec::new(),
+            log: SessionLog::default(),
             online_anomalies: Vec::new(),
             ids: Vec::new(),
             spans: Vec::new(),
         }
     }
 
-    /// Feed one log line. Returns an anomaly immediately if the line is an
-    /// unexpected message (no Intel Key matches).
-    pub fn feed(&mut self, detector: &Detector, line: &LogLine) -> Option<Anomaly> {
+    // lint: ingest-hot(begin)
+
+    /// Feed one log line. Returns the anomaly — kept in this state for the
+    /// report — if the line is an unexpected message (no Intel Key matches).
+    pub fn feed(&mut self, detector: &Detector, line: &LogLine) -> Option<&Anomaly> {
         self.lines += 1;
         // Zero-copy match: byte spans + interner lookups straight off the
-        // line buffer, reusing this state's span/id buffers. Token strings
-        // are materialised only for lines that feed extraction below —
-        // ignored-key lines (and the match itself) allocate nothing.
+        // line buffer, reusing this state's span/id buffers; a matched
+        // line's row is written from the same spans.
         let parser = &detector.parser;
         parser.lookup_line_into(&line.message, &mut self.spans, &mut self.ids);
-        let matched = parser.match_ids(&self.ids);
-        if matched.is_some_and(|kid| detector.ignored_keys.contains(&kid)) {
-            return None;
+        match parser.match_ids(&self.ids) {
+            Some(kid) if detector.ignored_keys.contains(&kid) => None,
+            Some(kid) => {
+                let key = &detector.keys[kid.0 as usize];
+                self.log
+                    .push_line(key, line.ts_ms, &line.message, &self.spans);
+                None
+            }
+            None => Some(self.unexpected(detector, line)),
         }
+    }
+
+    // lint: ingest-hot(end)
+
+    /// The rare path of [`StreamState::feed`]: extract what the unknown
+    /// line says ad hoc and keep it as an online anomaly.
+    fn unexpected(&mut self, detector: &Detector, line: &LogLine) -> &Anomaly {
         let tokens: Vec<String> = self
             .spans
             .iter()
             .map(|s| s.of(&line.message).to_string())
             .collect();
-        match matched {
-            Some(kid) => {
-                self.messages.push(IntelMessage::instantiate(
-                    &detector.keys[kid.0 as usize],
-                    &tokens,
-                    &self.session_id,
-                    line.ts_ms,
-                ));
-                None
-            }
-            None => {
-                let adhoc = self.extractor.extract_adhoc(&line.message);
-                let intel =
-                    IntelMessage::instantiate(&adhoc, &tokens, &self.session_id, line.ts_ms);
-                let groups = detector.groups_of_entities(&intel.entities);
-                obs::inc!("anomaly.verdict.unexpected-message");
-                obs::event!("anomaly.unexpected_message", "session" = self.session_id);
-                let a = Anomaly::UnexpectedMessage {
-                    ts_ms: line.ts_ms,
-                    text: line.message.clone(),
-                    intel,
-                    groups,
-                };
-                self.online_anomalies.push(a.clone());
-                Some(a)
-            }
-        }
+        let adhoc = self.extractor.extract_adhoc(&line.message);
+        let intel = IntelMessage::instantiate(&adhoc, &tokens, &self.session_id, line.ts_ms);
+        let groups = detector.groups_of_entities(&intel.entities);
+        obs::inc!("anomaly.verdict.unexpected-message");
+        obs::event!("anomaly.unexpected_message", "session" = self.session_id);
+        self.online_anomalies.push(Anomaly::UnexpectedMessage {
+            ts_ms: line.ts_ms,
+            text: line.message.clone(),
+            intel,
+            groups,
+        });
+        self.online_anomalies.last().expect("pushed just above")
     }
 
     /// Number of lines consumed so far.
@@ -153,7 +159,7 @@ impl StreamState {
             lines: self.lines,
             anomalies: self.online_anomalies,
         };
-        detector.structural_checks(&self.messages, &mut report, instance);
+        detector.structural_checks(&self.log, &mut report, instance);
         report
     }
 }

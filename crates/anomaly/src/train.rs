@@ -2,7 +2,8 @@
 //!
 //! The training phase (paper Fig. 2, stages 1–3) runs Spell over all
 //! sessions, builds Intel Keys, filters out non-natural-language keys into
-//! the ignored list (paper §5), instantiates Intel Messages and trains the
+//! the ignored list (paper §5), logs each session's matched lines
+//! ([`SessionLog`], the compact form of its Intel Messages) and trains the
 //! HW-graph.
 //!
 //! # Parallelism
@@ -11,7 +12,7 @@
 //! next one matches — so stage 1 is one sequential pass in both trainers.
 //! [`Trainer::train`] then runs the stages that are pure per key
 //! (Intel-Key extraction through the POS tagger, the natural-language
-//! check) and pure per session (Intel-Message instantiation) on rayon's
+//! check) and pure per session (writing the session's log) on rayon's
 //! current thread pool (wrap the call in [`rayon::ThreadPool::install`] to
 //! pin the pool). The HW-graph merge is order-sensitive and stays
 //! sequential. [`Trainer::train_sequential`] is the reference: the same
@@ -19,14 +20,11 @@
 //! detector at every pool size.
 
 use crate::detector::Detector;
-use extract::{IntelExtractor, IntelKey, IntelMessage, LocalityMatcher};
+use extract::{IntelExtractor, IntelKey, LocalityMatcher, SessionLog};
 use hwgraph::HwGraph;
 use rayon::prelude::*;
 use spell::{KeyId, LogKey, Session, SpellParser};
 use std::collections::BTreeSet;
-
-/// One parsed log line: its Spell key, tokens and timestamp.
-type ParsedLine = (KeyId, Vec<String>, u64);
 
 /// Configurable trainer for the IntelLog pipeline.
 #[derive(Debug, Clone)]
@@ -51,20 +49,25 @@ fn is_ignored(key: &LogKey) -> bool {
     !lognlp::is_natural_language(&key.render_sample())
 }
 
-/// Stage 3 for one session: its Intel Messages, ignored keys skipped.
-fn instantiate_session(
+/// Stage 3 for one session: the log of its lines, ignored keys skipped.
+/// `line_keys` holds the Spell key of each line; the identifiers are read
+/// off the line's re-tokenised spans at the key's final field positions.
+fn log_session(
     session: &Session,
-    lines: &[ParsedLine],
+    line_keys: &[KeyId],
     keys: &[IntelKey],
     ignored_keys: &BTreeSet<KeyId>,
-) -> Vec<IntelMessage> {
-    lines
-        .iter()
-        .filter(|(kid, _, _)| !ignored_keys.contains(kid))
-        .map(|(kid, tokens, ts)| {
-            IntelMessage::instantiate(&keys[kid.0 as usize], tokens, &session.id, *ts)
-        })
-        .collect()
+) -> SessionLog {
+    let mut log = SessionLog::default();
+    let mut spans = Vec::new();
+    for (line, kid) in session.lines.iter().zip(line_keys) {
+        if ignored_keys.contains(kid) {
+            continue;
+        }
+        lognlp::tokenize_spans(&line.message, &mut spans);
+        log.push_line(&keys[kid.0 as usize], line.ts_ms, &line.message, &spans);
+    }
+    log
 }
 
 impl Trainer {
@@ -93,13 +96,13 @@ impl Trainer {
             .flatten()
             .collect();
 
-        // Stage 3: Intel Messages (parallel, pure per session) → HW-graph.
-        let work: Vec<(&Session, &Vec<ParsedLine>)> = sessions.iter().zip(&parsed).collect();
-        let msg_sessions: Vec<Vec<IntelMessage>> = work
+        // Stage 3: session logs (parallel, pure per session) → HW-graph.
+        let work: Vec<(&Session, &Vec<KeyId>)> = sessions.iter().zip(&parsed).collect();
+        let logs: Vec<SessionLog> = work
             .par_iter()
-            .map(|(session, lines)| instantiate_session(session, lines, &keys, &ignored_keys))
+            .map(|(session, line_keys)| log_session(session, line_keys, &keys, &ignored_keys))
             .collect();
-        self.finish(parser, keys, ignored_keys, msg_sessions)
+        self.finish(parser, keys, ignored_keys, logs)
     }
 
     /// Reference sequential trainer: one thread, plain loops.
@@ -120,18 +123,19 @@ impl Trainer {
             .map(|k| k.id)
             .collect();
 
-        // Stage 3: Intel Messages per session → HW-graph.
-        let msg_sessions: Vec<Vec<IntelMessage>> = sessions
+        // Stage 3: session logs → HW-graph.
+        let logs: Vec<SessionLog> = sessions
             .iter()
             .zip(&parsed)
-            .map(|(session, lines)| instantiate_session(session, lines, &keys, &ignored_keys))
+            .map(|(session, line_keys)| log_session(session, line_keys, &keys, &ignored_keys))
             .collect();
-        self.finish(parser, keys, ignored_keys, msg_sessions)
+        self.finish(parser, keys, ignored_keys, logs)
     }
 
     /// Stage 1 of both trainers: Spell over the ordered message stream,
-    /// remembering each line's key and tokens.
-    fn spell_stream(&self, sessions: &[Session]) -> (SpellParser, Vec<Vec<ParsedLine>>) {
+    /// remembering each line's key (the line itself keeps its text and
+    /// timestamp, so nothing else is held per line).
+    fn spell_stream(&self, sessions: &[Session]) -> (SpellParser, Vec<Vec<KeyId>>) {
         let mut parser = SpellParser::new(self.spell_threshold);
         let parsed = sessions
             .iter()
@@ -139,10 +143,7 @@ impl Trainer {
                 session
                     .lines
                     .iter()
-                    .map(|line| {
-                        let out = parser.parse_message(&line.message);
-                        (out.key_id, out.tokens, line.ts_ms)
-                    })
+                    .map(|line| parser.parse_message(&line.message).key_id)
                     .collect()
             })
             .collect();
@@ -155,7 +156,7 @@ impl Trainer {
         parser: SpellParser,
         keys: Vec<IntelKey>,
         ignored_keys: BTreeSet<KeyId>,
-        msg_sessions: Vec<Vec<IntelMessage>>,
+        logs: Vec<SessionLog>,
     ) -> Detector {
         // Ignored keys contribute neither entities nor lifespans to the
         // HW-graph (paper §5: they are captured by pattern matching only).
@@ -164,7 +165,7 @@ impl Trainer {
             .filter(|k| !ignored_keys.contains(&k.key_id))
             .cloned()
             .collect();
-        let graph = HwGraph::build(&graph_keys, &msg_sessions);
+        let graph = HwGraph::build_from_logs(&graph_keys, &logs);
         Detector::new(parser, keys, graph, ignored_keys)
     }
 }

@@ -1,16 +1,21 @@
 //! End-to-end equivalence properties for the interned/indexed hot path.
 //!
-//! Two contracts guard the perf work:
+//! Three contracts guard the perf work:
 //!
 //! 1. `match_ids` — on the frozen automaton and on a thawed clone's live
 //!    index — is observationally identical to the linear-scan reference
 //!    matcher over realistic corpora from every simulated system (Spark,
 //!    MapReduce, Tez, YARN, Nova);
 //! 2. parallel training produces a byte-identical detector (and therefore
-//!    byte-identical reports) to the sequential reference trainer.
+//!    byte-identical reports) to the sequential reference trainer;
+//! 3. the row the session log keeps of a matched line — key id, timestamp,
+//!    identifier pairs — is that projection of the owned Intel Message
+//!    `IntelMessage::instantiate` builds from the line's token strings, on
+//!    every simulated system (TensorFlow included) and fault kind.
 
-use anomaly::Trainer;
+use anomaly::{Detector, Trainer};
 use dlasim::{FaultKind, SystemKind, WorkloadGen};
+use extract::{IntelMessage, SessionLog};
 use intellog_core::{sessions_from_job, IntelLog};
 use proptest::prelude::*;
 use spell::Session;
@@ -62,6 +67,72 @@ fn assert_matcher_equivalence(train: &[Session], probes: &[Session]) {
                 );
             }
         }
+    }
+}
+
+const FAULTS: [FaultKind; 5] = [
+    FaultKind::SessionKill,
+    FaultKind::NetworkFailure,
+    FaultKind::NodeFailure,
+    FaultKind::MemorySpill,
+    FaultKind::Starvation,
+];
+
+/// One detection job of `system` with `fault` injected.
+fn faulted_job(system: SystemKind, seed: u64, fault: FaultKind) -> Vec<Session> {
+    let mut gen = WorkloadGen::new(seed, 6);
+    let cfg = gen.detection_config(system, 1);
+    let plan = gen.fault_plan(fault);
+    sessions_from_job(&dlasim::generate(&cfg, Some(&plan)))
+}
+
+/// Log every matched line of `sessions` the way `StreamState::feed` does and
+/// check each row against the instantiated message. Returns how many rows
+/// carried identifiers.
+fn assert_rows_equal_instantiate(detector: &Detector, sessions: &[Session]) -> usize {
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
+    let mut identified = 0;
+    for session in sessions {
+        let mut log = SessionLog::default();
+        for line in &session.lines {
+            detector
+                .parser
+                .lookup_line_into(&line.message, &mut spans, &mut ids);
+            let Some(kid) = detector.parser.match_ids(&ids) else {
+                continue;
+            };
+            let key = &detector.keys[kid.0 as usize];
+            log.push_line(key, line.ts_ms, &line.message, &spans);
+            let tokens = spell::tokenize_message(&line.message);
+            let message = IntelMessage::instantiate(key, &tokens, &session.id, line.ts_ms);
+            let row = log.rows().last().expect("pushed just above");
+            let pairs: Vec<(String, String)> = log
+                .identifier_strs(row)
+                .map(|(t, v)| (t.to_string(), v.to_string()))
+                .collect();
+            assert_eq!(
+                (row.key_id, row.ts_ms, &pairs),
+                (message.key_id, message.ts_ms, &message.identifiers),
+                "row differs from the Intel Message of {:?} (session {})",
+                message.text,
+                session.id
+            );
+            identified += !pairs.is_empty() as usize;
+        }
+    }
+    identified
+}
+
+#[test]
+fn logged_rows_equal_instantiate_on_all_systems_and_faults() {
+    for system in SYSTEMS.into_iter().chain([SystemKind::TensorFlow]) {
+        let il = IntelLog::train(&corpus(system, 42, 2));
+        let mut identified = 0;
+        for fault in FAULTS {
+            let probes = faulted_job(system, 1337, fault);
+            identified += assert_rows_equal_instantiate(il.detector(), &probes);
+        }
+        assert!(identified > 0, "{system:?}: no row carried an identifier");
     }
 }
 
@@ -125,6 +196,20 @@ proptest! {
         let train = corpus(system, seed, 1);
         let probes = corpus(system, probe_seed, 1);
         assert_matcher_equivalence(&train, &probes);
+    }
+
+    /// Random seeds, system and fault: a held-out faulted job logs the rows
+    /// `instantiate` would.
+    #[test]
+    fn logged_rows_equal_instantiate_random(
+        seed in 0u64..10_000,
+        probe_seed in 0u64..10_000,
+        sys in 0usize..5,
+        fault in 0usize..5,
+    ) {
+        let il = IntelLog::train(&corpus(SYSTEMS[sys], seed, 1));
+        let probes = faulted_job(SYSTEMS[sys], probe_seed, FAULTS[fault]);
+        assert_rows_equal_instantiate(il.detector(), &probes);
     }
 
     /// Random seeds: parallel training is byte-identical to sequential.

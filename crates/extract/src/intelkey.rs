@@ -7,6 +7,13 @@
 //! into an *Intel Message*: the key's structure with the variable fields
 //! filled in, naturally representable as key-value pairs (and thus storable
 //! in JSON or a time-series database).
+//!
+//! The owned [`IntelMessage`] is the form for whoever wants those strings: a
+//! reported unexpected message, the [`crate::IntelStore`] queries, the
+//! baselines. Detection and training keep [`crate::SessionLog`] rows instead
+//! (key id, timestamp, identifier numbers — all Algorithm 2 and the lifespan
+//! checks read), and [`IntelMessage::instantiate`] is the oracle a row is
+//! tested against.
 
 use crate::entity::{extract_entities, Entity};
 use crate::fields::{classify_field, FieldCategory, VarField};

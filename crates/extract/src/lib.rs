@@ -13,6 +13,8 @@
 //! * [`intelkey`] — the [`IntelKey`]/[`IntelMessage`] types and the
 //!   [`IntelExtractor`] that builds them (including ad-hoc extraction from
 //!   unexpected messages during anomaly detection);
+//! * [`record`] — the compact per-line record ([`SessionLog`]) detection
+//!   and training retain instead of an owned Intel Message per line;
 //! * [`query`] — GroupBy/filter operators over stored Intel Messages and
 //!   JSON export (the paper's diagnosis workflow).
 
@@ -24,6 +26,7 @@ pub mod intelkey;
 pub mod locality;
 pub mod operation;
 pub mod query;
+pub mod record;
 
 pub use entity::{entity_at, extract_entities, Entity};
 pub use fields::{classify_field, identifier_type, FieldCategory, VarField};
@@ -31,3 +34,4 @@ pub use intelkey::{IntelExtractor, IntelKey, IntelMessage};
 pub use locality::{LocalityKind, LocalityMatcher};
 pub use operation::{extract_operations, Operation};
 pub use query::{host_of, IntelStore};
+pub use record::{Row, SessionLog};

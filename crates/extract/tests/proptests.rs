@@ -1,6 +1,6 @@
 //! Property-based tests for the extraction pipeline.
 
-use extract::{FieldCategory, IntelExtractor, IntelMessage};
+use extract::{FieldCategory, IntelExtractor, IntelMessage, SessionLog};
 use proptest::prelude::*;
 use spell::SpellParser;
 
@@ -63,6 +63,34 @@ proptest! {
         for (_, v) in &im.values {
             prop_assert!(o1.tokens.contains(v));
         }
+    }
+
+    /// The row logged from a line's token spans holds the key id, timestamp
+    /// and identifier pairs of the message instantiated from its token
+    /// strings — also when the line is shorter or longer than the key.
+    #[test]
+    fn logged_row_equals_instantiated_message(
+        m in message_text(),
+        m2 in message_text(),
+        probe in prop_oneof![message_text(), "[a-z0-9_:= ]{0,40}"],
+        ts in 0u64..1_000_000,
+    ) {
+        let mut p = SpellParser::default();
+        let o1 = p.parse_message(&m);
+        let _ = p.parse_message(&m2);
+        let ik = IntelExtractor::new().build(p.key(o1.key_id));
+        let mut spans = Vec::new();
+        lognlp::tokenize_spans(&probe, &mut spans);
+        let mut log = SessionLog::default();
+        log.push_line(&ik, ts, &probe, &spans);
+        let im = IntelMessage::instantiate(&ik, &spell::tokenize_message(&probe), "s", ts);
+        let row = &log.rows()[0];
+        prop_assert_eq!((row.key_id, row.ts_ms), (im.key_id, im.ts_ms));
+        let pairs: Vec<(String, String)> = log
+            .identifier_strs(row)
+            .map(|(t, v)| (t.to_string(), v.to_string()))
+            .collect();
+        prop_assert_eq!(pairs, im.identifiers);
     }
 
     /// Ad-hoc extraction is total and classifies every numeric/alnum token.

@@ -11,10 +11,30 @@ use crate::hierarchy::Hierarchy;
 use crate::lifespan::{GroupRelations, Lifespan};
 use crate::profile::ProfileSet;
 use crate::subroutine::{split_instances, InstanceSplit, SubroutineSet};
-use extract::{IntelKey, IntelMessage};
+use extract::{IntelKey, IntelMessage, SessionLog};
 use serde::{Deserialize, Serialize};
 use spell::KeyId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// One session's rows routed to the entity groups their keys belong to: per
+/// group, its lifespan in the session and its rows of `log`, in order. (A
+/// BTreeMap, so whatever walks the groups does so in a fixed order.)
+pub fn rows_by_group(
+    key_groups: &BTreeMap<KeyId, Vec<usize>>,
+    log: &SessionLog,
+) -> BTreeMap<usize, (Lifespan, Vec<u32>)> {
+    let mut per_group: BTreeMap<usize, (Lifespan, Vec<u32>)> = BTreeMap::new();
+    for (r, m) in (0u32..).zip(log.rows()) {
+        for &g in key_groups.get(&m.key_id).map_or(&[][..], Vec::as_slice) {
+            let (span, rows) = per_group
+                .entry(g)
+                .or_insert_with(|| (Lifespan::at(m.ts_ms), Vec::new()));
+            span.extend(m.ts_ms);
+            rows.push(r);
+        }
+    }
+    per_group
+}
 
 /// One entity group of a HW-graph with its learned behaviour.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -72,9 +92,19 @@ pub struct HwGraph {
 }
 
 impl HwGraph {
-    /// Build (train) a HW-graph from Intel Keys and per-session Intel
-    /// Message sequences (time-ordered within each session).
+    /// [`HwGraph::build_from_logs`] for callers that hold owned Intel
+    /// Messages: converts each session to its log and builds from those.
     pub fn build(keys: &[IntelKey], sessions: &[Vec<IntelMessage>]) -> HwGraph {
+        let logs: Vec<SessionLog> = sessions
+            .iter()
+            .map(|s| SessionLog::from_messages(s))
+            .collect();
+        HwGraph::build_from_logs(keys, &logs)
+    }
+
+    /// Build (train) a HW-graph from Intel Keys and per-session logs of the
+    /// matched lines (time-ordered within each session).
+    pub fn build_from_logs(keys: &[IntelKey], sessions: &[SessionLog]) -> HwGraph {
         let _span = obs::span!("hwgraph.build");
         // 1. Entity universe and Algorithm 1 grouping.
         let all_entities: BTreeSet<String> = keys
@@ -118,20 +148,10 @@ impl HwGraph {
         let mut key_repeats_in_session: BTreeSet<KeyId> = BTreeSet::new();
         let mut profiles = ProfileSet::new();
         for session in sessions {
-            let mut per_group: BTreeMap<usize, (Lifespan, Vec<&IntelMessage>)> = BTreeMap::new();
+            let per_group = rows_by_group(&key_groups, session);
             let mut key_counts: HashMap<KeyId, u32> = HashMap::new();
-            for m in session {
+            for m in session.rows() {
                 *key_counts.entry(m.key_id).or_insert(0) += 1;
-                let Some(gs) = key_groups.get(&m.key_id) else {
-                    continue;
-                };
-                for &g in gs {
-                    let (span, msgs) = per_group
-                        .entry(g)
-                        .or_insert_with(|| (Lifespan::at(m.ts_ms), Vec::new()));
-                    span.extend(m.ts_ms);
-                    msgs.push(m);
-                }
             }
             for (k, c) in key_counts {
                 if c > 1 {
@@ -143,7 +163,7 @@ impl HwGraph {
             // and the group's own learner consume the same instances.
             let splits: BTreeMap<usize, InstanceSplit<'_>> = per_group
                 .iter()
-                .map(|(&g, (_, msgs))| (g, split_instances(msgs)))
+                .map(|(&g, (_, rows))| (g, split_instances(session, rows)))
                 .collect();
             if !session.is_empty() {
                 profiles.train_session(&splits);
@@ -166,7 +186,7 @@ impl HwGraph {
         let hierarchy = Hierarchy::build(&relations);
 
         // 6. Table 5 statistics.
-        let total_msgs: usize = sessions.iter().map(Vec::len).sum();
+        let total_msgs: usize = sessions.iter().map(SessionLog::len).sum();
         let sub_lens_all: Vec<usize> = groups
             .iter()
             .flat_map(|g| g.subroutines.subroutines().map(|s| s.keys.len()))

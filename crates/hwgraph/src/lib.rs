@@ -23,7 +23,7 @@ pub mod lifespan;
 pub mod profile;
 pub mod subroutine;
 
-pub use graph::{GraphStats, GroupModel, HwGraph};
+pub use graph::{rows_by_group, GraphStats, GroupModel, HwGraph};
 pub use group::{
     group_entities, group_entities_with, longest_common_phrase, longest_common_phrase_with,
     EntityGroup, Grouping, GroupingOptions,

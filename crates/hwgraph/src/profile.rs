@@ -131,36 +131,20 @@ impl ProfileSet {
 mod tests {
     use super::*;
     use crate::subroutine::split_instances;
-    use extract::IntelMessage;
-    use spell::KeyId;
+    use crate::subroutine::tests::{all_rows, msg};
+    use extract::{IntelMessage, SessionLog};
 
-    fn msg(key: u32, ids: &[(&str, &str)]) -> IntelMessage {
-        IntelMessage {
-            key_id: KeyId(key),
-            session: "s".into(),
-            ts_ms: 0,
-            identifiers: ids
-                .iter()
-                .map(|(t, v)| (t.to_string(), v.to_string()))
-                .collect(),
-            values: vec![],
-            localities: vec![],
-            entities: vec![],
-            operations: vec![],
-            text: String::new(),
-        }
-    }
-
-    fn session(groups: &[(usize, Vec<IntelMessage>)]) -> BTreeMap<usize, Vec<IntelMessage>> {
-        groups.iter().cloned().collect()
-    }
-
-    fn train(ps: &mut ProfileSet, s: &BTreeMap<usize, Vec<IntelMessage>>) {
-        let by_ref: BTreeMap<usize, Vec<&IntelMessage>> =
-            s.iter().map(|(g, v)| (*g, v.iter().collect())).collect();
-        let splits = by_ref
+    fn session(groups: &[(usize, Vec<IntelMessage>)]) -> BTreeMap<usize, SessionLog> {
+        groups
             .iter()
-            .map(|(g, msgs)| (*g, split_instances(msgs)))
+            .map(|(g, msgs)| (*g, SessionLog::from_messages(msgs)))
+            .collect()
+    }
+
+    fn train(ps: &mut ProfileSet, s: &BTreeMap<usize, SessionLog>) {
+        let splits = s
+            .iter()
+            .map(|(g, log)| (*g, split_instances(log, &all_rows(log))))
             .collect();
         ps.train_session(&splits);
     }

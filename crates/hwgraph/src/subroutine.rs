@@ -14,10 +14,10 @@
 //! * a key is **critical** while it appears in every observed instance
 //!   (Fig. 5, `Seq_4` demotes `D`).
 
-use extract::IntelMessage;
+use extract::record::{number, Run};
+use extract::SessionLog;
 use serde::{Deserialize, Serialize};
 use spell::KeyId;
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 /// The signature of a subroutine: the set of identifier types its instances
@@ -136,63 +136,29 @@ pub struct SubroutineInstance {
     pub keys: Vec<KeyId>,
 }
 
-/// A run of one of an [`InstanceSplit`]'s arrays.
-#[derive(Debug, Clone, Copy, Default)]
-struct Span {
-    start: u32,
-    len: u32,
-}
-
-/// `n` as one of the kernel's 32-bit numbers (instances, values, array
-/// positions). Each is bounded by the identifier text of the session, which
-/// at 2³² would not be in memory to split.
-fn number(n: usize) -> u32 {
-    u32::try_from(n).expect("a session's instances and identifiers number below 2^32")
-}
-
-impl Span {
-    fn range(self) -> std::ops::Range<usize> {
-        self.start as usize..self.start as usize + self.len as usize
-    }
-
-    fn of<T>(self, array: &[T]) -> &[T] {
-        &array[self.range()]
-    }
-
-    /// The span from `start` to the end of `array`.
-    fn tail_of(array: &[u32], start: usize) -> Span {
-        Span {
-            start: number(start),
-            len: number(array.len() - start),
-        }
-    }
-}
-
-/// One instance inside an [`InstanceSplit`], as spans of its arrays.
+/// One instance inside an [`InstanceSplit`], as runs of its arrays.
 #[derive(Debug, Clone, Copy, Default)]
 struct Numbered {
     /// `S_v` as distinct value numbers, in `value_sets`.
-    values: Span,
+    values: Run,
     /// Distinct identifier-type numbers, in `type_sets`.
-    types: Span,
+    types: Run,
     /// Its messages, in `message_indices` and `keys`.
-    messages: Span,
+    messages: Run,
 }
 
 /// The result of Algorithm 2 for one (session, group) message sequence,
-/// before any string is built: identifier types and scoped values are
-/// numbers, and every instance is a few spans of shared arrays. The learners
-/// and the end-of-session checks read key sequences and compare signatures
-/// through it as they are; [`Instance::signature`] / [`Instance::id_values`]
-/// build the strings of one instance (an anomaly being reported) and
-/// [`InstanceSplit::render`] those of all of them (a [`SubroutineInstance`]
-/// list for inspection).
+/// before any string is built: identifier types and scoped values are the
+/// session log's numbers, and every instance is a few runs of shared
+/// arrays. The learners and the end-of-session checks read key sequences and
+/// compare signatures through it as they are; [`Instance::signature`] /
+/// [`Instance::id_values`] build the strings of one instance (an anomaly
+/// being reported, a new signature) and [`InstanceSplit::render`] those of
+/// all of them (a [`SubroutineInstance`] list for inspection).
 #[derive(Debug)]
 pub struct InstanceSplit<'a> {
-    /// Identifier types by number.
-    types: Vec<&'a str>,
-    /// One `(type, value)` spelling per scoped-value number.
-    values: Vec<(&'a str, &'a str)>,
+    /// Where the numbers are spelled.
+    log: &'a SessionLog,
     value_sets: Vec<u32>,
     type_sets: Vec<u32>,
     /// Message indices grouped by instance, in order within each.
@@ -250,7 +216,7 @@ impl<'s> Instance<'s> {
 
     fn type_names(&self) -> impl Iterator<Item = &'s str> + '_ {
         let types = self.raw.types.of(&self.split.type_sets);
-        types.iter().map(|&t| self.split.types[t as usize])
+        types.iter().map(|&t| self.split.log.type_name(t))
     }
 
     /// `true` if the instance's identifier types are exactly `signature`.
@@ -272,27 +238,13 @@ impl<'s> Instance<'s> {
         let values = self.raw.values.of(&self.split.value_sets);
         values
             .iter()
-            .map(|&v| {
-                let (t, v) = self.split.values[v as usize];
-                [t, ":", v].concat()
-            })
+            .map(|&v| self.split.log.scoped_value(v).to_string())
             .collect()
     }
 }
 
-/// Number `s` among `table`'s entries, adding it if new. The tables are a
-/// handful of identifier types, so a scan beats hashing.
-fn number_in<'a>(table: &mut Vec<&'a str>, s: &'a str) -> u32 {
-    let n = table.iter().position(|&x| x == s).unwrap_or_else(|| {
-        table.push(s);
-        table.len() - 1
-    });
-    number(n)
-}
-
 /// Lists of instance numbers, one per scoped value, linked through one
 /// array (a value held by one instance costs no allocation of its own).
-#[derive(Default)]
 struct InstanceLists {
     /// Per list: its newest link (`NIL` if empty) and its length.
     heads: Vec<(u32, u32)>,
@@ -303,8 +255,11 @@ struct InstanceLists {
 const NIL: u32 = u32::MAX;
 
 impl InstanceLists {
-    fn add_list(&mut self) {
-        self.heads.push((NIL, 0));
+    fn new(lists: usize) -> InstanceLists {
+        InstanceLists {
+            heads: vec![(NIL, 0); lists],
+            links: Vec::new(),
+        }
     }
 
     fn len(&self, list: u32) -> u32 {
@@ -328,19 +283,20 @@ impl InstanceLists {
     }
 }
 
-/// Split one session's group-local message sequence into subroutine
-/// instances (Algorithm 2 lines 4–15): a message joins the first instance
-/// whose value set `S_v` is ⊆-comparable with its own identifier values
-/// `ids`, else opens one.
+/// Split one session's group-local message sequence — `rows` of `log`, in
+/// order — into subroutine instances (Algorithm 2 lines 4–15): a message
+/// joins the first instance whose value set `S_v` is ⊆-comparable with its
+/// own identifier values `ids`, else opens one.
 ///
 /// Values are scoped by their identifier type: bare numerals collide across
 /// types ('executor 3' vs 'task 3'), while real-world ids like
 /// 'attempt_…_m_000003_0' are naturally self-scoping. Two scoped values are
-/// the same value when their `type:value` spellings are.
+/// the same value when their `type:value` spellings are — the rule the log
+/// numbered them under, so the split receives integers.
 ///
-/// The search is indexed, not a scan over the open instances. Scoped values
-/// are numbered, and two non-empty sets can only be ⊆-comparable if they
-/// share a value, so per value there are two lists of instances:
+/// The search is indexed, not a scan over the open instances. Two non-empty
+/// sets can only be ⊆-comparable if they share a value, so per value there
+/// are two lists of instances:
 ///
 /// * `postings[v]` — the instances holding `v`. An instance with `ids ⊆ S_v`
 ///   holds every value of the message, so it is in the *shortest* of their
@@ -354,45 +310,26 @@ impl InstanceLists {
 /// in creation order would have stopped at. A value that every instance
 /// shares (one STAGE for a session of TASKs) is in a long posting list but is
 /// never the rarest of a message with a fresher value, so it costs nothing.
-pub fn split_instances<'a>(messages: &[&'a IntelMessage]) -> InstanceSplit<'a> {
-    let mut types: Vec<&'a str> = Vec::new();
-    // What scoped values are numbered under: the `type:value` spelling cut at
-    // its first ':' — (number of the head, tail) — which is `(type, value)`
-    // as given unless the type itself contains a ':'.
-    let mut numbers: HashMap<(u32, Cow<'a, str>), u32> = HashMap::new();
-    let mut values: Vec<(&'a str, &'a str)> = Vec::new();
-    let mut postings = InstanceLists::default();
-    let mut anchored = InstanceLists::default();
+pub fn split_instances<'a>(log: &'a SessionLog, rows: &[u32]) -> InstanceSplit<'a> {
+    let mut postings = InstanceLists::new(log.value_count());
+    let mut anchored = InstanceLists::new(log.value_count());
     let mut value_sets: Vec<u32> = Vec::new();
     let mut type_sets: Vec<u32> = Vec::new();
     // Instance 0 is the NONE bucket, held by no list.
     let mut instances = vec![Numbered::default()];
-    number(messages.len()); // positions among the messages are 32-bit too
-    let mut owner: Vec<u32> = Vec::with_capacity(messages.len());
+    number(rows.len()); // positions among the messages are 32-bit too
+    let mut owner: Vec<u32> = Vec::with_capacity(rows.len());
     let mut ids: Vec<u32> = Vec::new();
     let mut tys: Vec<u32> = Vec::new();
+    let row = |r: &u32| &log.rows()[*r as usize];
 
-    for m in messages {
+    for m in rows.iter().map(row) {
         ids.clear();
         tys.clear();
-        for (t, v) in &m.identifiers {
-            let ty = number_in(&mut types, t);
+        for &(ty, id) in log.identifiers(m) {
             if !tys.contains(&ty) {
                 tys.push(ty);
             }
-            let scoped = match t.split_once(':') {
-                None => (ty, Cow::Borrowed(v.as_str())),
-                Some((head, rest)) => (
-                    number_in(&mut types, head),
-                    Cow::Owned([rest, ":", v].concat()),
-                ),
-            };
-            let id = *numbers.entry(scoped).or_insert_with(|| {
-                values.push((t, v));
-                postings.add_list();
-                anchored.add_list();
-                number(values.len() - 1)
-            });
             if !ids.contains(&id) {
                 ids.push(id);
             }
@@ -433,7 +370,7 @@ pub fn split_instances<'a>(messages: &[&'a IntelMessage]) -> InstanceSplit<'a> {
             }
             let start = value_sets.len();
             value_sets.extend_from_slice(&ids);
-            inst.values = Span::tail_of(&value_sets, start);
+            inst.values = Run::tail_of(&value_sets, start);
         }
         if tys.iter().any(|t| !inst.types.of(&type_sets).contains(t)) {
             let start = type_sets.len();
@@ -443,7 +380,7 @@ pub fn split_instances<'a>(messages: &[&'a IntelMessage]) -> InstanceSplit<'a> {
                     type_sets.push(t);
                 }
             }
-            inst.types = Span::tail_of(&type_sets, start);
+            inst.types = Run::tail_of(&type_sets, start);
         }
         inst.messages.len += 1;
         owner.push(found);
@@ -455,10 +392,10 @@ pub fn split_instances<'a>(messages: &[&'a IntelMessage]) -> InstanceSplit<'a> {
         inst.messages.start = next;
         next += inst.messages.len;
     }
-    let mut message_indices = vec![0; messages.len()];
-    let mut keys = vec![KeyId(0); messages.len()];
+    let mut message_indices = vec![0; rows.len()];
+    let mut keys = vec![KeyId(0); rows.len()];
     let mut fill: Vec<u32> = instances.iter().map(|inst| inst.messages.start).collect();
-    for (mi, (&o, m)) in owner.iter().zip(messages).enumerate() {
+    for (mi, (&o, m)) in owner.iter().zip(rows.iter().map(row)).enumerate() {
         let at = &mut fill[o as usize];
         message_indices[*at as usize] = mi;
         keys[*at as usize] = m.key_id;
@@ -468,8 +405,7 @@ pub fn split_instances<'a>(messages: &[&'a IntelMessage]) -> InstanceSplit<'a> {
         instances.remove(0);
     }
     InstanceSplit {
-        types,
-        values,
+        log,
         value_sets,
         type_sets,
         message_indices,
@@ -541,7 +477,9 @@ impl SubroutineSet {
 /// Algorithm 2 as first written — a scan over every open instance with
 /// string sets — kept as the reference [`split_instances`] is tested against.
 #[cfg(test)]
-pub(crate) fn split_instances_oracle(messages: &[&IntelMessage]) -> Vec<SubroutineInstance> {
+pub(crate) fn split_instances_oracle(
+    messages: &[&extract::IntelMessage],
+) -> Vec<SubroutineInstance> {
     let mut instances: Vec<SubroutineInstance> = Vec::new();
     // NONE bucket is instance 0.
     instances.push(SubroutineInstance {
@@ -608,11 +546,17 @@ impl SubroutineSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use extract::IntelMessage;
     use proptest::prelude::*;
 
-    fn msg(key: u32, ids: &[(&str, &str)]) -> IntelMessage {
+    /// Every row of `log`, the way a one-group session routes them.
+    pub(crate) fn all_rows(log: &SessionLog) -> Vec<u32> {
+        (0..log.len() as u32).collect()
+    }
+
+    pub(crate) fn msg(key: u32, ids: &[(&str, &str)]) -> IntelMessage {
         IntelMessage {
             key_id: KeyId(key),
             session: "s".into(),
@@ -664,8 +608,8 @@ mod tests {
             msg(1, &[("FETCHER", "2")]),
             msg(2, &[]),
         ];
-        let refs: Vec<&IntelMessage> = ms.iter().collect();
-        let insts = split_instances(&refs).render();
+        let log = SessionLog::from_messages(&ms);
+        let insts = split_instances(&log, &all_rows(&log)).render();
         assert_eq!(insts.len(), 3);
         let none = insts.iter().find(|i| i.signature.is_empty()).unwrap();
         assert_eq!(none.keys, [KeyId(2)]);
@@ -684,8 +628,8 @@ mod tests {
             msg(1, &[("TASK", "t1"), ("ATTEMPT", "a1")]),
             msg(2, &[("ATTEMPT", "a1")]),
         ];
-        let refs: Vec<&IntelMessage> = ms.iter().collect();
-        let insts = split_instances(&refs).render();
+        let log = SessionLog::from_messages(&ms);
+        let insts = split_instances(&log, &all_rows(&log)).render();
         assert_eq!(insts.len(), 1, "{insts:?}");
         assert_eq!(insts[0].keys, [KeyId(0), KeyId(1), KeyId(2)]);
         assert_eq!(
@@ -702,9 +646,9 @@ mod tests {
             msg(1, &[("FETCHER", "1")]),
             msg(9, &[]),
         ];
-        let refs: Vec<&IntelMessage> = s1.iter().collect();
-        set.train_instances(&split_instances(&refs));
-        set.train_instances(&split_instances(&refs));
+        let log = SessionLog::from_messages(&s1);
+        set.train_instances(&split_instances(&log, &all_rows(&log)));
+        set.train_instances(&split_instances(&log, &all_rows(&log)));
         assert_eq!(set.len(), 2); // FETCHER signature + NONE
         let fet = set.get(&BTreeSet::from(["FETCHER".to_string()])).unwrap();
         assert_eq!(fet.keys, [KeyId(0), KeyId(1)]);
@@ -744,7 +688,8 @@ mod tests {
             msg(3, &[("B", "1")]),
         ];
         let refs: Vec<&IntelMessage> = ms.iter().collect();
-        let insts = split_instances(&refs).render();
+        let log = SessionLog::from_messages(&ms);
+        let insts = split_instances(&log, &all_rows(&log)).render();
         assert_eq!(insts, split_instances_oracle(&refs));
         assert_eq!(insts[0].keys, [KeyId(0), KeyId(2), KeyId(3)]);
         assert_eq!(insts[1].keys, [KeyId(1)]);
@@ -756,7 +701,8 @@ mod tests {
         // identifier types.
         let ms = [msg(0, &[("T", "1:2")]), msg(1, &[("T:1", "2")])];
         let refs: Vec<&IntelMessage> = ms.iter().collect();
-        let split = split_instances(&refs);
+        let log = SessionLog::from_messages(&ms);
+        let split = split_instances(&log, &all_rows(&log));
         assert_eq!(split.render(), split_instances_oracle(&refs));
         assert_eq!(split.len(), 1);
         let inst = split.iter().next().unwrap();
@@ -779,9 +725,10 @@ mod tests {
         let ms: Vec<IntelMessage> = (0..20_000)
             .map(|i| msg(0, &[("TASK", &i.to_string()), ("STAGE", "0")]))
             .collect();
-        let refs: Vec<&IntelMessage> = ms.iter().collect();
+        let log = SessionLog::from_messages(&ms);
+        let rows = all_rows(&log);
         let started = std::time::Instant::now();
-        let split = split_instances(&refs);
+        let split = split_instances(&log, &rows);
         let took = started.elapsed();
         assert_eq!(split.len(), 20_000);
         assert!(took.as_secs_f64() < 5.0, "split took {took:?}");
@@ -799,9 +746,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3000))]
 
-        /// The indexed kernel is the scan, for every input: same instances in
-        /// the same order with the same strings; the views agree with what
-        /// they render to.
+        /// The indexed kernel over a group's rows of the session log is the
+        /// scan over that group's messages, for every input: same instances
+        /// in the same order with the same strings; the views agree with
+        /// what they render to. Every third message is another group's, so
+        /// the log numbers values the split never meets.
         #[test]
         fn split_equals_oracle(
             raw in prop::collection::vec(
@@ -810,8 +759,10 @@ mod tests {
             )
         ) {
             let ms: Vec<IntelMessage> = raw.iter().map(|(k, ids)| msg(*k, ids)).collect();
-            let refs: Vec<&IntelMessage> = ms.iter().collect();
-            let split = split_instances(&refs);
+            let log = SessionLog::from_messages(&ms);
+            let rows: Vec<u32> = all_rows(&log).into_iter().filter(|r| r % 3 != 2).collect();
+            let refs: Vec<&IntelMessage> = rows.iter().map(|&r| &ms[r as usize]).collect();
+            let split = split_instances(&log, &rows);
             let rendered = split.render();
             prop_assert_eq!(&rendered, &split_instances_oracle(&refs));
             prop_assert_eq!(split.len(), rendered.len());

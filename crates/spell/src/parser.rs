@@ -22,8 +22,8 @@
 //! only reads goes through [`SpellParser::match_ids`] — reached with the
 //! per-thread scratch buffers by [`SpellParser::match_line`], or with the
 //! caller's own buffers by [`SpellParser::lookup_line_into`] when the token
-//! spans are needed after the match (detection instantiates Intel Messages
-//! from them).
+//! spans are needed after the match (detection writes the session log's
+//! row from them).
 //!
 //! # Matching contract
 //!
@@ -315,8 +315,7 @@ impl SpellParser {
     }
 
     /// Feed one raw message to the parser — the training path. Returns the
-    /// key it was assigned to along with the message's tokens, which every
-    /// caller goes on to feed `IntelMessage::instantiate`.
+    /// key it was assigned to along with the message's tokens.
     pub fn parse_message(&mut self, message: &str) -> ParseOutcome {
         // Training invalidates any compiled automaton (its key set would
         // go stale on the first refinement or new key).

@@ -417,6 +417,25 @@ def self_test() -> int:
             "// lint: ingest-hot(end)\n",
             False,
         ),
+        "alloc fires in a region opened inside an impl block": (
+            "crates/anomaly/src/hot.rs",
+            "impl State {\n"
+            "    // lint: ingest-hot(begin)\n"
+            "    fn feed(&mut self, s: &str) { self.tokens.push(s.to_string()); }\n"
+            "    // lint: ingest-hot(end)\n"
+            "}\n",
+            True,
+        ),
+        "alloc leaves the rare path after an in-impl region alone": (
+            "crates/anomaly/src/rare_tail.rs",
+            "impl State {\n"
+            "    // lint: ingest-hot(begin)\n"
+            "    fn feed(&mut self, s: &str) { self.log.push_line(s, &self.spans); }\n"
+            "    // lint: ingest-hot(end)\n"
+            "    fn unexpected(&mut self, s: &str) { self.seen.push(s.to_string()); }\n"
+            "}\n",
+            False,
+        ),
         "alloc ignores patterns in comments and strings": (
             "crates/spell/src/docs.rs",
             "// lint: ingest-hot(begin)\n"
