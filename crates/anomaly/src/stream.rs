@@ -13,9 +13,11 @@
 //! model version under hot reload — the state is an owned value, the model
 //! an `Arc` the caller threads through.
 //!
-//! [`StreamState::feed`] is the only per-line detection loop body in the
-//! crate: offline [`Detector::detect_session`] opens a state, feeds every
-//! line and finishes it, so online == offline holds by construction.
+//! [`StreamState::feed_message`] is the only per-line detection loop body
+//! in the crate ([`StreamState::feed`] hands it an owned line's timestamp
+//! and message; the serving shards hand it spans of a line batch): offline
+//! [`Detector::detect_session`] opens a state, feeds every line and
+//! finishes it, so online == offline holds by construction.
 //!
 //! Of a matched line the state retains one row of its [`SessionLog`] — key
 //! id, timestamp, identifier numbers — written straight from the line's
@@ -70,43 +72,55 @@ impl StreamState {
 
     /// Feed one log line. Returns the anomaly — kept in this state for the
     /// report — if the line is an unexpected message (no Intel Key matches).
+    #[inline]
     pub fn feed(&mut self, detector: &Detector, line: &LogLine) -> Option<&Anomaly> {
+        self.feed_message(detector, line.ts_ms, &line.message)
+    }
+
+    /// [`StreamState::feed`] over the two fields of a line detection
+    /// reads — the borrowed door for callers (the serving shards) whose
+    /// lines are spans of a shared buffer, not owned [`LogLine`]s.
+    pub fn feed_message(
+        &mut self,
+        detector: &Detector,
+        ts_ms: u64,
+        message: &str,
+    ) -> Option<&Anomaly> {
         self.lines += 1;
         // Zero-copy match: byte spans + interner lookups straight off the
         // line buffer, reusing this state's span/id buffers; a matched
         // line's row is written from the same spans.
         let parser = &detector.parser;
-        parser.lookup_line_into(&line.message, &mut self.spans, &mut self.ids);
+        parser.lookup_line_into(message, &mut self.spans, &mut self.ids);
         match parser.match_ids(&self.ids) {
             Some(kid) if detector.ignored_keys.contains(&kid) => None,
             Some(kid) => {
                 let key = &detector.keys[kid.0 as usize];
-                self.log
-                    .push_line(key, line.ts_ms, &line.message, &self.spans);
+                self.log.push_line(key, ts_ms, message, &self.spans);
                 None
             }
-            None => Some(self.unexpected(detector, line)),
+            None => Some(self.unexpected(detector, ts_ms, message)),
         }
     }
 
     // lint: ingest-hot(end)
 
-    /// The rare path of [`StreamState::feed`]: extract what the unknown
-    /// line says ad hoc and keep it as an online anomaly.
-    fn unexpected(&mut self, detector: &Detector, line: &LogLine) -> &Anomaly {
+    /// The rare path of [`StreamState::feed_message`]: extract what the
+    /// unknown line says ad hoc and keep it as an online anomaly.
+    fn unexpected(&mut self, detector: &Detector, ts_ms: u64, message: &str) -> &Anomaly {
         let tokens: Vec<String> = self
             .spans
             .iter()
-            .map(|s| s.of(&line.message).to_string())
+            .map(|s| s.of(message).to_string())
             .collect();
-        let adhoc = self.extractor.extract_adhoc(&line.message);
-        let intel = IntelMessage::instantiate(&adhoc, &tokens, &self.session_id, line.ts_ms);
+        let adhoc = self.extractor.extract_adhoc(message);
+        let intel = IntelMessage::instantiate(&adhoc, &tokens, &self.session_id, ts_ms);
         let groups = detector.groups_of_entities(&intel.entities);
         obs::inc!("anomaly.verdict.unexpected-message");
         obs::event!("anomaly.unexpected_message", "session" = self.session_id);
         self.online_anomalies.push(Anomaly::UnexpectedMessage {
-            ts_ms: line.ts_ms,
-            text: line.message.clone(),
+            ts_ms,
+            text: message.to_string(),
             intel,
             groups,
         });

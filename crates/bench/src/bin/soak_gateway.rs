@@ -7,7 +7,9 @@
 //! * one driver thread per tenant, each looping rounds of connect →
 //!   `TENANT` → stream a fault-injected dlasim job (faults rotate through
 //!   session kills, node failures, network failures) → `END` every
-//!   session → disconnect (connection churn);
+//!   session → disconnect (connection churn); the first tenant's driver
+//!   cuts everything it sends into 7-byte socket writes, so protocol
+//!   lines straddle the gateway's reads all soak long;
 //! * a chaos thread alternating `ADDSHARD` and `DRAINSHARD` of a live
 //!   shard, so sessions are snapshot-moved while their lines are in
 //!   flight;
@@ -66,8 +68,10 @@ fn drive_tenant(
     let mut sessions = 0u64;
     let mut lines = 0u64;
     for round in 0..rounds {
-        let mut client =
-            ServeClient::connect(addr).map_err(|e| format!("{tenant}: connect: {e}"))?;
+        // tenant 0 dribbles: no line arrives whole
+        let write_size = if tenant_index == 0 { 7 } else { usize::MAX };
+        let mut client = ServeClient::connect_chunked(addr, write_size)
+            .map_err(|e| format!("{tenant}: connect: {e}"))?;
         client
             .tenant(&tenant)
             .map_err(|e| format!("{tenant}: TENANT: {e}"))?;

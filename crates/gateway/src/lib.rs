@@ -11,10 +11,13 @@
 //!
 //! * [`poll`] — nonblocking sockets and the readiness sweep; the only
 //!   module in the crate allowed to touch `std::net` (lint rule R5);
-//! * [`conn`] — per-connection read/write buffers and line framing;
-//! * [`wake`] — the idle gate background threads use to unpark the loop;
-//! * [`server`] — the [`Gateway`] itself: verb dispatch, session routing,
-//!   hot reload, live re-sharding (ADDSHARD / DRAINSHARD), drains.
+//! * [`conn`] — per-connection read/write buffers and cursor framing
+//!   (borrowed lines, no copy between socket and parser);
+//! * [`wake`] — the idle gate background threads and shard acks use to
+//!   unpark the loop;
+//! * [`server`] — the [`Gateway`] itself: verb dispatch, the per-record
+//!   router filling per-sweep line batches, hot reload, live re-sharding
+//!   (ADDSHARD / DRAINSHARD), drains.
 //!
 //! This replaces the old thread-per-connection server: connection count no
 //! longer costs a thread apiece, and every blocking hand-off happens in

@@ -9,7 +9,9 @@
 //! event loop is instead a *level-triggered readiness sweep*: every
 //! socket is `set_nonblocking(true)` and each iteration attempts
 //! `accept`/`read`/`write` on whatever has work, treating `WouldBlock` as
-//! "not ready". When a full sweep does no work, the loop parks on the
+//! "not ready" — per connection one `read` per sweep, straight into the
+//! free tail of that connection's receive buffer (`Conn::read_space`), so
+//! received bytes are copied once, by the kernel. When a full sweep does no work, the loop parks on the
 //! [`IdleGate`](crate::wake::IdleGate) with an adaptive backoff instead
 //! of spinning, so an idle gateway costs ~zero CPU while a loaded one
 //! never sleeps. For the connection counts this system targets (hundreds
@@ -24,8 +26,10 @@ use std::net::{TcpListener, TcpStream};
 // touching `std::net` itself (lint rule R5 confines it to this module).
 pub use std::net::SocketAddr;
 
-/// Identifies one connection inside the [`Poller`]. Tokens are reused
-/// after close — the gateway pairs each with a generation id.
+/// Identifies one connection inside the [`Poller`]: a dense slot index,
+/// which the gateway uses as the index of its own connection table.
+/// Tokens are reused after close — the gateway pairs each with a
+/// generation id.
 pub type Token = usize;
 
 /// Result of a nonblocking read attempt.

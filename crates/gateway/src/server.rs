@@ -3,11 +3,22 @@
 //!
 //! Design invariants (DESIGN.md §12):
 //!
-//! * **The loop never blocks.** Shard queues are fed with `try_push`; a
-//!   refusal parks the message on its connection and pauses reading it
-//!   (TCP backpressure does the blocking, in the kernel, per client).
-//!   Disk I/O (`LOAD`) runs on background threads; their completions and
-//!   all shard acks arrive over channels polled with `try_recv`.
+//! * **The loop never blocks.** It is every shard queue's only producer,
+//!   so the free room it reads off a queue (`ShardQueue::room`) can only
+//!   grow until it pushes: a batch sized by it is admitted without
+//!   waiting. When a queue has no room the line stays in its connection's
+//!   buffer, reading that connection stops (TCP backpressure does the
+//!   blocking, in the kernel, per client) and the line is tried again next
+//!   sweep. Disk I/O (`LOAD`) runs on background threads; their
+//!   completions and all shard acks arrive over channels polled with
+//!   `try_recv`, each followed by a wake of the idle gate.
+//! * **Lines travel in per-sweep batches.** One connection's turn in the
+//!   sweep appends every `LOG` line to its shard's open [`LineBatch`] and
+//!   pushes each batch with one queue operation when the turn ends —
+//!   earlier when the batch has used the room it was opened with, when a
+//!   session's `END` must follow its lines, and before any other verb
+//!   runs. No batch outlives its turn and no timer or minimum size holds
+//!   lines back.
 //! * **All routing happens on the loop thread.** The consistent-hash ring
 //!   is swapped only here, between complete sweeps, so no message can be
 //!   routed by a half-installed ring.
@@ -15,8 +26,9 @@
 //!   operation (ADDSHARD / DRAINSHARD / DRAIN / SHUTDOWN) runs at a time;
 //!   later ones queue. During a rebalance, traffic for sessions that are
 //!   changing owner is parked in arrival order and released only after
-//!   the moved sessions are restored on their new shards — so a moved
-//!   session sees exactly the line sequence it would have seen unmoved.
+//!   the moved sessions are restored on their new shards, then re-routed
+//!   record by record through the same router — so a moved session sees
+//!   exactly the line sequence it would have seen unmoved.
 //! * **Sessions pin model versions.** Hot reload (`LOAD`) swaps the
 //!   registry entry; live sessions keep their lease until they finish
 //!   (see `serve::registry`), so no verdict straddles two versions.
@@ -26,11 +38,11 @@ use crate::poll::{Poller, ReadOutcome, SocketAddr, Token, WriteOutcome};
 use crate::wake::IdleGate;
 use anomaly::Detector;
 use intellog_serve::{
-    parse_log, session_key, AnomalySink, Backpressure, Ring, SessionState, ShardHandle,
-    ShardMetrics, ShardMsg, ShardQueue, ShardSnapshot, StatsSnapshot, TenantEntry, TenantRegistry,
-    DEFAULT_VNODES,
+    parse_log_ref, write_session_key, AnomalySink, Backpressure, LineBatch, Ring, SessionState,
+    ShardHandle, ShardMetrics, ShardMsg, ShardQueue, ShardSnapshot, StatsSnapshot, TenantEntry,
+    TenantRegistry, DEFAULT_VNODES,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use sync::{mpsc, Arc};
@@ -42,7 +54,7 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Initial number of shard worker threads.
     pub shards: usize,
-    /// Per-shard queue capacity (data messages).
+    /// Per-shard queue capacity (log lines).
     pub queue_capacity: usize,
     /// What to do when a shard queue is full.
     pub backpressure: Backpressure,
@@ -74,9 +86,42 @@ impl Default for GatewayConfig {
     }
 }
 
-/// One live shard: its handle plus the queue/metrics shared with it.
+/// Most text a line batch reserves when it is opened.
+const BATCH_TEXT_HINT_MAX: usize = 16 << 10;
+
+/// One live shard: its handle (queue and metrics shared with the worker)
+/// plus the batch the current turn of the sweep is filling for it.
 struct ShardSlot {
-    handle: Option<ShardHandle>,
+    handle: ShardHandle,
+    open: Option<OpenBatch>,
+}
+
+/// A batch being filled, and how many lines it may take: the room its
+/// queue had when it was opened.
+struct OpenBatch {
+    batch: LineBatch,
+    room: usize,
+}
+
+/// Push the open batch, if any, with one queue operation. Never waits:
+/// the batch holds no more lines than the queue had room for.
+fn push_open(open: &mut Option<OpenBatch>, queue: &ShardQueue<ShardMsg>) {
+    if let Some(open) = open.take() {
+        let lines = open.batch.len();
+        let msg = ShardMsg::Batch {
+            batch: open.batch,
+            enqueued: Instant::now(),
+        };
+        queue.push_weighted(msg, lines);
+    }
+}
+
+/// A record held back during/after a rebalance: a log line, or its
+/// session's `END` when `line` is `None`.
+struct Parked {
+    tenant: Arc<TenantEntry>,
+    key: String,
+    line: Option<(u64, String)>,
 }
 
 /// A completed background load, reported back to the loop.
@@ -113,7 +158,7 @@ enum ControlOp {
     },
 }
 
-/// A control request that arrived while another was in flight.
+/// A control request waiting for its turn (they run one at a time).
 enum QueuedControl {
     AddShard {
         token: Token,
@@ -145,17 +190,26 @@ pub struct Gateway {
     shards: Vec<Option<ShardSlot>>,
     retired: Vec<ShardHandle>,
     ring: Arc<Ring>,
-    conns: HashMap<Token, Conn>,
+    /// Connections by poll token (the poller hands out dense, reused
+    /// slot indices; `Conn::id` tells generations apart). A connection is
+    /// taken out of its slot for its turn in the sweep.
+    conns: Vec<Option<Conn>>,
     next_conn_id: u64,
     /// Background-load completions.
     load_tx: mpsc::Sender<LoadDone>,
     load_rx: mpsc::Receiver<LoadDone>,
     active: Option<ControlOp>,
     queued: VecDeque<QueuedControl>,
-    /// Messages held back during/after a rebalance, in arrival order.
-    parked: VecDeque<ShardMsg>,
+    /// Records held back during/after a rebalance, in arrival order.
+    parked: VecDeque<Parked>,
+    /// Scratch for the routing key (`tenant \x1f session`) of the record
+    /// being routed.
+    key: String,
     // loop-local counters (the loop is single-threaded; no atomics needed)
+    connections_open: u64,
     connections_total: u64,
+    /// Wall time inside sweeps that did work.
+    loop_busy: Duration,
     protocol_errors: u64,
     rebalances: u64,
     sessions_moved: u64,
@@ -183,10 +237,11 @@ impl Gateway {
             cfg.ring_capacity,
             cfg.sink_path.as_deref(),
         )?);
+        let gate = Arc::new(IdleGate::new());
         let n = cfg.shards.max(1);
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
-            shards.push(Some(spawn_shard(cfg, i, &sink)?));
+            shards.push(Some(spawn_shard(cfg, i, &sink, &gate)?));
         }
         let (load_tx, load_rx) = mpsc::channel();
         Ok(Gateway {
@@ -195,18 +250,21 @@ impl Gateway {
             cfg: cfg.clone(),
             registry,
             sink,
-            gate: Arc::new(IdleGate::new()),
+            gate,
             shards,
             retired: Vec::new(),
             ring: Arc::new(Ring::contiguous(n, cfg.vnodes.max(1))),
-            conns: HashMap::new(),
+            conns: Vec::new(),
             next_conn_id: 1,
             load_tx,
             load_rx,
             active: None,
             queued: VecDeque::new(),
             parked: VecDeque::new(),
+            key: String::new(),
+            connections_open: 0,
             connections_total: 0,
+            loop_busy: Duration::ZERO,
             protocol_errors: 0,
             rebalances: 0,
             sessions_moved: 0,
@@ -230,6 +288,7 @@ impl Gateway {
     pub fn run(mut self) -> std::io::Result<()> {
         let mut idle_streak: u32 = 0;
         while !self.shutdown {
+            let started = Instant::now();
             let mut worked = false;
             worked |= self.sweep_accept()?;
             worked |= self.sweep_conns();
@@ -237,6 +296,7 @@ impl Gateway {
             worked |= self.sweep_control();
             worked |= self.sweep_parked();
             if worked {
+                self.loop_busy += started.elapsed();
                 idle_streak = 0;
             } else {
                 // Adaptive backoff: brief spin for latency, then park on
@@ -251,22 +311,17 @@ impl Gateway {
         }
         // Graceful exit: best-effort flush of buffered replies, then stop
         // the workers.
-        let tokens: Vec<Token> = self.conns.keys().copied().collect();
-        for t in tokens {
-            self.flush_conn(t);
-        }
-        for slot in self.shards.iter_mut().flatten() {
-            if let Some(h) = &slot.handle {
-                h.queue.push_control(ShardMsg::Shutdown);
-                h.queue.close();
+        for token in 0..self.conns.len() {
+            if let Some(mut conn) = self.conns[token].take() {
+                self.flush_conn(&mut conn);
             }
         }
-        for slot in self.shards.iter_mut().flatten() {
-            if let Some(h) = slot.handle.take() {
-                h.join();
-            }
+        for slot in self.shards.iter().flatten() {
+            slot.handle.queue.push_control(ShardMsg::Shutdown);
+            slot.handle.queue.close();
         }
-        for h in self.retired.drain(..) {
+        let live = self.shards.drain(..).flatten().map(|slot| slot.handle);
+        for h in live.chain(self.retired.drain(..)) {
             h.join();
         }
         Ok(())
@@ -295,7 +350,11 @@ impl Gateway {
                 Ok(Some(token)) => {
                     let id = self.next_conn_id;
                     self.next_conn_id += 1;
-                    self.conns.insert(token, Conn::new(token, id));
+                    if self.conns.len() <= token {
+                        self.conns.resize_with(token + 1, || None);
+                    }
+                    self.conns[token] = Some(Conn::new(token, id));
+                    self.connections_open += 1;
                     self.connections_total += 1;
                     obs::inc!("gateway.connections.accepted");
                     worked = true;
@@ -306,108 +365,129 @@ impl Gateway {
         }
     }
 
+    /// Give every connection its turn: read, parse and route, push the
+    /// batches the turn filled, write replies.
     fn sweep_conns(&mut self) -> bool {
         let mut worked = false;
-        let tokens: Vec<Token> = self.conns.keys().copied().collect();
-        for token in tokens {
-            // retry a parked (backpressured) message first
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if let Some(msg) = conn.pending.take() {
-                    match self.route(msg) {
-                        Ok(()) => worked = true,
-                        Err(back) => {
-                            if let Some(c) = self.conns.get_mut(&token) {
-                                c.pending = Some(back);
-                            }
-                        }
-                    }
-                }
-            }
-            worked |= self.read_conn(token);
-            worked |= self.process_conn(token);
-            worked |= self.flush_conn(token);
-            if let Some(conn) = self.conns.get(&token) {
-                let overrun = conn.wbuf.len() - conn.wpos > MAX_WRITE_BUFFER
-                    || conn.rbuf.len() > MAX_READ_BUFFER;
-                let done = conn.closing && conn.wpos >= conn.wbuf.len();
-                // EOF: the peer is done sending; drop once every buffered
-                // line has been parsed and routed (nothing parked, nothing
-                // awaiting an async reply).
-                let drained = conn.eof && !conn.paused() && !conn.has_full_line();
-                if overrun || done || drained {
-                    self.drop_conn(token);
-                }
+        for token in 0..self.conns.len() {
+            let Some(mut conn) = self.conns[token].take() else {
+                continue;
+            };
+            worked |= self.read_conn(&mut conn);
+            worked |= self.process_conn(&mut conn);
+            // No batch outlives the turn that filled it.
+            self.flush_batches();
+            worked |= self.flush_conn(&mut conn);
+            let overrun =
+                conn.unsent().len() > MAX_WRITE_BUFFER || conn.unparsed() > MAX_READ_BUFFER;
+            let done = conn.closing && conn.unsent().is_empty();
+            // EOF: the peer is done sending; drop once every buffered
+            // line has been parsed and routed (none waiting for room in
+            // its shard queue, nothing awaiting an async reply).
+            let drained = conn.eof && !conn.paused() && !conn.has_full_line();
+            if overrun || done || drained {
+                self.poller.close(token);
+                self.connections_open -= 1;
+                obs::inc!("gateway.connections.closed");
+            } else {
+                self.conns[token] = Some(conn);
             }
         }
         worked
     }
 
-    /// Pull bytes off one socket (bounded per sweep so one firehose
-    /// connection cannot starve the others).
-    fn read_conn(&mut self, token: Token) -> bool {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return false;
-        };
-        if conn.paused() || conn.closing || conn.eof {
+    /// Pull bytes off one socket, straight into the connection's receive
+    /// buffer: one read per sweep, of at most `READ_QUANTUM` bytes.
+    fn read_conn(&mut self, conn: &mut Conn) -> bool {
+        if conn.blocked || conn.paused() || conn.eof {
             return false;
         }
-        let mut chunk = [0u8; 16 * 1024];
-        let mut got = false;
-        for _ in 0..4 {
-            match self.poller.read(token, &mut chunk) {
-                ReadOutcome::Data(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    got = true;
-                }
-                ReadOutcome::WouldBlock => break,
-                ReadOutcome::Closed => {
-                    // Not dropped yet: bytes already read (this very sweep
-                    // included) may still hold complete protocol lines.
-                    conn.eof = true;
-                    return true;
-                }
+        match self.poller.read(conn.token, conn.read_space()) {
+            ReadOutcome::Data(n) => {
+                conn.received(n);
+                true
+            }
+            ReadOutcome::WouldBlock => false,
+            ReadOutcome::Closed => {
+                // Not dropped yet: bytes already read may still hold
+                // complete protocol lines.
+                conn.eof = true;
+                true
             }
         }
-        got
     }
 
-    /// Parse and execute complete lines buffered on one connection.
-    fn process_conn(&mut self, token: Token) -> bool {
+    /// Parse and execute the complete lines buffered on one connection,
+    /// up to the first one whose shard queue has no room.
+    fn process_conn(&mut self, conn: &mut Conn) -> bool {
+        if conn.tenant.is_none() && conn.unparsed() > 0 {
+            conn.tenant = self.registry.get(&self.cfg.default_tenant);
+        }
         let mut worked = false;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return worked;
+        conn.blocked = false;
+        // lint: ingest-hot(begin)
+        while !conn.paused() {
+            let Some((line, next)) = conn.next_line() else {
+                break;
             };
-            if conn.paused() || conn.closing {
-                return worked;
+            let routed = match (line.split('\t').next(), &conn.tenant) {
+                (Some("LOG"), Some(tenant)) => match parse_log_ref(&line) {
+                    Some(log) => {
+                        let line = Some((log.ts_ms, log.message));
+                        self.route(tenant, log.session, line, conn.unparsed())
+                    }
+                    None => self.protocol_error(),
+                },
+                (Some("END"), Some(tenant)) => {
+                    match line.split('\t').nth(1).filter(|s| !s.is_empty()) {
+                        Some(session) => self.route(tenant, session, None, 0),
+                        None => self.protocol_error(),
+                    }
+                }
+                (Some("LOG" | "END"), None) => self.protocol_error(),
+                (Some(""), _) if line.is_empty() => true,
+                _ => {
+                    // lint: allow(alloc) — a control verb, not a data line
+                    let line = line.into_owned();
+                    conn.advance(next);
+                    self.handle_verb(conn, &line);
+                    worked = true;
+                    continue;
+                }
+            };
+            if !routed {
+                conn.blocked = true;
+                break;
             }
-            let Some(line) = conn.next_line() else {
-                return worked;
-            };
+            conn.advance(next);
             worked = true;
-            if line.is_empty() {
-                continue;
-            }
-            self.handle_line(token, &line);
+        }
+        // lint: ingest-hot(end)
+        worked
+    }
+
+    /// Push every batch the current turn has open.
+    fn flush_batches(&mut self) {
+        for slot in self.shards.iter_mut().flatten() {
+            push_open(&mut slot.open, &slot.handle.queue);
         }
     }
 
-    /// Push buffered reply bytes to the socket.
-    fn flush_conn(&mut self, token: Token) -> bool {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return false;
-        };
+    /// Push buffered reply bytes to the socket. A peer that is gone
+    /// leaves the connection marked for closing with nothing to send.
+    fn flush_conn(&mut self, conn: &mut Conn) -> bool {
         let mut worked = false;
         while !conn.unsent().is_empty() {
-            match self.poller.write(token, conn.unsent()) {
+            match self.poller.write(conn.token, conn.unsent()) {
                 WriteOutcome::Wrote(n) => {
                     conn.advance_write(n);
                     worked = true;
                 }
                 WriteOutcome::WouldBlock => break,
                 WriteOutcome::Closed => {
-                    self.drop_conn(token);
-                    return worked;
+                    conn.advance_write(conn.unsent().len());
+                    conn.closing = true;
+                    break;
                 }
             }
         }
@@ -419,12 +499,9 @@ impl Gateway {
         while let Ok(done) = self.load_rx.try_recv() {
             worked = true;
             self.loads_inflight = self.loads_inflight.saturating_sub(1);
-            let Some(conn) = self.conns.get_mut(&done.token) else {
-                continue;
+            let Some(mut conn) = self.take_conn(done.token, done.conn_id) else {
+                continue; // connection closed (its token may be reused)
             };
-            if conn.id != done.conn_id {
-                continue; // connection closed; token reused
-            }
             conn.awaiting_load = false;
             match done.result {
                 Ok(out) => {
@@ -435,7 +512,8 @@ impl Gateway {
                 }
                 Err(e) => conn.reply(&format!("ERR load failed: {e}\n")),
             }
-            self.flush_conn(done.token);
+            self.flush_conn(&mut conn);
+            self.conns[done.token] = Some(conn);
         }
         worked
     }
@@ -549,25 +627,26 @@ impl Gateway {
         worked
     }
 
-    /// Re-route messages parked during a rebalance, strictly in order.
+    /// Re-route records parked during a rebalance, strictly in order,
+    /// through the same placement and batches as fresh lines.
     fn sweep_parked(&mut self) -> bool {
         // While a rebalance is collecting snapshots the parked queue must
         // hold — the moved sessions are not on any shard yet.
-        if self.rebalance_active() {
+        if self.parked.is_empty() || self.rebalance_active() {
             return false;
         }
         let mut worked = false;
-        while let Some(msg) = self.parked.pop_front() {
-            match self.route_direct(msg) {
-                Ok(()) => worked = true,
-                Err(back) => {
-                    // Head-of-line blocked on a full queue: retry next
-                    // sweep to preserve order.
-                    self.parked.push_front(back);
-                    break;
-                }
+        while let Some(rec) = self.parked.pop_front() {
+            let line = rec.line.as_ref().map(|(ts_ms, m)| (*ts_ms, m.as_str()));
+            if !self.place(&rec.tenant, &rec.key, line, 0) {
+                // Head-of-line blocked on a full queue: retry next sweep
+                // to preserve order.
+                self.parked.push_front(rec);
+                break;
             }
+            worked = true;
         }
+        self.flush_batches();
         worked
     }
 
@@ -575,79 +654,34 @@ impl Gateway {
     // verb handling
     // ------------------------------------------------------------------
 
-    fn handle_line(&mut self, token: Token, line: &str) {
+    /// Execute one verb other than `LOG`/`END`. Everything this
+    /// connection routed before it is pushed first, so a `PING` reply
+    /// means "all of it is in a shard queue" and a `DRAIN` covers it.
+    fn handle_verb(&mut self, conn: &mut Conn, line: &str) {
+        self.flush_batches();
+        let (token, conn_id) = (conn.token, conn.id);
         let verb = line.split('\t').next().unwrap_or("");
         match verb {
-            "LOG" => match parse_log(line) {
-                Some((session, log_line)) => {
-                    let Some(tenant) = self.conn_tenant(token) else {
-                        self.protocol_error(token, None);
-                        return;
-                    };
-                    let key = session_key(&tenant.name, &session);
-                    let msg = ShardMsg::Line {
-                        tenant,
-                        key,
-                        session,
-                        line: log_line,
-                        enqueued: Instant::now(),
-                    };
-                    if let Err(back) = self.route(msg) {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.pending = Some(back);
-                        }
-                    }
-                }
-                None => self.protocol_error(token, None),
-            },
-            "END" => match line.split('\t').nth(1).filter(|s| !s.is_empty()) {
-                Some(session) => {
-                    let Some(tenant) = self.conn_tenant(token) else {
-                        self.protocol_error(token, None);
-                        return;
-                    };
-                    let key = session_key(&tenant.name, session);
-                    // End is a control message (never refused), but it must
-                    // still respect rebalance parking for ordering.
-                    let msg = ShardMsg::End { key };
-                    if let Err(back) = self.route(msg) {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.pending = Some(back);
-                        }
-                    }
-                }
-                None => self.protocol_error(token, None),
-            },
             "TENANT" => match line.split('\t').nth(1).filter(|s| !s.is_empty()) {
                 Some(id) => match self.registry.get(id) {
                     Some(entry) => {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.tenant = Some(entry);
-                            conn.reply("OK 0\n");
-                        }
+                        conn.tenant = Some(entry);
+                        conn.reply("OK 0\n");
                     }
-                    None => self.protocol_error(token, Some("unknown tenant (LOAD it first)")),
+                    None => self.verb_error(conn, "unknown tenant (LOAD it first)"),
                 },
-                None => self.protocol_error(token, Some("TENANT needs an id")),
+                None => self.verb_error(conn, "TENANT needs an id"),
             },
-            "PING" => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.reply("OK 0\n");
-                }
-            }
+            "PING" => conn.reply("OK 0\n"),
             "STATS" => {
                 let json = serde_json::to_string(&self.stats()).unwrap_or_else(|_| "{}".into());
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.reply(&format!("OK 1\n{json}\n"));
-                }
+                conn.reply(&format!("OK 1\n{json}\n"));
             }
             "METRICS" => {
                 let text = self.render_metrics();
                 let n = text.lines().count();
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.reply(&format!("OK {n}\n"));
-                    conn.reply(&text);
-                }
+                conn.reply(&format!("OK {n}\n"));
+                conn.reply(&text);
             }
             "REPORTS" | "ANOMALIES" => {
                 let mut fields = line.split('\t');
@@ -662,13 +696,11 @@ impl Gateway {
                 } else {
                     self.sink.recent_anomalous(n, tenant)
                 };
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.reply(&format!("OK {}\n", reports.len()));
-                    for r in &reports {
-                        let json = serde_json::to_string(r).unwrap_or_else(|_| "{}".into());
-                        conn.reply(&json);
-                        conn.reply("\n");
-                    }
+                conn.reply(&format!("OK {}\n", reports.len()));
+                for r in &reports {
+                    let json = serde_json::to_string(r).unwrap_or_else(|_| "{}".into());
+                    conn.reply(&json);
+                    conn.reply("\n");
                 }
             }
             "LOAD" => {
@@ -678,68 +710,38 @@ impl Gateway {
                     fields.next().filter(|s| !s.is_empty()),
                     fields.next().filter(|s| !s.is_empty()),
                 ) {
-                    (Some(tenant), Some(path)) => self.start_load(token, tenant, path),
-                    _ => self.protocol_error(token, Some("LOAD needs <tenant>\\t<path>")),
+                    (Some(tenant), Some(path)) => self.start_load(conn, tenant, path),
+                    _ => self.verb_error(conn, "LOAD needs <tenant>\\t<path>"),
                 }
             }
-            "ADDSHARD" => {
-                let conn_id = self.conn_id(token);
-                if self.active.is_some() || !self.parked.is_empty() {
-                    self.queued
-                        .push_back(QueuedControl::AddShard { token, conn_id });
-                } else {
-                    self.start_add_shard(token, conn_id);
-                }
-            }
+            // Control operations serialize: each joins the queue and
+            // `sweep_control` starts it — later this same sweep when
+            // nothing is in flight.
+            "ADDSHARD" => self
+                .queued
+                .push_back(QueuedControl::AddShard { token, conn_id }),
             "DRAINSHARD" => match line.split('\t').nth(1).and_then(|v| v.parse().ok()) {
-                Some(index) => {
-                    let conn_id = self.conn_id(token);
-                    if self.active.is_some() || !self.parked.is_empty() {
-                        self.queued.push_back(QueuedControl::DrainShard {
-                            index,
-                            token,
-                            conn_id,
-                        });
-                    } else {
-                        self.start_drain_shard(index, token, conn_id);
-                    }
-                }
-                None => self.protocol_error(token, Some("DRAINSHARD needs a shard index")),
+                Some(index) => self.queued.push_back(QueuedControl::DrainShard {
+                    index,
+                    token,
+                    conn_id,
+                }),
+                None => self.verb_error(conn, "DRAINSHARD needs a shard index"),
             },
-            "DRAIN" => {
+            "DRAIN" | "SHUTDOWN" => {
                 let tenant = line
                     .split('\t')
                     .nth(1)
-                    .filter(|s| !s.is_empty())
+                    .filter(|s| !s.is_empty() && verb == "DRAIN")
                     .map(str::to_string);
-                let conn_id = self.conn_id(token);
-                if self.active.is_some() || !self.parked.is_empty() {
-                    self.queued.push_back(QueuedControl::Drain {
-                        tenant,
-                        token,
-                        conn_id,
-                        shutdown: false,
-                    });
-                } else {
-                    self.start_drain(tenant, token, conn_id, false);
-                }
+                self.queued.push_back(QueuedControl::Drain {
+                    tenant,
+                    token,
+                    conn_id,
+                    shutdown: verb == "SHUTDOWN",
+                });
             }
-            "SHUTDOWN" => {
-                let conn_id = self.conn_id(token);
-                if self.active.is_some() || !self.parked.is_empty() {
-                    self.queued.push_back(QueuedControl::Drain {
-                        tenant: None,
-                        token,
-                        conn_id,
-                        shutdown: true,
-                    });
-                } else {
-                    self.start_drain(None, token, conn_id, true);
-                }
-            }
-            other => {
-                self.protocol_error(token, Some(&format!("unknown verb {other:?}")));
-            }
+            other => self.verb_error(conn, &format!("unknown verb {other:?}")),
         }
     }
 
@@ -747,53 +749,104 @@ impl Gateway {
     // routing
     // ------------------------------------------------------------------
 
-    /// Route a data/End message, honoring rebalance parking. `Err` hands
-    /// the message back (full queue under Block policy).
-    // Err deliberately carries the rejected message so the caller can park
-    // it without a clone; boxing would allocate on the hot path.
-    #[allow(clippy::result_large_err)]
-    fn route(&mut self, msg: ShardMsg) -> Result<(), ShardMsg> {
-        // Global FIFO discipline: while any message is parked, every new
-        // data message parks behind it (cheapest way to keep affected
-        // sessions ordered; the parked queue drains within a few sweeps).
-        if !self.parked.is_empty() {
-            self.parked.push_back(msg);
-            return Ok(());
-        }
-        if let Some(new_ring) = self.pending_ring() {
-            let key = match &msg {
-                ShardMsg::Line { key, .. } => key.as_str(),
-                ShardMsg::End { key } => key.as_str(),
-                _ => "",
-            };
-            if !key.is_empty() && self.ring.owner(key) != new_ring.owner(key) {
-                self.parked.push_back(msg);
-                return Ok(());
-            }
-        }
-        self.route_direct(msg)
+    // lint: ingest-hot(begin)
+
+    /// Route one record of `tenant`'s `session` — a log line, or the
+    /// session's `END` when `line` is `None` — honoring rebalance parking.
+    /// `false` means its shard queue is full (Block policy): the record
+    /// was not taken and must be offered again. `text_hint` sizes a batch
+    /// this record opens (the bytes its connection has yet to parse).
+    fn route(
+        &mut self,
+        tenant: &Arc<TenantEntry>,
+        session: &str,
+        line: Option<(u64, &str)>,
+        text_hint: usize,
+    ) -> bool {
+        let mut key = std::mem::take(&mut self.key);
+        write_session_key(&mut key, &tenant.name, session);
+        // Global FIFO discipline: while any record is parked, every new
+        // one parks behind it (cheapest way to keep affected sessions
+        // ordered; the parked queue drains within a few sweeps).
+        let taken = if !self.parked.is_empty() || self.changes_owner(&key) {
+            // lint: allow(alloc) — only while a rebalance is in flight
+            self.parked.push_back(Parked {
+                tenant: Arc::clone(tenant),
+                key: key.to_string(),
+                line: line.map(|(ts_ms, message)| (ts_ms, message.to_string())),
+            });
+            true
+        } else {
+            self.place(tenant, &key, line, text_hint)
+        };
+        self.key = key;
+        taken
     }
 
-    /// Route by the current ring, no parking checks.
-    #[allow(clippy::result_large_err)]
-    fn route_direct(&mut self, msg: ShardMsg) -> Result<(), ShardMsg> {
-        let (key, is_line) = match &msg {
-            ShardMsg::Line { key, .. } => (key.as_str(), true),
-            ShardMsg::End { key } => (key.as_str(), false),
-            _ => return Ok(()),
-        };
+    /// Hand one record to the shard that owns `key` under the current
+    /// ring, no parking checks: a line joins the shard's open batch, an
+    /// `END` goes right behind it as a control message (never shed, takes
+    /// no room). `false`: a line found no room in the shard's queue.
+    fn place(
+        &mut self,
+        tenant: &Arc<TenantEntry>,
+        key: &str,
+        line: Option<(u64, &str)>,
+        text_hint: usize,
+    ) -> bool {
         let shard = self.ring.owner(key);
-        let Some(Some(slot)) = self.shards.get(shard) else {
-            return Ok(()); // routed to a dead slot: impossible by ring invariant
+        let Some(Some(ShardSlot { handle, open })) = self.shards.get_mut(shard) else {
+            return true; // routed to a dead slot: impossible by ring invariant
         };
-        let Some(handle) = &slot.handle else {
-            return Ok(());
+        let queue = &*handle.queue;
+        let Some((ts_ms, message)) = line else {
+            push_open(open, queue);
+            // lint: allow(alloc) — once per session, not per line
+            queue.push_control(ShardMsg::End {
+                key: key.to_string(),
+            });
+            return true;
         };
-        if is_line {
-            handle.queue.try_push(msg).map(|_| ())
-        } else {
-            handle.queue.push_control(msg);
-            Ok(())
+        // A batch is done when it has used the room it was opened with;
+        // another tenant's lines (parked records only) need their own.
+        if open
+            .as_ref()
+            .is_some_and(|o| o.batch.len() >= o.room || !Arc::ptr_eq(o.batch.tenant(), tenant))
+        {
+            push_open(open, queue);
+        }
+        let open = match open {
+            Some(open) => open,
+            None => {
+                let room = queue.room();
+                if room == 0 {
+                    return false;
+                }
+                // An even share of what the turn has left to parse, capped:
+                // a batch that outgrows it doubles once or twice, while
+                // reserving for the worst case cost 10 MiB of peak RSS.
+                let text_hint = (text_hint / self.ring.len().max(1)).min(BATCH_TEXT_HINT_MAX);
+                // lint: allow(alloc) — per batch, not per line
+                open.insert(OpenBatch {
+                    batch: LineBatch::new(Arc::clone(tenant), text_hint),
+                    room,
+                })
+            }
+        };
+        open.batch.push(key, ts_ms, message);
+        true
+    }
+
+    // lint: ingest-hot(end)
+
+    /// Whether the in-flight rebalance, if any, moves `key` to another
+    /// shard.
+    fn changes_owner(&self, key: &str) -> bool {
+        match &self.active {
+            Some(ControlOp::Rebalance { new_ring, .. }) => {
+                self.ring.owner(key) != new_ring.owner(key)
+            }
+            _ => false,
         }
     }
 
@@ -805,20 +858,9 @@ impl Gateway {
         matches!(self.active, Some(ControlOp::Rebalance { .. }))
     }
 
-    /// The ring being installed by an in-flight rebalance, if any.
-    fn pending_ring(&self) -> Option<Arc<Ring>> {
-        match &self.active {
-            Some(ControlOp::Rebalance { new_ring, .. }) => Some(Arc::clone(new_ring)),
-            _ => None,
-        }
-    }
-
-    fn start_load(&mut self, token: Token, tenant: &str, path: &str) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
+    fn start_load(&mut self, conn: &mut Conn, tenant: &str, path: &str) {
         conn.awaiting_load = true;
-        let conn_id = conn.id;
+        let (token, conn_id) = (conn.token, conn.id);
         let registry = Arc::clone(&self.registry);
         let tx = self.load_tx.clone();
         let gate = Arc::clone(&self.gate);
@@ -841,10 +883,8 @@ impl Gateway {
             });
         if spawned.is_err() {
             self.loads_inflight -= 1;
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.awaiting_load = false;
-                conn.reply("ERR load failed: cannot spawn loader thread\n");
-            }
+            conn.awaiting_load = false;
+            conn.reply("ERR load failed: cannot spawn loader thread\n");
         }
     }
 
@@ -855,7 +895,7 @@ impl Gateway {
             .iter()
             .position(|s| s.is_none())
             .unwrap_or(self.shards.len());
-        let slot = match spawn_shard(&self.cfg, index, &self.sink) {
+        let slot = match spawn_shard(&self.cfg, index, &self.sink, &self.gate) {
             Ok(s) => s,
             Err(e) => {
                 self.reply_to(token, conn_id, &format!("ERR addshard: {e}\n"));
@@ -907,13 +947,11 @@ impl Gateway {
         let mut expected = 0;
         for &i in self.ring.shards() {
             if let Some(Some(slot)) = self.shards.get(i) {
-                if let Some(h) = &slot.handle {
-                    h.queue.push_control(ShardMsg::Rebalance {
-                        ring: Arc::clone(&new_ring),
-                        ack: tx.clone(),
-                    });
-                    expected += 1;
-                }
+                slot.handle.queue.push_control(ShardMsg::Rebalance {
+                    ring: Arc::clone(&new_ring),
+                    ack: tx.clone(),
+                });
+                expected += 1;
             }
         }
         obs::inc!("gateway.rebalance.started");
@@ -945,11 +983,9 @@ impl Gateway {
         for state in moved {
             let owner = new_ring.owner(&state.key);
             if let Some(Some(slot)) = self.shards.get(owner) {
-                if let Some(h) = &slot.handle {
-                    h.queue.push_control(ShardMsg::Restore {
-                        state: Box::new(state),
-                    });
-                }
+                slot.handle.queue.push_control(ShardMsg::Restore {
+                    state: Box::new(state),
+                });
             }
         }
         self.ring = new_ring;
@@ -959,11 +995,9 @@ impl Gateway {
         if let Some(index) = drained {
             // The drained worker has handed off every session; retire it.
             if let Some(slot) = self.shards.get_mut(index).and_then(Option::take) {
-                if let Some(h) = slot.handle {
-                    h.queue.push_control(ShardMsg::Shutdown);
-                    h.queue.close();
-                    self.retired.push(h);
-                }
+                slot.handle.queue.push_control(ShardMsg::Shutdown);
+                slot.handle.queue.close();
+                self.retired.push(slot.handle);
             }
             self.reply_to(token, conn_id, &format!("OK {moved_count}\n"));
         }
@@ -979,13 +1013,11 @@ impl Gateway {
         let mut expected = 0;
         for &i in self.ring.shards() {
             if let Some(Some(slot)) = self.shards.get(i) {
-                if let Some(h) = &slot.handle {
-                    h.queue.push_control(ShardMsg::Drain {
-                        tenant: tenant.clone(),
-                        ack: tx.clone(),
-                    });
-                    expected += 1;
-                }
+                slot.handle.queue.push_control(ShardMsg::Drain {
+                    tenant: tenant.clone(),
+                    ack: tx.clone(),
+                });
+                expected += 1;
             }
         }
         self.active = Some(ControlOp::Drain {
@@ -1003,46 +1035,39 @@ impl Gateway {
     // helpers
     // ------------------------------------------------------------------
 
-    fn conn_tenant(&mut self, token: Token) -> Option<Arc<TenantEntry>> {
-        let conn = self.conns.get(&token)?;
-        if let Some(t) = &conn.tenant {
-            return Some(Arc::clone(t));
+    /// Take the connection out of slot `token` if it is still generation
+    /// `conn_id` (not closed, its token not reused). The caller puts it
+    /// back.
+    fn take_conn(&mut self, token: Token, conn_id: u64) -> Option<Conn> {
+        let slot = self.conns.get_mut(token)?;
+        if slot.as_ref()?.id != conn_id {
+            return None;
         }
-        let entry = self.registry.get(&self.cfg.default_tenant)?;
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.tenant = Some(Arc::clone(&entry));
-        }
-        Some(entry)
-    }
-
-    fn conn_id(&self, token: Token) -> u64 {
-        self.conns.get(&token).map(|c| c.id).unwrap_or(0)
+        slot.take()
     }
 
     /// Write a reply if the connection (same generation) is still open.
+    /// A peer found gone is reaped by its next turn in the sweep.
     fn reply_to(&mut self, token: Token, conn_id: u64, text: &str) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            if conn.id == conn_id {
-                conn.reply(text);
-                self.flush_conn(token);
-            }
+        if let Some(mut conn) = self.take_conn(token, conn_id) {
+            conn.reply(text);
+            self.flush_conn(&mut conn);
+            self.conns[token] = Some(conn);
         }
     }
 
-    fn protocol_error(&mut self, token: Token, reply: Option<&str>) {
+    /// Count a malformed data line. They are fire-and-forget, so nothing
+    /// is replied; the line counts as dealt with.
+    fn protocol_error(&mut self) -> bool {
         self.protocol_errors += 1;
         obs::inc!("gateway.protocol_errors");
-        if let Some(text) = reply {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.reply(&format!("ERR {text}\n"));
-            }
-        }
+        true
     }
 
-    fn drop_conn(&mut self, token: Token) {
-        self.poller.close(token);
-        self.conns.remove(&token);
-        obs::inc!("gateway.connections.closed");
+    /// Count a malformed verb and tell its sender.
+    fn verb_error(&mut self, conn: &mut Conn, text: &str) {
+        self.protocol_error();
+        conn.reply(&format!("ERR {text}\n"));
     }
 
     // ------------------------------------------------------------------
@@ -1055,8 +1080,7 @@ impl Gateway {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| {
-                let slot = slot.as_ref()?;
-                let h = slot.handle.as_ref()?;
+                let h = &slot.as_ref()?.handle;
                 let mut s = h.metrics.snapshot(i, h.queue.len());
                 // the queue owns the authoritative drop counter
                 s.dropped = h.queue.dropped();
@@ -1097,10 +1121,11 @@ impl Gateway {
             reports_completed: self.sink.completed(),
             reports_problematic: self.sink.problematic(),
             protocol_errors: self.protocol_errors,
-            connections_open: self.conns.len() as u64,
+            connections_open: self.connections_open,
             connections_total: self.connections_total,
             rebalances: self.rebalances,
             sessions_moved: self.sessions_moved,
+            loop_busy_us: self.loop_busy.as_micros() as u64,
             anomalies_by_kind: self.sink.anomalies_by_kind(),
             per_shard,
             per_tenant,
@@ -1144,6 +1169,7 @@ impl Gateway {
             "intellog_gateway_sessions_moved_total",
             stats.sessions_moved,
         );
+        counter("intellog_gateway_loop_busy_us_total", stats.loop_busy_us);
         let _ = writeln!(out, "# TYPE intellog_gateway_connections_open gauge");
         let _ = writeln!(
             out,
@@ -1158,6 +1184,14 @@ impl Gateway {
                 out,
                 "intellog_serve_queue_len{{shard=\"{}\"}} {}",
                 s.shard, s.queue_len
+            );
+        }
+        let _ = writeln!(out, "# TYPE intellog_serve_shard_busy_us_total counter");
+        for s in &stats.per_shard {
+            let _ = writeln!(
+                out,
+                "intellog_serve_shard_busy_us_total{{shard=\"{}\"}} {}",
+                s.shard, s.busy_us
             );
         }
         // Per-tenant breakdowns: sessions, verdicts, reloads.
@@ -1212,7 +1246,7 @@ impl Gateway {
         // the obs registry uses.
         for (i, slot) in self.shards.iter().enumerate() {
             let Some(slot) = slot else { continue };
-            let Some(h) = &slot.handle else { continue };
+            let h = &slot.handle;
             let m = &h.metrics;
             let _ = writeln!(out, "# TYPE intellog_serve_feed_latency_us histogram");
             let mut cumulative = 0u64;
@@ -1247,16 +1281,24 @@ impl Gateway {
     }
 }
 
-/// Spawn one shard worker with a fresh queue and metrics.
+/// Spawn one shard worker with a fresh queue and metrics; its drain and
+/// rebalance acks wake the loop's idle gate.
 fn spawn_shard(
     cfg: &GatewayConfig,
     index: usize,
     sink: &Arc<AnomalySink>,
+    gate: &Arc<IdleGate>,
 ) -> std::io::Result<ShardSlot> {
     let queue = Arc::new(ShardQueue::new(cfg.queue_capacity, cfg.backpressure));
     let metrics = Arc::new(ShardMetrics::default());
-    let handle = ShardHandle::spawn(index, queue, metrics, Arc::clone(sink), cfg.idle_timeout)?;
-    Ok(ShardSlot {
-        handle: Some(handle),
-    })
+    let gate = Arc::clone(gate);
+    let handle = ShardHandle::spawn_with_waker(
+        index,
+        queue,
+        metrics,
+        Arc::clone(sink),
+        cfg.idle_timeout,
+        Arc::new(move || gate.wake()),
+    )?;
+    Ok(ShardSlot { handle, open: None })
 }

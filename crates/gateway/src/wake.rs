@@ -1,9 +1,16 @@
 //! The idle gate: how background threads wake a parked event loop.
 //!
 //! The readiness sweep parks here when a full pass found no work. Anything
-//! that creates work off the loop thread — a finished background `LOAD`, a
-//! shard acking a drain or rebalance — calls [`IdleGate::wake`] so the
-//! loop re-sweeps immediately instead of eating the backoff latency.
+//! that creates work off the loop thread calls [`IdleGate::wake`] *after*
+//! the work is visible to the loop, so the loop re-sweeps immediately
+//! instead of eating the backoff latency: the `LOAD` thread once its
+//! result is in the completion channel, and every shard worker right
+//! after it sends a `Drain`/`Rebalance` ack (the gateway hands its shards
+//! the gate as their `AckWaker`), which is what a `DRAIN`, `DRAINSHARD`,
+//! `ADDSHARD` or `SHUTDOWN` reply waits for. A socket becoming readable
+//! does *not* wake the gate — there is no `poll(2)` under the sweep — so a
+//! parked loop still notices new bytes only when its back-off (≤ 2 ms)
+//! runs out.
 //!
 //! This is the classic missed-wakeup shape (flag + condvar), so the
 //! protocol is deliberately minimal and is model-checked in

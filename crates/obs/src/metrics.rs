@@ -114,12 +114,19 @@ impl Histogram {
     /// Record one microsecond sample.
     #[inline]
     pub fn record_us(&self, us: u64) {
+        self.record_us_n(us, 1);
+    }
+
+    /// Record `n` samples of the same value (a run of events timed by one
+    /// clock read).
+    #[inline]
+    pub fn record_us_n(&self, us: u64, n: u64) {
         // 0..=1 µs → bucket 0, then one bucket per doubling.
         let idx = (64 - us.max(1).leading_zeros() as usize - 1).min(HISTOGRAM_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
         let mut cur = self.sum.load(Ordering::Relaxed);
         loop {
-            let next = cur.saturating_add(us);
+            let next = cur.saturating_add(us.saturating_mul(n));
             match self
                 .sum
                 .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)

@@ -7,20 +7,45 @@ use spell::LogLine;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 
+/// A socket whose every write carries at most `chunk` bytes.
+struct ChunkedStream {
+    stream: TcpStream,
+    chunk: usize,
+}
+
+impl Write for ChunkedStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.write(&buf[..buf.len().min(self.chunk)])
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// A connected client over the serve line protocol.
 pub struct ServeClient {
-    writer: BufWriter<TcpStream>,
+    writer: BufWriter<ChunkedStream>,
     reader: BufReader<TcpStream>,
 }
 
 impl ServeClient {
     /// Connect to a running server.
     pub fn connect(addr: &str) -> std::io::Result<ServeClient> {
+        ServeClient::connect_chunked(addr, usize::MAX)
+    }
+
+    /// [`ServeClient::connect`], but cutting everything sent into socket
+    /// writes of at most `chunk` bytes (each its own TCP segment): how the
+    /// soak and the wire tests make protocol lines, CRLFs and UTF-8
+    /// sequences straddle the server's reads.
+    pub fn connect_chunked(addr: &str, chunk: usize) -> std::io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
+        let chunk = chunk.max(1);
         Ok(ServeClient {
-            writer: BufWriter::with_capacity(1 << 16, stream),
+            writer: BufWriter::with_capacity(1 << 16, ChunkedStream { stream, chunk }),
             reader,
         })
     }

@@ -9,18 +9,21 @@
 //! — the vendored offline deps don't include one, and threads + bounded
 //! queues are all this workload needs):
 //!
-//! * [`proto`] — the line-framed tab-separated wire protocol (parse and
-//!   render halves shared by gateway, client and replay);
+//! * [`proto`] — the line-framed tab-separated wire protocol (the
+//!   gateway's borrowed `LOG` parser, its owning wrapper and the render
+//!   half shared by client and replay);
 //! * [`shard`] — per-shard workers owning their sessions' movable
-//!   [`anomaly::StreamState`]s, with idle-timeout eviction and
-//!   snapshot/restore so sessions survive live re-sharding;
+//!   [`anomaly::StreamState`]s, fed per-sweep [`LineBatch`]es through one
+//!   per-record body, with idle-timeout eviction and snapshot/restore so
+//!   sessions survive live re-sharding;
 //! * [`registry`] — the tenant → model-version table: sessions pin their
 //!   version at open, `LOAD` swaps atomically, old versions drain;
 //! * [`ring`] — consistent-hash (virtual-node) session→shard routing that
 //!   moves only ~K/N sessions when a shard is added or drained;
-//! * [`queue`] — bounded queues with `block` / `drop-newest` /
-//!   `drop-oldest` backpressure, drop counters, and a nonblocking
-//!   `try_push` for event-loop producers;
+//! * [`queue`] — bounded queues counting *lines* (a batch weighs its
+//!   length) with `block` / `drop-newest` / `drop-oldest` backpressure,
+//!   drop counters, and `room()`, by which an event-loop producer sizes
+//!   its batches so that it never waits;
 //! * [`sink`] — where completed session reports land: a tenant-tagged
 //!   bounded in-memory ring plus an optional JSONL file;
 //! * [`metrics`] — wait-free per-shard and per-tenant counters and a
@@ -47,11 +50,11 @@ pub mod store;
 
 pub use client::ServeClient;
 pub use metrics::{ShardMetrics, ShardSnapshot, StatsSnapshot, TenantMetrics, TenantSnapshot};
-pub use proto::{parse_log, render_log, DEFAULT_TENANT};
+pub use proto::{parse_log, parse_log_ref, render_log, LogRef, DEFAULT_TENANT};
 pub use queue::{Backpressure, PushOutcome, ShardQueue};
 pub use registry::{LoadOutcome, ModelLease, ModelVersion, TenantEntry, TenantRegistry};
 pub use replay::{generate_jobs, run_replay, ReplayConfig, ReplayOutcome};
-pub use ring::{session_key, Ring, DEFAULT_VNODES};
-pub use shard::{SessionState, ShardHandle, ShardMsg};
+pub use ring::{session_key, session_of, write_session_key, Ring, DEFAULT_VNODES};
+pub use shard::{AckWaker, LineBatch, SessionState, ShardHandle, ShardMsg};
 pub use sink::AnomalySink;
 pub use store::{crc32, ModelStore, StoreError, MODEL_FORMAT_VERSION};

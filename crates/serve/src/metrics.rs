@@ -34,6 +34,10 @@ pub struct ShardMetrics {
     pub sessions_live: AtomicU64,
     /// Enqueue→processed latency per line.
     pub feed_latency: obs::Histogram,
+    /// Wall time (µs) the worker spent between a queue drain returning
+    /// and the drained messages being done — its share of a window says
+    /// whether this shard is the bottleneck.
+    pub busy_us: AtomicU64,
 }
 
 /// Point-in-time, serialisable view of one shard ( `STATS` verb).
@@ -61,6 +65,8 @@ pub struct ShardSnapshot {
     pub feed_p50_us: u64,
     /// 99th-percentile feed latency (µs, bucket upper bound).
     pub feed_p99_us: u64,
+    /// Wall time (µs) spent working off drained messages.
+    pub busy_us: u64,
 }
 
 impl ShardMetrics {
@@ -79,6 +85,7 @@ impl ShardMetrics {
             queue_len,
             feed_p50_us: self.feed_latency.quantile_us(0.50),
             feed_p99_us: self.feed_latency.quantile_us(0.99),
+            busy_us: self.busy_us.load(Ordering::Relaxed),
         }
     }
 }
@@ -170,6 +177,8 @@ pub struct StatsSnapshot {
     pub rebalances: u64,
     /// Sessions snapshot-moved between shards by rebalances.
     pub sessions_moved: u64,
+    /// Wall time (µs) the event loop spent inside sweeps that did work.
+    pub loop_busy_us: u64,
     /// Anomaly counts by kind across all completed reports.
     pub anomalies_by_kind: std::collections::BTreeMap<String, u64>,
     /// Per-shard detail.

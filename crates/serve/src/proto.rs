@@ -30,26 +30,52 @@ use spell::{Level, LogLine};
 /// the single-tenant CLI flow).
 pub const DEFAULT_TENANT: &str = "default";
 
-/// Parse `LOG\t<session>\t<ts_ms>\t<level>\t<source>\t<message>`; the
-/// message is everything after the fifth tab (tabs inside it survive).
-pub fn parse_log(line: &str) -> Option<(String, LogLine)> {
+/// A parsed `LOG` line, borrowing every field from the wire line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogRef<'a> {
+    /// Session (container) id; never empty.
+    pub session: &'a str,
+    /// Timestamp in milliseconds.
+    pub ts_ms: u64,
+    /// Severity.
+    pub level: Level,
+    /// Emitting component.
+    pub source: &'a str,
+    /// The message body (may contain tabs).
+    pub message: &'a str,
+}
+
+/// Parse `LOG\t<session>\t<ts_ms>\t<level>\t<source>\t<message>` without
+/// copying; the message is everything after the fifth tab (tabs inside it
+/// survive). This is the gateway's per-line parser.
+pub fn parse_log_ref(line: &str) -> Option<LogRef<'_>> {
     let mut fields = line.splitn(6, '\t');
     let _verb = fields.next()?;
-    let session = fields.next()?;
-    if session.is_empty() {
-        return None;
-    }
+    let session = fields.next().filter(|s| !s.is_empty())?;
     let ts_ms: u64 = fields.next()?.parse().ok()?;
     let level = Level::parse(fields.next()?)?;
     let source = fields.next()?;
     let message = fields.next()?;
+    Some(LogRef {
+        session,
+        ts_ms,
+        level,
+        source,
+        message,
+    })
+}
+
+/// [`parse_log_ref`] into owned values (clients, tests and `benchmark/`;
+/// the gateway never calls it).
+pub fn parse_log(line: &str) -> Option<(String, LogLine)> {
+    let log = parse_log_ref(line)?;
     Some((
-        session.to_string(),
+        log.session.to_string(),
         LogLine {
-            ts_ms,
-            level,
-            source: source.to_string(),
-            message: message.to_string(),
+            ts_ms: log.ts_ms,
+            level: log.level,
+            source: log.source.to_string(),
+            message: log.message.to_string(),
         },
     ))
 }

@@ -2,9 +2,13 @@
 //!
 //! std's `sync_channel` only blocks when full; a serving front end also
 //! needs load-shedding, so this is a small Mutex+Condvar MPSC queue with
-//! three policies ([`Backpressure`]). Control messages (drain, shutdown)
-//! always bypass the capacity check — shedding a drain request under load
-//! would deadlock the very mechanism meant to relieve the load.
+//! three policies ([`Backpressure`]). A message carries a weight — the log
+//! lines in it: a line batch weighs its length — and capacity, length and
+//! the drop counter are all in lines, so batching changes how often the
+//! lock is taken, not what the bounds mean. Control messages (drain,
+//! shutdown) weigh nothing and always bypass the capacity check —
+//! shedding a drain request under load would deadlock the very mechanism
+//! meant to relieve the load.
 
 use std::collections::VecDeque;
 use std::str::FromStr;
@@ -57,58 +61,80 @@ impl FromStr for Backpressure {
 pub enum PushOutcome {
     /// The message was enqueued.
     Enqueued,
-    /// The message itself was shed (drop-newest).
+    /// The message itself was shed (drop-newest, or a closed queue).
     DroppedNew,
-    /// An older queued message was shed to admit this one (drop-oldest).
+    /// Older queued messages were shed to admit this one (drop-oldest).
     DroppedOld,
 }
 
 struct Inner<T> {
     q: VecDeque<T>,
-    /// Lockstep with `q`: `true` marks a control message. Kept separate so
-    /// `T` stays opaque; the flags let capacity checks and drop-oldest
-    /// eviction see *data* messages only — evicting a queued End / Drain /
-    /// Shutdown to admit a log line would lose protocol state (or hang
-    /// whoever is waiting on that control message's ack).
-    control: VecDeque<bool>,
-    /// Count of `true` entries in `control`.
+    /// Lockstep with `q`: how many log lines each message carries (a line
+    /// batch weighs its length, `push` weighs 1); 0 marks a control
+    /// message. Kept separate so `T` stays opaque; the weights let the
+    /// capacity check and drop-oldest eviction see *data* only — evicting
+    /// a queued End / Drain / Shutdown to admit log lines would lose
+    /// protocol state (or hang whoever waits on that message's ack).
+    weights: VecDeque<usize>,
+    /// Sum of `weights`: the lines queued, which is what capacity bounds.
+    lines: usize,
+    /// Count of zero entries in `weights`.
     control_len: usize,
     closed: bool,
 }
 
 impl<T> Inner<T> {
-    fn data_len(&self) -> usize {
-        self.q.len() - self.control_len
+    /// Whether `lines` more fit. A message heavier than the whole capacity
+    /// is admitted into a queue holding no lines (it could never fit
+    /// otherwise); producers are expected to cap batches at the capacity.
+    fn admits(&self, lines: usize, capacity: usize) -> bool {
+        self.lines == 0 || self.lines + lines <= capacity
     }
 
     fn pop_front(&mut self) -> Option<T> {
         let msg = self.q.pop_front()?;
-        if self.control.pop_front() == Some(true) {
-            self.control_len -= 1;
+        match self.weights.pop_front() {
+            Some(0) => self.control_len -= 1,
+            Some(w) => self.lines -= w,
+            None => {}
         }
         Some(msg)
     }
 
-    fn push_back(&mut self, msg: T, is_control: bool) {
+    fn push_back(&mut self, msg: T, weight: usize) {
         self.q.push_back(msg);
-        self.control.push_back(is_control);
-        if is_control {
+        self.weights.push_back(weight);
+        self.lines += weight;
+        if weight == 0 {
             self.control_len += 1;
         }
     }
 
-    /// Remove the oldest *data* message (drop-oldest eviction). Callers
-    /// only invoke this when `data_len() > 0`, so a scan must succeed;
-    /// control messages rarely queue up, so the scan is short in practice.
-    fn evict_oldest_data(&mut self) {
-        if let Some(i) = self.control.iter().position(|c| !c) {
-            self.q.remove(i);
-            self.control.remove(i);
-        }
+    /// Remove the oldest *data* message (drop-oldest eviction) and return
+    /// how many lines went with it; 0 only if no data is queued. Control
+    /// messages rarely queue up, so the scan is short in practice.
+    fn evict_oldest_data(&mut self) -> usize {
+        let Some(i) = self.weights.iter().position(|&w| w > 0) else {
+            return 0;
+        };
+        self.q.remove(i);
+        let shed = self.weights.remove(i).unwrap_or(0);
+        self.lines -= shed;
+        shed
+    }
+
+    /// Hand everything queued to `out` (which arrives empty).
+    fn swap_out(&mut self, out: &mut VecDeque<T>) {
+        std::mem::swap(&mut self.q, out);
+        self.weights.clear();
+        self.lines = 0;
+        self.control_len = 0;
     }
 }
 
 /// A bounded MPSC queue between connection handlers and one shard worker.
+/// Capacity, [`ShardQueue::len`] and [`ShardQueue::dropped`] count log
+/// *lines*, whatever the size of the messages that carry them.
 pub struct ShardQueue<T> {
     inner: Mutex<Inner<T>>,
     not_full: Condvar,
@@ -119,12 +145,13 @@ pub struct ShardQueue<T> {
 }
 
 impl<T> ShardQueue<T> {
-    /// A queue holding at most `capacity` data messages.
+    /// A queue holding at most `capacity` lines of data messages.
     pub fn new(capacity: usize, policy: Backpressure) -> ShardQueue<T> {
         ShardQueue {
             inner: Mutex::new(Inner {
                 q: VecDeque::with_capacity(capacity.min(4096)),
-                control: VecDeque::with_capacity(capacity.min(4096)),
+                weights: VecDeque::with_capacity(capacity.min(4096)),
+                lines: 0,
                 control_len: 0,
                 closed: false,
             }),
@@ -136,47 +163,47 @@ impl<T> ShardQueue<T> {
         }
     }
 
-    /// Enqueue a data message under the configured policy.
+    /// Enqueue a one-line data message under the configured policy.
     pub fn push(&self, msg: T) -> PushOutcome {
+        self.push_weighted(msg, 1)
+    }
+
+    /// Enqueue a data message carrying `lines` log lines (a line batch)
+    /// under the configured policy, at message granularity: `block` waits
+    /// until the whole message fits, `drop-newest` sheds the whole message
+    /// when it does not, `drop-oldest` sheds queued data messages, oldest
+    /// first, until it does — every shed line is counted. One wake-up per
+    /// push, whatever its weight.
+    pub fn push_weighted(&self, msg: T, lines: usize) -> PushOutcome {
         let mut inner = self.inner.lock();
-        if inner.closed {
+        let mut outcome = PushOutcome::Enqueued;
+        if !inner.closed {
+            match self.policy {
+                Backpressure::Block => {
+                    while !inner.closed && !inner.admits(lines, self.capacity) {
+                        inner = self.not_full.wait(inner);
+                    }
+                }
+                Backpressure::DropNewest => {
+                    if !inner.admits(lines, self.capacity) {
+                        outcome = PushOutcome::DroppedNew;
+                    }
+                }
+                Backpressure::DropOldest => {
+                    while !inner.admits(lines, self.capacity) {
+                        let shed = inner.evict_oldest_data();
+                        self.dropped.fetch_add(shed as u64, Ordering::Relaxed);
+                        outcome = PushOutcome::DroppedOld;
+                    }
+                }
+            }
+        }
+        if inner.closed || outcome == PushOutcome::DroppedNew {
             // Late lines racing a shutdown are shed, not processed.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.fetch_add(lines as u64, Ordering::Relaxed);
             return PushOutcome::DroppedNew;
         }
-        let outcome = match self.policy {
-            Backpressure::Block => {
-                while inner.data_len() >= self.capacity && !inner.closed {
-                    inner = self.not_full.wait(inner);
-                }
-                if inner.closed {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return PushOutcome::DroppedNew;
-                }
-                inner.push_back(msg, false);
-                PushOutcome::Enqueued
-            }
-            Backpressure::DropNewest => {
-                if inner.data_len() >= self.capacity {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    PushOutcome::DroppedNew
-                } else {
-                    inner.push_back(msg, false);
-                    PushOutcome::Enqueued
-                }
-            }
-            Backpressure::DropOldest => {
-                if inner.data_len() >= self.capacity {
-                    inner.evict_oldest_data();
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    inner.push_back(msg, false);
-                    PushOutcome::DroppedOld
-                } else {
-                    inner.push_back(msg, false);
-                    PushOutcome::Enqueued
-                }
-            }
-        };
+        inner.push_back(msg, lines);
         drop(inner);
         // Mutant hook for the model-check self-test: compiling with
         // `--cfg intellog_mutant_lost_wakeup` (on top of intellog_check)
@@ -187,52 +214,19 @@ impl<T> ShardQueue<T> {
         outcome
     }
 
-    /// Nonblocking enqueue for event-loop producers (the gateway must
-    /// never park its poll thread on a shard queue). Drop policies behave
-    /// exactly as [`ShardQueue::push`]; under [`Backpressure::Block`] a
-    /// full queue returns `Err(msg)` instead of waiting, handing the
-    /// message back so the caller can park it and stop reading that
-    /// connection — TCP flow control then does the blocking.
-    pub fn try_push(&self, msg: T) -> Result<PushOutcome, T> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return Ok(PushOutcome::DroppedNew);
+    /// Lines a producer may push right now without waiting: the free
+    /// capacity under [`Backpressure::Block`], the whole capacity under
+    /// the drop policies (they shed instead of waiting). A consumer can
+    /// only raise it, so a queue's *sole* producer that sizes its pushes
+    /// by `room()` never blocks in [`ShardQueue::push_weighted`] — how the
+    /// gateway's event loop feeds its shards without ever parking on
+    /// them: when there is no room it stops parsing that connection, the
+    /// socket fills, and TCP flow control does the blocking.
+    pub fn room(&self) -> usize {
+        match self.policy {
+            Backpressure::Block => self.capacity.saturating_sub(self.inner.lock().lines),
+            Backpressure::DropNewest | Backpressure::DropOldest => self.capacity,
         }
-        let outcome = match self.policy {
-            Backpressure::Block => {
-                if inner.data_len() >= self.capacity {
-                    return Err(msg);
-                }
-                inner.push_back(msg, false);
-                PushOutcome::Enqueued
-            }
-            Backpressure::DropNewest => {
-                if inner.data_len() >= self.capacity {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    PushOutcome::DroppedNew
-                } else {
-                    inner.push_back(msg, false);
-                    PushOutcome::Enqueued
-                }
-            }
-            Backpressure::DropOldest => {
-                if inner.data_len() >= self.capacity {
-                    inner.evict_oldest_data();
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    inner.push_back(msg, false);
-                    PushOutcome::DroppedOld
-                } else {
-                    inner.push_back(msg, false);
-                    PushOutcome::Enqueued
-                }
-            }
-        };
-        drop(inner);
-        if outcome != PushOutcome::DroppedNew {
-            self.not_empty.notify_one();
-        }
-        Ok(outcome)
     }
 
     /// Enqueue a control message, ignoring capacity and policy. Control
@@ -241,7 +235,7 @@ impl<T> ShardQueue<T> {
     /// immune to drop-oldest eviction.
     pub fn push_control(&self, msg: T) {
         let mut inner = self.inner.lock();
-        inner.push_back(msg, true);
+        inner.push_back(msg, 0);
         drop(inner);
         self.not_empty.notify_one();
     }
@@ -275,9 +269,7 @@ impl<T> ShardQueue<T> {
         let mut inner = self.inner.lock();
         loop {
             if !inner.q.is_empty() {
-                std::mem::swap(&mut inner.q, out);
-                inner.control.clear();
-                inner.control_len = 0;
+                inner.swap_out(out);
                 drop(inner);
                 // The whole capacity just freed: wake every blocked producer.
                 self.not_full.notify_all();
@@ -287,9 +279,7 @@ impl<T> ShardQueue<T> {
             inner = next;
             if res.timed_out() {
                 // Take whatever raced in with the timeout, if anything.
-                std::mem::swap(&mut inner.q, out);
-                inner.control.clear();
-                inner.control_len = 0;
+                inner.swap_out(out);
                 drop(inner);
                 if !out.is_empty() {
                     self.not_full.notify_all();
@@ -312,9 +302,10 @@ impl<T> ShardQueue<T> {
         self.inner.lock().closed
     }
 
-    /// Messages currently queued.
+    /// Lines currently queued (a control message counts as one).
     pub fn len(&self) -> usize {
-        self.inner.lock().q.len()
+        let inner = self.inner.lock();
+        inner.lines + inner.control_len
     }
 
     /// `true` if nothing is queued.
@@ -322,7 +313,7 @@ impl<T> ShardQueue<T> {
         self.len() == 0
     }
 
-    /// Messages shed so far.
+    /// Lines shed so far.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -343,17 +334,108 @@ mod tests {
     }
 
     #[test]
-    fn try_push_never_blocks() {
-        let q = ShardQueue::new(1, Backpressure::Block);
-        assert_eq!(q.try_push(1), Ok(PushOutcome::Enqueued));
-        assert_eq!(q.try_push(2), Err(2), "full Block queue hands msg back");
-        assert_eq!(q.dropped(), 0, "a refused try_push is not a drop");
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
-        assert_eq!(q.try_push(2), Ok(PushOutcome::Enqueued));
-        let q = ShardQueue::new(1, Backpressure::DropOldest);
-        q.push(1);
-        assert_eq!(q.try_push(2), Ok(PushOutcome::DroppedOld));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(2));
+    fn room_is_what_a_sole_producer_may_push_without_waiting() {
+        let q = ShardQueue::new(4, Backpressure::Block);
+        assert_eq!(q.room(), 4);
+        assert_eq!(q.push_weighted("abc", 3), PushOutcome::Enqueued);
+        assert_eq!(q.room(), 1);
+        q.push_control("ctl");
+        assert_eq!(q.room(), 1, "control messages take no room");
+        assert_eq!(q.push("d"), PushOutcome::Enqueued);
+        assert_eq!(q.room(), 0, "full: the producer must hold its lines back");
+        assert_eq!(q.len(), 5, "four lines and one control message");
+        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some("abc"));
+        assert_eq!(q.room(), 3, "a whole batch's lines free up at once");
+        // the drop policies never make a producer wait: they shed instead
+        for policy in [Backpressure::DropNewest, Backpressure::DropOldest] {
+            let q = ShardQueue::new(4, policy);
+            q.push_weighted(0, 4);
+            assert_eq!(q.room(), 4);
+        }
+    }
+
+    /// Capacity 4, batches of 1–6 lines, every policy: each line is either
+    /// delivered or counted as shed, control messages are never shed and
+    /// keep their place, and nothing is shed under `block`.
+    #[test]
+    fn weighted_pushes_account_for_every_line_under_every_policy() {
+        const END: usize = 0; // a control message; data messages are their own weight
+        for policy in [
+            Backpressure::Block,
+            Backpressure::DropNewest,
+            Backpressure::DropOldest,
+        ] {
+            let q = ShardQueue::new(4, policy);
+            let (mut sent, mut got, mut controls) = (0, 0, 0);
+            let mut batch = VecDeque::new();
+            for _round in 0..5 {
+                for w in 1..=6usize {
+                    if policy == Backpressure::Block && q.room() < w.min(4) {
+                        // what the gateway does instead of waiting: leave
+                        // the lines unsent until the consumer has drained
+                        q.drain_timeout(Duration::ZERO, &mut batch);
+                        controls += batch.iter().filter(|&&m| m == END).count();
+                        got += batch.drain(..).sum::<usize>();
+                    }
+                    sent += w;
+                    q.push_weighted(w, w);
+                }
+                q.push_control(END);
+            }
+            q.drain_timeout(Duration::ZERO, &mut batch);
+            controls += batch.iter().filter(|&&m| m == END).count();
+            got += batch.drain(..).sum::<usize>();
+            assert_eq!(got as u64 + q.dropped(), sent as u64, "{policy:?}");
+            assert_eq!(controls, 5, "{policy:?}: control messages are never shed");
+            if policy == Backpressure::Block {
+                assert_eq!(q.dropped(), 0, "block never sheds");
+            } else {
+                assert!(q.dropped() > 0, "{policy:?} must have shed something");
+            }
+        }
+    }
+
+    #[test]
+    fn drop_policies_shed_whole_batches() {
+        let q = ShardQueue::new(4, Backpressure::DropNewest);
+        assert_eq!(q.push_weighted("ab", 2), PushOutcome::Enqueued);
+        assert_eq!(q.push_weighted("cde", 3), PushOutcome::DroppedNew);
+        assert_eq!(q.dropped(), 3, "the whole refused batch is counted");
+        assert_eq!(q.push_weighted("fg", 2), PushOutcome::Enqueued);
+        assert_eq!(q.len(), 4);
+
+        let q = ShardQueue::new(4, Backpressure::DropOldest);
+        q.push_weighted("ab", 2);
+        q.push_control("end");
+        q.push("c");
+        // needs 3 of 4 with 3 queued: the oldest batch goes, whole; the
+        // control message in front of "c" is not touched
+        assert_eq!(q.push_weighted("def", 3), PushOutcome::DroppedOld);
+        assert_eq!(q.dropped(), 2);
+        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some("end"));
+        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some("c"));
+        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some("def"));
+        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+        // heavier than the capacity: admitted only once no line is queued
+        q.push("x");
+        assert_eq!(q.push_weighted("123456", 6), PushOutcome::DroppedOld);
+        assert_eq!(q.dropped(), 3);
+        assert_eq!(q.len(), 6);
+    }
+
+    #[test]
+    fn close_mid_push_counts_the_whole_batch() {
+        let q = Arc::new(ShardQueue::new(4, Backpressure::Block));
+        q.push_weighted("abc", 3);
+        let q2 = Arc::clone(&q);
+        let producer = sync::thread::spawn(move || q2.push_weighted("de", 2));
+        sync::thread::sleep(Duration::from_millis(20));
+        assert_eq!(q.len(), 3, "producer must be blocked: 3 + 2 > 4");
+        q.close();
+        assert_eq!(producer.join().unwrap(), PushOutcome::DroppedNew);
+        assert_eq!(q.dropped(), 2, "both lines of the late batch are shed");
+        assert_eq!(q.push_weighted("fgh", 3), PushOutcome::DroppedNew);
+        assert_eq!(q.dropped(), 5);
     }
 
     #[test]
@@ -411,14 +493,15 @@ mod tests {
     #[test]
     fn queued_control_never_blocks_or_sheds_data() {
         // Capacity counts data only: a backlog of control messages must
-        // not make Block try_push refuse (parking the connection) or
-        // DropNewest shed incoming lines.
+        // not take room from a Block producer (stalling its connection)
+        // or make DropNewest shed incoming lines.
         let q = ShardQueue::new(2, Backpressure::Block);
         q.push_control(90);
         q.push_control(91);
-        assert_eq!(q.try_push(1), Ok(PushOutcome::Enqueued));
-        assert_eq!(q.try_push(2), Ok(PushOutcome::Enqueued));
-        assert_eq!(q.try_push(3), Err(3), "data capacity is still enforced");
+        assert_eq!(q.room(), 2);
+        assert_eq!(q.push(1), PushOutcome::Enqueued);
+        assert_eq!(q.push(2), PushOutcome::Enqueued);
+        assert_eq!(q.room(), 0, "data capacity is still enforced");
         let q = ShardQueue::new(1, Backpressure::DropNewest);
         q.push_control(90);
         assert_eq!(q.push(1), PushOutcome::Enqueued);

@@ -44,7 +44,23 @@ fn splitmix64(mut x: u64) -> u64 {
 /// appear in either part — the wire protocol is tab/newline-framed and
 /// rejects control bytes.
 pub fn session_key(tenant: &str, session: &str) -> String {
-    format!("{tenant}\x1f{session}")
+    let mut key = String::with_capacity(tenant.len() + 1 + session.len());
+    write_session_key(&mut key, tenant, session);
+    key
+}
+
+/// [`session_key`] spelled into a reused buffer (the gateway's per-line
+/// form: no allocation once the buffer has grown).
+pub fn write_session_key(key: &mut String, tenant: &str, session: &str) {
+    key.clear();
+    key.push_str(tenant);
+    key.push('\x1f');
+    key.push_str(session);
+}
+
+/// The session id inside a routing key built for `tenant`.
+pub fn session_of<'k>(key: &'k str, tenant: &str) -> &'k str {
+    key.get(tenant.len() + 1..).unwrap_or(key)
 }
 
 /// An immutable consistent-hash ring over a set of shard indices.
@@ -168,6 +184,15 @@ mod tests {
         (0..n)
             .map(|i| session_key("t0", &format!("s{i}")))
             .collect()
+    }
+
+    #[test]
+    fn session_key_round_trips() {
+        let mut key = String::from("stale");
+        write_session_key(&mut key, "t\x1f0", "container_01");
+        assert_eq!(key, session_key("t\x1f0", "container_01"));
+        assert_eq!(key, "t\x1f0\x1fcontainer_01");
+        assert_eq!(session_of(&key, "t\x1f0"), "container_01");
     }
 
     #[test]

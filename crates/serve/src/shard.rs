@@ -15,15 +15,22 @@
 //! before the rebalance is processed before the snapshot — a moved session
 //! resumes exactly where it left off, which is what makes draining a shard
 //! under live load verdict-lossless.
+//!
+//! Lines arrive as [`LineBatch`]es — what one connection's turn in the
+//! gateway's sweep routed to this shard: one tenant, one text buffer, one
+//! flat record array, one queue operation — and run through one
+//! per-record body (`feed_record`) that allocates only when a record
+//! opens a session. The clock, `ingested`, and the tenant's `lines` are
+//! touched once per batch, not per line.
 
 use crate::metrics::ShardMetrics;
 use crate::queue::ShardQueue;
 use crate::registry::{ModelLease, TenantEntry};
-use crate::ring::Ring;
+use crate::ring::{session_of, Ring};
 use crate::sink::AnomalySink;
 use anomaly::StreamState;
 use spell::LogLine;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 use sync::atomic::Ordering;
 use sync::thread::JoinHandle;
@@ -45,9 +52,89 @@ pub struct SessionState {
     pub last_seen: Instant,
 }
 
+/// One record of a [`LineBatch`]: where its key and message end in the
+/// batch's text (each starts where the previous span ends).
+struct Record {
+    ts_ms: u64,
+    key_end: usize,
+    message_end: usize,
+}
+
+/// The log lines of one tenant routed to one shard by one connection's
+/// turn in the gateway's sweep. Keys and messages sit back to back in one
+/// text buffer; a record is two span ends and a timestamp.
+pub struct LineBatch {
+    tenant: Arc<TenantEntry>,
+    text: String,
+    records: Vec<Record>,
+}
+
+impl LineBatch {
+    /// An empty batch for `tenant`, with room for `text_hint` bytes of
+    /// keys and messages (a good hint makes the batch two allocations).
+    pub fn new(tenant: Arc<TenantEntry>, text_hint: usize) -> LineBatch {
+        LineBatch {
+            tenant,
+            text: String::with_capacity(text_hint),
+            // a protocol line shorter than this is rare
+            records: Vec::with_capacity(text_hint / 64),
+        }
+    }
+
+    /// Append one line: ring routing key (`tenant \x1f session`),
+    /// timestamp, message.
+    pub fn push(&mut self, key: &str, ts_ms: u64, message: &str) {
+        self.text.push_str(key);
+        let key_end = self.text.len();
+        self.text.push_str(message);
+        self.records.push(Record {
+            ts_ms,
+            key_end,
+            message_end: self.text.len(),
+        });
+    }
+
+    /// The tenant every line of the batch belongs to.
+    pub fn tenant(&self) -> &Arc<TenantEntry> {
+        &self.tenant
+    }
+
+    /// Lines in the batch — its weight in the shard queue.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// `true` if no line has been appended.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// `(key, ts_ms, message)` per line, in arrival order.
+    pub fn records(&self) -> impl Iterator<Item = (&str, u64, &str)> {
+        let mut start = 0;
+        self.records.iter().map(move |r| {
+            let key = &self.text[start..r.key_end];
+            let message = &self.text[r.key_end..r.message_end];
+            start = r.message_end;
+            (key, r.ts_ms, message)
+        })
+    }
+}
+
 /// Messages a shard worker consumes.
 pub enum ShardMsg {
-    /// One routed log line.
+    /// The lines one connection's turn routed here (the gateway's only
+    /// data message). Queue it with its [`LineBatch::len`] as weight.
+    Batch {
+        /// The lines.
+        batch: LineBatch,
+        /// When the gateway enqueued it (feed-latency measurement).
+        enqueued: Instant,
+    },
+    /// One routed log line, owned field by field. The gateway does not
+    /// build it; it is kept for `benchmark/`'s `shard_direct` pass and the
+    /// model-check suite and runs as a batch of one (`session` is implied
+    /// by `key`; of `line` only `ts_ms` and `message` are read).
     Line {
         /// The session's tenant.
         tenant: Arc<TenantEntry>,
@@ -92,6 +179,11 @@ pub enum ShardMsg {
     Shutdown,
 }
 
+/// Called by a shard right after it sends a `Drain`/`Rebalance` ack, so
+/// whoever polls the ack channel (the gateway's parked event loop) looks
+/// again at once instead of waiting out its back-off.
+pub type AckWaker = Arc<dyn Fn() + Send + Sync>;
+
 /// One shard: its queue, its metrics, and its worker thread.
 pub struct ShardHandle {
     /// This shard's index (its identity in the ring).
@@ -104,8 +196,9 @@ pub struct ShardHandle {
 }
 
 impl ShardHandle {
-    /// Spawn a shard worker. Fails only if the OS refuses the thread; the
-    /// caller decides whether that is fatal.
+    /// Spawn a shard worker whose acks wake nobody (the receiver blocks on
+    /// the ack channel itself). Fails only if the OS refuses the thread;
+    /// the caller decides whether that is fatal.
     pub fn spawn(
         index: usize,
         queue: Arc<ShardQueue<ShardMsg>>,
@@ -113,11 +206,24 @@ impl ShardHandle {
         sink: Arc<AnomalySink>,
         idle_timeout: Duration,
     ) -> std::io::Result<ShardHandle> {
+        ShardHandle::spawn_with_waker(index, queue, metrics, sink, idle_timeout, Arc::new(|| {}))
+    }
+
+    /// [`ShardHandle::spawn`] with a waker the worker calls after every
+    /// `Drain`/`Rebalance` ack is in its channel.
+    pub fn spawn_with_waker(
+        index: usize,
+        queue: Arc<ShardQueue<ShardMsg>>,
+        metrics: Arc<ShardMetrics>,
+        sink: Arc<AnomalySink>,
+        idle_timeout: Duration,
+        ack_waker: AckWaker,
+    ) -> std::io::Result<ShardHandle> {
         let q = Arc::clone(&queue);
         let m = Arc::clone(&metrics);
         let join = sync::thread::Builder::new()
             .name(format!("intellog-shard-{index}"))
-            .spawn(move || run_shard(index, &q, &m, &sink, idle_timeout))?;
+            .spawn(move || run_shard(index, &q, &m, &sink, idle_timeout, &*ack_waker))?;
         Ok(ShardHandle {
             index,
             queue,
@@ -134,62 +240,52 @@ impl ShardHandle {
     }
 }
 
+type Sessions = HashMap<String, SessionState>;
+
+/// How many records share one clock read for the feed-latency histogram
+/// (DESIGN.md §8): each line still gets its own sample, taken at most this
+/// many records — a few microseconds — after it was fed.
+const LATENCY_STRIDE: u64 = 16;
+
 fn run_shard(
     index: usize,
     queue: &ShardQueue<ShardMsg>,
     metrics: &ShardMetrics,
     sink: &AnomalySink,
     idle_timeout: Duration,
+    ack_waker: &(dyn Fn() + Send + Sync),
 ) {
     // How often we wake up idle and how often, at most, we scan for
     // evictions while busy.
     let tick = Duration::from_millis(100)
         .min(idle_timeout / 2)
         .max(Duration::from_millis(10));
-    let mut sessions: HashMap<String, SessionState> = HashMap::new();
+    let mut sessions = Sessions::new();
     let mut last_scan = Instant::now();
-    // The whole queue is swapped into this batch under one lock per drain
-    // (instead of one lock round-trip per line), then processed lock-free.
-    let mut batch: std::collections::VecDeque<ShardMsg> = Default::default();
+    let mut busy = Duration::ZERO;
+    // The whole queue is swapped into this deque under one lock per drain
+    // (instead of one lock round-trip per message), then processed lock-free.
+    let mut drained: VecDeque<ShardMsg> = Default::default();
+    let mut shutdown = false;
     loop {
-        queue.drain_timeout(tick, &mut batch);
-        for msg in batch.drain(..) {
+        queue.drain_timeout(tick, &mut drained);
+        let started = Instant::now();
+        for msg in drained.drain(..) {
             match msg {
+                ShardMsg::Batch { batch, enqueued } => {
+                    let records = batch.records();
+                    feed_batch(&mut sessions, metrics, batch.tenant(), records, enqueued);
+                }
                 ShardMsg::Line {
                     tenant,
                     key,
-                    session,
                     line,
                     enqueued,
+                    ..
                 } => {
-                    let live = sessions.entry(key).or_insert_with_key(|k| {
-                        metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                        metrics.sessions_live.fetch_add(1, Ordering::Relaxed);
-                        tenant
-                            .metrics
-                            .sessions_opened
-                            .fetch_add(1, Ordering::Relaxed);
-                        SessionState {
-                            key: k.clone(),
-                            lease: tenant.open_session(),
-                            tenant,
-                            stream: StreamState::begin(session),
-                            last_seen: Instant::now(),
-                        }
-                    });
-                    live.last_seen = Instant::now();
-                    if live.stream.feed(live.lease.detector(), &line).is_some() {
-                        metrics.online_anomalies.fetch_add(1, Ordering::Relaxed);
-                        live.tenant
-                            .metrics
-                            .online_anomalies
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    metrics.ingested.fetch_add(1, Ordering::Relaxed);
-                    live.tenant.metrics.lines.fetch_add(1, Ordering::Relaxed);
-                    metrics
-                        .feed_latency
-                        .record_us(enqueued.elapsed().as_micros() as u64);
+                    let record = (key.as_str(), line.ts_ms, line.message.as_str());
+                    let records = std::iter::once(record);
+                    feed_batch(&mut sessions, metrics, &tenant, records, enqueued);
                 }
                 ShardMsg::End { key } => {
                     if let Some(live) = sessions.remove(&key) {
@@ -214,7 +310,10 @@ fn run_shard(
                             n
                         }
                     };
+                    // ack first, then wake: a loop woken before the ack is
+                    // in the channel would find nothing and park again
                     let _ = ack.send(n);
+                    ack_waker();
                 }
                 ShardMsg::Rebalance { ring, ack } => {
                     let moved_keys: Vec<String> = sessions
@@ -231,6 +330,7 @@ fn run_shard(
                     }
                     obs::add!("gateway.rebalance.sessions_moved", moved.len() as u64);
                     let _ = ack.send(moved);
+                    ack_waker();
                 }
                 ShardMsg::Restore { state } => {
                     metrics.sessions_live.fetch_add(1, Ordering::Relaxed);
@@ -252,10 +352,10 @@ fn run_shard(
                 }
                 ShardMsg::Shutdown => {
                     // Everything enqueued before the shutdown has already
-                    // been processed (queue order); later messages are shed,
-                    // exactly as when the per-message loop returned here.
+                    // been processed (queue order); later messages are shed.
                     finish_all(&mut sessions, metrics, sink);
-                    return;
+                    shutdown = true;
+                    break;
                 }
             }
         }
@@ -263,7 +363,98 @@ fn run_shard(
             last_scan = Instant::now();
             evict_idle(&mut sessions, metrics, sink, idle_timeout);
         }
+        busy += started.elapsed();
+        metrics
+            .busy_us
+            .store(busy.as_micros() as u64, Ordering::Relaxed);
+        if shutdown {
+            return;
+        }
     }
+}
+
+// lint: ingest-hot(begin)
+
+/// Feed one batch's records to their sessions. The clock is read once for
+/// every session's `last_seen` and then once per [`LATENCY_STRIDE`]
+/// records; `ingested` and the tenant's `lines` move once.
+fn feed_batch<'a>(
+    sessions: &mut Sessions,
+    metrics: &ShardMetrics,
+    tenant: &Arc<TenantEntry>,
+    records: impl Iterator<Item = (&'a str, u64, &'a str)>,
+    enqueued: Instant,
+) {
+    let now = Instant::now();
+    let (mut fed, mut sampled) = (0u64, 0u64);
+    let sample = |lines: u64| {
+        let waited = enqueued.elapsed().as_micros() as u64;
+        metrics.feed_latency.record_us_n(waited, lines);
+    };
+    for (key, ts_ms, message) in records {
+        feed_record(sessions, metrics, tenant, key, ts_ms, message, now);
+        fed += 1;
+        if fed - sampled == LATENCY_STRIDE {
+            sample(LATENCY_STRIDE);
+            sampled = fed;
+        }
+    }
+    if fed > sampled {
+        sample(fed - sampled);
+    }
+    metrics.ingested.fetch_add(fed, Ordering::Relaxed);
+    tenant.metrics.lines.fetch_add(fed, Ordering::Relaxed);
+}
+
+/// The per-record body: find the session by its borrowed key — opening
+/// it is the only step that allocates — and feed it the line.
+fn feed_record(
+    sessions: &mut Sessions,
+    metrics: &ShardMetrics,
+    tenant: &Arc<TenantEntry>,
+    key: &str,
+    ts_ms: u64,
+    message: &str,
+    now: Instant,
+) {
+    let live = match sessions.get_mut(key) {
+        Some(live) => live,
+        None => open_session(sessions, metrics, tenant, key, now),
+    };
+    live.last_seen = now;
+    let detector = live.lease.detector();
+    if live.stream.feed_message(detector, ts_ms, message).is_some() {
+        metrics.online_anomalies.fetch_add(1, Ordering::Relaxed);
+        let tenant = &live.tenant.metrics;
+        tenant.online_anomalies.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// lint: ingest-hot(end)
+
+/// Open the session `key` names, pinned to the tenant's current model
+/// version.
+fn open_session<'s>(
+    sessions: &'s mut Sessions,
+    metrics: &ShardMetrics,
+    tenant: &Arc<TenantEntry>,
+    key: &str,
+    now: Instant,
+) -> &'s mut SessionState {
+    metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
+    metrics.sessions_live.fetch_add(1, Ordering::Relaxed);
+    tenant
+        .metrics
+        .sessions_opened
+        .fetch_add(1, Ordering::Relaxed);
+    let session = session_of(key, &tenant.name);
+    sessions.entry(key.to_string()).or_insert(SessionState {
+        key: key.to_string(),
+        lease: tenant.open_session(),
+        tenant: Arc::clone(tenant),
+        stream: StreamState::begin(session),
+        last_seen: now,
+    })
 }
 
 /// Close one session: final structural checks against its pinned model
@@ -298,11 +489,7 @@ fn finish_session(live: SessionState, metrics: &ShardMetrics, sink: &AnomalySink
     drop(lease);
 }
 
-fn finish_all(
-    sessions: &mut HashMap<String, SessionState>,
-    metrics: &ShardMetrics,
-    sink: &AnomalySink,
-) -> usize {
+fn finish_all(sessions: &mut Sessions, metrics: &ShardMetrics, sink: &AnomalySink) -> usize {
     let n = sessions.len();
     for (_, live) in sessions.drain() {
         finish_session(live, metrics, sink, false);
@@ -311,7 +498,7 @@ fn finish_all(
 }
 
 fn evict_idle(
-    sessions: &mut HashMap<String, SessionState>,
+    sessions: &mut Sessions,
     metrics: &ShardMetrics,
     sink: &AnomalySink,
     idle_timeout: Duration,
@@ -436,6 +623,68 @@ mod tests {
         assert_eq!(tenant.metrics.sessions_closed.load(Ordering::Relaxed), 1);
         // the session's lease was released on finish
         assert_eq!(tenant.current().live(), 0);
+    }
+
+    /// A batch interleaving two sessions, and the same lines as one-line
+    /// messages, give the reports offline detection gives: one body.
+    #[test]
+    fn batches_and_single_lines_run_the_same_body() {
+        let (tenant, queue, metrics, sink) = harness();
+        let det = tenant.current().detector.clone();
+        let shard = ShardHandle::spawn(
+            0,
+            Arc::clone(&queue),
+            Arc::clone(&metrics),
+            Arc::clone(&sink),
+            Duration::from_secs(60),
+        )
+        .unwrap();
+        let lines = vec![
+            line(0, "Registering block manager endpoint on host1"),
+            line(5, "spill 1 written to /tmp/x.out"),
+            line(10, "Starting task 9 in stage 0"),
+            line(30, "Shutdown hook called"),
+        ];
+        let mut batch = LineBatch::new(Arc::clone(&tenant), 0);
+        assert!(batch.is_empty());
+        for l in &lines {
+            for session in ["b0", "b1"] {
+                batch.push(&session_key("t0", session), l.ts_ms, &l.message);
+            }
+            push_line(&queue, &tenant, "single", l.clone());
+        }
+        assert_eq!(batch.len(), 8);
+        assert_eq!(
+            batch.records().nth(3),
+            Some(("t0\x1fb1", 5, "spill 1 written to /tmp/x.out"))
+        );
+        queue.push_weighted(
+            ShardMsg::Batch {
+                batch,
+                enqueued: Instant::now(),
+            },
+            8,
+        );
+        for session in ["b0", "b1", "single"] {
+            queue.push_control(ShardMsg::End {
+                key: session_key("t0", session),
+            });
+        }
+        queue.push_control(ShardMsg::Shutdown);
+        shard.join();
+        let reports = sink.recent_reports(10, None);
+        assert_eq!(reports.len(), 3);
+        for session in ["b0", "b1", "single"] {
+            let offline = det.detect_session(&Session::new(session, lines.clone()));
+            assert!(offline.is_problematic(), "the spill line is unexpected");
+            assert!(reports.contains(&offline), "{session} differs from offline");
+        }
+        assert_eq!(metrics.ingested.load(Ordering::Relaxed), 12);
+        assert_eq!(metrics.feed_latency.count(), 12, "one sample per line");
+        assert_eq!(metrics.online_anomalies.load(Ordering::Relaxed), 3);
+        assert_eq!(tenant.metrics.lines.load(Ordering::Relaxed), 12);
+        assert_eq!(tenant.metrics.sessions_opened.load(Ordering::Relaxed), 3);
+        assert!(metrics.busy_us.load(Ordering::Relaxed) > 0);
     }
 
     #[test]

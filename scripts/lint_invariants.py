@@ -29,7 +29,9 @@ Six rules over the workspace's Rust sources:
                    ingest-hot regions (`// lint: ingest-hot(begin)` …
                    `// lint: ingest-hot(end)`): tokenise, intern-lookup
                    and match code on the zero-alloc byte-level ingest
-                   path must use caller/scratch buffers. Patterns caught:
+                   path, the gateway's line loop and router and the
+                   shard's per-record body must use caller/scratch
+                   buffers. Patterns caught:
                    `.to_string()`, `String::from(`, `String::new()`,
                    `.to_owned()`, `Vec::new()`, `vec![`, `.to_vec()`,
                    `format!(`, `Box::new(`, `with_capacity(`. Escape per
@@ -433,6 +435,60 @@ def self_test() -> int:
             "    fn feed(&mut self, s: &str) { self.log.push_line(s, &self.spans); }\n"
             "    // lint: ingest-hot(end)\n"
             "    fn unexpected(&mut self, s: &str) { self.seen.push(s.to_string()); }\n"
+            "}\n",
+            False,
+        ),
+        "alloc fires in the gateway's line loop (region inside a fn body)": (
+            "crates/gateway/src/hot_loop.rs",
+            "fn process(&mut self, conn: &mut Conn) {\n"
+            "    // lint: ingest-hot(begin)\n"
+            "    while let Some((line, next)) = conn.next_line() {\n"
+            "        let key = format!(\"{}\\x1f{}\", tenant.name, session);\n"
+            "        self.route(&key, &line);\n"
+            "    }\n"
+            "    // lint: ingest-hot(end)\n"
+            "}\n",
+            True,
+        ),
+        "alloc spares the router's marked per-batch allocation": (
+            "crates/gateway/src/router.rs",
+            "// lint: ingest-hot(begin)\n"
+            "fn place(&mut self, key: &str, message: &str) {\n"
+            "    let open = match &mut self.open {\n"
+            "        Some(open) => open,\n"
+            "        // lint: allow(alloc) — per batch, not per line\n"
+            "        None => self.open.insert(String::with_capacity(self.hint)),\n"
+            "    };\n"
+            "    open.push_str(key);\n"
+            "    open.push_str(message);\n"
+            "}\n"
+            "// lint: ingest-hot(end)\n",
+            False,
+        ),
+        "alloc fires in the shard's per-record body, not in session open": (
+            "crates/serve/src/record_body.rs",
+            "// lint: ingest-hot(begin)\n"
+            "fn feed_record(sessions: &mut Sessions, key: &str) {\n"
+            "    let live = sessions.entry(key.to_string()).or_insert_with(open);\n"
+            "}\n"
+            "// lint: ingest-hot(end)\n"
+            "fn open_session(sessions: &mut Sessions, key: &str) {\n"
+            "    sessions.insert(key.to_string(), SessionState::new(key));\n"
+            "}\n",
+            True,
+        ),
+        "alloc leaves session open alone when the body borrows its key": (
+            "crates/serve/src/record_body_ok.rs",
+            "// lint: ingest-hot(begin)\n"
+            "fn feed_record(sessions: &mut Sessions, key: &str) {\n"
+            "    let live = match sessions.get_mut(key) {\n"
+            "        Some(live) => live,\n"
+            "        None => open_session(sessions, key),\n"
+            "    };\n"
+            "}\n"
+            "// lint: ingest-hot(end)\n"
+            "fn open_session(sessions: &mut Sessions, key: &str) {\n"
+            "    sessions.insert(key.to_string(), SessionState::new(key));\n"
             "}\n",
             False,
         ),

@@ -145,6 +145,89 @@ fn shard_queue_drop_oldest_under_all_interleavings() {
     .assert_no_lost_wakeups();
 }
 
+/// Weighted pushes (line batches): capacity 4 lines, two producers each
+/// pushing a 3-line batch, a control message and an oversized 6-line
+/// batch, against a draining consumer. Under every interleaving each line
+/// is delivered or counted as shed, control messages are never shed, and
+/// `block` sheds nothing — a batch that does not fit waits (the oversized
+/// one until the queue holds no lines) and is woken by the drain.
+fn weighted_queue_scenario(policy: Backpressure) {
+    const CONTROL: usize = 0; // data messages are their own weight
+    let q = Arc::new(ShardQueue::new(4, policy));
+    let producers: Vec<_> = (0..2)
+        .map(|_| {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                q.push_weighted(3, 3);
+                q.push_control(CONTROL);
+                q.push_weighted(6, 6);
+            })
+        })
+        .collect();
+    let (mut lines, mut controls) = (0, 0);
+    let mut batch = VecDeque::new();
+    while lines + (q.dropped() as usize) < 18 || controls < 2 {
+        q.drain_timeout(Duration::from_millis(50), &mut batch);
+        controls += batch.iter().filter(|&&m| m == CONTROL).count();
+        lines += batch.drain(..).sum::<usize>();
+    }
+    for p in producers {
+        p.join().expect("producer exits");
+    }
+    assert_eq!(lines + q.dropped() as usize, 18, "every line accounted for");
+    assert_eq!(controls, 2, "control messages are never shed");
+    if policy == Backpressure::Block {
+        assert_eq!(q.dropped(), 0, "block policy must never shed");
+    }
+}
+
+#[cfg(not(intellog_mutant_lost_wakeup))]
+#[test]
+fn weighted_pushes_account_for_every_line_under_all_interleavings() {
+    for policy in [
+        Backpressure::Block,
+        Backpressure::DropNewest,
+        Backpressure::DropOldest,
+    ] {
+        let report = explore(&cfg(iters(1500), 300), move || {
+            weighted_queue_scenario(policy)
+        });
+        report.assert_no_lost_wakeups();
+        assert!(report.executions >= iters(1500));
+    }
+}
+
+/// The gateway's never-block rule: a queue's *sole* producer that sizes
+/// each push by `room()` is admitted without waiting, whatever the
+/// consumer does in between — here it drains once, at any point, and is
+/// gone, so a push that waited for room would deadlock the exploration.
+#[cfg(not(intellog_mutant_lost_wakeup))]
+#[test]
+fn sole_producer_sized_by_room_never_waits() {
+    let report = explore(&cfg(iters(1500), 300), || {
+        let q = Arc::new(ShardQueue::new(4, Backpressure::Block));
+        let q2 = Arc::clone(&q);
+        let consumer = thread::spawn(move || {
+            let mut batch = VecDeque::new();
+            q2.drain_timeout(Duration::from_millis(50), &mut batch);
+            batch.drain(..).sum::<usize>()
+        });
+        let mut pushed = 0;
+        for _ in 0..3 {
+            let lines = q.room().min(3);
+            if lines > 0 {
+                q.push_weighted(lines, lines);
+                pushed += lines;
+            }
+        }
+        let drained = consumer.join().expect("consumer exits");
+        assert!(pushed >= 4, "an empty queue has room for its capacity");
+        assert_eq!(drained + q.len(), pushed, "nothing shed, nothing lost");
+        assert_eq!(q.dropped(), 0);
+    });
+    report.assert_no_lost_wakeups();
+}
+
 /// `close` must wake a producer blocked on a full queue — shed, not hung.
 #[cfg(not(intellog_mutant_lost_wakeup))]
 #[test]
@@ -268,6 +351,44 @@ fn idle_gate_wake_is_never_lost() {
     });
     report.assert_no_lost_wakeups();
     assert!(report.executions >= iters(1500));
+}
+
+/// A drain ack must reach a loop that is about to park. The shard sends
+/// the ack and *then* wakes the gate; the loop polls the ack channel and
+/// parks on the gate only when it found nothing. An ack sent between the
+/// loop's last `try_recv` and its `gate.wait` is buffered by the gate's
+/// flag — zero forced timeouts proves no interleaving makes the reply
+/// wait out the back-off. (Real shard worker ⇒ DFS disabled, as above.)
+#[cfg(not(intellog_mutant_lost_wakeup))]
+#[test]
+fn drain_ack_always_wakes_a_parking_loop() {
+    let det = Arc::new(trained());
+    let report = explore(&cfg(iters(200), 0), move || {
+        let registry = TenantRegistry::new();
+        let _tenant = registry.register("t", Arc::clone(&det));
+        let gate = Arc::new(IdleGate::new());
+        let queue = Arc::new(ShardQueue::new(8, Backpressure::Block));
+        let sink = Arc::new(AnomalySink::new(4, None).expect("memory-only sink"));
+        let waker = Arc::clone(&gate);
+        let shard = ShardHandle::spawn_with_waker(
+            0,
+            Arc::clone(&queue),
+            Arc::new(ShardMetrics::default()),
+            sink,
+            Duration::from_secs(60),
+            Arc::new(move || waker.wake()),
+        )
+        .expect("spawn shard worker");
+        let (ack, acks) = sync::mpsc::channel();
+        queue.push_control(ShardMsg::Drain { tenant: None, ack });
+        // the loop side: poll, park only when there is nothing
+        while acks.try_recv().is_err() {
+            gate.wait(Duration::from_millis(50));
+        }
+        queue.push_control(ShardMsg::Shutdown);
+        shard.join();
+    });
+    report.assert_no_lost_wakeups();
 }
 
 /// Hot reload under racing session opens: a swap must never tear a lease
