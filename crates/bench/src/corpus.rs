@@ -139,7 +139,7 @@ pub fn score_jobs(results: &[(bool, &EvalJob)]) -> JobScore {
     s
 }
 
-/// Workload for the `spell_throughput` regression bench: a parser holding
+/// Workload for `bench_pipeline`'s `spell` row: a parser holding
 /// `n_keys` distinct refined keys (each with two variable positions), plus
 /// `n_probes` probe messages mixing the three matcher paths — exact key
 /// instances (trie fast path), near-misses with one constant changed
@@ -192,7 +192,7 @@ pub fn synthetic_keyset(n_keys: usize, n_probes: usize) -> (spell::SpellParser, 
 }
 
 /// Read-only interned form of each probe message against `parser` (unseen
-/// tokens become `UNKNOWN_ID`), so matcher benches time `match_ids` and
+/// tokens become `UNKNOWN_ID`), so `bench_pipeline` times `match_ids` and
 /// `match_ids_linear` on identical input with tokenising left out.
 pub fn intern_probes(parser: &spell::SpellParser, probes: &[String]) -> Vec<Vec<spell::TokenId>> {
     let mut spans = Vec::new();

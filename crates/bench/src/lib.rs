@@ -2,8 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§6). Each
 //! `src/bin/tableN.rs` / `src/bin/figureN.rs` binary prints the same rows /
-//! series the paper reports; `benches/` holds the criterion
-//! micro-benchmarks and ablations. Shared machinery:
+//! series the paper reports. Timing lives in `benchmark/` (see
+//! `BENCHMARK.json`); `bench_pipeline` adds only the two rows it lacks, and
+//! `soak_gateway` is the serving chaos soak. Shared machinery:
 //!
 //! * [`corpus`] — the §6.1/§6.4 experimental protocol (training corpora,
 //!   the 30-job fault-injection matrix, scoring);

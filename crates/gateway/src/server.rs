@@ -1242,36 +1242,18 @@ impl Gateway {
                 "intellog_serve_anomalies_by_kind{{kind=\"{kind}\"}} {n}"
             );
         }
-        // Per-shard feed-latency histograms, in the same exposition shape
-        // the obs registry uses.
+        // Per-shard feed-latency histograms: one family, one series per
+        // shard, through the obs registry's own histogram exposition.
+        let _ = writeln!(out, "# TYPE intellog_serve_feed_latency_us histogram");
         for (i, slot) in self.shards.iter().enumerate() {
             let Some(slot) = slot else { continue };
-            let h = &slot.handle;
-            let m = &h.metrics;
-            let _ = writeln!(out, "# TYPE intellog_serve_feed_latency_us histogram");
-            let mut cumulative = 0u64;
-            for (b, c) in m.feed_latency.bucket_counts().iter().enumerate() {
-                cumulative += *c;
-                if *c > 0 {
-                    let le = 1u64 << (b + 1);
-                    let _ = writeln!(
-                        out,
-                        "intellog_serve_feed_latency_us_bucket{{shard=\"{i}\",le=\"{le}\"}} {cumulative}"
-                    );
-                }
-            }
-            let _ = writeln!(
-                out,
-                "intellog_serve_feed_latency_us_bucket{{shard=\"{i}\",le=\"+Inf\"}} {cumulative}"
-            );
-            let _ = writeln!(
-                out,
-                "intellog_serve_feed_latency_us_sum{{shard=\"{i}\"}} {}",
-                m.feed_latency.sum_us()
-            );
-            let _ = writeln!(
-                out,
-                "intellog_serve_feed_latency_us_count{{shard=\"{i}\"}} {cumulative}"
+            let h = &slot.handle.metrics.feed_latency;
+            obs::render_histogram_series(
+                &mut out,
+                "intellog_serve_feed_latency_us",
+                &format!("shard=\"{i}\""),
+                &h.bucket_counts(),
+                h.sum_us(),
             );
         }
         // Pipeline-stage metrics (spell/lognlp/extract/hwgraph/anomaly)

@@ -91,8 +91,40 @@ fn replay_matches_offline_via(
     }
 
     let mut ctl = intellog_serve::ServeClient::connect(&addr.to_string()).expect("ctl");
+    let ingested = ctl.stats().expect("STATS").ingested;
+    assert_valid_exposition(&ctl.metrics().expect("METRICS"), ingested);
     ctl.shutdown().expect("shutdown");
     join.join().expect("gateway thread").expect("gateway run");
+}
+
+/// `METRICS` on a multi-shard gateway is valid Prometheus text: one `TYPE`
+/// line per family, none missing, and the totals agree with `STATS`.
+fn assert_valid_exposition(text: &str, ingested: u64) {
+    let mut families = std::collections::BTreeSet::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let family = rest.split(' ').next().expect("a family name");
+            assert!(families.insert(family), "second TYPE line for {family}");
+        }
+    }
+    let (mut total, mut shard_counts) = (None, Vec::new());
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').expect("a sample is `series value`");
+        let name = series.split('{').next().expect("a metric name");
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|suffix| name.strip_suffix(suffix).filter(|f| families.contains(f)))
+            .unwrap_or(name);
+        assert!(families.contains(family), "no TYPE line for {line}");
+        if name == "intellog_serve_ingested_total" {
+            total = Some(value.parse::<u64>().expect("a counter value"));
+        } else if name == "intellog_serve_feed_latency_us_count" {
+            shard_counts.push(value.parse::<u64>().expect("a sample count"));
+        }
+    }
+    assert_eq!(total, Some(ingested), "METRICS and STATS disagree");
+    assert_eq!(shard_counts.len(), gateway_config().shards);
+    assert_eq!(shard_counts.iter().sum::<u64>(), ingested);
 }
 
 fn replay_matches_offline(system: SystemKind, fault: Option<FaultKind>, connections: usize) {
@@ -134,39 +166,52 @@ fn adapted_syslog_replay_matches_offline() {
     );
 }
 
+/// Every backpressure policy against a queue far too small for the load
+/// accounts for every line, stays responsive, drains to zero live sessions
+/// and shuts down cleanly; only `block` may not shed.
 #[test]
-fn drop_oldest_under_pressure_counts_drops_and_stays_up() {
+fn every_backpressure_policy_accounts_for_every_line_under_pressure() {
     let system = SystemKind::Spark;
     let detector: Arc<Detector> =
         Arc::new(anomaly::Trainer::default().train(&train_sessions(system, 1, 42)));
-    let cfg = GatewayConfig {
-        shards: 1,
-        queue_capacity: 4, // absurdly small: force shedding
-        backpressure: Backpressure::DropOldest,
-        idle_timeout: Duration::from_secs(120),
-        ..GatewayConfig::default()
-    };
-    let gateway = Gateway::bind(&cfg, Arc::clone(&detector)).expect("bind");
-    let (addr, join) = gateway.spawn().expect("spawn gateway");
+    for policy in [
+        Backpressure::Block,
+        Backpressure::DropNewest,
+        Backpressure::DropOldest,
+    ] {
+        let cfg = GatewayConfig {
+            shards: 1,
+            queue_capacity: 4, // absurdly small: force shedding
+            backpressure: policy,
+            idle_timeout: Duration::from_secs(120),
+            ..GatewayConfig::default()
+        };
+        let gateway = Gateway::bind(&cfg, Arc::clone(&detector)).expect("bind");
+        let (addr, join) = gateway.spawn().expect("spawn gateway");
 
-    let replay_cfg = ReplayConfig {
-        system,
-        jobs: 1,
-        seed: 11,
-        verify: false, // lossy by design: verdicts will differ
-        ..ReplayConfig::default()
-    };
-    let outcome = run_replay(&addr.to_string(), &detector, &replay_cfg).expect("replay");
-    assert_eq!(
-        outcome.stats.ingested + outcome.stats.dropped,
-        outcome.lines as u64,
-        "every line is either processed or counted as shed"
-    );
-    // the gateway must stay responsive and drain cleanly even while shedding
-    assert_eq!(outcome.stats.sessions_live, 0);
-    assert!(outcome.stats.per_shard[0].feed_p50_us > 0 || outcome.stats.ingested == 0);
+        let replay_cfg = ReplayConfig {
+            system,
+            jobs: 1,
+            seed: 11,
+            verify: false, // lossy by design: verdicts will differ
+            ..ReplayConfig::default()
+        };
+        let outcome = run_replay(&addr.to_string(), &detector, &replay_cfg).expect("replay");
+        let name = policy.name();
+        assert_eq!(
+            outcome.stats.ingested + outcome.stats.dropped,
+            outcome.lines as u64,
+            "{name}: every line is either processed or counted as shed"
+        );
+        if matches!(policy, Backpressure::Block) {
+            assert_eq!(outcome.stats.dropped, 0, "block never sheds");
+        }
+        // the gateway must stay responsive and drain cleanly even while shedding
+        assert_eq!(outcome.stats.sessions_live, 0, "{name}");
+        assert!(outcome.stats.per_shard[0].feed_p50_us > 0 || outcome.stats.ingested == 0);
 
-    let mut ctl = intellog_serve::ServeClient::connect(&addr.to_string()).expect("ctl");
-    ctl.shutdown().expect("shutdown");
-    join.join().expect("gateway thread").expect("gateway run");
+        let mut ctl = intellog_serve::ServeClient::connect(&addr.to_string()).expect("ctl");
+        ctl.shutdown().expect("shutdown");
+        join.join().expect("gateway thread").expect("gateway run");
+    }
 }

@@ -46,7 +46,7 @@ impl Grouping {
     }
 }
 
-/// Options for Algorithm 1 (the ablation benches toggle the rule that
+/// Options for Algorithm 1 (the ablation test toggles the rule that
 /// distinguishes it from naive common-substring grouping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupingOptions {

@@ -380,21 +380,48 @@ fn render_metric(out: &mut String, m: &MetricSnapshot) {
         MetricSnapshot::Histogram { name, hist } => {
             let p = prometheus_name(name);
             let _ = writeln!(out, "# TYPE {p} histogram");
-            let mut cumulative = 0u64;
-            for (i, &c) in hist.buckets.iter().enumerate() {
-                cumulative += c;
-                // Only emit buckets up to the last non-empty one to keep
-                // the exposition compact; +Inf always closes the series.
-                if c > 0 {
-                    let le = 1u64 << (i + 1);
-                    let _ = writeln!(out, "{p}_bucket{{le=\"{le}\"}} {cumulative}");
-                }
-            }
-            let _ = writeln!(out, "{p}_bucket{{le=\"+Inf\"}} {}", hist.count);
-            let _ = writeln!(out, "{p}_sum {}", hist.sum_us);
-            let _ = writeln!(out, "{p}_count {}", hist.count);
+            render_histogram_series(out, &p, "", &hist.buckets, hist.sum_us);
         }
     }
+}
+
+/// The sample lines of one histogram series — cumulative `_bucket`s,
+/// `+Inf`, `_sum`, `_count` — under the already-sanitised family name.
+/// `labels` is the series' label text without braces (`shard="0"`, or
+/// empty); the caller writes the family's one `# TYPE` line, so several
+/// labelled series can share it.
+pub fn render_histogram_series(
+    out: &mut String,
+    family: &str,
+    labels: &str,
+    buckets: &[u64; HISTOGRAM_BUCKETS],
+    sum_us: u64,
+) {
+    use std::fmt::Write;
+    let (sep, braced) = if labels.is_empty() {
+        ("", String::new())
+    } else {
+        (",", format!("{{{labels}}}"))
+    };
+    let mut cumulative = 0u64;
+    for (i, &c) in buckets.iter().enumerate() {
+        cumulative += c;
+        // Only emit buckets up to the last non-empty one to keep
+        // the exposition compact; +Inf always closes the series.
+        if c > 0 {
+            let le = 1u64 << (i + 1);
+            let _ = writeln!(
+                out,
+                "{family}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}"
+            );
+        }
+    }
+    let _ = writeln!(
+        out,
+        "{family}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
+    );
+    let _ = writeln!(out, "{family}_sum{braced} {sum_us}");
+    let _ = writeln!(out, "{family}_count{braced} {cumulative}");
 }
 
 /// Serialises tests that toggle the global enabled flag (shared with
@@ -531,6 +558,14 @@ mod tests {
         assert!(text.contains("intellog_span_anomaly_detect_us_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("intellog_span_anomaly_detect_us_count 3"));
         assert!(text.contains("intellog_span_anomaly_detect_us_sum 106"));
+        // the same series under a label: `le` joins it, `_sum`/`_count` carry it
+        let mut labelled = String::new();
+        render_histogram_series(&mut labelled, "f", "shard=\"2\"", &h.bucket_counts(), 106);
+        assert_eq!(
+            labelled,
+            "f_bucket{shard=\"2\",le=\"4\"} 2\nf_bucket{shard=\"2\",le=\"128\"} 3\n\
+             f_bucket{shard=\"2\",le=\"+Inf\"} 3\nf_sum{shard=\"2\"} 106\nf_count{shard=\"2\"} 3\n"
+        );
     }
 
     #[test]

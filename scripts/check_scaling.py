@@ -1,192 +1,365 @@
 #!/usr/bin/env python3
-"""CI scaling gate over the bench harness JSON reports.
+"""CI benchmark gate over the documents `benchmark/` writes.
 
-Reads BENCH_pipeline.json and BENCH_serve.json (full-size runs, not
---smoke: the smoke corpora are deliberately tiny and their scaling
-numbers are noise) and enforces:
+    check_scaling.py END_TO_END.json LAYERS.json PIPELINE.json
+    check_scaling.py --self-test
 
-  * pipeline: threads4 parallel detection beats sequential by
-    >= SPEEDUP_MIN when the host has >= 4 CPUs.  On smaller hosts a real
-    speedup is physically impossible (the threadsN series just
-    time-slices one core), so the gate degrades to a non-regression
-    bound: threads4 >= PARITY_MIN * sequential, i.e. the executor's
-    scheduling overhead stays bounded.
-  * pipeline: threads4 training holds PARITY_MIN * sequential on every
-    host.  Spell (an order-dependent stream) and the HW-graph merge are
-    sequential in both trainers, so training makes no speedup claim; the
-    gate bounds what the parallel per-key/per-session stages cost.
-  * pipeline: absolute per-stage throughput floors — Spell streaming
-    parse (`parse_message`, the trainer's call), frozen-automaton
-    `match_ids`, and Intel-Key extraction — set far below any observed
-    run (see BENCH_pipeline.json; GitHub runners are slower but not 10x
-    slower) so only a genuine hot-path regression trips them, plus the
-    automaton-vs-linear ratio floor which is load-independent because
-    both sides run back-to-back on identical pre-interned probes.
-  * pipeline: the two session-rate stages Algorithm 2 sits in — HW-graph
-    training (`hwgraph.sessions_per_s`) and sequential detection
-    (`detection.sequential_sessions_per_s`) — clear floors at about half
-    the checked-in measurement (15.9k and 39.8k sessions/s after ISSUE 16's
-    per-line record; 11.1k and 17.4k with an owned Intel Message per line
-    after ISSUE 14's indexed kernel).  The bench corpus is short MapReduce
-    sessions, where the old scan over open instances still managed 6.0k
-    and 11.2k on the same host, so these floors catch a return to per-line
-    strings or a collapse of either stage rather than every return towards
-    the scan; that is held by the kernel's own bounded-time regression
-    tests (`long_session_*` in crates/hwgraph and crates/anomaly).
-  * pipeline: every lognlp::format adapter (hadoop, spark, hdfs, syslog,
-    json) clears an absolute raw-line ingest floor — header parse ahead
-    of the same streaming Spell parse — so no `--format` can silently
-    decay into a slow path.
-  * serve: lines/s is monotone non-decreasing from 1 -> 2 -> 4 shards,
-    with multiplicative noise slack per step (on a single-CPU host the
-    series is flat; more shards must never make it *worse* than slack).
-    The scaling series is measured over 4 concurrent connections, so it
-    also covers the gateway's readiness sweep, not just the shards.
-  * gateway connections: every point of the 1 -> 8 connection series
-    clears an absolute throughput floor (local single-CPU measurements
-    sit at 56-66k lines/s; the floor is ~10x below that so only a real
-    event-loop regression trips it), and 8 connections must not fall
-    below CONN_PARITY x the single-connection rate — fanning the same
-    load over more sockets exercises the sweep but must not collapse it.
+Three fresh inputs, measured on the host that runs the gate:
+
+  END_TO_END  `benchmark/ --seed 11 --seconds 3 --trace 0 --out ...`
+  LAYERS      the same with `--trace 1`
+  PIPELINE    `bench_pipeline --out ...` (automaton/linear ratio and the
+              per-adapter ingest rows, which `benchmark/` does not have)
+
+and the checked-in references beside `BENCHMARK.json`:
+`BENCH_end_to_end.json` (the verbatim `--out` of
+`cargo run --release --offline --manifest-path benchmark/Cargo.toml --
+--seed 11` on the reference host) and `BENCH_pipeline.json`.  A perf PR
+regenerates the references; nothing here holds a throughput number.
+
+One rule for absolute numbers: a fresh value may not be worse than
+TOLERANCE x its reference, in the metric's own `better` direction as
+`BENCHMARK.json` declares it — every end-to-end metric but `setup_s`
+(printed, not judged, as benchmark/check_spread.py does) on every
+workload, and every adapter's msgs/s.
+
+Self-relative invariants, from the fresh documents alone: every workload
+verified its outputs with no failed operation; parallel detection beats
+sequential by SPEEDUP_MIN where the measured host had >= 4 CPUs and holds
+PARITY_MIN elsewhere, as parallel training does on every host (Spell and
+the HW-graph merge are sequential in both trainers); recording into `obs`
+costs at most OVERHEAD_MAX of a rep on every workload, judged no more
+sharply than the spread of that workload's own reps; the gateway drops
+no line and sees no protocol error, and at the paced rate achieves
+ACHIEVED_MIN of what was offered; the automaton beats the linear scan by
+RATIO_FLOOR.  Latency tails are printed, not gated: one host stall inside
+a 3 s window moves a p99 tenfold.
 
 Exit code 0 = all gates pass.  Any failure prints every violated gate
 and exits 1.
 """
 
+import copy
 import json
-import os
 import sys
+from pathlib import Path
 
-SPEEDUP_MIN = 1.2  # detection threads4 vs sequential, hosts with >= 4 CPUs
-PARITY_MIN = 0.70  # threads4 vs sequential: training always, detection < 4 CPUs
-SERVE_STEP_SLACK = 0.85  # per-step noise slack on the shard series
-CONN_FLOOR = 5_000  # gateway lines/s at any connection count
-CONN_PARITY = 0.60  # 8 connections vs 1 (sweep overhead bound)
-PARSE_FLOOR = 150_000  # Spell streaming parse (parse_message), msgs/s
-MATCH_FLOOR = 100_000  # Spell frozen-automaton match, msgs/s
-EXTRACT_FLOOR = 20_000  # Intel-Key extraction, keys/s
-RATIO_FLOOR = 3.0  # indexed vs linear matcher, same probes
-ADAPTER_FLOOR = 100_000  # raw-line (header + parse) ingest per adapter, msgs/s
-HWGRAPH_FLOOR = 8_000  # full training incl. HwGraph::build, sessions/s
-DETECT_FLOOR = 20_000  # sequential detection, sessions/s
+REPO = Path(__file__).resolve().parent.parent
+
+# The loosest one-digit share that still fails a return to the parent of each
+# of the last three perf PRs, on the metric it claimed and as a share of the
+# value measured since: 0.22 (PR 14, detect_batch), 0.56 (PR 16, the same)
+# and 0.35 (PR 17, serve_saturate) — EXPERIMENTS.md "Measurement" has the
+# numbers.  The benchmark's own same-host bound is 0.25; a CI runner is
+# another host, so the gate is looser than the driver, not tighter.
+TOLERANCE = 0.6
+SPEEDUP_MIN = 1.2  # parallel vs sequential detection, hosts with >= 4 CPUs
+PARITY_MIN = 0.70  # the same ratio on smaller hosts, and training everywhere
+OVERHEAD_MAX = 0.05  # obs enabled vs disabled, share of a rep (DESIGN §9)
+ACHIEVED_MIN = 0.95  # serve_paced: achieved / offered rate
+RATIO_FLOOR = 3.0  # automaton vs linear matcher, per message
+
+SERVE = ("serve_saturate", "serve_paced")
+PRINTED = ("gateway.verdict_p99_ms", "gateway.ping_p99_ms")
+STATUS = {True: "PASS", False: "FAIL", None: "note"}
+
+
+def check(end_to_end, layers, pipeline, ref_end_to_end, ref_pipeline, contract):
+    """Every gate as `(id, ok, message)`; ids are what --self-test names,
+    and `ok` is None for a value that is printed but not judged."""
+    gates = []
+    docs = {"end_to_end": end_to_end, "layers": layers}
+    workloads = [w["name"] for w in contract["workloads"]]
+
+    def gate(gid, ok, msg):
+        gates.append((gid, ok, msg))
+
+    def metric(doc, workload, name):
+        """One metric of a fresh document; None if its workload is missing
+        (the workload's `verified` gate says so) or the metric is, which
+        fails the gate `doc.workload.name`."""
+        run = docs[doc]["workloads"].get(workload)
+        m = None if run is None else run["metrics"].get(name)
+        if run is not None and m is None:
+            gate(f"{doc}.{workload}.{name}", False, "metric missing")
+        return m
+
+    def against_reference(gid, fresh, ref, better):
+        if min(fresh, ref) <= 0:
+            goodness = 0.0  # a rate or a cost of zero is a broken measurement
+        else:
+            goodness = fresh / ref if better == "higher" else ref / fresh
+        gate(
+            gid,
+            goodness >= TOLERANCE,
+            f"{fresh:.4g} against reference {ref:.4g} ({better} is better): "
+            f"{goodness:.2f} >= {TOLERANCE}",
+        )
+
+    gate(
+        "full-size",
+        not (end_to_end.get("smoke") or layers.get("smoke")),
+        "the fresh documents are full-size runs, not --smoke",
+    )
+    for doc in docs:
+        for w in workloads:
+            run = docs[doc]["workloads"].get(w)
+            gate(
+                f"{doc}.{w}.verified",
+                run is not None and run["correct"] is True and run["failed"] == 0,
+                "missing from the document"
+                if run is None
+                else f"correct={run['correct']} failed={run['failed']}",
+            )
+
+    # --- one rule for absolute numbers ------------------------------------
+    for w in workloads:
+        for m in contract["end_to_end"]:
+            gid = f"end_to_end.{w}.{m['name']}"
+            fresh = metric("end_to_end", w, m["name"])
+            if fresh is None:
+                continue
+            ref = ref_end_to_end["workloads"][w]["metrics"][m["name"]]["value"]
+            if m["name"] == "setup_s":
+                gate(gid, None, f"{fresh['value']:.4g} (reference {ref:.4g})")
+            else:
+                against_reference(gid, fresh["value"], ref, m["better"])
+    fresh_adapters = {a["name"]: a["adapted_msgs_per_s"] for a in pipeline["adapters"]}
+    for ref in ref_pipeline["adapters"]:
+        gid = f"adapter.{ref['name']}"
+        if ref["name"] in fresh_adapters:
+            rate = fresh_adapters[ref["name"]]
+            against_reference(gid, rate, ref["adapted_msgs_per_s"], "higher")
+        else:
+            gate(gid, False, "adapter missing from the report")
+
+    # --- self-relative invariants -----------------------------------------
+    ratio = pipeline["spell"]["index_speedup"]
+    gate("ratio", ratio >= RATIO_FLOOR, f"automaton/linear = {ratio:.1f}x >= {RATIO_FLOOR}x")
+
+    cpus = layers["host_cpus"]
+    for stage, w in (("detect", "detect_batch"), ("train", "train_batch")):
+        seq = metric("layers", w, f"anomaly.{stage}_sequential_s")
+        par = metric("layers", w, f"anomaly.{stage}_s")
+        if seq is None or par is None:
+            continue
+        floor = SPEEDUP_MIN if stage == "detect" and cpus >= 4 else PARITY_MIN
+        ratio = seq["value"] / par["value"] if par["value"] > 0 else 0.0
+        gate(
+            f"{stage}_scaling",
+            ratio >= floor,
+            f"anomaly.{stage}_sequential_s / anomaly.{stage}_s = {ratio:.2f} "
+            f">= {floor} (measured on {cpus} CPU(s))",
+        )
+    for w in workloads:
+        share = metric("layers", w, "obs.enabled_overhead_share")
+        rate = metric("end_to_end", w, "lines_per_s")
+        if share is None or rate is None:
+            continue
+        # The share compares the best of a few reps with recording on to the
+        # best of a few with it off, so it is only as sharp as the host's
+        # reps are alike: a reading counts as over the bar when it exceeds
+        # it by more than the interquartile spread of the same workload's
+        # reps in the untraced document.
+        spread = (rate["q3"] - rate["q1"]) / rate["median"]
+        gate(
+            f"overhead.{w}",
+            share["value"] <= OVERHEAD_MAX + spread,
+            f"obs.enabled_overhead_share {share['value']:+.3f} <= {OVERHEAD_MAX} "
+            f"+ {spread:.3f} (spread of the reps)",
+        )
+    for w in SERVE:
+        for name in ("serve.dropped_lines", "gateway.protocol_errors"):
+            count = metric("layers", w, name)
+            if count is not None:
+                gate(f"{name}.{w}", count["value"] == 0, f"{count['value']:.0f} == 0")
+    share = metric("layers", "serve_paced", "gateway.achieved_share")
+    if share is not None:
+        gate(
+            "achieved_share",
+            share["value"] >= ACHIEVED_MIN,
+            f"serve_paced achieved {share['value']:.3f} of the offered rate >= {ACHIEVED_MIN}",
+        )
+    for name in PRINTED:
+        tail = metric("layers", "serve_paced", name)
+        if tail is not None:
+            gate(f"{name}.serve_paced", None, f"{tail['value']:.2f}")
+    return gates
+
+
+def failed(gates):
+    return sorted({gid for gid, ok, _ in gates if ok is False})
+
+
+def self_test() -> int:
+    """From one passing set of documents, violate each rule in turn and
+    require exactly that gate to fail."""
+    contract = json.load(open(REPO / "BENCHMARK.json"))
+    workloads = [w["name"] for w in contract["workloads"]]
+
+    def run(metrics):
+        return {
+            "correct": True,
+            "attempted": 100,
+            "failed": 0,
+            "metrics": {
+                k: {"value": v, "median": v, "q1": v, "q3": v} for k, v in metrics.items()
+            },
+        }
+
+    def doc(trace, metrics, cpus=2):
+        return {
+            "trace": trace,
+            "smoke": False,
+            "host_cpus": cpus,
+            "workloads": {w: run(metrics) for w in workloads},
+        }
+
+    e2e = doc(False, {m["name"]: 10.0 for m in contract["end_to_end"]})
+    layers = doc(
+        True,
+        {
+            "anomaly.detect_sequential_s": 0.12,
+            "anomaly.detect_s": 0.12,
+            "anomaly.train_sequential_s": 0.15,
+            "anomaly.train_s": 0.15,
+            "obs.enabled_overhead_share": 0.01,
+            "serve.dropped_lines": 0.0,
+            "gateway.protocol_errors": 0.0,
+            "gateway.achieved_share": 1.0,
+            "gateway.verdict_p99_ms": 2.6,
+            "gateway.ping_p99_ms": 2.5,
+        },
+    )
+    pipeline = {
+        "spell": {"index_speedup": 100.0},
+        "adapters": [{"name": n, "adapted_msgs_per_s": 7e5} for n in ("hadoop", "json")],
+    }
+
+    def value(d, w, name, v):
+        d["workloads"][w]["metrics"][name]["value"] = v
+
+    def speedup(d, ratio, cpus):
+        d["host_cpus"] = cpus
+        value(d, "detect_batch", "anomaly.detect_s", 0.12 / ratio)
+
+    # name -> (how to change the fresh end-to-end, layers and pipeline
+    # documents, the one gate that must then fail)
+    cases = {
+        "untouched set passes": (lambda e, l, p: None, None),
+        "lines_per_s at 0.5x its reference": (
+            lambda e, l, p: value(e, "detect_batch", "lines_per_s", 5.0),
+            "end_to_end.detect_batch.lines_per_s",
+        ),
+        "lines_per_s at 0.7x passes": (
+            lambda e, l, p: value(e, "detect_batch", "lines_per_s", 7.0),
+            None,
+        ),
+        "cpu_s_per_mline at 2x": (
+            lambda e, l, p: value(e, "serve_paced", "cpu_s_per_mline", 20.0),
+            "end_to_end.serve_paced.cpu_s_per_mline",
+        ),
+        "setup_s at 10x is not judged": (
+            lambda e, l, p: value(e, "train_batch", "setup_s", 100.0),
+            None,
+        ),
+        "failed = 1": (
+            lambda e, l, p: e["workloads"]["train_batch"].update(failed=1),
+            "end_to_end.train_batch.verified",
+        ),
+        "correct = false": (
+            lambda e, l, p: l["workloads"]["serve_saturate"].update(correct=False),
+            "layers.serve_saturate.verified",
+        ),
+        "a missing workload": (
+            lambda e, l, p: e["workloads"].pop("serve_saturate"),
+            "end_to_end.serve_saturate.verified",
+        ),
+        "a missing metric": (
+            lambda e, l, p: e["workloads"]["serve_paced"]["metrics"].pop("peak_rss_mb"),
+            "end_to_end.serve_paced.peak_rss_mb",
+        ),
+        "a missing layer metric": (
+            lambda e, l, p: l["workloads"]["train_batch"]["metrics"].pop("anomaly.train_s"),
+            "layers.train_batch.anomaly.train_s",
+        ),
+        "--smoke documents": (lambda e, l, p: l.update(smoke=True), "full-size"),
+        "detect ratio 0.6 on 2 CPUs": (lambda e, l, p: speedup(l, 0.6, 2), "detect_scaling"),
+        "detect ratio 1.1 on 2 CPUs passes": (lambda e, l, p: speedup(l, 1.1, 2), None),
+        "detect ratio 1.1 on 4 CPUs": (lambda e, l, p: speedup(l, 1.1, 4), "detect_scaling"),
+        "train ratio 0.6": (
+            lambda e, l, p: value(l, "train_batch", "anomaly.train_s", 0.25),
+            "train_scaling",
+        ),
+        "overhead 0.06": (
+            lambda e, l, p: value(l, "serve_saturate", "obs.enabled_overhead_share", 0.06),
+            "overhead.serve_saturate",
+        ),
+        "overhead 0.06 among reps that spread 0.10 passes": (
+            lambda e, l, p: (
+                value(l, "serve_saturate", "obs.enabled_overhead_share", 0.06),
+                e["workloads"]["serve_saturate"]["metrics"]["lines_per_s"].update(q3=11.0),
+            ),
+            None,
+        ),
+        "one dropped line": (
+            lambda e, l, p: value(l, "serve_paced", "serve.dropped_lines", 1.0),
+            "serve.dropped_lines.serve_paced",
+        ),
+        "one protocol error": (
+            lambda e, l, p: value(l, "serve_saturate", "gateway.protocol_errors", 1.0),
+            "gateway.protocol_errors.serve_saturate",
+        ),
+        "achieved share 0.94": (
+            lambda e, l, p: value(l, "serve_paced", "gateway.achieved_share", 0.94),
+            "achieved_share",
+        ),
+        "a verdict p99 of 100 ms is printed, not gated": (
+            lambda e, l, p: value(l, "serve_paced", "gateway.verdict_p99_ms", 100.0),
+            None,
+        ),
+        "an adapter at half its reference": (
+            lambda e, l, p: p["adapters"][1].update(adapted_msgs_per_s=3.5e5),
+            "adapter.json",
+        ),
+        "a missing adapter": (lambda e, l, p: p["adapters"].pop(0), "adapter.hadoop"),
+        "ratio 2.9": (lambda e, l, p: p["spell"].update(index_speedup=2.9), "ratio"),
+    }
+    bad = 0
+    for name, (violate, expected) in cases.items():
+        fresh = copy.deepcopy((e2e, layers, pipeline))
+        violate(*fresh)
+        got = failed(check(*fresh, e2e, pipeline, contract))
+        want = [] if expected is None else [expected]
+        if got != want:
+            print(f"self-test FAIL: {name}: expected {want}, got {got}")
+            bad += 1
+    if bad:
+        return 1
+    print(f"self-test OK: {len(cases)} cases")
+    return 0
 
 
 def main() -> int:
-    pipeline_path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_pipeline.json"
-    serve_path = sys.argv[2] if len(sys.argv) > 2 else "BENCH_serve.json"
-    pipeline = json.load(open(pipeline_path))
-    serve = json.load(open(serve_path))
-
-    cpus = os.cpu_count() or 1
-    failures = []
-
-    def gate(ok, msg):
-        print(("PASS  " if ok else "FAIL  ") + msg)
-        if not ok:
-            failures.append(msg)
-
-    if pipeline.get("smoke") or serve.get("smoke"):
-        print("error: gate needs full-size bench reports, got --smoke output")
+    args = sys.argv[1:]
+    if args == ["--self-test"]:
+        return self_test()
+    if len(args) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    fresh = [json.load(open(p)) for p in args]
+    refs = [
+        json.load(open(REPO / name))
+        for name in ("BENCH_end_to_end.json", "BENCH_pipeline.json", "BENCHMARK.json")
+    ]
+    gates = check(*fresh, *refs)
+    for gid, ok, msg in gates:
+        print(f"{STATUS[ok]}  {gid}: {msg}")
+    bad = failed(gates)
+    if bad:
+        print(f"\n{len(bad)} benchmark gate(s) failed: {', '.join(bad)}")
         return 1
-
-    # --- pipeline: thread scaling ---------------------------------------
-    for section in ("training", "detection"):
-        seq = pipeline[section]["sequential_sessions_per_s"]
-        t4 = pipeline[section]["threads4_sessions_per_s"]
-        ratio = t4 / seq
-        if section == "detection" and cpus >= 4:
-            gate(
-                ratio >= SPEEDUP_MIN,
-                f"{section}: threads4/seq = {ratio:.2f} >= {SPEEDUP_MIN} "
-                f"(host has {cpus} CPUs)",
-            )
-        else:
-            gate(
-                ratio >= PARITY_MIN,
-                f"{section}: threads4/seq = {ratio:.2f} >= {PARITY_MIN} "
-                f"(overhead bound; host has {cpus} CPU(s))",
-            )
-
-    # --- pipeline: per-stage Spell floors --------------------------------
-    spell = pipeline["spell"]
-    gate(
-        spell["parse_msgs_per_s"] >= PARSE_FLOOR,
-        f"spell parse: {spell['parse_msgs_per_s']:.0f} msgs/s >= {PARSE_FLOOR}",
-    )
-    gate(
-        spell["match_indexed_msgs_per_s"] >= MATCH_FLOOR,
-        f"spell indexed match: {spell['match_indexed_msgs_per_s']:.0f} "
-        f"msgs/s >= {MATCH_FLOOR}",
-    )
-    gate(
-        spell["index_speedup"] >= RATIO_FLOOR,
-        f"spell indexed/linear ratio: {spell['index_speedup']:.1f}x >= "
-        f"{RATIO_FLOOR}x",
-    )
-    extraction = pipeline["extraction"]
-    gate(
-        extraction["keys_per_s"] >= EXTRACT_FLOOR,
-        f"extraction: {extraction['keys_per_s']:.0f} keys/s >= {EXTRACT_FLOOR}",
-    )
-
-    # --- pipeline: session-rate floors (Algorithm 2's two callers) --------
-    hw = pipeline["hwgraph"]["sessions_per_s"]
-    gate(hw >= HWGRAPH_FLOOR, f"hwgraph: {hw:.0f} sessions/s >= {HWGRAPH_FLOOR}")
-    det = pipeline["detection"]["sequential_sessions_per_s"]
-    gate(
-        det >= DETECT_FLOOR,
-        f"detection sequential: {det:.0f} sessions/s >= {DETECT_FLOOR}",
-    )
-
-    # --- pipeline: format-adapter raw-line ingest floor -------------------
-    adapters = {a["name"]: a for a in pipeline["adapters"]}
-    for name in ("hadoop", "spark", "hdfs", "syslog", "json"):
-        a = adapters[name]
-        gate(
-            a["adapted_msgs_per_s"] >= ADAPTER_FLOOR,
-            f"adapter {name}: {a['adapted_msgs_per_s']:.0f} msgs/s >= "
-            f"{ADAPTER_FLOOR}",
-        )
-
-    # --- serve: shard scaling monotone within slack ----------------------
-    by_shards = {s["shards"]: s["lines_per_s"] for s in serve["scaling"]}
-    for lo, hi in ((1, 2), (2, 4)):
-        ratio = by_shards[hi] / by_shards[lo]
-        gate(
-            ratio >= SERVE_STEP_SLACK,
-            f"serve: {hi} shards / {lo} shards = {ratio:.2f} >= "
-            f"{SERVE_STEP_SLACK} (monotone non-decreasing within slack)",
-        )
-    gate(
-        serve["correctness_verified"] is True,
-        "serve: online verdicts verified against offline detection",
-    )
-
-    # --- gateway: connection series floor + sweep-overhead bound ---------
-    by_conns = {c["connections"]: c["lines_per_s"] for c in serve["connections"]}
-    for conns in sorted(by_conns):
-        gate(
-            by_conns[conns] >= CONN_FLOOR,
-            f"gateway: {by_conns[conns]:.0f} lines/s at {conns} "
-            f"connection(s) >= {CONN_FLOOR}",
-        )
-    most = max(by_conns)
-    ratio = by_conns[most] / by_conns[1]
-    gate(
-        ratio >= CONN_PARITY,
-        f"gateway: {most} conns / 1 conn = {ratio:.2f} >= {CONN_PARITY} "
-        f"(readiness sweep must not collapse under fan-in)",
-    )
-    dropped = [s for s in serve["scaling"] + serve["connections"] if s["dropped"]]
-    gate(
-        not dropped,
-        "gateway: block backpressure dropped nothing in any timing run",
-    )
-
-    if failures:
-        print(f"\n{len(failures)} scaling gate(s) failed")
-        return 1
-    print("\nall scaling gates passed")
+    print("\nall benchmark gates passed")
     return 0
 
 

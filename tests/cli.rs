@@ -140,6 +140,56 @@ fn cli_train_graph_detect_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every pipeline stage still reports into `obs`: `--metrics -` on `train`
+/// then `detect` prints a non-zero sample for each stage's counter.
+#[test]
+fn cli_metrics_cover_every_pipeline_stage() {
+    let bin = env!("CARGO_BIN_EXE_intellog");
+    let dir = std::env::temp_dir().join(format!("intellog-cli-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("cannot create temp dir {}: {e}", dir.display()));
+    let model = dir.join("model.ilm");
+    let model = model.to_str().unwrap();
+    let run = |args: &[&str], files: &[String], expected: &[&str]| {
+        let out = Command::new(bin)
+            .args(args)
+            .args(["--model", model, "--metrics", "-"])
+            .args(files)
+            .output()
+            .expect("failed to spawn the intellog binary");
+        assert!(
+            out.status.success(),
+            "{args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for name in expected {
+            let value = stdout
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok());
+            assert!(value > Some(0), "{args:?}: {name} = {value:?} in\n{stdout}");
+        }
+    };
+    run(
+        &["train", "--sim", "spark", "--sim-jobs", "2"],
+        &[],
+        &[
+            "intellog_spell_lines_parsed",
+            "intellog_extract_keys_built",
+            "intellog_lognlp_sequences_tagged",
+            "intellog_hwgraph_builds",
+            "intellog_span_hwgraph_build_us_count",
+        ],
+    );
+    let eval = write_job_logs(&dir, &dlasim::generate(&cfg(9), None), "eval");
+    run(
+        &["detect", "--format", "spark"],
+        &eval,
+        &["intellog_anomaly_sessions_checked"],
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_rejects_bad_usage() {
     let bin = env!("CARGO_BIN_EXE_intellog");
