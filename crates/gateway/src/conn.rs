@@ -7,9 +7,10 @@
 //! the cursor as a borrowed `&str` (a line that is not valid UTF-8 is
 //! decoded lossily into an owned one) and [`Conn::advance`] moves the
 //! cursor past it once the gateway has dealt with it — so a line whose
-//! shard queue is full simply stays where it is and is read again next
-//! sweep. Consumed bytes are reclaimed once per sweep, when the buffer is
-//! next offered to the socket, not once per line.
+//! shard queue is full, or whose session a rebalance is moving, simply
+//! stays where it is and is read again next sweep. Consumed bytes are
+//! reclaimed once per sweep, when the buffer is next offered to the
+//! socket, not once per line.
 
 use intellog_serve::TenantEntry;
 use std::borrow::Cow;
@@ -53,7 +54,8 @@ pub struct Conn {
     /// The tenant this connection's data verbs route to (`TENANT` verb);
     /// `None` falls back to the gateway's default tenant.
     pub tenant: Option<Arc<TenantEntry>>,
-    /// The line at the cursor found its shard queue full (Block policy).
+    /// The router did not take the line at the cursor: its shard queue is
+    /// full (Block policy), or a rebalance in flight is moving its session.
     /// While set, nothing more is read from this connection — its socket
     /// fills and TCP flow control pushes back on the client — and the
     /// line is tried again every sweep.
@@ -142,8 +144,8 @@ impl Conn {
     }
 
     /// Whether input parsing is paused for an in-flight async reply or a
-    /// pending close (backpressure does not pause parsing: a blocked line
-    /// is retried).
+    /// pending close (a held-back line does not pause parsing: it is
+    /// retried).
     pub fn paused(&self) -> bool {
         self.awaiting_load || self.closing
     }

@@ -22,13 +22,15 @@
 //! * **All routing happens on the loop thread.** The consistent-hash ring
 //!   is swapped only here, between complete sweeps, so no message can be
 //!   routed by a half-installed ring.
-//! * **Rebalances are serialized and order-preserving.** One control
-//!   operation (ADDSHARD / DRAINSHARD / DRAIN / SHUTDOWN) runs at a time;
-//!   later ones queue. During a rebalance, traffic for sessions that are
-//!   changing owner is parked in arrival order and released only after
-//!   the moved sessions are restored on their new shards, then re-routed
-//!   record by record through the same router — so a moved session sees
-//!   exactly the line sequence it would have seen unmoved.
+//! * **Rebalances are serialized and order-preserving, and the loop holds
+//!   no lines.** One control operation (ADDSHARD / DRAINSHARD / DRAIN /
+//!   SHUTDOWN) runs at a time; later ones queue. While a rebalance
+//!   collects its snapshots, a record whose session is changing owner is
+//!   not consumed: it stays in its connection's buffer exactly like one
+//!   without queue room, that connection stops there, and the line is
+//!   parsed again once the ring is swapped — behind the `Restore` of its
+//!   session. So a moved session sees exactly the line sequence it would
+//!   have seen unmoved, and nothing the loop owns grows with traffic.
 //! * **Sessions pin model versions.** Hot reload (`LOAD`) swaps the
 //!   registry entry; live sessions keep their lease until they finish
 //!   (see `serve::registry`), so no verdict straddles two versions.
@@ -40,7 +42,7 @@ use anomaly::Detector;
 use intellog_serve::{
     parse_log_ref, write_session_key, AnomalySink, Backpressure, LineBatch, Ring, SessionState,
     ShardHandle, ShardMetrics, ShardMsg, ShardQueue, ShardSnapshot, StatsSnapshot, TenantEntry,
-    TenantRegistry, DEFAULT_VNODES,
+    TenantRegistry, TenantSnapshot, DEFAULT_VNODES,
 };
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -66,8 +68,6 @@ pub struct GatewayConfig {
     pub sink_path: Option<PathBuf>,
     /// Tenant used by connections that never send `TENANT`.
     pub default_tenant: String,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes: usize,
 }
 
 impl Default for GatewayConfig {
@@ -81,7 +81,6 @@ impl Default for GatewayConfig {
             ring_capacity: 4096,
             sink_path: None,
             default_tenant: intellog_serve::DEFAULT_TENANT.into(),
-            vnodes: DEFAULT_VNODES,
         }
     }
 }
@@ -116,63 +115,80 @@ fn push_open(open: &mut Option<OpenBatch>, queue: &ShardQueue<ShardMsg>) {
     }
 }
 
-/// A record held back during/after a rebalance: a log line, or its
-/// session's `END` when `line` is `None`.
-struct Parked {
-    tenant: Arc<TenantEntry>,
-    key: String,
-    line: Option<(u64, String)>,
+/// Where a reply that arrives later goes: the connection in poll slot
+/// `token`, as long as it is still generation `conn_id` (not closed, its
+/// token not reused).
+#[derive(Clone, Copy)]
+struct ReplyTo {
+    token: Token,
+    conn_id: u64,
+}
+
+impl ReplyTo {
+    fn of(conn: &Conn) -> ReplyTo {
+        ReplyTo {
+            token: conn.token,
+            conn_id: conn.id,
+        }
+    }
 }
 
 /// A completed background load, reported back to the loop.
 struct LoadDone {
-    token: Token,
-    conn_id: u64,
+    reply: ReplyTo,
     result: Result<intellog_serve::LoadOutcome, String>,
+}
+
+/// The acks still owed by the shards a control message was broadcast to.
+struct Acks<T> {
+    rx: mpsc::Receiver<T>,
+    outstanding: usize,
+}
+
+impl<T> Acks<T> {
+    /// Hand every ack that has arrived to `take`. Returns whether any had,
+    /// and whether none is outstanding any more.
+    fn collect(&mut self, mut take: impl FnMut(T)) -> (bool, bool) {
+        let before = self.outstanding;
+        while self.outstanding > 0 {
+            let Ok(ack) = self.rx.try_recv() else { break };
+            self.outstanding -= 1;
+            take(ack);
+        }
+        (self.outstanding < before, self.outstanding == 0)
+    }
+}
+
+/// A ring rebalance in flight: ADDSHARD (`added`) or DRAINSHARD
+/// (`drained`), the snapshots collected so far in `moved`.
+struct Rebalance {
+    new_ring: Arc<Ring>,
+    acks: Acks<Vec<SessionState>>,
+    moved: Vec<SessionState>,
+    added: Option<usize>,
+    drained: Option<usize>,
+    reply: ReplyTo,
 }
 
 /// The one control operation in flight (they serialize).
 enum ControlOp {
-    /// Ring rebalance: ADDSHARD (`added`) or DRAINSHARD (`drained`).
-    Rebalance {
-        new_ring: Arc<Ring>,
-        rx: mpsc::Receiver<Vec<SessionState>>,
-        expected: usize,
-        received: usize,
-        moved: Vec<SessionState>,
-        added: Option<usize>,
-        drained: Option<usize>,
-        token: Token,
-        conn_id: u64,
-    },
+    Rebalance(Rebalance),
     /// Session drain (`DRAIN`), optionally tenant-scoped; `shutdown`
     /// makes the gateway exit once the drain acks.
     Drain {
-        rx: mpsc::Receiver<usize>,
-        expected: usize,
-        received: usize,
+        acks: Acks<usize>,
         finished: usize,
-        token: Token,
-        conn_id: u64,
+        reply: ReplyTo,
         shutdown: bool,
     },
 }
 
 /// A control request waiting for its turn (they run one at a time).
 enum QueuedControl {
-    AddShard {
-        token: Token,
-        conn_id: u64,
-    },
-    DrainShard {
-        index: usize,
-        token: Token,
-        conn_id: u64,
-    },
+    AddShard,
+    DrainShard(usize),
     Drain {
         tenant: Option<String>,
-        token: Token,
-        conn_id: u64,
         shutdown: bool,
     },
 }
@@ -199,9 +215,7 @@ pub struct Gateway {
     load_tx: mpsc::Sender<LoadDone>,
     load_rx: mpsc::Receiver<LoadDone>,
     active: Option<ControlOp>,
-    queued: VecDeque<QueuedControl>,
-    /// Records held back during/after a rebalance, in arrival order.
-    parked: VecDeque<Parked>,
+    queued: VecDeque<(QueuedControl, ReplyTo)>,
     /// Scratch for the routing key (`tenant \x1f session`) of the record
     /// being routed.
     key: String,
@@ -213,7 +227,6 @@ pub struct Gateway {
     protocol_errors: u64,
     rebalances: u64,
     sessions_moved: u64,
-    loads_inflight: u64,
     shutdown: bool,
 }
 
@@ -253,14 +266,13 @@ impl Gateway {
             gate,
             shards,
             retired: Vec::new(),
-            ring: Arc::new(Ring::contiguous(n, cfg.vnodes.max(1))),
+            ring: Arc::new(Ring::contiguous(n, DEFAULT_VNODES)),
             conns: Vec::new(),
             next_conn_id: 1,
             load_tx,
             load_rx,
             active: None,
             queued: VecDeque::new(),
-            parked: VecDeque::new(),
             key: String::new(),
             connections_open: 0,
             connections_total: 0,
@@ -268,7 +280,6 @@ impl Gateway {
             protocol_errors: 0,
             rebalances: 0,
             sessions_moved: 0,
-            loads_inflight: 0,
             shutdown: false,
         })
     }
@@ -294,7 +305,6 @@ impl Gateway {
             worked |= self.sweep_conns();
             worked |= self.sweep_loads();
             worked |= self.sweep_control();
-            worked |= self.sweep_parked();
             if worked {
                 self.loop_busy += started.elapsed();
                 idle_streak = 0;
@@ -356,7 +366,6 @@ impl Gateway {
                     self.conns[token] = Some(Conn::new(token, id));
                     self.connections_open += 1;
                     self.connections_total += 1;
-                    obs::inc!("gateway.connections.accepted");
                     worked = true;
                 }
                 Ok(None) => return Ok(worked),
@@ -382,8 +391,8 @@ impl Gateway {
                 conn.unsent().len() > MAX_WRITE_BUFFER || conn.unparsed() > MAX_READ_BUFFER;
             let done = conn.closing && conn.unsent().is_empty();
             // EOF: the peer is done sending; drop once every buffered
-            // line has been parsed and routed (none waiting for room in
-            // its shard queue, nothing awaiting an async reply).
+            // line has been parsed and routed (none held back by the
+            // router, nothing awaiting an async reply).
             let drained = conn.eof && !conn.paused() && !conn.has_full_line();
             if overrun || done || drained {
                 self.poller.close(token);
@@ -418,7 +427,7 @@ impl Gateway {
     }
 
     /// Parse and execute the complete lines buffered on one connection,
-    /// up to the first one whose shard queue has no room.
+    /// up to the first one the router does not take.
     fn process_conn(&mut self, conn: &mut Conn) -> bool {
         if conn.tenant.is_none() && conn.unparsed() > 0 {
             conn.tenant = self.registry.get(&self.cfg.default_tenant);
@@ -498,8 +507,7 @@ impl Gateway {
         let mut worked = false;
         while let Ok(done) = self.load_rx.try_recv() {
             worked = true;
-            self.loads_inflight = self.loads_inflight.saturating_sub(1);
-            let Some(mut conn) = self.take_conn(done.token, done.conn_id) else {
+            let Some(mut conn) = self.take_conn(done.reply) else {
                 continue; // connection closed (its token may be reused)
             };
             conn.awaiting_load = false;
@@ -513,140 +521,49 @@ impl Gateway {
                 Err(e) => conn.reply(&format!("ERR load failed: {e}\n")),
             }
             self.flush_conn(&mut conn);
-            self.conns[done.token] = Some(conn);
+            self.conns[done.reply.token] = Some(conn);
         }
         worked
     }
 
-    /// Advance the in-flight control operation, if any, and start queued
-    /// ones once the slot frees.
+    /// Advance the in-flight control operation, if any, and start the next
+    /// queued one once the slot frees.
     fn sweep_control(&mut self) -> bool {
-        let mut worked = false;
-        if let Some(op) = self.active.take() {
-            match op {
-                ControlOp::Rebalance {
-                    new_ring,
-                    rx,
-                    expected,
-                    mut received,
-                    mut moved,
-                    added,
-                    drained,
-                    token,
-                    conn_id,
-                } => {
-                    while received < expected {
-                        match rx.try_recv() {
-                            Ok(batch) => {
-                                received += 1;
-                                moved.extend(batch);
-                                worked = true;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if received < expected {
-                        self.active = Some(ControlOp::Rebalance {
-                            new_ring,
-                            rx,
-                            expected,
-                            received,
-                            moved,
-                            added,
-                            drained,
-                            token,
-                            conn_id,
-                        });
-                    } else {
-                        worked = true;
-                        self.finish_rebalance(new_ring, moved, added, drained, token, conn_id);
-                    }
-                }
-                ControlOp::Drain {
-                    rx,
-                    expected,
-                    mut received,
-                    mut finished,
-                    token,
-                    conn_id,
-                    shutdown,
-                } => {
-                    while received < expected {
-                        match rx.try_recv() {
-                            Ok(n) => {
-                                received += 1;
-                                finished += n;
-                                worked = true;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if received < expected {
-                        self.active = Some(ControlOp::Drain {
-                            rx,
-                            expected,
-                            received,
-                            finished,
-                            token,
-                            conn_id,
-                            shutdown,
-                        });
-                    } else {
-                        worked = true;
-                        if shutdown {
-                            self.reply_to(token, conn_id, "OK 0\n");
-                            self.shutdown = true;
-                        } else {
-                            self.reply_to(token, conn_id, &format!("OK {finished}\n"));
-                        }
-                    }
-                }
-            }
-        }
-        if self.active.is_none() && self.parked.is_empty() {
-            if let Some(q) = self.queued.pop_front() {
-                worked = true;
-                match q {
-                    QueuedControl::AddShard { token, conn_id } => {
-                        self.start_add_shard(token, conn_id)
-                    }
-                    QueuedControl::DrainShard {
-                        index,
-                        token,
-                        conn_id,
-                    } => self.start_drain_shard(index, token, conn_id),
-                    QueuedControl::Drain {
-                        tenant,
-                        token,
-                        conn_id,
-                        shutdown,
-                    } => self.start_drain(tenant, token, conn_id, shutdown),
-                }
-            }
-        }
-        worked
-    }
-
-    /// Re-route records parked during a rebalance, strictly in order,
-    /// through the same placement and batches as fresh lines.
-    fn sweep_parked(&mut self) -> bool {
-        // While a rebalance is collecting snapshots the parked queue must
-        // hold — the moved sessions are not on any shard yet.
-        if self.parked.is_empty() || self.rebalance_active() {
-            return false;
-        }
-        let mut worked = false;
-        while let Some(rec) = self.parked.pop_front() {
-            let line = rec.line.as_ref().map(|(ts_ms, m)| (*ts_ms, m.as_str()));
-            if !self.place(&rec.tenant, &rec.key, line, 0) {
-                // Head-of-line blocked on a full queue: retry next sweep
-                // to preserve order.
-                self.parked.push_front(rec);
-                break;
-            }
+        let (mut worked, complete) = match &mut self.active {
+            Some(ControlOp::Rebalance(r)) => r.acks.collect(|batch| r.moved.extend(batch)),
+            Some(ControlOp::Drain { acks, finished, .. }) => acks.collect(|n| *finished += n),
+            None => (false, false),
+        };
+        if complete {
             worked = true;
+            match self.active.take() {
+                Some(ControlOp::Rebalance(done)) => self.finish_rebalance(done),
+                Some(ControlOp::Drain {
+                    finished,
+                    reply,
+                    shutdown,
+                    ..
+                }) => {
+                    // a shutdown's drain is not reported: the reply means "exiting"
+                    let finished = if shutdown { 0 } else { finished };
+                    self.reply_to(reply, &format!("OK {finished}\n"));
+                    self.shutdown |= shutdown;
+                }
+                None => {}
+            }
         }
-        self.flush_batches();
+        if self.active.is_none() {
+            if let Some((request, reply)) = self.queued.pop_front() {
+                worked = true;
+                match request {
+                    QueuedControl::AddShard => self.start_add_shard(reply),
+                    QueuedControl::DrainShard(index) => self.start_drain_shard(index, reply),
+                    QueuedControl::Drain { tenant, shutdown } => {
+                        self.start_drain(tenant, reply, shutdown)
+                    }
+                }
+            }
+        }
         worked
     }
 
@@ -659,7 +576,7 @@ impl Gateway {
     /// means "all of it is in a shard queue" and a `DRAIN` covers it.
     fn handle_verb(&mut self, conn: &mut Conn, line: &str) {
         self.flush_batches();
-        let (token, conn_id) = (conn.token, conn.id);
+        let reply = ReplyTo::of(conn);
         let verb = line.split('\t').next().unwrap_or("");
         match verb {
             "TENANT" => match line.split('\t').nth(1).filter(|s| !s.is_empty()) {
@@ -717,15 +634,11 @@ impl Gateway {
             // Control operations serialize: each joins the queue and
             // `sweep_control` starts it — later this same sweep when
             // nothing is in flight.
-            "ADDSHARD" => self
-                .queued
-                .push_back(QueuedControl::AddShard { token, conn_id }),
+            "ADDSHARD" => self.queued.push_back((QueuedControl::AddShard, reply)),
             "DRAINSHARD" => match line.split('\t').nth(1).and_then(|v| v.parse().ok()) {
-                Some(index) => self.queued.push_back(QueuedControl::DrainShard {
-                    index,
-                    token,
-                    conn_id,
-                }),
+                Some(index) => self
+                    .queued
+                    .push_back((QueuedControl::DrainShard(index), reply)),
                 None => self.verb_error(conn, "DRAINSHARD needs a shard index"),
             },
             "DRAIN" | "SHUTDOWN" => {
@@ -734,12 +647,9 @@ impl Gateway {
                     .nth(1)
                     .filter(|s| !s.is_empty() && verb == "DRAIN")
                     .map(str::to_string);
-                self.queued.push_back(QueuedControl::Drain {
-                    tenant,
-                    token,
-                    conn_id,
-                    shutdown: verb == "SHUTDOWN",
-                });
+                let shutdown = verb == "SHUTDOWN";
+                self.queued
+                    .push_back((QueuedControl::Drain { tenant, shutdown }, reply));
             }
             other => self.verb_error(conn, &format!("unknown verb {other:?}")),
         }
@@ -751,11 +661,14 @@ impl Gateway {
 
     // lint: ingest-hot(begin)
 
-    /// Route one record of `tenant`'s `session` — a log line, or the
-    /// session's `END` when `line` is `None` — honoring rebalance parking.
-    /// `false` means its shard queue is full (Block policy): the record
-    /// was not taken and must be offered again. `text_hint` sizes a batch
-    /// this record opens (the bytes its connection has yet to parse).
+    /// Hand one record of `tenant`'s `session` — a log line, or the
+    /// session's `END` when `line` is `None` — to the shard that owns it:
+    /// a line joins the shard's open batch, an `END` goes right behind it
+    /// as a control message (never shed, takes no room). `false`: the
+    /// record was not taken and must be offered again — its line found no
+    /// room in the shard's queue (Block policy), or the rebalance in flight
+    /// is moving its session. `text_hint` sizes a batch this record opens
+    /// (the bytes its connection has yet to parse).
     fn route(
         &mut self,
         tenant: &Arc<TenantEntry>,
@@ -763,38 +676,15 @@ impl Gateway {
         line: Option<(u64, &str)>,
         text_hint: usize,
     ) -> bool {
-        let mut key = std::mem::take(&mut self.key);
-        write_session_key(&mut key, &tenant.name, session);
-        // Global FIFO discipline: while any record is parked, every new
-        // one parks behind it (cheapest way to keep affected sessions
-        // ordered; the parked queue drains within a few sweeps).
-        let taken = if !self.parked.is_empty() || self.changes_owner(&key) {
-            // lint: allow(alloc) — only while a rebalance is in flight
-            self.parked.push_back(Parked {
-                tenant: Arc::clone(tenant),
-                key: key.to_string(),
-                line: line.map(|(ts_ms, message)| (ts_ms, message.to_string())),
-            });
-            true
-        } else {
-            self.place(tenant, &key, line, text_hint)
-        };
-        self.key = key;
-        taken
-    }
-
-    /// Hand one record to the shard that owns `key` under the current
-    /// ring, no parking checks: a line joins the shard's open batch, an
-    /// `END` goes right behind it as a control message (never shed, takes
-    /// no room). `false`: a line found no room in the shard's queue.
-    fn place(
-        &mut self,
-        tenant: &Arc<TenantEntry>,
-        key: &str,
-        line: Option<(u64, &str)>,
-        text_hint: usize,
-    ) -> bool {
+        write_session_key(&mut self.key, &tenant.name, session);
+        let key = self.key.as_str();
         let shard = self.ring.owner(key);
+        if let Some(ControlOp::Rebalance(moving)) = &self.active {
+            // held back until the ring is swapped and its session restored
+            if moving.new_ring.owner(key) != shard {
+                return false;
+            }
+        }
         let Some(Some(ShardSlot { handle, open })) = self.shards.get_mut(shard) else {
             return true; // routed to a dead slot: impossible by ring invariant
         };
@@ -807,12 +697,8 @@ impl Gateway {
             });
             return true;
         };
-        // A batch is done when it has used the room it was opened with;
-        // another tenant's lines (parked records only) need their own.
-        if open
-            .as_ref()
-            .is_some_and(|o| o.batch.len() >= o.room || !Arc::ptr_eq(o.batch.tenant(), tenant))
-        {
+        // A batch is done when it has used the room it was opened with.
+        if open.as_ref().is_some_and(|o| o.batch.len() >= o.room) {
             push_open(open, queue);
         }
         let open = match open {
@@ -833,40 +719,27 @@ impl Gateway {
                 })
             }
         };
+        // Every verb, `TENANT` included, pushes the open batches first, so
+        // one batch never sees two tenants.
+        debug_assert!(Arc::ptr_eq(open.batch.tenant(), tenant));
         open.batch.push(key, ts_ms, message);
         true
     }
 
     // lint: ingest-hot(end)
 
-    /// Whether the in-flight rebalance, if any, moves `key` to another
-    /// shard.
-    fn changes_owner(&self, key: &str) -> bool {
-        match &self.active {
-            Some(ControlOp::Rebalance { new_ring, .. }) => {
-                self.ring.owner(key) != new_ring.owner(key)
-            }
-            _ => false,
-        }
-    }
-
     // ------------------------------------------------------------------
     // control operations
     // ------------------------------------------------------------------
 
-    fn rebalance_active(&self) -> bool {
-        matches!(self.active, Some(ControlOp::Rebalance { .. }))
-    }
-
     fn start_load(&mut self, conn: &mut Conn, tenant: &str, path: &str) {
         conn.awaiting_load = true;
-        let (token, conn_id) = (conn.token, conn.id);
+        let reply = ReplyTo::of(conn);
         let registry = Arc::clone(&self.registry);
         let tx = self.load_tx.clone();
         let gate = Arc::clone(&self.gate);
         let tenant = tenant.to_string();
         let path = PathBuf::from(path);
-        self.loads_inflight += 1;
         obs::inc!("gateway.reload.requests");
         let spawned = sync::thread::Builder::new()
             .name("intellog-load".into())
@@ -874,21 +747,16 @@ impl Gateway {
                 let result = registry
                     .load_from_path(&tenant, &path)
                     .map_err(|e| e.to_string());
-                let _ = tx.send(LoadDone {
-                    token,
-                    conn_id,
-                    result,
-                });
+                let _ = tx.send(LoadDone { reply, result });
                 gate.wake();
             });
         if spawned.is_err() {
-            self.loads_inflight -= 1;
             conn.awaiting_load = false;
             conn.reply("ERR load failed: cannot spawn loader thread\n");
         }
     }
 
-    fn start_add_shard(&mut self, token: Token, conn_id: u64) {
+    fn start_add_shard(&mut self, reply: ReplyTo) {
         // reuse the lowest dead slot, else grow the table
         let index = self
             .shards
@@ -898,7 +766,7 @@ impl Gateway {
         let slot = match spawn_shard(&self.cfg, index, &self.sink, &self.gate) {
             Ok(s) => s,
             Err(e) => {
-                self.reply_to(token, conn_id, &format!("ERR addshard: {e}\n"));
+                self.reply_to(reply, &format!("ERR addshard: {e}\n"));
                 return;
             }
         };
@@ -908,125 +776,100 @@ impl Gateway {
             self.shards[index] = Some(slot);
         }
         let new_ring = Arc::new(self.ring.with_shard(index));
-        self.begin_rebalance(new_ring, Some(index), None, token, conn_id);
+        self.begin_rebalance(new_ring, Some(index), None, reply);
     }
 
-    fn start_drain_shard(&mut self, index: usize, token: Token, conn_id: u64) {
+    fn start_drain_shard(&mut self, index: usize, reply: ReplyTo) {
         if !self.ring.contains(index) {
-            self.reply_to(
-                token,
-                conn_id,
-                &format!("ERR drainshard: no shard {index}\n"),
-            );
+            self.reply_to(reply, &format!("ERR drainshard: no shard {index}\n"));
             return;
         }
         if self.ring.len() <= 1 {
-            self.reply_to(
-                token,
-                conn_id,
-                "ERR drainshard: cannot drain the last shard\n",
-            );
+            self.reply_to(reply, "ERR drainshard: cannot drain the last shard\n");
             return;
         }
         let new_ring = Arc::new(self.ring.without_shard(index));
-        self.begin_rebalance(new_ring, None, Some(index), token, conn_id);
+        self.begin_rebalance(new_ring, None, Some(index), reply);
     }
 
-    /// Ask every shard in the *current* ring to snapshot sessions the new
-    /// ring assigns elsewhere. FIFO queues guarantee all previously
-    /// enqueued lines are processed first.
+    /// Send every shard of the *current* ring the control message `msg`
+    /// builds around an ack sender. Control messages join the back of the
+    /// FIFO queues, so every line enqueued before is processed first.
+    fn broadcast<T>(&self, msg: impl Fn(mpsc::Sender<T>) -> ShardMsg) -> Acks<T> {
+        let (tx, rx) = mpsc::channel();
+        let mut outstanding = 0;
+        for &i in self.ring.shards() {
+            if let Some(Some(slot)) = self.shards.get(i) {
+                slot.handle.queue.push_control(msg(tx.clone()));
+                outstanding += 1;
+            }
+        }
+        Acks { rx, outstanding }
+    }
+
+    /// Ask every shard to snapshot the sessions the new ring assigns
+    /// elsewhere.
     fn begin_rebalance(
         &mut self,
         new_ring: Arc<Ring>,
         added: Option<usize>,
         drained: Option<usize>,
-        token: Token,
-        conn_id: u64,
+        reply: ReplyTo,
     ) {
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0;
-        for &i in self.ring.shards() {
-            if let Some(Some(slot)) = self.shards.get(i) {
-                slot.handle.queue.push_control(ShardMsg::Rebalance {
-                    ring: Arc::clone(&new_ring),
-                    ack: tx.clone(),
-                });
-                expected += 1;
-            }
-        }
+        let acks = self.broadcast(|ack| ShardMsg::Rebalance {
+            ring: Arc::clone(&new_ring),
+            ack,
+        });
         obs::inc!("gateway.rebalance.started");
-        self.active = Some(ControlOp::Rebalance {
+        self.active = Some(ControlOp::Rebalance(Rebalance {
             new_ring,
-            rx,
-            expected,
-            received: 0,
+            acks,
             moved: Vec::new(),
             added,
             drained,
-            token,
-            conn_id,
-        });
+            reply,
+        }));
     }
 
     /// All shards acked: restore moved sessions on their new owners, swap
-    /// the ring, retire a drained worker, reply.
-    fn finish_rebalance(
-        &mut self,
-        new_ring: Arc<Ring>,
-        moved: Vec<SessionState>,
-        added: Option<usize>,
-        drained: Option<usize>,
-        token: Token,
-        conn_id: u64,
-    ) {
-        let moved_count = moved.len();
-        for state in moved {
-            let owner = new_ring.owner(&state.key);
+    /// the ring, retire a drained worker, reply. Lines held back in their
+    /// connections' buffers route by the new ring from the next sweep on,
+    /// behind the restores enqueued here.
+    fn finish_rebalance(&mut self, done: Rebalance) {
+        let moved_count = done.moved.len();
+        for state in done.moved {
+            let owner = done.new_ring.owner(&state.key);
             if let Some(Some(slot)) = self.shards.get(owner) {
                 slot.handle.queue.push_control(ShardMsg::Restore {
                     state: Box::new(state),
                 });
             }
         }
-        self.ring = new_ring;
+        self.ring = done.new_ring;
         self.rebalances += 1;
         self.sessions_moved += moved_count as u64;
-        obs::inc!("gateway.rebalance.completed");
-        if let Some(index) = drained {
+        if let Some(index) = done.drained {
             // The drained worker has handed off every session; retire it.
             if let Some(slot) = self.shards.get_mut(index).and_then(Option::take) {
                 slot.handle.queue.push_control(ShardMsg::Shutdown);
                 slot.handle.queue.close();
                 self.retired.push(slot.handle);
             }
-            self.reply_to(token, conn_id, &format!("OK {moved_count}\n"));
         }
-        if let Some(index) = added {
-            self.reply_to(token, conn_id, &format!("OK {index}\n"));
-        }
-        // parked traffic now flows via sweep_parked (ring already swapped,
-        // restores already enqueued ahead of it in the new owners' queues)
+        // ADDSHARD answers the new shard's index, DRAINSHARD what it moved
+        let answer = done.added.unwrap_or(moved_count);
+        self.reply_to(done.reply, &format!("OK {answer}\n"));
     }
 
-    fn start_drain(&mut self, tenant: Option<String>, token: Token, conn_id: u64, shutdown: bool) {
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0;
-        for &i in self.ring.shards() {
-            if let Some(Some(slot)) = self.shards.get(i) {
-                slot.handle.queue.push_control(ShardMsg::Drain {
-                    tenant: tenant.clone(),
-                    ack: tx.clone(),
-                });
-                expected += 1;
-            }
-        }
+    fn start_drain(&mut self, tenant: Option<String>, reply: ReplyTo, shutdown: bool) {
+        let acks = self.broadcast(|ack| ShardMsg::Drain {
+            tenant: tenant.clone(),
+            ack,
+        });
         self.active = Some(ControlOp::Drain {
-            rx,
-            expected,
-            received: 0,
+            acks,
             finished: 0,
-            token,
-            conn_id,
+            reply,
             shutdown,
         });
     }
@@ -1035,24 +878,23 @@ impl Gateway {
     // helpers
     // ------------------------------------------------------------------
 
-    /// Take the connection out of slot `token` if it is still generation
-    /// `conn_id` (not closed, its token not reused). The caller puts it
-    /// back.
-    fn take_conn(&mut self, token: Token, conn_id: u64) -> Option<Conn> {
-        let slot = self.conns.get_mut(token)?;
-        if slot.as_ref()?.id != conn_id {
+    /// Take the connection `reply` names out of its slot, if it is still
+    /// there. The caller puts it back.
+    fn take_conn(&mut self, reply: ReplyTo) -> Option<Conn> {
+        let slot = self.conns.get_mut(reply.token)?;
+        if slot.as_ref()?.id != reply.conn_id {
             return None;
         }
         slot.take()
     }
 
-    /// Write a reply if the connection (same generation) is still open.
-    /// A peer found gone is reaped by its next turn in the sweep.
-    fn reply_to(&mut self, token: Token, conn_id: u64, text: &str) {
-        if let Some(mut conn) = self.take_conn(token, conn_id) {
+    /// Write a reply if the connection is still open. A peer found gone is
+    /// reaped by its next turn in the sweep.
+    fn reply_to(&mut self, reply: ReplyTo, text: &str) {
+        if let Some(mut conn) = self.take_conn(reply) {
             conn.reply(text);
             self.flush_conn(&mut conn);
-            self.conns[token] = Some(conn);
+            self.conns[reply.token] = Some(conn);
         }
     }
 
@@ -1060,7 +902,6 @@ impl Gateway {
     /// is replied; the line counts as dealt with.
     fn protocol_error(&mut self) -> bool {
         self.protocol_errors += 1;
-        obs::inc!("gateway.protocol_errors");
         true
     }
 
@@ -1081,10 +922,7 @@ impl Gateway {
             .enumerate()
             .filter_map(|(i, slot)| {
                 let h = &slot.as_ref()?.handle;
-                let mut s = h.metrics.snapshot(i, h.queue.len());
-                // the queue owns the authoritative drop counter
-                s.dropped = h.queue.dropped();
-                Some(s)
+                Some(h.metrics.snapshot(i, h.queue.len(), h.queue.dropped()))
             })
             .collect();
         let per_tenant: Vec<_> = self
@@ -1102,11 +940,7 @@ impl Gateway {
         let retired: Vec<_> = self
             .retired
             .iter()
-            .map(|h| {
-                let mut s = h.metrics.snapshot(usize::MAX, 0);
-                s.dropped = h.queue.dropped();
-                s
-            })
+            .map(|h| h.metrics.snapshot(usize::MAX, 0, h.queue.dropped()))
             .collect();
         let total = |f: fn(&ShardSnapshot) -> u64| -> u64 {
             per_shard.iter().map(f).sum::<u64>() + retired.iter().map(f).sum::<u64>()
@@ -1132,129 +966,108 @@ impl Gateway {
         }
     }
 
-    /// Render gateway state (plus the process-wide obs registry) in
-    /// Prometheus text exposition format, for the `METRICS` verb.
+    /// The `METRICS` reply: the snapshot `STATS` serialises, as Prometheus
+    /// families (so the two verbs cannot disagree), the per-shard
+    /// feed-latency histograms, then the process-wide obs registry. The
+    /// text format itself lives in `obs`.
     fn render_metrics(&self) -> String {
-        use std::fmt::Write;
+        use obs::MetricKind::{Counter, Gauge, Histogram};
         let stats = self.stats();
+        let totals = [
+            ("intellog_serve_ingested_total", Counter, stats.ingested),
+            ("intellog_serve_dropped_total", Counter, stats.dropped),
+            (
+                "intellog_serve_online_anomalies_total",
+                Counter,
+                stats.online_anomalies,
+            ),
+            (
+                "intellog_serve_reports_completed_total",
+                Counter,
+                stats.reports_completed,
+            ),
+            (
+                "intellog_serve_reports_problematic_total",
+                Counter,
+                stats.reports_problematic,
+            ),
+            (
+                "intellog_serve_protocol_errors_total",
+                Counter,
+                stats.protocol_errors,
+            ),
+            (
+                "intellog_gateway_connections_total",
+                Counter,
+                stats.connections_total,
+            ),
+            (
+                "intellog_gateway_rebalances_total",
+                Counter,
+                stats.rebalances,
+            ),
+            (
+                "intellog_gateway_sessions_moved_total",
+                Counter,
+                stats.sessions_moved,
+            ),
+            (
+                "intellog_gateway_loop_busy_us_total",
+                Counter,
+                stats.loop_busy_us,
+            ),
+            (
+                "intellog_gateway_connections_open",
+                Gauge,
+                stats.connections_open,
+            ),
+            ("intellog_serve_sessions_live", Gauge, stats.sessions_live),
+        ];
+        let per_shard: [Family<ShardSnapshot>; 2] = [
+            ("intellog_serve_queue_len", Gauge, |s| s.queue_len as u64),
+            ("intellog_serve_shard_busy_us_total", Counter, |s| s.busy_us),
+        ];
+        let per_tenant: [Family<TenantSnapshot>; 5] = [
+            ("intellog_tenant_lines_total", Counter, |t| t.lines),
+            ("intellog_tenant_sessions_live", Gauge, |t| t.sessions_live),
+            ("intellog_tenant_online_anomalies_total", Counter, |t| {
+                t.online_anomalies
+            }),
+            ("intellog_tenant_model_version", Gauge, |t| t.model_version),
+            ("intellog_tenant_reloads_total", Counter, |t| t.reloads),
+        ];
         let mut out = String::new();
-        let mut counter = |name: &str, v: u64| {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        counter("intellog_serve_ingested_total", stats.ingested);
-        counter("intellog_serve_dropped_total", stats.dropped);
-        counter(
-            "intellog_serve_online_anomalies_total",
-            stats.online_anomalies,
-        );
-        counter(
-            "intellog_serve_reports_completed_total",
-            stats.reports_completed,
-        );
-        counter(
-            "intellog_serve_reports_problematic_total",
-            stats.reports_problematic,
-        );
-        counter(
-            "intellog_serve_protocol_errors_total",
-            stats.protocol_errors,
-        );
-        counter(
-            "intellog_gateway_connections_total",
-            stats.connections_total,
-        );
-        counter("intellog_gateway_rebalances_total", stats.rebalances);
-        counter(
-            "intellog_gateway_sessions_moved_total",
-            stats.sessions_moved,
-        );
-        counter("intellog_gateway_loop_busy_us_total", stats.loop_busy_us);
-        let _ = writeln!(out, "# TYPE intellog_gateway_connections_open gauge");
-        let _ = writeln!(
-            out,
-            "intellog_gateway_connections_open {}",
-            stats.connections_open
-        );
-        let _ = writeln!(out, "# TYPE intellog_serve_sessions_live gauge");
-        let _ = writeln!(out, "intellog_serve_sessions_live {}", stats.sessions_live);
-        let _ = writeln!(out, "# TYPE intellog_serve_queue_len gauge");
-        for s in &stats.per_shard {
-            let _ = writeln!(
-                out,
-                "intellog_serve_queue_len{{shard=\"{}\"}} {}",
-                s.shard, s.queue_len
-            );
+        for (family, kind, value) in totals {
+            obs::render_series(&mut out, family, kind, &[("", value)]);
         }
-        let _ = writeln!(out, "# TYPE intellog_serve_shard_busy_us_total counter");
-        for s in &stats.per_shard {
-            let _ = writeln!(
-                out,
-                "intellog_serve_shard_busy_us_total{{shard=\"{}\"}} {}",
-                s.shard, s.busy_us
-            );
+        for (family, kind, read) in per_shard {
+            let shards = stats.per_shard.iter();
+            let samples: Vec<_> = shards
+                .map(|s| (format!("shard=\"{}\"", s.shard), read(s)))
+                .collect();
+            obs::render_series(&mut out, family, kind, &samples);
         }
-        // Per-tenant breakdowns: sessions, verdicts, reloads.
-        let _ = writeln!(out, "# TYPE intellog_tenant_lines_total counter");
-        for t in &stats.per_tenant {
-            let _ = writeln!(
-                out,
-                "intellog_tenant_lines_total{{tenant=\"{}\"}} {}",
-                t.tenant, t.lines
-            );
+        for (family, kind, read) in per_tenant {
+            let tenants = stats.per_tenant.iter();
+            let samples: Vec<_> = tenants
+                .map(|t| (format!("tenant=\"{}\"", t.tenant), read(t)))
+                .collect();
+            obs::render_series(&mut out, family, kind, &samples);
         }
-        let _ = writeln!(out, "# TYPE intellog_tenant_sessions_live gauge");
-        for t in &stats.per_tenant {
-            let _ = writeln!(
-                out,
-                "intellog_tenant_sessions_live{{tenant=\"{}\"}} {}",
-                t.tenant, t.sessions_live
-            );
-        }
-        let _ = writeln!(out, "# TYPE intellog_tenant_online_anomalies_total counter");
-        for t in &stats.per_tenant {
-            let _ = writeln!(
-                out,
-                "intellog_tenant_online_anomalies_total{{tenant=\"{}\"}} {}",
-                t.tenant, t.online_anomalies
-            );
-        }
-        let _ = writeln!(out, "# TYPE intellog_tenant_model_version gauge");
-        for t in &stats.per_tenant {
-            let _ = writeln!(
-                out,
-                "intellog_tenant_model_version{{tenant=\"{}\"}} {}",
-                t.tenant, t.model_version
-            );
-        }
-        let _ = writeln!(out, "# TYPE intellog_tenant_reloads_total counter");
-        for t in &stats.per_tenant {
-            let _ = writeln!(
-                out,
-                "intellog_tenant_reloads_total{{tenant=\"{}\"}} {}",
-                t.tenant, t.reloads
-            );
-        }
-        let _ = writeln!(out, "# TYPE intellog_serve_anomalies_by_kind counter");
-        for (kind, n) in &stats.anomalies_by_kind {
-            let _ = writeln!(
-                out,
-                "intellog_serve_anomalies_by_kind{{kind=\"{kind}\"}} {n}"
-            );
-        }
-        // Per-shard feed-latency histograms: one family, one series per
-        // shard, through the obs registry's own histogram exposition.
-        let _ = writeln!(out, "# TYPE intellog_serve_feed_latency_us histogram");
+        let family = "intellog_serve_anomalies_by_kind";
+        let by_kind = stats.anomalies_by_kind.iter();
+        let samples: Vec<_> = by_kind
+            .map(|(kind, n)| (format!("kind=\"{kind}\""), *n))
+            .collect();
+        obs::render_series(&mut out, family, Counter, &samples);
+        // One histogram family, one series per shard.
+        let family = "intellog_serve_feed_latency_us";
+        obs::render_series::<&str>(&mut out, family, Histogram, &[]);
         for (i, slot) in self.shards.iter().enumerate() {
             let Some(slot) = slot else { continue };
             let h = &slot.handle.metrics.feed_latency;
-            obs::render_histogram_series(
-                &mut out,
-                "intellog_serve_feed_latency_us",
-                &format!("shard=\"{i}\""),
-                &h.bucket_counts(),
-                h.sum_us(),
-            );
+            let labels = format!("shard=\"{i}\"");
+            obs::render_histogram_series(&mut out, family, &labels, &h.bucket_counts(), h.sum_us());
         }
         // Pipeline-stage metrics (spell/lognlp/extract/hwgraph/anomaly)
         // recorded by the gated macros while detectors ran in this process.
@@ -1262,6 +1075,10 @@ impl Gateway {
         out
     }
 }
+
+/// A labelled `METRICS` family: its name, its kind, and how one series'
+/// sample is read off a `T`.
+type Family<T> = (&'static str, obs::MetricKind, fn(&T) -> u64);
 
 /// Spawn one shard worker with a fresh queue and metrics; its drain and
 /// rebalance acks wake the loop's idle gate.

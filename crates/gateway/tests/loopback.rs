@@ -48,6 +48,8 @@ fn replay_matches_offline_via(
     connections: usize,
     adapter: Option<AdapterKind>,
 ) {
+    // as `intellog serve` runs: the gated obs counters land in `METRICS` too
+    obs::enable();
     let detector = Arc::new(anomaly::Trainer::default().train(&train_sessions(system, 2, 42)));
     let gateway = Gateway::bind(&gateway_config(), Arc::clone(&detector)).expect("bind");
     let (addr, join) = gateway.spawn().expect("spawn gateway");
@@ -98,7 +100,8 @@ fn replay_matches_offline_via(
 }
 
 /// `METRICS` on a multi-shard gateway is valid Prometheus text: one `TYPE`
-/// line per family, none missing, and the totals agree with `STATS`.
+/// line per family, none missing, each event counted under one family, and
+/// the totals agree with `STATS`.
 fn assert_valid_exposition(text: &str, ingested: u64) {
     let mut families = std::collections::BTreeSet::new();
     for line in text.lines() {
@@ -106,6 +109,22 @@ fn assert_valid_exposition(text: &str, ingested: u64) {
             let family = rest.split(' ').next().expect("a family name");
             assert!(families.insert(family), "second TYPE line for {family}");
         }
+    }
+    // One set of books: what `STATS` counts has no second, gated counter.
+    for (event, spellings) in [
+        (
+            "connections accepted",
+            &["connections_total", "connections_accepted"][..],
+        ),
+        ("protocol errors", &["protocol_errors"]),
+        ("rebalances", &["rebalances_total", "rebalance_completed"]),
+        ("sessions moved", &["sessions_moved"]),
+    ] {
+        let under: Vec<_> = families
+            .iter()
+            .filter(|f| spellings.iter().any(|s| f.contains(s)))
+            .collect();
+        assert_eq!(under.len(), 1, "{event} exposed as {under:?}");
     }
     let (mut total, mut shard_counts) = (None, Vec::new());
     for line in text.lines().filter(|l| !l.starts_with('#')) {

@@ -170,78 +170,13 @@ fn is_ipv4(text: &str) -> bool {
 /// punctuation that is part of an identifier, path, number or `host:port`
 /// token is preserved. A trailing `.`/`,`/`;`/`!`/`?` on an ordinary word is
 /// stripped silently (log sentences often end with a period).
+///
+/// The splitting itself is [`crate::raw::tokenize_spans`] — the one
+/// tokeniser; this is its spans as owned, shape-classified tokens.
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut out = Vec::with_capacity(text.len() / 5 + 1);
-    for raw in text.split_whitespace() {
-        let mut chunk = raw;
-        // Strip matched leading brackets/quotes.
-        while let Some(first) = chunk.chars().next() {
-            if matches!(first, '[' | '(' | '{' | '"' | '\'' | '<') {
-                out.push(Token::new(first.to_string()));
-                chunk = &chunk[first.len_utf8()..];
-            } else {
-                break;
-            }
-        }
-        // Strip trailing closers and sentence punctuation.
-        let mut sentence_period = false;
-        while let Some(last) = chunk.chars().next_back() {
-            if matches!(
-                last,
-                ']' | ')' | '}' | '"' | '\'' | '>' | ',' | ';' | '!' | '?'
-            ) {
-                // Dropped commas/brackets are deliberately not re-emitted as
-                // tokens: they carry no semantic payload for Intel Key
-                // extraction, and dropping them keeps log-key token positions
-                // aligned with sample-message token positions.
-                chunk = &chunk[..chunk.len() - last.len_utf8()];
-            } else if last == '.'
-                && chunk.len() > 1
-                && !chunk.starts_with('/')
-                && !chunk.starts_with("hdfs:")
-            {
-                // A trailing period is sentence punctuation (numbers and
-                // versions never *end* in '.'; inside paths it may be a file
-                // suffix). Sentence periods ARE re-emitted as "." tokens:
-                // multi-clause log keys are split on them for operation
-                // extraction.
-                chunk = &chunk[..chunk.len() - 1];
-                sentence_period = true;
-                break;
-            } else if last == ':' && !is_host_port(chunk) {
-                // A colon that is not part of host:port is punctuation.
-                chunk = &chunk[..chunk.len() - 1];
-                break;
-            } else {
-                break;
-            }
-        }
-        if !chunk.is_empty() {
-            // `key=value` fields split into three tokens so the constant key
-            // part survives log-key extraction ("FILE_BYTES_READ=2264" →
-            // "FILE_BYTES_READ", "=", "2264"); '=' inside paths/URLs is left
-            // alone.
-            if chunk.contains('=') && !chunk.starts_with('/') && !chunk.contains("://") {
-                let mut rest = chunk;
-                while let Some(eq) = rest.find('=') {
-                    if eq > 0 {
-                        out.push(Token::new(&rest[..eq]));
-                    }
-                    out.push(Token::new("="));
-                    rest = &rest[eq + 1..];
-                }
-                if !rest.is_empty() {
-                    out.push(Token::new(rest));
-                }
-            } else {
-                out.push(Token::new(chunk));
-            }
-        }
-        if sentence_period {
-            out.push(Token::new("."));
-        }
-    }
-    out
+    let mut spans = Vec::with_capacity(text.len() / 5 + 1);
+    crate::raw::tokenize_spans(text, &mut spans);
+    spans.iter().map(|s| Token::new(s.of(text))).collect()
 }
 
 /// Render a token sequence back to a canonical space-separated string.

@@ -1,16 +1,17 @@
-//! Property-based equivalence of the zero-copy span tokeniser
-//! (`lognlp::raw::tokenize_spans`) against the owning tokeniser
-//! (`lognlp::tokenize`) it mirrors.
+//! Properties of the span tokeniser (`lognlp::raw::tokenize_spans`) that
+//! hold of spans alone.
 //!
-//! The span tokeniser is the entry point of the zero-alloc ingest path
-//! (DESIGN.md §13): a divergence here would change key founding,
-//! refinement and matching silently, so the contract is checked over
-//! adversarial log-line material — bracket/quote nests, trailing
-//! punctuation runs, `key=value` chains, paths, URLs, host:port tokens
-//! and multibyte text — not just the shapes dlasim happens to emit.
+//! It is the only splitting loop — `lognlp::tokenize` and
+//! `spell::tokenize_message` copy its spans out — and the entry point of
+//! the zero-alloc ingest path (DESIGN.md §13), so what it splits is
+//! specified by `token.rs`'s concrete cases; here the spans themselves are
+//! checked over adversarial log-line material — bracket/quote nests,
+//! trailing punctuation runs, `key=value` chains, paths, URLs, host:port
+//! tokens, multibyte text and arbitrary UTF-8 — not just the shapes dlasim
+//! happens to emit.
 
 use lognlp::raw::tokenize_spans;
-use lognlp::{tokenize, Span};
+use lognlp::Span;
 use proptest::prelude::*;
 
 /// Token material biased toward the tokeniser's special cases.
@@ -56,31 +57,46 @@ fn line_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(chunk_strategy(), 0..12).prop_map(|ws| ws.join(" "))
 }
 
-proptest! {
-    /// For every line, resolving the spans against the input yields
-    /// exactly the token texts `tokenize` produces, in the same order.
-    #[test]
-    fn spans_mirror_tokenize(line in line_strategy()) {
-        let want: Vec<String> = tokenize(&line).into_iter().map(|t| t.text).collect();
-        let mut spans: Vec<Span> = Vec::new();
-        tokenize_spans(&line, &mut spans);
-        let got: Vec<&str> = spans.iter().map(|s| s.of(&line)).collect();
-        prop_assert_eq!(got, want, "span divergence on {:?}", line);
-    }
+/// Arbitrary UTF-8, half of it ASCII so that the punctuation the
+/// tokeniser strips meets multibyte neighbours.
+fn utf8_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(prop_oneof![0u32..128, 0u32..0x11_0000], 0..48)
+        .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+}
 
-    /// Spans are well-formed views of the line: non-empty, in-bounds, on
-    /// char boundaries, and non-decreasing in start offset (tokens are
-    /// emitted left to right; only the re-emitted sentence period may
-    /// point back before a following token's start).
+/// Spans are well-formed views of the line: non-empty, in bounds, on char
+/// boundaries, and in order without overlap (tokens are emitted left to
+/// right; a re-emitted sentence period sits right behind its chunk).
+fn assert_well_formed(line: &str, spans: &[Span]) -> Result<(), String> {
+    let mut end = 0;
+    for s in spans {
+        prop_assert!(s.start < s.end, "empty span in {:?}", line);
+        prop_assert!(end <= s.start, "spans out of order in {:?}", line);
+        prop_assert!((s.end as usize) <= line.len());
+        prop_assert!(line.is_char_boundary(s.start as usize));
+        prop_assert!(line.is_char_boundary(s.end as usize));
+        end = s.end;
+    }
+    Ok(())
+}
+
+proptest! {
     #[test]
     fn spans_are_well_formed(line in line_strategy()) {
         let mut spans: Vec<Span> = Vec::new();
         tokenize_spans(&line, &mut spans);
+        assert_well_formed(&line, &spans)?;
+    }
+
+    /// Total: no input panics the tokeniser or yields a span that cannot
+    /// be resolved against it.
+    #[test]
+    fn arbitrary_utf8_yields_well_formed_spans(line in utf8_strategy()) {
+        let mut spans: Vec<Span> = Vec::new();
+        tokenize_spans(&line, &mut spans);
+        assert_well_formed(&line, &spans)?;
         for s in &spans {
-            prop_assert!(s.start < s.end, "empty span in {:?}", line);
-            prop_assert!((s.end as usize) <= line.len());
-            prop_assert!(line.is_char_boundary(s.start as usize));
-            prop_assert!(line.is_char_boundary(s.end as usize));
+            prop_assert!(!s.of(&line).contains(char::is_whitespace));
         }
     }
 
@@ -91,8 +107,8 @@ proptest! {
         let mut spans: Vec<Span> = Vec::new();
         tokenize_spans(&a, &mut spans);
         tokenize_spans(&b, &mut spans);
-        let want: Vec<String> = tokenize(&b).into_iter().map(|t| t.text).collect();
-        let got: Vec<&str> = spans.iter().map(|s| s.of(&b)).collect();
-        prop_assert_eq!(got, want);
+        let mut fresh: Vec<Span> = Vec::new();
+        tokenize_spans(&b, &mut fresh);
+        prop_assert_eq!(spans, fresh);
     }
 }

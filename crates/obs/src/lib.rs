@@ -39,8 +39,8 @@ mod span;
 mod trace;
 
 pub use metrics::{
-    render_histogram_series, Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot,
-    Registry, HISTOGRAM_BUCKETS,
+    render_histogram_series, render_series, Counter, Gauge, Histogram, HistogramSnapshot,
+    MetricKind, MetricSnapshot, Registry, HISTOGRAM_BUCKETS,
 };
 pub use span::SpanGuard;
 pub use trace::{clear_trace, emit_event, flush_trace, set_trace_path, trace_active};

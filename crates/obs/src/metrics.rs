@@ -365,31 +365,65 @@ pub(crate) fn prometheus_name(name: &str) -> String {
 }
 
 fn render_metric(out: &mut String, m: &MetricSnapshot) {
-    use std::fmt::Write;
+    let family = prometheus_name(m.name());
     match m {
-        MetricSnapshot::Counter { name, value } => {
-            let p = prometheus_name(name);
-            let _ = writeln!(out, "# TYPE {p} counter");
-            let _ = writeln!(out, "{p} {value}");
+        MetricSnapshot::Counter { value, .. } => {
+            render_series(out, &family, MetricKind::Counter, &[("", *value)]);
         }
-        MetricSnapshot::Gauge { name, value } => {
-            let p = prometheus_name(name);
-            let _ = writeln!(out, "# TYPE {p} gauge");
-            let _ = writeln!(out, "{p} {value}");
+        MetricSnapshot::Gauge { value, .. } => {
+            render_series(out, &family, MetricKind::Gauge, &[("", *value)]);
         }
-        MetricSnapshot::Histogram { name, hist } => {
-            let p = prometheus_name(name);
-            let _ = writeln!(out, "# TYPE {p} histogram");
-            render_histogram_series(out, &p, "", &hist.buckets, hist.sum_us);
+        MetricSnapshot::Histogram { hist, .. } => {
+            render_series::<&str>(out, &family, MetricKind::Histogram, &[]);
+            render_histogram_series(out, &family, "", &hist.buckets, hist.sum_us);
         }
+    }
+}
+
+/// What a family's `# TYPE` line calls it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Monotonic count.
+    Counter,
+    /// Instantaneous value.
+    Gauge,
+    /// Bucketed distribution.
+    Histogram,
+}
+
+/// One metric family in Prometheus text exposition format — the only
+/// place the format's `# TYPE` line is written: that line, then one
+/// `family{labels} value` line per sample. `family` is the
+/// already-sanitised name; a sample's label text comes without braces
+/// (`shard="0"`) and is empty for a family of one series. A histogram
+/// family passes no samples and follows with one
+/// [`render_histogram_series`] per series.
+pub fn render_series<L: AsRef<str>>(
+    out: &mut String,
+    family: &str,
+    kind: MetricKind,
+    samples: &[(L, u64)],
+) {
+    use std::fmt::Write;
+    let kind = match kind {
+        MetricKind::Counter => "counter",
+        MetricKind::Gauge => "gauge",
+        MetricKind::Histogram => "histogram",
+    };
+    let _ = writeln!(out, "# TYPE {family} {kind}");
+    for (labels, value) in samples {
+        let _ = match labels.as_ref() {
+            "" => writeln!(out, "{family} {value}"),
+            labels => writeln!(out, "{family}{{{labels}}} {value}"),
+        };
     }
 }
 
 /// The sample lines of one histogram series — cumulative `_bucket`s,
 /// `+Inf`, `_sum`, `_count` — under the already-sanitised family name.
 /// `labels` is the series' label text without braces (`shard="0"`, or
-/// empty); the caller writes the family's one `# TYPE` line, so several
-/// labelled series can share it.
+/// empty); the family's one `# TYPE` line comes from [`render_series`], so
+/// several labelled series can share it.
 pub fn render_histogram_series(
     out: &mut String,
     family: &str,
@@ -558,6 +592,14 @@ mod tests {
         assert!(text.contains("intellog_span_anomaly_detect_us_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("intellog_span_anomaly_detect_us_count 3"));
         assert!(text.contains("intellog_span_anomaly_detect_us_sum 106"));
+        // one family, one `TYPE` line, a series per label text
+        let mut family = String::new();
+        let samples = [("shard=\"0\"", 1), ("shard=\"1\"", 2)];
+        render_series(&mut family, "f", MetricKind::Gauge, &samples);
+        assert_eq!(
+            family,
+            "# TYPE f gauge\nf{shard=\"0\"} 1\nf{shard=\"1\"} 2\n"
+        );
         // the same series under a label: `le` joins it, `_sum`/`_count` carry it
         let mut labelled = String::new();
         render_histogram_series(&mut labelled, "f", "shard=\"2\"", &h.bucket_counts(), 106);

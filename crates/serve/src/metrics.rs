@@ -19,8 +19,6 @@ use sync::atomic::{AtomicU64, Ordering};
 pub struct ShardMetrics {
     /// Log lines fed into a session's `StreamState`.
     pub ingested: AtomicU64,
-    /// Log lines dropped by the backpressure policy before processing.
-    pub dropped: AtomicU64,
     /// Online anomalies (unexpected messages) surfaced by `feed`.
     pub online_anomalies: AtomicU64,
     /// Sessions ever opened on this shard.
@@ -72,11 +70,13 @@ pub struct ShardSnapshot {
 impl ShardMetrics {
     /// Snapshot the counters (relaxed loads; values are monotonic per
     /// counter but not mutually consistent — fine for monitoring).
-    pub fn snapshot(&self, shard: usize, queue_len: usize) -> ShardSnapshot {
+    /// `queue_len` and `dropped` are read off the shard's queue, which owns
+    /// both.
+    pub fn snapshot(&self, shard: usize, queue_len: usize, dropped: u64) -> ShardSnapshot {
         ShardSnapshot {
             shard,
             ingested: self.ingested.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
+            dropped,
             online_anomalies: self.online_anomalies.load(Ordering::Relaxed),
             sessions_live: self.sessions_live.load(Ordering::Relaxed),
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
@@ -196,8 +196,9 @@ mod tests {
         let m = ShardMetrics::default();
         m.ingested.store(7, Ordering::Relaxed);
         m.sessions_live.store(2, Ordering::Relaxed);
-        let s = m.snapshot(3, 11);
+        let s = m.snapshot(3, 11, 5);
         assert_eq!(s.shard, 3);
+        assert_eq!(s.dropped, 5);
         assert_eq!(s.ingested, 7);
         assert_eq!(s.sessions_live, 2);
         assert_eq!(s.queue_len, 11);

@@ -169,11 +169,6 @@ impl Ring {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Virtual nodes per shard.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
 }
 
 #[cfg(test)]

@@ -328,7 +328,6 @@ fn run_shard(
                             moved.push(s);
                         }
                     }
-                    obs::add!("gateway.rebalance.sessions_moved", moved.len() as u64);
                     let _ = ack.send(moved);
                     ack_waker();
                 }
@@ -339,9 +338,9 @@ fn run_shard(
                             e.insert(*state);
                         }
                         std::collections::hash_map::Entry::Occupied(_) => {
-                            // Cannot happen under the gateway's parking
-                            // protocol (no line for a moved key is routed
-                            // until the restore lands), but if it ever
+                            // Cannot happen while the gateway holds a moved
+                            // key's lines back in their connection until
+                            // the restore is enqueued, but if it ever
                             // does, close the restored state rather than
                             // silently dropping its verdicts.
                             obs::inc!("gateway.rebalance.restore_conflicts");

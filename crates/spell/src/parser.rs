@@ -40,16 +40,18 @@ use crate::lcs::{lcs_len_wild_ids, positional_matches_wild_ids};
 use lognlp::Span;
 use serde::{Content, DeError, Deserialize, Serialize};
 
-/// Tokenise a log message body for Spell.
+/// Tokenise a log message body for Spell: the spans of
+/// [`lognlp::tokenize_spans`] as owned strings.
 ///
-/// Delegates to [`lognlp::tokenize`] so that key-token positions stay
-/// aligned with the positions the NLP layer sees when it tags a key through
-/// its sample message.
+/// [`lognlp::tokenize`] is the same spans with a shape classified per
+/// token, so key-token positions stay aligned with the positions the NLP
+/// layer sees when it tags a key through its sample message.
 pub fn tokenize_message(message: &str) -> Vec<String> {
-    lognlp::tokenize(message)
-        .into_iter()
-        .map(|t| t.text)
-        .collect()
+    crate::scratch::with_line(|line| {
+        lognlp::tokenize_spans(message, &mut line.spans);
+        let texts = line.spans.iter().map(|s| s.of(message).to_string());
+        texts.collect()
+    })
 }
 
 /// Result of feeding one message to the parser.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI-gated concurrency-invariant linter (DESIGN.md §11).
 
-Six rules over the workspace's Rust sources:
+Seven rules over the workspace's Rust sources:
 
   R1  raw-sync     `std::sync` / `std::thread` are forbidden outside the
                    facade (`crates/sync/`) and the vendored dependency
@@ -37,6 +37,12 @@ Six rules over the workspace's Rust sources:
                    `format!(`, `Box::new(`, `with_capacity(`. Escape per
                    site with `// lint: allow(alloc)` plus a reason (a
                    path that is rare by construction).
+  R7  exposition   the literal `# TYPE ` may appear in non-test Rust only
+                   under `crates/obs/`: the Prometheus text format lives in
+                   one module (`obs::render_series`), and whoever exposes
+                   metrics hands it families instead of writing the text
+                   again. Test directories and `#[cfg(test)]` tails, which
+                   parse the format to check it, are exempt.
 
 Escape hatch: a `// lint: allow(<rule>)` comment on the offending line or
 within the 5 lines above suppresses that rule there (used exactly once in
@@ -111,21 +117,28 @@ R6_PATTERN = re.compile(
 INGEST_BEGIN = re.compile(r"//\s*lint:\s*ingest-hot\(begin\)")
 INGEST_END = re.compile(r"//\s*lint:\s*ingest-hot\(end\)")
 
+# R7: the one crate that may spell the exposition format.
+EXPOSITION_HOME = "crates/obs/"
+EXPOSITION_LITERAL = "# TYPE "
+
 ALLOW = re.compile(r"//\s*lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 LOOKBACK = 5  # lines of grace for SAFETY comments and allow markers
 
 
-def strip_noncode(line: str) -> str:
+def strip_noncode(line: str, keep_strings: bool = False) -> str:
     """Remove string literals and line comments so tokens inside them
     (e.g. the word "unsafe" in lognlp's lexicon word list, or `std::sync`
     in a doc comment) don't trip the rules. Block comments are handled
-    coarsely per line, which is adequate for this tree's style."""
+    coarsely per line, which is adequate for this tree's style. With
+    `keep_strings` only the comments go (R7 looks for a string literal)."""
     out = []
     i, n = 0, len(line)
     in_str = False
     while i < n:
         c = line[i]
         if in_str:
+            if keep_strings:
+                out.append(line[i:i + 2] if c == "\\" else c)
             if c == "\\":
                 i += 2
                 continue
@@ -135,7 +148,8 @@ def strip_noncode(line: str) -> str:
             continue
         if c == '"':
             in_str = True
-            out.append('""')  # keep a placeholder so offsets stay sane
+            # dropped literals leave a placeholder so offsets stay sane
+            out.append('"' if keep_strings else '""')
             i += 1
             continue
         if c == "'" and i + 2 < n and line[i + 2] == "'":
@@ -189,10 +203,15 @@ def lint_file(path: Path, relpath: str, violations: list[str]) -> None:
     raw_sync_ok = vendored or any(relpath.startswith(w) for w in RAW_SYNC_WHITELIST)
     raw_net_ok = vendored or relpath in RAW_NET_WHITELIST
 
-    # R4 only applies outside the conventional `#[cfg(test)]` tail.
+    # R4 and R7 only apply outside the conventional `#[cfg(test)]` tail.
     r4_active = relpath in R4_MODULES
+    r7_active = not (
+        vendored
+        or relpath.startswith(EXPOSITION_HOME)
+        or "tests" in Path(relpath).parts
+    )
     test_tail_start = len(lines)
-    if r4_active:
+    if r4_active or r7_active:
         for i, line in enumerate(lines):
             if line.strip().startswith("#[cfg(test)]"):
                 test_tail_start = i
@@ -208,6 +227,17 @@ def lint_file(path: Path, relpath: str, violations: list[str]) -> None:
         if INGEST_END.search(raw):
             in_hot = False
             continue
+        if (
+            r7_active
+            and i < test_tail_start
+            and EXPOSITION_LITERAL in raw
+            and EXPOSITION_LITERAL in strip_noncode(raw, keep_strings=True)
+            and not allowed(lines, i, "exposition")
+        ):
+            violations.append(
+                f"{relpath}:{i + 1}: [exposition] Prometheus text written "
+                "outside crates/obs — hand `obs::render_series` the family"
+            )
         code = strip_noncode(raw)
         if not code.strip():
             continue
@@ -490,6 +520,33 @@ def self_test() -> int:
             "fn open_session(sessions: &mut Sessions, key: &str) {\n"
             "    sessions.insert(key.to_string(), SessionState::new(key));\n"
             "}\n",
+            False,
+        ),
+        "exposition fires on Prometheus text outside obs": (
+            "crates/gateway/src/server.rs",
+            "fn render(out: &mut String, v: u64) {\n"
+            '    let _ = writeln!(out, "# TYPE intellog_x counter\\nintellog_x {v}");\n'
+            "}\n",
+            True,
+        ),
+        "exposition allows the format's home crate": (
+            "crates/obs/src/metrics.rs",
+            "fn render(out: &mut String, family: &str) {\n"
+            '    let _ = writeln!(out, "# TYPE {family} counter");\n'
+            "}\n",
+            False,
+        ),
+        "exposition spares tests that parse the format": (
+            "crates/gateway/tests/loopback.rs",
+            'fn family(l: &str) -> Option<&str> { l.strip_prefix("# TYPE ") }\n',
+            False,
+        ),
+        "exposition spares a #[cfg(test)] tail and a doc comment": (
+            "crates/gateway/src/metrics_doc.rs",
+            "/// One `# TYPE ` line per family.\n"
+            "fn f() {}\n"
+            "#[cfg(test)]\n"
+            'mod tests { fn g(t: &str) -> bool { t.contains("# TYPE ") } }\n',
             False,
         ),
         "alloc ignores patterns in comments and strings": (

@@ -18,7 +18,7 @@
 mod cliargs;
 
 use cliargs::FlagSet;
-use intellog::anomaly::{Detector, JobReport, Trainer};
+use intellog::anomaly::{Detector, Trainer};
 use intellog::core::{render_session, IntelLog};
 use intellog::dlasim::{FaultKind, SystemKind};
 use intellog::lognlp::format::AdapterKind;
@@ -68,7 +68,7 @@ const USAGE: &str = "usage:
   intellog serve  --model MODEL.ilm [--addr HOST:PORT] [--shards N] [--queue-cap N]
                   [--backpressure block|drop-newest|drop-oldest] [--idle-timeout-ms N]
                   [--ring-cap N] [--sink FILE.jsonl] [--addr-file PATH]
-                  [--tenant NAME] [--tenant-model NAME=MODEL.ilm]... [--vnodes N]
+                  [--tenant NAME] [--tenant-model NAME=MODEL.ilm]...
   intellog replay --model MODEL.ilm --addr HOST:PORT [--system spark|mapreduce|tez|tensorflow]
                   [--jobs N] [--seed N] [--hosts N] [--rate LINES_PER_S]
                   [--fault session-kill|network-failure|node-failure]
@@ -263,12 +263,12 @@ fn load_model(model: Option<String>) -> Result<Detector, String> {
 fn cmd_detect(args: &[String]) -> Result<(), String> {
     let mut flags = FlagSet::new(args);
     let obs_out = obs_setup(&mut flags)?;
-    let detector = load_model(flags.value("--model"))?;
+    let il = IntelLog::from_detector(load_model(flags.value("--model"))?);
     let json = flags.bool("--json");
     let format = flags.value("--format");
     let files = flags.finish();
     let sessions = read_sessions(&files, format)?;
-    let report: JobReport = detector.detect_job(&sessions);
+    let report = il.detect_job(&sessions);
     if json {
         // machine-readable: one SessionReport JSON object per line, the
         // same shape the serve anomaly sink writes
@@ -295,14 +295,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         report.problematic_count(),
         report.total_count()
     );
-    let entities: Vec<String> = detector
-        .graph
-        .groups
-        .iter()
-        .flat_map(|g| g.entities.iter().cloned())
-        .collect();
-    let diag = intellog::anomaly::diagnose(&report, &entities);
-    print!("{}", diag.render());
+    print!("{}", il.diagnose(&report).render());
     obs_out.finish()
 }
 
@@ -338,7 +331,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .filter(|v| !v.is_empty())
             .map(PathBuf::from),
         default_tenant: default_tenant.clone(),
-        vnodes: flags.parse("--vnodes", intellog_serve::DEFAULT_VNODES)?,
     };
     let addr_file = flags.value("--addr-file").filter(|v| !v.is_empty());
     let extra = flags.finish();

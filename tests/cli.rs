@@ -3,6 +3,7 @@
 //! story (IntelLog consumes only log files).
 
 use intellog::dlasim::{self, FaultKind, FaultPlan, JobConfig, RawFormat, SystemKind};
+use intellog::spell::{LogLine, Session};
 use std::path::Path;
 use std::process::Command;
 
@@ -136,6 +137,26 @@ fn cli_train_graph_detect_roundtrip() {
         reports.iter().any(|r| r.is_problematic()),
         "fault must surface in --json output"
     );
+    // The CLI detects in parallel; its output is the sequential reference's,
+    // line for line, over the same files read the same way.
+    let detector = intellog::serve::ModelStore::load(&model).expect("load the model");
+    let adapter = intellog::lognlp::format::AdapterKind::Spark.adapter();
+    let sessions: Vec<Session> = detect_files
+        .iter()
+        .map(|f| {
+            let text = std::fs::read_to_string(f).expect("read a log file back");
+            let records = text.lines().filter_map(|l| adapter.parse_record(l).ok());
+            let id = Path::new(f).file_stem().expect("a file stem");
+            Session::new(id.to_string_lossy(), records.map(LogLine::from).collect())
+        })
+        .collect();
+    let reference: Vec<String> = detector
+        .detect_job(&sessions)
+        .sessions
+        .iter()
+        .map(|r| serde_json::to_string(r).expect("a report serialises"))
+        .collect();
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), reference);
 
     std::fs::remove_dir_all(&dir).ok();
 }
