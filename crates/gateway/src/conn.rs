@@ -58,7 +58,8 @@ pub struct Conn {
     /// full (Block policy), or a rebalance in flight is moving its session.
     /// While set, nothing more is read from this connection — its socket
     /// fills and TCP flow control pushes back on the client — and the
-    /// line is tried again every sweep.
+    /// line is tried again every sweep; whatever it waits for (queue room,
+    /// the rebalance's acks) wakes the loop for that sweep.
     pub blocked: bool,
     /// A `LOAD` running in the background for this connection. While set,
     /// no further input is parsed, so replies stay in request order.
@@ -148,6 +149,17 @@ impl Conn {
     /// retried).
     pub fn paused(&self) -> bool {
         self.awaiting_load || self.closing
+    }
+
+    /// Whether the sweep reads this connection's socket — and therefore
+    /// whether the loop's sleep watches it for readability. One predicate
+    /// for both: a socket watched but not read would end every sleep at
+    /// once and be left as it was (a busy spin), so it stays out while a
+    /// line is held back (`blocked`), while parsing is paused, and for good
+    /// once the peer has closed its side (`eof`: a half-closed socket reads
+    /// as ready for ever).
+    pub fn reading(&self) -> bool {
+        !(self.blocked || self.paused() || self.eof)
     }
 
     /// Queue reply bytes (actual socket writes happen in the sweep).

@@ -3,15 +3,26 @@
 //!
 //! Design invariants (DESIGN.md §12):
 //!
-//! * **The loop never blocks.** It is every shard queue's only producer,
-//!   so the free room it reads off a queue (`ShardQueue::room`) can only
-//!   grow until it pushes: a batch sized by it is admitted without
-//!   waiting. When a queue has no room the line stays in its connection's
-//!   buffer, reading that connection stops (TCP backpressure does the
-//!   blocking, in the kernel, per client) and the line is tried again next
-//!   sweep. Disk I/O (`LOAD`) runs on background threads; their
-//!   completions and all shard acks arrive over channels polled with
-//!   `try_recv`, each followed by a wake of the idle gate.
+//! * **The loop blocks in one place, and only with nothing to do.** A
+//!   sweep that did work is followed by another; one that did none by
+//!   `Poller::wait` — a `poll(2)` over the listener, the wake descriptor
+//!   and the connections the sweep would act on (`Conn::reading` decides
+//!   the read set, unsent reply bytes the write set) — which returns the
+//!   moment any of them is ready. No timer, no back-off: whatever can make
+//!   the next sweep find work ends the sleep itself. Sockets do so by
+//!   being in the set; everything off the loop thread does so through the
+//!   idle gate (`wake.rs`): `LOAD` completions and shard acks, which
+//!   arrive over channels polled with `try_recv`, and queue room. For the
+//!   loop never waits *on a queue* either: it is every shard queue's only
+//!   producer, so the free room it reads off a queue (`ShardQueue::room`)
+//!   can only grow until it pushes, and a batch sized by it is admitted
+//!   without waiting. When a queue has no room the line stays in its
+//!   connection's buffer, reading that connection stops (TCP backpressure
+//!   does the blocking, in the kernel, per client), the loop marks the
+//!   queue "room wanted", reads `room()` once more, and only then gives
+//!   up; the shard that next drains a marked queue wakes the gate, and
+//!   the line is tried again. Disk I/O (`LOAD`) runs on background
+//!   threads.
 //! * **Lines travel in per-sweep batches.** One connection's turn in the
 //!   sweep appends every `LOG` line to its shard's open [`LineBatch`] and
 //!   pushes each batch with one queue operation when the turn ends —
@@ -36,7 +47,9 @@
 //!   (see `serve::registry`), so no verdict straddles two versions.
 
 use crate::conn::{Conn, MAX_READ_BUFFER, MAX_WRITE_BUFFER};
-use crate::poll::{Poller, ReadOutcome, SocketAddr, Token, WriteOutcome};
+use crate::poll::{
+    AcceptFailure, AcceptOutcome, Poller, ReadOutcome, SocketAddr, Token, WriteOutcome,
+};
 use crate::wake::IdleGate;
 use anomaly::Detector;
 use intellog_serve::{
@@ -224,6 +237,14 @@ pub struct Gateway {
     connections_total: u64,
     /// Wall time inside sweeps that did work.
     loop_busy: Duration,
+    /// Times the loop went to sleep.
+    loop_waits: u64,
+    /// `accept` failures survived.
+    accept_errors: u64,
+    /// The last `accept` found no descriptor or memory for the connection
+    /// at the head of the backlog: the listener stays readable, so the next
+    /// wait leaves it out (the sweep after it tries again).
+    accept_stalled: bool,
     protocol_errors: u64,
     rebalances: u64,
     sessions_moved: u64,
@@ -250,7 +271,7 @@ impl Gateway {
             cfg.ring_capacity,
             cfg.sink_path.as_deref(),
         )?);
-        let gate = Arc::new(IdleGate::new());
+        let gate = Arc::new(IdleGate::new(poller.kicker()?));
         let n = cfg.shards.max(1);
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
@@ -277,6 +298,9 @@ impl Gateway {
             connections_open: 0,
             connections_total: 0,
             loop_busy: Duration::ZERO,
+            loop_waits: 0,
+            accept_errors: 0,
+            accept_stalled: false,
             protocol_errors: 0,
             rebalances: 0,
             sessions_moved: 0,
@@ -294,33 +318,12 @@ impl Gateway {
         Arc::clone(&self.registry)
     }
 
-    /// Run the event loop until a `SHUTDOWN` drain completes, then join
-    /// every shard worker and return.
+    /// Run the event loop until a `SHUTDOWN` drain completes — or the
+    /// listener or the wait fails for good, which is the `Err` — then, either
+    /// way, flush what replies can be flushed, stop and join every shard
+    /// worker, and return.
     pub fn run(mut self) -> std::io::Result<()> {
-        let mut idle_streak: u32 = 0;
-        while !self.shutdown {
-            let started = Instant::now();
-            let mut worked = false;
-            worked |= self.sweep_accept()?;
-            worked |= self.sweep_conns();
-            worked |= self.sweep_loads();
-            worked |= self.sweep_control();
-            if worked {
-                self.loop_busy += started.elapsed();
-                idle_streak = 0;
-            } else {
-                // Adaptive backoff: brief spin for latency, then park on
-                // the gate so an idle gateway costs ~zero CPU. Capped low
-                // enough that a ready socket waits at most ~2ms.
-                idle_streak = idle_streak.saturating_add(1);
-                if idle_streak > 8 {
-                    let us = (1u64 << idle_streak.min(16)).min(2000);
-                    self.gate.wait(Duration::from_micros(us));
-                }
-            }
-        }
-        // Graceful exit: best-effort flush of buffered replies, then stop
-        // the workers.
+        let result = self.serve();
         for token in 0..self.conns.len() {
             if let Some(mut conn) = self.conns[token].take() {
                 self.flush_conn(&mut conn);
@@ -333,6 +336,34 @@ impl Gateway {
         let live = self.shards.drain(..).flatten().map(|slot| slot.handle);
         for h in live.chain(self.retired.drain(..)) {
             h.join();
+        }
+        result
+    }
+
+    /// Sweep while sweeps find work; sleep when one does not.
+    fn serve(&mut self) -> std::io::Result<()> {
+        while !self.shutdown {
+            let started = Instant::now();
+            let mut worked = self.sweep_accept()?;
+            worked |= self.sweep_conns();
+            worked |= self.sweep_loads();
+            worked |= self.sweep_control();
+            if worked {
+                self.loop_busy += started.elapsed();
+                continue;
+            }
+            self.loop_waits += 1;
+            let interests = self
+                .conns
+                .iter()
+                .flatten()
+                .map(|c| (c.token, c.reading(), !c.unsent().is_empty()));
+            // A kick is consumed by the wait and its flag cleared here,
+            // before the sweep that looks for the work — never after it
+            // (`wake.rs`).
+            if self.poller.wait(!self.accept_stalled, interests, None)? {
+                self.gate.clear();
+            }
         }
         Ok(())
     }
@@ -353,11 +384,15 @@ impl Gateway {
     // sweep stages
     // ------------------------------------------------------------------
 
+    /// Accept whatever waits in the backlog. Only a broken listener is an
+    /// error; a connection that died in the backlog, or one there is no
+    /// descriptor for right now, is counted and survived.
     fn sweep_accept(&mut self) -> std::io::Result<bool> {
         let mut worked = false;
+        self.accept_stalled = false;
         loop {
             match self.poller.accept() {
-                Ok(Some(token)) => {
+                AcceptOutcome::Accepted(token) => {
                     let id = self.next_conn_id;
                     self.next_conn_id += 1;
                     if self.conns.len() <= token {
@@ -368,8 +403,19 @@ impl Gateway {
                     self.connections_total += 1;
                     worked = true;
                 }
-                Ok(None) => return Ok(worked),
-                Err(e) => return Err(e),
+                AcceptOutcome::WouldBlock => return Ok(worked),
+                AcceptOutcome::Failed(failure, e) => {
+                    self.accept_errors += 1;
+                    match failure {
+                        // it left the backlog; the next one may be fine
+                        AcceptFailure::Connection => worked = true,
+                        AcceptFailure::Stalled => {
+                            self.accept_stalled = true;
+                            return Ok(worked);
+                        }
+                        AcceptFailure::Fatal => return Err(e),
+                    }
+                }
             }
         }
     }
@@ -408,7 +454,7 @@ impl Gateway {
     /// Pull bytes off one socket, straight into the connection's receive
     /// buffer: one read per sweep, of at most `READ_QUANTUM` bytes.
     fn read_conn(&mut self, conn: &mut Conn) -> bool {
-        if conn.blocked || conn.paused() || conn.eof {
+        if !conn.reading() {
             return false;
         }
         match self.poller.read(conn.token, conn.read_space()) {
@@ -704,9 +750,18 @@ impl Gateway {
         let open = match open {
             Some(open) => open,
             None => {
-                let room = queue.room();
+                let mut room = queue.room();
                 if room == 0 {
-                    return false;
+                    // The line is about to be held back and its connection
+                    // left out of the sleep's read set: only the shard can
+                    // say when to try again, and only if asked *before* the
+                    // look that decides — a drain between the first look and
+                    // the mark saw no mark (`ShardQueue::want_room`).
+                    queue.want_room();
+                    room = queue.room();
+                    if room == 0 {
+                        return false;
+                    }
                 }
                 // An even share of what the turn has left to parse, capped:
                 // a batch that outgrows it doubles once or twice, while
@@ -960,6 +1015,8 @@ impl Gateway {
             rebalances: self.rebalances,
             sessions_moved: self.sessions_moved,
             loop_busy_us: self.loop_busy.as_micros() as u64,
+            loop_waits: self.loop_waits,
+            accept_errors: self.accept_errors,
             anomalies_by_kind: self.sink.anomalies_by_kind(),
             per_shard,
             per_tenant,
@@ -1015,6 +1072,16 @@ impl Gateway {
                 "intellog_gateway_loop_busy_us_total",
                 Counter,
                 stats.loop_busy_us,
+            ),
+            (
+                "intellog_gateway_loop_waits_total",
+                Counter,
+                stats.loop_waits,
+            ),
+            (
+                "intellog_gateway_accept_errors_total",
+                Counter,
+                stats.accept_errors,
             ),
             (
                 "intellog_gateway_connections_open",
@@ -1081,7 +1148,8 @@ impl Gateway {
 type Family<T> = (&'static str, obs::MetricKind, fn(&T) -> u64);
 
 /// Spawn one shard worker with a fresh queue and metrics; its drain and
-/// rebalance acks wake the loop's idle gate.
+/// rebalance acks, and its draining a queue the loop wants room in, wake
+/// the loop's idle gate.
 fn spawn_shard(
     cfg: &GatewayConfig,
     index: usize,

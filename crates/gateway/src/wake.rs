@@ -1,94 +1,129 @@
-//! The idle gate: how background threads wake a parked event loop.
+//! The idle gate: how other threads end the event loop's sleep.
 //!
-//! The readiness sweep parks here when a full pass found no work. Anything
-//! that creates work off the loop thread calls [`IdleGate::wake`] *after*
-//! the work is visible to the loop, so the loop re-sweeps immediately
-//! instead of eating the backoff latency: the `LOAD` thread once its
-//! result is in the completion channel, and every shard worker right
-//! after it sends a `Drain`/`Rebalance` ack (the gateway hands its shards
-//! the gate as their `AckWaker`), which is what a `DRAIN`, `DRAINSHARD`,
-//! `ADDSHARD` or `SHUTDOWN` reply waits for. A socket becoming readable
-//! does *not* wake the gate — there is no `poll(2)` under the sweep — so a
-//! parked loop still notices new bytes only when its back-off (≤ 2 ms)
-//! runs out.
+//! The loop sleeps in one place — `Poller::wait`, a `poll(2)` over its
+//! sockets and one wake descriptor — and sockets wake it by themselves.
+//! Work that appears *off* the loop thread does not: a finished `LOAD` in
+//! the completion channel, a shard's `Drain`/`Rebalance` ack, room in a
+//! shard queue a connection is waiting for. Whoever creates such work calls
+//! [`IdleGate::wake`] *after* the work is visible to the loop (the gateway
+//! hands its shards the gate as their `AckWaker`), and the gate kicks the
+//! wake descriptor — one byte on a socket pair the poll core owns, which
+//! ends the same sleep a readable client socket ends.
 //!
-//! This is the classic missed-wakeup shape (flag + condvar), so the
-//! protocol is deliberately minimal and is model-checked in
-//! `tests/model_check.rs`: `wake` sets the flag *under the lock* before
-//! notifying, and `wait` consumes the flag under the same lock, so a wake
-//! that races a not-yet-parked loop is never lost — the next `wait`
-//! returns immediately.
+//! The kick is guarded by an atomic `pending` flag so a burst of wakes costs
+//! one byte, and so the protocol can be stated — and model-checked, in
+//! `tests/model_check.rs`, with a condition variable standing in for the
+//! descriptor behind the `kick` closure — without a socket in sight:
+//!
+//! * **waker:** publish the work; `pending.swap(true)`; if it was `false`,
+//!   kick.
+//! * **loop:** sleep until kicked (or a socket is ready); consume the kick
+//!   (the poll core drains the byte); [`IdleGate::clear`] — `pending
+//!   .swap(false)`; *then* sweep, consuming the work.
+//!
+//! Why a wake is never lost: a waker that finds `pending` already `true`
+//! skips the kick, so it must be certain the loop has yet to look. It is —
+//! its `swap` comes before the loop's clearing `swap` in the flag's
+//! modification order (it read `true`, which only a clear overwrites), the
+//! two read-modify-writes synchronise, and the sweep comes after the clear:
+//! the sweep sees the work. A waker that comes after the clear reads
+//! `false` and kicks; the byte sits in the pair until the next sleep, which
+//! returns at once. Clearing *after* the sweep breaks exactly this — a
+//! waker between the sweep's look and the clear is told "a wake is already
+//! pending" when the look it was promised has already happened — and the
+//! checker reports that variant as a forced timeout. Consuming the kick
+//! *after* the clear breaks it the other way: a kick that lands between the
+//! two is drained while its flag stays `true`, and every later waker skips
+//! its kick for good. Hence the one order: consume, clear, sweep.
 
-use std::time::Duration;
-use sync::{Condvar, Mutex};
+use sync::atomic::{AtomicBool, Ordering};
 
-/// A one-slot wake flag with a bounded wait.
+/// A coalescing wake flag in front of a kick.
 pub struct IdleGate {
-    pending: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Default for IdleGate {
-    fn default() -> IdleGate {
-        IdleGate::new()
-    }
+    pending: AtomicBool,
+    kick: Box<dyn Fn() + Send + Sync>,
 }
 
 impl IdleGate {
-    /// A gate with no wake pending.
-    pub fn new() -> IdleGate {
+    /// A gate with no wake pending whose kick is `kick`: whatever makes the
+    /// loop's sleep return (`Poller::kicker` in the gateway).
+    pub fn new(kick: impl Fn() + Send + Sync + 'static) -> IdleGate {
         IdleGate {
-            pending: Mutex::new(false),
-            cv: Condvar::new(),
+            pending: AtomicBool::new(false),
+            kick: Box::new(kick),
         }
     }
 
-    /// Signal the loop: work exists. Callable from any thread; coalesces
-    /// (many wakes before the next wait count as one).
+    /// Signal the loop: work exists. Callable from any thread, after the
+    /// work is visible; coalesces (many wakes before the loop's next
+    /// [`IdleGate::clear`] kick once).
     pub fn wake(&self) {
-        let mut pending = self.pending.lock();
-        *pending = true;
-        drop(pending);
-        self.cv.notify_one();
+        if !self.pending.swap(true, Ordering::SeqCst) {
+            (self.kick)();
+        }
     }
 
-    /// Park until woken or `timeout` elapses. Returns `true` if a wake
-    /// was consumed (including one that arrived before the call).
-    pub fn wait(&self, timeout: Duration) -> bool {
-        let mut pending = self.pending.lock();
-        if !*pending {
-            let (next, _res) = self.cv.wait_timeout(pending, timeout);
-            pending = next;
-        }
-        let woken = *pending;
-        *pending = false;
-        woken
+    /// Loop side: take the pending wake, after the kick has been consumed
+    /// and before the sweep that looks for the work. Returns whether one
+    /// was pending.
+    pub fn clear(&self) -> bool {
+        self.pending.swap(false, Ordering::SeqCst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sync::atomic::AtomicUsize;
     use sync::Arc;
 
-    #[test]
-    fn wake_before_wait_is_not_lost() {
-        let gate = IdleGate::new();
-        gate.wake();
-        gate.wake(); // coalesces
-        assert!(gate.wait(Duration::from_millis(1)));
-        assert!(!gate.wait(Duration::from_millis(1)), "flag was consumed");
+    fn counting_gate() -> (IdleGate, Arc<AtomicUsize>) {
+        let kicks = Arc::new(AtomicUsize::new(0));
+        let k = Arc::clone(&kicks);
+        let gate = IdleGate::new(move || {
+            k.fetch_add(1, Ordering::SeqCst);
+        });
+        (gate, kicks)
     }
 
     #[test]
-    fn wake_from_other_thread_unparks() {
-        let gate = Arc::new(IdleGate::new());
+    fn wakes_coalesce_into_one_kick_until_cleared() {
+        let (gate, kicks) = counting_gate();
+        assert!(!gate.clear(), "nothing pending at first");
+        gate.wake();
+        gate.wake();
+        assert_eq!(kicks.load(Ordering::SeqCst), 1);
+        assert!(gate.clear());
+        assert!(!gate.clear(), "the wake was taken");
+        gate.wake();
+        assert_eq!(
+            kicks.load(Ordering::SeqCst),
+            2,
+            "a wake after the clear kicks"
+        );
+    }
+
+    /// The real kick: a wake from another thread ends a `Poller::wait` with
+    /// no timeout, and one that came before the wait is not lost.
+    #[test]
+    fn a_wake_ends_the_pollers_sleep() {
+        let mut poller = crate::poll::Poller::bind("127.0.0.1:0").unwrap();
+        let gate = Arc::new(IdleGate::new(poller.kicker().unwrap()));
+        gate.wake();
+        assert!(poller.wait(true, std::iter::empty(), None).unwrap());
+        assert!(gate.clear());
+
         let g2 = Arc::clone(&gate);
         let waker = sync::thread::spawn(move || {
-            sync::thread::sleep(Duration::from_millis(20));
+            sync::thread::sleep(std::time::Duration::from_millis(20));
+            g2.wake();
             g2.wake();
         });
-        assert!(gate.wait(Duration::from_secs(5)));
+        assert!(poller.wait(true, std::iter::empty(), None).unwrap());
         waker.join().unwrap();
+        assert!(gate.clear());
+        // both wakes were one kick, and it was consumed
+        let brief = Some(std::time::Duration::from_millis(1));
+        assert!(!poller.wait(true, std::iter::empty(), brief).unwrap());
     }
 }

@@ -1,12 +1,14 @@
 //! Literal allocation proof for the gateway's data path: framing → router
 //! → flush allocates per *batch*, not per line, on the event-loop thread,
-//! and an idle loop allocates nothing at all.
+//! and going to sleep and being woken — the descriptor array refilled in
+//! place, the wake byte drained, a sweep over every open connection —
+//! allocates nothing at all.
 //!
 //! The binary installs a counting global allocator that counts only on a
 //! thread that asked for it. The test thread asks, then runs
 //! [`Gateway::run`] itself, so it *is* the loop thread; a client thread
 //! drives it in lock step (one write, then wait for the `PING` reply) and
-//! reads the counter between phases, while the loop is parked.
+//! reads the counter between phases, while the loop is asleep.
 
 use intellog_gateway::{Gateway, GatewayConfig};
 use intellog_serve::Backpressure;
@@ -119,57 +121,89 @@ fn write_of(from: u64) -> Vec<u8> {
     bytes
 }
 
+/// Times the loop is woken for nothing in the idle phase.
+const EMPTY_WAKES: u64 = 16;
+
 struct Measured {
     writes: u64,
     during_lines: u64,
-    while_idle: u64,
+    while_asleep_and_woken: u64,
+    sleeps: u64,
     ingested: u64,
 }
 
-fn drive(addr: String) -> Measured {
-    let mut stream = TcpStream::connect(&addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut round_trip = |bytes: &[u8]| {
-        stream.write_all(bytes).expect("write");
+/// The connection that talks, in lock step.
+struct Wire {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Wire {
+    fn round_trip(&mut self, bytes: &[u8]) -> String {
+        self.stream.write_all(bytes).expect("write");
         let mut reply = String::new();
-        reader.read_line(&mut reply).expect("reply");
+        self.reader.read_line(&mut reply).expect("reply");
         reply
-    };
+    }
+
+    fn stats(&mut self) -> intellog_serve::StatsSnapshot {
+        assert_eq!(self.round_trip(b"STATS\n"), "OK 1\n");
+        let mut json = String::new();
+        self.reader.read_line(&mut json).expect("STATS body");
+        serde_json::from_str(&json).expect("STATS json")
+    }
+}
+
+fn drive(addr: String) -> Measured {
+    // open and silent throughout: the sleep's descriptor array has more in
+    // it than the one connection that talks
+    let _silent: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut wire = Wire { stream, reader };
     // Warm-up: every session opens, and the connection's buffers, the
     // router's key scratch and the reply buffer reach their working size.
     for w in 0..2 * SESSIONS / LINES_PER_WRITE {
-        assert_eq!(round_trip(&write_of(w * LINES_PER_WRITE)), "OK 0\n");
+        assert_eq!(wire.round_trip(&write_of(w * LINES_PER_WRITE)), "OK 0\n");
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let writes = LINES / LINES_PER_WRITE;
     for w in 0..writes {
-        assert_eq!(round_trip(&write_of(1000 + w * LINES_PER_WRITE)), "OK 0\n");
+        let bytes = write_of(1000 + w * LINES_PER_WRITE);
+        assert_eq!(wire.round_trip(&bytes), "OK 0\n");
     }
     let after_lines = ALLOCATIONS.load(Ordering::Relaxed);
-    // long enough for the loop to run out of back-off and sweep idle a
-    // few dozen times
-    sync::thread::sleep(Duration::from_millis(100));
-    let after_idle = ALLOCATIONS.load(Ordering::Relaxed);
 
-    assert_eq!(round_trip(b"DRAIN\n"), format!("OK {SESSIONS}\n"));
-    let stats = round_trip(b"STATS\n");
-    assert_eq!(stats, "OK 1\n");
-    let mut json = String::new();
-    reader.read_line(&mut json).expect("STATS body");
-    let stats: intellog_serve::StatsSnapshot = serde_json::from_str(&json).expect("STATS json");
-    stream.write_all(b"SHUTDOWN\n").expect("SHUTDOWN");
+    // Sleep-and-wake cycles: an empty line is read, framed, and asks for
+    // nothing — the loop wakes, sweeps every connection, finds no more
+    // work, refills the descriptor array and sleeps again.
+    let sleeps_before = wire.stats().loop_waits;
+    let asleep = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..EMPTY_WAKES {
+        wire.stream.write_all(b"\n").expect("an empty line");
+        sync::thread::sleep(Duration::from_millis(5));
+    }
+    let woken = ALLOCATIONS.load(Ordering::Relaxed);
+    let sleeps = wire.stats().loop_waits - sleeps_before;
+
+    assert_eq!(wire.round_trip(b"DRAIN\n"), format!("OK {SESSIONS}\n"));
+    let ingested = wire.stats().ingested;
+    wire.stream.write_all(b"SHUTDOWN\n").expect("SHUTDOWN");
     Measured {
         writes,
         during_lines: after_lines - before,
-        while_idle: after_idle - after_lines,
-        ingested: stats.ingested,
+        while_asleep_and_woken: woken - asleep,
+        sleeps,
+        ingested,
     }
 }
 
 #[test]
-fn the_loop_allocates_per_batch_not_per_line_and_nothing_when_idle() {
+fn the_loop_allocates_per_batch_not_per_line_and_nothing_to_sleep_and_wake() {
     let cfg = GatewayConfig {
         shards: SHARDS,
         backpressure: Backpressure::Block,
@@ -199,5 +233,14 @@ fn the_loop_allocates_per_batch_not_per_line_and_nothing_when_idle() {
         "the counter must see the loop thread ({} allocations)",
         m.during_lines
     );
-    assert_eq!(m.while_idle, 0, "an idle loop allocates nothing");
+    assert!(
+        m.sleeps >= EMPTY_WAKES,
+        "the idle phase must hold sleep-and-wake cycles ({} sleeps)",
+        m.sleeps
+    );
+    assert_eq!(
+        m.while_asleep_and_woken, 0,
+        "{} sleep-and-wake cycles allocated",
+        m.sleeps
+    );
 }

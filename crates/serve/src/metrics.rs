@@ -179,6 +179,13 @@ pub struct StatsSnapshot {
     pub sessions_moved: u64,
     /// Wall time (µs) the event loop spent inside sweeps that did work.
     pub loop_busy_us: u64,
+    /// Times the event loop went to sleep (a sweep found nothing to do).
+    /// An idle gateway's count stands still; one that climbs without
+    /// traffic is a loop something keeps waking for nothing.
+    pub loop_waits: u64,
+    /// `accept` failures survived: connections that died in the backlog,
+    /// and attempts refused for lack of descriptors or memory.
+    pub accept_errors: u64,
     /// Anomaly counts by kind across all completed reports.
     pub anomalies_by_kind: std::collections::BTreeMap<String, u64>,
     /// Per-shard detail.

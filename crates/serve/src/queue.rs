@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::str::FromStr;
 use std::time::Duration;
-use sync::atomic::{AtomicU64, Ordering};
+use sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use sync::{Condvar, Mutex};
 
 /// What to do when a shard queue is full.
@@ -142,6 +142,9 @@ pub struct ShardQueue<T> {
     capacity: usize,
     policy: Backpressure,
     dropped: AtomicU64,
+    /// The producer found no room and will not look again unasked (see
+    /// [`ShardQueue::want_room`]).
+    room_wanted: AtomicBool,
 }
 
 impl<T> ShardQueue<T> {
@@ -160,6 +163,7 @@ impl<T> ShardQueue<T> {
             capacity: capacity.max(1),
             policy,
             dropped: AtomicU64::new(0),
+            room_wanted: AtomicBool::new(false),
         }
     }
 
@@ -227,6 +231,29 @@ impl<T> ShardQueue<T> {
             Backpressure::Block => self.capacity.saturating_sub(self.inner.lock().lines),
             Backpressure::DropNewest | Backpressure::DropOldest => self.capacity,
         }
+    }
+
+    /// Ask to be told when room frees up: the consumer that next drains the
+    /// queue finds the mark ([`ShardQueue::take_room_wanted`]) and wakes the
+    /// producer. For a producer that found `room() == 0` and is about to
+    /// sleep somewhere this queue cannot reach — the gateway's event loop,
+    /// asleep in `poll(2)` with the starved connection left out of its read
+    /// set. The order is the protocol: read [`ShardQueue::room`], mark,
+    /// **read `room()` again**, and only then give up. A drain that slipped
+    /// in between the first read and the mark saw no mark and wakes nobody;
+    /// the second read is what catches it (`room()` and the drain take the
+    /// same lock, so either the drain comes first and the re-read sees its
+    /// room, or the re-read comes first and the drain sees the mark —
+    /// `tests/model_check.rs` runs both orders, and the variant without the
+    /// re-read, which hangs).
+    pub fn want_room(&self) {
+        self.room_wanted.store(true, Ordering::SeqCst);
+    }
+
+    /// Consumer side of [`ShardQueue::want_room`]: test and clear the mark,
+    /// *after* the drain that freed the room. `true`: wake the producer.
+    pub fn take_room_wanted(&self) -> bool {
+        self.room_wanted.swap(false, Ordering::SeqCst)
     }
 
     /// Enqueue a control message, ignoring capacity and policy. Control
@@ -393,6 +420,25 @@ mod tests {
                 assert!(q.dropped() > 0, "{policy:?} must have shed something");
             }
         }
+    }
+
+    #[test]
+    fn a_room_request_is_handed_over_once() {
+        let q = ShardQueue::new(2, Backpressure::Block);
+        assert!(!q.take_room_wanted(), "nobody asked");
+        q.push_weighted("ab", 2);
+        assert_eq!(q.room(), 0);
+        q.want_room();
+        q.want_room(); // coalesces
+        assert_eq!(q.room(), 0, "the re-read: still full, the producer sleeps");
+        let mut batch = VecDeque::new();
+        assert_eq!(q.drain_timeout(Duration::ZERO, &mut batch), 1);
+        assert!(
+            q.take_room_wanted(),
+            "the drain after the mark hands it over"
+        );
+        assert!(!q.take_room_wanted(), "once");
+        assert_eq!(q.room(), 2);
     }
 
     #[test]

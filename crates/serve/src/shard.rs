@@ -179,9 +179,11 @@ pub enum ShardMsg {
     Shutdown,
 }
 
-/// Called by a shard right after it sends a `Drain`/`Rebalance` ack, so
-/// whoever polls the ack channel (the gateway's parked event loop) looks
-/// again at once instead of waiting out its back-off.
+/// How a shard tells a sleeping producer to look again. Called right
+/// after a `Drain`/`Rebalance` ack is in its channel, and right after a
+/// drain of the queue when the producer had asked for room
+/// ([`ShardQueue::want_room`]) — the two things the gateway's event loop,
+/// asleep in `poll(2)`, cannot see for itself.
 pub type AckWaker = Arc<dyn Fn() + Send + Sync>;
 
 /// One shard: its queue, its metrics, and its worker thread.
@@ -196,9 +198,9 @@ pub struct ShardHandle {
 }
 
 impl ShardHandle {
-    /// Spawn a shard worker whose acks wake nobody (the receiver blocks on
-    /// the ack channel itself). Fails only if the OS refuses the thread;
-    /// the caller decides whether that is fatal.
+    /// Spawn a shard worker that wakes nobody (the receiver blocks on the
+    /// ack channel itself, the producer inside `push`). Fails only if the OS
+    /// refuses the thread; the caller decides whether that is fatal.
     pub fn spawn(
         index: usize,
         queue: Arc<ShardQueue<ShardMsg>>,
@@ -209,8 +211,7 @@ impl ShardHandle {
         ShardHandle::spawn_with_waker(index, queue, metrics, sink, idle_timeout, Arc::new(|| {}))
     }
 
-    /// [`ShardHandle::spawn`] with a waker the worker calls after every
-    /// `Drain`/`Rebalance` ack is in its channel.
+    /// [`ShardHandle::spawn`] with the [`AckWaker`] the worker calls.
     pub fn spawn_with_waker(
         index: usize,
         queue: Arc<ShardQueue<ShardMsg>>,
@@ -269,6 +270,10 @@ fn run_shard(
     let mut shutdown = false;
     loop {
         queue.drain_timeout(tick, &mut drained);
+        // drain first, then test the mark: the order `want_room` relies on
+        if queue.take_room_wanted() {
+            ack_waker();
+        }
         let started = Instant::now();
         for msg in drained.drain(..) {
             match msg {

@@ -19,13 +19,17 @@ struct SinkInner {
     /// filtered per tenant; the JSONL file keeps the plain
     /// `SessionReport` shape shared with `intellog detect --json`.
     ring: VecDeque<(String, SessionReport)>,
-    file: Option<std::io::BufWriter<std::fs::File>>,
     anomalies_by_kind: BTreeMap<&'static str, u64>,
 }
 
 /// Bounded in-memory ring + optional JSONL file of session reports.
 pub struct AnomalySink {
     inner: Mutex<SinkInner>,
+    /// The JSONL file, under a lock of its own and never held together with
+    /// `inner`: a file that stalls (a full disk, a pipe nobody reads) holds
+    /// up the shards with something to write to it — not `STATS` and
+    /// `REPORTS`, which read `inner` on the gateway's loop thread.
+    file: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
     capacity: usize,
     completed: AtomicU64,
     problematic: AtomicU64,
@@ -47,9 +51,9 @@ impl AnomalySink {
         Ok(AnomalySink {
             inner: Mutex::new(SinkInner {
                 ring: VecDeque::with_capacity(capacity.min(4096)),
-                file,
                 anomalies_by_kind: BTreeMap::new(),
             }),
+            file: Mutex::new(file),
             capacity: capacity.max(1),
             completed: AtomicU64::new(0),
             problematic: AtomicU64::new(0),
@@ -59,13 +63,9 @@ impl AnomalySink {
     /// Record one completed session for `tenant`.
     pub fn push(&self, tenant: &str, report: SessionReport) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        for a in &report.anomalies {
-            *inner.anomalies_by_kind.entry(a.kind_name()).or_insert(0) += 1;
-        }
         if report.is_problematic() {
             self.problematic.fetch_add(1, Ordering::Relaxed);
-            if let Some(f) = inner.file.as_mut() {
+            if let Some(f) = self.file.lock().as_mut() {
                 // One JSON object per line; flush per report so a tailing
                 // operator (or the CI smoke test) sees it immediately.
                 if let Ok(json) = serde_json::to_string(&report) {
@@ -73,6 +73,10 @@ impl AnomalySink {
                     let _ = f.flush();
                 }
             }
+        }
+        let mut inner = self.inner.lock();
+        for a in &report.anomalies {
+            *inner.anomalies_by_kind.entry(a.kind_name()).or_insert(0) += 1;
         }
         if inner.ring.len() >= self.capacity {
             inner.ring.pop_front();

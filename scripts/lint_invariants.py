@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI-gated concurrency-invariant linter (DESIGN.md §11).
 
-Seven rules over the workspace's Rust sources:
+Eight rules over the workspace's Rust sources:
 
   R1  raw-sync     `std::sync` / `std::thread` are forbidden outside the
                    facade (`crates/sync/`) and the vendored dependency
@@ -13,18 +13,27 @@ Seven rules over the workspace's Rust sources:
                    containing `SAFETY` within the 5 preceding lines.
   R3  forbid-attr  every crate root (`crates/*/src/lib.rs`, `src/main.rs`)
                    must carry `#![forbid(unsafe_code)]` unless listed in
-                   R3_EXEMPT (only `crates/sync` would ever qualify — it
-                   carries the attribute anyway — and vendor/ is skipped).
+                   R3_EXEMPT — one entry, `crates/sync/src/lib.rs`, for the
+                   `poll(2)` wrapper the gateway's loop sleeps in. `forbid`
+                   cannot be lifted for one module, so an exempt root must
+                   carry `#![deny(unsafe_code)]` instead and its crate
+                   exactly one `allow(unsafe_code)`: one module may hold
+                   `unsafe`, the rest of the crate still cannot. vendor/ is
+                   skipped.
   R4  no-unwrap    `.unwrap()` / `.expect(` are forbidden in the serving
                    request-path modules (serve data plane + gateway event
                    loop) outside their `#[cfg(test)]` tail — a malformed
                    request must never abort a shard or the gateway.
-  R5  raw-net      `std::net` is forbidden outside the gateway's poll
-                   core (`crates/gateway/src/poll.rs`) and the blocking
-                   test/replay client (`crates/serve/src/client.rs`) —
-                   every server-side socket must go through the poller's
-                   nonblocking readiness API, where the never-block rules
-                   are enforced in one place.
+  R5  raw-net      `std::net`, `std::os::unix::net` and `std::os::fd` are
+                   forbidden outside the gateway's poll core
+                   (`crates/gateway/src/poll.rs`, which owns every server
+                   socket and the wake pair), the `poll(2)` wrapper
+                   (`crates/sync/src/poll.rs`, which takes descriptors) and
+                   the blocking test/replay client
+                   (`crates/serve/src/client.rs`) — every server-side
+                   socket must go through the poller's nonblocking
+                   readiness API, where the never-block rules and the
+                   sleep's interest rules are enforced in one place.
   R6  alloc        per-line allocation is forbidden inside declared
                    ingest-hot regions (`// lint: ingest-hot(begin)` …
                    `// lint: ingest-hot(end)`): tokenise, intern-lookup
@@ -43,6 +52,11 @@ Seven rules over the workspace's Rust sources:
                    metrics hands it families instead of writing the text
                    again. Test directories and `#[cfg(test)]` tails, which
                    parse the format to check it, are exempt.
+  R8  ffi          `extern "<abi>"` blocks and functions may appear only
+                   under `crates/sync/`: the workspace has one foreign
+                   call (`poll`, declared by link name — no `libc` crate)
+                   and the facade every blocking operation goes through
+                   is where it lives. `extern crate` is not FFI.
 
 Escape hatch: a `// lint: allow(<rule>)` comment on the offending line or
 within the 5 lines above suppresses that rule there (used exactly once in
@@ -90,15 +104,37 @@ R4_MODULES = (
 )
 R4_PATTERN = re.compile(r"\.\s*(unwrap\s*\(\s*\)|expect\s*\()")
 
-# R5: modules allowed to touch std::net directly. The poller owns every
-# nonblocking server socket; the client is the blocking caller side.
+# R5: modules allowed to touch sockets and descriptors directly. The poller
+# owns every nonblocking server socket and the wake pair; the sync module
+# wraps the system call that sleeps on their descriptors; the client is the
+# blocking caller side.
 RAW_NET_WHITELIST = (
     "crates/gateway/src/poll.rs",
+    "crates/sync/src/poll.rs",
     "crates/serve/src/client.rs",
 )
-R5_PATTERN = re.compile(r"\bstd\s*::\s*net\b")
+R5_PATTERN = re.compile(
+    r"\bstd\s*::\s*(net\b|os\s*::\s*(unix\s*::\s*net|fd)\b)"
+)
 
-R3_EXEMPT: tuple[str, ...] = ()
+# R3: crate roots that may say `deny` where the others say `forbid`.
+R3_EXEMPT: tuple[str, ...] = (
+    # The sync facade holds the workspace's only FFI and only `unsafe`: the
+    # safe wrapper over poll(2) in `crates/sync/src/poll.rs`. std can block
+    # on one socket or on a condvar, never on several sockets at once, and
+    # an event loop that cannot sleep on its sockets answers in multiples of
+    # its back-off (DESIGN.md §12). The exemption is one module wide: the
+    # root must deny, and the crate may allow once.
+    "crates/sync/src/lib.rs",
+)
+R3_DENY = "#![deny(unsafe_code)]"
+R3_ALLOW = re.compile(r"\ballow\s*\(\s*unsafe_code\s*\)")
+
+# R8: the one directory that may declare foreign items. Matched on code with
+# string literals blanked, so `extern "C"` reads `extern ""`; a bare
+# `extern {` is the C ABI too.
+FFI_HOME = "crates/sync/"
+R8_PATTERN = re.compile(r'\bextern\s*(""|\{)')
 
 # R6: allocation patterns forbidden inside `// lint: ingest-hot(begin/end)`
 # regions. `.clone()` is deliberately absent: cloning a `Copy` span or id
@@ -269,9 +305,17 @@ def lint_file(path: Path, relpath: str, violations: list[str]) -> None:
         if not raw_net_ok and R5_PATTERN.search(code):
             if not allowed(lines, i, "std-net"):
                 violations.append(
-                    f"{relpath}:{i + 1}: [raw-net] raw std::net — sockets "
-                    "belong to the gateway poll core (or the blocking "
-                    "client); use the Poller's readiness API"
+                    f"{relpath}:{i + 1}: [raw-net] raw std::net / "
+                    "std::os::unix::net / std::os::fd — sockets and "
+                    "descriptors belong to the gateway poll core (or the "
+                    "blocking client); use the Poller's readiness API"
+                )
+        if not vendored and not relpath.startswith(FFI_HOME) and R8_PATTERN.search(code):
+            if not allowed(lines, i, "ffi"):
+                violations.append(
+                    f"{relpath}:{i + 1}: [ffi] foreign items outside "
+                    "crates/sync — the workspace's one FFI call lives "
+                    "behind the sync facade"
                 )
 
 
@@ -288,6 +332,18 @@ def lint_tree(root: Path) -> list[str]:
     for r in roots:
         relpath = r.relative_to(root).as_posix()
         if relpath in R3_EXEMPT:
+            allows = sum(
+                len(R3_ALLOW.findall(strip_noncode(line)))
+                for f in sorted(r.parent.rglob("*.rs"))
+                for line in f.read_text(encoding="utf-8").splitlines()
+            )
+            if R3_DENY not in r.read_text(encoding="utf-8") or allows != 1:
+                violations.append(
+                    f"{relpath}:1: [forbid-attr] an R3_EXEMPT crate root "
+                    f"must carry {R3_DENY} and its crate exactly one "
+                    f"allow(unsafe_code) (found {allows}) — or come off the "
+                    "exempt list and forbid"
+                )
             continue
         if "#![forbid(unsafe_code)]" not in r.read_text(encoding="utf-8"):
             violations.append(
@@ -399,6 +455,31 @@ def self_test() -> int:
             "use std::net::ToSocketAddrs;\n",
             False,
         ),
+        "raw-net fires on descriptors outside the poll core": (
+            "crates/gateway/src/server.rs",
+            "use std::os::fd::AsRawFd;\n",
+            True,
+        ),
+        "raw-net fires on unix sockets outside the poll core": (
+            "crates/gateway/src/wake.rs",
+            "use std::os::unix::net::UnixStream;\n",
+            True,
+        ),
+        "raw-net whitelists the poll core for the wake pair": (
+            "crates/gateway/src/poll.rs",
+            "use std::os::fd::AsRawFd;\nuse std::os::unix::net::UnixStream;\n",
+            False,
+        ),
+        "raw-net whitelists the poll(2) wrapper": (
+            "crates/sync/src/poll.rs",
+            "use std::os::fd::RawFd;\n",
+            False,
+        ),
+        "raw-net leaves the rest of std::os alone": (
+            "crates/serve/src/store.rs",
+            "use std::os::unix::fs::PermissionsExt;\n",
+            False,
+        ),
         "no-unwrap covers the gateway event loop": (
             "crates/gateway/src/conn.rs",
             "fn f(s: &str) { s.parse::<u8>().unwrap(); }\n",
@@ -412,6 +493,48 @@ def self_test() -> int:
         "forbid-attr accepts the attribute": (
             "crates/fake/src/lib.rs",
             "#![forbid(unsafe_code)]\npub fn f() {}\n",
+            False,
+        ),
+        "forbid-attr lets the exempt root deny with one allow": (
+            "crates/sync/src/lib.rs",
+            "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\npub mod poll;\n",
+            False,
+        ),
+        "forbid-attr fires on an exempt root that does not deny": (
+            "crates/sync/src/lib.rs",
+            "#[allow(unsafe_code)]\npub mod poll;\n",
+            True,
+        ),
+        "forbid-attr fires on a second allow in the exempt crate": (
+            "crates/sync/src/lib.rs",
+            "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\npub mod poll;\n"
+            "#[allow(unsafe_code)]\npub mod more;\n",
+            True,
+        ),
+        "forbid-attr fires on an exempt root with nothing to exempt": (
+            "crates/sync/src/lib.rs",
+            "#![deny(unsafe_code)]\n// no module needs allow(unsafe_code) any more\n",
+            True,
+        ),
+        "ffi fires outside the sync facade": (
+            "crates/gateway/src/poll.rs",
+            'extern "C" {\n    fn poll(fds: *mut u8, n: u64, t: i32) -> i32;\n}\n',
+            True,
+        ),
+        "ffi fires on a bare extern block and an extern fn": (
+            "crates/serve/src/hook.rs",
+            'extern {\n    fn getpid() -> i32;\n}\npub extern "C" fn hook() {}\n',
+            True,
+        ),
+        "ffi allows the sync facade": (
+            "crates/sync/src/poll.rs",
+            'extern "C" {\n    fn poll(fds: *mut u8, n: u64, t: i32) -> i32;\n}\n',
+            False,
+        ),
+        "ffi ignores extern crate, comments and strings": (
+            "crates/spell/src/alloc_dep.rs",
+            'extern crate alloc;\n// extern "C" is confined to crates/sync\n'
+            'const DOC: &str = "extern { }";\n',
             False,
         ),
         "alloc fires inside an ingest-hot region": (

@@ -328,37 +328,110 @@ fn shard_worker_shutdown_always_emits_final_report() {
 // Gateway protocols: idle-gate wakeups, hot-reload leases, rebalance.
 // ---------------------------------------------------------------------
 
-/// The event loop's park/wake protocol. The loop parks on the gate only
-/// after a sweep found nothing; background threads (LOAD done, shard
-/// acks) wake it. A wake racing a not-yet-parked loop must be buffered by
-/// the flag — zero forced timeouts proves no interleaving loses it.
+/// The loop's wake descriptor as the scheduler can see it — the seam is
+/// `IdleGate`'s `kick` closure: in the gateway it writes one byte to a
+/// socket pair and the loop sleeps in `poll(2)`, which no scheduler
+/// controls; here the "byte" is a flag under a mutex and the sleep a timed
+/// condvar wait, so a sleep nobody ends shows up as a forced timeout. Like
+/// the descriptor it is level-triggered: a kick before the sleep makes the
+/// sleep return at once, and it stays readable until consumed.
+#[derive(Default)]
+struct ModelBell {
+    readable: sync::Mutex<bool>,
+    cv: sync::Condvar,
+}
+
+impl ModelBell {
+    /// A gate whose kick rings this bell.
+    fn gate(self: &Arc<ModelBell>) -> Arc<IdleGate> {
+        let bell = Arc::clone(self);
+        Arc::new(IdleGate::new(move || {
+            *bell.readable.lock() = true;
+            bell.cv.notify_one();
+        }))
+    }
+
+    /// `Poller::wait`: sleep until kicked; consume the kick.
+    fn sleep(&self) -> bool {
+        let mut readable = self.readable.lock();
+        if !*readable {
+            readable = self.cv.wait_timeout(readable, Duration::from_millis(50)).0;
+        }
+        std::mem::take(&mut *readable)
+    }
+}
+
+/// The event loop's sleep/wake protocol, in both orders. Two wakers each
+/// publish a unit of work and wake the gate; the loop sweeps (looks at the
+/// work), and when a sweep found nothing new sleeps until kicked, consumes
+/// the kick and clears the gate's flag — before its next sweep, or, in the
+/// broken variant, after it.
+fn gate_scenario(clear_after_sweep: bool) {
+    let bell = Arc::new(ModelBell::default());
+    let gate = bell.gate();
+    let work = Arc::new(AtomicUsize::new(0));
+    let wakers: Vec<_> = (0..2)
+        .map(|_| {
+            let (gate, work) = (Arc::clone(&gate), Arc::clone(&work));
+            thread::spawn(move || {
+                work.fetch_add(1, Ordering::SeqCst);
+                gate.wake();
+            })
+        })
+        .collect();
+    let (mut seen, mut kicked) = (0, false);
+    while seen < 2 {
+        // the sleep consumed the kick; its flag is cleared on one side or
+        // the other of the sweep's look at the work
+        if kicked && !clear_after_sweep {
+            gate.clear();
+        }
+        let found = work.load(Ordering::SeqCst);
+        if kicked && clear_after_sweep {
+            gate.clear();
+        }
+        kicked = found == seen && bell.sleep();
+        seen = found;
+    }
+    for w in wakers {
+        w.join().expect("waker exits");
+    }
+}
+
+/// A wake racing a loop that has not gone to sleep yet is buffered by the
+/// flag and the kick; one racing the loop's clear either synchronises with
+/// it (the sweep after the clear sees the work) or kicks again — zero
+/// forced timeouts proves no interleaving loses it.
 #[cfg(not(intellog_mutant_lost_wakeup))]
 #[test]
 fn idle_gate_wake_is_never_lost() {
-    let report = explore(&cfg(iters(1500), 300), || {
-        let gate = Arc::new(IdleGate::new());
-        let wakers: Vec<_> = (0..2)
-            .map(|_| {
-                let g = Arc::clone(&gate);
-                thread::spawn(move || g.wake())
-            })
-            .collect();
-        // the loop side: sweep until the (coalesced) wake is observed
-        while !gate.wait(Duration::from_millis(50)) {}
-        for w in wakers {
-            w.join().expect("waker exits");
-        }
-    });
+    let report = explore(&cfg(iters(1500), 300), || gate_scenario(false));
     report.assert_no_lost_wakeups();
     assert!(report.executions >= iters(1500));
 }
 
-/// A drain ack must reach a loop that is about to park. The shard sends
+/// Clearing the flag *after* the sweep loses a wake: a waker between the
+/// sweep's look and the clear finds the flag still set, skips its kick,
+/// and the loop sleeps on work it was never told about. The checker must
+/// say so.
+#[cfg(not(intellog_mutant_lost_wakeup))]
+#[test]
+fn clearing_the_gate_after_the_sweep_loses_a_wake() {
+    let report = explore(&cfg(iters(1500), 300), || gate_scenario(true));
+    report.assert_ok(); // terminates — through forced timeouts
+    assert!(
+        report.forced_timeouts > 0,
+        "clear-after-sweep must surface as forced timeouts ({} executions, 0 forced)",
+        report.executions
+    );
+}
+
+/// A drain ack must reach a loop that is about to sleep. The shard sends
 /// the ack and *then* wakes the gate; the loop polls the ack channel and
-/// parks on the gate only when it found nothing. An ack sent between the
-/// loop's last `try_recv` and its `gate.wait` is buffered by the gate's
-/// flag — zero forced timeouts proves no interleaving makes the reply
-/// wait out the back-off. (Real shard worker ⇒ DFS disabled, as above.)
+/// sleeps only when it found nothing. An ack sent between the loop's last
+/// `try_recv` and its sleep is buffered by the gate's flag and kick — zero
+/// forced timeouts proves no interleaving leaves the reply waiting for a
+/// wake that never comes. (Real shard worker ⇒ DFS disabled, as above.)
 #[cfg(not(intellog_mutant_lost_wakeup))]
 #[test]
 fn drain_ack_always_wakes_a_parking_loop() {
@@ -366,7 +439,8 @@ fn drain_ack_always_wakes_a_parking_loop() {
     let report = explore(&cfg(iters(200), 0), move || {
         let registry = TenantRegistry::new();
         let _tenant = registry.register("t", Arc::clone(&det));
-        let gate = Arc::new(IdleGate::new());
+        let bell = Arc::new(ModelBell::default());
+        let gate = bell.gate();
         let queue = Arc::new(ShardQueue::new(8, Backpressure::Block));
         let sink = Arc::new(AnomalySink::new(4, None).expect("memory-only sink"));
         let waker = Arc::clone(&gate);
@@ -381,14 +455,80 @@ fn drain_ack_always_wakes_a_parking_loop() {
         .expect("spawn shard worker");
         let (ack, acks) = sync::mpsc::channel();
         queue.push_control(ShardMsg::Drain { tenant: None, ack });
-        // the loop side: poll, park only when there is nothing
+        // the loop side: poll, sleep only when there is nothing
         while acks.try_recv().is_err() {
-            gate.wait(Duration::from_millis(50));
+            if bell.sleep() {
+                gate.clear();
+            }
         }
         queue.push_control(ShardMsg::Shutdown);
         shard.join();
     });
     report.assert_no_lost_wakeups();
+}
+
+/// The room protocol between the loop and a shard (`ShardQueue::want_room`):
+/// the loop, about to hold a line back for lack of room and sleep where the
+/// queue's condvars cannot reach it, reads `room()`, marks the queue, and —
+/// unless this is the broken variant — reads `room()` again; the shard
+/// drains, tests and clears the mark, and wakes the gate if it was set.
+fn room_scenario(reread: bool) {
+    let bell = Arc::new(ModelBell::default());
+    let gate = bell.gate();
+    let q = Arc::new(ShardQueue::new(2, Backpressure::Block));
+    q.push_weighted(2, 2); // full
+    let (q2, waker) = (Arc::clone(&q), Arc::clone(&gate));
+    let shard = thread::spawn(move || {
+        let mut batch = VecDeque::new();
+        q2.drain_timeout(Duration::from_millis(50), &mut batch);
+        if q2.take_room_wanted() {
+            waker.wake();
+        }
+    });
+    loop {
+        let mut room = q.room();
+        if room == 0 {
+            q.want_room();
+            if reread {
+                room = q.room();
+            }
+        }
+        if room > 0 {
+            q.push_weighted(1, 1);
+            break;
+        }
+        // the line is held back; only the shard's wake ends this
+        if bell.sleep() {
+            gate.clear();
+        }
+    }
+    shard.join().expect("shard exits");
+    assert_eq!((q.len(), q.dropped()), (1, 0));
+}
+
+/// Either the drain comes before the re-read, which then sees its room,
+/// or after it, and then it sees the mark: no interleaving strands the
+/// held-back line.
+#[cfg(not(intellog_mutant_lost_wakeup))]
+#[test]
+fn a_held_back_line_is_always_woken_for_room() {
+    let report = explore(&cfg(iters(1500), 300), || room_scenario(true));
+    report.assert_no_lost_wakeups();
+    assert!(report.executions >= iters(1500));
+}
+
+/// Without the re-read, a drain between the first look and the mark sees
+/// no mark and wakes nobody, and the loop sleeps beside an empty queue.
+#[cfg(not(intellog_mutant_lost_wakeup))]
+#[test]
+fn marking_room_wanted_without_looking_again_strands_the_line() {
+    let report = explore(&cfg(iters(1500), 300), || room_scenario(false));
+    report.assert_ok(); // terminates — through forced timeouts
+    assert!(
+        report.forced_timeouts > 0,
+        "mark-without-re-read must surface as forced timeouts ({} executions, 0 forced)",
+        report.executions
+    );
 }
 
 /// Hot reload under racing session opens: a swap must never tear a lease
