@@ -10,18 +10,28 @@
 //!
 //! Spell is an order-dependent stream — each message may refine the key the
 //! next one matches — so stage 1 is one sequential pass in both trainers.
-//! [`Trainer::train`] then runs the stages that are pure per key
-//! (Intel-Key extraction through the POS tagger, the natural-language
-//! check) and pure per session (writing the session's log) on rayon's
-//! current thread pool (wrap the call in [`rayon::ThreadPool::install`] to
-//! pin the pool). The HW-graph merge is order-sensitive and stays
-//! sequential. [`Trainer::train_sequential`] is the reference: the same
-//! stages as plain loops; tests assert `train` produces a byte-identical
-//! detector at every pool size.
+//! [`Trainer::train`] then runs on rayon's current thread pool (wrap the
+//! call in [`rayon::ThreadPool::install`] to pin the pool) every stage
+//! that is
+//!
+//! * **pure per key** — Intel-Key extraction through the POS tagger, the
+//!   natural-language check;
+//! * **pure per session** — writing the session's log, and the HW-graph's
+//!   share of it ([`hwgraph::GraphBuilder::part`]: rows routed to groups,
+//!   lifespans, Algorithm 2's split into subroutine instances).
+//!
+//! What stays **ordered** is the HW-graph's merge
+//! ([`hwgraph::GraphBuilder::absorb`]): profiles cluster and BEFORE pairs
+//! break in session order, so parts are absorbed one by one on the calling
+//! thread. Parts are computed a bounded window of sessions ahead of the
+//! merge ([`SPLIT_WINDOW_ROWS`]), never for the whole corpus at once.
+//! [`Trainer::train_sequential`] is the reference: the same stages as plain
+//! loops; tests assert `train` produces a byte-identical detector at every
+//! pool size.
 
 use crate::detector::Detector;
 use extract::{IntelExtractor, IntelKey, LocalityMatcher, SessionLog};
-use hwgraph::HwGraph;
+use hwgraph::{GraphBuilder, HwGraph};
 use rayon::prelude::*;
 use spell::{KeyId, LogKey, Session, SpellParser};
 use std::collections::BTreeSet;
@@ -44,9 +54,40 @@ impl Default for Trainer {
     }
 }
 
+/// How many session-log rows [`Trainer::train`] splits into subroutine
+/// instances ahead of the ordered merge. Parts in flight are memory, and
+/// more of it than their bytes: they are allocated on pool threads and
+/// freed on this one, which costs the allocator about twice their size in
+/// each thread's arena. Splitting the whole corpus first read `peak_rss_mb`
+/// 34–38 MiB on `train_batch` where the parent commit read 30–32; this
+/// window — ≈ 11 Spark or ≈ 110 MapReduce sessions, one fork-join per
+/// ≈ 1 ms of splitting — read 29.7–30.0, 512 rows 28.8–31.1 at 12 % fewer
+/// lines/s, 16,384 rows 30.7–31.6 at 2 % more (EXPERIMENTS.md, "Training
+/// reads a line the way detection does"). A session longer than the window
+/// is a window of its own.
+const SPLIT_WINDOW_ROWS: usize = 4096;
+
+/// How many of `logs` (not empty) the next window takes.
+fn split_window(logs: &[SessionLog]) -> usize {
+    let mut rows = 0;
+    let fits = |log: &&SessionLog| {
+        rows += log.len();
+        rows <= SPLIT_WINDOW_ROWS
+    };
+    logs.iter().take_while(fits).count().max(1)
+}
+
 /// Non-NL keys go to the ignored list (§5).
 fn is_ignored(key: &LogKey) -> bool {
     !lognlp::is_natural_language(&key.render_sample())
+}
+
+/// The keys the HW-graph is built over. Ignored keys contribute neither
+/// entities nor lifespans to it (paper §5: they are captured by pattern
+/// matching only).
+fn graph_keys(keys: &[IntelKey], ignored_keys: &BTreeSet<KeyId>) -> Vec<IntelKey> {
+    let kept = keys.iter().filter(|k| !ignored_keys.contains(&k.key_id));
+    kept.cloned().collect()
 }
 
 /// Stage 3 for one session: the log of its lines, ignored keys skipped.
@@ -96,13 +137,22 @@ impl Trainer {
             .flatten()
             .collect();
 
-        // Stage 3: session logs (parallel, pure per session) → HW-graph.
+        // Stage 3: session logs (parallel, pure per session) → HW-graph,
+        // each window's sessions split in parallel and merged in order.
         let work: Vec<(&Session, &Vec<KeyId>)> = sessions.iter().zip(&parsed).collect();
         let logs: Vec<SessionLog> = work
             .par_iter()
             .map(|(session, line_keys)| log_session(session, line_keys, &keys, &ignored_keys))
             .collect();
-        self.finish(parser, keys, ignored_keys, logs)
+        let mut graph = GraphBuilder::plan(&graph_keys(&keys, &ignored_keys));
+        let mut rest = &logs[..];
+        while !rest.is_empty() {
+            let (window, later) = rest.split_at(split_window(rest));
+            let parts: Vec<_> = window.par_iter().map(|log| graph.part(log)).collect();
+            parts.into_iter().for_each(|part| graph.absorb(part));
+            rest = later;
+        }
+        Detector::new(parser, keys, graph.finish(), ignored_keys)
     }
 
     /// Reference sequential trainer: one thread, plain loops.
@@ -129,44 +179,28 @@ impl Trainer {
             .zip(&parsed)
             .map(|(session, line_keys)| log_session(session, line_keys, &keys, &ignored_keys))
             .collect();
-        self.finish(parser, keys, ignored_keys, logs)
+        let graph = HwGraph::build_from_logs(&graph_keys(&keys, &ignored_keys), &logs);
+        Detector::new(parser, keys, graph, ignored_keys)
     }
 
-    /// Stage 1 of both trainers: Spell over the ordered message stream,
+    /// Stage 1 of both trainers: Spell over the ordered message stream
+    /// through the id-level door — one pair of line buffers for the whole
+    /// corpus, no string built for a line that changes no key —
     /// remembering each line's key (the line itself keeps its text and
     /// timestamp, so nothing else is held per line).
     fn spell_stream(&self, sessions: &[Session]) -> (SpellParser, Vec<Vec<KeyId>>) {
         let mut parser = SpellParser::new(self.spell_threshold);
+        let (mut spans, mut ids) = (Vec::new(), Vec::new());
         let parsed = sessions
             .iter()
             .map(|session| {
-                session
-                    .lines
-                    .iter()
-                    .map(|line| parser.parse_message(&line.message).key_id)
+                let lines = session.lines.iter();
+                lines
+                    .map(|line| parser.parse_spans(&line.message, &mut spans, &mut ids).0)
                     .collect()
             })
             .collect();
         (parser, parsed)
-    }
-
-    /// Shared tail of both trainers: HW-graph training + assembly.
-    fn finish(
-        &self,
-        parser: SpellParser,
-        keys: Vec<IntelKey>,
-        ignored_keys: BTreeSet<KeyId>,
-        logs: Vec<SessionLog>,
-    ) -> Detector {
-        // Ignored keys contribute neither entities nor lifespans to the
-        // HW-graph (paper §5: they are captured by pattern matching only).
-        let graph_keys: Vec<IntelKey> = keys
-            .iter()
-            .filter(|k| !ignored_keys.contains(&k.key_id))
-            .cloned()
-            .collect();
-        let graph = HwGraph::build_from_logs(&graph_keys, &logs);
-        Detector::new(parser, keys, graph, ignored_keys)
     }
 }
 

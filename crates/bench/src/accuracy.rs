@@ -53,12 +53,13 @@ pub fn evaluate(system: SystemKind, jobs: &[GenJob]) -> AccuracyRow {
     // key → template-id → #messages
     let mut attribution: HashMap<KeyId, HashMap<&'static str, u64>> = HashMap::new();
     let mut consumed = 0usize;
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
     for job in jobs {
         for session in &job.sessions {
             for line in &session.lines {
-                let out = parser.parse_message(&line.message);
+                let (key_id, _) = parser.parse_spans(&line.message, &mut spans, &mut ids);
                 *attribution
-                    .entry(out.key_id)
+                    .entry(key_id)
                     .or_default()
                     .entry(line.template_id)
                     .or_insert(0) += 1;

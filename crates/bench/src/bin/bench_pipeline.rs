@@ -185,7 +185,7 @@ fn main() {
     // --- format adapters: raw-line ingest per syntax ------------------------
     // Render the same jobs in each line syntax and run the whole ingest
     // verb — header parse, then streaming Spell over the (identical)
-    // message bodies.
+    // message bodies through the trainer's door, `parse_spans`.
     let adapter_jobs = training_jobs(SystemKind::MapReduce, ADAPTER_JOBS, 1);
     let mut adapters: Vec<AdapterStats> = Vec::new();
     for kind in AdapterKind::ALL {
@@ -201,9 +201,10 @@ fn main() {
         }
         let rep_s = time_median(reps, || {
             let mut p = spell::SpellParser::default();
+            let (mut spans, mut ids) = (Vec::new(), Vec::new());
             for line in &lines {
                 let rec = adapter.parse_record(line).expect("validated above");
-                p.parse_message(rec.message);
+                p.parse_spans(rec.message, &mut spans, &mut ids);
             }
             p.len()
         });

@@ -25,6 +25,7 @@ fn main() {
     let fetcher_templates = ["mr.fetch.about", "mr.fetch.read", "mr.fetch.freed"];
 
     let mut parser = SpellParser::default();
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
     let mut samples: Vec<String> = Vec::new();
     for session in &job.sessions {
         for line in &session.lines {
@@ -32,7 +33,7 @@ fn main() {
                 if samples.len() < 3 {
                     samples.push(line.message.clone());
                 }
-                parser.parse_message(&line.message);
+                parser.parse_spans(&line.message, &mut spans, &mut ids);
             }
         }
     }

@@ -32,9 +32,10 @@ fn main() {
     let mut parser = SpellParser::default();
     let m1 = "Finished task 0.0 in stage 1.0 TID 42. 2264 bytes result sent to driver";
     let m2 = "Finished task 3.0 in stage 1.0 TID 45. 912 bytes result sent to driver";
-    let out = parser.parse_message(m1);
-    parser.parse_message(m2);
-    let key = parser.key(out.key_id);
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
+    let (key_id, _) = parser.parse_spans(m1, &mut spans, &mut ids);
+    parser.parse_spans(m2, &mut spans, &mut ids);
+    let key = parser.key(key_id);
     println!("messages:");
     println!("  {m1}");
     println!("  {m2}");

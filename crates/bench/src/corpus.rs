@@ -161,13 +161,14 @@ pub fn synthetic_keyset(n_keys: usize, n_probes: usize) -> (spell::SpellParser, 
         ]
     };
     let mut p = spell::SpellParser::default();
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
     for i in 0..n_keys {
-        p.parse_message(&base(i).join(" "));
+        p.parse_spans(&base(i).join(" "), &mut spans, &mut ids);
         // second instance differing in the trailing id/latency → two stars
         let mut v = base(i);
         v[7] = format!("id{}", i * 13 + 1);
         v[8] = format!("{}ms", i + 1);
-        p.parse_message(&v.join(" "));
+        p.parse_spans(&v.join(" "), &mut spans, &mut ids);
     }
     let probes = (0..n_probes)
         .map(|j| {

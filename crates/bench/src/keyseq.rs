@@ -11,12 +11,13 @@ pub const UNKNOWN_KEY: KeyId = KeyId(u32::MAX);
 /// per-session key sequences.
 pub fn train_keyseqs(sessions: &[Session]) -> (SpellParser, Vec<Vec<KeyId>>) {
     let mut parser = SpellParser::default();
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
     let seqs = sessions
         .iter()
         .map(|s| {
             s.lines
                 .iter()
-                .map(|l| parser.parse_message(&l.message).key_id)
+                .map(|l| parser.parse_spans(&l.message, &mut spans, &mut ids).0)
                 .collect()
         })
         .collect();

@@ -7,7 +7,9 @@
 //!    matcher over realistic corpora from every simulated system (Spark,
 //!    MapReduce, Tez, YARN, Nova);
 //! 2. parallel training produces a byte-identical detector (and therefore
-//!    byte-identical reports) to the sequential reference trainer;
+//!    byte-identical reports) to the sequential reference trainer, whatever
+//!    the pool size and however the sessions fall into the trainer's split
+//!    windows;
 //! 3. the row the session log keeps of a matched line — key id, timestamp,
 //!    identifier pairs — is that projection of the owned Intel Message
 //!    `IntelMessage::instantiate` builds from the line's token strings, on
@@ -161,6 +163,50 @@ fn parallel_training_equals_sequential_on_all_systems() {
                 serde_json::to_string(&par).unwrap(),
                 seq,
                 "detector divergence for {system:?} on {threads} pool thread(s)"
+            );
+        }
+    }
+}
+
+/// The trainer splits sessions into subroutine instances a window of rows
+/// ahead of the ordered merge (`SPLIT_WINDOW_ROWS`, 4,096). Many short
+/// sessions (the MapReduce shape: several windows, ~100 sessions each),
+/// then one session longer than a window (every Spark line in one
+/// container), then short ones again: `train` is `train_sequential` at every
+/// pool size, and a second `train` in the same process — on pool threads
+/// that have run the first — is the first.
+#[test]
+fn windowed_split_equals_sequential_across_window_shapes() {
+    let short = corpus(SystemKind::MapReduce, 7, 8);
+    let spark = corpus(SystemKind::Spark, 7, 4);
+    let long = Session::new(
+        "one_long_container",
+        spark.iter().flat_map(|s| s.lines.iter().cloned()).collect(),
+    );
+    let rows = |sessions: &[Session]| sessions.iter().map(Session::len).sum::<usize>();
+    assert!(long.len() > 4096, "long session has {} lines", long.len());
+    assert!(
+        rows(&short) > 3 * 4096,
+        "short sessions hold {}",
+        rows(&short)
+    );
+    assert!(short.len() > 200 && short.iter().all(|s| s.len() < 4096));
+    let (head, tail) = short.split_at(short.len() * 2 / 3);
+    let sessions: Vec<Session> = head.iter().chain([&long]).chain(tail).cloned().collect();
+
+    let trainer = Trainer::default();
+    let seq = serde_json::to_string(&trainer.train_sequential(&sessions)).unwrap();
+    for threads in [1, 2, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let (first, second) = pool.install(|| (trainer.train(&sessions), trainer.train(&sessions)));
+        for (run, par) in [("first", first), ("second", second)] {
+            assert_eq!(
+                serde_json::to_string(&par).unwrap(),
+                seq,
+                "{run} train diverged from train_sequential on {threads} pool thread(s)"
             );
         }
     }

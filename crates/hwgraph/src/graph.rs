@@ -10,11 +10,12 @@ use crate::group::{group_entities, Grouping};
 use crate::hierarchy::Hierarchy;
 use crate::lifespan::{GroupRelations, Lifespan};
 use crate::profile::ProfileSet;
-use crate::subroutine::{split_instances, InstanceSplit, SubroutineSet};
+use crate::subroutine::{split_instances_into, InstanceSplit, SubroutineSet};
 use extract::{IntelKey, IntelMessage, SessionLog};
 use serde::{Deserialize, Serialize};
 use spell::KeyId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// One session's rows routed to the entity groups their keys belong to: per
 /// group, its lifespan in the session and its rows of `log`, in order. (A
@@ -91,29 +92,60 @@ pub struct HwGraph {
     pub stats: GraphStats,
 }
 
-impl HwGraph {
-    /// [`HwGraph::build_from_logs`] for callers that hold owned Intel
-    /// Messages: converts each session to its log and builds from those.
-    pub fn build(keys: &[IntelKey], sessions: &[Vec<IntelMessage>]) -> HwGraph {
-        let logs: Vec<SessionLog> = sessions
-            .iter()
-            .map(|s| SessionLog::from_messages(s))
-            .collect();
-        HwGraph::build_from_logs(keys, &logs)
-    }
+/// Training a HW-graph, cut where the work changes character:
+///
+/// 1. [`GraphBuilder::plan`] — Algorithm 1 over the keys' entities: the
+///    groups, still empty, and which groups each key belongs to. Nothing
+///    after it changes either.
+/// 2. [`GraphBuilder::part`] — everything about one session that depends on
+///    the plan alone: its rows routed to groups, each group's lifespan, the
+///    keys that repeat, and Algorithm 2's split once per group. Pure, so
+///    sessions can be split on any thread in any order.
+/// 3. [`GraphBuilder::absorb`] — the learners consume a part. A session's
+///    profile depends on the profiles before it and BEFORE pairs on the
+///    instances before them, so parts are absorbed in session order.
+/// 4. [`GraphBuilder::finish`] — flags, relations, hierarchy, statistics.
+///
+/// [`HwGraph::build_from_logs`] is the loop over these; a caller with a
+/// thread pool runs step 2 on it for a window of sessions at a time.
+pub struct GraphBuilder {
+    _span: obs::SpanGuard,
+    groups: Vec<GroupModel>,
+    key_groups: BTreeMap<KeyId, Vec<usize>>,
+    profiles: ProfileSet,
+    session_lifespans: Vec<Vec<(usize, Lifespan)>>,
+    key_repeats_in_session: BTreeSet<KeyId>,
+    total_msgs: usize,
+}
 
-    /// Build (train) a HW-graph from Intel Keys and per-session logs of the
-    /// matched lines (time-ordered within each session).
-    pub fn build_from_logs(keys: &[IntelKey], sessions: &[SessionLog]) -> HwGraph {
+/// One session's share of the training, computed by [`GraphBuilder::part`]
+/// and consumed by [`GraphBuilder::absorb`] — possibly on another thread, so
+/// it is a few arrays per session, not a few per group: thousands of small
+/// blocks freed by a thread that did not allocate them cost the allocator
+/// more memory than the parts hold (EXPERIMENTS.md, "Training reads a line
+/// the way detection does").
+pub struct SessionPart<'a> {
+    rows: usize,
+    /// Per group present, ascending.
+    lifespans: Vec<(usize, Lifespan)>,
+    repeating_keys: Vec<KeyId>,
+    /// Algorithm 2 runs once per (session, group); the profile learner and
+    /// the group's own learner consume the same instances. Every group's
+    /// instances are in `split`, numbered as `instances` says.
+    split: InstanceSplit<'a>,
+    instances: Vec<(usize, Range<usize>)>,
+}
+
+impl GraphBuilder {
+    /// Entity universe, Algorithm 1 grouping and key → groups membership.
+    pub fn plan(keys: &[IntelKey]) -> GraphBuilder {
         let _span = obs::span!("hwgraph.build");
-        // 1. Entity universe and Algorithm 1 grouping.
         let all_entities: BTreeSet<String> = keys
             .iter()
             .flat_map(|k| k.entity_phrases().into_iter().map(str::to_string))
             .collect();
         let grouping: Grouping = group_entities(all_entities);
 
-        // 2. Key → groups via the reverse index.
         let mut key_groups: BTreeMap<KeyId, Vec<usize>> = BTreeMap::new();
         for k in keys {
             let mut gs: Vec<usize> = k
@@ -126,7 +158,6 @@ impl HwGraph {
             key_groups.insert(k.key_id, gs);
         }
 
-        let n = grouping.len();
         let mut groups: Vec<GroupModel> = grouping
             .groups
             .iter()
@@ -141,52 +172,86 @@ impl HwGraph {
                 groups[g].keys.insert(*kid);
             }
         }
+        GraphBuilder {
+            _span,
+            groups,
+            key_groups,
+            profiles: ProfileSet::new(),
+            session_lifespans: Vec::new(),
+            key_repeats_in_session: BTreeSet::new(),
+            total_msgs: 0,
+        }
+    }
 
-        // 3. Per-session lifespans and subroutine training; track per-key
-        //    per-session repetition for the critical-group criterion.
-        let mut session_lifespans: Vec<Vec<(usize, Lifespan)>> = Vec::with_capacity(sessions.len());
-        let mut key_repeats_in_session: BTreeSet<KeyId> = BTreeSet::new();
-        let mut profiles = ProfileSet::new();
-        for session in sessions {
-            let per_group = rows_by_group(&key_groups, session);
-            let mut key_counts: HashMap<KeyId, u32> = HashMap::new();
-            for m in session.rows() {
-                *key_counts.entry(m.key_id).or_insert(0) += 1;
-            }
-            for (k, c) in key_counts {
-                if c > 1 {
-                    key_repeats_in_session.insert(k);
-                }
-            }
-            session_lifespans.push(per_group.iter().map(|(&g, &(span, _))| (g, span)).collect());
-            // Algorithm 2 runs once per (session, group); the profile learner
-            // and the group's own learner consume the same instances.
-            let splits: BTreeMap<usize, InstanceSplit<'_>> = per_group
+    /// Per-group lifespans and subroutine instances of one session, and its
+    /// repeating keys (the critical-group criterion).
+    pub fn part<'a>(&self, session: &'a SessionLog) -> SessionPart<'a> {
+        let per_group = rows_by_group(&self.key_groups, session);
+        let mut keys: Vec<KeyId> = session.rows().iter().map(|m| m.key_id).collect();
+        keys.sort_unstable();
+        let mut repeating_keys: Vec<KeyId> = keys
+            .windows(2)
+            .filter(|pair| pair[0] == pair[1])
+            .map(|pair| pair[0])
+            .collect();
+        repeating_keys.dedup();
+        let mut split = InstanceSplit::new(session);
+        SessionPart {
+            rows: session.len(),
+            lifespans: per_group.iter().map(|(&g, &(span, _))| (g, span)).collect(),
+            repeating_keys,
+            instances: per_group
                 .iter()
-                .map(|(&g, (_, rows))| (g, split_instances(session, rows)))
-                .collect();
-            if !session.is_empty() {
-                profiles.train_session(&splits);
-            }
-            for (g, split) in &splits {
-                groups[*g].sessions_seen += 1;
-                groups[*g].subroutines.train_instances(split);
+                .map(|(&g, (_, rows))| (g, split_instances_into(rows, &mut split)))
+                .collect(),
+            split,
+        }
+    }
+
+    /// Train on the next session, given its part.
+    pub fn absorb(&mut self, part: SessionPart<'_>) {
+        let groups = || part.instances.iter().cloned();
+        let instances = |range| part.split.instances(range);
+        if part.rows > 0 {
+            let profile = self.profiles.join(groups().map(|(g, _)| g).collect());
+            for (g, range) in groups() {
+                let learner = profile.subroutines.entry(g).or_default();
+                learner.train_instances(instances(range));
             }
         }
+        for (g, range) in groups() {
+            self.groups[g].sessions_seen += 1;
+            self.groups[g].subroutines.train_instances(instances(range));
+        }
+        self.total_msgs += part.rows;
+        self.session_lifespans.push(part.lifespans);
+        self.key_repeats_in_session.extend(part.repeating_keys);
+    }
 
-        // 4. Critical and mandatory flags (§6.3 / §6.4 case 3).
+    /// Flags, relations, hierarchy and statistics over what was absorbed.
+    pub fn finish(self) -> HwGraph {
+        let GraphBuilder {
+            _span,
+            mut groups,
+            key_groups,
+            profiles,
+            session_lifespans,
+            key_repeats_in_session,
+            total_msgs,
+        } = self;
+        let sessions = session_lifespans.len();
+
+        // Critical and mandatory flags (§6.3 / §6.4 case 3).
         for g in groups.iter_mut() {
             g.critical =
                 g.keys.len() > 1 || g.keys.iter().any(|k| key_repeats_in_session.contains(k));
-            g.mandatory = !sessions.is_empty() && g.sessions_seen == sessions.len() as u64;
+            g.mandatory = sessions > 0 && g.sessions_seen == sessions as u64;
         }
 
-        // 5. Relations and hierarchy.
-        let relations = GroupRelations::compute(n, &session_lifespans);
+        let relations = GroupRelations::compute(groups.len(), &session_lifespans);
         let hierarchy = Hierarchy::build(&relations);
 
-        // 6. Table 5 statistics.
-        let total_msgs: usize = sessions.iter().map(SessionLog::len).sum();
+        // Table 5 statistics.
         let sub_lens_all: Vec<usize> = groups
             .iter()
             .flat_map(|g| g.subroutines.subroutines().map(|s| s.keys.len()))
@@ -204,12 +269,12 @@ impl HwGraph {
             }
         };
         let stats = GraphStats {
-            avg_session_len: if sessions.is_empty() {
+            avg_session_len: if sessions == 0 {
                 0.0
             } else {
-                total_msgs as f64 / sessions.len() as f64
+                total_msgs as f64 / sessions as f64
             },
-            groups_all: n,
+            groups_all: groups.len(),
             groups_critical: groups.iter().filter(|g| g.critical).count(),
             sub_len_max: sub_lens_all.iter().copied().max().unwrap_or(0),
             sub_len_avg_all: avg(&sub_lens_all),
@@ -220,12 +285,12 @@ impl HwGraph {
         obs::add!("hwgraph.groups", stats.groups_all as u64);
         obs::add!("hwgraph.groups_critical", stats.groups_critical as u64);
         obs::add!("hwgraph.subroutines", sub_lens_all.len() as u64);
-        obs::add!("hwgraph.sessions_trained", sessions.len() as u64);
+        obs::add!("hwgraph.sessions_trained", sessions as u64);
         obs::event!(
             "hwgraph.built",
             "groups" = stats.groups_all,
             "critical" = stats.groups_critical,
-            "sessions" = sessions.len(),
+            "sessions" = sessions,
         );
         HwGraph {
             groups,
@@ -234,6 +299,30 @@ impl HwGraph {
             profiles,
             stats,
         }
+    }
+}
+
+impl HwGraph {
+    /// [`HwGraph::build_from_logs`] for callers that hold owned Intel
+    /// Messages: converts each session to its log and builds from those.
+    pub fn build(keys: &[IntelKey], sessions: &[Vec<IntelMessage>]) -> HwGraph {
+        let logs: Vec<SessionLog> = sessions
+            .iter()
+            .map(|s| SessionLog::from_messages(s))
+            .collect();
+        HwGraph::build_from_logs(keys, &logs)
+    }
+
+    /// Build (train) a HW-graph from Intel Keys and per-session logs of the
+    /// matched lines (time-ordered within each session): the plain loop over
+    /// [`GraphBuilder`]'s pieces, one session at a time.
+    pub fn build_from_logs(keys: &[IntelKey], sessions: &[SessionLog]) -> HwGraph {
+        let mut builder = GraphBuilder::plan(keys);
+        for session in sessions {
+            let part = builder.part(session);
+            builder.absorb(part);
+        }
+        builder.finish()
     }
 
     /// Check every group index the graph stores against `groups.len()`.

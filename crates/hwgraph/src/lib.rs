@@ -23,7 +23,7 @@ pub mod lifespan;
 pub mod profile;
 pub mod subroutine;
 
-pub use graph::{rows_by_group, GraphStats, GroupModel, HwGraph};
+pub use graph::{rows_by_group, GraphBuilder, GraphStats, GroupModel, HwGraph, SessionPart};
 pub use group::{
     group_entities, group_entities_with, longest_common_phrase, longest_common_phrase_with,
     EntityGroup, Grouping, GroupingOptions,
@@ -32,6 +32,6 @@ pub use hierarchy::{Hierarchy, HierarchyNode};
 pub use lifespan::{GroupRel, GroupRelations, Lifespan};
 pub use profile::{ProfileSet, SessionProfile};
 pub use subroutine::{
-    split_instances, FirstSeen, Instance, InstanceSplit, Signature, Subroutine, SubroutineInstance,
-    SubroutineSet,
+    split_instances, split_instances_into, FirstSeen, Instance, InstanceSplit, Signature,
+    Subroutine, SubroutineInstance, SubroutineSet,
 };

@@ -10,7 +10,7 @@
 //! mandatory groups and subroutines per cluster. At detection time a
 //! session is checked against its best-matching profile.
 
-use crate::subroutine::{InstanceSplit, SubroutineSet};
+use crate::subroutine::SubroutineSet;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -70,18 +70,10 @@ impl ProfileSet {
         self.profiles.is_empty()
     }
 
-    /// Train on one session: `per_group` holds the subroutine instances of
-    /// the session's messages per entity group.
-    pub fn train_session(&mut self, per_group: &BTreeMap<usize, InstanceSplit<'_>>) {
-        let p = self.join(per_group.keys().copied().collect());
-        for (&g, split) in per_group {
-            p.subroutines.entry(g).or_default().train_instances(split);
-        }
-    }
-
     /// Count one session with this group fingerprint into the profile it
     /// clusters with (a new one if none is similar enough) and return that
-    /// profile.
+    /// profile, whose per-group learners the caller then trains on the
+    /// session's subroutine instances.
     pub(crate) fn join(&mut self, fingerprint: BTreeSet<usize>) -> &mut SessionProfile {
         let best = self
             .profiles
@@ -142,11 +134,12 @@ mod tests {
     }
 
     fn train(ps: &mut ProfileSet, s: &BTreeMap<usize, SessionLog>) {
-        let splits = s
-            .iter()
-            .map(|(g, log)| (*g, split_instances(log, &all_rows(log))))
-            .collect();
-        ps.train_session(&splits);
+        let profile = ps.join(s.keys().copied().collect());
+        for (g, log) in s {
+            let split = split_instances(log, &all_rows(log));
+            let learner = profile.subroutines.entry(*g).or_default();
+            learner.train_instances(split.iter());
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use extract::SessionLog;
 use serde::{Deserialize, Serialize};
 use spell::KeyId;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 /// The signature of a subroutine: the set of identifier types its instances
 /// carry (`{"STAGE", "TASK"}`). The empty signature is the `NONE` bucket.
@@ -147,11 +148,13 @@ struct Numbered {
     messages: Run,
 }
 
-/// The result of Algorithm 2 for one (session, group) message sequence,
-/// before any string is built: identifier types and scoped values are the
-/// session log's numbers, and every instance is a few runs of shared
-/// arrays. The learners and the end-of-session checks read key sequences and
-/// compare signatures through it as they are; [`Instance::signature`] /
+/// The result of Algorithm 2 for one (session, group) message sequence — or
+/// for several groups of one session, one after the other
+/// ([`split_instances_into`]) — before any string is built: identifier types
+/// and scoped values are the session log's numbers, and every instance is a
+/// few runs of shared arrays. The learners and the end-of-session checks
+/// read key sequences and compare signatures through it as they are;
+/// [`Instance::signature`] /
 /// [`Instance::id_values`] build the strings of one instance (an anomaly
 /// being reported, a new signature) and [`InstanceSplit::render`] those of
 /// all of them (a [`SubroutineInstance`] list for inspection).
@@ -165,8 +168,8 @@ pub struct InstanceSplit<'a> {
     message_indices: Vec<usize>,
     /// Key of each entry of `message_indices`.
     keys: Vec<KeyId>,
-    /// The NONE bucket first (if any message had no identifier), then the
-    /// identified instances in creation order.
+    /// Per split: the NONE bucket first (if any message had no identifier),
+    /// then the identified instances in creation order.
     instances: Vec<Numbered>,
 }
 
@@ -178,6 +181,18 @@ pub struct Instance<'s> {
 }
 
 impl<'a> InstanceSplit<'a> {
+    /// No instance yet, over `log`.
+    pub fn new(log: &'a SessionLog) -> InstanceSplit<'a> {
+        InstanceSplit {
+            log,
+            value_sets: Vec::new(),
+            type_sets: Vec::new(),
+            message_indices: Vec::new(),
+            keys: Vec::new(),
+            instances: Vec::new(),
+        }
+    }
+
     /// Number of instances.
     pub fn len(&self) -> usize {
         self.instances.len()
@@ -190,7 +205,13 @@ impl<'a> InstanceSplit<'a> {
 
     /// The instances: the NONE bucket first, then in creation order.
     pub fn iter(&self) -> impl Iterator<Item = Instance<'_>> {
-        self.instances
+        self.instances(0..self.len())
+    }
+
+    /// The instances numbered `range` — those of one message sequence, as
+    /// [`split_instances_into`] returned it.
+    pub fn instances(&self, range: Range<usize>) -> impl Iterator<Item = Instance<'_>> {
+        self.instances[range]
             .iter()
             .map(move |&raw| Instance { split: self, raw })
     }
@@ -311,10 +332,25 @@ impl InstanceLists {
 /// shares (one STAGE for a session of TASKs) is in a long posting list but is
 /// never the rarest of a message with a fresher value, so it costs nothing.
 pub fn split_instances<'a>(log: &'a SessionLog, rows: &[u32]) -> InstanceSplit<'a> {
+    let mut split = InstanceSplit::new(log);
+    split_instances_into(rows, &mut split);
+    split
+}
+
+/// [`split_instances`] of `rows` of `out`'s log, appended to `out`: returns
+/// the numbers its instances were given. A session's groups split into one
+/// `InstanceSplit` share five arrays instead of owning five each — what the
+/// trainer hands from the thread that split a session to the one that
+/// learns from it.
+pub fn split_instances_into(rows: &[u32], out: &mut InstanceSplit<'_>) -> Range<usize> {
+    let log = out.log;
     let mut postings = InstanceLists::new(log.value_count());
     let mut anchored = InstanceLists::new(log.value_count());
-    let mut value_sets: Vec<u32> = Vec::new();
-    let mut type_sets: Vec<u32> = Vec::new();
+    let InstanceSplit {
+        value_sets,
+        type_sets,
+        ..
+    } = out;
     // Instance 0 is the NONE bucket, held by no list.
     let mut instances = vec![Numbered::default()];
     number(rows.len()); // positions among the messages are 32-bit too
@@ -342,14 +378,14 @@ pub fn split_instances<'a>(log: &'a SessionLog, rows: &[u32]) -> InstanceSplit<'
 
         let mut found = NIL;
         for i in postings.iter(rarest) {
-            let held = instances[i as usize].values.of(&value_sets);
+            let held = instances[i as usize].values.of(value_sets);
             if i < found && ids.iter().all(|v| held.contains(v)) {
                 found = i;
             }
         }
         for &v in &ids {
             for i in anchored.iter(v) {
-                let held = instances[i as usize].values.of(&value_sets);
+                let held = instances[i as usize].values.of(value_sets);
                 if i < found && held.iter().all(|v| ids.contains(v)) {
                     found = i;
                 }
@@ -364,15 +400,15 @@ pub fn split_instances<'a>(log: &'a SessionLog, rows: &[u32]) -> InstanceSplit<'
         let inst = &mut instances[found as usize];
         // ⊆-comparable, so the union is the larger of the two sets.
         if ids.len() > inst.values.len as usize {
-            let held = inst.values.of(&value_sets);
+            let held = inst.values.of(value_sets);
             for &v in ids.iter().filter(|v| !held.contains(v)) {
                 postings.push(v, found);
             }
             let start = value_sets.len();
             value_sets.extend_from_slice(&ids);
-            inst.values = Run::tail_of(&value_sets, start);
+            inst.values = Run::tail_of(value_sets, start);
         }
-        if tys.iter().any(|t| !inst.types.of(&type_sets).contains(t)) {
+        if tys.iter().any(|t| !inst.types.of(type_sets).contains(t)) {
             let start = type_sets.len();
             type_sets.extend_from_within(inst.types.range());
             for &t in &tys {
@@ -380,38 +416,35 @@ pub fn split_instances<'a>(log: &'a SessionLog, rows: &[u32]) -> InstanceSplit<'
                     type_sets.push(t);
                 }
             }
-            inst.types = Run::tail_of(&type_sets, start);
+            inst.types = Run::tail_of(type_sets, start);
         }
         inst.messages.len += 1;
         owner.push(found);
     }
 
-    // Group the messages by owner, keeping their order within each.
-    let mut next = 0;
+    // Group the messages by owner, keeping their order within each, behind
+    // the messages `out` already holds.
+    let base = out.keys.len();
+    let mut next = number(base);
     for inst in &mut instances {
         inst.messages.start = next;
         next += inst.messages.len;
     }
-    let mut message_indices = vec![0; rows.len()];
-    let mut keys = vec![KeyId(0); rows.len()];
+    number(base + rows.len());
+    out.message_indices.resize(base + rows.len(), 0);
+    out.keys.resize(base + rows.len(), KeyId(0));
     let mut fill: Vec<u32> = instances.iter().map(|inst| inst.messages.start).collect();
     for (mi, (&o, m)) in owner.iter().zip(rows.iter().map(row)).enumerate() {
         let at = &mut fill[o as usize];
-        message_indices[*at as usize] = mi;
-        keys[*at as usize] = m.key_id;
+        out.message_indices[*at as usize] = mi;
+        out.keys[*at as usize] = m.key_id;
         *at += 1;
     }
-    if instances[0].messages.len == 0 {
-        instances.remove(0);
-    }
-    InstanceSplit {
-        log,
-        value_sets,
-        type_sets,
-        message_indices,
-        keys,
-        instances,
-    }
+    let none_is_empty = instances[0].messages.len == 0;
+    let first = out.instances.len();
+    out.instances
+        .extend(instances.into_iter().skip(none_is_empty as usize));
+    first..out.instances.len()
 }
 
 /// The per-group subroutine learner: `D_ti` of Algorithm 2, one
@@ -436,8 +469,8 @@ impl SubroutineSet {
 
     /// Consume the instances of one session's group-local messages
     /// (training).
-    pub fn train_instances(&mut self, split: &InstanceSplit<'_>) {
-        for inst in split.iter() {
+    pub fn train_instances<'s>(&mut self, instances: impl Iterator<Item = Instance<'s>>) {
+        for inst in instances {
             let known = self
                 .subs
                 .iter()
@@ -647,8 +680,8 @@ pub(crate) mod tests {
             msg(9, &[]),
         ];
         let log = SessionLog::from_messages(&s1);
-        set.train_instances(&split_instances(&log, &all_rows(&log)));
-        set.train_instances(&split_instances(&log, &all_rows(&log)));
+        set.train_instances(split_instances(&log, &all_rows(&log)).iter());
+        set.train_instances(split_instances(&log, &all_rows(&log)).iter());
         assert_eq!(set.len(), 2); // FETCHER signature + NONE
         let fet = set.get(&BTreeSet::from(["FETCHER".to_string()])).unwrap();
         assert_eq!(fet.keys, [KeyId(0), KeyId(1)]);
@@ -750,7 +783,9 @@ pub(crate) mod tests {
         /// scan over that group's messages, for every input: same instances
         /// in the same order with the same strings; the views agree with
         /// what they render to. Every third message is another group's, so
-        /// the log numbers values the split never meets.
+        /// the log numbers values the split never meets — and splitting
+        /// that other group into the same arrays first, as the trainer does
+        /// with a session's groups, changes nothing about this one.
         #[test]
         fn split_equals_oracle(
             raw in prop::collection::vec(
@@ -767,6 +802,16 @@ pub(crate) mod tests {
             prop_assert_eq!(&rendered, &split_instances_oracle(&refs));
             prop_assert_eq!(split.len(), rendered.len());
             for (view, inst) in split.iter().zip(&rendered) {
+                prop_assert_eq!(view.keys(), inst.keys.as_slice());
+                prop_assert!(view.has_signature(&inst.signature));
+            }
+
+            let others: Vec<u32> = all_rows(&log).into_iter().filter(|r| r % 3 == 2).collect();
+            let mut shared = split_instances(&log, &others);
+            let range = split_instances_into(&rows, &mut shared);
+            prop_assert_eq!(range.end, shared.len());
+            prop_assert_eq!(&shared.render()[range.clone()], &rendered[..]);
+            for (view, inst) in shared.instances(range).zip(&rendered) {
                 prop_assert_eq!(view.keys(), inst.keys.as_slice());
                 prop_assert!(view.has_signature(&inst.signature));
             }

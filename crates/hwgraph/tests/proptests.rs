@@ -1,10 +1,79 @@
 //! Property-based tests for HW-graph invariants.
 
+use extract::{IntelExtractor, IntelKey, SessionLog};
 use hwgraph::{
-    group_entities, longest_common_phrase, GroupRelations, Hierarchy, Lifespan, Subroutine,
+    group_entities, longest_common_phrase, GraphBuilder, GroupRelations, Hierarchy, HwGraph,
+    Lifespan, Subroutine,
 };
 use proptest::prelude::*;
-use spell::KeyId;
+use spell::{KeyId, SpellParser};
+
+/// One line of a small Spark-like vocabulary: template number and two
+/// parameter values (task and stage, host, or size).
+fn render_line((template, a, b): (u32, u32, u32)) -> String {
+    match template {
+        0 => format!("Registering block manager endpoint on host{a}"),
+        1 => format!("block manager registered with {a} GB memory"),
+        2 => format!("Starting task {a} in stage {b}"),
+        3 => format!(
+            "Finished task {a} in stage {b} and sent {} bytes to driver",
+            a * 97
+        ),
+        4 => "Stopped block manager cleanly".to_string(),
+        _ => "Shutdown hook called".to_string(),
+    }
+}
+
+/// Keys and per-session logs the way the trainer makes them: Spell over the
+/// whole stream, Intel Keys from the final key set, one row per line.
+fn train_inputs(sessions: &[Vec<(u32, u32, u32)>]) -> (Vec<IntelKey>, Vec<SessionLog>) {
+    let mut parser = SpellParser::default();
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
+    // two instances of every template first, so that every case has keys
+    // with `*` fields and groups to route rows to
+    let warm = (0..6).map(|t| vec![(t, 1, 0), (t, 2, 1)]);
+    let lines: Vec<Vec<(String, spell::KeyId)>> = warm
+        .chain(sessions.iter().cloned())
+        .map(|session| {
+            let texts = session.into_iter().map(render_line);
+            texts
+                .map(|text| {
+                    let key = parser.parse_spans(&text, &mut spans, &mut ids).0;
+                    (text, key)
+                })
+                .collect()
+        })
+        .collect();
+    let extractor = IntelExtractor::new();
+    let keys: Vec<IntelKey> = parser.keys().iter().map(|k| extractor.build(k)).collect();
+    let logs = lines[6..]
+        .iter()
+        .map(|session| {
+            let mut log = SessionLog::default();
+            for (ts, (text, key)) in (0u64..).zip(session) {
+                spell::tokenize_spans(text, &mut spans);
+                log.push_line(&keys[key.0 as usize], ts * 10, text, &spans);
+            }
+            log
+        })
+        .collect();
+    (keys, logs)
+}
+
+/// Plan, then parts a window at a time — each window's parts all computed
+/// before the first of them is absorbed — then finish.
+fn build_in_windows(keys: &[IntelKey], logs: &[SessionLog], sizes: &[usize]) -> HwGraph {
+    let mut builder = GraphBuilder::plan(keys);
+    let (mut rest, mut sizes) = (logs, sizes.iter().cycle());
+    while !rest.is_empty() {
+        let take = (*sizes.next().expect("a cycle of sizes")).min(rest.len());
+        let (window, later) = rest.split_at(take);
+        let parts: Vec<_> = window.iter().map(|log| builder.part(log)).collect();
+        parts.into_iter().for_each(|part| builder.absorb(part));
+        rest = later;
+    }
+    builder.finish()
+}
 
 fn phrase() -> impl Strategy<Value = String> {
     prop::collection::vec(
@@ -34,6 +103,24 @@ fn phrase() -> impl Strategy<Value = String> {
 }
 
 proptest! {
+    /// However the sessions are cut into windows — one by one, all at once,
+    /// anything between — plan → parts → absorb is `build_from_logs`.
+    #[test]
+    fn windows_do_not_change_the_graph(
+        sessions in prop::collection::vec(
+            prop::collection::vec((0u32..6, 0u32..4, 0u32..3), 0..14),
+            0..10,
+        ),
+        sizes in prop::collection::vec(1usize..5, 1..4),
+    ) {
+        let (keys, logs) = train_inputs(&sessions);
+        let whole = HwGraph::build_from_logs(&keys, &logs);
+        prop_assert!(whole.stats.groups_all > 0);
+        prop_assert_eq!(&build_in_windows(&keys, &logs, &[1]), &whole);
+        prop_assert_eq!(&build_in_windows(&keys, &logs, &[logs.len().max(1)]), &whole);
+        prop_assert_eq!(&build_in_windows(&keys, &logs, &sizes), &whole);
+    }
+
     /// LCP is symmetric and its result is a sub-phrase of both inputs.
     #[test]
     fn lcp_symmetric_and_contained(a in phrase(), b in phrase()) {

@@ -6,7 +6,10 @@
 //! * a **prefix tree** over the current key token sequences (with wildcard
 //!   edges for `*` positions) answers the overwhelmingly common case — the
 //!   message is an exact instance of an existing key — in O(message length)
-//!   steps per active path;
+//!   steps per active path. A node keeps its `*` child in a field and its
+//!   constant edges in a vector sorted by token, so a step is one load and
+//!   one binary search over (usually) one or two entries — nothing is
+//!   hashed on the walk, which every training line takes;
 //! * an **inverted index** `token → (key, multiplicity)` yields, per key,
 //!   an upper bound on the wildcard LCS:
 //!
@@ -66,8 +69,24 @@ struct Trie {
 
 #[derive(Debug, Clone, Default)]
 struct TrieNode {
-    edges: HashMap<TokenId, u32>,
+    /// Child along the `*` edge; [`NO_NODE`] if there is none.
+    star: u32,
+    /// Constant edges `(token, child)`, ascending by token.
+    edges: Vec<(TokenId, u32)>,
     terminals: Vec<u32>,
+}
+
+/// "No child": the root is node 0 and is nobody's child.
+const NO_NODE: u32 = 0;
+
+impl TrieNode {
+    fn child(&self, tok: TokenId) -> Option<u32> {
+        if tok == STAR_ID {
+            return (self.star != NO_NODE).then_some(self.star);
+        }
+        let at = self.edges.binary_search_by_key(&tok, |&(t, _)| t).ok()?;
+        Some(self.edges[at].1)
+    }
 }
 
 impl Trie {
@@ -80,12 +99,18 @@ impl Trie {
     fn insert(&mut self, ki: u32, ids: &[TokenId]) {
         let mut node = 0u32;
         for &tok in ids {
-            node = match self.nodes[node as usize].edges.get(&tok) {
-                Some(&next) => next,
+            node = match self.nodes[node as usize].child(tok) {
+                Some(next) => next,
                 None => {
                     let next = self.nodes.len() as u32;
                     self.nodes.push(TrieNode::default());
-                    self.nodes[node as usize].edges.insert(tok, next);
+                    let from = &mut self.nodes[node as usize];
+                    if tok == STAR_ID {
+                        from.star = next;
+                    } else {
+                        let at = from.edges.partition_point(|&(t, _)| t < tok);
+                        from.edges.insert(at, (tok, next));
+                    }
                     next
                 }
             };
@@ -110,19 +135,14 @@ impl Trie {
             for &tok in ids {
                 next.clear();
                 for &n in active.iter() {
-                    let edges = &self.nodes[n as usize].edges;
-                    if tok != STAR_ID {
-                        if let Some(&e) = edges.get(&tok) {
-                            if !next.contains(&e) {
-                                next.push(e);
-                            }
-                        }
+                    let node = &self.nodes[n as usize];
+                    // A trie: distinct nodes have distinct children, so the
+                    // frontier needs no de-duplication. An unknown token
+                    // is no key's constant and can only take the `*` edge.
+                    if tok != STAR_ID && tok != UNKNOWN_ID {
+                        next.extend(node.child(tok));
                     }
-                    if let Some(&e) = edges.get(&STAR_ID) {
-                        if !next.contains(&e) {
-                            next.push(e);
-                        }
-                    }
+                    next.extend(node.child(STAR_ID));
                 }
                 if next.is_empty() {
                     return;

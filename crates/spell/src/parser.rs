@@ -8,22 +8,35 @@
 //!
 //! # Hot path
 //!
-//! Tokens are interned to [`TokenId`]s once per message and every
-//! comparison after that is a `u32` compare. Matching consults a
-//! [`MatchIndex`] — a prefix tree for the exact-instance fast path plus an
-//! inverted `token → key` index whose overlap bound prunes keys before the
-//! LCS dynamic program runs (see `index.rs` for the soundness argument).
+//! A message is tokenised to byte spans and each span is *looked up* in the
+//! interner ([`Interner::lookup_bytes`]); every comparison after that is a
+//! `u32` compare. Only the tokens of a message that **founds a key** are
+//! interned, so the dictionary holds what the keys can name and nothing
+//! else — a parameter value seen once (a task id, a byte count) resolves to
+//! [`UNKNOWN_ID`] and costs no memory, in training as in detection.
+//! Matching consults a [`MatchIndex`] — a prefix tree for the
+//! exact-instance fast path plus an inverted `token → key` index whose
+//! overlap bound prunes keys before the LCS dynamic program runs (see
+//! `index.rs` for the soundness argument).
 //! [`SpellParser::match_ids_linear`] keeps the unindexed scan as the
 //! executable specification; property tests assert the two agree.
 //!
 //! # One door per job
 //!
-//! Training writes through [`SpellParser::parse_message`]. Everything that
-//! only reads goes through [`SpellParser::match_ids`] — reached with the
-//! per-thread scratch buffers by [`SpellParser::match_line`], or with the
-//! caller's own buffers by [`SpellParser::lookup_line_into`] when the token
-//! spans are needed after the match (detection writes the session log's
-//! row from them).
+//! Training writes through [`SpellParser::parse_spans`]: look the line's
+//! spans up, match, refine — and found a key, interning its tokens, only
+//! when nothing matches. An unseen token may stand in for the id it would
+//! have been given because a key constant is always an interned id and
+//! matching and refinement only ever compare a message token with a key
+//! token: [`UNKNOWN_ID`] differs from every constant exactly as the fresh
+//! id would, so the same positions score, the same positions flip and the
+//! same messages miss. [`SpellParser::parse_message`] is that door plus the
+//! message's tokens as strings, for callers that instantiate an owned
+//! `IntelMessage` from them. Everything that only reads goes through
+//! [`SpellParser::match_ids`] — reached with the per-thread scratch buffers
+//! by [`SpellParser::match_line`], or with the caller's own buffers by
+//! [`SpellParser::lookup_line_into`] when the token spans are needed after
+//! the match (detection writes the session log's row from them).
 //!
 //! # Matching contract
 //!
@@ -46,12 +59,21 @@ use serde::{Content, DeError, Deserialize, Serialize};
 /// [`lognlp::tokenize`] is the same spans with a shape classified per
 /// token, so key-token positions stay aligned with the positions the NLP
 /// layer sees when it tags a key through its sample message.
+///
+/// No parse or match path calls this: training and detection read spans.
+/// It serves callers that need the strings themselves — ad hoc extraction
+/// of an unexpected message, `IntelMessage::instantiate` oracles in tests
+/// and in `benchmark/`.
 pub fn tokenize_message(message: &str) -> Vec<String> {
     crate::scratch::with_line(|line| {
         lognlp::tokenize_spans(message, &mut line.spans);
-        let texts = line.spans.iter().map(|s| s.of(message).to_string());
-        texts.collect()
+        span_texts(message, &line.spans)
     })
+}
+
+/// The tokens `spans` cut out of `message`, as owned strings.
+fn span_texts(message: &str, spans: &[Span]) -> Vec<String> {
+    spans.iter().map(|s| s.of(message).to_string()).collect()
 }
 
 /// Result of feeding one message to the parser.
@@ -300,27 +322,79 @@ impl SpellParser {
     }
 
     /// Found a brand-new key from an unmatched message.
-    fn found_key(&mut self, ids: Vec<TokenId>, tokens: Vec<String>) -> KeyId {
+    fn found_key(&mut self, ids: &[TokenId], tokens: Vec<String>) -> KeyId {
         let id = KeyId(self.keys.len() as u32);
         obs::inc!("spell.keys_created");
         obs::event!("spell.new_key", "key" = id.0, "len" = ids.len());
         self.index
-            .insert_key(id.0, &ids, self.required_lcs(ids.len()));
+            .insert_key(id.0, ids, self.required_lcs(ids.len()));
         self.keys.push(LogKey {
             id,
             tokens: tokens.clone(),
             sample: tokens,
             count: 1,
         });
-        self.ikeys.push(ids);
+        self.ikeys.push(ids.to_vec());
         id
     }
 
-    /// Feed one raw message to the parser — the training path. Returns the
-    /// key it was assigned to along with the message's tokens.
-    pub fn parse_message(&mut self, message: &str) -> ParseOutcome {
+    // lint: ingest-hot(begin)
+
+    /// Feed one raw message to the parser — the training door. Returns the
+    /// key the message was assigned to and whether it founded that key.
+    ///
+    /// `spans` and `ids` are the caller's line buffers (both cleared first,
+    /// as in [`SpellParser::lookup_line_into`]): a stream that keeps them
+    /// across lines allocates nothing for a message that matches a key
+    /// without changing it, which is all but a few hundred lines of a
+    /// corpus. On return `spans` index `message`, and `ids` hold what the
+    /// interner knew of each token once the message was dealt with —
+    /// [`UNKNOWN_ID`] for a token no key names.
+    pub fn parse_spans(
+        &mut self,
+        message: &str,
+        spans: &mut Vec<Span>,
+        ids: &mut Vec<TokenId>,
+    ) -> (KeyId, bool) {
         // Training invalidates any compiled automaton (its key set would
         // go stale on the first refinement or new key).
+        self.automaton = None;
+        obs::inc!("spell.lines_parsed");
+        self.lookup_line_into(message, spans, ids);
+        if let Some(id) = self.match_ids(ids) {
+            self.refine(id, ids);
+            return (id, false);
+        }
+        // lint: allow(alloc) — founding a key: 78 of the 69,733 lines of
+        // the `train_batch` corpora; the only place training interns.
+        let tokens = span_texts(message, spans);
+        for (id, token) in ids.iter_mut().zip(&tokens) {
+            *id = self.interner.intern(token);
+        }
+        (self.found_key(ids, tokens), true)
+    }
+
+    // lint: ingest-hot(end)
+
+    /// [`SpellParser::parse_spans`] for callers that want the message's
+    /// tokens as strings (to instantiate an owned `IntelMessage` from).
+    pub fn parse_message(&mut self, message: &str) -> ParseOutcome {
+        crate::scratch::with_line(|line| {
+            let (key_id, is_new_key) = self.parse_spans(message, &mut line.spans, &mut line.ids);
+            ParseOutcome {
+                key_id,
+                is_new_key,
+                tokens: span_texts(message, &line.spans),
+            }
+        })
+    }
+
+    /// The training door as it was before [`SpellParser::parse_spans`]:
+    /// every token of every message interned, strings built per line. Kept
+    /// as the oracle `tests/proptests.rs` holds the new door to — same
+    /// keys, same outcomes, line for line.
+    #[doc(hidden)]
+    pub fn parse_message_interning(&mut self, message: &str) -> ParseOutcome {
         self.automaton = None;
         obs::inc!("spell.lines_parsed");
         let tokens = tokenize_message(message);
@@ -330,13 +404,19 @@ impl SpellParser {
                 self.refine(id, &ids);
                 (id, false)
             }
-            None => (self.found_key(ids, tokens.clone()), true),
+            None => (self.found_key(&ids, tokens.clone()), true),
         };
         ParseOutcome {
             key_id,
             is_new_key,
             tokens,
         }
+    }
+
+    /// Number of strings the interner holds (`*` included).
+    #[doc(hidden)]
+    pub fn interned_len(&self) -> usize {
+        self.interner.len()
     }
 
     // lint: ingest-hot(begin)

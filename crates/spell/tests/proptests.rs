@@ -18,6 +18,48 @@ fn parse(p: &mut SpellParser, msg: &[String]) -> ParseOutcome {
     p.parse_message(&msg.join(" "))
 }
 
+/// Words from a three-letter alphabet and short numbers: streams of these
+/// share prefixes, repeat tokens within a message and collide in length all
+/// the time, so most lines match, refine or tie instead of founding.
+fn dense_message() -> impl Strategy<Value = String> {
+    let word = prop_oneof!["[a-c]{1,2}", "[a-c]", "[0-9]{1,2}"];
+    prop::collection::vec(word, 0..8).prop_map(|words| words.join(" "))
+}
+
+/// Feed `stream` to the id-level training door and, beside it, to the
+/// interning door it replaced; hold the two parsers equal after every line.
+/// Returns the new door's parser and the token count of the messages that
+/// founded its keys.
+fn differential(stream: &[String]) -> (SpellParser, usize) {
+    let (mut new, mut old) = (SpellParser::default(), SpellParser::default());
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
+    let mut founding_tokens = 0;
+    for line in stream {
+        let want = old.parse_message_interning(line);
+        let got = new.parse_spans(line, &mut spans, &mut ids);
+        assert_eq!(got, (want.key_id, want.is_new_key), "line {:?}", line);
+        assert_eq!(spans.len(), want.tokens.len());
+        if got.1 {
+            founding_tokens += spans.len();
+        }
+        // `LogKey: PartialEq` compares id, tokens, sample and count.
+        assert_eq!(new.keys(), old.keys(), "after {:?}", line);
+        new.lookup_line_into(line, &mut spans, &mut ids);
+        assert_eq!(new.match_ids(&ids), new.match_ids_linear(&ids));
+        assert_eq!(new.match_ids(&ids), Some(got.0));
+    }
+    assert_eq!(
+        serde_json::to_string(&new).unwrap(),
+        serde_json::to_string(&old).unwrap()
+    );
+    // Only founding messages are interned (`*` is the one extra entry) —
+    // the dictionary a model file rebuilds on load; the old door kept
+    // every parameter value it ever saw.
+    assert!(new.interned_len() <= 1 + founding_tokens);
+    assert!(new.interned_len() <= old.interned_len());
+    (new, founding_tokens)
+}
+
 /// Read-only interned form of a generated message (unseen → `UNKNOWN_ID`).
 fn ids_of(p: &SpellParser, msg: &[String]) -> Vec<TokenId> {
     let (mut spans, mut ids) = (Vec::new(), Vec::new());
@@ -26,6 +68,20 @@ fn ids_of(p: &SpellParser, msg: &[String]) -> Vec<TokenId> {
 }
 
 proptest! {
+    /// The id-level door is the interning door: same outcome per line, same
+    /// keys field by field, indexed == linear throughout, same model bytes.
+    #[test]
+    fn parse_spans_equals_interning_oracle(
+        dense in prop::collection::vec(dense_message(), 1..80),
+        sparse in prop::collection::vec(message(), 0..20),
+    ) {
+        // dense lines first, then dense and sparse interleaved
+        let sparse = sparse.iter().map(|m| m.join(" "));
+        let mixed = dense.iter().cloned().zip(sparse).flat_map(|(a, b)| [a, b]);
+        let stream: Vec<String> = dense.iter().cloned().chain(mixed).collect();
+        differential(&stream);
+    }
+
     /// Feeding the same message twice always lands on the same key and
     /// never creates a second key.
     #[test]
@@ -207,5 +263,35 @@ proptest! {
             let ids = ids_of(&p, probe);
             prop_assert_eq!(p.match_ids(&ids), p.match_ids_linear(&ids));
         }
+    }
+}
+
+/// The differential over what the trainer actually reads: every message of
+/// two training jobs of each simulated system, in corpus order.
+#[test]
+fn parse_spans_equals_interning_oracle_on_simulated_corpora() {
+    use dlasim::{SystemKind, WorkloadGen};
+    for system in [
+        SystemKind::Spark,
+        SystemKind::MapReduce,
+        SystemKind::Tez,
+        SystemKind::Yarn,
+        SystemKind::Nova,
+        SystemKind::TensorFlow,
+    ] {
+        let mut gen = WorkloadGen::new(7, 8);
+        let stream: Vec<String> = (0..2)
+            .map(|_| dlasim::generate(&gen.training_config(system), None))
+            .flat_map(|job| job.sessions)
+            .flat_map(|session| session.lines)
+            .map(|line| line.message)
+            .collect();
+        let (parser, _) = differential(&stream);
+        assert!(
+            parser.len() > 2 && stream.len() > 4 * parser.len(),
+            "{system:?}: {} keys from {} lines is not a training corpus",
+            parser.len(),
+            stream.len()
+        );
     }
 }

@@ -10,9 +10,12 @@
 //! * the `lognlp::format` adapters normalise raw lines (Hadoop, Spark,
 //!   HDFS/BGL header, RFC-3164 syslog, JSON) with **zero** heap allocations — the
 //!   returned record borrows from the input — and feeding an adapted
-//!   message to the frozen matcher stays allocation-free end to end.
+//!   message to the frozen matcher stays allocation-free end to end;
+//! * `parse_spans`, the training door, performs **zero** heap allocations
+//!   for a line that matches a key without changing it — never-seen
+//!   parameter values included — and interns nothing for it.
 //!
-//! Both tests warm the per-thread scratch first: scratch buffers and the
+//! The tests warm the per-thread scratch first: scratch buffers and the
 //! scoring hash maps grow to their high-water mark on the first pass and
 //! are reused (cleared, capacity kept) afterwards. The measured passes run
 //! the exact same probes, so any allocation they observe is a genuine
@@ -20,25 +23,30 @@
 
 use spell::SpellParser;
 use std::alloc::{GlobalAlloc, Layout, System};
-// lint: allow(std-sync) — the global allocator runs underneath everything,
-// including the sync facade's model-check hooks; counting allocations
-// through a facade atomic would re-enter the scheduler from inside alloc.
-use std::sync::atomic::{AtomicU64, Ordering};
-// lint: allow(std-sync) — test-local serialisation of the global counter;
-// routing it through the facade would deadlock under the model checker.
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so that what the test
+    /// harness or another test allocates meanwhile is not counted against
+    /// the lines being measured; a `const` cell without a destructor, so
+    /// reading it from inside the allocator allocates nothing itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method delegates verbatim to `System`, which upholds the
-// GlobalAlloc contract; the only addition is a relaxed counter bump, which
-// neither allocates nor unwinds.
+// GlobalAlloc contract; the only addition is a thread-local counter bump,
+// which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwarded to `System.alloc` with the caller's layout.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -50,13 +58,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: forwarded to `System.realloc` with the caller's arguments.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: forwarded to `System.alloc_zeroed` with the caller's layout.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 }
@@ -64,16 +72,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The allocation counter is process-global; tests measuring it must not
-/// overlap with each other's allocations.
-fn lock() -> MutexGuard<'static, ()> {
-    static L: OnceLock<Mutex<()>> = OnceLock::new();
-    let l = L.get_or_init(|| Mutex::new(()));
-    l.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Training corpus: several templates, two instances each so real `*`
@@ -108,7 +108,6 @@ fn probes() -> Vec<String> {
 
 #[test]
 fn frozen_match_line_is_allocation_free() {
-    let _guard = lock();
     let mut parser = SpellParser::default();
     for line in corpus() {
         parser.parse_message(&line);
@@ -141,6 +140,76 @@ fn frozen_match_line_is_allocation_free() {
         0,
         "frozen match_line allocated on the steady-state read path"
     );
+}
+
+#[test]
+fn steady_state_training_line_is_allocation_free() {
+    let mut parser = SpellParser::default();
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
+    // Warmup: learn the keys and grow the line buffers and the live
+    // index's scratch. Twice, so that the second pass changes nothing.
+    for line in corpus().iter().chain(&corpus()) {
+        parser.parse_spans(line, &mut spans, &mut ids);
+    }
+    // Exact instances, and instances whose parameter values no line has
+    // shown before: neither founds nor refines.
+    let steady: Vec<String> = probes()
+        .into_iter()
+        .filter(|l| parser.match_line(l).is_some())
+        .chain([
+            "Finished task 9999 in stage 0 and sent 424242 bytes to driver".to_string(),
+            "[fetcher # 9999] read 77777 bytes from map-output for attempt_9999".to_string(),
+            "Registering block manager endpoint on host9999:13562".to_string(),
+        ])
+        .collect();
+    assert!(steady.len() >= corpus().len() + 4);
+    for line in &steady {
+        parser.parse_spans(line, &mut spans, &mut ids);
+    }
+    let keys = parser.keys().to_vec();
+    let interned = parser.interned_len();
+
+    let before = allocations();
+    for _ in 0..3 {
+        for line in &steady {
+            let (_, founded) = parser.parse_spans(line, &mut spans, &mut ids);
+            assert!(!founded);
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "parse_spans allocated on a line that changed no key"
+    );
+    assert_eq!(
+        parser.interned_len(),
+        interned,
+        "a steady line was interned"
+    );
+    // Only the hit counts moved.
+    assert_eq!(parser.len(), keys.len());
+    for (now, then) in parser.keys().iter().zip(&keys) {
+        assert_eq!((&now.tokens, &now.sample), (&then.tokens, &then.sample));
+    }
+
+    // The counter does count: a refining and a founding line allocate.
+    let before = allocations();
+    let (id, founded) = parser.parse_spans(
+        "Registering shuffle manager endpoint on host3",
+        &mut spans,
+        &mut ids,
+    );
+    assert!(!founded && parser.key(id).render() == "Registering * manager endpoint on *");
+    assert!(allocations() > before, "a refinement builds a `*` token");
+    let before = allocations();
+    let (_, founded) = parser.parse_spans(
+        "completely unrelated text never seen in training",
+        &mut spans,
+        &mut ids,
+    );
+    assert!(founded);
+    assert!(allocations() > before, "a founding line builds its key");
+    assert!(parser.interned_len() > interned);
 }
 
 /// The probe corpus rendered in each adapter's syntax, with headers typical
@@ -208,7 +277,6 @@ fn foreign_probes() -> Vec<(lognlp::format::AdapterKind, Vec<String>)> {
 
 #[test]
 fn adapted_ingest_is_allocation_free() {
-    let _guard = lock();
     let mut parser = SpellParser::default();
     for line in corpus() {
         parser.parse_message(&line);

@@ -19,6 +19,7 @@ use baselines::{SemVec, SemVecConfig};
 use dlasim::{ForeignFormat, RawFormat, SystemKind};
 use intellog_bench::{evaluate, prf, score_jobs, table6_jobs, training_jobs, AccuracyRow, EvalJob};
 use intellog_core::{sessions_from_job, sessions_from_text, IntelLog};
+use intellog_serve::store::{crc32, ModelStore};
 use lognlp::format::AdapterKind;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -159,6 +160,19 @@ fn render_table5(system: SystemKind) -> String {
     writeln!(out, "sub_len_avg_all {:.6}", stats.sub_len_avg_all).unwrap();
     writeln!(out, "sub_len_avg_crit {:.6}", stats.sub_len_avg_crit).unwrap();
     out
+}
+
+/// The model file `intellog train` would write for the golden corpus, as
+/// its checksum and length. The benchmark compares `train` with
+/// `train_sequential` of the same build, so a change that bends both alike
+/// passes it; this pins the bytes across commits.
+fn render_model_crc(system: SystemKind) -> String {
+    let jobs = training_jobs(system, TRAIN_JOBS, TRAIN_SEED);
+    let sessions: Vec<_> = jobs.iter().flat_map(sessions_from_job).collect();
+    let detector = anomaly::Trainer::default().train(&sessions);
+    let payload = serde_json::to_string(&detector).expect("a detector serialises");
+    let bytes = ModelStore::encode(payload.as_bytes());
+    format!("crc32 {:08x} len {}\n", crc32(&bytes), bytes.len())
 }
 
 /// Table 8-style detection pass (per-session and per-job scoring) for one
@@ -325,6 +339,16 @@ fn table5_graph_shape_is_stable() {
         golden_check(
             &format!("table5_{}.txt", system_slug(system)),
             &render_table5(system),
+        );
+    }
+}
+
+#[test]
+fn model_bytes_are_stable() {
+    for system in SystemKind::EVALUATED {
+        golden_check(
+            &format!("model_{}.crc", system_slug(system)),
+            &render_model_crc(system),
         );
     }
 }
