@@ -18,7 +18,7 @@ use crate::instance::{GroupInstance, HwInstance};
 use crate::report::{Anomaly, JobReport, SessionReport};
 use crate::stream::StreamState;
 use extract::{IntelKey, SessionLog};
-use hwgraph::{rows_by_group, split_instances, FirstSeen, GroupRel, HwGraph};
+use hwgraph::{rows_by_group, split_instances_into, FirstSeen, GroupRel, HwGraph, InstanceSplit};
 use serde::{Deserialize, Serialize};
 use spell::{KeyId, Session, SpellParser};
 use std::collections::{BTreeMap, BTreeSet};
@@ -127,25 +127,25 @@ impl Detector {
         let matched = self.graph.profiles.best_match_scored(&fingerprint);
         let profile = matched.map(|(_, p, _)| p);
 
-        // 3. Per-group subroutine-instance checks.
-        let mut instances_checked = 0;
+        // 3. Per-group subroutine-instance checks, the groups split one
+        //    after the other into one set of arrays (as the trainer does).
+        let mut split = InstanceSplit::new(log);
         for (&g, (span, rows)) in &per_group {
             let gm = &self.graph.groups[g];
             let profile_subs = profile.and_then(|p| p.subroutines.get(&g));
-            let split = split_instances(log, rows);
-            instances_checked += split.len();
+            let range = split_instances_into(rows, &mut split);
             if let Some(groups) = instance.as_deref_mut() {
                 groups.insert(
                     g,
                     GroupInstance {
                         group: gm.name.clone(),
                         lifespan: Some(*span),
-                        subroutines: split.render(),
+                        subroutines: split.instances(range.clone()).map(|i| i.render()).collect(),
                         messages: rows.len(),
                     },
                 );
             }
-            for inst in split.iter() {
+            for inst in split.instances(range) {
                 // Prefer the per-profile learner; fall back to the global
                 // one for signatures the profile never saw (a signature is
                 // only *unknown* if neither learner knows it).
@@ -234,7 +234,7 @@ impl Detector {
         let _ = GroupRel::Parallel; // relations other than parent/before need no check
         crate::report::count_verdicts(&report.anomalies[verdicts_before..]);
         obs::add!("hwgraph.instance_groups", per_group.len() as u64);
-        obs::add!("hwgraph.instances", instances_checked as u64);
+        obs::add!("hwgraph.instances", split.len() as u64);
     }
 
     /// Detect anomalies across a whole job.
@@ -244,10 +244,11 @@ impl Detector {
         }
     }
 
-    /// Map entity phrases to group names via the trained grouping.
-    pub(crate) fn groups_of_entities(&self, entities: &[String]) -> Vec<String> {
+    /// Map entity phrases to group names via the trained grouping: the
+    /// `groups` an unexpected message is reported with.
+    pub fn groups_of_entities<S: AsRef<str>>(&self, entities: &[S]) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        for e in entities {
+        for e in entities.iter().map(S::as_ref) {
             for (gi, gm) in self.graph.groups.iter().enumerate() {
                 if gm.entities.contains(e) || hwgraph::longest_common_phrase(&gm.name, e).is_some()
                 {

@@ -34,6 +34,10 @@ pub struct Diagnosis {
 ///
 /// `known_entities` is the entity universe of the trained HW-graph, used to
 /// spot *new* entities in unexpected messages.
+///
+/// An [`Anomaly::UnexpectedRepeats`] counts towards its `groups` once, however
+/// many lines it stands for; the [`IntelStore`] — so the GroupBys and the new
+/// entities — is fed only the messages a session kept in full.
 pub fn diagnose(report: &JobReport, known_entities: &[String]) -> Diagnosis {
     let mut store = IntelStore::new();
     let mut group_counts: BTreeMap<String, usize> = BTreeMap::new();

@@ -27,6 +27,22 @@ pub enum Anomaly {
         /// Entity groups the extracted entities map to, if any.
         groups: Vec<String>,
     },
+    /// Unexpected messages counted instead of kept: past its first
+    /// [`crate::stream::MAX_FULL_UNEXPECTED`] a session counts them, per
+    /// digit-folded shape it has learnt and once for all the others.
+    UnexpectedRepeats {
+        /// The shape's tokens, `*` for those carrying a digit — or
+        /// [`crate::stream::OTHER_TEMPLATE`] (lines of no learnt shape).
+        template: String,
+        /// How many lines were counted here.
+        count: u64,
+        /// Timestamp of the first of them.
+        first_ts_ms: u64,
+        /// Timestamp of the last of them.
+        last_ts_ms: u64,
+        /// Entity groups of the line that founded the shape.
+        groups: Vec<String>,
+    },
     /// A subroutine instance finished without one of its critical keys.
     MissingCriticalKey {
         /// Entity group name.
@@ -84,7 +100,8 @@ impl Anomaly {
     /// The entity group(s) this anomaly points at (diagnosis target).
     pub fn groups(&self) -> Vec<&str> {
         match self {
-            Anomaly::UnexpectedMessage { groups, .. } => {
+            Anomaly::UnexpectedMessage { groups, .. }
+            | Anomaly::UnexpectedRepeats { groups, .. } => {
                 groups.iter().map(String::as_str).collect()
             }
             Anomaly::MissingCriticalKey { group, .. }
@@ -105,6 +122,7 @@ impl Anomaly {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Anomaly::UnexpectedMessage { .. } => "unexpected-message",
+            Anomaly::UnexpectedRepeats { .. } => "unexpected-repeats",
             Anomaly::MissingCriticalKey { .. } => "missing-critical-key",
             Anomaly::BrokenOrder { .. } => "broken-order",
             Anomaly::UnknownSignature { .. } => "unknown-signature",
@@ -229,6 +247,16 @@ mod tests {
             child: "task".into(),
         };
         assert_eq!(h.groups(), ["memory", "task"]);
+        let r = Anomaly::UnexpectedRepeats {
+            template: "spill * of * MB".into(),
+            count: 7,
+            first_ts_ms: 1,
+            last_ts_ms: 9,
+            groups: vec!["memory".into()],
+        };
+        assert_eq!(r.groups(), ["memory"]);
+        assert_eq!(r.kind_name(), "unexpected-repeats");
+        assert!(!r.is_unexpected_message(), "it carries no Intel Message");
     }
 
     #[test]

@@ -25,6 +25,18 @@
 //! state no allocation (`tests/stream_zero_alloc.rs`). Only an unexpected
 //! message, which is reported with its strings, is instantiated.
 //!
+//! An unexpected line is extracted ad hoc (§4.2: "to aid diagnosis"): the POS
+//! tagger and the dependency parser, ten times a matched line. A faulted job
+//! repeats a few unknown templates, so the state memoises the extraction per
+//! *shape* — the message with every ASCII digit folded to `0`, lengths kept.
+//! Extraction looks at whether a character is a digit, never at which, so the
+//! lines of a shape tokenise, tag and classify alike;
+//! [`IntelKey::across_digits`] rewrites what does differ and refuses the
+//! shapes it cannot vouch for, which are extracted anew each time. What a
+//! session retains of unexpected lines is bounded by [`MAX_FULL_UNEXPECTED`]
+//! and [`MAX_ADHOC_SHAPES`]; past them lines are counted and reported as
+//! [`Anomaly::UnexpectedRepeats`].
+//!
 //! Correctness contract: all `feed` calls and the final `finish` for one
 //! `StreamState` must use the *same* `Detector` — the logged rows carry key
 //! ids that are only meaningful against the model they were matched with.
@@ -34,9 +46,41 @@
 use crate::detector::Detector;
 use crate::instance::{GroupInstance, HwInstance};
 use crate::report::{Anomaly, SessionReport};
-use extract::{IntelExtractor, IntelMessage, SessionLog};
+use extract::{IntelExtractor, IntelKey, IntelMessage, SessionLog};
 use spell::LogLine;
 use std::collections::BTreeMap;
+
+/// How many unexpected messages a session keeps and reports in full (bounds
+/// an in-flight session's memory and its report); further ones are counted.
+pub const MAX_FULL_UNEXPECTED: usize = 256;
+
+/// How many shapes of unexpected line a session learns: bounds the memo and
+/// the scan of it. A line of a further shape is extracted anew while lines
+/// are kept in full, then counted, unextracted, under [`OTHER_TEMPLATE`].
+pub const MAX_ADHOC_SHAPES: usize = 32;
+
+/// The `template` of the count of lines of no learnt shape.
+pub const OTHER_TEMPLATE: &str = "(other)";
+
+/// One learnt shape of unexpected line.
+struct AdhocShape {
+    /// The founding message, every ASCII digit folded to `0`.
+    shape: Box<[u8]>,
+    /// Its ad hoc key [`IntelKey::across_digits`], `None` if that refused.
+    key: Option<IntelKey>,
+    /// The entity groups of the key's entities.
+    groups: Vec<String>,
+    /// An `UnexpectedRepeats` of its lines past [`MAX_FULL_UNEXPECTED`].
+    repeats: Option<Anomaly>,
+}
+
+/// `shape` as a template: its tokens, `*` for those that carry a digit.
+fn template_of(shape: &[u8]) -> String {
+    let tokens = spell::tokenize_message(&String::from_utf8_lossy(shape));
+    let tokens = tokens.iter().map(String::as_str);
+    let starred = tokens.map(|t| if t.contains('0') { "*" } else { t });
+    starred.collect::<Vec<_>>().join(" ")
+}
 
 /// Owned, movable state of one in-flight streaming session. See the module
 /// docs for the one-detector-per-state contract.
@@ -51,6 +95,13 @@ pub struct StreamState {
     ids: Vec<spell::TokenId>,
     /// Token-span buffer reused across `feed` calls (zero-copy tokenise).
     spans: Vec<spell::Span>,
+    /// The memo of ad hoc extractions, in order of founding. Owned by the
+    /// session: no lock, moves with the state, dies with it.
+    shapes: Vec<AdhocShape>,
+    /// Shape buffer reused across unexpected lines.
+    folded: Vec<u8>,
+    /// The lines past both caps, once there is one.
+    other: Option<Anomaly>,
 }
 
 impl StreamState {
@@ -65,13 +116,16 @@ impl StreamState {
             online_anomalies: Vec::new(),
             ids: Vec::new(),
             spans: Vec::new(),
+            shapes: Vec::new(),
+            folded: Vec::new(),
+            other: None,
         }
     }
 
     // lint: ingest-hot(begin)
 
     /// Feed one log line. Returns the anomaly — kept in this state for the
-    /// report — if the line is an unexpected message (no Intel Key matches).
+    /// report — if no Intel Key matches: the message, or the count it joined.
     #[inline]
     pub fn feed(&mut self, detector: &Detector, line: &LogLine) -> Option<&Anomaly> {
         self.feed_message(detector, line.ts_ms, &line.message)
@@ -106,16 +160,43 @@ impl StreamState {
     // lint: ingest-hot(end)
 
     /// The rare path of [`StreamState::feed_message`]: extract what the
-    /// unknown line says ad hoc and keep it as an online anomaly.
+    /// unknown line says — once per shape where that is sound — and keep it
+    /// as an online anomaly, or count it once the session holds its fill.
     fn unexpected(&mut self, detector: &Detector, ts_ms: u64, message: &str) -> &Anomaly {
-        let tokens: Vec<String> = self
-            .spans
-            .iter()
-            .map(|s| s.of(message).to_string())
-            .collect();
-        let adhoc = self.extractor.extract_adhoc(message);
-        let intel = IntelMessage::instantiate(&adhoc, &tokens, &self.session_id, ts_ms);
-        let groups = detector.groups_of_entities(&intel.entities);
+        let fold = |b: u8| if b.is_ascii_digit() { b'0' } else { b };
+        self.folded.clear();
+        self.folded.extend(message.bytes().map(fold));
+        let mut slot = self.shapes.iter().position(|s| *s.shape == *self.folded);
+        match slot.map(|i| self.shapes[i].key.is_some()) {
+            Some(true) => obs::inc!("anomaly.adhoc.memo_hit"),
+            Some(false) => obs::inc!("anomaly.adhoc.not_reusable"),
+            None => obs::inc!("anomaly.adhoc.memo_miss"),
+        }
+        if slot.is_none() && self.shapes.len() < MAX_ADHOC_SHAPES {
+            let adhoc = self.extractor.extract_adhoc(message);
+            slot = Some(self.shapes.len());
+            self.shapes.push(AdhocShape {
+                shape: self.folded.as_slice().into(),
+                groups: detector.groups_of_entities(&adhoc.entity_phrases()),
+                key: adhoc.across_digits(),
+                repeats: None,
+            });
+        }
+        if self.online_anomalies.len() >= MAX_FULL_UNEXPECTED {
+            return self.count_unexpected(slot, ts_ms);
+        }
+        let instantiate = |key: &IntelKey| {
+            IntelMessage::instantiate_spans(key, message, &self.spans, &self.session_id, ts_ms)
+        };
+        let learnt = slot.map(|i| &self.shapes[i]);
+        let (intel, groups) = match learnt.and_then(|s| Some((s.key.as_ref()?, &s.groups))) {
+            Some((key, groups)) => (instantiate(key), groups.clone()),
+            None => {
+                let intel = instantiate(&self.extractor.extract_adhoc(message));
+                let groups = detector.groups_of_entities(&intel.entities);
+                (intel, groups)
+            }
+        };
         obs::inc!("anomaly.verdict.unexpected-message");
         obs::event!("anomaly.unexpected_message", "session" = self.session_id);
         self.online_anomalies.push(Anomaly::UnexpectedMessage {
@@ -125,6 +206,34 @@ impl StreamState {
             groups,
         });
         self.online_anomalies.last().expect("pushed just above")
+    }
+
+    /// Count a line the session no longer keeps, under its shape's template
+    /// or, for a shape the memo had no room for, under [`OTHER_TEMPLATE`].
+    fn count_unexpected(&mut self, slot: Option<usize>, ts_ms: u64) -> &Anomaly {
+        obs::inc!("anomaly.unexpected_suppressed");
+        let (repeats, founder) = match slot.map(|i| &mut self.shapes[i]) {
+            Some(s) => (&mut s.repeats, Some((&s.shape, &s.groups))),
+            None => (&mut self.other, None),
+        };
+        let counted = repeats.get_or_insert_with(|| Anomaly::UnexpectedRepeats {
+            template: match founder {
+                Some((shape, _)) => template_of(shape),
+                None => OTHER_TEMPLATE.to_string(),
+            },
+            count: 0,
+            first_ts_ms: ts_ms,
+            last_ts_ms: ts_ms,
+            groups: founder.map_or_else(Vec::new, |(_, groups)| groups.clone()),
+        });
+        if let Anomaly::UnexpectedRepeats {
+            count, last_ts_ms, ..
+        } = counted
+        {
+            *count += 1;
+            *last_ts_ms = ts_ms;
+        }
+        counted
     }
 
     /// Number of lines consumed so far.
@@ -137,7 +246,7 @@ impl StreamState {
         &self.session_id
     }
 
-    /// Online (unexpected-message) anomalies surfaced so far.
+    /// Online (unexpected-message) anomalies kept in full so far.
     pub fn online_anomaly_count(&self) -> usize {
         self.online_anomalies.len()
     }
@@ -168,10 +277,13 @@ impl StreamState {
         instance: Option<&mut BTreeMap<usize, GroupInstance>>,
     ) -> SessionReport {
         obs::inc!("anomaly.sessions_checked");
+        let mut anomalies = self.online_anomalies;
+        let counted = self.shapes.into_iter().filter_map(|s| s.repeats);
+        anomalies.extend(counted.chain(self.other));
         let mut report = SessionReport {
             session: self.session_id,
             lines: self.lines,
-            anomalies: self.online_anomalies,
+            anomalies,
         };
         detector.structural_checks(&self.log, &mut report, instance);
         report

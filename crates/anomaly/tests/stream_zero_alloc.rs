@@ -5,7 +5,9 @@
 //! span/id buffers — and that of a matched line the state retains one row of
 //! its session log, written from the line's token spans: no token string, no
 //! Intel Message, nothing allocated per line. The binary installs a counting
-//! global allocator so both are checked as stated.
+//! global allocator so both are checked as stated — and a third claim: an
+//! unexpected line answered from the ad hoc memo allocates the strings and
+//! vectors of the message it reports and nothing else.
 //!
 //! Allocations are counted per thread: the trainer's pool keeps worker
 //! threads whose start-up would otherwise be counted into whichever test is
@@ -16,7 +18,7 @@
 //! `UNKNOWN_ID` and make every line the same interned sequence), so any
 //! per-sequence state a session keeps shows up as allocations here.
 
-use anomaly::{Detector, StreamState, Trainer};
+use anomaly::{Anomaly, Detector, StreamState, Trainer};
 use spell::{Level, LogLine, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -200,4 +202,73 @@ fn feed_allocates_only_to_grow_the_log_on_matched_lines() {
         "StreamState::feed allocated {allocated} times on {LINES} matched lines with fresh values"
     );
     assert_eq!(state.lines_seen() as u64, 5 * LINES);
+}
+
+/// The heap blocks `anomaly` owns: every non-empty `String` and `Vec` in it.
+fn owned_blocks(anomaly: &Anomaly) -> u64 {
+    let Anomaly::UnexpectedMessage {
+        text,
+        intel,
+        groups,
+        ..
+    } = anomaly
+    else {
+        panic!("not an unexpected message: {anomaly:?}");
+    };
+    let pairs = |p: &[(String, String)]| !p.is_empty() as usize + 2 * p.len();
+    let list = |l: &[String]| !l.is_empty() as usize + l.len();
+    let operations = &intel.operations;
+    let arguments = operations
+        .iter()
+        .map(|op| 1 + op.subj.is_some() as usize + op.obj.is_some() as usize);
+    let blocks = [text, &intel.session, &intel.text].len()
+        + pairs(&intel.identifiers)
+        + pairs(&intel.values)
+        + list(&intel.localities)
+        + list(&intel.entities)
+        + list(groups)
+        + !operations.is_empty() as usize
+        + arguments.sum::<usize>();
+    blocks as u64
+}
+
+#[test]
+fn memo_hit_allocates_only_the_message_it_reports() {
+    let detector = trained();
+    // one shape: the digits change, their number does not
+    let spill = |n: u64| {
+        let (k, mb) = (n % 10, 10 + n % 90);
+        line(
+            n,
+            format!("spill {k} of {mb} MB written to /tmp/spill{k}.out on host{k}"),
+        )
+    };
+    let mut state = StreamState::begin("live");
+    // The founding line pays the extraction; it and the next leave the
+    // state's buffers at their high-water mark.
+    let founding = fed(&mut state, &detector, &[spill(0)]).0;
+    fed(&mut state, &detector, &[spill(1)]);
+
+    const HITS: u64 = 100;
+    let lines: Vec<LogLine> = (2..2 + HITS).map(spill).collect();
+    let mut blocks = 0;
+    let before = allocations();
+    for l in &lines {
+        blocks += owned_blocks(state.feed(&detector, l).expect("an unknown line"));
+    }
+    let allocated = allocations() - before;
+    assert!(
+        blocks >= 12 * HITS,
+        "the message carries its fields: {blocks}"
+    );
+    // The list of online anomalies doubles its way from 2 to 102 entries.
+    assert!(
+        (blocks..=blocks + 6).contains(&allocated),
+        "{HITS} memo hits allocated {allocated} times for {blocks} owned blocks"
+    );
+    assert!(
+        founding > 3 * allocated / HITS,
+        "an extraction ({founding} allocations) should dwarf a hit ({})",
+        allocated / HITS
+    );
 }

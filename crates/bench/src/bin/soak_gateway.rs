@@ -16,6 +16,13 @@
 //! * a reload thread hot-`LOAD`ing each tenant's model file round-robin,
 //!   so leases pin model versions while the registry swaps under them.
 //!
+//! Then, alone on the wire so that its rate and the process's memory can be
+//! read, a hostile tenant: every line unknown to its model, as a faulted job
+//! or a client of the wrong deployment sends them — three lines in four to
+//! one session that never ends, the rest to sessions of 30 lines. Its
+//! sessions hold a bounded number of unexpected messages and count the rest,
+//! so resident memory must stand still and the lines must keep flowing.
+//!
 //! Afterwards the soak asserts the invariants the gateway guarantees:
 //! zero dropped lines under `block` backpressure, zero protocol errors,
 //! every line and every session attributed to its tenant (nothing lost
@@ -134,6 +141,81 @@ fn drive_tenant(
     })
 }
 
+/// Lines per second the hostile tenant must sustain, end to end through the
+/// gateway: 5 × what the parent of the memo and the caps sustained on this
+/// client on the 2-vCPU reference host (EXPERIMENTS.md, "An unexpected line
+/// is extracted once per template").
+const HOSTILE_FLOOR_LINES_PER_S: f64 = 290_000.0;
+/// Resident memory may move by this much (allocator slack, the report ring
+/// turning over) between the first quarter of the hostile stream and its end.
+const HOSTILE_RSS_SLACK_MIB: f64 = 16.0;
+
+fn rss_mib() -> f64 {
+    let statm = std::fs::read_to_string("/proc/self/statm").unwrap_or_default();
+    let pages = statm.split(' ').nth(1).and_then(|p| p.parse::<f64>().ok());
+    pages.unwrap_or(0.0) * 4096.0 / (1 << 20) as f64
+}
+
+/// Send `lines` unknown lines as `tenant` (see the module docs). Returns the
+/// totals sent, the lines per second sustained and the growth of resident
+/// memory over the last three quarters of the stream.
+fn drive_hostile(addr: &str, tenant: &str, lines: u64) -> Result<(SentTotals, f64, f64), String> {
+    let io = |e: std::io::Error| format!("{tenant}: {e}");
+    let mut client = ServeClient::connect(addr).map_err(io)?;
+    client.tenant(tenant).map_err(io)?;
+    let mut line = spell::LogLine {
+        ts_ms: 0,
+        level: spell::Level::Warn,
+        source: "Chaos".into(),
+        message: String::new(),
+    };
+    // Wait until the shards have fed everything sent so far.
+    let fed = |client: &mut ServeClient, sent: u64| loop {
+        let stats = client.stats().map_err(io)?;
+        match stats.per_tenant.iter().find(|t| t.tenant == tenant) {
+            Some(t) if t.lines >= sent => return Ok::<_, String>(()),
+            _ => sync::thread::sleep(Duration::from_millis(1)),
+        }
+    };
+    let (mut sessions, mut rss_early) = (1, 0.0);
+    let started = std::time::Instant::now();
+    for n in 0..lines {
+        let (k, h, mb) = (n % 10, n % 8, 10 + n % 90);
+        line.ts_ms = n;
+        line.message = match n % 5 {
+            0 => {
+                format!("gremlin {k} could not reach burrow{h}:4110{h} while gnawing remote cables")
+            }
+            1 => format!("regnawing ({k}/3) at 5 outstanding cables after {mb}00 ms"),
+            2 => format!("crumb {k} of {mb} MB dropped to /tmp/crumb{k}.out"),
+            3 => format!("lost gremlin {k} on burrow{h}: squeak timed out after {mb}000 ms"),
+            _ => format!("gremlin {k} is chewing cable_{mb} again"),
+        };
+        if n % 4 == 0 {
+            let short = format!("short{}", n / 120);
+            sessions += (n % 120 == 0) as u64;
+            client.log(&short, &line).map_err(io)?;
+            if n % 120 == 116 {
+                client.end(&short).map_err(io)?;
+            }
+        } else {
+            client.log("forever", &line).map_err(io)?;
+        }
+        if n == lines / 4 {
+            fed(&mut client, n + 1)?;
+            rss_early = rss_mib();
+        }
+    }
+    fed(&mut client, lines)?;
+    let rate = lines as f64 / started.elapsed().as_secs_f64();
+    let totals = SentTotals {
+        tenant: tenant.to_string(),
+        sessions,
+        lines,
+    };
+    Ok((totals, rate, rss_mib() - rss_early))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -175,7 +257,12 @@ fn main() {
         let path =
             std::env::temp_dir().join(format!("intellog-soak-{}-{name}.model", std::process::id()));
         ModelStore::save(&path, &detector).expect("save model");
-        registry.register(&name, Arc::new(detector));
+        let detector = Arc::new(detector);
+        if i == 0 {
+            // the hostile tenant: a model that knows none of its lines
+            registry.register("hostile", Arc::clone(&detector));
+        }
+        registry.register(&name, detector);
         model_paths.push((name, path));
     }
 
@@ -184,7 +271,9 @@ fn main() {
         queue_capacity: 1024,
         backpressure: Backpressure::Block,
         idle_timeout: Duration::from_secs(300),
-        ring_capacity: 16384,
+        // the reports are not read; a short ring turns over early in the
+        // hostile stream, so that what it holds does not read as growth
+        ring_capacity: 256,
         ..GatewayConfig::default()
     };
     let gateway = Gateway::bind_with_registry(&cfg, Arc::clone(&registry)).expect("bind");
@@ -279,6 +368,19 @@ fn main() {
         }
     };
 
+    // --- the hostile tenant, alone ----------------------------------------
+    let hostile_lines = if smoke { 240_000 } else { 1_200_000 };
+    let (hostile_rate, hostile_growth) = match drive_hostile(&addr, "hostile", hostile_lines) {
+        Ok((totals, rate, growth)) => {
+            sent.push(totals);
+            (rate, growth)
+        }
+        Err(e) => {
+            failures.push(e);
+            (0.0, 0.0)
+        }
+    };
+
     let mut ctl = ServeClient::connect(&addr).expect("audit connect");
     ctl.drain().expect("final DRAIN");
     let stats = ctl.stats().expect("final STATS");
@@ -292,11 +394,32 @@ fn main() {
         sent.len()
     );
 
+    eprintln!(
+        "soak_gateway: hostile tenant sustained {hostile_rate:.0} lines/s, resident memory \
+         moved {hostile_growth:+.1} MiB over its last three quarters, {} lines counted not kept",
+        stats.unexpected_suppressed
+    );
+
     let mut check = |ok: bool, msg: String| {
         if !ok {
             failures.push(msg);
         }
     };
+    check(
+        hostile_rate >= HOSTILE_FLOOR_LINES_PER_S,
+        format!("hostile tenant fed {hostile_rate:.0} lines/s < {HOSTILE_FLOOR_LINES_PER_S}"),
+    );
+    check(
+        hostile_growth <= HOSTILE_RSS_SLACK_MIB,
+        format!("resident memory grew {hostile_growth:.1} MiB under the hostile tenant"),
+    );
+    check(
+        stats.unexpected_suppressed > hostile_lines / 2,
+        format!(
+            "only {} unexpected lines suppressed",
+            stats.unexpected_suppressed
+        ),
+    );
     check(
         stats.dropped == 0,
         format!("block backpressure shed {} lines", stats.dropped),
@@ -353,7 +476,7 @@ fn main() {
                     format!("{}: {} live after drain", t.tenant, p.sessions_live),
                 );
                 check(
-                    p.reloads >= 2,
+                    p.reloads >= 2 || t.tenant == "hostile",
                     format!("{}: only {} reloads landed", t.tenant, p.reloads),
                 );
             }

@@ -90,6 +90,14 @@ fn main() {
         t += report.total_count();
         let diag = il_tz.diagnose(&report);
         new_entities.extend(diag.new_entities);
+        for a in report.anomalies() {
+            if let anomaly::Anomaly::UnexpectedRepeats {
+                template, count, ..
+            } = a
+            {
+                println!("        unexpected repeats: {template} × {count}");
+            }
+        }
         spill_paths += report
             .anomalies()
             .filter_map(|a| match a {

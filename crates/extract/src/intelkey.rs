@@ -22,6 +22,7 @@ use crate::operation::{extract_operations, Operation};
 use lognlp::pos::{tag_key_with_sample, TaggedToken};
 use lognlp::tags::PosTag;
 use lognlp::token::Token;
+use lognlp::Span;
 use serde::{Deserialize, Serialize};
 use spell::{KeyId, LogKey};
 
@@ -82,6 +83,36 @@ impl IntelKey {
             .first()
             .map(|o| o.to_string())
             .unwrap_or_else(|| self.render())
+    }
+
+    /// This *ad hoc* key ([`IntelExtractor::extract_adhoc`]) made good for
+    /// every message that differs from its own only in which ASCII digit
+    /// stands where, or `None` if it cannot be. Extraction looks at whether a
+    /// character is a digit, never at which, so such messages agree on tags,
+    /// entities and fields — but an ad hoc key has no `*`, so an operation
+    /// quotes the line's own token (`worker5:41105`) as its argument. That
+    /// argument becomes `*`, which [`IntelMessage::instantiate`] refills from
+    /// the line, if the token is spelled as quoted (operations quote in lower
+    /// case); any other extracted string carrying a digit refuses the key.
+    pub fn across_digits(mut self) -> Option<IntelKey> {
+        let digit = |s: &str| s.bytes().any(|b| b.is_ascii_digit());
+        let named = |s: &Option<String>| s.as_deref().is_some_and(digit);
+        for op in &mut self.operations {
+            for (arg, pos) in [(&mut op.subj, op.subj_pos), (&mut op.obj, op.obj_pos)] {
+                if named(arg) {
+                    let token = pos.and_then(|p| self.tokens.get(p));
+                    if token != arg.as_ref() {
+                        return None;
+                    }
+                    *arg = Some("*".to_string());
+                }
+            }
+        }
+        let names = |f: &VarField| named(&f.id_type) || named(&f.name);
+        let placed = !self.fields.iter().any(names)
+            && !self.entities.iter().any(|e| digit(&e.phrase))
+            && !self.operations.iter().any(|op| digit(&op.predicate));
+        placed.then_some(self)
     }
 }
 
@@ -231,50 +262,88 @@ impl IntelMessage {
         session: impl Into<String>,
         ts_ms: u64,
     ) -> IntelMessage {
+        let token = |pos: usize| msg_tokens.get(pos).map(String::as_str);
+        IntelMessage::fill(key, token, msg_tokens.join(" "), session.into(), ts_ms)
+    }
+
+    /// [`IntelMessage::instantiate`] reading the tokens where they lie, at
+    /// `message`'s token `spans` (as [`crate::SessionLog::push_line`] does):
+    /// nothing is allocated but what the message keeps.
+    pub fn instantiate_spans(
+        key: &IntelKey,
+        message: &str,
+        spans: &[Span],
+        session: impl Into<String>,
+        ts_ms: u64,
+    ) -> IntelMessage {
+        let mut text = String::with_capacity(message.len());
+        for (i, span) in spans.iter().enumerate() {
+            if i > 0 {
+                text.push(' ');
+            }
+            text.push_str(span.of(message));
+        }
+        let token = |pos: usize| spans.get(pos).map(|s| s.of(message));
+        IntelMessage::fill(key, token, text, session.into(), ts_ms)
+    }
+
+    /// The message of `key` whose token at a position is `token(pos)`.
+    fn fill<'t>(
+        key: &IntelKey,
+        token: impl Fn(usize) -> Option<&'t str>,
+        text: String,
+        session: String,
+        ts_ms: u64,
+    ) -> IntelMessage {
+        // `key.entity_phrases()`, owned, without its scratch set
+        let mut entities: Vec<String> = Vec::with_capacity(key.entities.len());
+        for e in &key.entities {
+            if !entities.contains(&e.phrase) {
+                entities.push(e.phrase.clone());
+            }
+        }
+        // A `*` argument is the concrete token at the recorded head position.
+        let filled = |arg: &Option<String>, pos: Option<usize>| {
+            let refill = pos.filter(|_| arg.as_deref() == Some("*")).and_then(&token);
+            refill.map(str::to_string).or_else(|| arg.clone())
+        };
+        let placed = |op: &Operation| Operation {
+            subj: filled(&op.subj, op.subj_pos),
+            predicate: op.predicate.clone(),
+            obj: filled(&op.obj, op.obj_pos),
+            subj_pos: op.subj_pos,
+            obj_pos: op.obj_pos,
+        };
         let mut m = IntelMessage {
             key_id: key.key_id,
-            session: session.into(),
+            session,
             ts_ms,
             identifiers: Vec::new(),
             values: Vec::new(),
             localities: Vec::new(),
-            entities: key.entity_phrases().iter().map(|s| s.to_string()).collect(),
-            operations: key.operations.clone(),
-            text: msg_tokens.join(" "),
+            entities,
+            operations: key.operations.iter().map(placed).collect(),
+            text,
         };
         for f in &key.fields {
-            let Some(value) = msg_tokens.get(f.pos) else {
+            let Some(value) = token(f.pos) else {
                 continue;
             };
             match f.category {
                 FieldCategory::Identifier => {
                     m.identifiers.push((
                         f.id_type.clone().unwrap_or_else(|| "ID".into()),
-                        value.clone(),
+                        value.to_string(),
                     ));
                 }
                 FieldCategory::Value => {
                     m.values.push((
                         f.name.clone().unwrap_or_else(|| "value".into()),
-                        value.clone(),
+                        value.to_string(),
                     ));
                 }
-                FieldCategory::Locality => m.localities.push(value.clone()),
+                FieldCategory::Locality => m.localities.push(value.to_string()),
                 FieldCategory::Skipped => {}
-            }
-        }
-        // Fill `*` placeholders in operations with the concrete tokens at
-        // the recorded head positions.
-        for op in &mut m.operations {
-            if op.subj.as_deref() == Some("*") {
-                if let Some(v) = op.subj_pos.and_then(|p| msg_tokens.get(p)) {
-                    op.subj = Some(v.clone());
-                }
-            }
-            if op.obj.as_deref() == Some("*") {
-                if let Some(v) = op.obj_pos.and_then(|p| msg_tokens.get(p)) {
-                    op.obj = Some(v.clone());
-                }
             }
         }
         m

@@ -1006,6 +1006,7 @@ impl Gateway {
             ingested: total(|s| s.ingested),
             dropped: total(|s| s.dropped),
             online_anomalies: total(|s| s.online_anomalies),
+            unexpected_suppressed: total(|s| s.unexpected_suppressed),
             sessions_live: total(|s| s.sessions_live),
             reports_completed: self.sink.completed(),
             reports_problematic: self.sink.problematic(),
@@ -1037,6 +1038,11 @@ impl Gateway {
                 "intellog_serve_online_anomalies_total",
                 Counter,
                 stats.online_anomalies,
+            ),
+            (
+                "intellog_serve_unexpected_suppressed_total",
+                Counter,
+                stats.unexpected_suppressed,
             ),
             (
                 "intellog_serve_reports_completed_total",
@@ -1094,12 +1100,17 @@ impl Gateway {
             ("intellog_serve_queue_len", Gauge, |s| s.queue_len as u64),
             ("intellog_serve_shard_busy_us_total", Counter, |s| s.busy_us),
         ];
-        let per_tenant: [Family<TenantSnapshot>; 5] = [
+        let per_tenant: [Family<TenantSnapshot>; 6] = [
             ("intellog_tenant_lines_total", Counter, |t| t.lines),
             ("intellog_tenant_sessions_live", Gauge, |t| t.sessions_live),
             ("intellog_tenant_online_anomalies_total", Counter, |t| {
                 t.online_anomalies
             }),
+            (
+                "intellog_tenant_unexpected_suppressed_total",
+                Counter,
+                |t| t.unexpected_suppressed,
+            ),
             ("intellog_tenant_model_version", Gauge, |t| t.model_version),
             ("intellog_tenant_reloads_total", Counter, |t| t.reloads),
         ];

@@ -121,6 +121,12 @@ fn assert_valid_exposition(text: &str, ingested: u64) {
             assert!(families.insert(family), "second TYPE line for {family}");
         }
     }
+    for family in [
+        "intellog_serve_unexpected_suppressed_total",
+        "intellog_tenant_unexpected_suppressed_total",
+    ] {
+        assert!(families.contains(family), "{family} is not exposed");
+    }
     // One set of books: what `STATS` counts has no second, gated counter.
     for (event, spellings) in [
         (

@@ -218,18 +218,21 @@ impl<'a> InstanceSplit<'a> {
 
     /// Every instance with its strings built.
     pub fn render(&self) -> Vec<SubroutineInstance> {
-        self.iter()
-            .map(|inst| SubroutineInstance {
-                id_values: inst.id_values(),
-                signature: inst.signature(),
-                message_indices: inst.raw.messages.of(&self.message_indices).to_vec(),
-                keys: inst.keys().to_vec(),
-            })
-            .collect()
+        self.iter().map(|inst| inst.render()).collect()
     }
 }
 
 impl<'s> Instance<'s> {
+    /// The instance with its strings built.
+    pub fn render(&self) -> SubroutineInstance {
+        SubroutineInstance {
+            id_values: self.id_values(),
+            signature: self.signature(),
+            message_indices: self.raw.messages.of(&self.split.message_indices).to_vec(),
+            keys: self.keys().to_vec(),
+        }
+    }
+
     /// Key of each message, in order.
     pub fn keys(&self) -> &'s [KeyId] {
         self.raw.messages.of(&self.split.keys)

@@ -667,6 +667,19 @@ impl Lexicon {
 mod tests {
     use super::*;
 
+    /// Streaming detection reuses the extraction of one unexpected line for
+    /// every line that differs from it only in its digits
+    /// (`anomaly::stream`): sound while no lookup here can tell `md5` from
+    /// `md7`, i.e. while no entry carries a digit.
+    #[test]
+    fn no_entry_carries_a_digit() {
+        let lex = Lexicon::global();
+        let words = lex.words.keys().chain(&lex.verb_bases).chain(&lex.units);
+        for w in words {
+            assert!(!w.bytes().any(|b| b.is_ascii_digit()), "{w:?}");
+        }
+    }
+
     #[test]
     fn closed_class_lookup() {
         let lex = Lexicon::global();

@@ -21,6 +21,9 @@ pub struct ShardMetrics {
     pub ingested: AtomicU64,
     /// Online anomalies (unexpected messages) surfaced by `feed`.
     pub online_anomalies: AtomicU64,
+    /// Of those, lines their session counted instead of keeping (it held
+    /// its fill of unexpected messages; `anomaly::stream`).
+    pub unexpected_suppressed: AtomicU64,
     /// Sessions ever opened on this shard.
     pub sessions_opened: AtomicU64,
     /// Sessions closed by an explicit `END` or a drain.
@@ -49,6 +52,8 @@ pub struct ShardSnapshot {
     pub dropped: u64,
     /// Online (unexpected-message) anomalies.
     pub online_anomalies: u64,
+    /// Of those, lines counted instead of kept.
+    pub unexpected_suppressed: u64,
     /// Sessions currently live.
     pub sessions_live: u64,
     /// Sessions ever opened.
@@ -78,6 +83,7 @@ impl ShardMetrics {
             ingested: self.ingested.load(Ordering::Relaxed),
             dropped,
             online_anomalies: self.online_anomalies.load(Ordering::Relaxed),
+            unexpected_suppressed: self.unexpected_suppressed.load(Ordering::Relaxed),
             sessions_live: self.sessions_live.load(Ordering::Relaxed),
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
             sessions_closed: self.sessions_closed.load(Ordering::Relaxed),
@@ -102,6 +108,8 @@ pub struct TenantMetrics {
     pub sessions_closed: AtomicU64,
     /// Online (unexpected-message) verdicts.
     pub online_anomalies: AtomicU64,
+    /// Of those, lines counted instead of kept.
+    pub unexpected_suppressed: AtomicU64,
     /// Completed reports that were problematic.
     pub reports_problematic: AtomicU64,
 }
@@ -120,6 +128,7 @@ impl TenantMetrics {
             sessions_opened: opened,
             sessions_closed: closed,
             online_anomalies: self.online_anomalies.load(Ordering::Relaxed),
+            unexpected_suppressed: self.unexpected_suppressed.load(Ordering::Relaxed),
             reports_problematic: self.reports_problematic.load(Ordering::Relaxed),
         }
     }
@@ -144,6 +153,8 @@ pub struct TenantSnapshot {
     pub sessions_closed: u64,
     /// Online verdicts.
     pub online_anomalies: u64,
+    /// Of those, lines counted instead of kept.
+    pub unexpected_suppressed: u64,
     /// Problematic completed reports.
     pub reports_problematic: u64,
 }
@@ -161,6 +172,8 @@ pub struct StatsSnapshot {
     pub dropped: u64,
     /// Total online anomalies.
     pub online_anomalies: u64,
+    /// Of those, lines counted instead of kept.
+    pub unexpected_suppressed: u64,
     /// Total live sessions.
     pub sessions_live: u64,
     /// Completed (closed + evicted) session reports produced.

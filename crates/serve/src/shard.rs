@@ -28,7 +28,7 @@ use crate::queue::ShardQueue;
 use crate::registry::{ModelLease, TenantEntry};
 use crate::ring::{session_of, Ring};
 use crate::sink::AnomalySink;
-use anomaly::StreamState;
+use anomaly::{Anomaly, StreamState};
 use spell::LogLine;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -427,10 +427,16 @@ fn feed_record(
     };
     live.last_seen = now;
     let detector = live.lease.detector();
-    if live.stream.feed_message(detector, ts_ms, message).is_some() {
-        metrics.online_anomalies.fetch_add(1, Ordering::Relaxed);
+    if let Some(anomaly) = live.stream.feed_message(detector, ts_ms, message) {
         let tenant = &live.tenant.metrics;
+        metrics.online_anomalies.fetch_add(1, Ordering::Relaxed);
         tenant.online_anomalies.fetch_add(1, Ordering::Relaxed);
+        if matches!(anomaly, Anomaly::UnexpectedRepeats { .. }) {
+            metrics
+                .unexpected_suppressed
+                .fetch_add(1, Ordering::Relaxed);
+            tenant.unexpected_suppressed.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 

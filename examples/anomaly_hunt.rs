@@ -58,8 +58,12 @@ fn main() {
         .take(3)
     {
         println!("  session {}:", sr.session);
-        for a in sr.anomalies.iter().take(3) {
+        for (i, a) in sr.anomalies.iter().enumerate() {
             match a {
+                intellog::anomaly::Anomaly::UnexpectedRepeats {
+                    template, count, ..
+                } => println!("    unexpected repeats: {template} × {count}"),
+                _ if i >= 3 => {}
                 intellog::anomaly::Anomaly::UnexpectedMessage { text, .. } => {
                     println!("    unexpected message: {text}")
                 }

@@ -280,8 +280,13 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     for s in &report.sessions {
         if s.is_problematic() {
             println!("session {}: {} anomalies", s.session, s.anomalies.len());
-            for a in s.anomalies.iter().take(5) {
+            // the first five, and every count (they stand for many lines)
+            for (i, a) in s.anomalies.iter().enumerate() {
                 match a {
+                    intellog::anomaly::Anomaly::UnexpectedRepeats {
+                        template, count, ..
+                    } => println!("  unexpected repeats: {template} × {count}"),
+                    _ if i >= 5 => {}
                     intellog::anomaly::Anomaly::UnexpectedMessage { text, groups, .. } => {
                         println!("  unexpected message (groups {groups:?}): {text}")
                     }

@@ -8,20 +8,24 @@
 //! (injected and latent alike), plus a clean job per system — six native
 //! scenarios — and a seventh: an adapter-normalised foreign corpus
 //! (syslog-rendered Spark, the lossiest header format) through the same
-//! differential, covering the `--format` ingestion path.
+//! differential, covering the `--format` ingestion path. An eighth pair of
+//! sessions crosses the two caps on what a session retains of unexpected
+//! lines: 1,000 repeats of one unknown template, 1,000 unknown lines of as
+//! many shapes.
 //!
 //! The same sweep also pins the two ways of closing a session to each other
 //! (`finish`, which builds no HW-graph instance, against `finish_detailed`)
 //! and the instance `finish_detailed` returns to one rebuilt here from
 //! Algorithm 2 as a plain scan over string sets.
 
-use anomaly::{Detector, GroupInstance, HwInstance, StreamState};
+use anomaly::stream::{MAX_ADHOC_SHAPES, MAX_FULL_UNEXPECTED, OTHER_TEMPLATE};
+use anomaly::{Anomaly, Detector, GroupInstance, HwInstance, StreamState};
 use dlasim::{FaultKind, SystemKind, WorkloadGen};
 use extract::IntelMessage;
 use hwgraph::{Lifespan, SubroutineInstance};
 use intellog_core::{sessions_from_job, sessions_from_text, IntelLog};
 use lognlp::format::AdapterKind;
-use spell::Session;
+use spell::{Level, LogLine, Session};
 use std::collections::{BTreeMap, BTreeSet};
 
 const ALL_SYSTEMS: [SystemKind; 6] = [
@@ -235,4 +239,145 @@ fn stream_and_offline_agree_on_adapted_foreign_corpus() {
             assert_session_agrees(detector, &session, &context);
         }
     }
+}
+
+/// A session of `UNKNOWN` lines no model of the simulator knows, between two
+/// lines of `head`.
+const UNKNOWN: u64 = 1000;
+
+fn unknown_session(head: &Session, message: impl Fn(u64) -> String) -> Session {
+    let unknown = (0..UNKNOWN).map(|n| LogLine {
+        ts_ms: head.lines[0].ts_ms + n,
+        level: Level::Warn,
+        source: "Chaos".to_string(),
+        message: message(n),
+    });
+    let mut lines = vec![head.lines[0].clone()];
+    lines.extend(unknown);
+    let mut tail = head.lines[1].clone();
+    tail.ts_ms = head.lines[0].ts_ms + UNKNOWN;
+    lines.push(tail);
+    Session::new("unknown", lines)
+}
+
+/// `(template, count, first_ts_ms, last_ts_ms)` of an `UnexpectedRepeats`.
+type Counted<'a> = (&'a str, u64, u64, u64);
+
+/// What the report keeps in full and what it counts: the full messages in
+/// arrival order, then every count.
+fn kept_and_counted(anomalies: &[Anomaly]) -> (Vec<&str>, Vec<Counted<'_>>) {
+    let (mut kept, mut counted) = (Vec::new(), Vec::new());
+    for a in anomalies {
+        match a {
+            Anomaly::UnexpectedMessage { text, .. } => {
+                assert!(counted.is_empty(), "full messages come first");
+                kept.push(text.as_str());
+            }
+            Anomaly::UnexpectedRepeats {
+                template,
+                count,
+                first_ts_ms,
+                last_ts_ms,
+                ..
+            } => counted.push((template.as_str(), *count, *first_ts_ms, *last_ts_ms)),
+            _ => {}
+        }
+    }
+    (kept, counted)
+}
+
+/// The state is flat past the caps: what `feed` retains of 1,000 unknown
+/// lines is what it retained of the first few hundred.
+fn assert_capped(detector: &Detector, session: &Session) {
+    let mut stream = StreamState::begin(session.id.clone());
+    for line in &session.lines {
+        let room = stream.online_anomaly_count() < MAX_FULL_UNEXPECTED;
+        let fed = stream.feed(detector, line);
+        let full = matches!(fed, Some(Anomaly::UnexpectedMessage { .. }));
+        assert_eq!(full, fed.is_some() && room, "{:?}", line.message);
+        assert!(stream.online_anomaly_count() <= MAX_FULL_UNEXPECTED);
+    }
+    let report = stream.finish(detector);
+    let counts = report.anomalies.iter();
+    let counts = counts.filter(|a| matches!(a, Anomaly::UnexpectedRepeats { .. }));
+    assert!(counts.count() <= MAX_ADHOC_SHAPES + 1);
+}
+
+#[test]
+fn stream_and_offline_agree_past_the_unexpected_caps() {
+    let mut gen = WorkloadGen::new(40, 8);
+    let train = sessions_from_job(&dlasim::generate(
+        &gen.training_config(SystemKind::Spark),
+        None,
+    ));
+    let il = IntelLog::train(&train);
+    let detector = il.detector();
+    let head = &train[0];
+    let t0 = head.lines[0].ts_ms;
+    let first = MAX_FULL_UNEXPECTED as u64;
+
+    // One template, its digits changing but not their number: one shape.
+    let spill = |n: u64| {
+        format!(
+            "gremlin {} chewed {} MB off /tmp/cable{}.out",
+            n % 10,
+            10 + n % 90,
+            n % 7
+        )
+    };
+    let repeats = unknown_session(head, spill);
+    assert_session_agrees(detector, &repeats, "1,000 repeats of one unknown template");
+    assert_capped(detector, &repeats);
+    let report = detector.detect_session(&repeats);
+    let (kept, counted) = kept_and_counted(&report.anomalies);
+    assert_eq!(kept, (0..first).map(spill).collect::<Vec<_>>());
+    let template = "gremlin * chewed * MB off *";
+    assert_eq!(
+        counted,
+        [(template, UNKNOWN - first, t0 + first, t0 + UNKNOWN - 1)]
+    );
+
+    // As many shapes as lines: the memo fills with the first few, the full
+    // messages run out, the rest are counted together, unextracted.
+    let word = |n: u64| {
+        format!(
+            "gremlin{} {}",
+            "x".repeat(n as usize % 500),
+            "y".repeat(n as usize / 500 + 1)
+        )
+    };
+    let distinct = unknown_session(head, word);
+    assert_session_agrees(detector, &distinct, "1,000 all-distinct unknown lines");
+    assert_capped(detector, &distinct);
+    let report = detector.detect_session(&distinct);
+    let (kept, counted) = kept_and_counted(&report.anomalies);
+    assert_eq!(kept, (0..first).map(word).collect::<Vec<_>>());
+    assert_eq!(
+        counted,
+        [(
+            OTHER_TEMPLATE,
+            UNKNOWN - first,
+            t0 + first,
+            t0 + UNKNOWN - 1
+        )]
+    );
+
+    // Both at once: two lines in three repeat one of 40 shapes, the memo has
+    // room for 32 of them; every line is kept or counted exactly once.
+    let mixed = |n: u64| match n % 3 {
+        0 => word(n),
+        _ => format!("gremlin {} ate {}", n % 10, "z".repeat(1 + n as usize % 40)),
+    };
+    let mixed = unknown_session(head, mixed);
+    assert_session_agrees(detector, &mixed, "repeats and distinct lines mixed");
+    assert_capped(detector, &mixed);
+    let report = detector.detect_session(&mixed);
+    let (kept, counted) = kept_and_counted(&report.anomalies);
+    assert_eq!(kept.len() as u64, first);
+    assert_eq!(counted.iter().map(|c| c.1).sum::<u64>(), UNKNOWN - first);
+    assert!(
+        counted.len() > 2 && counted.len() <= MAX_ADHOC_SHAPES + 1,
+        "{counted:?}"
+    );
+    assert_eq!(counted.last().expect("counts").0, OTHER_TEMPLATE);
 }
