@@ -11,6 +11,7 @@
 //!   (memory-pressure spill, starvation bug) that IntelLog may surface as
 //!   *unexpected* problems (the paper's "(P/B)" column).
 
+use crate::detector::Confusion;
 use dlasim::{FaultKind, GenJob, SystemKind, WorkloadGen, CONFIG_SETS};
 use intellog_core::sessions_from_job;
 use spell::Session;
@@ -20,42 +21,31 @@ use spell::Session;
 pub struct EvalJob {
     /// The generated job (per-session ground truth inside).
     pub job: GenJob,
-    /// Pipeline-ready sessions.
-    pub sessions: Vec<Session>,
     /// The injected problem (None = submitted as a no-problem job).
     pub injected: Option<FaultKind>,
     /// `true` if the "clean" job carries a latent (P/B) issue.
     pub latent: bool,
 }
 
-impl EvalJob {
-    /// Ground truth: should a perfect detector flag this job?
-    pub fn truly_problematic(&self) -> bool {
-        self.injected.is_some()
-    }
-}
-
-/// Training sessions: `jobs` clean jobs with tuned configurations.
-pub fn training_sessions(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
-    let mut gen = WorkloadGen::new(seed, 8);
-    let mut out = Vec::new();
-    for j in 0..jobs {
-        let cfg = gen.training_config(system);
-        let job = dlasim::generate(&cfg, None);
-        for (i, mut s) in sessions_from_job(&job).into_iter().enumerate() {
-            s.id = format!("t{j}_{i}_{}", s.id);
-            out.push(s);
-        }
-    }
-    out
-}
-
-/// Training jobs kept whole (for Table 4/5 evaluation and Stitch).
+/// Training jobs kept whole: `jobs` clean jobs with tuned configurations.
 pub fn training_jobs(system: SystemKind, jobs: usize, seed: u64) -> Vec<GenJob> {
     let mut gen = WorkloadGen::new(seed, 8);
     (0..jobs)
         .map(|_| dlasim::generate(&gen.training_config(system), None))
         .collect()
+}
+
+/// The sessions of [`training_jobs`], pipeline-ready, ids made unique
+/// across jobs.
+pub fn training_sessions(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
+    let mut out = Vec::new();
+    for (j, job) in training_jobs(system, jobs, seed).iter().enumerate() {
+        for (i, mut s) in sessions_from_job(job).into_iter().enumerate() {
+            s.id = format!("t{j}_{i}_{}", s.id);
+            out.push(s);
+        }
+    }
+    out
 }
 
 /// The Table 6 evaluation corpus: 30 jobs (15 injected) per system.
@@ -68,10 +58,8 @@ pub fn table6_jobs(system: SystemKind, seed: u64) -> Vec<EvalJob> {
             let cfg = gen.detection_config(system, set);
             let plan = gen.fault_plan(kind);
             let job = dlasim::generate(&cfg, Some(&plan));
-            let sessions = sessions_from_job(&job);
             out.push(EvalJob {
                 job,
-                sessions,
                 injected: Some(kind),
                 latent: false,
             });
@@ -94,10 +82,8 @@ pub fn table6_jobs(system: SystemKind, seed: u64) -> Vec<EvalJob> {
             let mut job = dlasim::generate(&cfg, plan.as_ref());
             // latent issues are NOT "injected problems" in the Table 6 sense
             job.injected = None;
-            let sessions = sessions_from_job(&job);
             out.push(EvalJob {
                 job,
-                sessions,
                 injected: None,
                 latent: latent_kind.is_some(),
             });
@@ -106,37 +92,15 @@ pub fn table6_jobs(system: SystemKind, seed: u64) -> Vec<EvalJob> {
     out
 }
 
-/// Detection scoring of one corpus at job granularity (Table 6).
+/// Detection scoring of one corpus at job granularity (Table 6), filled in
+/// by [`crate::score`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobScore {
-    /// Injected problems detected.
-    pub detected: usize,
-    /// Clean jobs flagged (no latent issue).
-    pub false_positives: usize,
-    /// Injected problems missed.
-    pub false_negatives: usize,
+    /// Jobs submitted without a latent issue: injected problems detected
+    /// (`tp`) and missed (`fn_`), clean jobs flagged (`fp`).
+    pub jobs: Confusion,
     /// Latent (performance / bug) issues surfaced — the paper's "(P/B)".
     pub latent_found: usize,
-    /// Total injected problems.
-    pub total_injected: usize,
-}
-
-/// Aggregate per-job verdicts against ground truth.
-pub fn score_jobs(results: &[(bool, &EvalJob)]) -> JobScore {
-    let mut s = JobScore::default();
-    for (flagged, job) in results {
-        match (job.injected.is_some(), job.latent, *flagged) {
-            (true, _, true) => s.detected += 1,
-            (true, _, false) => s.false_negatives += 1,
-            (false, true, true) => s.latent_found += 1,
-            (false, false, true) => s.false_positives += 1,
-            _ => {}
-        }
-        if job.injected.is_some() {
-            s.total_injected += 1;
-        }
-    }
-    s
 }
 
 /// Workload for `bench_pipeline`'s `spell` row: a parser holding
@@ -207,26 +171,6 @@ pub fn intern_probes(parser: &spell::SpellParser, probes: &[String]) -> Vec<Vec<
         .collect()
 }
 
-/// Precision / recall / F1 from flat counts.
-pub fn prf(tp: usize, fp: usize, fn_: usize) -> (f64, f64, f64) {
-    let p = if tp + fp == 0 {
-        0.0
-    } else {
-        tp as f64 / (tp + fp) as f64
-    };
-    let r = if tp + fn_ == 0 {
-        0.0
-    } else {
-        tp as f64 / (tp + fn_) as f64
-    };
-    let f = if p + r == 0.0 {
-        0.0
-    } else {
-        2.0 * p * r / (p + r)
-    };
-    (p, r, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,29 +186,5 @@ mod tests {
             .iter()
             .filter(|j| j.latent)
             .all(|j| j.injected.is_none()));
-    }
-
-    #[test]
-    fn scoring() {
-        let jobs = table6_jobs(SystemKind::Tez, 2);
-        // a perfect detector
-        let verdicts: Vec<(bool, &EvalJob)> = jobs
-            .iter()
-            .map(|j| (j.injected.is_some() || j.latent, j))
-            .collect();
-        let s = score_jobs(&verdicts);
-        assert_eq!(s.detected, 15);
-        assert_eq!(s.false_negatives, 0);
-        assert_eq!(s.false_positives, 0);
-        assert_eq!(s.latent_found, 2);
-    }
-
-    #[test]
-    fn prf_math() {
-        let (p, r, f) = prf(41, 6, 4);
-        assert!((p - 0.8723).abs() < 0.001);
-        assert!((r - 0.9111).abs() < 0.001);
-        assert!((f - 0.8913).abs() < 0.01);
-        assert_eq!(prf(0, 0, 0), (0.0, 0.0, 0.0));
     }
 }

@@ -1,5 +1,5 @@
-//! Key-sequence and Intel-Message helpers shared by the comparison
-//! experiments (Tables 6–8, Figure 9).
+//! Key-sequence and Intel-Message helpers: what the key-sequence tools of
+//! [`crate::detector`] and Stitch's S³ graph (Figure 9) read.
 
 use extract::{IntelExtractor, IntelMessage};
 use spell::{KeyId, Session, SpellParser};
@@ -39,16 +39,18 @@ pub fn match_keyseq(parser: &SpellParser, session: &Session) -> Vec<KeyId> {
 pub fn intel_messages(parser: &SpellParser, sessions: &[Session]) -> Vec<Vec<IntelMessage>> {
     let ex = IntelExtractor::new();
     let keys: Vec<_> = parser.keys().iter().map(|k| ex.build(k)).collect();
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
     sessions
         .iter()
         .map(|s| {
             s.lines
                 .iter()
                 .filter_map(|l| {
-                    parser.match_line(&l.message).map(|kid| {
-                        let toks = spell::tokenize_message(&l.message);
-                        IntelMessage::instantiate(&keys[kid.0 as usize], &toks, &s.id, l.ts_ms)
-                    })
+                    parser.lookup_line_into(&l.message, &mut spans, &mut ids);
+                    let key = &keys[parser.match_ids(&ids)?.0 as usize];
+                    Some(IntelMessage::instantiate_spans(
+                        key, &l.message, &spans, &s.id, l.ts_ms,
+                    ))
                 })
                 .collect()
         })
@@ -78,6 +80,16 @@ mod tests {
         let (parser, _) = train_keyseqs(&sessions);
         let msgs = intel_messages(&parser, &sessions);
         assert_eq!(msgs.len(), sessions.len());
-        assert!(msgs.iter().zip(&sessions).all(|(m, s)| m.len() == s.len()));
+        // the span-reading form equals the one that tokenises into strings
+        let ex = IntelExtractor::new();
+        let keys: Vec<_> = parser.keys().iter().map(|k| ex.build(k)).collect();
+        for (got, s) in msgs.iter().zip(&sessions) {
+            let owned = s.lines.iter().map(|l| {
+                let kid = parser.match_line(&l.message).expect("training line");
+                let toks = spell::tokenize_message(&l.message);
+                IntelMessage::instantiate(&keys[kid.0 as usize], &toks, &s.id, l.ts_ms)
+            });
+            assert_eq!(*got, owned.collect::<Vec<_>>());
+        }
     }
 }

@@ -16,4 +16,4 @@ pub mod pipeline;
 pub use bridge::{
     level_of_raw, render_session, session_from_gen, sessions_from_job, sessions_from_text,
 };
-pub use pipeline::{IntelLog, IntelLogBuilder};
+pub use pipeline::IntelLog;

@@ -6,7 +6,6 @@
 //! detection with rayon.
 
 use anomaly::{diagnose, Detector, Diagnosis, JobReport, SessionReport, Trainer};
-use extract::LocalityMatcher;
 use hwgraph::HwGraph;
 use rayon::prelude::*;
 use spell::Session;
@@ -17,79 +16,27 @@ pub struct IntelLog {
     detector: Detector,
 }
 
-/// Builder for [`IntelLog`] training.
-#[derive(Debug, Clone, Default)]
-pub struct IntelLogBuilder {
-    spell_threshold: Option<f64>,
-    matcher: Option<LocalityMatcher>,
-}
-
-impl IntelLogBuilder {
-    /// Override the Spell matching threshold (paper default 1.7).
-    pub fn spell_threshold(mut self, t: f64) -> Self {
-        self.spell_threshold = Some(t);
-        self
-    }
-
-    /// Provide a user-extended locality matcher.
-    pub fn locality_matcher(mut self, m: LocalityMatcher) -> Self {
-        self.matcher = Some(m);
-        self
-    }
-
-    /// Train on normal-execution sessions.
-    ///
-    /// Training runs on rayon's current thread pool (Spell is one
-    /// sequential stream; Intel-Key extraction and Intel-Message
-    /// instantiation are parallel; see [`anomaly::Trainer::train`]) and is
-    /// bit-identical to [`IntelLogBuilder::train_sequential`].
-    pub fn train(self, sessions: &[Session]) -> IntelLog {
-        IntelLog {
-            detector: self.trainer().train(sessions),
-        }
+impl IntelLog {
+    /// Train on normal-execution sessions with the paper's defaults
+    /// ([`Trainer::default`]; set its two fields and wrap the result with
+    /// [`IntelLog::from_detector`] to change them). Training runs on rayon's
+    /// current thread pool (Spell is one sequential stream, the per-session
+    /// split is parallel; see [`Trainer::train`]) and is bit-identical to
+    /// [`IntelLog::train_sequential`].
+    pub fn train(sessions: &[Session]) -> IntelLog {
+        IntelLog::from_detector(Trainer::default().train(sessions))
     }
 
     /// Single-threaded reference training — the baseline the scaling
-    /// benchmarks compare [`IntelLogBuilder::train`] against.
-    pub fn train_sequential(self, sessions: &[Session]) -> IntelLog {
-        IntelLog {
-            detector: self.trainer().train_sequential(sessions),
-        }
-    }
-
-    fn trainer(&self) -> Trainer {
-        Trainer {
-            spell_threshold: self.spell_threshold.unwrap_or(1.7),
-            matcher: self.matcher.clone().unwrap_or_default(),
-        }
-    }
-}
-
-impl IntelLog {
-    /// Start building a trained instance.
-    pub fn builder() -> IntelLogBuilder {
-        IntelLogBuilder::default()
-    }
-
-    /// Train with defaults (parallel; see [`IntelLogBuilder::train`]).
-    pub fn train(sessions: &[Session]) -> IntelLog {
-        IntelLog::builder().train(sessions)
-    }
-
-    /// Train with defaults on a single thread (reference baseline).
+    /// benchmarks compare [`IntelLog::train`] against.
     pub fn train_sequential(sessions: &[Session]) -> IntelLog {
-        IntelLog::builder().train_sequential(sessions)
+        IntelLog::from_detector(Trainer::default().train_sequential(sessions))
     }
 
     /// Wrap an already-trained detector (e.g. one loaded from the model
     /// store) in the pipeline API.
     pub fn from_detector(detector: Detector) -> IntelLog {
         IntelLog { detector }
-    }
-
-    /// Unwrap the trained detector, e.g. to hand it to the serving layer.
-    pub fn into_detector(self) -> Detector {
-        self.detector
     }
 
     /// The trained detector (Spell keys, Intel Keys, HW-graph).

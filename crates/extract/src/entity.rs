@@ -30,11 +30,6 @@ pub struct Entity {
 }
 
 impl Entity {
-    /// Number of words in the normalised phrase.
-    pub fn word_count(&self) -> usize {
-        self.phrase.split(' ').count()
-    }
-
     /// `true` if the span covers token index `i`.
     pub fn covers(&self, i: usize) -> bool {
         self.start <= i && i < self.end

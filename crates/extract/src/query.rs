@@ -84,14 +84,6 @@ impl IntelStore {
             .collect()
     }
 
-    /// Filter: messages whose text contains the given word.
-    pub fn filter_text(&self, needle: &str) -> Vec<&IntelMessage> {
-        self.messages
-            .iter()
-            .filter(|m| m.text.contains(needle))
-            .collect()
-    }
-
     /// Filter: messages within a time range `[from_ms, to_ms]` (Intel
     /// Messages "naturally fit in the storage structure of time series
     /// databases", §3.3 — range scans are the natural query).

@@ -124,19 +124,6 @@ impl PosTag {
         matches!(self, PosTag::VBD | PosTag::VBP | PosTag::VBZ)
     }
 
-    /// `true` for a preposition (`IN`) — used by the `NN IN NN` entity
-    /// pattern ("output of map").
-    #[inline]
-    pub fn is_preposition(self) -> bool {
-        self == PosTag::IN
-    }
-
-    /// `true` for cardinal numbers.
-    #[inline]
-    pub fn is_number(self) -> bool {
-        self == PosTag::CD
-    }
-
     /// The canonical Penn Treebank string for this tag (`"NN"`, `"VBZ"`, …).
     pub fn as_str(self) -> &'static str {
         match self {

@@ -138,11 +138,6 @@ impl ServeClient {
         self.fetch_reports("ANOMALIES", n, None)
     }
 
-    /// Fetch the newest `n` problematic reports for one tenant.
-    pub fn anomalies_for(&mut self, n: usize, tenant: &str) -> std::io::Result<Vec<SessionReport>> {
-        self.fetch_reports("ANOMALIES", n, Some(tenant))
-    }
-
     fn fetch_reports(
         &mut self,
         verb: &str,

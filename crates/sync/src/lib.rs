@@ -55,17 +55,3 @@ pub use facade::{
 // Handle types with no synchronization *operations* of their own (their
 // effects are memory reclamation, not blocking) pass straight through.
 pub use std::sync::{Arc, OnceLock, Weak};
-
-/// `true` when this thread is currently executing inside a model-checking
-/// exploration (always `false` unless built with `--cfg intellog_check`).
-#[inline]
-pub fn model_checking_active() -> bool {
-    #[cfg(intellog_check)]
-    {
-        check::active()
-    }
-    #[cfg(not(intellog_check))]
-    {
-        false
-    }
-}

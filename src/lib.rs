@@ -35,7 +35,6 @@
 //! ```
 
 pub use anomaly;
-pub use baselines;
 pub use dlasim;
 pub use extract;
 pub use hwgraph;

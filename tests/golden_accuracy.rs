@@ -15,9 +15,11 @@
 //!
 //! and commit the rewritten files under `tests/golden/`.
 
-use baselines::{SemVec, SemVecConfig};
 use dlasim::{ForeignFormat, RawFormat, SystemKind};
-use intellog_bench::{evaluate, prf, score_jobs, table6_jobs, training_jobs, AccuracyRow, EvalJob};
+use intellog_bench::{
+    evaluate, score, table6_jobs, training_jobs, AccuracyRow, IntelLogTool, JobScore, SemVecTool,
+    SessionDetector,
+};
 use intellog_core::{sessions_from_job, sessions_from_text, IntelLog};
 use intellog_serve::store::{crc32, ModelStore};
 use lognlp::format::AdapterKind;
@@ -88,11 +90,12 @@ fn foreign_of(system: SystemKind) -> ForeignFormat {
 
 /// Render the training corpus exactly as the raw log files a collector
 /// would ship: one `# job` / `# session` header per unit, then the raw
-/// formatted lines. This is the drift guard for the simulator itself — if
-/// dlasim's generation changes for these seeds, every downstream golden
-/// number is suspect.
-fn render_corpus(system: SystemKind) -> String {
-    let format = RawFormat::for_system(system);
+/// formatted lines, in the system's native syntax or a `foreign` one (the
+/// fixture shape `--format` ingests). This is the drift guard for the
+/// simulator itself — if dlasim's generation or rendering changes for these
+/// seeds, every downstream golden number is suspect.
+fn render_corpus(system: SystemKind, foreign: Option<ForeignFormat>) -> String {
+    let format = foreign.map_or(String::new(), |f| format!(" format={}", f.name()));
     let mut out = String::new();
     for (i, job) in training_jobs(system, TRAIN_JOBS, TRAIN_SEED)
         .iter()
@@ -100,7 +103,7 @@ fn render_corpus(system: SystemKind) -> String {
     {
         writeln!(
             out,
-            "# job {i} system={} workload={}",
+            "# job {i} system={} workload={}{format}",
             system.name(),
             job.workload
         )
@@ -112,7 +115,11 @@ fn render_corpus(system: SystemKind) -> String {
                 session.id, session.host, session.affected
             )
             .unwrap();
-            for line in session.raw_lines(format) {
+            let lines = match foreign {
+                Some(f) => f.render_session(session),
+                None => session.raw_lines(RawFormat::for_system(system)),
+            };
+            for line in lines {
                 out.push_str(&line);
                 out.push('\n');
             }
@@ -175,86 +182,35 @@ fn render_model_crc(system: SystemKind) -> String {
     format!("crc32 {:08x} len {}\n", crc32(&bytes), bytes.len())
 }
 
+/// Fit `tool` on the four-job clean corpus and score it on the Table 6
+/// evaluation corpus: the two `session …` lines every accuracy golden
+/// carries, and the per-job score.
+fn fit_and_score(system: SystemKind, tool: &mut dyn SessionDetector) -> (String, JobScore) {
+    tool.fit(system, &training_jobs(system, 4, TRAIN_SEED));
+    let (c, jobs) = score(tool, &table6_jobs(system, EVAL_SEED));
+    let (p, r, f) = c.prf();
+    let lines = format!(
+        "session tp={} fp={} fn={}\nsession precision={p:.6} recall={r:.6} f1={f:.6}\n",
+        c.tp, c.fp, c.fn_
+    );
+    (lines, jobs)
+}
+
 /// Table 8-style detection pass (per-session and per-job scoring) for one
 /// system. Spark and TensorFlow keep the debug-profile runtime
 /// reasonable; the detector code paths are system-independent.
 fn render_table8(system: SystemKind) -> String {
-    let train: Vec<_> = training_jobs(system, 4, TRAIN_SEED)
-        .iter()
-        .flat_map(sessions_from_job)
-        .collect();
-    let il = IntelLog::train(&train);
-    let eval = table6_jobs(system, EVAL_SEED);
-
-    let (mut tp, mut fp, mut fn_) = (0usize, 0usize, 0usize);
-    let mut verdicts: Vec<(bool, &EvalJob)> = Vec::new();
-    for job in &eval {
-        let report = il.detect_job_sequential(&job.sessions);
-        for (sr, gen) in report.sessions.iter().zip(&job.job.sessions) {
-            match (sr.is_problematic(), gen.affected) {
-                (true, true) => tp += 1,
-                (true, false) => fp += 1,
-                (false, true) => fn_ += 1,
-                (false, false) => {}
-            }
-        }
-        verdicts.push((report.sessions.iter().any(|s| s.is_problematic()), job));
-    }
-    let (p, r, f) = prf(tp, fp, fn_);
-    let job_score = score_jobs(&verdicts);
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "system {} train_jobs=4 seed={TRAIN_SEED} eval_seed={EVAL_SEED}",
-        system.name()
+    let (sessions, found) = fit_and_score(system, &mut IntelLogTool::default());
+    format!(
+        "system {} train_jobs=4 seed={TRAIN_SEED} eval_seed={EVAL_SEED}\n{sessions}\
+         job detected={} fp={} fn={} latent_found={} total_injected={}\n",
+        system.name(),
+        found.jobs.tp,
+        found.jobs.fp,
+        found.jobs.fn_,
+        found.latent_found,
+        found.jobs.tp + found.jobs.fn_
     )
-    .unwrap();
-    writeln!(out, "session tp={tp} fp={fp} fn={fn_}").unwrap();
-    writeln!(out, "session precision={p:.6} recall={r:.6} f1={f:.6}").unwrap();
-    writeln!(
-        out,
-        "job detected={} fp={} fn={} latent_found={} total_injected={}",
-        job_score.detected,
-        job_score.false_positives,
-        job_score.false_negatives,
-        job_score.latent_found,
-        job_score.total_injected
-    )
-    .unwrap();
-    out
-}
-
-/// Render the training corpus in a foreign syntax — the drift guard for
-/// `dlasim::foreign` rendering, and the fixture shape `--format` ingests.
-fn render_foreign_corpus(system: SystemKind, format: ForeignFormat) -> String {
-    let mut out = String::new();
-    for (i, job) in training_jobs(system, TRAIN_JOBS, TRAIN_SEED)
-        .iter()
-        .enumerate()
-    {
-        writeln!(
-            out,
-            "# job {i} system={} workload={} format={}",
-            system.name(),
-            job.workload,
-            format.name()
-        )
-        .unwrap();
-        for session in &job.sessions {
-            writeln!(
-                out,
-                "# session {} host={} affected={}",
-                session.id, session.host, session.affected
-            )
-            .unwrap();
-            for line in format.render_session(session) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-    }
-    out
 }
 
 /// Parsing-free baseline accuracy: SemVec consumes **raw rendered lines**
@@ -262,42 +218,19 @@ fn render_foreign_corpus(system: SystemKind, format: ForeignFormat) -> String {
 /// and is scored per session against ground truth on the Table 6 eval
 /// corpus. `foreign` picks the corpus shape; `None` is the native syntax.
 fn render_semvec_accuracy(system: SystemKind, foreign: Option<ForeignFormat>) -> String {
-    let raw_session = |s: &dlasim::GenSession| -> Vec<String> {
-        match foreign {
-            Some(f) => f.render_session(s),
-            None => s.raw_lines(RawFormat::for_system(system)),
-        }
+    let mut tool = SemVecTool {
+        foreign,
+        fitted: None,
     };
-    let train: Vec<Vec<String>> = training_jobs(system, 4, TRAIN_SEED)
-        .iter()
-        .flat_map(|j| j.sessions.iter().map(raw_session))
-        .collect();
-    let detector = SemVec::train(SemVecConfig::default(), &train);
-
-    let (mut tp, mut fp, mut fn_) = (0usize, 0usize, 0usize);
-    for job in &table6_jobs(system, EVAL_SEED) {
-        for gen in &job.job.sessions {
-            match (detector.is_anomalous(&raw_session(gen)), gen.affected) {
-                (true, true) => tp += 1,
-                (true, false) => fp += 1,
-                (false, true) => fn_ += 1,
-                (false, false) => {}
-            }
-        }
-    }
-    let (p, r, f) = prf(tp, fp, fn_);
-    let corpus = foreign.map(|f| f.name()).unwrap_or("native");
-    let mut out = String::new();
-    writeln!(
-        out,
-        "system {} corpus={corpus} train_jobs=4 seed={TRAIN_SEED} eval_seed={EVAL_SEED}",
-        system.name()
+    let (sessions, _) = fit_and_score(system, &mut tool);
+    let (_, detector) = tool.fitted.as_ref().expect("fitted above");
+    format!(
+        "system {} corpus={} train_jobs=4 seed={TRAIN_SEED} eval_seed={EVAL_SEED}\n\
+         threshold {:.6}\n{sessions}",
+        system.name(),
+        foreign.map_or("native", |f| f.name()),
+        detector.threshold()
     )
-    .unwrap();
-    writeln!(out, "threshold {:.6}", detector.threshold()).unwrap();
-    writeln!(out, "session tp={tp} fp={fp} fn={fn_}").unwrap();
-    writeln!(out, "session precision={p:.6} recall={r:.6} f1={f:.6}").unwrap();
-    out
 }
 
 #[test]
@@ -305,7 +238,7 @@ fn corpus_matches_checked_in_logs() {
     for system in SystemKind::EVALUATED {
         golden_check(
             &format!("corpus_{}.log", system_slug(system)),
-            &render_corpus(system),
+            &render_corpus(system, None),
         );
     }
 }
@@ -316,7 +249,7 @@ fn foreign_corpora_match_checked_in_logs() {
         let format = foreign_of(system);
         golden_check(
             &format!("corpus_{}_{}.log", system_slug(system), format.name()),
-            &render_foreign_corpus(system, format),
+            &render_corpus(system, Some(format)),
         );
     }
 }
@@ -421,12 +354,14 @@ fn adapted_training_is_equivalent_to_native() {
 #[test]
 fn evaluation_is_deterministic_in_process() {
     for system in SystemKind::EVALUATED {
-        assert_eq!(
-            render_corpus(system),
-            render_corpus(system),
-            "corpus generation nondeterministic for {}",
-            system.name()
-        );
+        for foreign in [None, Some(foreign_of(system))] {
+            assert_eq!(
+                render_corpus(system, foreign),
+                render_corpus(system, foreign),
+                "corpus generation nondeterministic for {} ({foreign:?})",
+                system.name()
+            );
+        }
         let a = evaluate(system, &training_jobs(system, TRAIN_JOBS, TRAIN_SEED));
         let b = evaluate(system, &training_jobs(system, TRAIN_JOBS, TRAIN_SEED));
         assert_eq!(a, b, "table 4 nondeterministic for {}", system.name());
@@ -434,12 +369,6 @@ fn evaluation_is_deterministic_in_process() {
             render_table5(system),
             render_table5(system),
             "table 5 nondeterministic for {}",
-            system.name()
-        );
-        assert_eq!(
-            render_foreign_corpus(system, foreign_of(system)),
-            render_foreign_corpus(system, foreign_of(system)),
-            "foreign corpus nondeterministic for {}",
             system.name()
         );
     }

@@ -2,27 +2,12 @@
 //! text through Spell, extraction, HW-graph training, detection, diagnosis
 //! and the baselines — on all three targeted systems.
 
+use baselines::{DeepLog, LogCluster, S3Graph};
 use intellog::anomaly::Anomaly;
-use intellog::baselines::{DeepLog, DeepLogConfig, LogCluster, LogClusterConfig, S3Graph};
 use intellog::core::{sessions_from_job, sessions_from_text, IntelLog};
 use intellog::dlasim::{self, FaultKind, SystemKind, WorkloadGen};
-use intellog::extract::{IntelExtractor, IntelMessage};
 use intellog::lognlp::format::AdapterKind;
-use intellog::spell::{Session, SpellParser};
-
-fn corpus(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
-    let mut gen = WorkloadGen::new(seed, 8);
-    let mut out = Vec::new();
-    for j in 0..jobs {
-        let cfg = gen.training_config(system);
-        let job = dlasim::generate(&cfg, None);
-        for (i, mut s) in sessions_from_job(&job).into_iter().enumerate() {
-            s.id = format!("t{j}_{i}_{}", s.id);
-            out.push(s);
-        }
-    }
-    out
-}
+use intellog_bench::{intel_messages, train_keyseqs, training_sessions as corpus};
 
 #[test]
 fn all_three_systems_train_and_stay_clean_on_clean_jobs() {
@@ -123,21 +108,10 @@ fn starvation_bug_detected_as_missing_task_group() {
 fn baselines_run_on_the_same_corpus() {
     // Train all three baselines from the same Spell key stream.
     let sessions = corpus(SystemKind::Spark, 3, 3);
-    let mut parser = SpellParser::default();
-    let key_sessions: Vec<Vec<intellog::spell::KeyId>> = sessions
-        .iter()
-        .map(|s| {
-            s.lines
-                .iter()
-                .map(|l| parser.parse_message(&l.message).key_id)
-                .collect()
-        })
-        .collect();
+    let (parser, key_sessions) = train_keyseqs(&sessions);
 
-    let mut dl = DeepLog::new(DeepLogConfig::default());
-    for s in &key_sessions {
-        dl.train_session(s);
-    }
+    let mut dl = DeepLog::default();
+    key_sessions.iter().for_each(|s| dl.train_session(s));
     // DeepLog's mechanism: corrupting a sequence can only increase misses.
     let clean_misses = dl.count_misses(&key_sessions[0]);
     let mut corrupted = key_sessions[0].clone();
@@ -146,28 +120,12 @@ fn baselines_run_on_the_same_corpus() {
     }
     assert!(dl.count_misses(&corrupted) > clean_misses);
 
-    let lc = LogCluster::train(LogClusterConfig::default(), &key_sessions);
+    let lc = LogCluster::train(Default::default(), &key_sessions);
     assert!(!lc.is_anomalous(&key_sessions[0]));
     assert!(lc.cluster_count() >= 1);
 
     // Stitch S3 over Intel Messages.
-    let ex = IntelExtractor::new();
-    let keys: Vec<_> = parser.keys().iter().map(|k| ex.build(k)).collect();
-    let msg_sessions: Vec<Vec<IntelMessage>> = sessions
-        .iter()
-        .zip(&key_sessions)
-        .map(|(s, ks)| {
-            s.lines
-                .iter()
-                .zip(ks)
-                .map(|(l, kid)| {
-                    let toks = intellog::spell::tokenize_message(&l.message);
-                    IntelMessage::instantiate(&keys[kid.0 as usize], &toks, &s.id, l.ts_ms)
-                })
-                .collect()
-        })
-        .collect();
-    let s3 = S3Graph::build(&msg_sessions);
+    let s3 = S3Graph::build(&intel_messages(&parser, &sessions));
     assert!(!s3.types.is_empty());
     // the S3 graph carries identifier types but no entity semantics —
     // that's the Fig. 9 contrast
