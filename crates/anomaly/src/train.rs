@@ -10,12 +10,12 @@
 //!
 //! Spell is an order-dependent stream — each message may refine the key the
 //! next one matches — so stage 1 is one sequential pass in both trainers.
-//! [`Trainer::train`] then runs on rayon's current thread pool (wrap the
-//! call in [`rayon::ThreadPool::install`] to pin the pool) every stage
+//! [`Trainer::train`] then runs as rayon parallel ops (wrap the call in
+//! [`rayon::ThreadPool::install`] to pin the thread count) every stage
 //! that is
 //!
-//! * **pure per key** — Intel-Key extraction through the POS tagger, the
-//!   natural-language check;
+//! * **pure per key** — Intel-Key extraction through the POS tagger and
+//!   the natural-language check, one pass over the keys;
 //! * **pure per session** — writing the session's log, and the HW-graph's
 //!   share of it ([`hwgraph::GraphBuilder::part`]: rows routed to groups,
 //!   lifespans, Algorithm 2's split into subroutine instances).
@@ -56,15 +56,16 @@ impl Default for Trainer {
 
 /// How many session-log rows [`Trainer::train`] splits into subroutine
 /// instances ahead of the ordered merge. Parts in flight are memory, and
-/// more of it than their bytes: they are allocated on pool threads and
+/// more of it than their bytes: they are allocated on worker threads and
 /// freed on this one, which costs the allocator about twice their size in
 /// each thread's arena. Splitting the whole corpus first read `peak_rss_mb`
 /// 34–38 MiB on `train_batch` where the parent commit read 30–32; this
 /// window — ≈ 11 Spark or ≈ 110 MapReduce sessions, one fork-join per
 /// ≈ 1 ms of splitting — read 29.7–30.0, 512 rows 28.8–31.1 at 12 % fewer
 /// lines/s, 16,384 rows 30.7–31.6 at 2 % more (EXPERIMENTS.md, "Training
-/// reads a line the way detection does"). A session longer than the window
-/// is a window of its own.
+/// reads a line the way detection does"; measured on the persistent pool
+/// the executor had until PR 25). A session longer than the window is a
+/// window of its own.
 const SPLIT_WINDOW_ROWS: usize = 4096;
 
 /// How many of `logs` (not empty) the next window takes.
@@ -77,9 +78,23 @@ fn split_window(logs: &[SessionLog]) -> usize {
     logs.iter().take_while(fits).count().max(1)
 }
 
-/// Non-NL keys go to the ignored list (§5).
-fn is_ignored(key: &LogKey) -> bool {
-    !lognlp::is_natural_language(&key.render_sample())
+/// Stage 2 for one Spell key: its Intel Key, and its id if it goes to the
+/// ignored list (non-NL keys, §5).
+fn key_stage(extractor: &IntelExtractor, key: &LogKey) -> (IntelKey, Option<KeyId>) {
+    let ignored = !lognlp::is_natural_language(&key.render_sample());
+    (extractor.build(key), ignored.then_some(key.id))
+}
+
+/// The Intel Keys in key order, and the ignored list.
+fn split_key_stage(
+    stage: impl IntoIterator<Item = (IntelKey, Option<KeyId>)>,
+) -> (Vec<IntelKey>, BTreeSet<KeyId>) {
+    let mut ignored_keys = BTreeSet::new();
+    let keys = stage.into_iter().map(|(key, ignored)| {
+        ignored_keys.extend(ignored);
+        key
+    });
+    (keys.collect(), ignored_keys)
 }
 
 /// The keys the HW-graph is built over. Ignored keys contribute neither
@@ -114,7 +129,7 @@ fn log_session(
 impl Trainer {
     /// Train on normal-execution sessions and return a detector.
     ///
-    /// Runs on rayon's current thread pool and produces a detector
+    /// Runs on rayon's current thread count and produces a detector
     /// bit-identical to [`Trainer::train_sequential`].
     pub fn train(&self, sessions: &[Session]) -> Detector {
         let _span = obs::span!("anomaly.train");
@@ -123,19 +138,13 @@ impl Trainer {
 
         // Stage 2: Intel Keys and the ignored list (parallel, pure per key).
         let extractor = IntelExtractor::with_matcher(self.matcher.clone());
-        let keys: Vec<IntelKey> = parser
-            .keys()
-            .par_iter()
-            .map(|k| extractor.build(k))
-            .collect();
-        let ignored_keys: BTreeSet<KeyId> = parser
-            .keys()
-            .par_iter()
-            .map(|k| is_ignored(k).then_some(k.id))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
+        let (keys, ignored_keys) = split_key_stage(
+            parser
+                .keys()
+                .par_iter()
+                .map(|k| key_stage(&extractor, k))
+                .collect::<Vec<_>>(),
+        );
 
         // Stage 3: session logs (parallel, pure per session) → HW-graph,
         // each window's sessions split in parallel and merged in order.
@@ -165,13 +174,8 @@ impl Trainer {
 
         // Stage 2: Intel Keys and the ignored list.
         let extractor = IntelExtractor::with_matcher(self.matcher.clone());
-        let keys: Vec<IntelKey> = parser.keys().iter().map(|k| extractor.build(k)).collect();
-        let ignored_keys: BTreeSet<KeyId> = parser
-            .keys()
-            .iter()
-            .filter(|k| is_ignored(k))
-            .map(|k| k.id)
-            .collect();
+        let (keys, ignored_keys) =
+            split_key_stage(parser.keys().iter().map(|k| key_stage(&extractor, k)));
 
         // Stage 3: session logs → HW-graph.
         let logs: Vec<SessionLog> = sessions

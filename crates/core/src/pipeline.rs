@@ -71,8 +71,8 @@ impl IntelLog {
     /// sessions on the calling thread, spawning no threads and ignoring any
     /// installed rayon pool. This is the single-thread baseline the scaling
     /// benchmarks compare [`IntelLog::detect_job`] against; `detect_job`
-    /// under a 1-thread pool must produce the identical [`JobReport`]
-    /// (asserted in `crates/bench`).
+    /// must produce the identical [`JobReport`] (asserted in
+    /// `crates/core/tests/equivalence.rs` and in this module's tests).
     pub fn detect_job_sequential(&self, sessions: &[Session]) -> JobReport {
         // `Detector::detect_job` is the sequential implementation.
         self.detector.detect_job(sessions)

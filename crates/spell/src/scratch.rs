@@ -2,9 +2,11 @@
 //!
 //! Matching one message runs an LCS dynamic program, a trie walk and an
 //! inverted-index scoring pass — each of which used to allocate its working
-//! vectors/maps per call. On the persistent executor (vendored rayon) the
-//! threads running these loops are long-lived, so one warm buffer per
-//! thread amortises to zero allocations per message.
+//! vectors/maps per call. One warm buffer per thread amortises to zero
+//! allocations per message over the messages that thread matches: every
+//! message of a streaming session or of a sequential pass, and every item a
+//! worker of a parallel op claims (the vendored rayon's scoped workers live
+//! for one op; the calling thread keeps its buffers across ops).
 //!
 //! Every helper here hands the buffer to a closure (cleared by the callee
 //! as needed) rather than leaking `RefCell` guards into signatures. The

@@ -3,8 +3,8 @@
 //! Normal builds re-export the std atomics untouched. Under `--cfg
 //! intellog_check` each type is a wrapper whose every operation —
 //! including loads — is a schedule point, because protocols like the
-//! executor's pending-counter parking are exactly about which load
-//! observes which store.
+//! gateway's idle gate (a `pending` flag swapped by wakers and cleared by
+//! the loop) are exactly about which load observes which store.
 
 pub use std::sync::atomic::Ordering;
 

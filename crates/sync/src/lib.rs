@@ -1,6 +1,7 @@
 //! Synchronization facade for the IntelLog workspace.
 //!
-//! Every crate in the workspace (and `vendor/rayon`) takes its `Mutex`,
+//! Every crate in the workspace (and `vendor/rayon`, for its atomic cursor
+//! and scoped threads) takes its `Mutex`,
 //! `RwLock`, `Condvar`, atomics, channels and threads from here instead of
 //! `std::sync` / `std::thread` (enforced by `scripts/lint_invariants.py`).
 //! The facade has three personalities, chosen at compile time:

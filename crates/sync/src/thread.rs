@@ -8,6 +8,11 @@
 //! `park` / `park_timeout` block with the std token semantics. Outside
 //! an exploration everything falls through to std, so the same binary
 //! can run both checked scenarios and ordinary tests.
+//!
+//! Scoped threads are the exception: `scope` is std's under the cfg too, and
+//! `Builder::spawn_scoped` always starts a real OS thread. They are not
+//! scheduler tasks — a facade op on one runs on the std fallback — so no
+//! exploration runs a parallel op (`vendor/rayon`'s only use of them).
 
 #[cfg(not(intellog_check))]
 pub use std::thread::*;
@@ -21,7 +26,7 @@ mod checked {
     use std::io;
     use std::time::Duration;
 
-    pub use std::thread::available_parallelism;
+    pub use std::thread::{available_parallelism, scope, Scope, ScopedJoinHandle};
 
     /// Mirror of `std::thread::Builder` (name only — that is all the
     /// workspace uses).
@@ -55,6 +60,23 @@ mod checked {
                 }
                 Ok(JoinHandle(Imp::Std(b.spawn(f)?)))
             }
+        }
+
+        /// Always a real OS thread: scoped threads are not scheduler tasks.
+        pub fn spawn_scoped<'scope, F, T>(
+            self,
+            scope: &'scope Scope<'scope, '_>,
+            f: F,
+        ) -> io::Result<ScopedJoinHandle<'scope, T>>
+        where
+            F: FnOnce() -> T + Send + 'scope,
+            T: Send + 'scope,
+        {
+            let mut b = std::thread::Builder::new();
+            if let Some(n) = self.name {
+                b = b.name(n);
+            }
+            b.spawn_scoped(scope, f)
         }
     }
 

@@ -1,14 +1,20 @@
-//! Executor correctness suite for the vendored work-stealing pool.
+//! Executor correctness suite for the vendored scoped executor (each
+//! parallel op borrows scoped workers that claim items off one atomic
+//! cursor; `vendor/rayon/src/lib.rs`).
 //!
 //! The pipeline's byte-identical parallel/sequential guarantee rests on the
 //! executor's `collect()` preserving input order for any input size, worker
 //! count and per-item cost distribution — these tests pin that contract
-//! from outside the vendor crate, against the same API the pipeline uses.
+//! from outside the vendor crate, against the same API the pipeline uses —
+//! and on no parallel op leaving a thread behind.
 
 use proptest::prelude::*;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
+use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
+use std::path::Path;
+use std::time::{Duration, Instant};
 use sync::atomic::{AtomicUsize, Ordering};
 
 proptest! {
@@ -44,10 +50,11 @@ proptest! {
     }
 }
 
-/// A panic in one item propagates to the submitting thread after every
-/// in-flight chunk has retired (no torn state, no hang).
+/// A panic in one item propagates to the calling thread after every
+/// participant has stopped (no torn state, no hang), and the next op
+/// installed with the same `ThreadPool` runs normally.
 #[test]
-fn panic_propagates_and_pool_survives() {
+fn panic_propagates_and_next_op_runs() {
     let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
     let items: Vec<u32> = (0..500).collect();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -68,7 +75,7 @@ fn panic_propagates_and_pool_survives() {
         .downcast_ref::<String>()
         .expect("panic payload should be the formatted message");
     assert!(msg.contains("executor-test panic"), "{msg}");
-    // The pool must still be usable after a panicked operation.
+    // An op after a panicked one must run normally.
     let ok: Vec<u32> = pool.install(|| items.par_iter().map(|&x| x + 1).collect());
     assert_eq!(ok.len(), items.len());
     assert_eq!(ok[0], 1);
@@ -93,7 +100,7 @@ fn nested_install_scopes_thread_count() {
     });
 
     // Nested par_iter *inside* a parallel op: must complete (runs inline on
-    // the worker) and preserve order.
+    // the participant) and preserve order.
     let items: Vec<u32> = (0..64).collect();
     let nested: Vec<u64> = outer.install(|| {
         items
@@ -117,7 +124,7 @@ fn nested_install_scopes_thread_count() {
     assert_eq!(nested, expected);
 }
 
-/// Code running inside pool workers sees the pool's worker count
+/// Code running inside scoped workers sees the installed thread count
 /// (`current_num_threads` propagates into workers, not just the installing
 /// thread).
 #[test]
@@ -139,8 +146,9 @@ fn workers_report_installed_thread_count() {
 
 /// Deliberately skewed per-item cost: a handful of items are ~1000x more
 /// expensive than the rest. With one contiguous chunk per thread the
-/// stragglers would serialise; with small stolen chunks the run must both
-/// stay correct and actually spread work across workers.
+/// stragglers would serialise; with items claimed one at a time off a shared
+/// cursor the run must both stay correct and actually spread work across
+/// workers.
 #[test]
 fn skewed_cost_stays_correct_and_spreads() {
     fn burn(iters: u64) -> u64 {
@@ -175,7 +183,8 @@ fn skewed_cost_stays_correct_and_spreads() {
     assert_eq!(DISTINCT_RUNNERS.load(Ordering::Relaxed), items.len());
 }
 
-/// The global pool (bare `par_iter` with no install) is also order-exact.
+/// A bare `par_iter` (no install: available parallelism) is also
+/// order-exact.
 #[test]
 fn global_pool_par_map_is_order_exact() {
     let items: Vec<u64> = (0..10_000).collect();
@@ -184,10 +193,10 @@ fn global_pool_par_map_is_order_exact() {
     assert_eq!(par, seq);
 }
 
-/// Repeated installs on the same pool don't leak workers or wedge the
-/// injector (regression guard for parking/unparking bugs).
+/// Fifty ops in a row under one `ThreadPool` each return the full, correct
+/// result: every op starts from a fresh cursor and its own workers.
 #[test]
-fn repeated_installs_reuse_the_pool() {
+fn repeated_installs_stay_correct() {
     let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
     let items: Vec<u32> = (0..256).collect();
     for round in 0..50 {
@@ -195,4 +204,43 @@ fn repeated_installs_reuse_the_pool() {
         assert_eq!(out.len(), items.len());
         assert_eq!(out[7], 7 ^ round);
     }
+}
+
+/// No thread outlives the parallel op that started it: after a bare
+/// `par_iter` returns, every thread that ran one of its items — other than
+/// the caller — is gone from `/proc/self/task`. Threads are told apart by
+/// task id, not counted, so tests running alongside cannot disturb the
+/// check. Exit is given a grace period: `join` returns when the thread has
+/// finished, a moment before the kernel drops its task entry. Skipped where
+/// `/proc` is absent.
+#[test]
+fn no_thread_outlives_a_parallel_op() {
+    fn task_id() -> Option<String> {
+        let link = std::fs::read_link("/proc/thread-self").ok()?;
+        Some(link.file_name()?.to_string_lossy().into_owned())
+    }
+    let Some(caller) = task_id() else { return };
+    let items: Vec<u64> = (0..64).collect();
+    let ran_on: Vec<String> = items
+        .par_iter()
+        .map(|&x| {
+            // long enough per item that every participant claims some
+            let mut acc = x;
+            for i in 0..200_000u64 {
+                acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(i));
+            }
+            task_id().expect("/proc/thread-self")
+        })
+        .collect();
+    let helpers: BTreeSet<String> = ran_on.into_iter().filter(|t| *t != caller).collect();
+    let alive = |t: &&String| Path::new("/proc/self/task").join(t).exists();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while helpers.iter().any(|t| alive(&t)) && Instant::now() < deadline {
+        sync::thread::sleep(Duration::from_millis(1));
+    }
+    let left: Vec<&String> = helpers.iter().filter(alive).collect();
+    assert!(
+        left.is_empty(),
+        "threads {left:?} ran items of a finished op and are still alive"
+    );
 }
