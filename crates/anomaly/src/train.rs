@@ -10,9 +10,8 @@
 //!
 //! Spell is an order-dependent stream — each message may refine the key the
 //! next one matches — so stage 1 is one sequential pass in both trainers.
-//! [`Trainer::train`] then runs as rayon parallel ops (wrap the call in
-//! [`rayon::ThreadPool::install`] to pin the thread count) every stage
-//! that is
+//! [`Trainer::train`] then runs through [`sync::par_map`] every stage that
+//! is
 //!
 //! * **pure per key** — Intel-Key extraction through the POS tagger and
 //!   the natural-language check, one pass over the keys;
@@ -26,15 +25,18 @@
 //! thread. Parts are computed a bounded window of sessions ahead of the
 //! merge ([`SPLIT_WINDOW_ROWS`]), never for the whole corpus at once.
 //! [`Trainer::train_sequential`] is the reference: the same stages as plain
-//! loops; tests assert `train` produces a byte-identical detector at every
-//! pool size.
+//! loops; tests assert `train` produces a byte-identical detector.
+//!
+//! The maps pay: on 2 vCPUs, `train_batch` read 8–10 % fewer lines per
+//! second with training all sequential, or with either per-session map
+//! made sequential (EXPERIMENTS.md, "Training keeps its parallel maps").
 
 use crate::detector::Detector;
 use extract::{IntelExtractor, IntelKey, LocalityMatcher, SessionLog};
 use hwgraph::{GraphBuilder, HwGraph};
-use rayon::prelude::*;
 use spell::{KeyId, LogKey, Session, SpellParser};
 use std::collections::BTreeSet;
+use sync::par_map;
 
 /// Configurable trainer for the IntelLog pipeline.
 #[derive(Debug, Clone)]
@@ -129,8 +131,8 @@ fn log_session(
 impl Trainer {
     /// Train on normal-execution sessions and return a detector.
     ///
-    /// Runs on rayon's current thread count and produces a detector
-    /// bit-identical to [`Trainer::train_sequential`].
+    /// Runs on every available CPU and produces a detector bit-identical to
+    /// [`Trainer::train_sequential`].
     pub fn train(&self, sessions: &[Session]) -> Detector {
         let _span = obs::span!("anomaly.train");
         obs::add!("anomaly.train.sessions", sessions.len() as u64);
@@ -138,26 +140,20 @@ impl Trainer {
 
         // Stage 2: Intel Keys and the ignored list (parallel, pure per key).
         let extractor = IntelExtractor::with_matcher(self.matcher.clone());
-        let (keys, ignored_keys) = split_key_stage(
-            parser
-                .keys()
-                .par_iter()
-                .map(|k| key_stage(&extractor, k))
-                .collect::<Vec<_>>(),
-        );
+        let (keys, ignored_keys) =
+            split_key_stage(par_map(parser.keys(), |k| key_stage(&extractor, k)));
 
         // Stage 3: session logs (parallel, pure per session) → HW-graph,
         // each window's sessions split in parallel and merged in order.
         let work: Vec<(&Session, &Vec<KeyId>)> = sessions.iter().zip(&parsed).collect();
-        let logs: Vec<SessionLog> = work
-            .par_iter()
-            .map(|(session, line_keys)| log_session(session, line_keys, &keys, &ignored_keys))
-            .collect();
+        let logs = par_map(&work, |(session, line_keys)| {
+            log_session(session, line_keys, &keys, &ignored_keys)
+        });
         let mut graph = GraphBuilder::plan(&graph_keys(&keys, &ignored_keys));
         let mut rest = &logs[..];
         while !rest.is_empty() {
             let (window, later) = rest.split_at(split_window(rest));
-            let parts: Vec<_> = window.par_iter().map(|log| graph.part(log)).collect();
+            let parts = par_map(window, |log| graph.part(log));
             parts.into_iter().for_each(|part| graph.absorb(part));
             rest = later;
         }

@@ -1,13 +1,11 @@
 //! The end-to-end IntelLog pipeline (paper Fig. 2).
 //!
 //! [`IntelLog`] wraps training (Spell → Intel Keys → HW-graph) and
-//! detection behind one API, and — following the HPC guides for this
-//! reproduction — parallelises the embarrassingly-parallel per-session
-//! detection with rayon.
+//! detection behind one API, and parallelises the embarrassingly-parallel
+//! per-session detection with [`sync::par_map`].
 
 use anomaly::{diagnose, Detector, Diagnosis, JobReport, SessionReport, Trainer};
 use hwgraph::HwGraph;
-use rayon::prelude::*;
 use spell::Session;
 
 /// A trained IntelLog instance.
@@ -19,10 +17,10 @@ pub struct IntelLog {
 impl IntelLog {
     /// Train on normal-execution sessions with the paper's defaults
     /// ([`Trainer::default`]; set its two fields and wrap the result with
-    /// [`IntelLog::from_detector`] to change them). Training runs on rayon's
-    /// current thread pool (Spell is one sequential stream, the per-session
-    /// split is parallel; see [`Trainer::train`]) and is bit-identical to
-    /// [`IntelLog::train_sequential`].
+    /// [`IntelLog::from_detector`] to change them). Training runs on every
+    /// available CPU (Spell is one sequential stream, the per-key and
+    /// per-session stages are parallel; see [`Trainer::train`]) and is
+    /// bit-identical to [`IntelLog::train_sequential`].
     pub fn train(sessions: &[Session]) -> IntelLog {
         IntelLog::from_detector(Trainer::default().train(sessions))
     }
@@ -55,21 +53,18 @@ impl IntelLog {
     }
 
     /// Detect anomalies in a job — sessions are processed in parallel with
-    /// rayon (each session is independent; the detector is shared
-    /// read-only).
+    /// [`sync::par_map`] (each session is independent; the detector is
+    /// shared read-only).
     pub fn detect_job(&self, sessions: &[Session]) -> JobReport {
         let _span = obs::span!("pipeline.detect_job");
         JobReport {
-            sessions: sessions
-                .par_iter()
-                .map(|s| self.detector.detect_session(s))
-                .collect(),
+            sessions: sync::par_map(sessions, |s| self.detector.detect_session(s)),
         }
     }
 
     /// Genuinely sequential detection: a plain in-order loop over the
-    /// sessions on the calling thread, spawning no threads and ignoring any
-    /// installed rayon pool. This is the single-thread baseline the scaling
+    /// sessions on the calling thread, spawning no threads. This is the
+    /// single-thread baseline the scaling
     /// benchmarks compare [`IntelLog::detect_job`] against; `detect_job`
     /// must produce the identical [`JobReport`] (asserted in
     /// `crates/core/tests/equivalence.rs` and in this module's tests).

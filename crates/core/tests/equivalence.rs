@@ -7,9 +7,9 @@
 //!    matcher over realistic corpora from every simulated system (Spark,
 //!    MapReduce, Tez, YARN, Nova);
 //! 2. parallel training produces a byte-identical detector (and therefore
-//!    byte-identical reports) to the sequential reference trainer, whatever
-//!    the pool size and however the sessions fall into the trainer's split
-//!    windows;
+//!    byte-identical reports) to the sequential reference trainer at the
+//!    host's parallelism, however the sessions fall into the trainer's
+//!    split windows (`sync::par_map`'s own suite covers 1–8 threads);
 //! 3. the row the session log keeps of a matched line — key id, timestamp,
 //!    identifier pairs — is that projection of the owned Intel Message
 //!    `IntelMessage::instantiate` builds from the line's token strings, on
@@ -153,18 +153,8 @@ fn parallel_training_equals_sequential_on_all_systems() {
         let sessions = corpus(system, 7, 2);
         let trainer = Trainer::default();
         let seq = serde_json::to_string(&trainer.train_sequential(&sessions)).unwrap();
-        for threads in [1, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let par = pool.install(|| trainer.train(&sessions));
-            assert_eq!(
-                serde_json::to_string(&par).unwrap(),
-                seq,
-                "detector divergence for {system:?} on {threads} pool thread(s)"
-            );
-        }
+        let par = serde_json::to_string(&trainer.train(&sessions)).unwrap();
+        assert_eq!(par, seq, "detector divergence for {system:?}");
     }
 }
 
@@ -172,9 +162,9 @@ fn parallel_training_equals_sequential_on_all_systems() {
 /// ahead of the ordered merge (`SPLIT_WINDOW_ROWS`, 4,096). Many short
 /// sessions (the MapReduce shape: several windows, ~100 sessions each),
 /// then one session longer than a window (every Spark line in one
-/// container), then short ones again: `train` is `train_sequential` at every
-/// pool size, and a second `train` in the same process — on pool threads
-/// that have run the first — is the first.
+/// container), then short ones again: `train` is `train_sequential`, and a
+/// second `train` in the same process — whose calling thread has warmed its
+/// scratch in the first — is the first.
 #[test]
 fn windowed_split_equals_sequential_across_window_shapes() {
     let short = corpus(SystemKind::MapReduce, 7, 8);
@@ -196,19 +186,9 @@ fn windowed_split_equals_sequential_across_window_shapes() {
 
     let trainer = Trainer::default();
     let seq = serde_json::to_string(&trainer.train_sequential(&sessions)).unwrap();
-    for threads in [1, 2, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let (first, second) = pool.install(|| (trainer.train(&sessions), trainer.train(&sessions)));
-        for (run, par) in [("first", first), ("second", second)] {
-            assert_eq!(
-                serde_json::to_string(&par).unwrap(),
-                seq,
-                "{run} train diverged from train_sequential on {threads} pool thread(s)"
-            );
-        }
+    for run in ["first", "second"] {
+        let par = serde_json::to_string(&trainer.train(&sessions)).unwrap();
+        assert_eq!(par, seq, "{run} train diverged from train_sequential");
     }
 }
 

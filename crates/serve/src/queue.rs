@@ -91,16 +91,6 @@ impl<T> Inner<T> {
         self.lines == 0 || self.lines + lines <= capacity
     }
 
-    fn pop_front(&mut self) -> Option<T> {
-        let msg = self.q.pop_front()?;
-        match self.weights.pop_front() {
-            Some(0) => self.control_len -= 1,
-            Some(w) => self.lines -= w,
-            None => {}
-        }
-        Some(msg)
-    }
-
     fn push_back(&mut self, msg: T, weight: usize) {
         self.q.push_back(msg);
         self.weights.push_back(weight);
@@ -267,24 +257,6 @@ impl<T> ShardQueue<T> {
         self.not_empty.notify_one();
     }
 
-    /// Dequeue, waiting up to `timeout`. `None` means timeout (the queue
-    /// may also be closed — check [`ShardQueue::is_closed`] if it matters).
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(msg) = inner.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(msg);
-            }
-            let (next, res) = self.not_empty.wait_timeout(inner, timeout);
-            inner = next;
-            if res.timed_out() {
-                return inner.pop_front();
-            }
-        }
-    }
-
     /// Dequeue *everything* currently queued in one lock round-trip,
     /// waiting up to `timeout` for the first message. The internal deque is
     /// swapped with `out` (which must arrive empty), so the consumer
@@ -317,7 +289,7 @@ impl<T> ShardQueue<T> {
     }
 
     /// Close the queue: blocked producers wake and shed their messages.
-    /// Already-queued messages stay poppable.
+    /// Already-queued messages stay drainable.
     pub fn close(&self) {
         self.inner.lock().closed = true;
         self.not_full.notify_all();
@@ -351,6 +323,13 @@ mod tests {
     use super::*;
     use sync::Arc;
 
+    /// Everything queued, in order, through the consumer's one door.
+    fn drain<T>(q: &ShardQueue<T>) -> Vec<T> {
+        let mut batch = VecDeque::new();
+        q.drain_timeout(Duration::from_millis(1), &mut batch);
+        batch.into()
+    }
+
     #[test]
     fn policy_parsing() {
         assert_eq!("block".parse(), Ok(Backpressure::Block));
@@ -371,8 +350,8 @@ mod tests {
         assert_eq!(q.push("d"), PushOutcome::Enqueued);
         assert_eq!(q.room(), 0, "full: the producer must hold its lines back");
         assert_eq!(q.len(), 5, "four lines and one control message");
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some("abc"));
-        assert_eq!(q.room(), 3, "a whole batch's lines free up at once");
+        assert_eq!(drain(&q), ["abc", "ctl", "d"]);
+        assert_eq!(q.room(), 4, "a drain frees every batch's lines at once");
         // the drop policies never make a producer wait: they shed instead
         for policy in [Backpressure::DropNewest, Backpressure::DropOldest] {
             let q = ShardQueue::new(4, policy);
@@ -458,10 +437,7 @@ mod tests {
         // control message in front of "c" is not touched
         assert_eq!(q.push_weighted("def", 3), PushOutcome::DroppedOld);
         assert_eq!(q.dropped(), 2);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some("end"));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some("c"));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some("def"));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+        assert_eq!(drain(&q), ["end", "c", "def"]);
         // heavier than the capacity: admitted only once no line is queued
         q.push("x");
         assert_eq!(q.push_weighted("123456", 6), PushOutcome::DroppedOld);
@@ -491,9 +467,7 @@ mod tests {
         assert_eq!(q.push(2), PushOutcome::Enqueued);
         assert_eq!(q.push(3), PushOutcome::DroppedNew);
         assert_eq!(q.dropped(), 1);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+        assert_eq!(drain(&q), [1, 2]);
     }
 
     #[test]
@@ -503,8 +477,7 @@ mod tests {
         q.push(2);
         assert_eq!(q.push(3), PushOutcome::DroppedOld);
         assert_eq!(q.dropped(), 1);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(3));
+        assert_eq!(drain(&q), [2, 3]);
     }
 
     #[test]
@@ -513,8 +486,7 @@ mod tests {
         q.push(1);
         q.push_control(99);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(99));
+        assert_eq!(drain(&q), [1, 99]);
     }
 
     #[test]
@@ -530,10 +502,7 @@ mod tests {
         assert_eq!(q.push(3), PushOutcome::DroppedOld);
         assert_eq!(q.dropped(), 1, "only the data line counts as shed");
         // control survived in its original FIFO position; line 1 is gone
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(90));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(3));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+        assert_eq!(drain(&q), [90, 2, 3]);
     }
 
     #[test]
@@ -551,20 +520,6 @@ mod tests {
         let q = ShardQueue::new(1, Backpressure::DropNewest);
         q.push_control(90);
         assert_eq!(q.push(1), PushOutcome::Enqueued);
-        assert_eq!(q.dropped(), 0);
-    }
-
-    #[test]
-    fn block_policy_waits_for_consumer() {
-        let q = Arc::new(ShardQueue::new(1, Backpressure::Block));
-        q.push(1);
-        let q2 = Arc::clone(&q);
-        let producer = sync::thread::spawn(move || q2.push(2));
-        sync::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.len(), 1, "producer must be blocked");
-        assert_eq!(q.pop_timeout(Duration::from_millis(100)), Some(1));
-        assert_eq!(producer.join().unwrap(), PushOutcome::Enqueued);
-        assert_eq!(q.pop_timeout(Duration::from_millis(100)), Some(2));
         assert_eq!(q.dropped(), 0);
     }
 
@@ -592,12 +547,14 @@ mod tests {
         let q2 = Arc::clone(&q);
         let producer = sync::thread::spawn(move || q2.push(2));
         sync::thread::sleep(Duration::from_millis(20));
+        assert_eq!(q.len(), 1, "producer must be blocked");
         let mut batch = VecDeque::new();
         assert_eq!(q.drain_timeout(Duration::from_millis(500), &mut batch), 1);
         assert_eq!(producer.join().unwrap(), PushOutcome::Enqueued);
         batch.clear();
         assert_eq!(q.drain_timeout(Duration::from_millis(500), &mut batch), 1);
         assert_eq!(batch.pop_front(), Some(2));
+        assert_eq!(q.dropped(), 0, "block never sheds");
     }
 
     #[test]
@@ -609,7 +566,7 @@ mod tests {
         sync::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(producer.join().unwrap(), PushOutcome::DroppedNew);
-        // queued data remains poppable after close
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
+        // queued data remains drainable after close
+        assert_eq!(drain(&q), [1]);
     }
 }

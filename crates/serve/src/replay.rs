@@ -278,7 +278,7 @@ pub fn run_replay(
     let mut offline_problematic = 0;
     if cfg.verify {
         // offline reference: the exact same sessions through the batch
-        // detector (rayon-parallel across sessions)
+        // detector (parallel across sessions)
         let il = IntelLog::from_detector(detector.clone());
         let offline = il.detect_job(&offline_sessions);
         offline_problematic = offline.problematic_count();

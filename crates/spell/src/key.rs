@@ -69,22 +69,6 @@ impl LogKey {
                 .zip(message_tokens)
                 .all(|(k, m)| k == STAR || k == m)
     }
-
-    /// Extract the values at the variable positions of `message_tokens`.
-    /// Returns `None` if the message is not an instance of this key.
-    pub fn extract_variables(&self, message_tokens: &[String]) -> Option<Vec<String>> {
-        if !self.matches(message_tokens) {
-            return None;
-        }
-        Some(
-            self.tokens
-                .iter()
-                .zip(message_tokens)
-                .filter(|(k, _)| *k == STAR)
-                .map(|(_, m)| m.clone())
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -105,25 +89,12 @@ mod tests {
     }
 
     #[test]
-    fn matching_and_extraction() {
+    fn instances_match_and_mismatched_constants_do_not() {
         let k = key(
             "* freed by fetcher # * in *",
             "host1:13562 freed by fetcher # 1 in 4ms",
         );
-        let msg = toks("host2:13562 freed by fetcher # 7 in 9ms");
-        assert!(k.matches(&msg));
-        assert_eq!(
-            k.extract_variables(&msg).unwrap(),
-            ["host2:13562", "7", "9ms"]
-        );
-    }
-
-    #[test]
-    fn mismatched_constant_rejected() {
-        let k = key(
-            "* freed by fetcher # * in *",
-            "host1:13562 freed by fetcher # 1 in 4ms",
-        );
+        assert!(k.matches(&toks("host2:13562 freed by fetcher # 7 in 9ms")));
         assert!(!k.matches(&toks("host2:13562 taken by fetcher # 7 in 9ms")));
         assert!(!k.matches(&toks("host2:13562 freed by fetcher # 7")));
     }

@@ -5,8 +5,8 @@
 //! vectors/maps per call. One warm buffer per thread amortises to zero
 //! allocations per message over the messages that thread matches: every
 //! message of a streaming session or of a sequential pass, and every item a
-//! worker of a parallel op claims (the vendored rayon's scoped workers live
-//! for one op; the calling thread keeps its buffers across ops).
+//! worker of a parallel map claims (`sync::par_map`'s scoped workers live
+//! for one call; the calling thread keeps its buffers across calls).
 //!
 //! Every helper here hands the buffer to a closure (cleared by the callee
 //! as needed) rather than leaking `RefCell` guards into signatures. The

@@ -32,8 +32,6 @@ pub(crate) enum Blocked {
     Cond { cond: usize, timed: bool },
     /// Waiting for a task to finish.
     Join(usize),
-    /// `thread::park` / `park_timeout`.
-    Park { timed: bool },
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,8 +45,6 @@ pub(crate) struct Task {
     pub(crate) status: Status,
     /// Set when the scheduler force-fired this task's timed wait.
     pub(crate) timed_out: bool,
-    /// Pending `unpark` token (park that hasn't happened yet).
-    pub(crate) unparked: bool,
     /// PCT priority (0 under other strategies).
     pub(crate) priority: u64,
     pub(crate) name: String,
@@ -112,13 +108,7 @@ impl ExecState {
         self.tasks
             .iter()
             .enumerate()
-            .filter(|(_, t)| {
-                matches!(
-                    t.status,
-                    Status::Blocked(Blocked::Cond { timed: true, .. })
-                        | Status::Blocked(Blocked::Park { timed: true })
-                )
-            })
+            .filter(|(_, t)| matches!(t.status, Status::Blocked(Blocked::Cond { timed: true, .. })))
             .map(|(i, _)| i)
             .collect()
     }

@@ -18,8 +18,8 @@
 //! Two detectors come for free from the scheduler's global view:
 //!
 //! * **deadlock** — no runnable task, no timed waiter, unfinished tasks;
-//! * **lost wakeup** — a *forced timeout*: timed waits (`wait_timeout`,
-//!   `park_timeout`) only fire when nothing else in the program can run,
+//! * **lost wakeup** — a *forced timeout*: timed waits (`wait_timeout`)
+//!   only fire when nothing else in the program can run,
 //!   so in a scenario whose waits are all eventually satisfied, a single
 //!   forced timeout proves a wakeup went missing.
 
@@ -32,9 +32,6 @@ use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock, T
 
 use exec::{Abort, Blocked, Execution, Status, Task};
 use strategy::{mix_seed, DfsTree, Strategy};
-
-/// Alias for `crate::thread`'s checked `Thread` handle.
-pub(crate) use exec::Execution as ExecutionRef;
 
 // ---------------------------------------------------------------------------
 // Per-thread execution context
@@ -101,7 +98,6 @@ where
         st.tasks.push(Task {
             status: Status::Runnable,
             timed_out: false,
-            unparked: false,
             priority,
             name: name.clone(),
         });
@@ -176,10 +172,6 @@ impl<T> TaskHandle<T> {
     pub(crate) fn is_finished(&self) -> bool {
         self.exec
             .with(|st| matches!(st.tasks[self.id].status, Status::Finished))
-    }
-
-    pub(crate) fn unpark_ref(&self) -> (Arc<Execution>, usize) {
-        (Arc::clone(&self.exec), self.id)
     }
 }
 
@@ -289,37 +281,6 @@ pub(crate) fn op_point(verb: &'static str, addr: Option<usize>) {
     if let Some(c) = ctx() {
         c.exec.yield_point(c.id, verb, addr);
     }
-}
-
-pub(crate) fn park(timed: bool) {
-    let c = ctx().expect("checked park without ctx");
-    let consumed = c.exec.with(|st| {
-        if st.tasks[c.id].unparked {
-            st.tasks[c.id].unparked = false;
-            true
-        } else {
-            false
-        }
-    });
-    if consumed {
-        c.exec.yield_point(c.id, "park-consumed", None);
-        return;
-    }
-    c.exec.block(c.id, Blocked::Park { timed }, "park", None);
-}
-
-pub(crate) fn unpark(exec: &Arc<Execution>, target: usize) {
-    exec.with(|st| {
-        if matches!(
-            st.tasks[target].status,
-            Status::Blocked(Blocked::Park { .. })
-        ) {
-            st.tasks[target].status = Status::Runnable;
-            st.note(target, "unparked", None);
-        } else {
-            st.tasks[target].unparked = true;
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------

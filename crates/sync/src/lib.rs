@@ -1,9 +1,10 @@
 //! Synchronization facade for the IntelLog workspace.
 //!
-//! Every crate in the workspace (and `vendor/rayon`, for its atomic cursor
-//! and scoped threads) takes its `Mutex`,
-//! `RwLock`, `Condvar`, atomics, channels and threads from here instead of
-//! `std::sync` / `std::thread` (enforced by `scripts/lint_invariants.py`).
+//! Every crate in the workspace takes its `Mutex`, `RwLock`, `Condvar`,
+//! atomics, channels and threads from here instead of `std::sync` /
+//! `std::thread` (enforced by `scripts/lint_invariants.py`), and its one
+//! parallel map, [`par_map`], too: training's per-key and per-session maps
+//! and detection's per-session map run on it.
 //! The facade has three personalities, chosen at compile time:
 //!
 //! * **release** — a zero-cost passthrough. Types are thin newtypes over
@@ -36,10 +37,13 @@
 
 pub mod atomic;
 pub mod mpsc;
+mod par;
 #[cfg(unix)]
 #[allow(unsafe_code)]
 pub mod poll;
 pub mod thread;
+
+pub use par::par_map;
 
 #[cfg(any(debug_assertions, intellog_check))]
 pub(crate) mod order;

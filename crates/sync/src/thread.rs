@@ -3,16 +3,16 @@
 //! Normal builds re-export `std::thread` wholesale. Under `--cfg
 //! intellog_check`, spawning from inside an exploration registers a
 //! scheduler *task* instead of a free-running OS thread: the scheduler
-//! decides when it runs, `join` is a blocking schedule point, `sleep` /
-//! `yield_now` are plain schedule points (no real time passes), and
-//! `park` / `park_timeout` block with the std token semantics. Outside
-//! an exploration everything falls through to std, so the same binary
-//! can run both checked scenarios and ordinary tests.
+//! decides when it runs, `join` is a blocking schedule point, and `sleep` /
+//! `yield_now` are plain schedule points (no real time passes). Nothing in
+//! the workspace calls `park`, so the checked facade has none. Outside an
+//! exploration everything falls through to std, so the same binary can run
+//! both checked scenarios and ordinary tests.
 //!
 //! Scoped threads are the exception: `scope` is std's under the cfg too, and
 //! `Builder::spawn_scoped` always starts a real OS thread. They are not
 //! scheduler tasks — a facade op on one runs on the std fallback — so no
-//! exploration runs a parallel op (`vendor/rayon`'s only use of them).
+//! exploration runs a parallel map ([`crate::par_map`], their only user).
 
 #[cfg(not(intellog_check))]
 pub use std::thread::*;
@@ -102,33 +102,6 @@ mod checked {
                 Imp::Task(t) => t.is_finished(),
             }
         }
-
-        pub fn thread(&self) -> Thread {
-            match &self.0 {
-                Imp::Std(h) => Thread(ThreadImp::Std(h.thread().clone())),
-                Imp::Task(t) => {
-                    let (exec, id) = t.unpark_ref();
-                    Thread(ThreadImp::Task(exec, id))
-                }
-            }
-        }
-    }
-
-    enum ThreadImp {
-        Std(std::thread::Thread),
-        Task(std::sync::Arc<check::ExecutionRef>, usize),
-    }
-
-    /// Minimal `std::thread::Thread` stand-in: just `unpark`.
-    pub struct Thread(ThreadImp);
-
-    impl Thread {
-        pub fn unpark(&self) {
-            match &self.0 {
-                ThreadImp::Std(t) => t.unpark(),
-                ThreadImp::Task(exec, id) => check::unpark(exec, *id),
-            }
-        }
     }
 
     pub fn spawn<F, T>(f: F) -> JoinHandle<T>
@@ -153,22 +126,6 @@ mod checked {
             check::op_point("yield", None);
         } else {
             std::thread::yield_now();
-        }
-    }
-
-    pub fn park() {
-        if check::active() && !std::thread::panicking() {
-            check::park(false);
-        } else {
-            std::thread::park();
-        }
-    }
-
-    pub fn park_timeout(dur: Duration) {
-        if check::active() && !std::thread::panicking() {
-            check::park(true);
-        } else {
-            std::thread::park_timeout(dur);
         }
     }
 

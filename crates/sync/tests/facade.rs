@@ -116,21 +116,6 @@ fn mpsc_channel_roundtrip() {
 }
 
 #[test]
-fn thread_park_unpark() {
-    let started = Arc::new(AtomicBool::new(false));
-    let started2 = Arc::clone(&started);
-    let h = thread::spawn(move || {
-        started2.store(true, Ordering::SeqCst);
-        thread::park();
-    });
-    while !started.load(Ordering::SeqCst) {
-        thread::yield_now();
-    }
-    h.thread().unpark();
-    h.join().expect("parked thread resumes");
-}
-
-#[test]
 fn facade_types_compose_into_a_queue() {
     // A miniature producer/consumer over facade primitives only, as the
     // serve ShardQueue does at full scale.

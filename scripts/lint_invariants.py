@@ -7,20 +7,20 @@ Eight rules over the workspace's Rust sources:
                    facade (`crates/sync/`) and the vendored dependency
                    stubs — all workspace concurrency must route through
                    the `sync` facade or the model checker cannot see it.
-                   `vendor/rayon` is NOT exempt: it was migrated onto the
-                   facade and must stay on it.
+                   Parallelism included: the one parallel map is
+                   `sync::par_map`, so no pipeline crate opens a
+                   `std::thread::scope` of its own.
   R2  safety-doc   every `unsafe` block / fn / impl needs a comment
                    containing `SAFETY` within the 5 preceding lines.
-  R3  forbid-attr  every crate root (`crates/*/src/lib.rs`, `src/main.rs`,
-                   and the vendored executor's `vendor/rayon/src/lib.rs`)
+  R3  forbid-attr  every crate root (`crates/*/src/lib.rs`, `src/main.rs`)
                    must carry `#![forbid(unsafe_code)]` unless listed in
                    R3_EXEMPT — one entry, `crates/sync/src/lib.rs`, for the
                    `poll(2)` wrapper the gateway's loop sleeps in. `forbid`
                    cannot be lifted for one module, so an exempt root must
                    carry `#![deny(unsafe_code)]` instead and its crate
                    exactly one `allow(unsafe_code)`: one module may hold
-                   `unsafe`, the rest of the crate still cannot. The other
-                   vendor/ stubs are skipped.
+                   `unsafe`, the rest of the crate still cannot. The
+                   vendor/ stubs of external crates are skipped.
   R4  no-unwrap    `.unwrap()` / `.expect(` are forbidden in the serving
                    request-path modules (serve data plane + gateway event
                    loop) outside their `#[cfg(test)]` tail — a malformed
@@ -60,9 +60,12 @@ Eight rules over the workspace's Rust sources:
                    is where it lives. `extern crate` is not FFI.
 
 Escape hatch: a `// lint: allow(<rule>)` comment on the offending line or
-within the 5 lines above suppresses that rule there (used exactly once in
-the tree, for the counting global allocator in obs's tests, which must
-not recurse into the facade).
+within the 5 lines above suppresses that rule there, with a reason: the
+client side of a loopback socket (`std-net`), a path that is rare
+by construction inside an ingest-hot region (`alloc`), and the one counting
+global allocator that shares an atomic across threads
+(`gateway/tests/loop_zero_alloc.rs`, `std-sync`: it runs below the facade,
+whose model-check hooks it must not re-enter).
 
 Exit status: 0 clean, 1 violations (printed as file:line: rule message).
 `--self-test` instead verifies, on synthetic sources, that every rule
@@ -80,8 +83,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 # R1: directories whose files may touch std::sync / std::thread directly.
 RAW_SYNC_WHITELIST = ("crates/sync/",)
-VENDOR_EXEMPT_PREFIX = "vendor/"  # stubs for external deps…
-VENDOR_CHECKED = ("vendor/rayon/",)  # …except the migrated executor
+VENDOR_EXEMPT_PREFIX = "vendor/"  # stubs of external crates
 
 R1_PATTERN = re.compile(r"\bstd\s*::\s*(sync|thread)\b")
 
@@ -129,9 +131,6 @@ R3_EXEMPT: tuple[str, ...] = (
     "crates/sync/src/lib.rs",
 )
 R3_DENY = "#![deny(unsafe_code)]"
-# The one vendored crate R3 holds to `forbid`: the executor, which needs no
-# `unsafe` since its workers are scoped threads.
-R3_VENDOR_ROOT = "vendor/rayon/src/lib.rs"
 R3_ALLOW = re.compile(r"\ballow\s*\(\s*unsafe_code\s*\)")
 
 # R8: the one directory that may declare foreign items. Matched on code with
@@ -237,9 +236,7 @@ def lint_file(path: Path, relpath: str, violations: list[str]) -> None:
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
 
-    vendored = relpath.startswith(VENDOR_EXEMPT_PREFIX) and not relpath.startswith(
-        VENDOR_CHECKED
-    )
+    vendored = relpath.startswith(VENDOR_EXEMPT_PREFIX)
     raw_sync_ok = vendored or any(relpath.startswith(w) for w in RAW_SYNC_WHITELIST)
     raw_net_ok = vendored or relpath in RAW_NET_WHITELIST
 
@@ -330,7 +327,7 @@ def lint_tree(root: Path) -> list[str]:
 
     # R3: crate roots must forbid unsafe code.
     roots = sorted(root.glob("crates/*/src/lib.rs"))
-    roots += [p for p in (root / "src/main.rs", root / R3_VENDOR_ROOT) if p.exists()]
+    roots += [p for p in (root / "src/main.rs",) if p.exists()]
     for r in roots:
         relpath = r.relative_to(root).as_posix()
         if relpath in R3_EXEMPT:
@@ -384,9 +381,9 @@ def self_test() -> int:
             "use std::sync::Mutex;\n",
             False,
         ),
-        "raw-sync still checks vendor/rayon": (
-            "vendor/rayon/src/lib.rs",
-            "#![forbid(unsafe_code)]\nuse std::thread::scope;\n",
+        "raw-sync fires on a scope of its own in the trainer": (
+            "crates/anomaly/src/train.rs",
+            "fn f() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
             True,
         ),
         "raw-sync ignores comments and strings": (
@@ -495,18 +492,6 @@ def self_test() -> int:
         "forbid-attr accepts the attribute": (
             "crates/fake/src/lib.rs",
             "#![forbid(unsafe_code)]\npub fn f() {}\n",
-            False,
-        ),
-        "forbid-attr fires on an unsafe block in vendor/rayon": (
-            # documented, so only R3 can object: the root does not forbid
-            "vendor/rayon/src/lib.rs",
-            "// SAFETY: p is valid for reads, checked by the caller.\n"
-            "fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
-            True,
-        ),
-        "forbid-attr accepts vendor/rayon forbidding": (
-            "vendor/rayon/src/lib.rs",
-            "#![forbid(unsafe_code)]\nuse sync::thread::scope;\n",
             False,
         ),
         "forbid-attr lets the exempt root deny with one allow": (

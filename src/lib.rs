@@ -29,7 +29,7 @@
 //! let cfg = gen.training_config(SystemKind::Spark);
 //! let sessions = sessions_from_job(&dlasim::generate(&cfg, None));
 //! let il = IntelLog::train(&sessions);
-//! // …and detect anomalies in new sessions (rayon-parallel).
+//! // …and detect anomalies in new sessions (in parallel).
 //! let report = il.detect_job(&sessions);
 //! assert_eq!(report.total_count(), sessions.len());
 //! ```

@@ -20,7 +20,7 @@
 //! criterion has teeth: with `ShardQueue::push`'s notify deleted, the
 //! same scenarios that are silent here must report forced timeouts.
 //!
-//! No scenario runs a parallel op: `vendor/rayon` runs one on scoped
+//! No scenario runs a parallel map: `sync::par_map` runs one on scoped
 //! threads, which are real OS threads rather than scheduler tasks, and it
 //! has no wait or wakeup to check — its workers are joined, never parked.
 #![cfg(intellog_check)]
@@ -680,24 +680,8 @@ fn obs_histogram_loses_no_records_under_concurrency() {
 }
 
 // ---------------------------------------------------------------------
-// Tooling self-tests: park/unpark, replay determinism, failure discovery.
+// Tooling self-tests: replay determinism, failure discovery.
 // ---------------------------------------------------------------------
-
-#[test]
-fn park_unpark_handoff_is_race_free() {
-    let report = explore(&cfg(iters(1000), 200), || {
-        let turns = Arc::new(AtomicUsize::new(0));
-        let t2 = Arc::clone(&turns);
-        let h = thread::spawn(move || {
-            thread::park(); // unpark-before-park must leave a token
-            t2.fetch_add(1, Ordering::SeqCst);
-        });
-        h.thread().unpark();
-        h.join().expect("parked thread resumes");
-        assert_eq!(turns.load(Ordering::SeqCst), 1);
-    });
-    report.assert_ok();
-}
 
 /// The same schedule must reproduce the same execution byte for byte —
 /// the property that makes a printed failure schedule actually useful.
