@@ -5,15 +5,18 @@
 //! are `fork`ed from a parent and their lines merged by timestamp — this is
 //! what produces the *interchangeable orders* that make data-analytics logs
 //! hard for fixed-order tools (paper §2.2).
+//!
+//! Every draw comes from the crate's own ChaCha8 stream (`rng.rs`), which
+//! the golden corpora pin bit for bit: a change to the order or kind of
+//! draws here changes every golden.
 
+use crate::rng::Rng;
 use crate::types::{SimLevel, SimLine};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// A deterministic log emitter with its own clock.
 #[derive(Debug, Clone)]
 pub struct Emitter {
-    rng: ChaCha8Rng,
+    rng: Rng,
     clock_ms: u64,
     lines: Vec<SimLine>,
 }
@@ -22,7 +25,7 @@ impl Emitter {
     /// New emitter seeded deterministically, starting at `start_ms`.
     pub fn new(seed: u64, start_ms: u64) -> Emitter {
         Emitter {
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             clock_ms: start_ms,
             lines: Vec::new(),
         }
@@ -36,7 +39,7 @@ impl Emitter {
     /// Advance the clock by a jittered amount in `[min, max]` ms.
     pub fn tick(&mut self, min: u64, max: u64) {
         let d = if max > min {
-            self.rng.gen_range(min..=max)
+            self.rng.between(min, max)
         } else {
             min
         };
@@ -46,7 +49,7 @@ impl Emitter {
     /// Random integer in `[lo, hi]`.
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         if hi > lo {
-            self.rng.gen_range(lo..=hi)
+            self.rng.between(lo, hi)
         } else {
             lo
         }
@@ -54,7 +57,7 @@ impl Emitter {
 
     /// Random boolean with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.rng.gen_bool(p.clamp(0.0, 1.0))
+        self.rng.unit() < p
     }
 
     /// Emit an INFO line after a small tick.
@@ -88,7 +91,7 @@ impl Emitter {
     /// Fork a concurrent child emitter starting at the current clock; its
     /// lines are merged back with [`Emitter::merge`].
     pub fn fork(&mut self, salt: u64) -> Emitter {
-        let seed: u64 = self.rng.gen::<u64>() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = self.rng.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Emitter::new(seed, self.clock_ms)
     }
 

@@ -27,6 +27,7 @@ pub mod faults;
 pub mod foreign;
 pub mod mapreduce;
 pub mod nova;
+mod rng;
 pub mod spark;
 pub mod tensorflow;
 pub mod tez;

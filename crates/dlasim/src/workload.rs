@@ -7,9 +7,8 @@
 //! experiments (§6.4).
 
 use crate::faults::{FaultKind, FaultPlan};
+use crate::rng::Rng;
 use crate::types::{GenJob, SystemKind};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one submitted job.
@@ -79,7 +78,7 @@ pub const CONFIG_SETS: [(u32, u32, u32, u32); 5] = [
 /// The workload generator: randomly picks jobs and configurations.
 #[derive(Debug, Clone)]
 pub struct WorkloadGen {
-    rng: ChaCha8Rng,
+    rng: Rng,
     hosts: u32,
 }
 
@@ -88,7 +87,7 @@ impl WorkloadGen {
     /// 26 workers).
     pub fn new(seed: u64, hosts: u32) -> WorkloadGen {
         WorkloadGen {
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             hosts: hosts.max(2),
         }
     }
@@ -97,19 +96,19 @@ impl WorkloadGen {
     /// generously so jobs run cleanly, per §6.1).
     pub fn training_config(&mut self, system: SystemKind) -> JobConfig {
         let workload = match system {
-            SystemKind::Tez => TPCH_QUERIES[self.rng.gen_range(0..TPCH_QUERIES.len())],
-            SystemKind::TensorFlow => TF_MODELS[self.rng.gen_range(0..TF_MODELS.len())],
-            _ => HIBENCH_JOBS[self.rng.gen_range(0..HIBENCH_JOBS.len())],
+            SystemKind::Tez => TPCH_QUERIES[self.rng.below(TPCH_QUERIES.len())],
+            SystemKind::TensorFlow => TF_MODELS[self.rng.below(TF_MODELS.len())],
+            _ => HIBENCH_JOBS[self.rng.below(HIBENCH_JOBS.len())],
         };
         JobConfig {
             system,
             workload: workload.to_string(),
-            input_gb: self.rng.gen_range(2..=30),
+            input_gb: self.rng.between(2, 30) as u32,
             mem_mb: 4096,
             cores: 8,
-            executors: self.rng.gen_range(2..=6),
+            executors: self.rng.between(2, 6) as u32,
             hosts: self.hosts,
-            seed: self.rng.gen(),
+            seed: self.rng.next_u64(),
         }
     }
 
@@ -117,9 +116,9 @@ impl WorkloadGen {
     pub fn detection_config(&mut self, system: SystemKind, set: usize) -> JobConfig {
         let (input_gb, mem_mb, cores, executors) = CONFIG_SETS[set % CONFIG_SETS.len()];
         let workload = match system {
-            SystemKind::Tez => TPCH_QUERIES[self.rng.gen_range(0..TPCH_QUERIES.len())],
-            SystemKind::TensorFlow => TF_MODELS[self.rng.gen_range(0..TF_MODELS.len())],
-            _ => HIBENCH_JOBS[self.rng.gen_range(0..HIBENCH_JOBS.len())],
+            SystemKind::Tez => TPCH_QUERIES[self.rng.below(TPCH_QUERIES.len())],
+            SystemKind::TensorFlow => TF_MODELS[self.rng.below(TF_MODELS.len())],
+            _ => HIBENCH_JOBS[self.rng.below(HIBENCH_JOBS.len())],
         };
         JobConfig {
             system,
@@ -129,7 +128,7 @@ impl WorkloadGen {
             cores,
             executors,
             hosts: self.hosts,
-            seed: self.rng.gen(),
+            seed: self.rng.next_u64(),
         }
     }
 
@@ -138,9 +137,9 @@ impl WorkloadGen {
     pub fn fault_plan(&mut self, kind: FaultKind) -> FaultPlan {
         FaultPlan::new(
             kind,
-            self.rng.gen_range(0.2..0.9),
-            self.rng.gen_range(0..self.hosts as usize),
-            self.rng.gen_range(0..16),
+            0.2 + self.rng.unit() * (0.9 - 0.2),
+            self.rng.below(self.hosts as usize),
+            self.rng.below(16),
         )
     }
 }

@@ -63,13 +63,6 @@ impl IntelKey {
             .collect()
     }
 
-    /// `true` if the key has at least one identifier field.
-    pub fn has_identifiers(&self) -> bool {
-        self.fields
-            .iter()
-            .any(|f| f.category == FieldCategory::Identifier)
-    }
-
     /// Render the key as its log-key string.
     pub fn render(&self) -> String {
         self.tokens.join(" ")
@@ -348,11 +341,6 @@ impl IntelMessage {
         }
         m
     }
-
-    /// The set of identifier values in this message (Algorithm 2's `S_v`).
-    pub fn identifier_values(&self) -> Vec<&str> {
-        self.identifiers.iter().map(|(_, v)| v.as_str()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -383,12 +371,11 @@ mod tests {
         assert!(!phrases.iter().any(|p| p.contains("byte")), "{phrases:?}");
         // two operations from the two clauses
         assert_eq!(ik.operations.len(), 2, "{:?}", ik.operations);
-        // identifiers: task id and maybe stage id; value: bytes
+        // value: bytes
         assert!(ik
             .fields
             .iter()
             .any(|f| f.category == FieldCategory::Value && f.name.as_deref() == Some("bytes")));
-        assert!(ik.has_identifiers());
     }
 
     #[test]
@@ -404,7 +391,6 @@ mod tests {
         assert_eq!(im.localities, ["host3:13562"]);
         assert_eq!(im.identifiers, [("FETCHER".to_string(), "5".to_string())]);
         assert_eq!(im.values, [("ms".to_string(), "7ms".to_string())]);
-        assert_eq!(im.identifier_values(), ["5"]);
     }
 
     #[test]

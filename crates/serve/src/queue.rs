@@ -296,11 +296,6 @@ impl<T> ShardQueue<T> {
         self.not_empty.notify_all();
     }
 
-    /// `true` after [`ShardQueue::close`].
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
-    }
-
     /// Lines currently queued (a control message counts as one).
     pub fn len(&self) -> usize {
         let inner = self.inner.lock();

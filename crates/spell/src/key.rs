@@ -40,15 +40,6 @@ impl LogKey {
         self.tokens.iter().filter(|t| *t != STAR).count()
     }
 
-    /// Indices of the variable (`*`) positions.
-    pub fn variable_positions(&self) -> Vec<usize> {
-        self.tokens
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (t == STAR).then_some(i))
-            .collect()
-    }
-
     /// Render the key as a space-separated string (`"* MapTask metrics system"`).
     pub fn render(&self) -> String {
         self.tokens.join(" ")
@@ -106,7 +97,6 @@ mod tests {
             "h freed by fetcher # 1 in 4ms",
         );
         assert_eq!(k.constant_len(), 5);
-        assert_eq!(k.variable_positions(), [0, 5, 7]);
         assert_eq!(k.render(), "* freed by fetcher # * in *");
     }
 }

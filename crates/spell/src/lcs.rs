@@ -32,13 +32,6 @@ pub fn lcs_len<T: PartialEq>(a: &[T], b: &[T]) -> usize {
     row[short.len()]
 }
 
-/// Number of positions where same-length `a` and `b` agree. For equal-length
-/// sequences this is a lower bound on [`lcs_len`].
-pub fn positional_matches<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).filter(|(x, y)| x == y).count()
-}
-
 /// Positional matches where a `*` in the key matches any message token —
 /// the matching semantics of a refined Spell key.
 pub fn positional_matches_wild(key: &[String], msg: &[String]) -> usize {
@@ -144,14 +137,5 @@ mod tests {
             lcs_len_wild_ids(&key_ids, &probe_ids),
             lcs_len_wild(&key, &probe)
         );
-    }
-
-    #[test]
-    fn positional_lower_bound() {
-        let a = ["r", "x", "c", "d"];
-        let b = ["r", "y", "c", "z"];
-        let p = positional_matches(&a, &b);
-        assert_eq!(p, 2);
-        assert!(lcs_len(&a, &b) >= p);
     }
 }

@@ -377,7 +377,7 @@ def self_test() -> int:
             False,
         ),
         "raw-sync whitelists vendor stubs": (
-            "vendor/rand/src/lib.rs",
+            "vendor/proptest/src/lib.rs",
             "use std::sync::Mutex;\n",
             False,
         ),
