@@ -151,11 +151,6 @@ impl SemVec {
         self.threshold
     }
 
-    /// Number of stored reference sessions.
-    pub fn reference_count(&self) -> usize {
-        self.reference.len()
-    }
-
     /// Check the internal invariants serde cannot enforce: every persisted
     /// reference vector must be exactly [`BUCKETS`] wide. Call this after
     /// deserializing a model from untrusted or version-skewed storage; a
@@ -260,7 +255,6 @@ mod tests {
     fn empty_reference_flags_everything() {
         let d = SemVec::train(SemVecConfig::default(), &Vec::<Vec<String>>::new());
         assert!(d.is_anomalous(&["anything".to_string()]));
-        assert_eq!(d.reference_count(), 0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub struct Conn {
     /// `None` falls back to the gateway's default tenant.
     pub tenant: Option<Arc<TenantEntry>>,
     /// The router did not take the line at the cursor: its shard queue is
-    /// full (Block policy), or a rebalance in flight is moving its session.
+    /// full, or a rebalance in flight is moving its session.
     /// While set, nothing more is read from this connection — its socket
     /// fills and TCP flow control pushes back on the client — and the
     /// line is tried again every sweep; whatever it waits for (queue room,

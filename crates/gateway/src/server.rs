@@ -71,7 +71,8 @@ pub struct GatewayConfig {
     pub shards: usize,
     /// Per-shard queue capacity (log lines).
     pub queue_capacity: usize,
-    /// What to do when a shard queue is full.
+    /// Read by nothing: a full shard queue always holds lines back.
+    /// Kept because `benchmark/` sets it.
     pub backpressure: Backpressure,
     /// Sessions idle longer than this are evicted (final report emitted).
     pub idle_timeout: Duration,
@@ -712,8 +713,8 @@ impl Gateway {
     /// a line joins the shard's open batch, an `END` goes right behind it
     /// as a control message (never shed, takes no room). `false`: the
     /// record was not taken and must be offered again — its line found no
-    /// room in the shard's queue (Block policy), or the rebalance in flight
-    /// is moving its session. `text_hint` sizes a batch this record opens
+    /// room in the shard's queue, or the rebalance in flight is moving its
+    /// session. `text_hint` sizes a batch this record opens
     /// (the bytes its connection has yet to parse).
     fn route(
         &mut self,
@@ -1002,7 +1003,6 @@ impl Gateway {
         };
         StatsSnapshot {
             shards: per_shard.len(),
-            backpressure: self.cfg.backpressure.name().to_string(),
             ingested: total(|s| s.ingested),
             dropped: total(|s| s.dropped),
             online_anomalies: total(|s| s.online_anomalies),
@@ -1167,7 +1167,7 @@ fn spawn_shard(
     sink: &Arc<AnomalySink>,
     gate: &Arc<IdleGate>,
 ) -> std::io::Result<ShardSlot> {
-    let queue = Arc::new(ShardQueue::new(cfg.queue_capacity, cfg.backpressure));
+    let queue = Arc::new(ShardQueue::new(cfg.queue_capacity, Backpressure::Block));
     let metrics = Arc::new(ShardMetrics::default());
     let gate = Arc::clone(gate);
     let handle = ShardHandle::spawn_with_waker(

@@ -11,7 +11,6 @@
 //! reads the counter between phases, while the loop is asleep.
 
 use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::Backpressure;
 use spell::{Level, LogLine, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -206,7 +205,6 @@ fn drive(addr: String) -> Measured {
 fn the_loop_allocates_per_batch_not_per_line_and_nothing_to_sleep_and_wake() {
     let cfg = GatewayConfig {
         shards: SHARDS,
-        backpressure: Backpressure::Block,
         ..GatewayConfig::default()
     };
     let gateway = Gateway::bind(&cfg, Arc::new(trained())).expect("bind");

@@ -1,6 +1,6 @@
 //! The subsystem's core correctness property, now through the event-driven
-//! gateway: replaying a workload over concurrent sockets with lossless
-//! (`block`) backpressure yields exactly the per-session anomaly sets that
+//! gateway: replaying a workload over concurrent sockets through lossless
+//! shard queues yields exactly the per-session anomaly sets that
 //! offline batch detection computes — for the analytics systems including
 //! TensorFlow, a fault-injected job, and an adapter-normalised foreign
 //! corpus (`--format`-style syslog ingestion).
@@ -15,7 +15,7 @@ use anomaly::Detector;
 use dlasim::{FaultKind, SystemKind};
 use intellog_core::sessions_from_job;
 use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{render_log, run_replay, Backpressure, ModelStore, ReplayConfig, ServeClient};
+use intellog_serve::{render_log, run_replay, ModelStore, ReplayConfig, ServeClient};
 use lognlp::format::AdapterKind;
 use spell::{Level, LogLine, Session};
 use std::io::{BufRead, BufReader, Write};
@@ -44,7 +44,6 @@ fn gateway_config() -> GatewayConfig {
     GatewayConfig {
         shards: 4,
         queue_capacity: 256,
-        backpressure: Backpressure::Block,
         // generous: a session must never be evicted mid-replay, or its
         // report would be split and verdicts could not match
         idle_timeout: Duration::from_secs(120),
@@ -202,54 +201,49 @@ fn adapted_syslog_replay_matches_offline() {
     );
 }
 
-/// Every backpressure policy against a queue far too small for the load
-/// accounts for every line, stays responsive, drains to zero live sessions
-/// and shuts down cleanly; only `block` may not shed.
+/// A queue far too small for the load: lines are held back for room all
+/// the time, and none is lost or reordered — verdicts still equal offline
+/// detection, every line is ingested, the drain leaves no live session and
+/// the gateway shuts down cleanly.
 #[test]
-fn every_backpressure_policy_accounts_for_every_line_under_pressure() {
+fn lines_held_back_for_room_keep_verdicts_exact() {
     let system = SystemKind::Spark;
     let detector: Arc<Detector> =
         Arc::new(anomaly::Trainer::default().train(&train_sessions(system, 1, 42)));
-    for policy in [
-        Backpressure::Block,
-        Backpressure::DropNewest,
-        Backpressure::DropOldest,
-    ] {
-        let cfg = GatewayConfig {
-            shards: 1,
-            queue_capacity: 4, // absurdly small: force shedding
-            backpressure: policy,
-            idle_timeout: Duration::from_secs(120),
-            ..GatewayConfig::default()
-        };
-        let gateway = Gateway::bind(&cfg, Arc::clone(&detector)).expect("bind");
-        let (addr, join) = gateway.spawn().expect("spawn gateway");
+    let cfg = GatewayConfig {
+        shards: 1,
+        queue_capacity: 4, // absurdly small: the producer waits for room
+        idle_timeout: Duration::from_secs(120),
+        ..GatewayConfig::default()
+    };
+    let gateway = Gateway::bind(&cfg, Arc::clone(&detector)).expect("bind");
+    let (addr, join) = gateway.spawn().expect("spawn gateway");
 
-        let replay_cfg = ReplayConfig {
-            system,
-            jobs: 1,
-            seed: 11,
-            verify: false, // lossy by design: verdicts will differ
-            ..ReplayConfig::default()
-        };
-        let outcome = run_replay(&addr.to_string(), &detector, &replay_cfg).expect("replay");
-        let name = policy.name();
-        assert_eq!(
-            outcome.stats.ingested + outcome.stats.dropped,
-            outcome.lines as u64,
-            "{name}: every line is either processed or counted as shed"
-        );
-        if matches!(policy, Backpressure::Block) {
-            assert_eq!(outcome.stats.dropped, 0, "block never sheds");
-        }
-        // the gateway must stay responsive and drain cleanly even while shedding
-        assert_eq!(outcome.stats.sessions_live, 0, "{name}");
-        assert!(outcome.stats.per_shard[0].feed_p50_us > 0 || outcome.stats.ingested == 0);
+    let replay_cfg = ReplayConfig {
+        system,
+        jobs: 1,
+        seed: 11,
+        fault: Some(FaultKind::NetworkFailure),
+        connections: 2,
+        verify: true,
+        ..ReplayConfig::default()
+    };
+    let outcome = run_replay(&addr.to_string(), &detector, &replay_cfg).expect("replay");
+    assert!(
+        outcome.mismatches.is_empty(),
+        "online verdicts must equal offline detect_session:\n{}",
+        outcome.mismatches.join("\n")
+    );
+    assert_eq!(outcome.stats.dropped, 0, "no line is shed");
+    assert_eq!(outcome.stats.ingested as usize, outcome.lines);
+    assert_eq!(
+        outcome.stats.sessions_live, 0,
+        "drain must close everything"
+    );
 
-        let mut ctl = intellog_serve::ServeClient::connect(&addr.to_string()).expect("ctl");
-        ctl.shutdown().expect("shutdown");
-        join.join().expect("gateway thread").expect("gateway run");
-    }
+    let mut ctl = ServeClient::connect(&addr.to_string()).expect("ctl");
+    ctl.shutdown().expect("shutdown");
+    join.join().expect("gateway thread").expect("gateway run");
 }
 
 // ---------------------------------------------------------------------

@@ -8,9 +8,7 @@ use anomaly::{Detector, SessionReport, Trainer};
 use dlasim::SystemKind;
 use intellog_core::{sessions_from_job, IntelLog};
 use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{
-    run_replay, Backpressure, ModelStore, ReplayConfig, ServeClient, TenantRegistry,
-};
+use intellog_serve::{run_replay, ModelStore, ReplayConfig, ServeClient, TenantRegistry};
 use spell::Session;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -51,7 +49,6 @@ fn gateway_config(shards: usize) -> GatewayConfig {
     GatewayConfig {
         shards,
         queue_capacity: 256,
-        backpressure: Backpressure::Block,
         idle_timeout: Duration::from_secs(120),
         ..GatewayConfig::default()
     }

@@ -14,7 +14,7 @@ use anomaly::Detector;
 use dlasim::SystemKind;
 use intellog_core::sessions_from_job;
 use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{render_log, Backpressure, ServeClient};
+use intellog_serve::{render_log, ServeClient};
 use std::io::{BufRead, BufReader, Write};
 // lint: allow(std-net) — the client side of the loopback socket; the sender
 // must block in `write_all` when the gateway stops reading.
@@ -152,7 +152,6 @@ fn a_rebalance_under_a_firehose_leaves_no_lines_in_the_loop() {
     let cfg = GatewayConfig {
         shards: 2,
         queue_capacity: 128,
-        backpressure: Backpressure::Block,
         idle_timeout: Duration::from_secs(120),
         ..GatewayConfig::default()
     };

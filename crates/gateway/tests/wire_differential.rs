@@ -17,7 +17,7 @@ use anomaly::{Detector, SessionReport};
 use dlasim::{FaultKind, SystemKind};
 use intellog_core::sessions_from_job;
 use intellog_gateway::{Gateway, GatewayConfig, MAX_READ_BUFFER};
-use intellog_serve::{render_log, Backpressure, ServeClient, StatsSnapshot, TenantRegistry};
+use intellog_serve::{render_log, ServeClient, StatsSnapshot, TenantRegistry};
 use spell::Session;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -84,7 +84,6 @@ fn start(detector: &Arc<Detector>) -> Running {
     let cfg = GatewayConfig {
         shards: 2,
         queue_capacity: 256,
-        backpressure: Backpressure::Block,
         idle_timeout: Duration::from_secs(120),
         ..GatewayConfig::default()
     };

@@ -167,51 +167,6 @@ impl PosTag {
             PosTag::Punct => "PUNCT",
         }
     }
-
-    /// Parse the canonical Penn Treebank string back into a tag.
-    pub fn from_str_opt(s: &str) -> Option<PosTag> {
-        Some(match s {
-            "CC" => PosTag::CC,
-            "CD" => PosTag::CD,
-            "DT" => PosTag::DT,
-            "EX" => PosTag::EX,
-            "FW" => PosTag::FW,
-            "IN" => PosTag::IN,
-            "JJ" => PosTag::JJ,
-            "JJR" => PosTag::JJR,
-            "JJS" => PosTag::JJS,
-            "LS" => PosTag::LS,
-            "MD" => PosTag::MD,
-            "NN" => PosTag::NN,
-            "NNS" => PosTag::NNS,
-            "NNP" => PosTag::NNP,
-            "NNPS" => PosTag::NNPS,
-            "PDT" => PosTag::PDT,
-            "POS" => PosTag::POS,
-            "PRP" => PosTag::PRP,
-            "PRP$" => PosTag::PRPS,
-            "RB" => PosTag::RB,
-            "RBR" => PosTag::RBR,
-            "RBS" => PosTag::RBS,
-            "RP" => PosTag::RP,
-            "SYM" => PosTag::SYM,
-            "TO" => PosTag::TO,
-            "UH" => PosTag::UH,
-            "VB" => PosTag::VB,
-            "VBD" => PosTag::VBD,
-            "VBG" => PosTag::VBG,
-            "VBN" => PosTag::VBN,
-            "VBP" => PosTag::VBP,
-            "VBZ" => PosTag::VBZ,
-            "WDT" => PosTag::WDT,
-            "WP" => PosTag::WP,
-            "WP$" => PosTag::WPS,
-            "WRB" => PosTag::WRB,
-            "VAR" => PosTag::Var,
-            "PUNCT" => PosTag::Punct,
-            _ => return None,
-        })
-    }
 }
 
 impl std::fmt::Display for PosTag {
@@ -223,47 +178,6 @@ impl std::fmt::Display for PosTag {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ALL: &[PosTag] = &[
-        PosTag::CC,
-        PosTag::CD,
-        PosTag::DT,
-        PosTag::EX,
-        PosTag::FW,
-        PosTag::IN,
-        PosTag::JJ,
-        PosTag::JJR,
-        PosTag::JJS,
-        PosTag::LS,
-        PosTag::MD,
-        PosTag::NN,
-        PosTag::NNS,
-        PosTag::NNP,
-        PosTag::NNPS,
-        PosTag::PDT,
-        PosTag::POS,
-        PosTag::PRP,
-        PosTag::PRPS,
-        PosTag::RB,
-        PosTag::RBR,
-        PosTag::RBS,
-        PosTag::RP,
-        PosTag::SYM,
-        PosTag::TO,
-        PosTag::UH,
-        PosTag::VB,
-        PosTag::VBD,
-        PosTag::VBG,
-        PosTag::VBN,
-        PosTag::VBP,
-        PosTag::VBZ,
-        PosTag::WDT,
-        PosTag::WP,
-        PosTag::WPS,
-        PosTag::WRB,
-        PosTag::Var,
-        PosTag::Punct,
-    ];
 
     #[test]
     fn noun_class_matches_table2_footnote() {
@@ -300,14 +214,6 @@ mod tests {
         assert!(PosTag::JJR.is_adjective());
         assert!(PosTag::JJS.is_adjective());
         assert!(!PosTag::RB.is_adjective());
-    }
-
-    #[test]
-    fn string_roundtrip_is_total() {
-        for &t in ALL {
-            assert_eq!(PosTag::from_str_opt(t.as_str()), Some(t), "{t}");
-        }
-        assert_eq!(PosTag::from_str_opt("XYZ"), None);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! * [`ring`] — consistent-hash (virtual-node) session→shard routing that
 //!   moves only ~K/N sessions when a shard is added or drained;
 //! * [`queue`] — bounded queues counting *lines* (a batch weighs its
-//!   length) with `block` / `drop-newest` / `drop-oldest` backpressure,
-//!   drop counters, and `room()`, by which an event-loop producer sizes
-//!   its batches so that it never waits;
+//!   length) whose producers wait for room, so no line is shed, and
+//!   `room()`, by which an event-loop producer sizes its batches so that
+//!   it never waits;
 //! * [`sink`] — where completed session reports land: a tenant-tagged
 //!   bounded in-memory ring plus an optional JSONL file;
 //! * [`metrics`] — wait-free per-shard and per-tenant counters and a
@@ -51,7 +51,7 @@ pub mod store;
 pub use client::ServeClient;
 pub use metrics::{ShardMetrics, ShardSnapshot, StatsSnapshot, TenantMetrics, TenantSnapshot};
 pub use proto::{parse_log, parse_log_ref, render_log, LogRef, DEFAULT_TENANT};
-pub use queue::{Backpressure, PushOutcome, ShardQueue};
+pub use queue::{Backpressure, ShardQueue};
 pub use registry::{LoadOutcome, ModelLease, ModelVersion, TenantEntry, TenantRegistry};
 pub use replay::{generate_jobs, run_replay, ReplayConfig, ReplayOutcome};
 pub use ring::{session_key, session_of, write_session_key, Ring, DEFAULT_VNODES};

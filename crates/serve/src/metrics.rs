@@ -48,7 +48,7 @@ pub struct ShardSnapshot {
     pub shard: usize,
     /// Lines fed into detectors.
     pub ingested: u64,
-    /// Lines dropped by backpressure.
+    /// Lines pushed after the shard's queue closed, and so not processed.
     pub dropped: u64,
     /// Online (unexpected-message) anomalies.
     pub online_anomalies: u64,
@@ -164,8 +164,6 @@ pub struct TenantSnapshot {
 pub struct StatsSnapshot {
     /// Number of live shards.
     pub shards: usize,
-    /// Backpressure policy name.
-    pub backpressure: String,
     /// Total lines ingested.
     pub ingested: u64,
     /// Total lines dropped.

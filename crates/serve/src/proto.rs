@@ -19,10 +19,9 @@
 //! ```
 //!
 //! Data lines carry no reply so a client can saturate the socket; TCP flow
-//! control plus the `block` backpressure policy make the path lossless,
-//! while the `drop-*` policies shed load at the shard queues and count
-//! every shed line. This module holds the parse/render halves shared by
-//! the gateway, the client and the replay generator.
+//! control plus shard queues that hold lines back until they have room
+//! make the path lossless. This module holds the parse/render halves
+//! shared by the gateway, the client and the replay generator.
 
 use spell::{Level, LogLine};
 

@@ -1,84 +1,39 @@
-//! Bounded per-shard message queues with pluggable backpressure.
+//! Bounded per-shard message queues whose producers wait for room.
 //!
-//! std's `sync_channel` only blocks when full; a serving front end also
-//! needs load-shedding, so this is a small Mutex+Condvar MPSC queue with
-//! three policies ([`Backpressure`]). A message carries a weight — the log
-//! lines in it: a line batch weighs its length — and capacity, length and
-//! the drop counter are all in lines, so batching changes how often the
-//! lock is taken, not what the bounds mean. Control messages (drain,
-//! shutdown) weigh nothing and always bypass the capacity check —
-//! shedding a drain request under load would deadlock the very mechanism
-//! meant to relieve the load.
+//! A small Mutex+Condvar MPSC queue with one behaviour when full: the
+//! producer waits until the consumer's next drain makes room. That is what
+//! keeps serving lossless — every line is processed, or held back (in the
+//! gateway: in its connection, by TCP flow control) until its shard has
+//! room — and so online verdicts equal offline detection. A message carries
+//! a weight — the log lines in it: a line batch weighs its length — and
+//! capacity, length and the drop counter are all in lines, so batching
+//! changes how often the lock is taken, not what the bounds mean. Control
+//! messages (end, drain, shutdown) weigh nothing and always bypass the
+//! capacity check — a drain request that waited for room behind the load
+//! would deadlock the very mechanism meant to relieve it.
 
 use std::collections::VecDeque;
-use std::str::FromStr;
 use std::time::Duration;
 use sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use sync::{Condvar, Mutex};
 
-/// What to do when a shard queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// What a full shard queue does: block the producer until room frees up.
+/// The only behaviour, kept as a type because `benchmark/` names
+/// `Backpressure::Block`.
+#[derive(Debug, Clone, Copy, Default)]
 pub enum Backpressure {
     /// Block the producer (the connection handler) until space frees up —
     /// lossless; TCP flow control pushes back on the client.
     #[default]
     Block,
-    /// Drop the incoming line (tail drop) — newest data is sacrificed.
-    DropNewest,
-    /// Drop the oldest queued line to admit the new one (head drop) —
-    /// keeps the stream fresh at the cost of history.
-    DropOldest,
-}
-
-impl Backpressure {
-    /// Canonical CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backpressure::Block => "block",
-            Backpressure::DropNewest => "drop-newest",
-            Backpressure::DropOldest => "drop-oldest",
-        }
-    }
-}
-
-impl FromStr for Backpressure {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Backpressure, String> {
-        match s {
-            "block" => Ok(Backpressure::Block),
-            "drop-newest" => Ok(Backpressure::DropNewest),
-            "drop-oldest" => Ok(Backpressure::DropOldest),
-            other => Err(format!(
-                "unknown backpressure policy '{other}' (use block, drop-newest or drop-oldest)"
-            )),
-        }
-    }
-}
-
-/// Outcome of a push, for callers that count drops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The message was enqueued.
-    Enqueued,
-    /// The message itself was shed (drop-newest, or a closed queue).
-    DroppedNew,
-    /// Older queued messages were shed to admit this one (drop-oldest).
-    DroppedOld,
 }
 
 struct Inner<T> {
     q: VecDeque<T>,
-    /// Lockstep with `q`: how many log lines each message carries (a line
-    /// batch weighs its length, `push` weighs 1); 0 marks a control
-    /// message. Kept separate so `T` stays opaque; the weights let the
-    /// capacity check and drop-oldest eviction see *data* only — evicting
-    /// a queued End / Drain / Shutdown to admit log lines would lose
-    /// protocol state (or hang whoever waits on that message's ack).
-    weights: VecDeque<usize>,
-    /// Sum of `weights`: the lines queued, which is what capacity bounds.
+    /// Lines queued — the sum of the queued data messages' weights — which
+    /// is what capacity bounds.
     lines: usize,
-    /// Count of zero entries in `weights`.
+    /// Control messages queued; they weigh nothing.
     control_len: usize,
     closed: bool,
 }
@@ -93,30 +48,15 @@ impl<T> Inner<T> {
 
     fn push_back(&mut self, msg: T, weight: usize) {
         self.q.push_back(msg);
-        self.weights.push_back(weight);
         self.lines += weight;
         if weight == 0 {
             self.control_len += 1;
         }
     }
 
-    /// Remove the oldest *data* message (drop-oldest eviction) and return
-    /// how many lines went with it; 0 only if no data is queued. Control
-    /// messages rarely queue up, so the scan is short in practice.
-    fn evict_oldest_data(&mut self) -> usize {
-        let Some(i) = self.weights.iter().position(|&w| w > 0) else {
-            return 0;
-        };
-        self.q.remove(i);
-        let shed = self.weights.remove(i).unwrap_or(0);
-        self.lines -= shed;
-        shed
-    }
-
     /// Hand everything queued to `out` (which arrives empty).
     fn swap_out(&mut self, out: &mut VecDeque<T>) {
         std::mem::swap(&mut self.q, out);
-        self.weights.clear();
         self.lines = 0;
         self.control_len = 0;
     }
@@ -130,7 +70,6 @@ pub struct ShardQueue<T> {
     not_full: Condvar,
     not_empty: Condvar,
     capacity: usize,
-    policy: Backpressure,
     dropped: AtomicU64,
     /// The producer found no room and will not look again unasked (see
     /// [`ShardQueue::want_room`]).
@@ -138,12 +77,13 @@ pub struct ShardQueue<T> {
 }
 
 impl<T> ShardQueue<T> {
-    /// A queue holding at most `capacity` lines of data messages.
-    pub fn new(capacity: usize, policy: Backpressure) -> ShardQueue<T> {
+    /// A queue holding at most `capacity` lines of data messages. The
+    /// second argument is ignored — blocking is the only behaviour — and
+    /// stays because `benchmark/` passes it.
+    pub fn new(capacity: usize, _: Backpressure) -> ShardQueue<T> {
         ShardQueue {
             inner: Mutex::new(Inner {
                 q: VecDeque::with_capacity(capacity.min(4096)),
-                weights: VecDeque::with_capacity(capacity.min(4096)),
                 lines: 0,
                 control_len: 0,
                 closed: false,
@@ -151,51 +91,29 @@ impl<T> ShardQueue<T> {
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
-            policy,
             dropped: AtomicU64::new(0),
             room_wanted: AtomicBool::new(false),
         }
     }
 
-    /// Enqueue a one-line data message under the configured policy.
-    pub fn push(&self, msg: T) -> PushOutcome {
+    /// Enqueue a one-line data message; see [`ShardQueue::push_weighted`].
+    pub fn push(&self, msg: T) -> bool {
         self.push_weighted(msg, 1)
     }
 
-    /// Enqueue a data message carrying `lines` log lines (a line batch)
-    /// under the configured policy, at message granularity: `block` waits
-    /// until the whole message fits, `drop-newest` sheds the whole message
-    /// when it does not, `drop-oldest` sheds queued data messages, oldest
-    /// first, until it does — every shed line is counted. One wake-up per
-    /// push, whatever its weight.
-    pub fn push_weighted(&self, msg: T, lines: usize) -> PushOutcome {
+    /// Enqueue a data message carrying `lines` log lines (a line batch),
+    /// waiting until the whole message fits. `false` only for a closed
+    /// queue: the message is not queued and its lines are counted in
+    /// [`ShardQueue::dropped`]. One wake-up per push, whatever its weight.
+    pub fn push_weighted(&self, msg: T, lines: usize) -> bool {
         let mut inner = self.inner.lock();
-        let mut outcome = PushOutcome::Enqueued;
-        if !inner.closed {
-            match self.policy {
-                Backpressure::Block => {
-                    while !inner.closed && !inner.admits(lines, self.capacity) {
-                        inner = self.not_full.wait(inner);
-                    }
-                }
-                Backpressure::DropNewest => {
-                    if !inner.admits(lines, self.capacity) {
-                        outcome = PushOutcome::DroppedNew;
-                    }
-                }
-                Backpressure::DropOldest => {
-                    while !inner.admits(lines, self.capacity) {
-                        let shed = inner.evict_oldest_data();
-                        self.dropped.fetch_add(shed as u64, Ordering::Relaxed);
-                        outcome = PushOutcome::DroppedOld;
-                    }
-                }
-            }
+        while !inner.closed && !inner.admits(lines, self.capacity) {
+            inner = self.not_full.wait(inner);
         }
-        if inner.closed || outcome == PushOutcome::DroppedNew {
+        if inner.closed {
             // Late lines racing a shutdown are shed, not processed.
             self.dropped.fetch_add(lines as u64, Ordering::Relaxed);
-            return PushOutcome::DroppedNew;
+            return false;
         }
         inner.push_back(msg, lines);
         drop(inner);
@@ -205,22 +123,18 @@ impl<T> ShardQueue<T> {
         // flags the resulting lost wakeup as a forced timeout.
         #[cfg(not(all(intellog_check, intellog_mutant_lost_wakeup)))]
         self.not_empty.notify_one();
-        outcome
+        true
     }
 
-    /// Lines a producer may push right now without waiting: the free
-    /// capacity under [`Backpressure::Block`], the whole capacity under
-    /// the drop policies (they shed instead of waiting). A consumer can
-    /// only raise it, so a queue's *sole* producer that sizes its pushes
-    /// by `room()` never blocks in [`ShardQueue::push_weighted`] — how the
-    /// gateway's event loop feeds its shards without ever parking on
-    /// them: when there is no room it stops parsing that connection, the
-    /// socket fills, and TCP flow control does the blocking.
+    /// Lines a producer may push right now without waiting: the capacity
+    /// less the lines queued. A consumer can only raise it, so a queue's
+    /// *sole* producer that sizes its pushes by `room()` never waits in
+    /// [`ShardQueue::push_weighted`] — how the gateway's event loop feeds
+    /// its shards without ever parking on them: when there is no room it
+    /// stops parsing that connection, the socket fills, and TCP flow
+    /// control does the blocking.
     pub fn room(&self) -> usize {
-        match self.policy {
-            Backpressure::Block => self.capacity.saturating_sub(self.inner.lock().lines),
-            Backpressure::DropNewest | Backpressure::DropOldest => self.capacity,
-        }
+        self.capacity.saturating_sub(self.inner.lock().lines)
     }
 
     /// Ask to be told when room frees up: the consumer that next drains the
@@ -246,10 +160,9 @@ impl<T> ShardQueue<T> {
         self.room_wanted.swap(false, Ordering::SeqCst)
     }
 
-    /// Enqueue a control message, ignoring capacity and policy. Control
-    /// messages keep FIFO order with data (an End must not overtake its
-    /// session's lines) but are invisible to the capacity check and
-    /// immune to drop-oldest eviction.
+    /// Enqueue a control message, ignoring capacity. Control messages keep
+    /// FIFO order with data (an End must not overtake its session's lines)
+    /// but are invisible to the capacity check, so they never wait.
     pub fn push_control(&self, msg: T) {
         let mut inner = self.inner.lock();
         inner.push_back(msg, 0);
@@ -288,8 +201,8 @@ impl<T> ShardQueue<T> {
         }
     }
 
-    /// Close the queue: blocked producers wake and shed their messages.
-    /// Already-queued messages stay drainable.
+    /// Close the queue: blocked producers wake and shed their messages, as
+    /// does every later push. Already-queued messages stay drainable.
     pub fn close(&self) {
         self.inner.lock().closed = true;
         self.not_full.notify_all();
@@ -307,7 +220,7 @@ impl<T> ShardQueue<T> {
         self.len() == 0
     }
 
-    /// Lines shed so far.
+    /// Lines shed so far: those pushed after [`ShardQueue::close`].
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -326,74 +239,49 @@ mod tests {
     }
 
     #[test]
-    fn policy_parsing() {
-        assert_eq!("block".parse(), Ok(Backpressure::Block));
-        assert_eq!("drop-newest".parse(), Ok(Backpressure::DropNewest));
-        assert_eq!("drop-oldest".parse(), Ok(Backpressure::DropOldest));
-        assert!("fifo".parse::<Backpressure>().is_err());
-        assert_eq!(Backpressure::DropOldest.name(), "drop-oldest");
-    }
-
-    #[test]
     fn room_is_what_a_sole_producer_may_push_without_waiting() {
         let q = ShardQueue::new(4, Backpressure::Block);
         assert_eq!(q.room(), 4);
-        assert_eq!(q.push_weighted("abc", 3), PushOutcome::Enqueued);
+        assert!(q.push_weighted("abc", 3));
         assert_eq!(q.room(), 1);
         q.push_control("ctl");
         assert_eq!(q.room(), 1, "control messages take no room");
-        assert_eq!(q.push("d"), PushOutcome::Enqueued);
+        assert!(q.push("d"));
         assert_eq!(q.room(), 0, "full: the producer must hold its lines back");
         assert_eq!(q.len(), 5, "four lines and one control message");
         assert_eq!(drain(&q), ["abc", "ctl", "d"]);
         assert_eq!(q.room(), 4, "a drain frees every batch's lines at once");
-        // the drop policies never make a producer wait: they shed instead
-        for policy in [Backpressure::DropNewest, Backpressure::DropOldest] {
-            let q = ShardQueue::new(4, policy);
-            q.push_weighted(0, 4);
-            assert_eq!(q.room(), 4);
-        }
     }
 
-    /// Capacity 4, batches of 1–6 lines, every policy: each line is either
-    /// delivered or counted as shed, control messages are never shed and
-    /// keep their place, and nothing is shed under `block`.
+    /// Capacity 4, batches of 1–6 lines pushed the way the gateway pushes
+    /// them — never more than `room()` allows: every line is delivered,
+    /// nothing is shed, and control messages keep their place.
     #[test]
-    fn weighted_pushes_account_for_every_line_under_every_policy() {
+    fn weighted_pushes_deliver_every_line() {
         const END: usize = 0; // a control message; data messages are their own weight
-        for policy in [
-            Backpressure::Block,
-            Backpressure::DropNewest,
-            Backpressure::DropOldest,
-        ] {
-            let q = ShardQueue::new(4, policy);
-            let (mut sent, mut got, mut controls) = (0, 0, 0);
-            let mut batch = VecDeque::new();
-            for _round in 0..5 {
-                for w in 1..=6usize {
-                    if policy == Backpressure::Block && q.room() < w.min(4) {
-                        // what the gateway does instead of waiting: leave
-                        // the lines unsent until the consumer has drained
-                        q.drain_timeout(Duration::ZERO, &mut batch);
-                        controls += batch.iter().filter(|&&m| m == END).count();
-                        got += batch.drain(..).sum::<usize>();
-                    }
-                    sent += w;
-                    q.push_weighted(w, w);
+        let q = ShardQueue::new(4, Backpressure::Block);
+        let (mut sent, mut got, mut controls) = (0, 0, 0);
+        let mut batch = VecDeque::new();
+        for _round in 0..5 {
+            for w in 1..=6usize {
+                if q.room() < w.min(4) {
+                    // what the gateway does instead of waiting: leave
+                    // the lines unsent until the consumer has drained
+                    q.drain_timeout(Duration::ZERO, &mut batch);
+                    controls += batch.iter().filter(|&&m| m == END).count();
+                    got += batch.drain(..).sum::<usize>();
                 }
-                q.push_control(END);
+                sent += w;
+                assert!(q.push_weighted(w, w));
             }
-            q.drain_timeout(Duration::ZERO, &mut batch);
-            controls += batch.iter().filter(|&&m| m == END).count();
-            got += batch.drain(..).sum::<usize>();
-            assert_eq!(got as u64 + q.dropped(), sent as u64, "{policy:?}");
-            assert_eq!(controls, 5, "{policy:?}: control messages are never shed");
-            if policy == Backpressure::Block {
-                assert_eq!(q.dropped(), 0, "block never sheds");
-            } else {
-                assert!(q.dropped() > 0, "{policy:?} must have shed something");
-            }
+            q.push_control(END);
         }
+        q.drain_timeout(Duration::ZERO, &mut batch);
+        controls += batch.iter().filter(|&&m| m == END).count();
+        got += batch.drain(..).sum::<usize>();
+        assert_eq!(got, sent);
+        assert_eq!(controls, 5);
+        assert_eq!(q.dropped(), 0);
     }
 
     #[test]
@@ -416,31 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_policies_shed_whole_batches() {
-        let q = ShardQueue::new(4, Backpressure::DropNewest);
-        assert_eq!(q.push_weighted("ab", 2), PushOutcome::Enqueued);
-        assert_eq!(q.push_weighted("cde", 3), PushOutcome::DroppedNew);
-        assert_eq!(q.dropped(), 3, "the whole refused batch is counted");
-        assert_eq!(q.push_weighted("fg", 2), PushOutcome::Enqueued);
-        assert_eq!(q.len(), 4);
-
-        let q = ShardQueue::new(4, Backpressure::DropOldest);
-        q.push_weighted("ab", 2);
-        q.push_control("end");
-        q.push("c");
-        // needs 3 of 4 with 3 queued: the oldest batch goes, whole; the
-        // control message in front of "c" is not touched
-        assert_eq!(q.push_weighted("def", 3), PushOutcome::DroppedOld);
-        assert_eq!(q.dropped(), 2);
-        assert_eq!(drain(&q), ["end", "c", "def"]);
-        // heavier than the capacity: admitted only once no line is queued
-        q.push("x");
-        assert_eq!(q.push_weighted("123456", 6), PushOutcome::DroppedOld);
-        assert_eq!(q.dropped(), 3);
-        assert_eq!(q.len(), 6);
-    }
-
-    #[test]
     fn close_mid_push_counts_the_whole_batch() {
         let q = Arc::new(ShardQueue::new(4, Backpressure::Block));
         q.push_weighted("abc", 3);
@@ -449,72 +312,51 @@ mod tests {
         sync::thread::sleep(Duration::from_millis(20));
         assert_eq!(q.len(), 3, "producer must be blocked: 3 + 2 > 4");
         q.close();
-        assert_eq!(producer.join().unwrap(), PushOutcome::DroppedNew);
+        assert!(!producer.join().unwrap());
         assert_eq!(q.dropped(), 2, "both lines of the late batch are shed");
-        assert_eq!(q.push_weighted("fgh", 3), PushOutcome::DroppedNew);
+        assert!(!q.push_weighted("fgh", 3));
         assert_eq!(q.dropped(), 5);
     }
 
     #[test]
-    fn drop_newest_sheds_incoming() {
-        let q = ShardQueue::new(2, Backpressure::DropNewest);
-        assert_eq!(q.push(1), PushOutcome::Enqueued);
-        assert_eq!(q.push(2), PushOutcome::Enqueued);
-        assert_eq!(q.push(3), PushOutcome::DroppedNew);
-        assert_eq!(q.dropped(), 1);
-        assert_eq!(drain(&q), [1, 2]);
-    }
-
-    #[test]
-    fn drop_oldest_sheds_queued() {
-        let q = ShardQueue::new(2, Backpressure::DropOldest);
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.push(3), PushOutcome::DroppedOld);
-        assert_eq!(q.dropped(), 1);
-        assert_eq!(drain(&q), [2, 3]);
-    }
-
-    #[test]
     fn control_bypasses_capacity() {
-        let q = ShardQueue::new(1, Backpressure::DropNewest);
+        let q = ShardQueue::new(1, Backpressure::Block);
         q.push(1);
         q.push_control(99);
         assert_eq!(q.len(), 2);
+        assert_eq!(q.room(), 0);
         assert_eq!(drain(&q), [1, 99]);
     }
 
     #[test]
-    fn drop_oldest_never_evicts_control() {
-        // Regression: eviction used to pop_front blindly, so a queued
-        // control message (End / Drain ack / Shutdown) in front of the
-        // data could be shed — losing protocol state and counting a
-        // non-line as a dropped line.
-        let q = ShardQueue::new(2, Backpressure::DropOldest);
-        q.push_control(90); // oldest entry is control
-        q.push(1);
-        q.push(2); // data full (control doesn't count toward capacity)
-        assert_eq!(q.push(3), PushOutcome::DroppedOld);
-        assert_eq!(q.dropped(), 1, "only the data line counts as shed");
-        // control survived in its original FIFO position; line 1 is gone
-        assert_eq!(drain(&q), [90, 2, 3]);
-    }
-
-    #[test]
-    fn queued_control_never_blocks_or_sheds_data() {
+    fn queued_control_never_blocks_data_and_keeps_its_place() {
         // Capacity counts data only: a backlog of control messages must
-        // not take room from a Block producer (stalling its connection)
-        // or make DropNewest shed incoming lines.
+        // not take room from a producer (stalling its connection).
         let q = ShardQueue::new(2, Backpressure::Block);
         q.push_control(90);
         q.push_control(91);
         assert_eq!(q.room(), 2);
-        assert_eq!(q.push(1), PushOutcome::Enqueued);
-        assert_eq!(q.push(2), PushOutcome::Enqueued);
+        assert!(q.push(1));
+        assert!(q.push(2));
         assert_eq!(q.room(), 0, "data capacity is still enforced");
-        let q = ShardQueue::new(1, Backpressure::DropNewest);
-        q.push_control(90);
-        assert_eq!(q.push(1), PushOutcome::Enqueued);
+        q.push_control(92);
+        assert_eq!(drain(&q), [90, 91, 1, 2, 92]);
+        assert_eq!(q.dropped(), 0);
+    }
+
+    #[test]
+    fn a_batch_heavier_than_the_capacity_waits_for_an_empty_queue() {
+        let q = Arc::new(ShardQueue::new(4, Backpressure::Block));
+        q.push("x");
+        q.push_control("end");
+        let q2 = Arc::clone(&q);
+        let producer = sync::thread::spawn(move || q2.push_weighted("123456", 6));
+        sync::thread::sleep(Duration::from_millis(20));
+        assert_eq!(q.len(), 2, "producer must be blocked: a line is queued");
+        assert_eq!(drain(&q), ["x", "end"]);
+        assert!(producer.join().unwrap());
+        assert_eq!((q.len(), q.room()), (6, 0), "admitted whole");
+        assert_eq!(drain(&q), ["123456"]);
         assert_eq!(q.dropped(), 0);
     }
 
@@ -545,7 +387,7 @@ mod tests {
         assert_eq!(q.len(), 1, "producer must be blocked");
         let mut batch = VecDeque::new();
         assert_eq!(q.drain_timeout(Duration::from_millis(500), &mut batch), 1);
-        assert_eq!(producer.join().unwrap(), PushOutcome::Enqueued);
+        assert!(producer.join().unwrap());
         batch.clear();
         assert_eq!(q.drain_timeout(Duration::from_millis(500), &mut batch), 1);
         assert_eq!(batch.pop_front(), Some(2));
@@ -560,7 +402,7 @@ mod tests {
         let producer = sync::thread::spawn(move || q2.push(2));
         sync::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert_eq!(producer.join().unwrap(), PushOutcome::DroppedNew);
+        assert!(!producer.join().unwrap());
         // queued data remains drainable after close
         assert_eq!(drain(&q), [1]);
     }

@@ -15,8 +15,10 @@
 //!    finish; [`ModelVersion::live`] going to 0 *is* the drain — there is
 //!    no separate drain step to get wrong.
 //!
-//! The registry itself is a small `RwLock<BTreeMap>`: reads (every session
-//! open) take the read lock; `LOAD`/tenant creation take the write lock.
+//! The registry itself is a small `Mutex<BTreeMap>`, and each tenant's
+//! current version sits behind a `Mutex` of its own: a session open, a
+//! `LOAD` and a tenant creation each hold one of them just long enough to
+//! clone or replace an `Arc`, and no path holds one while taking the other.
 //! Per-tenant ingest counters live in [`TenantMetrics`] so `STATS` can
 //! report per-tenant breakdowns without walking shard state.
 
@@ -26,7 +28,7 @@ use anomaly::Detector;
 use std::collections::BTreeMap;
 use std::path::Path;
 use sync::atomic::{AtomicU64, Ordering};
-use sync::{Arc, RwLock};
+use sync::{Arc, Mutex};
 
 /// One immutable model version. `live` counts the sessions currently
 /// pinned to it (via [`ModelLease`]); the version is *drained* when the
@@ -92,7 +94,7 @@ impl Drop for ModelLease {
 pub struct TenantEntry {
     /// Tenant id (as used on the wire in `TENANT <id>`).
     pub name: String,
-    current: RwLock<Arc<ModelVersion>>,
+    current: Mutex<Arc<ModelVersion>>,
     reloads: AtomicU64,
     /// Per-tenant ingest/verdict counters (see `metrics.rs`).
     pub metrics: TenantMetrics,
@@ -102,20 +104,20 @@ impl TenantEntry {
     fn new(name: &str, detector: Arc<Detector>) -> Arc<TenantEntry> {
         Arc::new(TenantEntry {
             name: name.to_string(),
-            current: RwLock::new(ModelVersion::new(1, detector)),
+            current: Mutex::new(ModelVersion::new(1, detector)),
             reloads: AtomicU64::new(0),
             metrics: TenantMetrics::default(),
         })
     }
 
-    /// The current model version (cheap: read lock + Arc clone).
+    /// The current model version (cheap: lock + Arc clone).
     pub fn current(&self) -> Arc<ModelVersion> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&self.current.lock())
     }
 
     /// Lease the current version for a new session.
     pub fn open_session(&self) -> ModelLease {
-        ModelLease::acquire(&self.current.read())
+        ModelLease::acquire(&self.current.lock())
     }
 
     /// Hot-swap in a new detector. Returns `(new_version, old_version,
@@ -123,7 +125,7 @@ impl TenantEntry {
     /// the outgoing version at swap time (they keep it alive until they
     /// finish).
     pub fn swap(&self, detector: Arc<Detector>) -> (u64, u64, u64) {
-        let mut cur = self.current.write();
+        let mut cur = self.current.lock();
         let old = Arc::clone(&cur);
         let next = ModelVersion::new(old.version + 1, detector);
         let new_version = next.version;
@@ -158,7 +160,7 @@ pub struct LoadOutcome {
 /// The tenant table. Keyed by tenant id; iteration order (for `STATS`) is
 /// the id's lexicographic order, deterministically.
 pub struct TenantRegistry {
-    tenants: RwLock<BTreeMap<String, Arc<TenantEntry>>>,
+    tenants: Mutex<BTreeMap<String, Arc<TenantEntry>>>,
 }
 
 impl Default for TenantRegistry {
@@ -171,14 +173,14 @@ impl TenantRegistry {
     /// An empty registry.
     pub fn new() -> TenantRegistry {
         TenantRegistry {
-            tenants: RwLock::new(BTreeMap::new()),
+            tenants: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// Register a tenant with an in-memory model (startup path). If the
     /// tenant exists, this swaps the model like a reload.
     pub fn register(&self, name: &str, detector: Arc<Detector>) -> Arc<TenantEntry> {
-        let mut tenants = self.tenants.write();
+        let mut tenants = self.tenants.lock();
         match tenants.get(name) {
             Some(entry) => {
                 let entry = Arc::clone(entry);
@@ -197,7 +199,7 @@ impl TenantRegistry {
 
     /// Look up a tenant.
     pub fn get(&self, name: &str) -> Option<Arc<TenantEntry>> {
-        self.tenants.read().get(name).cloned()
+        self.tenants.lock().get(name).cloned()
     }
 
     /// Load a model from the versioned CRC-checked store and make it the
@@ -233,12 +235,12 @@ impl TenantRegistry {
 
     /// All tenants, in id order.
     pub fn entries(&self) -> Vec<Arc<TenantEntry>> {
-        self.tenants.read().values().cloned().collect()
+        self.tenants.lock().values().cloned().collect()
     }
 
     /// Number of tenants.
     pub fn len(&self) -> usize {
-        self.tenants.read().len()
+        self.tenants.lock().len()
     }
 
     /// `true` when no tenant is registered.

@@ -8,10 +8,10 @@
 //! stays on one socket, so per-session order is preserved), paces the lines
 //! at a target rate, ENDs every session, drains the server, and then
 //! compares the server's per-session reports against offline
-//! [`Detector::detect_session`] on exactly the same sessions. With the
-//! lossless `block` backpressure policy the two must be identical — that
-//! equivalence is the subsystem's core correctness property (asserted in
-//! `tests/loopback.rs` and in CI).
+//! [`Detector::detect_session`] on exactly the same sessions. Serving is
+//! lossless (a full shard queue holds lines back), so the two must be
+//! identical — that equivalence is the subsystem's core correctness
+//! property (asserted in `tests/loopback.rs` and in CI).
 
 use crate::client::ServeClient;
 use crate::metrics::StatsSnapshot;

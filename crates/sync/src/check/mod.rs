@@ -192,7 +192,7 @@ where
 // ---------------------------------------------------------------------------
 // Facade hooks (all assume `active()`, checked by the caller)
 
-/// Checked mutex/rwlock-write acquisition over the real std primitive.
+/// Checked mutex acquisition over the real std primitive.
 pub(crate) fn lock_mutex<'a, T>(m: &'a StdMutex<T>, addr: usize) -> StdMutexGuard<'a, T> {
     let c = ctx().expect("checked lock without ctx");
     loop {
@@ -204,42 +204,6 @@ pub(crate) fn lock_mutex<'a, T>(m: &'a StdMutex<T>, addr: usize) -> StdMutexGuar
             Err(TryLockError::WouldBlock) => {
                 c.exec
                     .block(c.id, Blocked::Lock(addr), "lock-wait", Some(addr));
-            }
-            Err(TryLockError::Poisoned(p)) => return p.into_inner(),
-        }
-    }
-}
-
-pub(crate) fn rwlock_read<'a, T>(
-    l: &'a std::sync::RwLock<T>,
-    addr: usize,
-) -> std::sync::RwLockReadGuard<'a, T> {
-    let c = ctx().expect("checked read without ctx");
-    loop {
-        c.exec.yield_point(c.id, "read-lock", Some(addr));
-        match l.try_read() {
-            Ok(g) => return g,
-            Err(TryLockError::WouldBlock) => {
-                c.exec
-                    .block(c.id, Blocked::Lock(addr), "read-wait", Some(addr));
-            }
-            Err(TryLockError::Poisoned(p)) => return p.into_inner(),
-        }
-    }
-}
-
-pub(crate) fn rwlock_write<'a, T>(
-    l: &'a std::sync::RwLock<T>,
-    addr: usize,
-) -> std::sync::RwLockWriteGuard<'a, T> {
-    let c = ctx().expect("checked write without ctx");
-    loop {
-        c.exec.yield_point(c.id, "write-lock", Some(addr));
-        match l.try_write() {
-            Ok(g) => return g,
-            Err(TryLockError::WouldBlock) => {
-                c.exec
-                    .block(c.id, Blocked::Lock(addr), "write-wait", Some(addr));
             }
             Err(TryLockError::Poisoned(p)) => return p.into_inner(),
         }

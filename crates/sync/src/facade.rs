@@ -1,4 +1,4 @@
-//! The lock facade: `Mutex`, `RwLock`, `Condvar`.
+//! The lock facade: `Mutex`, `Condvar`.
 //!
 //! Thin newtypes over the std primitives. In release builds every method
 //! inlines to the std call (plus an `Option` take in guard drop). Debug
@@ -98,34 +98,6 @@ impl<T> Mutex<T> {
         MutexGuard {
             lock: self,
             inner: Some(g),
-        }
-    }
-
-    /// Non-blocking acquire; `None` if the lock is held.
-    #[cfg_attr(any(debug_assertions, intellog_check), track_caller)]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        #[cfg(intellog_check)]
-        if check::active() && !std::thread::panicking() {
-            check::op_point("try-lock", Some(self.addr()));
-        }
-        match self.inner.try_lock() {
-            Ok(g) => {
-                #[cfg(any(debug_assertions, intellog_check))]
-                order::after_acquire(self.id.get(), Location::caller());
-                Some(MutexGuard {
-                    lock: self,
-                    inner: Some(g),
-                })
-            }
-            Err(std::sync::TryLockError::WouldBlock) => None,
-            Err(std::sync::TryLockError::Poisoned(p)) => {
-                #[cfg(any(debug_assertions, intellog_check))]
-                order::after_acquire(self.id.get(), Location::caller());
-                Some(MutexGuard {
-                    lock: self,
-                    inner: Some(p.into_inner()),
-                })
-            }
         }
     }
 
@@ -320,189 +292,5 @@ impl Default for Condvar {
 impl fmt::Debug for Condvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.pad("Condvar")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RwLock
-
-/// Reader-writer lock. The lock-order detector treats read and write
-/// acquisitions identically, which is conservative: a reader-reader
-/// "cycle" cannot deadlock by itself, but the same order with one writer
-/// can, so flagging it early is the safer default.
-pub struct RwLock<T> {
-    #[cfg(any(debug_assertions, intellog_check))]
-    id: order::LockId,
-    inner: std::sync::RwLock<T>,
-}
-
-pub struct RwLockReadGuard<'a, T> {
-    lock: &'a RwLock<T>,
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-}
-
-pub struct RwLockWriteGuard<'a, T> {
-    lock: &'a RwLock<T>,
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            #[cfg(any(debug_assertions, intellog_check))]
-            id: order::LockId::new(),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    #[cfg(intellog_check)]
-    fn addr(&self) -> usize {
-        self as *const RwLock<T> as *const () as usize
-    }
-
-    #[cfg_attr(any(debug_assertions, intellog_check), track_caller)]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        #[cfg(any(debug_assertions, intellog_check))]
-        let (id, loc) = (self.id.get(), Location::caller());
-        #[cfg(any(debug_assertions, intellog_check))]
-        if !std::thread::panicking() {
-            order::before_acquire(id, loc);
-        }
-        #[cfg(intellog_check)]
-        if check::active() && !std::thread::panicking() {
-            let g = check::rwlock_read(&self.inner, self.addr());
-            order::after_acquire(id, loc);
-            return RwLockReadGuard {
-                lock: self,
-                inner: Some(g),
-            };
-        }
-        let g = match self.inner.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        #[cfg(any(debug_assertions, intellog_check))]
-        order::after_acquire(id, loc);
-        RwLockReadGuard {
-            lock: self,
-            inner: Some(g),
-        }
-    }
-
-    #[cfg_attr(any(debug_assertions, intellog_check), track_caller)]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        #[cfg(any(debug_assertions, intellog_check))]
-        let (id, loc) = (self.id.get(), Location::caller());
-        #[cfg(any(debug_assertions, intellog_check))]
-        if !std::thread::panicking() {
-            order::before_acquire(id, loc);
-        }
-        #[cfg(intellog_check)]
-        if check::active() && !std::thread::panicking() {
-            let g = check::rwlock_write(&self.inner, self.addr());
-            order::after_acquire(id, loc);
-            return RwLockWriteGuard {
-                lock: self,
-                inner: Some(g),
-            };
-        }
-        let g = match self.inner.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        #[cfg(any(debug_assertions, intellog_check))]
-        order::after_acquire(id, loc);
-        RwLockWriteGuard {
-            lock: self,
-            inner: Some(g),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_read() {
-            Ok(g) => f.debug_struct("RwLock").field("data", &*g).finish(),
-            Err(_) => f.debug_struct("RwLock").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-
-    #[inline]
-    fn deref(&self) -> &T {
-        self.inner.as_deref().expect("read guard consumed")
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(g) = self.inner.take() {
-            #[cfg(any(debug_assertions, intellog_check))]
-            order::on_release(self.lock.id.get());
-            drop(g);
-            #[cfg(intellog_check)]
-            if check::active() && !std::thread::panicking() {
-                check::lock_released(self.lock.addr());
-            }
-            #[cfg(not(any(debug_assertions, intellog_check)))]
-            let _ = self.lock;
-        }
-    }
-}
-
-impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-
-    #[inline]
-    fn deref(&self) -> &T {
-        self.inner.as_deref().expect("write guard consumed")
-    }
-}
-
-impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_deref_mut().expect("write guard consumed")
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(g) = self.inner.take() {
-            #[cfg(any(debug_assertions, intellog_check))]
-            order::on_release(self.lock.id.get());
-            drop(g);
-            #[cfg(intellog_check)]
-            if check::active() && !std::thread::panicking() {
-                check::lock_released(self.lock.addr());
-            }
-            #[cfg(not(any(debug_assertions, intellog_check)))]
-            let _ = self.lock;
-        }
     }
 }

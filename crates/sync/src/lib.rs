@@ -1,7 +1,7 @@
 //! Synchronization facade for the IntelLog workspace.
 //!
-//! Every crate in the workspace takes its `Mutex`, `RwLock`, `Condvar`,
-//! atomics, channels and threads from here instead of `std::sync` /
+//! Every crate in the workspace takes its `Mutex`, `Condvar`, atomics,
+//! channels and threads from here instead of `std::sync` /
 //! `std::thread` (enforced by `scripts/lint_invariants.py`), and its one
 //! parallel map, [`par_map`], too: training's per-key and per-session maps
 //! and detection's per-session map run on it.
@@ -53,9 +53,7 @@ pub mod check;
 
 mod facade;
 
-pub use facade::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-};
+pub use facade::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 
 // Handle types with no synchronization *operations* of their own (their
 // effects are memory reclamation, not blocking) pass straight through.

@@ -24,7 +24,7 @@ use intellog::dlasim::{FaultKind, SystemKind};
 use intellog::lognlp::format::AdapterKind;
 use intellog::spell::{LogLine, Session};
 use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{Backpressure, ModelStore, ReplayConfig, TenantRegistry};
+use intellog_serve::{ModelStore, ReplayConfig, TenantRegistry};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -66,8 +66,7 @@ const USAGE: &str = "usage:
   intellog detect --model MODEL.ilm --format spark|hadoop|hdfs|syslog|json [--json] LOGFILE...
   intellog graph  --model MODEL.ilm
   intellog serve  --model MODEL.ilm [--addr HOST:PORT] [--shards N] [--queue-cap N]
-                  [--backpressure block|drop-newest|drop-oldest] [--idle-timeout-ms N]
-                  [--ring-cap N] [--sink FILE.jsonl] [--addr-file PATH]
+                  [--idle-timeout-ms N] [--ring-cap N] [--sink FILE.jsonl] [--addr-file PATH]
                   [--tenant NAME] [--tenant-model NAME=MODEL.ilm]...
   intellog replay --model MODEL.ilm --addr HOST:PORT [--system spark|mapreduce|tez|tensorflow]
                   [--jobs N] [--seed N] [--hosts N] [--rate LINES_PER_S]
@@ -315,7 +314,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // the observability layer is always on while serving.
     obs::enable();
     let mut flags = FlagSet::new(args);
-    let detector = load_model(flags.value("--model"))?;
+    let model = flags.value("--model");
     let default_tenant = flags
         .value("--tenant")
         .filter(|v| !v.is_empty())
@@ -328,7 +327,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .unwrap_or_else(|| "127.0.0.1:4317".into()),
         shards: flags.parse("--shards", 4)?,
         queue_capacity: flags.parse("--queue-cap", 1024)?,
-        backpressure: flags.parse("--backpressure", Backpressure::Block)?,
         idle_timeout: Duration::from_millis(flags.parse("--idle-timeout-ms", 30_000u64)?),
         ring_capacity: flags.parse("--ring-cap", 4096)?,
         sink_path: flags
@@ -336,6 +334,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .filter(|v| !v.is_empty())
             .map(PathBuf::from),
         default_tenant: default_tenant.clone(),
+        ..GatewayConfig::default()
     };
     let addr_file = flags.value("--addr-file").filter(|v| !v.is_empty());
     let extra = flags.finish();
@@ -343,7 +342,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err(format!("unexpected arguments: {extra:?}"));
     }
     let registry = Arc::new(TenantRegistry::new());
-    registry.register(&default_tenant, Arc::new(detector));
+    registry.register(&default_tenant, Arc::new(load_model(model)?));
     for spec in &tenant_models {
         let (name, path) = spec
             .split_once('=')
@@ -362,10 +361,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let gateway = Gateway::bind_with_registry(&config, registry).map_err(|e| e.to_string())?;
     let addr = gateway.local_addr();
     println!(
-        "intellog-gateway listening on {addr} shards={} queue-cap={} backpressure={} idle-timeout={}ms tenants={} default-tenant={}",
+        "intellog-gateway listening on {addr} shards={} queue-cap={} idle-timeout={}ms tenants={} default-tenant={}",
         config.shards,
         config.queue_capacity,
-        config.backpressure.name(),
         config.idle_timeout.as_millis(),
         1 + tenant_models.len(),
         default_tenant,

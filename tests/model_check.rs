@@ -57,43 +57,38 @@ fn cfg(iterations: usize, dfs_budget: usize) -> CheckConfig {
 }
 
 // ---------------------------------------------------------------------
-// ShardQueue: drain_timeout vs concurrent producers, all three policies.
+// ShardQueue: drain_timeout vs concurrent producers that wait for room.
 // ---------------------------------------------------------------------
 
-fn queue_scenario(policy: Backpressure, capacity: usize) {
-    let q = Arc::new(ShardQueue::new(capacity, policy));
+fn queue_scenario(capacity: usize) {
+    let q = Arc::new(ShardQueue::new(capacity, Backpressure::Block));
     let producers: Vec<_> = (0..2)
         .map(|i| {
             let q = Arc::clone(&q);
             thread::spawn(move || q.push(i))
         })
         .collect();
-    // Drain until both pushes are accounted for (enqueued or shed). The
-    // consumer only ever waits while an unresolved push remains, and any
-    // push that enqueues also notifies — so under a correct queue no
-    // timed wait here can need the forced-timeout escape hatch.
+    // Drain until both pushes arrived. The consumer only ever waits while
+    // a push is outstanding, and every push that enqueues also notifies —
+    // so under a correct queue no timed wait here can need the
+    // forced-timeout escape hatch.
     let mut got = 0;
     let mut batch = VecDeque::new();
-    while got + (q.dropped() as usize) < 2 {
+    while got < 2 {
         got += q.drain_timeout(Duration::from_millis(50), &mut batch);
         batch.clear();
     }
     for p in producers {
-        p.join().expect("producer exits");
+        assert!(p.join().expect("producer exits"), "an open queue admits");
     }
-    assert_eq!(got + q.dropped() as usize, 2);
-    if policy == Backpressure::Block {
-        assert_eq!(q.dropped(), 0, "block policy must never shed");
-    }
+    assert_eq!(q.dropped(), 0, "a producer waits, it never sheds");
 }
 
 #[cfg(not(intellog_mutant_lost_wakeup))]
 #[test]
 fn shard_queue_block_policy_under_all_interleavings() {
     // capacity 1 forces the producer-blocks / drain-unblocks handoff
-    let report = explore(&cfg(iters(2000), 300), || {
-        queue_scenario(Backpressure::Block, 1)
-    });
+    let report = explore(&cfg(iters(2000), 300), || queue_scenario(1));
     report.assert_no_lost_wakeups();
     assert!(report.executions >= iters(2000));
     assert!(
@@ -102,33 +97,15 @@ fn shard_queue_block_policy_under_all_interleavings() {
     );
 }
 
-#[cfg(not(intellog_mutant_lost_wakeup))]
-#[test]
-fn shard_queue_drop_newest_under_all_interleavings() {
-    explore(&cfg(iters(2000), 300), || {
-        queue_scenario(Backpressure::DropNewest, 1)
-    })
-    .assert_no_lost_wakeups();
-}
-
-#[cfg(not(intellog_mutant_lost_wakeup))]
-#[test]
-fn shard_queue_drop_oldest_under_all_interleavings() {
-    explore(&cfg(iters(2000), 300), || {
-        queue_scenario(Backpressure::DropOldest, 1)
-    })
-    .assert_no_lost_wakeups();
-}
-
 /// Weighted pushes (line batches): capacity 4 lines, two producers each
 /// pushing a 3-line batch, a control message and an oversized 6-line
-/// batch, against a draining consumer. Under every interleaving each line
-/// is delivered or counted as shed, control messages are never shed, and
-/// `block` sheds nothing — a batch that does not fit waits (the oversized
-/// one until the queue holds no lines) and is woken by the drain.
-fn weighted_queue_scenario(policy: Backpressure) {
+/// batch, against a draining consumer. Under every interleaving every line
+/// and every control message arrives and nothing is shed — a batch that
+/// does not fit waits (the oversized one until the queue holds no lines)
+/// and is woken by the drain.
+fn weighted_queue_scenario() {
     const CONTROL: usize = 0; // data messages are their own weight
-    let q = Arc::new(ShardQueue::new(4, policy));
+    let q = Arc::new(ShardQueue::new(4, Backpressure::Block));
     let producers: Vec<_> = (0..2)
         .map(|_| {
             let q = Arc::clone(&q);
@@ -141,7 +118,7 @@ fn weighted_queue_scenario(policy: Backpressure) {
         .collect();
     let (mut lines, mut controls) = (0, 0);
     let mut batch = VecDeque::new();
-    while lines + (q.dropped() as usize) < 18 || controls < 2 {
+    while lines < 18 || controls < 2 {
         q.drain_timeout(Duration::from_millis(50), &mut batch);
         controls += batch.iter().filter(|&&m| m == CONTROL).count();
         lines += batch.drain(..).sum::<usize>();
@@ -149,27 +126,16 @@ fn weighted_queue_scenario(policy: Backpressure) {
     for p in producers {
         p.join().expect("producer exits");
     }
-    assert_eq!(lines + q.dropped() as usize, 18, "every line accounted for");
-    assert_eq!(controls, 2, "control messages are never shed");
-    if policy == Backpressure::Block {
-        assert_eq!(q.dropped(), 0, "block policy must never shed");
-    }
+    assert_eq!((lines, controls), (18, 2), "every message arrives once");
+    assert_eq!(q.dropped(), 0, "a producer waits, it never sheds");
 }
 
 #[cfg(not(intellog_mutant_lost_wakeup))]
 #[test]
 fn weighted_pushes_account_for_every_line_under_all_interleavings() {
-    for policy in [
-        Backpressure::Block,
-        Backpressure::DropNewest,
-        Backpressure::DropOldest,
-    ] {
-        let report = explore(&cfg(iters(1500), 300), move || {
-            weighted_queue_scenario(policy)
-        });
-        report.assert_no_lost_wakeups();
-        assert!(report.executions >= iters(1500));
-    }
+    let report = explore(&cfg(iters(1500), 300), weighted_queue_scenario);
+    report.assert_no_lost_wakeups();
+    assert!(report.executions >= iters(1500));
 }
 
 /// The gateway's never-block rule: a queue's *sole* producer that sizes
@@ -786,7 +752,7 @@ fn abba_inversion_is_discovered() {
 #[cfg(intellog_mutant_lost_wakeup)]
 #[test]
 fn mutant_lost_wakeup_is_caught() {
-    let report = explore(&cfg(400, 100), || queue_scenario(Backpressure::Block, 2));
+    let report = explore(&cfg(400, 100), || queue_scenario(2));
     report.assert_ok(); // scenario still terminates (via forced timeouts)…
     assert!(
         report.forced_timeouts > 0,
