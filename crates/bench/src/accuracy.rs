@@ -156,7 +156,7 @@ impl AccuracyRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::training_jobs;
+    use intellog_core::training_jobs;
 
     #[test]
     fn accuracy_shape_matches_paper() {

@@ -22,8 +22,8 @@
 //! [--out PATH] [--reps N]`.
 
 use dlasim::SystemKind;
-use intellog_bench::{intern_probes, synthetic_keyset, training_jobs};
-use intellog_core::render_session;
+use intellog_bench::{intern_probes, synthetic_keyset};
+use intellog_core::{render_session, training_jobs};
 use lognlp::format::AdapterKind;
 use serde::Serialize;
 use std::time::Instant;
@@ -189,21 +189,19 @@ fn main() {
     let adapter_jobs = training_jobs(SystemKind::MapReduce, ADAPTER_JOBS, 1);
     let mut adapters: Vec<AdapterStats> = Vec::new();
     for kind in AdapterKind::ALL {
-        let adapter = kind.adapter();
         let lines: Vec<String> = adapter_jobs
             .iter()
             .flat_map(|j| j.sessions.iter().flat_map(|s| render_session(kind, s)))
             .collect();
         for l in &lines {
-            adapter
-                .parse_record(l)
+            kind.parse_record(l)
                 .unwrap_or_else(|e| panic!("{}: rejected own rendering {l:?}: {e}", kind.name()));
         }
         let rep_s = time_median(reps, || {
             let mut p = spell::SpellParser::default();
             let (mut spans, mut ids) = (Vec::new(), Vec::new());
             for line in &lines {
-                let rec = adapter.parse_record(line).expect("validated above");
+                let rec = kind.parse_record(line).expect("validated above");
                 p.parse_spans(rec.message, &mut spans, &mut ids);
             }
             p.len()

@@ -9,10 +9,10 @@ use baselines::{DeepLog, LogCluster, S3Graph};
 use dlasim::{FaultKind, FaultPlan, JobConfig, SystemKind, WorkloadGen};
 use extract::{FieldCategory, IntelExtractor};
 use intellog_bench::{
-    evaluate, intel_messages, score, table6_jobs, train_keyseqs, training_jobs, training_sessions,
-    Confusion, FieldCounts, IntelLogTool, KeySeqTool, SemVecTool, SessionDetector,
+    evaluate, intel_messages, score, table6_jobs, train_keyseqs, Confusion, FieldCounts,
+    IntelLogTool, KeySeqTool, SemVecTool, SessionDetector,
 };
-use intellog_core::{sessions_from_job, IntelLog};
+use intellog_core::{sessions_from_job, training_jobs, training_sessions, IntelLog};
 use lognlp::{is_natural_language, tag, tag_key_with_sample, tokenize};
 use spell::SpellParser;
 

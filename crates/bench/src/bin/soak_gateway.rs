@@ -34,10 +34,8 @@
 //! configuration (seconds, not minutes). Exit status is the verdict.
 
 use dlasim::{FaultKind, SystemKind};
-use intellog_bench::training_sessions;
-use intellog_core::sessions_from_job;
-use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{ModelStore, ServeClient, TenantRegistry};
+use intellog_core::{sessions_from_job, training_sessions};
+use intellog_serve::{Gateway, GatewayConfig, ModelStore, ServeClient, TenantRegistry};
 use std::path::PathBuf;
 use std::time::Duration;
 use sync::Arc;

@@ -3,7 +3,8 @@
 //! Reproduces the paper's experimental protocol (§6.1, §6.4):
 //!
 //! * **training**: the workload generator randomly submits jobs with tuned
-//!   resources; logs are collected for model training;
+//!   resources; logs are collected for model training
+//!   (`intellog_core::training_jobs`, shared with the CLI and the tests);
 //! * **Table 6 evaluation**: five configuration sets; per set, three jobs
 //!   injected with kill / network-failure / node-failure plus three jobs
 //!   without injected problems — 30 jobs per system, 15 with problems.
@@ -13,8 +14,6 @@
 
 use crate::detector::Confusion;
 use dlasim::{FaultKind, GenJob, SystemKind, WorkloadGen, CONFIG_SETS};
-use intellog_core::sessions_from_job;
-use spell::Session;
 
 /// One evaluation job with its ground truth.
 #[derive(Debug, Clone)]
@@ -25,27 +24,6 @@ pub struct EvalJob {
     pub injected: Option<FaultKind>,
     /// `true` if the "clean" job carries a latent (P/B) issue.
     pub latent: bool,
-}
-
-/// Training jobs kept whole: `jobs` clean jobs with tuned configurations.
-pub fn training_jobs(system: SystemKind, jobs: usize, seed: u64) -> Vec<GenJob> {
-    let mut gen = WorkloadGen::new(seed, 8);
-    (0..jobs)
-        .map(|_| dlasim::generate(&gen.training_config(system), None))
-        .collect()
-}
-
-/// The sessions of [`training_jobs`], pipeline-ready, ids made unique
-/// across jobs.
-pub fn training_sessions(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
-    let mut out = Vec::new();
-    for (j, job) in training_jobs(system, jobs, seed).iter().enumerate() {
-        for (i, mut s) in sessions_from_job(job).into_iter().enumerate() {
-            s.id = format!("t{j}_{i}_{}", s.id);
-            out.push(s);
-        }
-    }
-    out
 }
 
 /// The Table 6 evaluation corpus: 30 jobs (15 injected) per system.

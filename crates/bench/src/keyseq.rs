@@ -60,8 +60,8 @@ pub fn intel_messages(parser: &SpellParser, sessions: &[Session]) -> Vec<Vec<Int
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::training_sessions;
     use dlasim::SystemKind;
+    use intellog_core::training_sessions;
 
     #[test]
     fn keyseq_roundtrip() {

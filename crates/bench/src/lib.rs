@@ -6,8 +6,9 @@
 //! `bench_pipeline` adds only the two rows it lacks, and `soak_gateway` is
 //! the serving chaos soak. Shared machinery:
 //!
-//! * [`corpus`] — the §6.1/§6.4 experimental protocol (training corpora,
-//!   the 30-job fault-injection matrix);
+//! * [`corpus`] — the §6.4 experimental protocol (the 30-job
+//!   fault-injection matrix; training corpora are
+//!   `intellog_core::training_jobs`);
 //! * [`detector`] — one [`SessionDetector`] seam over IntelLog and the
 //!   baselines, and [`score`], the one routine behind Tables 6 and 8;
 //! * [`accuracy`] — the Table 4 extraction-accuracy evaluation against the
@@ -21,9 +22,6 @@ pub mod detector;
 pub mod keyseq;
 
 pub use accuracy::{evaluate, AccuracyRow, FieldCounts};
-pub use corpus::{
-    intern_probes, synthetic_keyset, table6_jobs, training_jobs, training_sessions, EvalJob,
-    JobScore,
-};
+pub use corpus::{intern_probes, synthetic_keyset, table6_jobs, EvalJob, JobScore};
 pub use detector::{score, Confusion, IntelLogTool, KeySeqTool, SemVecTool, SessionDetector};
 pub use keyseq::{intel_messages, match_keyseq, train_keyseqs, UNKNOWN_KEY};

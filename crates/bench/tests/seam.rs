@@ -3,10 +3,10 @@
 use baselines::{DeepLog, LogCluster};
 use dlasim::{FaultKind, GenJob, GenSession, SystemKind};
 use intellog_bench::{
-    match_keyseq, score, table6_jobs, training_jobs, Confusion, EvalJob, IntelLogTool, KeySeqTool,
-    SemVecTool, SessionDetector,
+    match_keyseq, score, table6_jobs, Confusion, EvalJob, IntelLogTool, KeySeqTool, SemVecTool,
+    SessionDetector,
 };
-use intellog_core::session_from_gen;
+use intellog_core::{session_from_gen, training_jobs};
 
 /// Flags exactly the sessions whose ids it was scripted with.
 struct Scripted(&'static [&'static str]);

@@ -3,13 +3,14 @@
 //! Two paths are provided:
 //!
 //! * [`session_from_gen`] — direct structural conversion (fast path used by
-//!   benchmarks);
+//!   benchmarks), and on top of it [`training_sessions`], the one simulated
+//!   training corpus;
 //! * [`sessions_from_text`] — the full-fidelity path: the simulator renders
 //!   raw log text in one of the five line syntaxes and the matching
 //!   `lognlp::format` adapter parses it back, exercising the same code a
 //!   deployment against real log files (`--format`) would use.
 
-use dlasim::{ForeignFormat, GenJob, GenSession, RawFormat, SimLevel};
+use dlasim::{ForeignFormat, GenJob, GenSession, RawFormat, SimLevel, SystemKind, WorkloadGen};
 use lognlp::format::AdapterKind;
 use spell::{Level, LogLine, Session};
 
@@ -42,6 +43,27 @@ pub fn sessions_from_job(job: &GenJob) -> Vec<Session> {
     job.sessions.iter().map(session_from_gen).collect()
 }
 
+/// Training jobs kept whole: `jobs` clean jobs with tuned configurations.
+pub fn training_jobs(system: SystemKind, jobs: usize, seed: u64) -> Vec<GenJob> {
+    let mut gen = WorkloadGen::new(seed, 8);
+    (0..jobs)
+        .map(|_| dlasim::generate(&gen.training_config(system), None))
+        .collect()
+}
+
+/// The sessions of [`training_jobs`], pipeline-ready, ids made unique
+/// across jobs.
+pub fn training_sessions(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
+    let mut out = Vec::new();
+    for (j, job) in training_jobs(system, jobs, seed).iter().enumerate() {
+        for (i, mut s) in sessions_from_job(job).into_iter().enumerate() {
+            s.id = format!("t{j}_{i}_{}", s.id);
+            out.push(s);
+        }
+    }
+    out
+}
+
 /// Render one generated session in the syntax `kind` parses.
 pub fn render_session(kind: AdapterKind, session: &GenSession) -> Vec<String> {
     match kind {
@@ -59,13 +81,12 @@ pub fn render_session(kind: AdapterKind, session: &GenSession) -> Vec<String> {
 /// stable sort in `Session::new` preserves emission order even where a
 /// header's one-second resolution collapses distinct millisecond stamps.
 pub fn sessions_from_text(job: &GenJob, kind: AdapterKind) -> Vec<Session> {
-    let adapter = kind.adapter();
     job.sessions
         .iter()
         .map(|s| {
             let lines = render_session(kind, s)
                 .iter()
-                .filter_map(|raw| adapter.parse_record(raw).ok().map(LogLine::from))
+                .filter_map(|raw| kind.parse_record(raw).ok().map(LogLine::from))
                 .collect();
             Session::new(s.id.clone(), lines)
         })

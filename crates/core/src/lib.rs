@@ -7,7 +7,8 @@
 //!   HW-graphs;
 //! * [`bridge`] — conversions between the simulated cluster (`dlasim`) and
 //!   the log-session types the pipeline consumes, both structural and
-//!   through raw log text + the `lognlp::format` adapters.
+//!   through raw log text + the `lognlp::format` adapters, and the one
+//!   simulated training corpus ([`training_sessions`]).
 
 #![forbid(unsafe_code)]
 
@@ -16,5 +17,6 @@ pub mod pipeline;
 
 pub use bridge::{
     level_of_raw, render_session, session_from_gen, sessions_from_job, sessions_from_text,
+    training_jobs, training_sessions,
 };
 pub use pipeline::IntelLog;

@@ -99,27 +99,12 @@ impl IntelLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bridge::sessions_from_job;
+    use crate::bridge::{sessions_from_job, training_sessions};
     use dlasim::{FaultKind, JobConfig, SystemKind, WorkloadGen};
-
-    fn train_sessions(system: SystemKind, jobs: usize) -> Vec<Session> {
-        let mut gen = WorkloadGen::new(42, 8);
-        let mut out = Vec::new();
-        for j in 0..jobs {
-            let cfg = gen.training_config(system);
-            let job = dlasim::generate(&cfg, None);
-            for (i, s) in sessions_from_job(&job).into_iter().enumerate() {
-                let mut s = s;
-                s.id = format!("train{j}_{i}_{}", s.id);
-                out.push(s);
-            }
-        }
-        out
-    }
 
     #[test]
     fn train_and_detect_clean_spark_job() {
-        let il = IntelLog::train(&train_sessions(SystemKind::Spark, 4));
+        let il = IntelLog::train(&training_sessions(SystemKind::Spark, 4, 42));
         let mut gen = WorkloadGen::new(99, 8);
         let cfg = gen.training_config(SystemKind::Spark);
         let job = dlasim::generate(&cfg, None);
@@ -130,7 +115,7 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let il = IntelLog::train(&train_sessions(SystemKind::MapReduce, 2));
+        let il = IntelLog::train(&training_sessions(SystemKind::MapReduce, 2, 42));
         let mut gen = WorkloadGen::new(7, 8);
         let cfg = gen.detection_config(SystemKind::MapReduce, 1);
         let plan = gen.fault_plan(FaultKind::NetworkFailure);
@@ -144,7 +129,7 @@ mod tests {
 
     #[test]
     fn network_fault_is_diagnosed_to_victim_host() {
-        let il = IntelLog::train(&train_sessions(SystemKind::MapReduce, 3));
+        let il = IntelLog::train(&training_sessions(SystemKind::MapReduce, 3, 42));
         let cfg = JobConfig {
             system: SystemKind::MapReduce,
             workload: "wordcount".into(),
@@ -175,7 +160,7 @@ mod tests {
 
     #[test]
     fn graph_render_and_json() {
-        let il = IntelLog::train(&train_sessions(SystemKind::Spark, 3));
+        let il = IntelLog::train(&training_sessions(SystemKind::Spark, 3, 42));
         let txt = il.render_graph();
         assert!(txt.contains("task"), "{txt}");
         let json = il.graph_json();

@@ -172,22 +172,6 @@ impl GenJob {
     pub fn total_lines(&self) -> usize {
         self.sessions.iter().map(|s| s.lines.len()).sum()
     }
-
-    /// All lines of the job merged into one cluster-wide timeline, as
-    /// `(session index, line)` pairs ordered by timestamp. The sort is
-    /// stable, so within one session the original emission order is kept —
-    /// this is the arrival order a log collector tailing every container
-    /// at once would observe, and what `intellog replay` feeds the server.
-    pub fn merged_timeline(&self) -> Vec<(usize, &SimLine)> {
-        let mut merged: Vec<(usize, &SimLine)> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(i, s)| s.lines.iter().map(move |l| (i, l)))
-            .collect();
-        merged.sort_by_key(|(_, l)| l.ts_ms);
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -229,47 +213,6 @@ mod tests {
         l.ts_ms = 9 * 86_400_000;
         assert!(RawFormat::Hadoop.render(&l).starts_with("2019-07-01 "));
         assert!(RawFormat::Spark.render(&l).starts_with("19/07/01 "));
-    }
-
-    #[test]
-    fn merged_timeline_is_sorted_and_complete() {
-        let mk = |ts| SimLine {
-            ts_ms: ts,
-            level: SimLevel::Info,
-            source: "X".into(),
-            message: format!("m{ts}"),
-            template_id: "t",
-        };
-        let job = GenJob {
-            system: SystemKind::Spark,
-            workload: "wordcount".into(),
-            sessions: vec![
-                GenSession {
-                    id: "a".into(),
-                    host: "h1".into(),
-                    lines: vec![mk(0), mk(5), mk(5)],
-                    affected: false,
-                },
-                GenSession {
-                    id: "b".into(),
-                    host: "h2".into(),
-                    lines: vec![mk(1), mk(5)],
-                    affected: false,
-                },
-            ],
-            injected: None,
-        };
-        let merged = job.merged_timeline();
-        assert_eq!(merged.len(), job.total_lines());
-        assert!(merged.windows(2).all(|w| w[0].1.ts_ms <= w[1].1.ts_ms));
-        // stable: session a's two ts=5 lines keep their relative order,
-        // and among equal timestamps session a (listed first) comes first
-        let at5: Vec<usize> = merged
-            .iter()
-            .filter(|(_, l)| l.ts_ms == 5)
-            .map(|(i, _)| *i)
-            .collect();
-        assert_eq!(at5, [0, 0, 1]);
     }
 
     #[test]

@@ -101,14 +101,13 @@ proptest! {
     fn raw_rendering_roundtrips(cfg in config_strategy()) {
         let job = dlasim::generate(&cfg, None);
         let raw_fmt = RawFormat::for_system(cfg.system);
-        let adapter = match raw_fmt {
+        let kind = match raw_fmt {
             RawFormat::Hadoop => AdapterKind::Hadoop,
             RawFormat::Spark => AdapterKind::Spark,
-        }
-        .adapter();
+        };
         for s in job.sessions.iter().take(3) {
             for (raw, line) in s.raw_lines(raw_fmt).iter().zip(&s.lines) {
-                let parsed = adapter.parse_record(raw);
+                let parsed = kind.parse_record(raw);
                 prop_assert!(parsed.is_ok(), "unparseable: {raw}");
                 let parsed = parsed.expect("checked");
                 prop_assert_eq!(parsed.message, line.message.as_str());

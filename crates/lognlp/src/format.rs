@@ -1,4 +1,4 @@
-//! The log formatters (paper §5): one [`LineAdapter`] per line syntax.
+//! The log formatters (paper §5): one [`AdapterKind`] per line syntax.
 //!
 //! The formats of logs generated by different systems vary, so IntelLog
 //! recognises timestamps, levels, output classes and contents by pattern
@@ -6,8 +6,8 @@
 //! built in: the two the paper's testbed produces — Hadoop style
 //! (MapReduce, Tez, YARN) and Spark style — plus the shapes real-world
 //! corpora arrive in: HDFS/BGL-style numeric headers, RFC-3164 syslog, and
-//! JSON-structured lines. A [`LineAdapter`] normalises one line into a
-//! [`RawRecord`] whose `source` and `message` fields **borrow from the
+//! JSON-structured lines. [`AdapterKind::parse_record`] normalises one
+//! line into a [`RawRecord`] whose `source` and `message` fields **borrow from the
 //! input line** — no heap allocation on the steady-state parse, so a
 //! record feeds [`crate::tokenize_spans`] and the interned-token match path
 //! directly (the counting-allocator proof in
@@ -119,17 +119,6 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
-/// A pluggable foreign-format adapter. Implementations must be total
-/// (return `FormatError`, never panic) and allocation-free on the accept
-/// path — `parse_record` output borrows from `line`.
-pub trait LineAdapter: Sync {
-    /// Short name used by `--format` and diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Normalise one raw line.
-    fn parse_record<'a>(&self, line: &'a str) -> Result<RawRecord<'a>, FormatError>;
-}
-
 /// The built-in line syntaxes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdapterKind {
@@ -163,37 +152,40 @@ impl AdapterKind {
 
     /// Short name used by `--format` and diagnostics.
     pub fn name(self) -> &'static str {
-        self.adapter().name()
+        match self {
+            AdapterKind::Hadoop => "hadoop",
+            AdapterKind::Spark => "spark",
+            AdapterKind::Hdfs => "hdfs",
+            AdapterKind::Syslog => "syslog",
+            AdapterKind::Json => "json",
+        }
     }
 
-    /// The adapter implementation for this kind.
-    pub fn adapter(self) -> &'static dyn LineAdapter {
-        match self {
-            AdapterKind::Hadoop => &HadoopAdapter,
-            AdapterKind::Spark => &SparkAdapter,
-            AdapterKind::Hdfs => &HdfsAdapter,
-            AdapterKind::Syslog => &SyslogAdapter,
-            AdapterKind::Json => &JsonAdapter,
-        }
+    /// The identity. Kept only because `benchmark/` calls
+    /// `AdapterKind::Json.adapter().parse_record(..)`; everything else calls
+    /// [`AdapterKind::parse_record`] directly.
+    pub fn adapter(self) -> AdapterKind {
+        self
     }
 }
 
-/// Hadoop-style (MapReduce, Tez, YARN) log4j layout adapter.
-pub struct HadoopAdapter;
-
-/// Spark-style log4j layout adapter.
-pub struct SparkAdapter;
-
-/// HDFS/BGL-style numeric header adapter.
-pub struct HdfsAdapter;
-
-/// RFC-3164 syslog adapter.
-pub struct SyslogAdapter;
-
-/// JSON-structured-line adapter.
-pub struct JsonAdapter;
-
 // lint: ingest-hot(begin)
+
+impl AdapterKind {
+    /// Normalise one raw line. Total (a typed [`FormatError`], never a
+    /// panic) and allocation-free on the accept path: the record borrows
+    /// from `line`.
+    #[inline]
+    pub fn parse_record(self, line: &str) -> Result<RawRecord<'_>, FormatError> {
+        match self {
+            AdapterKind::Hadoop => parse_hadoop(line),
+            AdapterKind::Spark => parse_spark(line),
+            AdapterKind::Hdfs => parse_hdfs(line),
+            AdapterKind::Syslog => parse_syslog(line),
+            AdapterKind::Json => parse_json(line),
+        }
+    }
+}
 
 /// Decimal field (`"190622"` → 190622). Rejects empty input, non-ASCII-digit
 /// bytes and anything that could overflow `u64`: the cap of 19 digits keeps
@@ -290,84 +282,66 @@ fn log4j_header(
     Ok((date, time, level, rest))
 }
 
-impl LineAdapter for HadoopAdapter {
-    fn name(&self) -> &'static str {
-        "hadoop"
+/// `2019-06-22 10:00:00,123 INFO [fetcher#1] org.apache.hadoop.X: message`
+/// (log4j `%d{ISO8601} %p [%t] %c: %m`). The `[thread]` part is optional
+/// and may contain spaces; stack-trace continuation lines fail the
+/// header and are rejected.
+fn parse_hadoop(line: &str) -> Result<RawRecord<'_>, FormatError> {
+    let (date, time, level, rest) = log4j_header(line, 10, '-')?;
+    let (hms, millis) = time.split_once(',').ok_or(FormatError::Timestamp("time"))?;
+    let hms = parse_triple(hms, ':').ok_or(FormatError::Timestamp("time"))?;
+    let millis = parse_digits(millis).ok_or(FormatError::Timestamp("time"))?;
+    if millis > 999 {
+        return Err(FormatError::Timestamp("range"));
     }
-
-    /// `2019-06-22 10:00:00,123 INFO [fetcher#1] org.apache.hadoop.X: message`
-    /// (log4j `%d{ISO8601} %p [%t] %c: %m`). The `[thread]` part is optional
-    /// and may contain spaces; stack-trace continuation lines fail the
-    /// header and are rejected.
-    fn parse_record<'a>(&self, line: &'a str) -> Result<RawRecord<'a>, FormatError> {
-        let (date, time, level, rest) = log4j_header(line, 10, '-')?;
-        let (hms, millis) = time.split_once(',').ok_or(FormatError::Timestamp("time"))?;
-        let hms = parse_triple(hms, ':').ok_or(FormatError::Timestamp("time"))?;
-        let millis = parse_digits(millis).ok_or(FormatError::Timestamp("time"))?;
-        if millis > 999 {
-            return Err(FormatError::Timestamp("range"));
+    let ts_ms = clock_ms(date, hms)? + millis;
+    let mut rest = rest.trim_start();
+    if rest.starts_with('[') {
+        if let Some(end) = rest.find(']') {
+            rest = rest[end + 1..].trim_start();
         }
-        let ts_ms = clock_ms(date, hms)? + millis;
-        let mut rest = rest.trim_start();
-        if rest.starts_with('[') {
-            if let Some(end) = rest.find(']') {
-                rest = rest[end + 1..].trim_start();
-            }
-        }
-        record(ts_ms, level, rest, "source")
     }
+    record(ts_ms, level, rest, "source")
 }
 
-impl LineAdapter for SparkAdapter {
-    fn name(&self) -> &'static str {
-        "spark"
-    }
-
-    /// `19/06/22 10:00:00 INFO BlockManager: message` (log4j
-    /// `%d{yy/MM/dd HH:mm:ss} %p %c{1}: %m`).
-    fn parse_record<'a>(&self, line: &'a str) -> Result<RawRecord<'a>, FormatError> {
-        let (date, time, level, rest) = log4j_header(line, 8, '/')?;
-        let hms = parse_triple(time, ':').ok_or(FormatError::Timestamp("time"))?;
-        let ts_ms = clock_ms(date, hms)?;
-        record(ts_ms, level, rest, "source")
-    }
+/// `19/06/22 10:00:00 INFO BlockManager: message` (log4j
+/// `%d{yy/MM/dd HH:mm:ss} %p %c{1}: %m`).
+fn parse_spark(line: &str) -> Result<RawRecord<'_>, FormatError> {
+    let (date, time, level, rest) = log4j_header(line, 8, '/')?;
+    let hms = parse_triple(time, ':').ok_or(FormatError::Timestamp("time"))?;
+    let ts_ms = clock_ms(date, hms)?;
+    record(ts_ms, level, rest, "source")
 }
 
-impl LineAdapter for HdfsAdapter {
-    fn name(&self) -> &'static str {
-        "hdfs"
+/// `081109 203615 148 INFO dfs.DataNode$PacketResponder: message`.
+/// Date and time are fixed-width digit runs; the third field is the
+/// log-line id (BGL) / pid, which the pipeline does not need.
+fn parse_hdfs(line: &str) -> Result<RawRecord<'_>, FormatError> {
+    let line = line.trim_end_matches(['\r', '\n']);
+    if line.trim().is_empty() {
+        return Err(FormatError::Empty);
     }
-
-    /// `081109 203615 148 INFO dfs.DataNode$PacketResponder: message`.
-    /// Date and time are fixed-width digit runs; the third field is the
-    /// log-line id (BGL) / pid, which the pipeline does not need.
-    fn parse_record<'a>(&self, line: &'a str) -> Result<RawRecord<'a>, FormatError> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.trim().is_empty() {
-            return Err(FormatError::Empty);
-        }
-        let mut it = line.splitn(5, ' ');
-        let date = it.next().ok_or(FormatError::Header("date"))?;
-        let time = it.next().ok_or(FormatError::Header("time"))?;
-        let id = it.next().ok_or(FormatError::Header("line id"))?;
-        let level_tok = it.next().ok_or(FormatError::Header("level"))?;
-        let rest = it.next().ok_or(FormatError::Header("body"))?;
-        if date.len() != 6 {
-            return Err(FormatError::Timestamp("date"));
-        }
-        let date = parse_digits(date).ok_or(FormatError::Timestamp("date"))?;
-        if time.len() != 6 {
-            return Err(FormatError::Timestamp("time"));
-        }
-        let time = parse_digits(time).ok_or(FormatError::Timestamp("time"))?;
-        parse_digits(id).ok_or(FormatError::Header("line id"))?;
-        let level = Level::parse(level_tok).ok_or(FormatError::Level)?;
-        let ts_ms = clock_ms(
-            (date / 10_000, (date / 100) % 100, date % 100),
-            (time / 10_000, (time / 100) % 100, time % 100),
-        )?;
-        record(ts_ms, level, rest, "source")
+    let mut it = line.splitn(5, ' ');
+    let date = it.next().ok_or(FormatError::Header("date"))?;
+    let time = it.next().ok_or(FormatError::Header("time"))?;
+    let id = it.next().ok_or(FormatError::Header("line id"))?;
+    let level_tok = it.next().ok_or(FormatError::Header("level"))?;
+    let rest = it.next().ok_or(FormatError::Header("body"))?;
+    if date.len() != 6 {
+        return Err(FormatError::Timestamp("date"));
     }
+    let date = parse_digits(date).ok_or(FormatError::Timestamp("date"))?;
+    if time.len() != 6 {
+        return Err(FormatError::Timestamp("time"));
+    }
+    let time = parse_digits(time).ok_or(FormatError::Timestamp("time"))?;
+    parse_digits(id).ok_or(FormatError::Header("line id"))?;
+    let level = Level::parse(level_tok).ok_or(FormatError::Level)?;
+    let ts_ms = clock_ms(
+        (date / 10_000, (date / 100) % 100, date % 100),
+        (time / 10_000, (time / 100) % 100, time % 100),
+    )?;
+    record(ts_ms, level, rest, "source")
 }
 
 /// Three-letter month → 0-based index.
@@ -390,58 +364,52 @@ fn month_index(m: &str) -> Option<u64> {
     })
 }
 
-impl LineAdapter for SyslogAdapter {
-    fn name(&self) -> &'static str {
-        "syslog"
+/// `<34>Oct 11 22:14:15 mymachine su: 'su root' failed …` (RFC 3164).
+/// Severity comes from the PRI field (`pri & 7`); the day may be
+/// space-padded (`Jun  2`). The hostname is consumed but not kept —
+/// localities live inside message bodies in this pipeline.
+///
+/// **Known limitation:** RFC-3164 timestamps carry no year, so `ts_ms`
+/// encodes only month/day/time. Within one calendar year ordering is
+/// correct, but a corpus spanning a Dec→Jan boundary wraps to a smaller
+/// timestamp and inverts ordering across the boundary (the HDFS adapter
+/// recovers the year from its `YYMMDD` date; syslog genuinely cannot).
+/// Feed year-spanning syslog corpora in per-year segments, or use a
+/// format that carries the year.
+fn parse_syslog(line: &str) -> Result<RawRecord<'_>, FormatError> {
+    let line = line.trim_end_matches(['\r', '\n']);
+    if line.trim().is_empty() {
+        return Err(FormatError::Empty);
     }
-
-    /// `<34>Oct 11 22:14:15 mymachine su: 'su root' failed …` (RFC 3164).
-    /// Severity comes from the PRI field (`pri & 7`); the day may be
-    /// space-padded (`Jun  2`). The hostname is consumed but not kept —
-    /// localities live inside message bodies in this pipeline.
-    ///
-    /// **Known limitation:** RFC-3164 timestamps carry no year, so `ts_ms`
-    /// encodes only month/day/time. Within one calendar year ordering is
-    /// correct, but a corpus spanning a Dec→Jan boundary wraps to a smaller
-    /// timestamp and inverts ordering across the boundary (the HDFS adapter
-    /// recovers the year from its `YYMMDD` date; syslog genuinely cannot).
-    /// Feed year-spanning syslog corpora in per-year segments, or use a
-    /// format that carries the year.
-    fn parse_record<'a>(&self, line: &'a str) -> Result<RawRecord<'a>, FormatError> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.trim().is_empty() {
-            return Err(FormatError::Empty);
-        }
-        let rest = line.strip_prefix('<').ok_or(FormatError::Header("PRI"))?;
-        let (pri, rest) = rest.split_once('>').ok_or(FormatError::Header("PRI"))?;
-        let pri = parse_digits(pri).ok_or(FormatError::Header("PRI"))?;
-        if pri > 191 {
-            return Err(FormatError::Header("PRI"));
-        }
-        let level = match pri % 8 {
-            0..=3 => Level::Error,
-            4 => Level::Warn,
-            5 | 6 => Level::Info,
-            _ => Level::Debug,
-        };
-        let (mon, rest) = rest.split_once(' ').ok_or(FormatError::Header("month"))?;
-        let month = month_index(mon).ok_or(FormatError::Timestamp("month"))?;
-        // space-padded day: "Jun  2" leaves a leading blank on the remainder
-        let rest = rest.strip_prefix(' ').unwrap_or(rest);
-        let (day, rest) = rest.split_once(' ').ok_or(FormatError::Header("day"))?;
-        let day = parse_digits(day).ok_or(FormatError::Timestamp("day"))?;
-        if day == 0 || day > 31 {
-            return Err(FormatError::Timestamp("day"));
-        }
-        let (hms, rest) = rest.split_once(' ').ok_or(FormatError::Header("time"))?;
-        let hms = parse_triple(hms, ':').ok_or(FormatError::Timestamp("time"))?;
-        let ts_ms = clock_ms((0, month + 1, day), hms)?;
-        // hostname, then `tag: message`
-        let (_host, rest) = rest
-            .split_once(' ')
-            .ok_or(FormatError::MissingField("host"))?;
-        record(ts_ms, level, rest, "tag")
+    let rest = line.strip_prefix('<').ok_or(FormatError::Header("PRI"))?;
+    let (pri, rest) = rest.split_once('>').ok_or(FormatError::Header("PRI"))?;
+    let pri = parse_digits(pri).ok_or(FormatError::Header("PRI"))?;
+    if pri > 191 {
+        return Err(FormatError::Header("PRI"));
     }
+    let level = match pri % 8 {
+        0..=3 => Level::Error,
+        4 => Level::Warn,
+        5 | 6 => Level::Info,
+        _ => Level::Debug,
+    };
+    let (mon, rest) = rest.split_once(' ').ok_or(FormatError::Header("month"))?;
+    let month = month_index(mon).ok_or(FormatError::Timestamp("month"))?;
+    // space-padded day: "Jun  2" leaves a leading blank on the remainder
+    let rest = rest.strip_prefix(' ').unwrap_or(rest);
+    let (day, rest) = rest.split_once(' ').ok_or(FormatError::Header("day"))?;
+    let day = parse_digits(day).ok_or(FormatError::Timestamp("day"))?;
+    if day == 0 || day > 31 {
+        return Err(FormatError::Timestamp("day"));
+    }
+    let (hms, rest) = rest.split_once(' ').ok_or(FormatError::Header("time"))?;
+    let hms = parse_triple(hms, ':').ok_or(FormatError::Timestamp("time"))?;
+    let ts_ms = clock_ms((0, month + 1, day), hms)?;
+    // hostname, then `tag: message`
+    let (_host, rest) = rest
+        .split_once(' ')
+        .ok_or(FormatError::MissingField("host"))?;
+    record(ts_ms, level, rest, "tag")
 }
 
 /// Scan one JSON string value starting *after* its opening quote; returns
@@ -476,80 +444,74 @@ fn scan_json_scalar(s: &str) -> usize {
         .unwrap_or(s.len())
 }
 
-impl LineAdapter for JsonAdapter {
-    fn name(&self) -> &'static str {
-        "json"
+/// One flat JSON object per line: `{"ts":1234,"level":"INFO",
+/// "source":"Saver","msg":"…"}`. `ts` is epoch milliseconds (numeric —
+/// the only foreign format with millisecond fidelity); unknown scalar
+/// fields are skipped; nested containers are rejected (structured log
+/// lines are flat by convention, and skipping them would need a depth
+/// stack on the hot path).
+fn parse_json(line: &str) -> Result<RawRecord<'_>, FormatError> {
+    let line = line.trim();
+    if line.is_empty() {
+        return Err(FormatError::Empty);
     }
-
-    /// One flat JSON object per line: `{"ts":1234,"level":"INFO",
-    /// "source":"Saver","msg":"…"}`. `ts` is epoch milliseconds (numeric —
-    /// the only foreign format with millisecond fidelity); unknown scalar
-    /// fields are skipped; nested containers are rejected (structured log
-    /// lines are flat by convention, and skipping them would need a depth
-    /// stack on the hot path).
-    fn parse_record<'a>(&self, line: &'a str) -> Result<RawRecord<'a>, FormatError> {
-        let line = line.trim();
-        if line.is_empty() {
-            return Err(FormatError::Empty);
+    let mut rest = line
+        .strip_prefix('{')
+        .ok_or(FormatError::Json("not an object"))?
+        .trim_start();
+    let mut ts: Option<u64> = None;
+    let mut level: Option<Level> = None;
+    let mut source: Option<&str> = None;
+    let mut message: Option<&str> = None;
+    loop {
+        if let Some(tail) = rest.strip_prefix('}') {
+            if !tail.trim().is_empty() {
+                return Err(FormatError::Json("trailing bytes"));
+            }
+            break;
         }
-        let mut rest = line
-            .strip_prefix('{')
-            .ok_or(FormatError::Json("not an object"))?
+        let body = rest
+            .strip_prefix('"')
+            .ok_or(FormatError::Json("expected key"))?;
+        let (key, used) = scan_json_string(body)?;
+        rest = body[used..].trim_start();
+        rest = rest
+            .strip_prefix(':')
+            .ok_or(FormatError::Json("expected ':'"))?
             .trim_start();
-        let mut ts: Option<u64> = None;
-        let mut level: Option<Level> = None;
-        let mut source: Option<&str> = None;
-        let mut message: Option<&str> = None;
-        loop {
-            if let Some(tail) = rest.strip_prefix('}') {
-                if !tail.trim().is_empty() {
-                    return Err(FormatError::Json("trailing bytes"));
-                }
-                break;
+        if let Some(body) = rest.strip_prefix('"') {
+            let (value, used) = scan_json_string(body)?;
+            match key {
+                "level" => level = Some(Level::parse(value).ok_or(FormatError::Level)?),
+                "source" | "logger" => source = Some(value),
+                "msg" | "message" => message = Some(value),
+                _ => {}
             }
-            let body = rest
-                .strip_prefix('"')
-                .ok_or(FormatError::Json("expected key"))?;
-            let (key, used) = scan_json_string(body)?;
             rest = body[used..].trim_start();
-            rest = rest
-                .strip_prefix(':')
-                .ok_or(FormatError::Json("expected ':'"))?
-                .trim_start();
-            if let Some(body) = rest.strip_prefix('"') {
-                let (value, used) = scan_json_string(body)?;
-                match key {
-                    "level" => level = Some(Level::parse(value).ok_or(FormatError::Level)?),
-                    "source" | "logger" => source = Some(value),
-                    "msg" | "message" => message = Some(value),
-                    _ => {}
-                }
-                rest = body[used..].trim_start();
-            } else if rest.starts_with(['{', '[']) {
-                return Err(FormatError::Json("nested container"));
-            } else {
-                let used = scan_json_scalar(rest);
-                if used == 0 {
-                    return Err(FormatError::Json("empty value"));
-                }
-                if key == "ts" {
-                    ts = Some(parse_digits(&rest[..used]).ok_or(FormatError::Timestamp("ts"))?);
-                }
-                rest = rest[used..].trim_start();
+        } else if rest.starts_with(['{', '[']) {
+            return Err(FormatError::Json("nested container"));
+        } else {
+            let used = scan_json_scalar(rest);
+            if used == 0 {
+                return Err(FormatError::Json("empty value"));
             }
-            if let Some(tail) = rest.strip_prefix(',') {
-                rest = tail.trim_start();
-            } else if !rest.starts_with('}') {
-                return Err(FormatError::Json("expected ',' or '}'"));
+            if key == "ts" {
+                ts = Some(parse_digits(&rest[..used]).ok_or(FormatError::Timestamp("ts"))?);
             }
+            rest = rest[used..].trim_start();
         }
-        Ok(RawRecord {
-            ts_ms: ts.ok_or(FormatError::MissingField("ts"))?,
-            level: level.ok_or(FormatError::MissingField("level"))?,
-            source: source.ok_or(FormatError::MissingField("source"))?,
-            message: message.ok_or(FormatError::MissingField("msg"))?,
-        })
+        if let Some(tail) = rest.strip_prefix(',') {
+            rest = tail.trim_start();
+        } else if !rest.starts_with('}') {
+            return Err(FormatError::Json("expected ',' or '}'"));
+        }
     }
+    Ok(RawRecord {
+        ts_ms: ts.ok_or(FormatError::MissingField("ts"))?,
+        level: level.ok_or(FormatError::MissingField("level"))?,
+        source: source.ok_or(FormatError::MissingField("source"))?,
+        message: message.ok_or(FormatError::MissingField("msg"))?,
+    })
 }
 
 // lint: ingest-hot(end)
@@ -560,7 +522,7 @@ mod tests {
 
     #[test]
     fn hdfs_line() {
-        let r = HdfsAdapter
+        let r = AdapterKind::Hdfs
             .parse_record(
                 "081109 203615 148 INFO dfs.DataNode$PacketResponder: \
                  PacketResponder 1 for block blk_38865049064139660 terminating",
@@ -573,10 +535,10 @@ mod tests {
 
     #[test]
     fn hdfs_timestamps_order() {
-        let a = HdfsAdapter
+        let a = AdapterKind::Hdfs
             .parse_record("081109 235959 1 INFO X: m")
             .unwrap();
-        let b = HdfsAdapter
+        let b = AdapterKind::Hdfs
             .parse_record("081110 000000 1 INFO X: m")
             .unwrap();
         assert!(b.ts_ms > a.ts_ms);
@@ -599,13 +561,13 @@ mod tests {
                 FormatError::Timestamp("range"),
             ),
         ] {
-            assert_eq!(HdfsAdapter.parse_record(line), Err(want), "{line:?}");
+            assert_eq!(AdapterKind::Hdfs.parse_record(line), Err(want), "{line:?}");
         }
     }
 
     #[test]
     fn syslog_line() {
-        let r = SyslogAdapter
+        let r = AdapterKind::Syslog
             .parse_record("<34>Oct 11 22:14:15 mymachine su: 'su root' failed for lonvick")
             .unwrap();
         assert_eq!(r.level, Level::Error); // severity 2 (critical)
@@ -615,15 +577,15 @@ mod tests {
 
     #[test]
     fn syslog_space_padded_day_and_severities() {
-        let r = SyslogAdapter
+        let r = AdapterKind::Syslog
             .parse_record("<134>Jun  2 01:02:03 host1 BlockManager: registered")
             .unwrap();
         assert_eq!(r.level, Level::Info);
-        let w = SyslogAdapter
+        let w = AdapterKind::Syslog
             .parse_record("<132>Jun 12 01:02:03 host1 X: m")
             .unwrap();
         assert_eq!(w.level, Level::Warn);
-        let d = SyslogAdapter
+        let d = AdapterKind::Syslog
             .parse_record("<135>Jun 12 01:02:03 host1 X: m")
             .unwrap();
         assert_eq!(d.level, Level::Debug);
@@ -647,13 +609,17 @@ mod tests {
                 FormatError::MissingField("tag"),
             ),
         ] {
-            assert_eq!(SyslogAdapter.parse_record(line), Err(want), "{line:?}");
+            assert_eq!(
+                AdapterKind::Syslog.parse_record(line),
+                Err(want),
+                "{line:?}"
+            );
         }
     }
 
     #[test]
     fn json_line_any_field_order() {
-        let r = JsonAdapter
+        let r = AdapterKind::Json
             .parse_record(r#"{"msg":"worker 2 finished step 10","ts":4321,"source":"learner","level":"INFO","extra":7}"#)
             .unwrap();
         assert_eq!(r.ts_ms, 4321);
@@ -667,14 +633,14 @@ mod tests {
         // Real epoch-ms timestamps have been 13 digits since 2001-09-09;
         // the digit cap must admit them (regression: a 12-digit cap made
         // every real-world JSON corpus unparseable).
-        let r = JsonAdapter
+        let r = AdapterKind::Json
             .parse_record(r#"{"ts":1754600000123,"level":"INFO","source":"X","msg":"m"}"#)
             .unwrap();
         assert_eq!(r.ts_ms, 1_754_600_000_123);
         // The largest 19-digit value still parses …
         let max = r#"{"ts":9999999999999999999,"level":"INFO","source":"X","msg":"m"}"#;
         assert_eq!(
-            JsonAdapter.parse_record(max).unwrap().ts_ms,
+            AdapterKind::Json.parse_record(max).unwrap().ts_ms,
             9_999_999_999_999_999_999
         );
         // … while 20-digit inputs (u64::MAX territory) are rejected, not
@@ -682,7 +648,7 @@ mod tests {
         for ts in ["18446744073709551615", "99999999999999999999"] {
             let line = format!(r#"{{"ts":{ts},"level":"INFO","source":"X","msg":"m"}}"#);
             assert_eq!(
-                JsonAdapter.parse_record(&line),
+                AdapterKind::Json.parse_record(&line),
                 Err(FormatError::Timestamp("ts")),
                 "{ts}"
             );
@@ -691,7 +657,7 @@ mod tests {
 
     #[test]
     fn json_escapes_stay_verbatim() {
-        let r = JsonAdapter
+        let r = AdapterKind::Json
             .parse_record(r#"{"ts":1,"level":"WARN","source":"X","msg":"path \"/tmp\\x\" gone"}"#)
             .unwrap();
         assert_eq!(r.message, r#"path \"/tmp\\x\" gone"#);
@@ -728,7 +694,7 @@ mod tests {
             ),
             (r#"{"ts":1,"level":"LOUD","source":"X","msg":"m"}"#, Level),
         ] {
-            assert_eq!(JsonAdapter.parse_record(line), Err(want), "{line:?}");
+            assert_eq!(AdapterKind::Json.parse_record(line), Err(want), "{line:?}");
         }
     }
 
@@ -856,7 +822,6 @@ mod tests {
         ];
         for (kind, line, want) in cases {
             let got = kind
-                .adapter()
                 .parse_record(line)
                 .map(|r| (r.level, r.source, r.message));
             assert_eq!(got, want, "{} {line:?}", kind.name());
@@ -866,8 +831,7 @@ mod tests {
     #[test]
     fn log4j_timestamps_order_across_day_month_and_year() {
         let ts = |kind: AdapterKind, stamp: &str| {
-            kind.adapter()
-                .parse_record(&format!("{stamp} INFO X: m"))
+            kind.parse_record(&format!("{stamp} INFO X: m"))
                 .unwrap_or_else(|e| panic!("{stamp}: {e}"))
                 .ts_ms
         };
@@ -957,7 +921,7 @@ mod tests {
             ),
         ] {
             assert_eq!(
-                kind.adapter().parse_record(line),
+                kind.parse_record(line),
                 Err(want),
                 "{} {line:?}",
                 kind.name()

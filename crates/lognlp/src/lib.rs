@@ -17,9 +17,9 @@
 //!   relations of the paper's Table 3;
 //! * [`clause`] — the "contains at least one clause" natural-language test
 //!   behind Table 1;
-//! * [`format`] — pluggable foreign log-format adapters (HDFS/BGL header,
-//!   RFC-3164 syslog, JSON lines) normalising outside corpora into the
-//!   zero-alloc span path.
+//! * [`mod@format`] — the five line syntaxes behind one `AdapterKind`
+//!   (Hadoop, Spark, HDFS/BGL header, RFC-3164 syslog, JSON lines)
+//!   normalising outside corpora into the zero-alloc span path.
 //!
 //! The paper uses OpenNLP and the Stanford parser; mature Rust equivalents
 //! do not exist, so this crate implements the required slices directly (see
@@ -41,7 +41,7 @@ pub mod token;
 pub use camel::{is_camel_compound, split_camel};
 pub use clause::is_natural_language;
 pub use depparse::{parse, Arc, Parse, UdRel};
-pub use format::{AdapterKind, FormatError, Level, LineAdapter, RawRecord};
+pub use format::{AdapterKind, FormatError, Level, RawRecord};
 pub use lemma::{singularize, singularize_phrase, verb_base};
 pub use lexicon::Lexicon;
 pub use pos::{tag, tag_key_with_sample, TaggedToken};

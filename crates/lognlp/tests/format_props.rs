@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn adapters_never_panic(line in any_line()) {
         for kind in AdapterKind::ALL {
-            let _ = kind.adapter().parse_record(&line);
+            let _ = kind.parse_record(&line);
         }
     }
 
@@ -77,10 +77,10 @@ proptest! {
             format!(r#"{{"ts":7,"level":"INFO","source":"{src}","msg":"{msg}"}}"#),
         ];
         for (kind, line) in AdapterKind::ALL.iter().zip(&lines) {
-            prop_assert!(kind.adapter().parse_record(line).is_ok(), "{line:?}");
+            prop_assert!(kind.parse_record(line).is_ok(), "{line:?}");
             let cut = cut.min(line.len());
             if line.is_char_boundary(cut) {
-                let _ = kind.adapter().parse_record(&line[..cut]);
+                let _ = kind.parse_record(&line[..cut]);
             }
         }
     }
@@ -97,7 +97,7 @@ proptest! {
         ];
         let mut stamps = Vec::new();
         for (kind, line) in &lines {
-            let rec = kind.adapter().parse_record(line).unwrap();
+            let rec = kind.parse_record(line).unwrap();
             prop_assert_eq!(rec.level, lv);
             prop_assert_eq!(rec.source, src.as_str());
             prop_assert_eq!(rec.message, msg.as_str());
@@ -111,7 +111,7 @@ proptest! {
     fn hdfs_roundtrip(msg in plain_text(), src in source_token(), lv in level(),
                       h in 0u32..24, m in 0u32..60, s in 0u32..60) {
         let line = format!("190622 {h:02}{m:02}{s:02} 77 {} {src}: {msg}", lv.as_str());
-        let rec = AdapterKind::Hdfs.adapter().parse_record(&line).unwrap();
+        let rec = AdapterKind::Hdfs.parse_record(&line).unwrap();
         prop_assert_eq!(rec.level, lv);
         prop_assert_eq!(rec.source, src.as_str());
         prop_assert_eq!(rec.message, msg.as_str());
@@ -127,7 +127,7 @@ proptest! {
             _ => 6,
         };
         let line = format!("<{pri}>Jun {day:>2} {h:02}:30:15 host3 {src}: {msg}");
-        let rec = AdapterKind::Syslog.adapter().parse_record(&line).unwrap();
+        let rec = AdapterKind::Syslog.parse_record(&line).unwrap();
         prop_assert_eq!(rec.level, lv);
         prop_assert_eq!(rec.source, src.as_str());
         prop_assert_eq!(rec.message, msg.as_str());
@@ -143,7 +143,7 @@ proptest! {
         } else {
             format!(r#"{{"msg":"{msg}","source":"{src}","level":"{}","host":"h1","ts":{ts}}}"#, lv.as_str())
         };
-        let rec = AdapterKind::Json.adapter().parse_record(&line).unwrap();
+        let rec = AdapterKind::Json.parse_record(&line).unwrap();
         prop_assert_eq!(rec.ts_ms, ts);
         prop_assert_eq!(rec.level, lv);
         prop_assert_eq!(rec.source, src.as_str());
@@ -169,7 +169,7 @@ proptest! {
             format!(r#"{{"ts":7,"level":"{}","source":"{src}","msg":"{msg}"}}"#, lv.as_str()),
         ];
         for (kind, line) in AdapterKind::ALL.iter().zip(&lines) {
-            let rec = kind.adapter().parse_record(line).unwrap();
+            let rec = kind.parse_record(line).unwrap();
             prop_assert_eq!(rec.message, msg.as_str(), "{:?}", kind);
             let mut adapted: Vec<Span> = Vec::new();
             tokenize_spans(rec.message, &mut adapted);

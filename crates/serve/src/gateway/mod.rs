@@ -1,5 +1,25 @@
 //! The gateway: one event-loop thread orchestrating every connection,
-//! tenant, and shard.
+//! tenant, and shard of this crate's data plane.
+//!
+//! One thread, many sockets: the gateway accepts line-framed protocol
+//! connections on a nonblocking listener and multiplexes them over a
+//! level-triggered sweep that sleeps in `poll(2)` when it finds nothing to
+//! do. Its parts, all private to the crate:
+//!
+//! * `poll` — nonblocking sockets, and `Poller::wait`, the `poll(2)` the
+//!   loop sleeps in; the only server-side module allowed to touch sockets
+//!   and descriptors (lint rule R5);
+//! * `conn` — per-connection read/write buffers and cursor framing
+//!   (borrowed lines, no copy between socket and parser);
+//! * `wake` — the [`IdleGate`]: how `LOAD` threads and shards (acks, queue
+//!   room) end that sleep from outside, one byte on a wake descriptor
+//!   behind a coalescing flag;
+//! * this module — the [`Gateway`] itself: verb dispatch, the per-record
+//!   router filling per-sweep line batches, hot reload, live re-sharding
+//!   (ADDSHARD / DRAINSHARD), drains.
+//!
+//! Unix only: the loop sleeps in `poll(2)` and is woken over a
+//! `UnixStream` pair.
 //!
 //! Design invariants (DESIGN.md §12):
 //!
@@ -44,19 +64,25 @@
 //!   have seen unmoved, and nothing the loop owns grows with traffic.
 //! * **Sessions pin model versions.** Hot reload (`LOAD`) swaps the
 //!   registry entry; live sessions keep their lease until they finish
-//!   (see `serve::registry`), so no verdict straddles two versions.
+//!   (see [`crate::registry`]), so no verdict straddles two versions.
 
-use crate::conn::{Conn, MAX_READ_BUFFER, MAX_WRITE_BUFFER};
-use crate::poll::{
-    AcceptFailure, AcceptOutcome, Poller, ReadOutcome, SocketAddr, Token, WriteOutcome,
+mod conn;
+mod poll;
+mod wake;
+
+pub use conn::{MAX_READ_BUFFER, MAX_WRITE_BUFFER};
+pub use wake::IdleGate;
+
+use crate::proto::parse_log_ref;
+use crate::ring::write_session_key;
+use crate::{
+    AnomalySink, Backpressure, LineBatch, Ring, SessionState, ShardHandle, ShardMetrics, ShardMsg,
+    ShardQueue, ShardSnapshot, StatsSnapshot, TenantEntry, TenantRegistry, TenantSnapshot,
+    DEFAULT_VNODES,
 };
-use crate::wake::IdleGate;
 use anomaly::Detector;
-use intellog_serve::{
-    parse_log_ref, write_session_key, AnomalySink, Backpressure, LineBatch, Ring, SessionState,
-    ShardHandle, ShardMetrics, ShardMsg, ShardQueue, ShardSnapshot, StatsSnapshot, TenantEntry,
-    TenantRegistry, TenantSnapshot, DEFAULT_VNODES,
-};
+use conn::Conn;
+use poll::{AcceptFailure, AcceptOutcome, Poller, ReadOutcome, SocketAddr, Token, WriteOutcome};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -94,7 +120,7 @@ impl Default for GatewayConfig {
             idle_timeout: Duration::from_secs(30),
             ring_capacity: 4096,
             sink_path: None,
-            default_tenant: intellog_serve::DEFAULT_TENANT.into(),
+            default_tenant: crate::DEFAULT_TENANT.into(),
         }
     }
 }
@@ -150,7 +176,7 @@ impl ReplyTo {
 /// A completed background load, reported back to the loop.
 struct LoadDone {
     reply: ReplyTo,
-    result: Result<intellog_serve::LoadOutcome, String>,
+    result: Result<crate::LoadOutcome, String>,
 }
 
 /// The acks still owed by the shards a control message was broadcast to.

@@ -19,7 +19,7 @@
 //!
 //! The wake descriptor is the read end of a `UnixStream::pair()` this
 //! module owns. [`Poller::kicker`] hands out the write end as a closure
-//! that puts one byte on it; [`IdleGate`](crate::wake::IdleGate) guards
+//! that puts one byte on it; [`IdleGate`](super::IdleGate) guards
 //! that closure with its pending flag, so other threads end the sleep
 //! without seeing a socket. `wait` drains the byte before it returns and
 //! says it did — the caller then clears the gate's flag, *before* the
@@ -169,7 +169,7 @@ impl Poller {
 
     /// A closure that ends the current (or the next) [`Poller::wait`] from
     /// any thread, by putting one byte on the wake pair. Meant to sit
-    /// behind an [`IdleGate`](crate::wake::IdleGate), whose pending flag
+    /// behind an [`IdleGate`](super::IdleGate), whose pending flag
     /// keeps it to one byte per sleep; a full pair (`WouldBlock`) already
     /// holds a byte that does the job, so the error is not one.
     pub fn kicker(&self) -> std::io::Result<impl Fn() + Send + Sync + 'static> {

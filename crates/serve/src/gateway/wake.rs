@@ -107,7 +107,7 @@ mod tests {
     /// no timeout, and one that came before the wait is not lost.
     #[test]
     fn a_wake_ends_the_pollers_sleep() {
-        let mut poller = crate::poll::Poller::bind("127.0.0.1:0").unwrap();
+        let mut poller = super::super::poll::Poller::bind("127.0.0.1:0").unwrap();
         let gate = Arc::new(IdleGate::new(poller.kicker().unwrap()));
         gate.wake();
         assert!(poller.wait(true, std::iter::empty(), None).unwrap());

@@ -31,7 +31,7 @@ pub const DEFAULT_TENANT: &str = "default";
 
 /// A parsed `LOG` line, borrowing every field from the wire line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogRef<'a> {
+pub(crate) struct LogRef<'a> {
     /// Session (container) id; never empty.
     pub session: &'a str,
     /// Timestamp in milliseconds.
@@ -47,7 +47,7 @@ pub struct LogRef<'a> {
 /// Parse `LOG\t<session>\t<ts_ms>\t<level>\t<source>\t<message>` without
 /// copying; the message is everything after the fifth tab (tabs inside it
 /// survive). This is the gateway's per-line parser.
-pub fn parse_log_ref(line: &str) -> Option<LogRef<'_>> {
+pub(crate) fn parse_log_ref(line: &str) -> Option<LogRef<'_>> {
     let mut fields = line.splitn(6, '\t');
     let _verb = fields.next()?;
     let session = fields.next().filter(|s| !s.is_empty())?;
@@ -64,7 +64,7 @@ pub fn parse_log_ref(line: &str) -> Option<LogRef<'_>> {
     })
 }
 
-/// [`parse_log_ref`] into owned values (clients, tests and `benchmark/`;
+/// `parse_log_ref` into owned values (clients, tests and `benchmark/`;
 /// the gateway never calls it).
 pub fn parse_log(line: &str) -> Option<(String, LogLine)> {
     let log = parse_log_ref(line)?;

@@ -1,11 +1,11 @@
 //! `intellog replay` — a load generator that drives simulated dlasim
 //! workloads through the serve socket and verifies the server's verdicts.
 //!
-//! The replayer renders each job's sessions, merges them into one
-//! cluster-wide timeline ([`dlasim::GenJob::merged_timeline`] — the arrival
-//! order a collector tailing every container would see), partitions the
-//! sessions across `connections` concurrent sockets (each session's stream
-//! stays on one socket, so per-session order is preserved), paces the lines
+//! The replayer renders each job's sessions, merges their lines into one
+//! cluster-wide timeline (a stable sort by timestamp — the arrival order a
+//! collector tailing every container would see), partitions the sessions
+//! across `connections` concurrent sockets (each session's stream stays on
+//! one socket, so per-session order is preserved), paces the lines
 //! at a target rate, ENDs every session, drains the server, and then
 //! compares the server's per-session reports against offline
 //! [`Detector::detect_session`] on exactly the same sessions. Serving is
@@ -98,7 +98,7 @@ pub struct ReplayOutcome {
 /// Generate the replay corpus deterministically from the seed: the same
 /// config always replays the same bytes (session ids are prefixed with the
 /// job index so multi-job replays never collide).
-pub fn generate_jobs(cfg: &ReplayConfig) -> Vec<dlasim::GenJob> {
+fn generate_jobs(cfg: &ReplayConfig) -> Vec<dlasim::GenJob> {
     let mut gen = WorkloadGen::new(cfg.seed, cfg.hosts);
     let mut jobs = Vec::new();
     for j in 0..cfg.jobs.max(1) {
@@ -139,8 +139,7 @@ fn job_sessions(job: &dlasim::GenJob, adapter: Option<AdapterKind>) -> Vec<Sessi
 /// whole stream goes to exactly one sender (round-robin by session index),
 /// so per-session line order is preserved no matter how the sockets
 /// interleave at the server. Within one job, lines from all sessions are
-/// interleaved into one cluster-wide timeline (stable sort by timestamp —
-/// for the native path this reproduces `GenJob::merged_timeline` exactly).
+/// interleaved into one cluster-wide timeline (stable sort by timestamp).
 fn plan_senders(session_jobs: &[Vec<Session>], connections: usize) -> Vec<SenderPlan> {
     let c = connections.max(1);
     let mut plans: Vec<SenderPlan> = (0..c)

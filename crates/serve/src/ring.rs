@@ -51,7 +51,7 @@ pub fn session_key(tenant: &str, session: &str) -> String {
 
 /// [`session_key`] spelled into a reused buffer (the gateway's per-line
 /// form: no allocation once the buffer has grown).
-pub fn write_session_key(key: &mut String, tenant: &str, session: &str) {
+pub(crate) fn write_session_key(key: &mut String, tenant: &str, session: &str) {
     key.clear();
     key.push_str(tenant);
     key.push('\x1f');
@@ -59,7 +59,7 @@ pub fn write_session_key(key: &mut String, tenant: &str, session: &str) {
 }
 
 /// The session id inside a routing key built for `tenant`.
-pub fn session_of<'k>(key: &'k str, tenant: &str) -> &'k str {
+pub(crate) fn session_of<'k>(key: &'k str, tenant: &str) -> &'k str {
     key.get(tenant.len() + 1..).unwrap_or(key)
 }
 

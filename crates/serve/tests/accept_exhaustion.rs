@@ -7,8 +7,7 @@
 //! process too, which is why this is a test binary of its own with one test.
 
 use anomaly::Trainer;
-use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::ServeClient;
+use intellog_serve::{Gateway, GatewayConfig, ServeClient};
 use spell::{Level, LogLine, Session};
 use std::io::{BufRead, BufReader, Write};
 // lint: allow(std-net) — the client whose connection is left in the backlog

@@ -10,7 +10,7 @@
 //! drives it in lock step (one write, then wait for the `PING` reply) and
 //! reads the counter between phases, while the loop is asleep.
 
-use intellog_gateway::{Gateway, GatewayConfig};
+use intellog_serve::{Gateway, GatewayConfig};
 use spell::{Level, LogLine, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

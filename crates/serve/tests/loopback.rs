@@ -13,9 +13,10 @@
 
 use anomaly::Detector;
 use dlasim::{FaultKind, SystemKind};
-use intellog_core::sessions_from_job;
-use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{render_log, run_replay, ModelStore, ReplayConfig, ServeClient};
+use intellog_core::training_sessions;
+use intellog_serve::{
+    render_log, run_replay, Gateway, GatewayConfig, ModelStore, ReplayConfig, ServeClient,
+};
 use lognlp::format::AdapterKind;
 use spell::{Level, LogLine, Session};
 use std::io::{BufRead, BufReader, Write};
@@ -25,20 +26,6 @@ use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use sync::Arc;
-
-fn train_sessions(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
-    let mut gen = dlasim::WorkloadGen::new(seed, 8);
-    let mut out = Vec::new();
-    for j in 0..jobs {
-        let cfg = gen.training_config(system);
-        let job = dlasim::generate(&cfg, None);
-        for (i, mut s) in sessions_from_job(&job).into_iter().enumerate() {
-            s.id = format!("train{j}_{i}_{}", s.id);
-            out.push(s);
-        }
-    }
-    out
-}
 
 fn gateway_config() -> GatewayConfig {
     GatewayConfig {
@@ -60,7 +47,7 @@ fn replay_matches_offline_via(
 ) {
     // as `intellog serve` runs: the gated obs counters land in `METRICS` too
     obs::enable();
-    let detector = Arc::new(anomaly::Trainer::default().train(&train_sessions(system, 2, 42)));
+    let detector = Arc::new(anomaly::Trainer::default().train(&training_sessions(system, 2, 42)));
     let gateway = Gateway::bind(&gateway_config(), Arc::clone(&detector)).expect("bind");
     let (addr, join) = gateway.spawn().expect("spawn gateway");
 
@@ -209,7 +196,7 @@ fn adapted_syslog_replay_matches_offline() {
 fn lines_held_back_for_room_keep_verdicts_exact() {
     let system = SystemKind::Spark;
     let detector: Arc<Detector> =
-        Arc::new(anomaly::Trainer::default().train(&train_sessions(system, 1, 42)));
+        Arc::new(anomaly::Trainer::default().train(&training_sessions(system, 1, 42)));
     let cfg = GatewayConfig {
         shards: 1,
         queue_capacity: 4, // absurdly small: the producer waits for room

@@ -6,30 +6,17 @@
 
 use anomaly::{Detector, SessionReport, Trainer};
 use dlasim::SystemKind;
-use intellog_core::{sessions_from_job, IntelLog};
-use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{run_replay, ModelStore, ReplayConfig, ServeClient, TenantRegistry};
+use intellog_core::{sessions_from_job, training_sessions, IntelLog};
+use intellog_serve::{
+    run_replay, Gateway, GatewayConfig, ModelStore, ReplayConfig, ServeClient, TenantRegistry,
+};
 use spell::Session;
 use std::path::PathBuf;
 use std::time::Duration;
 use sync::Arc;
 
-fn train_sessions(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
-    let mut gen = dlasim::WorkloadGen::new(seed, 8);
-    let mut out = Vec::new();
-    for j in 0..jobs {
-        let cfg = gen.training_config(system);
-        let job = dlasim::generate(&cfg, None);
-        for (i, mut s) in sessions_from_job(&job).into_iter().enumerate() {
-            s.id = format!("train{j}_{i}_{}", s.id);
-            out.push(s);
-        }
-    }
-    out
-}
-
 fn train(system: SystemKind, jobs: usize, seed: u64) -> Arc<Detector> {
-    Arc::new(Trainer::default().train(&train_sessions(system, jobs, seed)))
+    Arc::new(Trainer::default().train(&training_sessions(system, jobs, seed)))
 }
 
 /// Save a detector into a fresh model file under the system temp dir.
@@ -136,7 +123,7 @@ fn two_tenants_serve_concurrently_with_isolated_verdicts() {
 fn hot_reload_pins_straddling_sessions_and_spares_other_tenants() {
     // v1 is deliberately undertrained (a sliver of the corpus) so the
     // reload to the fully trained v2 visibly changes verdicts.
-    let corpus = train_sessions(SystemKind::Spark, 3, 100);
+    let corpus = training_sessions(SystemKind::Spark, 3, 100);
     let det_v1 = Arc::new(Trainer::default().train(&corpus[..2]));
     let det_v2 = Arc::new(Trainer::default().train(&corpus));
     let det_b = train(SystemKind::Spark, 1, 77);

@@ -12,9 +12,8 @@
 
 use anomaly::Detector;
 use dlasim::SystemKind;
-use intellog_core::sessions_from_job;
-use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{render_log, ServeClient};
+use intellog_core::{sessions_from_job, training_sessions};
+use intellog_serve::{render_log, Gateway, GatewayConfig, ServeClient};
 use std::io::{BufRead, BufReader, Write};
 // lint: allow(std-net) — the client side of the loopback socket; the sender
 // must block in `write_all` when the gateway stops reading.
@@ -38,16 +37,7 @@ const ROUND_DIGITS: usize = 8;
 const JOBS_PER_ROUND: usize = 6;
 
 fn trained() -> Arc<Detector> {
-    let mut gen = dlasim::WorkloadGen::new(42, 8);
-    let mut sessions = Vec::new();
-    for j in 0..2 {
-        let job = dlasim::generate(&gen.training_config(SYSTEM), None);
-        for (i, mut s) in sessions_from_job(&job).into_iter().enumerate() {
-            s.id = format!("train{j}_{i}_{}", s.id);
-            sessions.push(s);
-        }
-    }
-    Arc::new(anomaly::Trainer::default().train(&sessions))
+    Arc::new(anomaly::Trainer::default().train(&training_sessions(SYSTEM, 2, 42)))
 }
 
 /// One round on the wire: a few jobs' sessions on one cluster-wide

@@ -15,9 +15,10 @@
 
 use anomaly::{Detector, SessionReport};
 use dlasim::{FaultKind, SystemKind};
-use intellog_core::sessions_from_job;
-use intellog_gateway::{Gateway, GatewayConfig, MAX_READ_BUFFER};
-use intellog_serve::{render_log, ServeClient, StatsSnapshot, TenantRegistry};
+use intellog_core::{sessions_from_job, training_sessions};
+use intellog_serve::{
+    render_log, Gateway, GatewayConfig, ServeClient, StatsSnapshot, TenantRegistry, MAX_READ_BUFFER,
+};
 use spell::Session;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -30,16 +31,7 @@ use sync::Arc;
 const SYSTEM: SystemKind = SystemKind::MapReduce;
 
 fn trained() -> Arc<Detector> {
-    let mut gen = dlasim::WorkloadGen::new(42, 8);
-    let mut sessions = Vec::new();
-    for j in 0..2 {
-        let job = dlasim::generate(&gen.training_config(SYSTEM), None);
-        for (i, mut s) in sessions_from_job(&job).into_iter().enumerate() {
-            s.id = format!("train{j}_{i}_{}", s.id);
-            sessions.push(s);
-        }
-    }
-    Arc::new(anomaly::Trainer::default().train(&sessions))
+    Arc::new(anomaly::Trainer::default().train(&training_sessions(SYSTEM, 2, 42)))
 }
 
 /// One fault-injected job's sessions (those with at least one line).

@@ -50,6 +50,6 @@ impl LogFormat {
             LogFormat::Hadoop => AdapterKind::Hadoop,
             LogFormat::Spark => AdapterKind::Spark,
         };
-        kind.adapter().parse_record(line).ok().map(LogLine::from)
+        kind.parse_record(line).ok().map(LogLine::from)
     }
 }

@@ -288,10 +288,9 @@ fn adapted_ingest_is_allocation_free() {
     // record the expected verdicts, growing the matcher scratch.
     let mut expected: Vec<Vec<Option<spell::KeyId>>> = Vec::new();
     for (kind, lines) in &foreign {
-        let adapter = kind.adapter();
         let mut verdicts = Vec::new();
         for (line, probe) in lines.iter().zip(probes()) {
-            let rec = adapter
+            let rec = kind
                 .parse_record(line)
                 .unwrap_or_else(|e| panic!("{kind:?} rejected {line:?}: {e}"));
             assert_eq!(rec.message, probe, "{kind:?} mangled the message body");
@@ -307,9 +306,8 @@ fn adapted_ingest_is_allocation_free() {
     let before = allocations();
     for _ in 0..3 {
         for ((kind, lines), verdicts) in foreign.iter().zip(&expected) {
-            let adapter = kind.adapter();
             for (line, want) in lines.iter().zip(verdicts) {
-                let rec = match adapter.parse_record(line) {
+                let rec = match kind.parse_record(line) {
                     Ok(rec) => rec,
                     Err(_) => unreachable!("validated during warmup"),
                 };

@@ -27,7 +27,7 @@ Eight rules over the workspace's Rust sources:
                    request must never abort a shard or the gateway.
   R5  raw-net      `std::net`, `std::os::unix::net` and `std::os::fd` are
                    forbidden outside the gateway's poll core
-                   (`crates/gateway/src/poll.rs`, which owns every server
+                   (`crates/serve/src/gateway/poll.rs`, which owns every server
                    socket and the wake pair), the `poll(2)` wrapper
                    (`crates/sync/src/poll.rs`, which takes descriptors) and
                    the blocking test/replay client
@@ -64,7 +64,7 @@ within the 5 lines above suppresses that rule there, with a reason: the
 client side of a loopback socket (`std-net`), a path that is rare
 by construction inside an ingest-hot region (`alloc`), and the one counting
 global allocator that shares an atomic across threads
-(`gateway/tests/loop_zero_alloc.rs`, `std-sync`: it runs below the facade,
+(`serve/tests/loop_zero_alloc.rs`, `std-sync`: it runs below the facade,
 whose model-check hooks it must not re-enter).
 
 Exit status: 0 clean, 1 violations (printed as file:line: rule message).
@@ -100,10 +100,10 @@ R4_MODULES = (
     "crates/serve/src/metrics.rs",
     "crates/serve/src/registry.rs",
     "crates/serve/src/ring.rs",
-    "crates/gateway/src/server.rs",
-    "crates/gateway/src/conn.rs",
-    "crates/gateway/src/poll.rs",
-    "crates/gateway/src/wake.rs",
+    "crates/serve/src/gateway/mod.rs",
+    "crates/serve/src/gateway/conn.rs",
+    "crates/serve/src/gateway/poll.rs",
+    "crates/serve/src/gateway/wake.rs",
 )
 R4_PATTERN = re.compile(r"\.\s*(unwrap\s*\(\s*\)|expect\s*\()")
 
@@ -112,7 +112,7 @@ R4_PATTERN = re.compile(r"\.\s*(unwrap\s*\(\s*\)|expect\s*\()")
 # wraps the system call that sleeps on their descriptors; the client is the
 # blocking caller side.
 RAW_NET_WHITELIST = (
-    "crates/gateway/src/poll.rs",
+    "crates/serve/src/gateway/poll.rs",
     "crates/sync/src/poll.rs",
     "crates/serve/src/client.rs",
 )
@@ -429,12 +429,12 @@ def self_test() -> int:
             False,
         ),
         "raw-net fires": (
-            "crates/gateway/src/server.rs",
+            "crates/serve/src/gateway/mod.rs",
             "use std::net::TcpStream;\n",
             True,
         ),
         "raw-net whitelists the poll core": (
-            "crates/gateway/src/poll.rs",
+            "crates/serve/src/gateway/poll.rs",
             "use std::net::{TcpListener, TcpStream};\n",
             False,
         ),
@@ -444,9 +444,14 @@ def self_test() -> int:
             False,
         ),
         "raw-net ignores doc comments": (
-            "crates/gateway/src/lib.rs",
+            "crates/serve/src/lib.rs",
             "#![forbid(unsafe_code)]\n//! only poll.rs may touch std::net\n",
             False,
+        ),
+        "raw-net fires in the gateway re-export crate": (
+            "crates/gateway/src/lib.rs",
+            "#![forbid(unsafe_code)]\nuse std::net::TcpListener;\n",
+            True,
         ),
         "raw-net honors allow marker": (
             "crates/serve/src/probe.rs",
@@ -455,17 +460,17 @@ def self_test() -> int:
             False,
         ),
         "raw-net fires on descriptors outside the poll core": (
-            "crates/gateway/src/server.rs",
+            "crates/serve/src/gateway/mod.rs",
             "use std::os::fd::AsRawFd;\n",
             True,
         ),
         "raw-net fires on unix sockets outside the poll core": (
-            "crates/gateway/src/wake.rs",
+            "crates/serve/src/gateway/wake.rs",
             "use std::os::unix::net::UnixStream;\n",
             True,
         ),
         "raw-net whitelists the poll core for the wake pair": (
-            "crates/gateway/src/poll.rs",
+            "crates/serve/src/gateway/poll.rs",
             "use std::os::fd::AsRawFd;\nuse std::os::unix::net::UnixStream;\n",
             False,
         ),
@@ -480,7 +485,7 @@ def self_test() -> int:
             False,
         ),
         "no-unwrap covers the gateway event loop": (
-            "crates/gateway/src/conn.rs",
+            "crates/serve/src/gateway/conn.rs",
             "fn f(s: &str) { s.parse::<u8>().unwrap(); }\n",
             True,
         ),
@@ -516,7 +521,7 @@ def self_test() -> int:
             True,
         ),
         "ffi fires outside the sync facade": (
-            "crates/gateway/src/poll.rs",
+            "crates/serve/src/gateway/poll.rs",
             'extern "C" {\n    fn poll(fds: *mut u8, n: u64, t: i32) -> i32;\n}\n',
             True,
         ),
@@ -591,7 +596,7 @@ def self_test() -> int:
             False,
         ),
         "alloc fires in the gateway's line loop (region inside a fn body)": (
-            "crates/gateway/src/hot_loop.rs",
+            "crates/serve/src/gateway/hot_loop.rs",
             "fn process(&mut self, conn: &mut Conn) {\n"
             "    // lint: ingest-hot(begin)\n"
             "    while let Some((line, next)) = conn.next_line() {\n"
@@ -603,7 +608,7 @@ def self_test() -> int:
             True,
         ),
         "alloc spares the router's marked per-batch allocation": (
-            "crates/gateway/src/router.rs",
+            "crates/serve/src/gateway/router.rs",
             "// lint: ingest-hot(begin)\n"
             "fn place(&mut self, key: &str, message: &str) {\n"
             "    let open = match &mut self.open {\n"
@@ -645,7 +650,7 @@ def self_test() -> int:
             False,
         ),
         "exposition fires on Prometheus text outside obs": (
-            "crates/gateway/src/server.rs",
+            "crates/serve/src/gateway/mod.rs",
             "fn render(out: &mut String, v: u64) {\n"
             '    let _ = writeln!(out, "# TYPE intellog_x counter\\nintellog_x {v}");\n'
             "}\n",
@@ -659,12 +664,12 @@ def self_test() -> int:
             False,
         ),
         "exposition spares tests that parse the format": (
-            "crates/gateway/tests/loopback.rs",
+            "crates/serve/tests/loopback.rs",
             'fn family(l: &str) -> Option<&str> { l.strip_prefix("# TYPE ") }\n',
             False,
         ),
         "exposition spares a #[cfg(test)] tail and a doc comment": (
-            "crates/gateway/src/metrics_doc.rs",
+            "crates/serve/src/gateway/metrics_doc.rs",
             "/// One `# TYPE ` line per family.\n"
             "fn f() {}\n"
             "#[cfg(test)]\n"

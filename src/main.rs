@@ -19,12 +19,11 @@ mod cliargs;
 
 use cliargs::FlagSet;
 use intellog::anomaly::{Detector, Trainer};
-use intellog::core::{render_session, IntelLog};
+use intellog::core::{render_session, training_sessions, IntelLog};
 use intellog::dlasim::{FaultKind, SystemKind};
 use intellog::lognlp::format::AdapterKind;
 use intellog::spell::{LogLine, Session};
-use intellog_gateway::{Gateway, GatewayConfig};
-use intellog_serve::{ModelStore, ReplayConfig, TenantRegistry};
+use intellog_serve::{Gateway, GatewayConfig, ModelStore, ReplayConfig, TenantRegistry};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -169,10 +168,9 @@ fn parse_fault(s: &str) -> Result<FaultKind, String> {
 /// continuations, partial writes) are skipped.
 fn read_session(path: &Path, format: AdapterKind) -> Result<Session, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let adapter = format.adapter();
     let lines: Vec<LogLine> = text
         .lines()
-        .filter_map(|l| adapter.parse_record(l).ok().map(LogLine::from))
+        .filter_map(|l| format.parse_record(l).ok().map(LogLine::from))
         .collect();
     if lines.is_empty() {
         return Err(format!(
@@ -202,23 +200,6 @@ fn read_sessions(files: &[String], format: Option<String>) -> Result<Vec<Session
         .collect()
 }
 
-/// Simulated training corpus for `train --sim` / CI smoke runs.
-fn simulated_sessions(system: SystemKind, jobs: usize, seed: u64) -> Vec<Session> {
-    use intellog::core::sessions_from_job;
-    use intellog::dlasim::{self, WorkloadGen};
-    let mut gen = WorkloadGen::new(seed, 8);
-    let mut out = Vec::new();
-    for j in 0..jobs.max(1) {
-        let cfg = gen.training_config(system);
-        let job = dlasim::generate(&cfg, None);
-        for (i, mut s) in sessions_from_job(&job).into_iter().enumerate() {
-            s.id = format!("t{j}_{i}_{}", s.id);
-            out.push(s);
-        }
-    }
-    out
-}
-
 fn cmd_train(args: &[String]) -> Result<(), String> {
     let mut flags = FlagSet::new(args);
     let obs_out = obs_setup(&mut flags)?;
@@ -234,7 +215,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             if !files.is_empty() {
                 return Err("--sim and LOGFILE arguments are mutually exclusive".into());
             }
-            simulated_sessions(parse_system(&system)?, sim_jobs, seed)
+            training_sessions(parse_system(&system)?, sim_jobs.max(1), seed)
         }
         None => read_sessions(&files, format)?,
     };

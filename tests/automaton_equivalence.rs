@@ -13,8 +13,7 @@
 //! RFC-3164 syslog, JSON lines) of each system's detection corpus.
 
 use dlasim::SystemKind;
-use intellog_bench::training_sessions;
-use intellog_core::sessions_from_text;
+use intellog_core::{sessions_from_text, training_sessions};
 use lognlp::format::AdapterKind;
 use spell::SpellParser;
 

@@ -140,12 +140,12 @@ fn cli_train_graph_detect_roundtrip() {
     // The CLI detects in parallel; its output is the sequential reference's,
     // line for line, over the same files read the same way.
     let detector = intellog::serve::ModelStore::load(&model).expect("load the model");
-    let adapter = intellog::lognlp::format::AdapterKind::Spark.adapter();
+    let format = intellog::lognlp::format::AdapterKind::Spark;
     let sessions: Vec<Session> = detect_files
         .iter()
         .map(|f| {
             let text = std::fs::read_to_string(f).expect("read a log file back");
-            let records = text.lines().filter_map(|l| adapter.parse_record(l).ok());
+            let records = text.lines().filter_map(|l| format.parse_record(l).ok());
             let id = Path::new(f).file_stem().expect("a file stem");
             Session::new(id.to_string_lossy(), records.map(LogLine::from).collect())
         })

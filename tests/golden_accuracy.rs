@@ -17,10 +17,9 @@
 
 use dlasim::{ForeignFormat, RawFormat, SystemKind};
 use intellog_bench::{
-    evaluate, score, table6_jobs, training_jobs, AccuracyRow, IntelLogTool, JobScore, SemVecTool,
-    SessionDetector,
+    evaluate, score, table6_jobs, AccuracyRow, IntelLogTool, JobScore, SemVecTool, SessionDetector,
 };
-use intellog_core::{sessions_from_job, sessions_from_text, IntelLog};
+use intellog_core::{sessions_from_job, sessions_from_text, training_jobs, IntelLog};
 use intellog_serve::store::{crc32, ModelStore};
 use lognlp::format::AdapterKind;
 use std::fmt::Write as _;

@@ -26,10 +26,9 @@
 #![cfg(intellog_check)]
 
 use anomaly::SessionReport;
-use intellog_gateway::IdleGate;
 use intellog_serve::{
-    session_key, AnomalySink, Backpressure, Ring, ShardHandle, ShardMetrics, ShardMsg, ShardQueue,
-    TenantRegistry, DEFAULT_VNODES,
+    session_key, AnomalySink, Backpressure, IdleGate, Ring, ShardHandle, ShardMetrics, ShardMsg,
+    ShardQueue, TenantRegistry, DEFAULT_VNODES,
 };
 use spell::{Level, LogLine};
 use std::collections::VecDeque;

@@ -4,10 +4,12 @@
 
 use baselines::{DeepLog, LogCluster, S3Graph};
 use intellog::anomaly::Anomaly;
-use intellog::core::{sessions_from_job, sessions_from_text, IntelLog};
+use intellog::core::{
+    sessions_from_job, sessions_from_text, training_sessions as corpus, IntelLog,
+};
 use intellog::dlasim::{self, FaultKind, SystemKind, WorkloadGen};
 use intellog::lognlp::format::AdapterKind;
-use intellog_bench::{intel_messages, train_keyseqs, training_sessions as corpus};
+use intellog_bench::{intel_messages, train_keyseqs};
 
 #[test]
 fn all_three_systems_train_and_stay_clean_on_clean_jobs() {
