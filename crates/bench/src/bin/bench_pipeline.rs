@@ -10,8 +10,9 @@
 //! * `adapters[]` — per `lognlp::format` adapter (Hadoop, Spark, HDFS
 //!   header, RFC-3164 syslog, JSON lines): raw-line ingest throughput
 //!   (adapter header parse + streaming Spell, the `train --format` verb)
-//!   over the same message bodies in each syntax. `benchmark/` ingests
-//!   JSON and, through a shim, the two native syntaxes only.
+//!   over the same message bodies in each syntax, and the header parse
+//!   alone (`parse_record` over the same lines). `benchmark/` ingests JSON
+//!   and, through a shim, the two native syntaxes only.
 //!
 //! Throughputs are units/second from the median of `--reps` repetitions;
 //! each section's `rep_s` is that median, and the corpora are sized so it
@@ -37,6 +38,9 @@ const PROBES: usize = 400_000;
 const LINEAR_PROBES: usize = 4_000;
 /// MapReduce training jobs rendered per adapter (≈ 2 k lines each).
 const ADAPTER_JOBS: usize = 120;
+/// Passes over an adapter's lines per header-parse rep: one pass takes
+/// ≈ 20–40 ms, too short a rep to time.
+const PARSE_PASSES: usize = 8;
 
 #[derive(Serialize)]
 struct SpellStats {
@@ -60,13 +64,16 @@ struct SpellStats {
 /// One `lognlp::format` adapter's raw-line ingest throughput: the whole
 /// `train --format` ingestion verb — strip the header, then stream the
 /// message body through Spell parsing — over the same sessions rendered in
-/// that adapter's syntax.
+/// that adapter's syntax; and the header parse (`parse_record`) alone over
+/// the same lines.
 #[derive(Serialize)]
 struct AdapterStats {
     name: String,
     lines: usize,
     adapted_msgs_per_s: f64,
     rep_s: f64,
+    parse_msgs_per_s: f64,
+    parse_rep_s: f64,
 }
 
 #[derive(Serialize)]
@@ -206,15 +213,32 @@ fn main() {
             }
             p.len()
         });
+        let parse_rep_s = time_median(reps, || {
+            let mut bytes = 0usize;
+            for _ in 0..PARSE_PASSES {
+                for line in &lines {
+                    let rec = kind.parse_record(std::hint::black_box(line));
+                    bytes += rec.map_or(0, |r| r.message.len());
+                }
+            }
+            bytes
+        });
         let stat = AdapterStats {
             name: kind.name().to_string(),
             lines: lines.len(),
             adapted_msgs_per_s: lines.len() as f64 / rep_s,
             rep_s,
+            parse_msgs_per_s: (lines.len() * PARSE_PASSES) as f64 / parse_rep_s,
+            parse_rep_s,
         };
         eprintln!(
-            "adapter {}: {:.0} msgs/s over {} lines ({:.3} s/rep)",
-            stat.name, stat.adapted_msgs_per_s, stat.lines, stat.rep_s
+            "adapter {}: {:.0} msgs/s over {} lines ({:.3} s/rep); header parse alone {:.0} msgs/s ({:.3} s/rep)",
+            stat.name,
+            stat.adapted_msgs_per_s,
+            stat.lines,
+            stat.rep_s,
+            stat.parse_msgs_per_s,
+            stat.parse_rep_s
         );
         adapters.push(stat);
     }

@@ -187,25 +187,27 @@ impl AdapterKind {
     }
 }
 
-/// Decimal field (`"190622"` → 190622). Rejects empty input, non-ASCII-digit
-/// bytes and anything that could overflow `u64`: the cap of 19 digits keeps
-/// every accepted value below u64::MAX (which has 20 digits), and the
-/// checked fold is belt-and-braces against a future cap change. The cap
-/// comfortably admits the 13-digit epoch-millisecond timestamps real JSON
-/// corpora carry.
+/// The decimal field at the front of `s` and the bytes after it. Rejects an
+/// empty field and one over 19 digits, which keeps every value below
+/// u64::MAX (20 digits) and admits 13-digit epoch milliseconds; the checked
+/// fold is belt-and-braces against a future cap change.
 #[inline]
-fn parse_digits(s: &str) -> Option<u64> {
-    if s.is_empty() || s.len() > 19 {
+fn digit_field(s: &[u8]) -> Option<(u64, &[u8])> {
+    let len = s.iter().take_while(|b| b.is_ascii_digit()).count();
+    if len == 0 || len > 19 {
         return None;
     }
     let mut v: u64 = 0;
-    for b in s.bytes() {
-        if !b.is_ascii_digit() {
-            return None;
-        }
-        v = v.checked_mul(10)?.checked_add((b - b'0') as u64)?;
+    for &b in &s[..len] {
+        v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
     }
-    Some(v)
+    Some((v, &s[len..]))
+}
+
+/// A field that is one decimal number and nothing else (`"190622"`).
+#[inline]
+fn digits(s: &[u8]) -> Option<u64> {
+    digit_field(s).and_then(|(v, rest)| rest.is_empty().then_some(v))
 }
 
 /// A date (year, month, day) or a wall clock (hour, minute, second).
@@ -214,13 +216,25 @@ type Triple = (u64, u64, u64);
 /// Three decimal fields joined by `sep`: `2019-06-22`, `19/06/22`,
 /// `10:00:01`.
 #[inline]
-fn parse_triple(s: &str, sep: char) -> Option<Triple> {
-    let mut it = s.splitn(3, sep);
-    Some((
-        parse_digits(it.next()?)?,
-        parse_digits(it.next()?)?,
-        parse_digits(it.next()?)?,
-    ))
+fn triple(s: &[u8], sep: u8) -> Option<Triple> {
+    let (a, s) = digit_field(s)?;
+    let (b, s) = digit_field(s.strip_prefix(&[sep])?)?;
+    Some((a, b, digits(s.strip_prefix(&[sep])?)?))
+}
+
+/// `s.trim_start()`: ASCII whitespace is skipped byte by byte, and
+/// `str::trim_start` takes over at the first non-ASCII byte, so Unicode
+/// whitespace (U+00A0, U+3000, …) is skipped as before.
+#[inline]
+fn trim_start(s: &str) -> &str {
+    let mut i = 0;
+    loop {
+        match s.as_bytes().get(i) {
+            Some(b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r') => i += 1,
+            Some(0x80..) => return s[i..].trim_start(),
+            _ => return &s[i..],
+        }
+    }
 }
 
 /// Calendar date and wall clock → milliseconds on a day count that orders
@@ -236,8 +250,9 @@ fn clock_ms((yy, mm, dd): Triple, (h, m, s): Triple) -> Result<u64, FormatError>
     Ok((((day * 24 + h) * 60 + m) * 60 + s) * 1000)
 }
 
-/// The `source: message` body every header-style syntax ends in; `field`
-/// names the source part in the rejection.
+/// The `source: message` body every header-style syntax ends in, cut at
+/// the first `:` followed by a space; `field` names the source part in the
+/// rejection.
 #[inline]
 fn record<'a>(
     ts_ms: u64,
@@ -245,41 +260,43 @@ fn record<'a>(
     body: &'a str,
     field: &'static str,
 ) -> Result<RawRecord<'a>, FormatError> {
-    let (source, message) = body
-        .split_once(": ")
+    let cut = body
+        .as_bytes()
+        .windows(2)
+        .position(|w| w[0] == b':' && w[1] == b' ')
         .ok_or(FormatError::MissingField(field))?;
     Ok(RawRecord {
         ts_ms,
         level,
-        source,
-        message,
+        source: &body[..cut],
+        message: &body[cut + 2..],
     })
 }
 
 /// The header both log4j layouts share — `DATE TIME LEVEL rest`, the date
-/// `date_len` bytes of three `sep`-joined decimal fields — split into
-/// (date triple, time field, level, rest).
+/// `date_len` bytes of three `sep`-joined decimal fields — cut at its first
+/// three spaces into (date triple, time field, level, rest).
 #[inline]
 fn log4j_header(
     line: &str,
     date_len: usize,
-    sep: char,
-) -> Result<(Triple, &str, Level, &str), FormatError> {
+    sep: u8,
+) -> Result<(Triple, &[u8], Level, &str), FormatError> {
     let line = line.trim_end_matches(['\r', '\n']);
-    if line.trim().is_empty() {
+    if trim_start(line).is_empty() {
         return Err(FormatError::Empty);
     }
-    let mut it = line.splitn(4, ' ');
-    let date = it.next().ok_or(FormatError::Header("date"))?;
-    let time = it.next().ok_or(FormatError::Header("time"))?;
-    let level = it.next().ok_or(FormatError::Header("level"))?;
-    let rest = it.next().ok_or(FormatError::Header("body"))?;
-    if date.len() != date_len {
+    let b = line.as_bytes();
+    let space = |from: usize| b[from..].iter().position(|&c| c == b' ').map(|i| from + i);
+    let time = space(0).ok_or(FormatError::Header("time"))?;
+    let level_at = space(time + 1).ok_or(FormatError::Header("level"))?;
+    let rest = space(level_at + 1).ok_or(FormatError::Header("body"))?;
+    if time != date_len {
         return Err(FormatError::Timestamp("date"));
     }
-    let date = parse_triple(date, sep).ok_or(FormatError::Timestamp("date"))?;
-    let level = Level::parse(level).ok_or(FormatError::Level)?;
-    Ok((date, time, level, rest))
+    let date = triple(&b[..time], sep).ok_or(FormatError::Timestamp("date"))?;
+    let level = Level::parse(&line[level_at + 1..rest]).ok_or(FormatError::Level)?;
+    Ok((date, &b[time + 1..level_at], level, &line[rest + 1..]))
 }
 
 /// `2019-06-22 10:00:00,123 INFO [fetcher#1] org.apache.hadoop.X: message`
@@ -287,18 +304,19 @@ fn log4j_header(
 /// and may contain spaces; stack-trace continuation lines fail the
 /// header and are rejected.
 fn parse_hadoop(line: &str) -> Result<RawRecord<'_>, FormatError> {
-    let (date, time, level, rest) = log4j_header(line, 10, '-')?;
-    let (hms, millis) = time.split_once(',').ok_or(FormatError::Timestamp("time"))?;
-    let hms = parse_triple(hms, ':').ok_or(FormatError::Timestamp("time"))?;
-    let millis = parse_digits(millis).ok_or(FormatError::Timestamp("time"))?;
+    let (date, time, level, rest) = log4j_header(line, 10, b'-')?;
+    let comma = time.iter().position(|&b| b == b',');
+    let (hms, millis) = time.split_at(comma.ok_or(FormatError::Timestamp("time"))?);
+    let hms = triple(hms, b':').ok_or(FormatError::Timestamp("time"))?;
+    let millis = digits(&millis[1..]).ok_or(FormatError::Timestamp("time"))?;
     if millis > 999 {
         return Err(FormatError::Timestamp("range"));
     }
     let ts_ms = clock_ms(date, hms)? + millis;
-    let mut rest = rest.trim_start();
+    let mut rest = trim_start(rest);
     if rest.starts_with('[') {
-        if let Some(end) = rest.find(']') {
-            rest = rest[end + 1..].trim_start();
+        if let Some(end) = rest.bytes().position(|b| b == b']') {
+            rest = trim_start(&rest[end + 1..]);
         }
     }
     record(ts_ms, level, rest, "source")
@@ -307,8 +325,8 @@ fn parse_hadoop(line: &str) -> Result<RawRecord<'_>, FormatError> {
 /// `19/06/22 10:00:00 INFO BlockManager: message` (log4j
 /// `%d{yy/MM/dd HH:mm:ss} %p %c{1}: %m`).
 fn parse_spark(line: &str) -> Result<RawRecord<'_>, FormatError> {
-    let (date, time, level, rest) = log4j_header(line, 8, '/')?;
-    let hms = parse_triple(time, ':').ok_or(FormatError::Timestamp("time"))?;
+    let (date, time, level, rest) = log4j_header(line, 8, b'/')?;
+    let hms = triple(time, b':').ok_or(FormatError::Timestamp("time"))?;
     let ts_ms = clock_ms(date, hms)?;
     record(ts_ms, level, rest, "source")
 }
@@ -330,12 +348,12 @@ fn parse_hdfs(line: &str) -> Result<RawRecord<'_>, FormatError> {
     if date.len() != 6 {
         return Err(FormatError::Timestamp("date"));
     }
-    let date = parse_digits(date).ok_or(FormatError::Timestamp("date"))?;
+    let date = digits(date.as_bytes()).ok_or(FormatError::Timestamp("date"))?;
     if time.len() != 6 {
         return Err(FormatError::Timestamp("time"));
     }
-    let time = parse_digits(time).ok_or(FormatError::Timestamp("time"))?;
-    parse_digits(id).ok_or(FormatError::Header("line id"))?;
+    let time = digits(time.as_bytes()).ok_or(FormatError::Timestamp("time"))?;
+    digits(id.as_bytes()).ok_or(FormatError::Header("line id"))?;
     let level = Level::parse(level_tok).ok_or(FormatError::Level)?;
     let ts_ms = clock_ms(
         (date / 10_000, (date / 100) % 100, date % 100),
@@ -383,7 +401,7 @@ fn parse_syslog(line: &str) -> Result<RawRecord<'_>, FormatError> {
     }
     let rest = line.strip_prefix('<').ok_or(FormatError::Header("PRI"))?;
     let (pri, rest) = rest.split_once('>').ok_or(FormatError::Header("PRI"))?;
-    let pri = parse_digits(pri).ok_or(FormatError::Header("PRI"))?;
+    let pri = digits(pri.as_bytes()).ok_or(FormatError::Header("PRI"))?;
     if pri > 191 {
         return Err(FormatError::Header("PRI"));
     }
@@ -398,12 +416,12 @@ fn parse_syslog(line: &str) -> Result<RawRecord<'_>, FormatError> {
     // space-padded day: "Jun  2" leaves a leading blank on the remainder
     let rest = rest.strip_prefix(' ').unwrap_or(rest);
     let (day, rest) = rest.split_once(' ').ok_or(FormatError::Header("day"))?;
-    let day = parse_digits(day).ok_or(FormatError::Timestamp("day"))?;
+    let day = digits(day.as_bytes()).ok_or(FormatError::Timestamp("day"))?;
     if day == 0 || day > 31 {
         return Err(FormatError::Timestamp("day"));
     }
     let (hms, rest) = rest.split_once(' ').ok_or(FormatError::Header("time"))?;
-    let hms = parse_triple(hms, ':').ok_or(FormatError::Timestamp("time"))?;
+    let hms = triple(hms.as_bytes(), b':').ok_or(FormatError::Timestamp("time"))?;
     let ts_ms = clock_ms((0, month + 1, day), hms)?;
     // hostname, then `tag: message`
     let (_host, rest) = rest
@@ -416,24 +434,36 @@ fn parse_syslog(line: &str) -> Result<RawRecord<'_>, FormatError> {
 /// (inner slice, offset one past the closing quote). Escape sequences are
 /// validated for balance but left **verbatim** in the slice — decoding
 /// would allocate, and Spell treats the rare escaped byte pair as opaque
-/// token text.
+/// token text. It reads eight bytes at a time: a word with no `"` or `\` is
+/// skipped whole, and otherwise its lowest flagged byte is the first one
+/// (the zero-byte test's borrow only runs upward).
 #[inline]
 fn scan_json_string(s: &str) -> Result<(&str, usize), FormatError> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let flags = |w: u64, b: u8| {
+        let x = w ^ (ONES * u64::from(b));
+        x.wrapping_sub(ONES) & !x & (ONES << 7)
+    };
     let bytes = s.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Ok((&s[..i], i + 1)),
-            b'\\' => {
-                if i + 1 >= bytes.len() {
-                    return Err(FormatError::Json("truncated escape"));
-                }
-                i += 2;
+    loop {
+        while let Some(word) = bytes[i..].first_chunk::<8>() {
+            let w = u64::from_le_bytes(*word);
+            let hits = flags(w, b'"') | flags(w, b'\\');
+            if hits != 0 {
+                i += hits.trailing_zeros() as usize / 8;
+                break;
             }
-            _ => i += 1,
+            i += 8;
+        }
+        match bytes.get(i) {
+            None => return Err(FormatError::Json("unterminated string")),
+            Some(b'"') => return Ok((&s[..i], i + 1)),
+            Some(b'\\') if i + 1 < bytes.len() => i += 2,
+            Some(b'\\') => return Err(FormatError::Json("truncated escape")),
+            Some(_) => i += 1,
         }
     }
-    Err(FormatError::Json("unterminated string"))
 }
 
 /// Byte length of one scalar JSON value (number / true / false / null).
@@ -455,10 +485,10 @@ fn parse_json(line: &str) -> Result<RawRecord<'_>, FormatError> {
     if line.is_empty() {
         return Err(FormatError::Empty);
     }
-    let mut rest = line
-        .strip_prefix('{')
-        .ok_or(FormatError::Json("not an object"))?
-        .trim_start();
+    let mut rest = trim_start(
+        line.strip_prefix('{')
+            .ok_or(FormatError::Json("not an object"))?,
+    );
     let mut ts: Option<u64> = None;
     let mut level: Option<Level> = None;
     let mut source: Option<&str> = None;
@@ -474,11 +504,11 @@ fn parse_json(line: &str) -> Result<RawRecord<'_>, FormatError> {
             .strip_prefix('"')
             .ok_or(FormatError::Json("expected key"))?;
         let (key, used) = scan_json_string(body)?;
-        rest = body[used..].trim_start();
-        rest = rest
-            .strip_prefix(':')
-            .ok_or(FormatError::Json("expected ':'"))?
-            .trim_start();
+        rest = trim_start(&body[used..]);
+        rest = trim_start(
+            rest.strip_prefix(':')
+                .ok_or(FormatError::Json("expected ':'"))?,
+        );
         if let Some(body) = rest.strip_prefix('"') {
             let (value, used) = scan_json_string(body)?;
             match key {
@@ -487,7 +517,7 @@ fn parse_json(line: &str) -> Result<RawRecord<'_>, FormatError> {
                 "msg" | "message" => message = Some(value),
                 _ => {}
             }
-            rest = body[used..].trim_start();
+            rest = trim_start(&body[used..]);
         } else if rest.starts_with(['{', '[']) {
             return Err(FormatError::Json("nested container"));
         } else {
@@ -496,12 +526,12 @@ fn parse_json(line: &str) -> Result<RawRecord<'_>, FormatError> {
                 return Err(FormatError::Json("empty value"));
             }
             if key == "ts" {
-                ts = Some(parse_digits(&rest[..used]).ok_or(FormatError::Timestamp("ts"))?);
+                ts = Some(digits(&rest.as_bytes()[..used]).ok_or(FormatError::Timestamp("ts"))?);
             }
-            rest = rest[used..].trim_start();
+            rest = trim_start(&rest[used..]);
         }
         if let Some(tail) = rest.strip_prefix(',') {
-            rest = tail.trim_start();
+            rest = trim_start(tail);
         } else if !rest.starts_with('}') {
             return Err(FormatError::Json("expected ',' or '}'"));
         }
@@ -515,6 +545,9 @@ fn parse_json(line: &str) -> Result<RawRecord<'_>, FormatError> {
 }
 
 // lint: ingest-hot(end)
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -826,6 +859,119 @@ mod tests {
                 .map(|r| (r.level, r.source, r.message));
             assert_eq!(got, want, "{} {line:?}", kind.name());
         }
+    }
+
+    /// Every line the tests in this module hand an adapter.
+    const FIXTURES: &[&str] = &[
+        "081109 203615 148 INFO dfs.DataNode$PacketResponder: PacketResponder 1 for block blk_38865049064139660 terminating",
+        "081109 235959 1 INFO X: m",
+        "081110 000000 1 INFO X: m",
+        "",
+        "081109",
+        "081109 203615 xx INFO X: m",
+        "0811 203615 148 INFO X: m",
+        "081109 203615 148 NOPE X: m",
+        "081109 203615 148 INFO no-colon",
+        "081199 203615 148 INFO X: m",
+        "<34>Oct 11 22:14:15 mymachine su: 'su root' failed for lonvick",
+        "<134>Jun  2 01:02:03 host1 BlockManager: registered",
+        "<132>Jun 12 01:02:03 host1 X: m",
+        "<135>Jun 12 01:02:03 host1 X: m",
+        "   ",
+        "no pri at all",
+        "<999>Jun 2 01:02:03 h X: m",
+        "<34>Nop 2 01:02:03 h X: m",
+        "<34>Jun 42 01:02:03 h X: m",
+        "<34>Jun 2 99:02:03 h X: m",
+        "<34>Jun 2 01:02:03 hostonly",
+        "<34>Jun 2 01:02:03 h no-tag-colon",
+        r#"{"msg":"worker 2 finished step 10","ts":4321,"source":"learner","level":"INFO","extra":7}"#,
+        r#"{"ts":1754600000123,"level":"INFO","source":"X","msg":"m"}"#,
+        r#"{"ts":9999999999999999999,"level":"INFO","source":"X","msg":"m"}"#,
+        r#"{"ts":18446744073709551615,"level":"INFO","source":"X","msg":"m"}"#,
+        r#"{"ts":99999999999999999999,"level":"INFO","source":"X","msg":"m"}"#,
+        r#"{"ts":1,"level":"WARN","source":"X","msg":"path \"/tmp\\x\" gone"}"#,
+        "not json",
+        r#"{"ts":1,"level":"INFO","source":"X""#,
+        r#"{"msg":"truncat"#,
+        r#"{"msg":"bad \"#,
+        r#"{"nested":{"a":1}}"#,
+        r#"{"ts":1,"level":"INFO","source":"X","msg":"m"} tail"#,
+        r#"{"ts":1,"level":"INFO","msg":"m"}"#,
+        r#"{"level":"INFO","source":"X","msg":"m"}"#,
+        r#"{"ts":9e9,"level":"INFO","source":"X","msg":"m"}"#,
+        r#"{"ts":1,"level":"LOUD","source":"X","msg":"m"}"#,
+        "2019-06-22 10:00:01,123 INFO [fetcher#1] org.apache.hadoop.mapreduce.task.reduce.Fetcher: fetcher # 1 about to shuffle output of map attempt_01",
+        "2019-06-22 10:00:01,123 WARN org.apache.hadoop.yarn.NodeManager: Container killed on request",
+        "2015-10-18 18:01:47,978 INFO [IPC Server handler 3 on 8020] org.apache.hadoop.ipc.Server: IPC Server handler 3 on 8020: starting",
+        "2015-10-18 18:01:50,353 INFO  [main] org.apache.hadoop.hdfs.server.datanode.DataNode$DataTransfer: Transmitted blk_1 to /10.0.0.2:50010",
+        "17/06/09 20:10:46 INFO storage.BlockManager: Found block rdd_2_0 locally: size: 16.0 B",
+        "17/06/09 20:10:40 ERROR executor.CoarseGrainedExecutorBackend$: RECEIVED SIGNAL 15: SIGTERM\r\n",
+        "17/06/09 20:10:40 INFO Executor: ",
+        "17/06/09 20:10:40 INFO Executor:",
+        "2015-10-18 18:01:47,978 INFO [main] no separator here",
+        "\tat org.apache.hadoop.ipc.Client.call(Client.java:1476)",
+        "java.net.ConnectException: Connection refused; For more details see:  http://wiki.apache.org/hadoop/ConnectionRefused",
+        "java.io.IOException: Connection refused",
+        "17/06/09 20:10:40 LOUD Executor: m",
+        "\r\n",
+        "2019-06-22 23:59:59,998 INFO X: m",
+        "2019-06-22 23:59:59,999 INFO X: m",
+        "2019-06-23 00:00:00,000 INFO X: m",
+        "2019-06-30 23:59:59,999 INFO X: m",
+        "2019-07-01 00:00:00,000 INFO X: m",
+        "2019-12-31 23:59:59,999 INFO X: m",
+        "2020-01-01 00:00:00,000 INFO X: m",
+        "19/06/22 23:59:58 INFO X: m",
+        "19/06/22 23:59:59 INFO X: m",
+        "19/06/23 00:00:00 INFO X: m",
+        "19/06/30 23:59:59 INFO X: m",
+        "19/07/01 00:00:00 INFO X: m",
+        "19/12/31 23:59:59 INFO X: m",
+        "20/01/01 00:00:00 INFO X: m",
+        "2019-06-22 99:99:99,000 INFO X: m",
+        "2019-13-22 10:00:00,000 INFO X: m",
+        "2019-06-22 10:00:00,1000 INFO X: m",
+        "2019-06-22 10:00:00 INFO X: m",
+        "2019-06-2x 10:00:00,000 INFO X: m",
+        "19/06/22 99:99:99 INFO X: m",
+        "19/06/32 10:00:00 INFO X: m",
+        "19/06/22 10:00 INFO X: m",
+        "2019/06/22 10:00:00 INFO X: m",
+    ];
+
+    /// The byte scanners answer exactly what the parsers they replaced
+    /// answer (`oracle`), record for record and error for error, in every
+    /// syntax: on each fixture line, on every prefix of it (a partial write)
+    /// and on every line one character away from it.
+    #[test]
+    fn scanners_equal_the_oracle_around_every_fixture() {
+        let swaps = [
+            ' ', '\r', '\n', '\t', ':', ',', '/', '-', '[', ']', '"', '\\', '0', '9', 'é',
+        ];
+        let mut checked = 0usize;
+        let mut check = |line: &str| {
+            for kind in AdapterKind::ALL {
+                assert_eq!(
+                    kind.parse_record(line),
+                    oracle::parse_record(kind, line),
+                    "{} {line:?}",
+                    kind.name()
+                );
+            }
+            checked += 1;
+        };
+        for fixture in FIXTURES {
+            check(fixture);
+            for (at, c) in fixture.char_indices() {
+                check(&fixture[..at]);
+                for swap in swaps {
+                    let after = &fixture[at + c.len_utf8()..];
+                    check(&format!("{}{swap}{after}", &fixture[..at]));
+                }
+            }
+        }
+        assert!(checked > 40_000, "{checked}");
     }
 
     #[test]

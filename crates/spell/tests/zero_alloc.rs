@@ -213,64 +213,72 @@ fn steady_state_training_line_is_allocation_free() {
 }
 
 /// The probe corpus rendered in each adapter's syntax, with headers typical
-/// of that format. Message bodies are the exact probe lines, so the
-/// adapted ingest exercises the same hit/miss mix as the bare-message test.
+/// of that format and the less common shapes each adapter branches on:
+/// CRLF endings, `%-5p`-padded levels, Hadoop lines without a `[thread]`,
+/// and JSON with escapes, an extra field and a 13-digit `ts`. Message
+/// bodies are the exact probe lines, so the adapted ingest exercises the
+/// same hit/miss mix as the bare-message test.
 fn foreign_probes() -> Vec<(lognlp::format::AdapterKind, Vec<String>)> {
     use lognlp::format::AdapterKind;
     let probes = probes();
+    let render = |line: &dyn Fn(usize, &str) -> String| -> Vec<String> {
+        probes.iter().enumerate().map(|(i, m)| line(i, m)).collect()
+    };
     vec![
         (
             AdapterKind::Hadoop,
-            probes
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    format!(
-                        "2019-06-22 01:{:02}:{:02},{:03} INFO [task {i}] spell.Task: {m}",
-                        i / 60,
-                        i % 60,
-                        i % 1000
-                    )
-                })
-                .collect(),
+            render(&|i, m| {
+                let stamp = format!("2019-06-22 01:{:02}:{:02},{:03}", i / 60, i % 60, i % 1000);
+                match i % 4 {
+                    0 => format!("{stamp} INFO [task {i}] spell.Task: {m}"),
+                    1 => format!("{stamp} INFO [task {i}] spell.Task: {m}\r\n"),
+                    2 => format!("{stamp} WARN  [task {i}] spell.Task: {m}"),
+                    _ => format!("{stamp} INFO spell.Task: {m}"),
+                }
+            }),
         ),
         (
             AdapterKind::Spark,
-            probes
-                .iter()
-                .enumerate()
-                .map(|(i, m)| format!("19/06/22 01:{:02}:{:02} INFO Task: {m}", i / 60, i % 60))
-                .collect(),
+            render(&|i, m| {
+                let stamp = format!("19/06/22 01:{:02}:{:02}", i / 60, i % 60);
+                match i % 3 {
+                    0 => format!("{stamp} INFO Task: {m}"),
+                    1 => format!("{stamp} INFO Task: {m}\r\n"),
+                    _ => format!("{stamp} WARN  Task: {m}"),
+                }
+            }),
         ),
         (
             AdapterKind::Hdfs,
-            probes
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    format!(
-                        "190622 01{:02}{:02} 148 INFO spell.Task: {m}",
-                        i / 60,
-                        i % 60
-                    )
-                })
-                .collect(),
+            render(&|i, m| {
+                let eol = if i % 2 == 1 { "\r\n" } else { "" };
+                format!(
+                    "190622 01{:02}{:02} 148 INFO spell.Task: {m}{eol}",
+                    i / 60,
+                    i % 60
+                )
+            }),
         ),
         (
             AdapterKind::Syslog,
-            probes
-                .iter()
-                .enumerate()
-                .map(|(i, m)| format!("<134>Jun 22 01:{:02}:{:02} host3 Task: {m}", i / 60, i % 60))
-                .collect(),
+            render(&|i, m| {
+                let eol = if i % 2 == 1 { "\r\n" } else { "" };
+                format!(
+                    "<134>Jun 22 01:{:02}:{:02} host3 Task: {m}{eol}",
+                    i / 60,
+                    i % 60
+                )
+            }),
         ),
         (
             AdapterKind::Json,
-            probes
-                .iter()
-                .enumerate()
-                .map(|(i, m)| format!(r#"{{"ts":{i},"level":"INFO","source":"Task","msg":"{m}"}}"#))
-                .collect(),
+            render(&|i, m| match i % 3 {
+                0 => format!(r#"{{"ts":{i},"level":"INFO","source":"Task","msg":"{m}"}}"#),
+                1 => format!(r#"{{"ts":{i},"level":"INFO","source":"Task","msg":"{m}"}}"#) + "\r\n",
+                _ => format!(
+                    r#"{{"ts":1754600000{i:03},"level":"INFO","note":"a \"quoted\" C:\\path","extra":7,"source":"Task","msg":"{m}"}}"#
+                ),
+            }),
         ),
     ]
 }

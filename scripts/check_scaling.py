@@ -9,7 +9,8 @@ Three fresh inputs, measured on the host that runs the gate:
   END_TO_END  `benchmark/ --seed 11 --seconds 3 --trace 0 --out ...`
   LAYERS      the same with `--trace 1`
   PIPELINE    `bench_pipeline --out ...` (automaton/linear ratio and the
-              per-adapter ingest rows, which `benchmark/` does not have)
+              per-adapter ingest and header-parse rows, which `benchmark/`
+              does not have)
 
 and the checked-in references beside `BENCHMARK.json`:
 `BENCH_end_to_end.json` (the verbatim `--out` of
@@ -21,7 +22,8 @@ One rule for absolute numbers: a fresh value may not be worse than
 TOLERANCE x its reference, in the metric's own `better` direction as
 `BENCHMARK.json` declares it — every end-to-end metric but `setup_s`
 (printed, not judged, as benchmark/check_spread.py does) on every
-workload, and every adapter's msgs/s.
+workload, and every adapter's msgs/s, with Spell (`adapted_msgs_per_s`)
+and without (`parse_msgs_per_s`).
 
 Self-relative invariants, from the fresh documents alone: every workload
 verified its outputs with no failed operation; parallel detection beats
@@ -135,14 +137,15 @@ def check(end_to_end, layers, pipeline, ref_end_to_end, ref_pipeline, contract):
                 gate(gid, None, f"{fresh['value']:.4g} (reference {ref:.4g})")
             else:
                 against_reference(gid, fresh["value"], ref, m["better"])
-    fresh_adapters = {a["name"]: a["adapted_msgs_per_s"] for a in pipeline["adapters"]}
+    fresh_adapters = {a["name"]: a for a in pipeline["adapters"]}
     for ref in ref_pipeline["adapters"]:
-        gid = f"adapter.{ref['name']}"
-        if ref["name"] in fresh_adapters:
-            rate = fresh_adapters[ref["name"]]
-            against_reference(gid, rate, ref["adapted_msgs_per_s"], "higher")
-        else:
-            gate(gid, False, "adapter missing from the report")
+        fresh = fresh_adapters.get(ref["name"])
+        if fresh is None:
+            gate(f"adapter.{ref['name']}", False, "adapter missing from the report")
+            continue
+        for gid, rate in (("adapter", "adapted_msgs_per_s"), ("parse", "parse_msgs_per_s")):
+            gid = f"{gid}.{ref['name']}"
+            against_reference(gid, fresh.get(rate, 0.0), ref[rate], "higher")
 
     # --- self-relative invariants -----------------------------------------
     ratio = pipeline["spell"]["index_speedup"]
@@ -253,7 +256,10 @@ def self_test() -> int:
     )
     pipeline = {
         "spell": {"index_speedup": 100.0},
-        "adapters": [{"name": n, "adapted_msgs_per_s": 7e5} for n in ("hadoop", "json")],
+        "adapters": [
+            {"name": n, "adapted_msgs_per_s": 7e5, "parse_msgs_per_s": 5e6}
+            for n in ("hadoop", "json")
+        ],
     }
 
     def value(d, w, name, v):
@@ -353,6 +359,14 @@ def self_test() -> int:
         "an adapter at half its reference": (
             lambda e, l, p: p["adapters"][1].update(adapted_msgs_per_s=3.5e5),
             "adapter.json",
+        ),
+        "a header parse at half its reference": (
+            lambda e, l, p: p["adapters"][0].update(parse_msgs_per_s=2.5e6),
+            "parse.hadoop",
+        ),
+        "a header parse at 0.7x passes": (
+            lambda e, l, p: p["adapters"][1].update(parse_msgs_per_s=3.5e6),
+            None,
         ),
         "a missing adapter": (lambda e, l, p: p["adapters"].pop(0), "adapter.hadoop"),
         "ratio 2.9": (lambda e, l, p: p["spell"].update(index_speedup=2.9), "ratio"),

@@ -165,10 +165,12 @@ fn parse_fault(s: &str) -> Result<FaultKind, String> {
 }
 
 /// Read one log file as a session; lines the adapter rejects (stack-trace
-/// continuations, partial writes) are skipped.
+/// continuations, partial writes) are skipped. Bytes that are not UTF-8
+/// become U+FFFD, as on the gateway's wire, so one bad byte costs its line
+/// a character and not the file.
 fn read_session(path: &Path, format: AdapterKind) -> Result<Session, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let lines: Vec<LogLine> = text
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let lines: Vec<LogLine> = String::from_utf8_lossy(&bytes)
         .lines()
         .filter_map(|l| format.parse_record(l).ok().map(LogLine::from))
         .collect();

@@ -211,6 +211,88 @@ fn cli_metrics_cover_every_pipeline_stage() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A log file with a byte that is not UTF-8 trains and detects: the byte
+/// becomes U+FFFD in its own line, as on the gateway's wire, and every other
+/// line reads as before. The CLI's model and reports equal those built
+/// in-process from the files decoded that way.
+#[test]
+fn cli_reads_invalid_utf8_as_replacement_characters() {
+    let bin = env!("CARGO_BIN_EXE_intellog");
+    let dir = std::env::temp_dir().join(format!("intellog-cli-utf8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("cannot create temp dir {}: {e}", dir.display()));
+    let files = write_job_logs(&dir, &dlasim::generate(&cfg(4), None), "job");
+    let clean = std::fs::read_to_string(&files[0]).expect("read a log file back");
+    let lines: Vec<&str> = clean.lines().collect();
+    let k = lines.len() / 2;
+    let at = lines[k].find(": ").expect("a Spark line") + 4;
+    let mut corrupt = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if i > 0 {
+            corrupt.push(b'\n');
+        }
+        corrupt.extend_from_slice(line.as_bytes());
+        if i == k {
+            corrupt.insert(corrupt.len() - line.len() + at, 0xFF);
+        }
+    }
+    std::fs::write(&files[0], &corrupt).expect("write the corrupt log file");
+
+    let format = intellog::lognlp::format::AdapterKind::Spark;
+    let sessions: Vec<Session> = files
+        .iter()
+        .map(|f| {
+            let bytes = std::fs::read(f).expect("read a log file back");
+            let text = String::from_utf8_lossy(&bytes);
+            let records = text.lines().filter_map(|l| format.parse_record(l).ok());
+            let id = Path::new(f).file_stem().expect("a file stem");
+            Session::new(id.to_string_lossy(), records.map(LogLine::from).collect())
+        })
+        .collect();
+    let decoded = String::from_utf8_lossy(&corrupt);
+    for (i, (got, want)) in decoded.lines().zip(&lines).enumerate() {
+        if i == k {
+            assert_eq!(got, format!("{}\u{FFFD}{}", &want[..at], &want[at..]));
+        } else {
+            assert_eq!(got, *want);
+        }
+    }
+
+    let model = dir.join("model.ilm");
+    let model = model.to_str().expect("a UTF-8 temp path");
+    let run = |args: &[&str]| {
+        let out = Command::new(bin)
+            .args(args)
+            .args(["--format", "spark", "--model", model])
+            .args(&files)
+            .output()
+            .expect("failed to spawn the intellog binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?} failed: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    run(&["train"]);
+    let reference = dir.join("reference.ilm");
+    let detector = intellog::anomaly::Trainer::default().train(&sessions);
+    intellog::serve::ModelStore::save(&reference, &detector).expect("save the reference");
+    assert!(
+        std::fs::read(model).ok() == std::fs::read(&reference).ok(),
+        "the CLI trained on other lines than the lossy decoding holds"
+    );
+    let detector = intellog::serve::ModelStore::load(Path::new(model)).expect("load the model");
+    let reports: Vec<String> = detector
+        .detect_job(&sessions)
+        .sessions
+        .iter()
+        .map(|r| serde_json::to_string(r).expect("a report serialises"))
+        .collect();
+    assert_eq!(
+        run(&["detect", "--json"]).lines().collect::<Vec<_>>(),
+        reports
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_rejects_bad_usage() {
     let bin = env!("CARGO_BIN_EXE_intellog");
