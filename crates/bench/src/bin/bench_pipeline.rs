@@ -14,13 +14,13 @@
 //!   alone (`parse_record` over the same lines). `benchmark/` ingests JSON
 //!   and, through a shim, the two native syntaxes only.
 //!
-//! Throughputs are units/second from the median of `--reps` repetitions;
+//! Throughputs are units/second from the median of `REPS` repetitions;
 //! each section's `rep_s` is that median, and the corpora are sized so it
 //! stays above 200 ms. `scripts/check_scaling.py` judges the report
 //! against the checked-in one.
 //!
 //! Usage: `cargo run --release -p intellog-bench --bin bench_pipeline --
-//! [--out PATH] [--reps N]`.
+//! [--out PATH]`.
 
 use dlasim::SystemKind;
 use intellog_bench::{intern_probes, synthetic_keyset};
@@ -29,12 +29,15 @@ use lognlp::format::AdapterKind;
 use serde::Serialize;
 use std::time::Instant;
 
+/// Timed repetitions per section; each throughput is from their median.
+const REPS: usize = 5;
 /// Keys in the synthetic key set the matchers run against.
 const KEYSET: usize = 1200;
 /// Probes per automaton pass (≈ 1.2 M matches/s on the reference host).
 const PROBES: usize = 400_000;
-/// Leading probes the linear oracle is timed on: it scans every key per
-/// message (≈ 9 k msgs/s), so the automaton's probe set would take it a minute.
+/// Leading probes the linear oracle is timed on, over 3 reps: it scans every
+/// key per message (≈ 9 k msgs/s), so the automaton's probe set would take it
+/// a minute.
 const LINEAR_PROBES: usize = 4_000;
 /// MapReduce training jobs rendered per adapter (≈ 2 k lines each).
 const ADAPTER_JOBS: usize = 120;
@@ -85,7 +88,7 @@ struct BenchReport {
 
 /// Median wall-clock seconds of `reps` runs of `f`.
 fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
+    let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let t = Instant::now();
             std::hint::black_box(f());
@@ -99,7 +102,6 @@ fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = "BENCH_pipeline.json".to_string();
-    let mut reps = 5usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -109,23 +111,15 @@ fn main() {
                     std::process::exit(2);
                 })
             }
-            "--reps" => {
-                reps = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("bench_pipeline: --reps requires a positive integer");
-                    std::process::exit(2);
-                })
-            }
             other => {
                 eprintln!(
                     "bench_pipeline: unknown argument {other}\n\
-                     usage: bench_pipeline [--out PATH] [--reps N]"
+                     usage: bench_pipeline [--out PATH]"
                 );
                 std::process::exit(2);
             }
         }
     }
-    eprintln!("bench_pipeline: reps={reps}");
-
     // --- spell: automaton vs linear matching at >=1k keys -----------------
     let (mut parser, probe_msgs) = synthetic_keyset(KEYSET, PROBES);
     assert!(
@@ -152,13 +146,13 @@ fn main() {
     for ids in linear_ids {
         assert_eq!(parser.match_ids(ids), parser.match_ids_linear(ids));
     }
-    let indexed_s = time_median(reps, || {
+    let indexed_s = time_median(REPS, || {
         probe_ids
             .iter()
             .filter(|ids| parser.match_ids(ids).is_some())
             .count()
     });
-    let linear_s = time_median(reps.min(3), || {
+    let linear_s = time_median(3, || {
         linear_ids
             .iter()
             .filter(|ids| parser.match_ids_linear(ids).is_some())
@@ -204,7 +198,7 @@ fn main() {
             kind.parse_record(l)
                 .unwrap_or_else(|e| panic!("{}: rejected own rendering {l:?}: {e}", kind.name()));
         }
-        let rep_s = time_median(reps, || {
+        let rep_s = time_median(REPS, || {
             let mut p = spell::SpellParser::default();
             let (mut spans, mut ids) = (Vec::new(), Vec::new());
             for line in &lines {
@@ -213,7 +207,7 @@ fn main() {
             }
             p.len()
         });
-        let parse_rep_s = time_median(reps, || {
+        let parse_rep_s = time_median(REPS, || {
             let mut bytes = 0usize;
             for _ in 0..PARSE_PASSES {
                 for line in &lines {
@@ -244,7 +238,7 @@ fn main() {
     }
 
     let report = BenchReport {
-        reps,
+        reps: REPS,
         spell,
         adapters,
     };
