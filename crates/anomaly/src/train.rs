@@ -8,35 +8,39 @@
 //!
 //! # Parallelism
 //!
-//! Spell is an order-dependent stream — each message may refine the key the
-//! next one matches — so stage 1 is one sequential pass in both trainers.
-//! [`Trainer::train`] then runs through [`sync::par_map`] every stage that
-//! is
+//! [`Trainer::train`] runs through [`sync::par_map`] every stage that is
 //!
 //! * **pure per key** — Intel-Key extraction through the POS tagger and
 //!   the natural-language check, one pass over the keys;
-//! * **pure per session** — writing the session's log, and the HW-graph's
-//!   share of it ([`hwgraph::GraphBuilder::part`]: rows routed to groups,
-//!   lifespans, Algorithm 2's split into subroutine instances).
+//! * **pure per session** — writing the session's log.
 //!
-//! What stays **ordered** is the HW-graph's merge
-//! ([`hwgraph::GraphBuilder::absorb`]): profiles cluster and BEFORE pairs
-//! break in session order, so parts are absorbed one by one on the calling
-//! thread. Parts are computed a bounded window of sessions ahead of the
-//! merge ([`SPLIT_WINDOW_ROWS`]), never for the whole corpus at once.
-//! [`Trainer::train_sequential`] is the reference: the same stages as plain
-//! loops; tests assert `train` produces a byte-identical detector.
+//! Two stages are **ordered**, and run on [`sync::par_map_ordered`]: a
+//! helper computes their state-free half ahead while the calling thread
+//! consumes in input order — and, whenever its next item is not ready,
+//! computes one itself instead of waiting.
 //!
-//! The maps pay: on 2 vCPUs, `train_batch` read 8–10 % fewer lines per
-//! second with training all sequential, or with either per-session map
-//! made sequential (EXPERIMENTS.md, "Training keeps its parallel maps").
+//! * **The Spell stream** — each message may refine the key the next one
+//!   matches, so lines are matched one by one in corpus order
+//!   ([`SpellParser::parse_prepared`]). Tokenising and hashing a line reads
+//!   no parser state ([`SpellParser::prepare`]), so batches of whole
+//!   sessions are prepared ahead.
+//! * **The HW-graph's merge** ([`hwgraph::GraphBuilder::absorb`]) — profiles
+//!   cluster and BEFORE pairs break in session order. A session's share
+//!   ([`hwgraph::SessionPart`]: rows routed to groups, lifespans,
+//!   Algorithm 2's split into subroutine instances) reads only the plan's
+//!   key → groups map, so parts are split ahead.
+//!
+//! What runs ahead is bounded by [`SPLIT_WINDOW_ROWS`] lines or rows, never
+//! the whole corpus. [`Trainer::train_sequential`] is the reference: the
+//! same stages as plain loops on one thread, the same two Spell halves line
+//! by line; tests assert `train` produces a byte-identical detector.
 
 use crate::detector::Detector;
 use extract::{IntelExtractor, IntelKey, LocalityMatcher, SessionLog};
-use hwgraph::{GraphBuilder, HwGraph};
-use spell::{KeyId, LogKey, Session, SpellParser};
+use hwgraph::{GraphBuilder, HwGraph, SessionPart};
+use spell::{KeyId, LogKey, Session, Span, SpellParser};
 use std::collections::BTreeSet;
-use sync::par_map;
+use sync::{par_map, par_map_ordered};
 
 /// Configurable trainer for the IntelLog pipeline.
 #[derive(Debug, Clone)]
@@ -56,29 +60,81 @@ impl Default for Trainer {
     }
 }
 
-/// How many session-log rows [`Trainer::train`] splits into subroutine
-/// instances ahead of the ordered merge. Parts in flight are memory, and
-/// more of it than their bytes: they are allocated on worker threads and
-/// freed on this one, which costs the allocator about twice their size in
-/// each thread's arena. Splitting the whole corpus first read `peak_rss_mb`
-/// 34–38 MiB on `train_batch` where the parent commit read 30–32; this
-/// window — ≈ 11 Spark or ≈ 110 MapReduce sessions, one fork-join per
-/// ≈ 1 ms of splitting — read 29.7–30.0, 512 rows 28.8–31.1 at 12 % fewer
-/// lines/s, 16,384 rows 30.7–31.6 at 2 % more (EXPERIMENTS.md, "Training
-/// reads a line the way detection does"; measured on the persistent pool
-/// the executor had until PR 25). A session longer than the window is a
-/// window of its own.
+/// How far [`Trainer::train`] may run ahead of an ordered stage: Spell
+/// lines prepared and not yet matched, or session-log rows split into
+/// subroutine instances and not yet absorbed. What runs ahead is memory,
+/// and more of it than its bytes: it is allocated on one thread and freed
+/// on another, which costs the allocator about twice its size in each
+/// thread's arena — splitting the whole corpus first read `peak_rss_mb`
+/// 34–38 MiB on `train_batch` against 30–32 (EXPERIMENTS.md, "Training
+/// reads a line the way detection does"). On the ordered map, 2,048, 4,096
+/// and 16,384 read within the noise of each other in `lines_per_s`, the
+/// largest 0.5 MiB higher (EXPERIMENTS.md, "Training's ordered stages run
+/// ahead"). A session longer than the window runs alone.
 const SPLIT_WINDOW_ROWS: usize = 4096;
 
-/// How many of `logs` (not empty) the next window takes.
-fn split_window(logs: &[SessionLog]) -> usize {
-    let mut rows = 0;
-    let fits = |log: &&SessionLog| {
-        rows += log.len();
-        rows <= SPLIT_WINDOW_ROWS
-    };
-    logs.iter().take_while(fits).count().max(1)
+/// The Spell stream hands sessions to its helper in batches of at least
+/// this many lines, so one hand-off is cheap beside the batch's tokenising.
+const STREAM_BATCH_LINES: usize = 512;
+
+/// Consecutive sessions cut into batches of at least
+/// [`STREAM_BATCH_LINES`] lines (the last may hold fewer).
+fn stream_batches(sessions: &[Session]) -> Vec<&[Session]> {
+    let mut batches = Vec::new();
+    let mut rest = sessions;
+    while !rest.is_empty() {
+        let mut lines = 0;
+        let full = rest.iter().position(|s| {
+            lines += s.len();
+            lines >= STREAM_BATCH_LINES
+        });
+        let (batch, later) = rest.split_at(full.map_or(rest.len(), |i| i + 1));
+        batches.push(batch);
+        rest = later;
+    }
+    batches
 }
+
+/// A batch's lines prepared for Spell ([`SpellParser::prepare`]): every
+/// line's spans and token hashes, end to end.
+struct PreparedBatch {
+    spans: Vec<Span>,
+    hashes: Vec<u64>,
+    /// Where each line's tokens end.
+    ends: Vec<usize>,
+}
+
+// lint: ingest-hot(begin)
+
+impl PreparedBatch {
+    fn new(sessions: &[Session]) -> PreparedBatch {
+        let lines = sessions.iter().flat_map(|s| &s.lines);
+        // lint: allow(alloc) — per batch; the line buffers serve every line.
+        let (mut spans, mut hashes) = (Vec::new(), Vec::new());
+        let mut batch = PreparedBatch {
+            spans: Vec::new(),
+            hashes: Vec::new(),
+            ends: Vec::with_capacity(lines.clone().count()),
+        };
+        for line in lines {
+            SpellParser::prepare(&line.message, &mut spans, &mut hashes);
+            batch.spans.extend_from_slice(&spans);
+            batch.hashes.extend_from_slice(&hashes);
+            batch.ends.push(batch.spans.len());
+        }
+        batch
+    }
+
+    /// Each line's spans and hashes, in order.
+    fn lines(&self) -> impl Iterator<Item = (&[Span], &[u64])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(from, &to)| (&self.spans[from..to], &self.hashes[from..to]))
+    }
+}
+
+// lint: ingest-hot(end)
 
 /// Stage 2 for one Spell key: its Intel Key, and its id if it goes to the
 /// ignored list (non-NL keys, §5).
@@ -136,7 +192,7 @@ impl Trainer {
     pub fn train(&self, sessions: &[Session]) -> Detector {
         let _span = obs::span!("anomaly.train");
         obs::add!("anomaly.train.sessions", sessions.len() as u64);
-        let (parser, parsed) = self.spell_stream(sessions);
+        let (parser, parsed) = self.spell_stream_ahead(sessions);
 
         // Stage 2: Intel Keys and the ignored list (parallel, pure per key).
         let extractor = IntelExtractor::with_matcher(self.matcher.clone());
@@ -144,19 +200,20 @@ impl Trainer {
             split_key_stage(par_map(parser.keys(), |k| key_stage(&extractor, k)));
 
         // Stage 3: session logs (parallel, pure per session) → HW-graph,
-        // each window's sessions split in parallel and merged in order.
+        // sessions split ahead and merged in order.
         let work: Vec<(&Session, &Vec<KeyId>)> = sessions.iter().zip(&parsed).collect();
         let logs = par_map(&work, |(session, line_keys)| {
             log_session(session, line_keys, &keys, &ignored_keys)
         });
         let mut graph = GraphBuilder::plan(&graph_keys(&keys, &ignored_keys));
-        let mut rest = &logs[..];
-        while !rest.is_empty() {
-            let (window, later) = rest.split_at(split_window(rest));
-            let parts = par_map(window, |log| graph.part(log));
-            parts.into_iter().for_each(|part| graph.absorb(part));
-            rest = later;
-        }
+        let key_groups = graph.key_groups().clone();
+        par_map_ordered(
+            &logs,
+            SPLIT_WINDOW_ROWS,
+            SessionLog::len,
+            |log| SessionPart::new(&key_groups, log),
+            |part| graph.absorb(part),
+        );
         Detector::new(parser, keys, graph.finish(), ignored_keys)
     }
 
@@ -183,25 +240,66 @@ impl Trainer {
         Detector::new(parser, keys, graph, ignored_keys)
     }
 
-    /// Stage 1 of both trainers: Spell over the ordered message stream
-    /// through the id-level door — one pair of line buffers for the whole
-    /// corpus, no string built for a line that changes no key —
-    /// remembering each line's key (the line itself keeps its text and
-    /// timestamp, so nothing else is held per line).
+    // lint: ingest-hot(begin)
+
+    /// Stage 1 of [`Trainer::train_sequential`]: Spell over the ordered
+    /// message stream, each line prepared and then parsed — one set of line
+    /// buffers for the whole corpus, no string built for a line that changes
+    /// no key — remembering each line's key (the line itself keeps its text
+    /// and timestamp, so nothing else is held per line).
     fn spell_stream(&self, sessions: &[Session]) -> (SpellParser, Vec<Vec<KeyId>>) {
         let mut parser = SpellParser::new(self.spell_threshold);
-        let (mut spans, mut ids) = (Vec::new(), Vec::new());
+        // lint: allow(alloc) — one set of line buffers per corpus.
+        let (mut spans, mut hashes, mut ids) = (Vec::new(), Vec::new(), Vec::new());
         let parsed = sessions
             .iter()
             .map(|session| {
                 let lines = session.lines.iter();
                 lines
-                    .map(|line| parser.parse_spans(&line.message, &mut spans, &mut ids).0)
+                    .map(|line| {
+                        SpellParser::prepare(&line.message, &mut spans, &mut hashes);
+                        let parse = parser.parse_prepared(&line.message, &spans, &hashes, &mut ids);
+                        parse.0
+                    })
                     .collect()
             })
             .collect();
         (parser, parsed)
     }
+
+    /// Stage 1 of [`Trainer::train`]: [`Trainer::spell_stream`] with the
+    /// lines prepared a window ahead, a batch of sessions at a time, on the
+    /// ordered map's helper.
+    fn spell_stream_ahead(&self, sessions: &[Session]) -> (SpellParser, Vec<Vec<KeyId>>) {
+        let mut parser = SpellParser::new(self.spell_threshold);
+        // lint: allow(alloc) — once per corpus.
+        let mut parsed = Vec::with_capacity(sessions.len());
+        let mut ids = Vec::new();
+        par_map_ordered(
+            &stream_batches(sessions),
+            SPLIT_WINDOW_ROWS,
+            |batch| batch.iter().map(Session::len).sum(),
+            |batch| (*batch, PreparedBatch::new(batch)),
+            |(batch, prepared)| {
+                let mut prepared = prepared.lines();
+                for session in batch {
+                    let lines = session
+                        .lines
+                        .iter()
+                        .zip(prepared.by_ref().take(session.len()));
+                    let keys = lines.map(|(line, (spans, hashes))| {
+                        parser
+                            .parse_prepared(&line.message, spans, hashes, &mut ids)
+                            .0
+                    });
+                    parsed.push(keys.collect());
+                }
+            },
+        );
+        (parser, parsed)
+    }
+
+    // lint: ingest-hot(end)
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //!    MapReduce, Tez, YARN, Nova);
 //! 2. parallel training produces a byte-identical detector (and therefore
 //!    byte-identical reports) to the sequential reference trainer at the
-//!    host's parallelism, however the sessions fall into the trainer's
-//!    split windows (`sync::par_map`'s own suite covers 1–8 threads);
+//!    host's parallelism, however the sessions fall into the batches and
+//!    the window its ordered stages run ahead by (`sync::par_map_ordered`'s
+//!    own suite covers 1–8 threads);
 //! 3. the row the session log keeps of a matched line — key id, timestamp,
 //!    identifier pairs — is that projection of the owned Intel Message
 //!    `IntelMessage::instantiate` builds from the line's token strings, on
@@ -158,15 +159,16 @@ fn parallel_training_equals_sequential_on_all_systems() {
     }
 }
 
-/// The trainer splits sessions into subroutine instances a window of rows
-/// ahead of the ordered merge (`SPLIT_WINDOW_ROWS`, 4,096). Many short
-/// sessions (the MapReduce shape: several windows, ~100 sessions each),
-/// then one session longer than a window (every Spark line in one
-/// container), then short ones again: `train` is `train_sequential`, and a
-/// second `train` in the same process — whose calling thread has warmed its
-/// scratch in the first — is the first.
+/// The trainer prepares Spell lines and splits sessions into subroutine
+/// instances up to a window of lines or rows ahead of its ordered stages
+/// (`SPLIT_WINDOW_ROWS`, 4,096). Many short sessions (the MapReduce shape:
+/// several windows, ~100 sessions each), then one session longer than a
+/// window (every Spark line in one container), then short ones again:
+/// `train` is `train_sequential`, and a second `train` in the same process
+/// — whose calling thread has warmed its scratch in the first — is the
+/// first.
 #[test]
-fn windowed_split_equals_sequential_across_window_shapes() {
+fn run_ahead_equals_sequential_across_window_shapes() {
     let short = corpus(SystemKind::MapReduce, 7, 8);
     let spark = corpus(SystemKind::Spark, 7, 4);
     let long = Session::new(

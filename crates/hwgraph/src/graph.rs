@@ -97,17 +97,19 @@ pub struct HwGraph {
 /// 1. [`GraphBuilder::plan`] — Algorithm 1 over the keys' entities: the
 ///    groups, still empty, and which groups each key belongs to. Nothing
 ///    after it changes either.
-/// 2. [`GraphBuilder::part`] — everything about one session that depends on
+/// 2. [`SessionPart::new`] — everything about one session that depends on
 ///    the plan alone: its rows routed to groups, each group's lifespan, the
-///    keys that repeat, and Algorithm 2's split once per group. Pure, so
-///    sessions can be split on any thread in any order.
+///    keys that repeat, and Algorithm 2's split once per group. It reads
+///    only the plan's key → groups map ([`GraphBuilder::key_groups`]), so
+///    sessions can be split on any thread, in any order, while the builder
+///    absorbs.
 /// 3. [`GraphBuilder::absorb`] — the learners consume a part. A session's
 ///    profile depends on the profiles before it and BEFORE pairs on the
 ///    instances before them, so parts are absorbed in session order.
 /// 4. [`GraphBuilder::finish`] — flags, relations, hierarchy, statistics.
 ///
-/// [`HwGraph::build_from_logs`] is the loop over these; a caller with a
-/// thread pool runs step 2 on it for a window of sessions at a time.
+/// [`HwGraph::build_from_logs`] is the loop over these; a parallel trainer
+/// splits sessions ahead on other threads while it absorbs in order.
 pub struct GraphBuilder {
     _span: obs::SpanGuard,
     groups: Vec<GroupModel>,
@@ -118,7 +120,7 @@ pub struct GraphBuilder {
     total_msgs: usize,
 }
 
-/// One session's share of the training, computed by [`GraphBuilder::part`]
+/// One session's share of the training, computed by [`SessionPart::new`]
 /// and consumed by [`GraphBuilder::absorb`] — possibly on another thread, so
 /// it is a few arrays per session, not a few per group: thousands of small
 /// blocks freed by a thread that did not allocate them cost the allocator
@@ -134,6 +136,34 @@ pub struct SessionPart<'a> {
     /// instances are in `split`, numbered as `instances` says.
     split: InstanceSplit<'a>,
     instances: Vec<(usize, Range<usize>)>,
+}
+
+impl<'a> SessionPart<'a> {
+    /// Per-group lifespans and subroutine instances of one session, and its
+    /// repeating keys (the critical-group criterion), given the plan's
+    /// key → groups map.
+    pub fn new(key_groups: &BTreeMap<KeyId, Vec<usize>>, session: &'a SessionLog) -> Self {
+        let per_group = rows_by_group(key_groups, session);
+        let mut keys: Vec<KeyId> = session.rows().iter().map(|m| m.key_id).collect();
+        keys.sort_unstable();
+        let mut repeating_keys: Vec<KeyId> = keys
+            .windows(2)
+            .filter(|pair| pair[0] == pair[1])
+            .map(|pair| pair[0])
+            .collect();
+        repeating_keys.dedup();
+        let mut split = InstanceSplit::new(session);
+        SessionPart {
+            rows: session.len(),
+            lifespans: per_group.iter().map(|(&g, &(span, _))| (g, span)).collect(),
+            repeating_keys,
+            instances: per_group
+                .iter()
+                .map(|(&g, (_, rows))| (g, split_instances_into(rows, &mut split)))
+                .collect(),
+            split,
+        }
+    }
 }
 
 impl GraphBuilder {
@@ -183,29 +213,9 @@ impl GraphBuilder {
         }
     }
 
-    /// Per-group lifespans and subroutine instances of one session, and its
-    /// repeating keys (the critical-group criterion).
-    pub fn part<'a>(&self, session: &'a SessionLog) -> SessionPart<'a> {
-        let per_group = rows_by_group(&self.key_groups, session);
-        let mut keys: Vec<KeyId> = session.rows().iter().map(|m| m.key_id).collect();
-        keys.sort_unstable();
-        let mut repeating_keys: Vec<KeyId> = keys
-            .windows(2)
-            .filter(|pair| pair[0] == pair[1])
-            .map(|pair| pair[0])
-            .collect();
-        repeating_keys.dedup();
-        let mut split = InstanceSplit::new(session);
-        SessionPart {
-            rows: session.len(),
-            lifespans: per_group.iter().map(|(&g, &(span, _))| (g, span)).collect(),
-            repeating_keys,
-            instances: per_group
-                .iter()
-                .map(|(&g, (_, rows))| (g, split_instances_into(rows, &mut split)))
-                .collect(),
-            split,
-        }
+    /// The plan's key → groups map: all that [`SessionPart::new`] reads.
+    pub fn key_groups(&self) -> &BTreeMap<KeyId, Vec<usize>> {
+        &self.key_groups
     }
 
     /// Train on the next session, given its part.
@@ -319,7 +329,7 @@ impl HwGraph {
     pub fn build_from_logs(keys: &[IntelKey], sessions: &[SessionLog]) -> HwGraph {
         let mut builder = GraphBuilder::plan(keys);
         for session in sessions {
-            let part = builder.part(session);
+            let part = SessionPart::new(builder.key_groups(), session);
             builder.absorb(part);
         }
         builder.finish()

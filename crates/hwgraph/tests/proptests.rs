@@ -3,7 +3,7 @@
 use extract::{IntelExtractor, IntelKey, SessionLog};
 use hwgraph::{
     group_entities, longest_common_phrase, GraphBuilder, GroupRelations, Hierarchy, HwGraph,
-    Lifespan, Subroutine,
+    Lifespan, SessionPart, Subroutine,
 };
 use proptest::prelude::*;
 use spell::{KeyId, SpellParser};
@@ -60,15 +60,20 @@ fn train_inputs(sessions: &[Vec<(u32, u32, u32)>]) -> (Vec<IntelKey>, Vec<Sessio
     (keys, logs)
 }
 
-/// Plan, then parts a window at a time — each window's parts all computed
-/// before the first of them is absorbed — then finish.
+/// Plan, then parts a window at a time — each window's parts all computed,
+/// from a copy of the plan's key → groups map, before the first of them is
+/// absorbed — then finish.
 fn build_in_windows(keys: &[IntelKey], logs: &[SessionLog], sizes: &[usize]) -> HwGraph {
     let mut builder = GraphBuilder::plan(keys);
+    let key_groups = builder.key_groups().clone();
     let (mut rest, mut sizes) = (logs, sizes.iter().cycle());
     while !rest.is_empty() {
         let take = (*sizes.next().expect("a cycle of sizes")).min(rest.len());
         let (window, later) = rest.split_at(take);
-        let parts: Vec<_> = window.iter().map(|log| builder.part(log)).collect();
+        let parts: Vec<_> = window
+            .iter()
+            .map(|log| SessionPart::new(&key_groups, log))
+            .collect();
         parts.into_iter().for_each(|part| builder.absorb(part));
         rest = later;
     }

@@ -43,8 +43,10 @@ const EMPTY: u32 = u32::MAX;
 
 /// FNV-1a 64 over the token bytes, strengthened with the splitmix64
 /// finaliser so low bits are well mixed for the power-of-two table mask.
+/// It reads no interner state, so a token can be hashed ahead of its lookup
+/// and on another thread ([`Interner::lookup_hashed`]).
 #[inline]
-fn hash_bytes(bytes: &[u8]) -> u64 {
+pub fn token_hash(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
@@ -90,7 +92,7 @@ impl Interner {
     /// Intern `s`, returning its stable id. Allocates exactly one `String`
     /// when `s` is new and nothing at all when it is already interned.
     pub fn intern(&mut self, s: &str) -> TokenId {
-        let h = hash_bytes(s.as_bytes());
+        let h = token_hash(s.as_bytes());
         let mut slot = (h as usize) & self.mask;
         loop {
             let e = self.table[slot];
@@ -135,7 +137,13 @@ impl Interner {
     /// it performs no allocation and no string materialisation.
     #[inline]
     pub fn lookup_bytes(&self, bytes: &[u8]) -> Option<TokenId> {
-        let h = hash_bytes(bytes);
+        self.lookup_hashed(bytes, token_hash(bytes))
+    }
+
+    /// [`Interner::lookup_bytes`] for a token whose [`token_hash`] is
+    /// already known.
+    #[inline]
+    pub fn lookup_hashed(&self, bytes: &[u8], h: u64) -> Option<TokenId> {
         let mut slot = (h as usize) & self.mask;
         loop {
             let e = self.table[slot];
@@ -216,6 +224,10 @@ mod tests {
             assert_eq!(it.resolve(id), w);
         }
         assert_eq!(it.lookup_bytes(b"never-seen"), None);
+        for (w, &id) in words.iter().zip(&ids) {
+            let h = token_hash(w.as_bytes());
+            assert_eq!(it.lookup_hashed(w.as_bytes(), h), Some(id));
+        }
         // Re-interning after growth keeps ids stable.
         for (w, &id) in words.iter().zip(&ids) {
             assert_eq!(it.intern(w), id);

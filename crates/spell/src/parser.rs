@@ -23,18 +23,22 @@
 //!
 //! # One door per job
 //!
-//! Training writes through [`SpellParser::parse_spans`]: look the line's
-//! spans up, match, refine — and found a key, interning its tokens, only
-//! when nothing matches. An unseen token may stand in for the id it would
-//! have been given because a key constant is always an interned id and
-//! matching and refinement only ever compare a message token with a key
-//! token: [`UNKNOWN_ID`] differs from every constant exactly as the fresh
-//! id would, so the same positions score, the same positions flip and the
-//! same messages miss. [`SpellParser::parse_message`] is that door plus the
-//! message's tokens as strings, for callers that instantiate an owned
-//! `IntelMessage` from them. Everything that only reads goes through
-//! [`SpellParser::match_ids`] — reached with the per-thread scratch buffers
-//! by [`SpellParser::match_line`], or with the caller's own buffers by
+//! Training writes through [`SpellParser::parse_spans`], in two halves
+//! called in sequence. [`SpellParser::prepare`] reads no parser state: it
+//! cuts the line into spans and hashes each token, so a trainer may run it
+//! ahead of the parser on another thread. [`SpellParser::parse_prepared`]
+//! looks the hashed tokens up, matches, refines — and founds a key,
+//! interning its tokens, only when nothing matches. An unseen token may
+//! stand in for the id it would have been given because a key constant is
+//! always an interned id and matching and refinement only ever compare a
+//! message token with a key token: [`UNKNOWN_ID`] differs from every
+//! constant exactly as the fresh id would, so the same positions score, the
+//! same positions flip and the same messages miss.
+//! [`SpellParser::parse_message`] is that door plus the message's tokens as
+//! strings, for callers that instantiate an owned `IntelMessage` from them.
+//! Everything that only reads goes through [`SpellParser::match_ids`] —
+//! reached with the per-thread scratch buffers by
+//! [`SpellParser::match_line`], or with the caller's own buffers by
 //! [`SpellParser::lookup_line_into`] when the token spans are needed after
 //! the match (detection writes the session log's row from them).
 //!
@@ -47,7 +51,7 @@
 
 use crate::automaton::{AutoMatch, AutomatonStats, KeyAutomaton};
 use crate::index::MatchIndex;
-use crate::intern::{Interner, TokenId, STAR_ID, UNKNOWN_ID};
+use crate::intern::{token_hash, Interner, TokenId, STAR_ID, UNKNOWN_ID};
 use crate::key::{KeyId, LogKey, STAR};
 use crate::lcs::{lcs_len_wild_ids, positional_matches_wild_ids};
 use lognlp::Span;
@@ -340,8 +344,9 @@ impl SpellParser {
 
     // lint: ingest-hot(begin)
 
-    /// Feed one raw message to the parser — the training door. Returns the
-    /// key the message was assigned to and whether it founded that key.
+    /// Feed one raw message to the parser — the training door:
+    /// [`SpellParser::prepare`] then [`SpellParser::parse_prepared`]. Returns
+    /// the key the message was assigned to and whether it founded that key.
     ///
     /// `spans` and `ids` are the caller's line buffers (both cleared first,
     /// as in [`SpellParser::lookup_line_into`]): a stream that keeps them
@@ -356,11 +361,44 @@ impl SpellParser {
         spans: &mut Vec<Span>,
         ids: &mut Vec<TokenId>,
     ) -> (KeyId, bool) {
+        crate::scratch::with_hashes(|hashes| {
+            SpellParser::prepare(message, spans, hashes);
+            self.parse_prepared(message, spans, hashes, ids)
+        })
+    }
+
+    /// The training door's first half, which reads no parser state: the
+    /// token spans of `message` and the [`token_hash`] of each token, into
+    /// the caller's buffers (both cleared first). A trainer may prepare
+    /// lines ahead of the parser, on any thread.
+    pub fn prepare(message: &str, spans: &mut Vec<Span>, hashes: &mut Vec<u64>) {
+        lognlp::tokenize_spans(message, spans);
+        hashes.clear();
+        hashes.extend(spans.iter().map(|s| token_hash(s.of(message).as_bytes())));
+    }
+
+    /// The training door's second half: look a prepared message's tokens
+    /// up, match, and refine the matched key — or found a key, interning the
+    /// message's tokens, when nothing matches. `spans` and `hashes` are what
+    /// [`SpellParser::prepare`] made of `message`; `ids` is cleared first and
+    /// holds, on return, what the interner knew of each token once the
+    /// message was dealt with.
+    pub fn parse_prepared(
+        &mut self,
+        message: &str,
+        spans: &[Span],
+        hashes: &[u64],
+        ids: &mut Vec<TokenId>,
+    ) -> (KeyId, bool) {
         // Training invalidates any compiled automaton (its key set would
         // go stale on the first refinement or new key).
         self.automaton = None;
         obs::inc!("spell.lines_parsed");
-        self.lookup_line_into(message, spans, ids);
+        ids.clear();
+        for (s, &h) in spans.iter().zip(hashes) {
+            let token = s.of(message).as_bytes();
+            ids.push(self.interner.lookup_hashed(token, h).unwrap_or(UNKNOWN_ID));
+        }
         if let Some(id) = self.match_ids(ids) {
             self.refine(id, ids);
             return (id, false);

@@ -27,6 +27,8 @@ thread_local! {
     static SCORED: RefCell<ScoredScratch> = RefCell::new(ScoredScratch::default());
     /// Span + id buffers for the zero-copy line ingest path.
     static LINE: RefCell<LineScratch> = const { RefCell::new(LineScratch::new()) };
+    /// Token hashes for the training door's two halves.
+    static HASHES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     /// Exact-candidate output buffer for the trie walk.
     static EXACT: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
     /// Scored-candidate output buffer for inverted-index pruning.
@@ -114,6 +116,10 @@ pub(crate) fn with_scored<R>(f: impl FnOnce(&mut ScoredScratch) -> R) -> R {
 
 pub(crate) fn with_line<R>(f: impl FnOnce(&mut LineScratch) -> R) -> R {
     LINE.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+pub(crate) fn with_hashes<R>(f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
+    HASHES.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 pub(crate) fn with_exact<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {

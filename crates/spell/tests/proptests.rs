@@ -67,7 +67,81 @@ fn ids_of(p: &SpellParser, msg: &[String]) -> Vec<TokenId> {
     ids
 }
 
+/// Message bodies the way `lognlp`'s format property tests write them: words
+/// from a small vocabulary and numbers, wrapped in brackets or quotes or
+/// trailed by punctuation, separated by ASCII blanks, tabs, CR and the
+/// Unicode spaces U+00A0 and U+3000 — so tokens repeat, collide in length
+/// and straddle every rule of the tokenizer.
+fn format_style_body() -> impl Strategy<Value = String> {
+    let word = prop_oneof![
+        "[a-c]{1,3}",
+        "[0-9]{1,3}",
+        "host[0-9]:[0-9]{2}",
+        Just("attempt_01".to_string()),
+        Just("\u{FFFD}".to_string()),
+    ];
+    let wrapped = (
+        prop_oneof![Just(""), Just("["), Just("("), Just("\""), Just("<")],
+        word,
+        prop_oneof![
+            Just(""),
+            Just("]"),
+            Just(","),
+            Just("."),
+            Just(";"),
+            Just(")")
+        ],
+    )
+        .prop_map(|(open, w, close)| format!("{open}{w}{close}"));
+    let gap = prop_oneof![
+        Just(" "),
+        Just("  "),
+        Just("\t"),
+        Just("\r"),
+        Just("\u{A0}"),
+        Just("\u{3000}")
+    ];
+    prop::collection::vec((wrapped, gap), 0..9).prop_map(|parts| {
+        parts
+            .into_iter()
+            .flat_map(|(w, g)| [w, g.to_string()])
+            .collect()
+    })
+}
+
 proptest! {
+    /// The training door's two halves, called apart: every line of a stream
+    /// prepared before the first is parsed — as the parallel trainer
+    /// prepares ahead of the parser — then parsed in order, equals
+    /// `parse_spans` line by line: same key and outcome per line, same ids,
+    /// same parser serialisation after every line.
+    #[test]
+    fn prepared_ahead_equals_parse_spans(
+        stream in prop::collection::vec(format_style_body(), 1..60),
+    ) {
+        let prepared: Vec<(Vec<spell::Span>, Vec<u64>)> = stream
+            .iter()
+            .map(|line| {
+                let (mut spans, mut hashes) = (Vec::new(), Vec::new());
+                SpellParser::prepare(line, &mut spans, &mut hashes);
+                (spans, hashes)
+            })
+            .collect();
+        let (mut ahead, mut inline) = (SpellParser::default(), SpellParser::default());
+        let (mut spans, mut ids, mut ahead_ids) = (Vec::new(), Vec::new(), Vec::new());
+        for (line, (pspans, hashes)) in stream.iter().zip(&prepared) {
+            let want = inline.parse_spans(line, &mut spans, &mut ids);
+            let got = ahead.parse_prepared(line, pspans, hashes, &mut ahead_ids);
+            prop_assert_eq!(got, want, "line {:?}", line);
+            prop_assert_eq!(pspans, &spans);
+            prop_assert_eq!(&ahead_ids, &ids);
+            prop_assert_eq!(
+                serde_json::to_string(&ahead).unwrap(),
+                serde_json::to_string(&inline).unwrap()
+            );
+        }
+    }
+
     /// The id-level door is the interning door: same outcome per line, same
     /// keys field by field, indexed == linear throughout, same model bytes.
     #[test]

@@ -13,7 +13,9 @@
 //!   message to the frozen matcher stays allocation-free end to end;
 //! * `parse_spans`, the training door, performs **zero** heap allocations
 //!   for a line that matches a key without changing it — never-seen
-//!   parameter values included — and interns nothing for it.
+//!   parameter values included — and interns nothing for it; so do its two
+//!   halves called apart, `prepare` and `parse_prepared`, with the caller's
+//!   buffers reused.
 //!
 //! The tests warm the per-thread scratch first: scratch buffers and the
 //! scoring hash maps grow to their high-water mark on the first pass and
@@ -180,6 +182,29 @@ fn steady_state_training_line_is_allocation_free() {
         allocations() - before,
         0,
         "parse_spans allocated on a line that changed no key"
+    );
+    // The two halves apart, as the parallel trainer calls them, once
+    // `hashes` has grown to the longest line.
+    let mut hashes = Vec::new();
+    for line in &steady {
+        SpellParser::prepare(line, &mut spans, &mut hashes);
+    }
+    let (mut prepared, mut parsed) = (0, 0);
+    for _ in 0..3 {
+        for line in &steady {
+            let before = allocations();
+            SpellParser::prepare(line, &mut spans, &mut hashes);
+            prepared += allocations() - before;
+            let before = allocations();
+            let (_, founded) = parser.parse_prepared(line, &spans, &hashes, &mut ids);
+            parsed += allocations() - before;
+            assert!(!founded);
+        }
+    }
+    assert_eq!(prepared, 0, "prepare allocated on a steady line");
+    assert_eq!(
+        parsed, 0,
+        "parse_prepared allocated on a line that changed no key"
     );
     assert_eq!(
         parser.interned_len(),

@@ -28,14 +28,14 @@ and without (`parse_msgs_per_s`).
 Self-relative invariants, from the fresh documents alone: every workload
 verified its outputs with no failed operation; parallel detection beats
 sequential by SPEEDUP_MIN where the measured host had >= 4 CPUs and holds
-PARITY_MIN elsewhere, as parallel training does on every host (the Spell
-stream and the HW-graph's ordered merge are sequential in both trainers;
-the Intel Keys, session logs and Algorithm 2's per-session split run
-through `sync::par_map`, so the ratio is above 1 on two cores but has no
-floor of its own — it is printed with the verdict so the trajectory shows;
-the traced ratio reads 0.95–1.00 on 2 vCPUs, yet untraced `train_batch`
-loses 8–10 % of its lines/s when either per-session map runs sequentially,
-so the end-to-end rate is what shows the maps pay); recording into `obs`
+PARITY_MIN elsewhere, as parallel training does on every host (the
+Intel Keys and session logs run through `sync::par_map`, and the two
+ordered stages — the Spell stream and the HW-graph's merge — run their
+state-free halves, tokenising and Algorithm 2's per-session split, ahead
+on `sync::par_map_ordered` while the calling thread consumes in order;
+the ratio has no floor of its own — it is printed with the verdict so the
+trajectory shows, and the end-to-end `train_batch` rate is what shows the
+maps pay); recording into `obs`
 costs at most OVERHEAD_MAX of a rep on every workload, judged no more
 sharply than the spread of that workload's own reps; the gateway drops
 no line and sees no protocol error, at the paced rate achieves

@@ -1,12 +1,12 @@
-//! The executor's contract seen from outside `crates/sync`, through the one
-//! public entry point the pipeline uses: `sync::par_map` at the host's
-//! parallelism (`crates/sync/src/par.rs` runs the same properties over 1–8
-//! threads).
+//! The executor's contract seen from outside `crates/sync`, through the two
+//! public entry points the pipeline uses: `sync::par_map` and
+//! `sync::par_map_ordered` at the host's parallelism
+//! (`crates/sync/src/par.rs` runs the same properties over 1–8 threads).
 //!
 //! The pipeline's byte-identical parallel/sequential guarantee rests on
-//! `par_map` returning the sequential map's results in input order for any
-//! input size and per-item cost distribution, and on no call leaving a
-//! thread behind.
+//! `par_map` returning, and `par_map_ordered` consuming, the sequential
+//! map's results in input order for any input size and per-item cost
+//! distribution, and on no call leaving a thread behind.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -14,7 +14,7 @@ use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::time::{Duration, Instant};
 use sync::atomic::{AtomicUsize, Ordering};
-use sync::par_map;
+use sync::{par_map, par_map_ordered};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -24,6 +24,19 @@ proptest! {
     fn par_map_equals_sequential(items in prop::collection::vec(0u64..1 << 40, 0..300)) {
         let f = |x: &u64| x.wrapping_mul(31).rotate_left(7);
         prop_assert_eq!(par_map(&items, f), items.iter().map(f).collect::<Vec<_>>());
+    }
+
+    /// `par_map_ordered` hands the consumer the sequential map's results,
+    /// in order, whatever the window and the items' weights.
+    #[test]
+    fn par_map_ordered_consumes_in_sequential_order(
+        items in prop::collection::vec(0u64..1 << 40, 0..300),
+        window in 1usize..20,
+    ) {
+        let f = |x: &u64| x.wrapping_mul(31).rotate_left(7);
+        let mut seen = Vec::with_capacity(items.len());
+        par_map_ordered(&items, window, |x| (*x % 7) as usize, f, |r| seen.push(r));
+        prop_assert_eq!(seen, items.iter().map(f).collect::<Vec<_>>());
     }
 
     /// Non-trivial result types (allocations) survive the slot round-trip.
