@@ -129,23 +129,26 @@ impl Detector {
 
         // 3. Per-group subroutine-instance checks, the groups split one
         //    after the other into one set of arrays (as the trainer does).
-        let mut split = InstanceSplit::new(log);
+        let mut split = InstanceSplit::default();
         for (&g, (span, rows)) in &per_group {
             let gm = &self.graph.groups[g];
             let profile_subs = profile.and_then(|p| p.subroutines.get(&g));
-            let range = split_instances_into(rows, &mut split);
+            let range = split_instances_into(log, rows, &mut split);
             if let Some(groups) = instance.as_deref_mut() {
                 groups.insert(
                     g,
                     GroupInstance {
                         group: gm.name.clone(),
                         lifespan: Some(*span),
-                        subroutines: split.instances(range.clone()).map(|i| i.render()).collect(),
+                        subroutines: split
+                            .instances(log, range.clone())
+                            .map(|i| i.render())
+                            .collect(),
                         messages: rows.len(),
                     },
                 );
             }
-            for inst in split.instances(range) {
+            for inst in split.instances(log, range) {
                 // Prefer the per-profile learner; fall back to the global
                 // one for signatures the profile never saw (a signature is
                 // only *unknown* if neither learner knows it).

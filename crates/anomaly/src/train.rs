@@ -8,16 +8,11 @@
 //!
 //! # Parallelism
 //!
-//! [`Trainer::train`] runs through [`sync::par_map`] every stage that is
-//!
-//! * **pure per key** — Intel-Key extraction through the POS tagger and
-//!   the natural-language check, one pass over the keys;
-//! * **pure per session** — writing the session's log.
-//!
-//! Two stages are **ordered**, and run on [`sync::par_map_ordered`]: a
-//! helper computes their state-free half ahead while the calling thread
-//! consumes in input order — and, whenever its next item is not ready,
-//! computes one itself instead of waiting.
+//! [`Trainer::train`] runs its two **ordered** stages on
+//! [`sync::par_map_ordered`], its only parallel primitive: a helper computes
+//! each item's state-free half ahead while the calling thread consumes in
+//! input order — and, whenever its next item is not ready, computes one
+//! itself instead of waiting.
 //!
 //! * **The Spell stream** — each message may refine the key the next one
 //!   matches, so lines are matched one by one in corpus order
@@ -25,22 +20,25 @@
 //!   no parser state ([`SpellParser::prepare`]), so batches of whole
 //!   sessions are prepared ahead.
 //! * **The HW-graph's merge** ([`hwgraph::GraphBuilder::absorb`]) — profiles
-//!   cluster and BEFORE pairs break in session order. A session's share
-//!   ([`hwgraph::SessionPart`]: rows routed to groups, lifespans,
-//!   Algorithm 2's split into subroutine instances) reads only the plan's
-//!   key → groups map, so parts are split ahead.
+//!   cluster and BEFORE pairs break in session order. A session's log and
+//!   its share ([`hwgraph::SessionPart`]: rows routed to groups, lifespans,
+//!   Algorithm 2's split into subroutine instances) read only the session,
+//!   its line keys and the plan's key → groups map, so each session is
+//!   logged and split ahead, and its part, log included, is absorbed and
+//!   dropped in order. No stage holds every session's log.
 //!
-//! What runs ahead is bounded by [`SPLIT_WINDOW_ROWS`] lines or rows, never
-//! the whole corpus. [`Trainer::train_sequential`] is the reference: the
-//! same stages as plain loops on one thread, the same two Spell halves line
-//! by line; tests assert `train` produces a byte-identical detector.
+//! Intel-Key extraction, one pass over the keys, is a plain loop.
+//! What runs ahead is bounded by [`SPLIT_WINDOW_ROWS`] lines, never the
+//! whole corpus. [`Trainer::train_sequential`] is the reference: the same
+//! stages as plain loops on one thread, the same two Spell halves line by
+//! line; tests assert `train` produces a byte-identical detector.
 
 use crate::detector::Detector;
 use extract::{IntelExtractor, IntelKey, LocalityMatcher, SessionLog};
 use hwgraph::{GraphBuilder, HwGraph, SessionPart};
-use spell::{KeyId, LogKey, Session, Span, SpellParser};
+use spell::{KeyId, Session, Span, SpellParser};
 use std::collections::BTreeSet;
-use sync::{par_map, par_map_ordered};
+use sync::par_map_ordered;
 
 /// Configurable trainer for the IntelLog pipeline.
 #[derive(Debug, Clone)]
@@ -60,17 +58,16 @@ impl Default for Trainer {
     }
 }
 
-/// How far [`Trainer::train`] may run ahead of an ordered stage: Spell
-/// lines prepared and not yet matched, or session-log rows split into
-/// subroutine instances and not yet absorbed. What runs ahead is memory,
-/// and more of it than its bytes: it is allocated on one thread and freed
-/// on another, which costs the allocator about twice its size in each
-/// thread's arena — splitting the whole corpus first read `peak_rss_mb`
-/// 34–38 MiB on `train_batch` against 30–32 (EXPERIMENTS.md, "Training
-/// reads a line the way detection does"). On the ordered map, 2,048, 4,096
-/// and 16,384 read within the noise of each other in `lines_per_s`, the
-/// largest 0.5 MiB higher (EXPERIMENTS.md, "Training's ordered stages run
-/// ahead"). A session longer than the window runs alone.
+/// How far [`Trainer::train`] may run ahead of an ordered stage, in lines:
+/// Spell lines prepared and not yet matched, or sessions logged and split
+/// and not yet absorbed. What runs ahead is memory, and more of it than its
+/// bytes: it is allocated on one thread and freed on another. Splitting
+/// the whole corpus first read `peak_rss_mb` 34–38 MiB on `train_batch`
+/// against 30–32, and writing every log first 28.6 against 24.9
+/// (EXPERIMENTS.md, "Training reads a line the way detection does" and "One
+/// ordered pass per training session"). 2,048, 4,096 and 16,384 read within
+/// the noise of each other in `lines_per_s` (EXPERIMENTS.md, "Training's
+/// ordered stages run ahead"). A session longer than the window runs alone.
 const SPLIT_WINDOW_ROWS: usize = 4096;
 
 /// The Spell stream hands sessions to its helper in batches of at least
@@ -136,25 +133,6 @@ impl PreparedBatch {
 
 // lint: ingest-hot(end)
 
-/// Stage 2 for one Spell key: its Intel Key, and its id if it goes to the
-/// ignored list (non-NL keys, §5).
-fn key_stage(extractor: &IntelExtractor, key: &LogKey) -> (IntelKey, Option<KeyId>) {
-    let ignored = !lognlp::is_natural_language(&key.render_sample());
-    (extractor.build(key), ignored.then_some(key.id))
-}
-
-/// The Intel Keys in key order, and the ignored list.
-fn split_key_stage(
-    stage: impl IntoIterator<Item = (IntelKey, Option<KeyId>)>,
-) -> (Vec<IntelKey>, BTreeSet<KeyId>) {
-    let mut ignored_keys = BTreeSet::new();
-    let keys = stage.into_iter().map(|(key, ignored)| {
-        ignored_keys.extend(ignored);
-        key
-    });
-    (keys.collect(), ignored_keys)
-}
-
 /// The keys the HW-graph is built over. Ignored keys contribute neither
 /// entities nor lifespans to it (paper §5: they are captured by pattern
 /// matching only).
@@ -193,25 +171,19 @@ impl Trainer {
         let _span = obs::span!("anomaly.train");
         obs::add!("anomaly.train.sessions", sessions.len() as u64);
         let (parser, parsed) = self.spell_stream_ahead(sessions);
+        let (keys, ignored_keys) = self.key_stage(&parser);
 
-        // Stage 2: Intel Keys and the ignored list (parallel, pure per key).
-        let extractor = IntelExtractor::with_matcher(self.matcher.clone());
-        let (keys, ignored_keys) =
-            split_key_stage(par_map(parser.keys(), |k| key_stage(&extractor, k)));
-
-        // Stage 3: session logs (parallel, pure per session) → HW-graph,
-        // sessions split ahead and merged in order.
-        let work: Vec<(&Session, &Vec<KeyId>)> = sessions.iter().zip(&parsed).collect();
-        let logs = par_map(&work, |(session, line_keys)| {
-            log_session(session, line_keys, &keys, &ignored_keys)
-        });
+        // Stage 3: each session logged and split ahead, merged in order.
         let mut graph = GraphBuilder::plan(&graph_keys(&keys, &ignored_keys));
         let key_groups = graph.key_groups().clone();
         par_map_ordered(
-            &logs,
+            &parsed,
             SPLIT_WINDOW_ROWS,
-            SessionLog::len,
-            |log| SessionPart::new(&key_groups, log),
+            |(session, _)| session.len(),
+            |(session, line_keys)| {
+                let log = log_session(session, line_keys, &keys, &ignored_keys);
+                SessionPart::new(&key_groups, log)
+            },
             |part| graph.absorb(part),
         );
         Detector::new(parser, keys, graph.finish(), ignored_keys)
@@ -224,20 +196,28 @@ impl Trainer {
         let _span = obs::span!("anomaly.train");
         obs::add!("anomaly.train.sessions", sessions.len() as u64);
         let (parser, parsed) = self.spell_stream(sessions);
+        let (keys, ignored_keys) = self.key_stage(&parser);
 
-        // Stage 2: Intel Keys and the ignored list.
-        let extractor = IntelExtractor::with_matcher(self.matcher.clone());
-        let (keys, ignored_keys) =
-            split_key_stage(parser.keys().iter().map(|k| key_stage(&extractor, k)));
-
-        // Stage 3: session logs → HW-graph.
-        let logs: Vec<SessionLog> = sessions
+        // Stage 3: each session logged, then absorbed into the HW-graph.
+        let logs = parsed
             .iter()
-            .zip(&parsed)
-            .map(|(session, line_keys)| log_session(session, line_keys, &keys, &ignored_keys))
-            .collect();
-        let graph = HwGraph::build_from_logs(&graph_keys(&keys, &ignored_keys), &logs);
+            .map(|(session, line_keys)| log_session(session, line_keys, &keys, &ignored_keys));
+        let graph = HwGraph::build_from_logs(&graph_keys(&keys, &ignored_keys), logs);
         Detector::new(parser, keys, graph, ignored_keys)
+    }
+
+    /// Stage 2: the Intel Key of every Spell key, in key order, and the
+    /// ignored list (non-NL keys, §5).
+    fn key_stage(&self, parser: &SpellParser) -> (Vec<IntelKey>, BTreeSet<KeyId>) {
+        let extractor = IntelExtractor::with_matcher(self.matcher.clone());
+        let mut ignored_keys = BTreeSet::new();
+        let keys = parser.keys().iter().map(|key| {
+            if !lognlp::is_natural_language(&key.render_sample()) {
+                ignored_keys.insert(key.id);
+            }
+            extractor.build(key)
+        });
+        (keys.collect(), ignored_keys)
     }
 
     // lint: ingest-hot(begin)
@@ -245,9 +225,13 @@ impl Trainer {
     /// Stage 1 of [`Trainer::train_sequential`]: Spell over the ordered
     /// message stream, each line prepared and then parsed — one set of line
     /// buffers for the whole corpus, no string built for a line that changes
-    /// no key — remembering each line's key (the line itself keeps its text
-    /// and timestamp, so nothing else is held per line).
-    fn spell_stream(&self, sessions: &[Session]) -> (SpellParser, Vec<Vec<KeyId>>) {
+    /// no key — remembering each session with its lines' keys (the line
+    /// itself keeps its text and timestamp, so nothing else is held per
+    /// line).
+    fn spell_stream<'s>(
+        &self,
+        sessions: &'s [Session],
+    ) -> (SpellParser, Vec<(&'s Session, Vec<KeyId>)>) {
         let mut parser = SpellParser::new(self.spell_threshold);
         // lint: allow(alloc) — one set of line buffers per corpus.
         let (mut spans, mut hashes, mut ids) = (Vec::new(), Vec::new(), Vec::new());
@@ -255,13 +239,12 @@ impl Trainer {
             .iter()
             .map(|session| {
                 let lines = session.lines.iter();
-                lines
-                    .map(|line| {
-                        SpellParser::prepare(&line.message, &mut spans, &mut hashes);
-                        let parse = parser.parse_prepared(&line.message, &spans, &hashes, &mut ids);
-                        parse.0
-                    })
-                    .collect()
+                let keys = lines.map(|line| {
+                    SpellParser::prepare(&line.message, &mut spans, &mut hashes);
+                    let parse = parser.parse_prepared(&line.message, &spans, &hashes, &mut ids);
+                    parse.0
+                });
+                (session, keys.collect())
             })
             .collect();
         (parser, parsed)
@@ -270,7 +253,10 @@ impl Trainer {
     /// Stage 1 of [`Trainer::train`]: [`Trainer::spell_stream`] with the
     /// lines prepared a window ahead, a batch of sessions at a time, on the
     /// ordered map's helper.
-    fn spell_stream_ahead(&self, sessions: &[Session]) -> (SpellParser, Vec<Vec<KeyId>>) {
+    fn spell_stream_ahead<'s>(
+        &self,
+        sessions: &'s [Session],
+    ) -> (SpellParser, Vec<(&'s Session, Vec<KeyId>)>) {
         let mut parser = SpellParser::new(self.spell_threshold);
         // lint: allow(alloc) — once per corpus.
         let mut parsed = Vec::with_capacity(sessions.len());
@@ -292,7 +278,7 @@ impl Trainer {
                             .parse_prepared(&line.message, spans, hashes, &mut ids)
                             .0
                     });
-                    parsed.push(keys.collect());
+                    parsed.push((session, keys.collect()));
                 }
             },
         );

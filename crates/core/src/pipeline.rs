@@ -18,9 +18,10 @@ impl IntelLog {
     /// Train on normal-execution sessions with the paper's defaults
     /// ([`Trainer::default`]; set its two fields and wrap the result with
     /// [`IntelLog::from_detector`] to change them). Training runs on every
-    /// available CPU (Spell is one sequential stream, the per-key and
-    /// per-session stages are parallel; see [`Trainer::train`]) and is
-    /// bit-identical to [`IntelLog::train_sequential`].
+    /// available CPU (Spell's stream and the HW-graph merge consume in order
+    /// while a helper prepares lines and logs and splits sessions ahead; see
+    /// [`Trainer::train`]) and is bit-identical to
+    /// [`IntelLog::train_sequential`].
     pub fn train(sessions: &[Session]) -> IntelLog {
         IntelLog::from_detector(Trainer::default().train(sessions))
     }

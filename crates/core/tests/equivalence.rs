@@ -159,14 +159,16 @@ fn parallel_training_equals_sequential_on_all_systems() {
     }
 }
 
-/// The trainer prepares Spell lines and splits sessions into subroutine
-/// instances up to a window of lines or rows ahead of its ordered stages
+/// The trainer prepares Spell lines, and logs and splits sessions into
+/// subroutine instances, up to a window of lines ahead of its ordered stages
 /// (`SPLIT_WINDOW_ROWS`, 4,096). Many short sessions (the MapReduce shape:
 /// several windows, ~100 sessions each), then one session longer than a
-/// window (every Spark line in one container), then short ones again:
-/// `train` is `train_sequential`, and a second `train` in the same process
-/// — whose calling thread has warmed its scratch in the first — is the
-/// first.
+/// window (every Spark line in one container), then short ones again; and
+/// first, beside the long one and last, the sessions at a window's edges: one
+/// with no lines, and one whose every line matches an ignored key (an empty
+/// log that weighs its lines). `train` is `train_sequential`, and a second
+/// `train` in the same process — whose calling thread has warmed its scratch
+/// in the first — is the first. With no sessions at all, the two agree too.
 #[test]
 fn run_ahead_equals_sequential_across_window_shapes() {
     let short = corpus(SystemKind::MapReduce, 7, 8);
@@ -183,15 +185,45 @@ fn run_ahead_equals_sequential_across_window_shapes() {
         rows(&short)
     );
     assert!(short.len() > 200 && short.iter().all(|s| s.len() < 4096));
+    let empty = Session::new("no_lines", Vec::new());
+    let mut dump = short[0].clone();
+    dump.id = "only_ignored_keys".into();
+    for (i, line) in dump.lines.iter_mut().enumerate() {
+        line.message = format!("memory={} vcores={} disk={}", 1024 + i, i % 8, i % 3);
+    }
+    let edges = [&empty, &dump];
     let (head, tail) = short.split_at(short.len() * 2 / 3);
-    let sessions: Vec<Session> = head.iter().chain([&long]).chain(tail).cloned().collect();
+    let sessions: Vec<Session> = edges
+        .into_iter()
+        .chain(head)
+        .chain(edges)
+        .chain([&long])
+        .chain(edges)
+        .chain(tail)
+        .chain(edges)
+        .cloned()
+        .collect();
 
     let trainer = Trainer::default();
-    let seq = serde_json::to_string(&trainer.train_sequential(&sessions)).unwrap();
+    let seq = trainer.train_sequential(&sessions);
+    let ignored = |line: &spell::LogLine| {
+        let key = seq.parser.match_line(&line.message);
+        key.is_some_and(|k| seq.ignored_keys.contains(&k))
+    };
+    assert!(
+        !dump.lines.is_empty() && dump.lines.iter().all(ignored),
+        "every line of the dump session matches an ignored key"
+    );
+    let seq = serde_json::to_string(&seq).unwrap();
     for run in ["first", "second"] {
         let par = serde_json::to_string(&trainer.train(&sessions)).unwrap();
         assert_eq!(par, seq, "{run} train diverged from train_sequential");
     }
+    assert_eq!(
+        serde_json::to_string(&trainer.train(&[])).unwrap(),
+        serde_json::to_string(&trainer.train_sequential(&[])).unwrap(),
+        "no sessions"
+    );
 }
 
 #[test]

@@ -100,16 +100,18 @@ pub struct HwGraph {
 /// 2. [`SessionPart::new`] — everything about one session that depends on
 ///    the plan alone: its rows routed to groups, each group's lifespan, the
 ///    keys that repeat, and Algorithm 2's split once per group. It reads
-///    only the plan's key → groups map ([`GraphBuilder::key_groups`]), so
-///    sessions can be split on any thread, in any order, while the builder
-///    absorbs.
-/// 3. [`GraphBuilder::absorb`] — the learners consume a part. A session's
-///    profile depends on the profiles before it and BEFORE pairs on the
-///    instances before them, so parts are absorbed in session order.
+///    only the plan's key → groups map ([`GraphBuilder::key_groups`]) and
+///    takes the session's log, so a session can be logged and split on any
+///    thread, in any order, while the builder absorbs.
+/// 3. [`GraphBuilder::absorb`] — the learners consume a part, and with it
+///    its log. A session's profile depends on the profiles before it and
+///    BEFORE pairs on the instances before them, so parts are absorbed in
+///    session order.
 /// 4. [`GraphBuilder::finish`] — flags, relations, hierarchy, statistics.
 ///
-/// [`HwGraph::build_from_logs`] is the loop over these; a parallel trainer
-/// splits sessions ahead on other threads while it absorbs in order.
+/// [`HwGraph::build_from_logs`] is the loop over these, a log at a time; the
+/// parallel trainer logs and splits sessions ahead on another thread while
+/// it absorbs in order.
 pub struct GraphBuilder {
     _span: obs::SpanGuard,
     groups: Vec<GroupModel>,
@@ -122,29 +124,31 @@ pub struct GraphBuilder {
 
 /// One session's share of the training, computed by [`SessionPart::new`]
 /// and consumed by [`GraphBuilder::absorb`] — possibly on another thread, so
-/// it is a few arrays per session, not a few per group: thousands of small
-/// blocks freed by a thread that did not allocate them cost the allocator
-/// more memory than the parts hold (EXPERIMENTS.md, "Training reads a line
-/// the way detection does").
-pub struct SessionPart<'a> {
-    rows: usize,
+/// it is the session's log and a few arrays, not a few per group: every
+/// block a part owns is allocated on one thread and freed on another, which
+/// costs the allocator memory beyond the block (EXPERIMENTS.md, "Training
+/// reads a line the way detection does"). `anomaly/tests/handoff_count.rs`
+/// holds the trainer to those blocks per session.
+pub struct SessionPart {
+    /// The session's matched lines: what the split's numbers spell.
+    log: SessionLog,
     /// Per group present, ascending.
     lifespans: Vec<(usize, Lifespan)>,
     repeating_keys: Vec<KeyId>,
     /// Algorithm 2 runs once per (session, group); the profile learner and
     /// the group's own learner consume the same instances. Every group's
     /// instances are in `split`, numbered as `instances` says.
-    split: InstanceSplit<'a>,
+    split: InstanceSplit,
     instances: Vec<(usize, Range<usize>)>,
 }
 
-impl<'a> SessionPart<'a> {
+impl SessionPart {
     /// Per-group lifespans and subroutine instances of one session, and its
-    /// repeating keys (the critical-group criterion), given the plan's
-    /// key → groups map.
-    pub fn new(key_groups: &BTreeMap<KeyId, Vec<usize>>, session: &'a SessionLog) -> Self {
-        let per_group = rows_by_group(key_groups, session);
-        let mut keys: Vec<KeyId> = session.rows().iter().map(|m| m.key_id).collect();
+    /// repeating keys (the critical-group criterion), from the session's
+    /// log, which the part keeps, given the plan's key → groups map.
+    pub fn new(key_groups: &BTreeMap<KeyId, Vec<usize>>, log: SessionLog) -> Self {
+        let per_group = rows_by_group(key_groups, &log);
+        let mut keys: Vec<KeyId> = log.rows().iter().map(|m| m.key_id).collect();
         keys.sort_unstable();
         let mut repeating_keys: Vec<KeyId> = keys
             .windows(2)
@@ -152,16 +156,17 @@ impl<'a> SessionPart<'a> {
             .map(|pair| pair[0])
             .collect();
         repeating_keys.dedup();
-        let mut split = InstanceSplit::new(session);
+        let mut split = InstanceSplit::default();
+        let instances = per_group
+            .iter()
+            .map(|(&g, (_, rows))| (g, split_instances_into(&log, rows, &mut split)))
+            .collect();
         SessionPart {
-            rows: session.len(),
             lifespans: per_group.iter().map(|(&g, &(span, _))| (g, span)).collect(),
             repeating_keys,
-            instances: per_group
-                .iter()
-                .map(|(&g, (_, rows))| (g, split_instances_into(rows, &mut split)))
-                .collect(),
+            instances,
             split,
+            log,
         }
     }
 }
@@ -219,10 +224,11 @@ impl GraphBuilder {
     }
 
     /// Train on the next session, given its part.
-    pub fn absorb(&mut self, part: SessionPart<'_>) {
+    pub fn absorb(&mut self, part: SessionPart) {
         let groups = || part.instances.iter().cloned();
-        let instances = |range| part.split.instances(range);
-        if part.rows > 0 {
+        let instances = |range| part.split.instances(&part.log, range);
+        let rows = part.log.len();
+        if rows > 0 {
             let profile = self.profiles.join(groups().map(|(g, _)| g).collect());
             for (g, range) in groups() {
                 let learner = profile.subroutines.entry(g).or_default();
@@ -233,7 +239,7 @@ impl GraphBuilder {
             self.groups[g].sessions_seen += 1;
             self.groups[g].subroutines.train_instances(instances(range));
         }
-        self.total_msgs += part.rows;
+        self.total_msgs += rows;
         self.session_lifespans.push(part.lifespans);
         self.key_repeats_in_session.extend(part.repeating_keys);
     }
@@ -314,22 +320,23 @@ impl GraphBuilder {
 
 impl HwGraph {
     /// [`HwGraph::build_from_logs`] for callers that hold owned Intel
-    /// Messages: converts each session to its log and builds from those.
+    /// Messages: converts each session to its log as the build reaches it.
     pub fn build(keys: &[IntelKey], sessions: &[Vec<IntelMessage>]) -> HwGraph {
-        let logs: Vec<SessionLog> = sessions
-            .iter()
-            .map(|s| SessionLog::from_messages(s))
-            .collect();
-        HwGraph::build_from_logs(keys, &logs)
+        let logs = sessions.iter().map(|s| SessionLog::from_messages(s));
+        HwGraph::build_from_logs(keys, logs)
     }
 
     /// Build (train) a HW-graph from Intel Keys and per-session logs of the
     /// matched lines (time-ordered within each session): the plain loop over
-    /// [`GraphBuilder`]'s pieces, one session at a time.
-    pub fn build_from_logs(keys: &[IntelKey], sessions: &[SessionLog]) -> HwGraph {
+    /// [`GraphBuilder`]'s pieces, one session at a time, each log dropped
+    /// once absorbed.
+    pub fn build_from_logs(
+        keys: &[IntelKey],
+        logs: impl IntoIterator<Item = SessionLog>,
+    ) -> HwGraph {
         let mut builder = GraphBuilder::plan(keys);
-        for session in sessions {
-            let part = SessionPart::new(builder.key_groups(), session);
+        for log in logs {
+            let part = SessionPart::new(builder.key_groups(), log);
             builder.absorb(part);
         }
         builder.finish()

@@ -138,7 +138,7 @@ mod tests {
         for (g, log) in s {
             let split = split_instances(log, &all_rows(log));
             let learner = profile.subroutines.entry(*g).or_default();
-            learner.train_instances(split.iter());
+            learner.train_instances(split.iter(log));
         }
     }
 

@@ -152,16 +152,16 @@ struct Numbered {
 /// for several groups of one session, one after the other
 /// ([`split_instances_into`]) — before any string is built: identifier types
 /// and scoped values are the session log's numbers, and every instance is a
-/// few runs of shared arrays. The learners and the end-of-session checks
-/// read key sequences and compare signatures through it as they are;
-/// [`Instance::signature`] /
+/// few runs of shared arrays. The split holds numbers only: whatever spells
+/// them takes the log they number ([`InstanceSplit::instances`]), so a split
+/// and its log can travel together without one borrowing the other. The
+/// learners and the end-of-session checks read key sequences and compare
+/// signatures through it as they are; [`Instance::signature`] /
 /// [`Instance::id_values`] build the strings of one instance (an anomaly
 /// being reported, a new signature) and [`InstanceSplit::render`] those of
 /// all of them (a [`SubroutineInstance`] list for inspection).
-#[derive(Debug)]
-pub struct InstanceSplit<'a> {
-    /// Where the numbers are spelled.
-    log: &'a SessionLog,
+#[derive(Debug, Default)]
+pub struct InstanceSplit {
     value_sets: Vec<u32>,
     type_sets: Vec<u32>,
     /// Message indices grouped by instance, in order within each.
@@ -173,26 +173,15 @@ pub struct InstanceSplit<'a> {
     instances: Vec<Numbered>,
 }
 
-/// A view of one instance of an [`InstanceSplit`].
+/// A view of one instance of an [`InstanceSplit`], over the log it numbers.
 #[derive(Debug, Clone, Copy)]
 pub struct Instance<'s> {
-    split: &'s InstanceSplit<'s>,
+    split: &'s InstanceSplit,
+    log: &'s SessionLog,
     raw: Numbered,
 }
 
-impl<'a> InstanceSplit<'a> {
-    /// No instance yet, over `log`.
-    pub fn new(log: &'a SessionLog) -> InstanceSplit<'a> {
-        InstanceSplit {
-            log,
-            value_sets: Vec::new(),
-            type_sets: Vec::new(),
-            message_indices: Vec::new(),
-            keys: Vec::new(),
-            instances: Vec::new(),
-        }
-    }
-
+impl InstanceSplit {
     /// Number of instances.
     pub fn len(&self) -> usize {
         self.instances.len()
@@ -203,22 +192,31 @@ impl<'a> InstanceSplit<'a> {
         self.instances.is_empty()
     }
 
-    /// The instances: the NONE bucket first, then in creation order.
-    pub fn iter(&self) -> impl Iterator<Item = Instance<'_>> {
-        self.instances(0..self.len())
+    /// The instances over `log`, the one they were split from: the NONE
+    /// bucket first, then in creation order.
+    pub fn iter<'s>(&'s self, log: &'s SessionLog) -> impl Iterator<Item = Instance<'s>> {
+        self.instances(log, 0..self.len())
     }
 
     /// The instances numbered `range` — those of one message sequence, as
-    /// [`split_instances_into`] returned it.
-    pub fn instances(&self, range: Range<usize>) -> impl Iterator<Item = Instance<'_>> {
-        self.instances[range]
-            .iter()
-            .map(move |&raw| Instance { split: self, raw })
+    /// [`split_instances_into`] returned it — over `log`, the one they were
+    /// split from.
+    pub fn instances<'s>(
+        &'s self,
+        log: &'s SessionLog,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = Instance<'s>> {
+        self.instances[range].iter().map(move |&raw| Instance {
+            split: self,
+            log,
+            raw,
+        })
     }
 
-    /// Every instance with its strings built.
-    pub fn render(&self) -> Vec<SubroutineInstance> {
-        self.iter().map(|inst| inst.render()).collect()
+    /// Every instance with its strings built from `log`, the one they were
+    /// split from.
+    pub fn render(&self, log: &SessionLog) -> Vec<SubroutineInstance> {
+        self.iter(log).map(|inst| inst.render()).collect()
     }
 }
 
@@ -240,7 +238,7 @@ impl<'s> Instance<'s> {
 
     fn type_names(&self) -> impl Iterator<Item = &'s str> + '_ {
         let types = self.raw.types.of(&self.split.type_sets);
-        types.iter().map(|&t| self.split.log.type_name(t))
+        types.iter().map(|&t| self.log.type_name(t))
     }
 
     /// `true` if the instance's identifier types are exactly `signature`.
@@ -262,7 +260,7 @@ impl<'s> Instance<'s> {
         let values = self.raw.values.of(&self.split.value_sets);
         values
             .iter()
-            .map(|&v| self.split.log.scoped_value(v).to_string())
+            .map(|&v| self.log.scoped_value(v).to_string())
             .collect()
     }
 }
@@ -334,19 +332,22 @@ impl InstanceLists {
 /// in creation order would have stopped at. A value that every instance
 /// shares (one STAGE for a session of TASKs) is in a long posting list but is
 /// never the rarest of a message with a fresher value, so it costs nothing.
-pub fn split_instances<'a>(log: &'a SessionLog, rows: &[u32]) -> InstanceSplit<'a> {
-    let mut split = InstanceSplit::new(log);
-    split_instances_into(rows, &mut split);
+pub fn split_instances(log: &SessionLog, rows: &[u32]) -> InstanceSplit {
+    let mut split = InstanceSplit::default();
+    split_instances_into(log, rows, &mut split);
     split
 }
 
-/// [`split_instances`] of `rows` of `out`'s log, appended to `out`: returns
-/// the numbers its instances were given. A session's groups split into one
-/// `InstanceSplit` share five arrays instead of owning five each — what the
-/// trainer hands from the thread that split a session to the one that
-/// learns from it.
-pub fn split_instances_into(rows: &[u32], out: &mut InstanceSplit<'_>) -> Range<usize> {
-    let log = out.log;
+/// [`split_instances`] of `rows` of `log`, appended to `out` — which must
+/// hold only splits of the same log: returns the numbers its instances were
+/// given. A session's groups split into one `InstanceSplit` share five
+/// arrays instead of owning five each — what the trainer hands, with the
+/// log, from the thread that split a session to the one that learns from it.
+pub fn split_instances_into(
+    log: &SessionLog,
+    rows: &[u32],
+    out: &mut InstanceSplit,
+) -> Range<usize> {
     let mut postings = InstanceLists::new(log.value_count());
     let mut anchored = InstanceLists::new(log.value_count());
     let InstanceSplit {
@@ -645,7 +646,7 @@ pub(crate) mod tests {
             msg(2, &[]),
         ];
         let log = SessionLog::from_messages(&ms);
-        let insts = split_instances(&log, &all_rows(&log)).render();
+        let insts = split_instances(&log, &all_rows(&log)).render(&log);
         assert_eq!(insts.len(), 3);
         let none = insts.iter().find(|i| i.signature.is_empty()).unwrap();
         assert_eq!(none.keys, [KeyId(2)]);
@@ -665,7 +666,7 @@ pub(crate) mod tests {
             msg(2, &[("ATTEMPT", "a1")]),
         ];
         let log = SessionLog::from_messages(&ms);
-        let insts = split_instances(&log, &all_rows(&log)).render();
+        let insts = split_instances(&log, &all_rows(&log)).render(&log);
         assert_eq!(insts.len(), 1, "{insts:?}");
         assert_eq!(insts[0].keys, [KeyId(0), KeyId(1), KeyId(2)]);
         assert_eq!(
@@ -683,8 +684,8 @@ pub(crate) mod tests {
             msg(9, &[]),
         ];
         let log = SessionLog::from_messages(&s1);
-        set.train_instances(split_instances(&log, &all_rows(&log)).iter());
-        set.train_instances(split_instances(&log, &all_rows(&log)).iter());
+        set.train_instances(split_instances(&log, &all_rows(&log)).iter(&log));
+        set.train_instances(split_instances(&log, &all_rows(&log)).iter(&log));
         assert_eq!(set.len(), 2); // FETCHER signature + NONE
         let fet = set.get(&BTreeSet::from(["FETCHER".to_string()])).unwrap();
         assert_eq!(fet.keys, [KeyId(0), KeyId(1)]);
@@ -725,7 +726,7 @@ pub(crate) mod tests {
         ];
         let refs: Vec<&IntelMessage> = ms.iter().collect();
         let log = SessionLog::from_messages(&ms);
-        let insts = split_instances(&log, &all_rows(&log)).render();
+        let insts = split_instances(&log, &all_rows(&log)).render(&log);
         assert_eq!(insts, split_instances_oracle(&refs));
         assert_eq!(insts[0].keys, [KeyId(0), KeyId(2), KeyId(3)]);
         assert_eq!(insts[1].keys, [KeyId(1)]);
@@ -739,9 +740,9 @@ pub(crate) mod tests {
         let refs: Vec<&IntelMessage> = ms.iter().collect();
         let log = SessionLog::from_messages(&ms);
         let split = split_instances(&log, &all_rows(&log));
-        assert_eq!(split.render(), split_instances_oracle(&refs));
+        assert_eq!(split.render(&log), split_instances_oracle(&refs));
         assert_eq!(split.len(), 1);
-        let inst = split.iter().next().unwrap();
+        let inst = split.iter(&log).next().unwrap();
         assert_eq!(inst.id_values(), BTreeSet::from(["T:1:2".to_string()]));
         assert_eq!(
             inst.signature(),
@@ -801,20 +802,20 @@ pub(crate) mod tests {
             let rows: Vec<u32> = all_rows(&log).into_iter().filter(|r| r % 3 != 2).collect();
             let refs: Vec<&IntelMessage> = rows.iter().map(|&r| &ms[r as usize]).collect();
             let split = split_instances(&log, &rows);
-            let rendered = split.render();
+            let rendered = split.render(&log);
             prop_assert_eq!(&rendered, &split_instances_oracle(&refs));
             prop_assert_eq!(split.len(), rendered.len());
-            for (view, inst) in split.iter().zip(&rendered) {
+            for (view, inst) in split.iter(&log).zip(&rendered) {
                 prop_assert_eq!(view.keys(), inst.keys.as_slice());
                 prop_assert!(view.has_signature(&inst.signature));
             }
 
             let others: Vec<u32> = all_rows(&log).into_iter().filter(|r| r % 3 == 2).collect();
             let mut shared = split_instances(&log, &others);
-            let range = split_instances_into(&rows, &mut shared);
+            let range = split_instances_into(&log, &rows, &mut shared);
             prop_assert_eq!(range.end, shared.len());
-            prop_assert_eq!(&shared.render()[range.clone()], &rendered[..]);
-            for (view, inst) in shared.instances(range).zip(&rendered) {
+            prop_assert_eq!(&shared.render(&log)[range.clone()], &rendered[..]);
+            for (view, inst) in shared.instances(&log, range).zip(&rendered) {
                 prop_assert_eq!(view.keys(), inst.keys.as_slice());
                 prop_assert!(view.has_signature(&inst.signature));
             }

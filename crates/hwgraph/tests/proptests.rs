@@ -24,15 +24,45 @@ fn render_line((template, a, b): (u32, u32, u32)) -> String {
     }
 }
 
+/// Per session, each line's text and Spell key. Iterating writes each
+/// session's log afresh, one at a time, the way the trainer does.
+struct Logs {
+    keys: Vec<IntelKey>,
+    sessions: Vec<Vec<(String, KeyId)>>,
+}
+
+impl Logs {
+    fn len(&self) -> usize {
+        self.sessions.len()
+    }
+}
+
+impl<'a> IntoIterator for &'a Logs {
+    type Item = SessionLog;
+    type IntoIter = Box<dyn Iterator<Item = SessionLog> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let mut spans = Vec::new();
+        Box::new(self.sessions.iter().map(move |session| {
+            let mut log = SessionLog::default();
+            for (ts, (text, key)) in (0u64..).zip(session) {
+                spell::tokenize_spans(text, &mut spans);
+                log.push_line(&self.keys[key.0 as usize], ts * 10, text, &spans);
+            }
+            log
+        }))
+    }
+}
+
 /// Keys and per-session logs the way the trainer makes them: Spell over the
 /// whole stream, Intel Keys from the final key set, one row per line.
-fn train_inputs(sessions: &[Vec<(u32, u32, u32)>]) -> (Vec<IntelKey>, Vec<SessionLog>) {
+fn train_inputs(sessions: &[Vec<(u32, u32, u32)>]) -> (Vec<IntelKey>, Logs) {
     let mut parser = SpellParser::default();
     let (mut spans, mut ids) = (Vec::new(), Vec::new());
     // two instances of every template first, so that every case has keys
     // with `*` fields and groups to route rows to
     let warm = (0..6).map(|t| vec![(t, 1, 0), (t, 2, 1)]);
-    let lines: Vec<Vec<(String, spell::KeyId)>> = warm
+    let mut lines: Vec<Vec<(String, KeyId)>> = warm
         .chain(sessions.iter().cloned())
         .map(|session| {
             let texts = session.into_iter().map(render_line);
@@ -46,36 +76,29 @@ fn train_inputs(sessions: &[Vec<(u32, u32, u32)>]) -> (Vec<IntelKey>, Vec<Sessio
         .collect();
     let extractor = IntelExtractor::new();
     let keys: Vec<IntelKey> = parser.keys().iter().map(|k| extractor.build(k)).collect();
-    let logs = lines[6..]
-        .iter()
-        .map(|session| {
-            let mut log = SessionLog::default();
-            for (ts, (text, key)) in (0u64..).zip(session) {
-                spell::tokenize_spans(text, &mut spans);
-                log.push_line(&keys[key.0 as usize], ts * 10, text, &spans);
-            }
-            log
-        })
-        .collect();
+    let sessions = lines.split_off(6);
+    let logs = Logs {
+        keys: keys.clone(),
+        sessions,
+    };
     (keys, logs)
 }
 
-/// Plan, then parts a window at a time — each window's parts all computed,
-/// from a copy of the plan's key → groups map, before the first of them is
-/// absorbed — then finish.
-fn build_in_windows(keys: &[IntelKey], logs: &[SessionLog], sizes: &[usize]) -> HwGraph {
+/// Plan, then parts a window at a time — each window's logs all written
+/// and split into owned parts, from a copy of the plan's key → groups map,
+/// before the first of them is absorbed — then finish.
+fn build_in_windows(keys: &[IntelKey], logs: &Logs, sizes: &[usize]) -> HwGraph {
     let mut builder = GraphBuilder::plan(keys);
     let key_groups = builder.key_groups().clone();
-    let (mut rest, mut sizes) = (logs, sizes.iter().cycle());
-    while !rest.is_empty() {
-        let take = (*sizes.next().expect("a cycle of sizes")).min(rest.len());
-        let (window, later) = rest.split_at(take);
-        let parts: Vec<_> = window
-            .iter()
+    let (mut rest, mut sizes) = (logs.into_iter().peekable(), sizes.iter().cycle());
+    while rest.peek().is_some() {
+        let take = *sizes.next().expect("a cycle of sizes");
+        let parts: Vec<SessionPart> = rest
+            .by_ref()
+            .take(take)
             .map(|log| SessionPart::new(&key_groups, log))
             .collect();
         parts.into_iter().for_each(|part| builder.absorb(part));
-        rest = later;
     }
     builder.finish()
 }

@@ -3,10 +3,10 @@
 //! Every crate in the workspace takes its `Mutex`, `Condvar`, atomics,
 //! channels and threads from here instead of `std::sync` /
 //! `std::thread` (enforced by `scripts/lint_invariants.py`), and its two
-//! parallel maps too: [`par_map`], which training's per-key and per-session
-//! maps and detection's per-session map run on, and [`par_map_ordered`],
-//! which runs training's two ordered stages — the Spell stream and the
-//! HW-graph's merge — with their state-free halves computed ahead.
+//! parallel maps too: [`par_map`], which detection's per-session map runs
+//! on, and [`par_map_ordered`], which runs training's two ordered stages —
+//! the Spell stream and the HW-graph's merge — with their state-free
+//! halves computed ahead.
 //! The facade has three personalities, chosen at compile time:
 //!
 //! * **release** — a zero-cost passthrough. Types are thin newtypes over

@@ -28,11 +28,11 @@ and without (`parse_msgs_per_s`).
 Self-relative invariants, from the fresh documents alone: every workload
 verified its outputs with no failed operation; parallel detection beats
 sequential by SPEEDUP_MIN where the measured host had >= 4 CPUs and holds
-PARITY_MIN elsewhere, as parallel training does on every host (the
-Intel Keys and session logs run through `sync::par_map`, and the two
+PARITY_MIN elsewhere, as parallel training does on every host (its two
 ordered stages — the Spell stream and the HW-graph's merge — run their
-state-free halves, tokenising and Algorithm 2's per-session split, ahead
-on `sync::par_map_ordered` while the calling thread consumes in order;
+state-free halves, tokenising and each session's log and Algorithm 2
+split, ahead on `sync::par_map_ordered` while the calling thread consumes
+in order;
 the ratio has no floor of its own — it is printed with the verdict so the
 trajectory shows, and the end-to-end `train_batch` rate is what shows the
 maps pay); recording into `obs`
