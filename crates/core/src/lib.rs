@@ -3,8 +3,8 @@
 //! Ties the substrates together behind one API (paper Fig. 2):
 //!
 //! * [`pipeline`] — [`IntelLog`]: train on normal sessions, detect anomalies
-//!   (parallel across sessions through `sync::par_map`), diagnose, export
-//!   HW-graphs;
+//!   (parallel across sessions through `sync::par_map_ordered`), diagnose,
+//!   export HW-graphs;
 //! * [`bridge`] — conversions between the simulated cluster (`dlasim`) and
 //!   the log-session types the pipeline consumes, both structural and
 //!   through raw log text + the `lognlp::format` adapters, and the one

@@ -2,7 +2,7 @@
 //!
 //! [`IntelLog`] wraps training (Spell → Intel Keys → HW-graph) and
 //! detection behind one API, and parallelises the embarrassingly-parallel
-//! per-session detection with [`sync::par_map`].
+//! per-session detection with [`sync::par_map_ordered`].
 
 use anomaly::{diagnose, Detector, Diagnosis, JobReport, SessionReport, Trainer};
 use hwgraph::HwGraph;
@@ -54,13 +54,20 @@ impl IntelLog {
     }
 
     /// Detect anomalies in a job — sessions are processed in parallel with
-    /// [`sync::par_map`] (each session is independent; the detector is
-    /// shared read-only).
+    /// [`sync::par_map_ordered`] (each session is independent; the detector
+    /// is shared read-only). Every report is kept, so the window is the
+    /// whole job: helpers never wait for room.
     pub fn detect_job(&self, sessions: &[Session]) -> JobReport {
         let _span = obs::span!("pipeline.detect_job");
-        JobReport {
-            sessions: sync::par_map(sessions, |s| self.detector.detect_session(s)),
-        }
+        let mut reports = Vec::with_capacity(sessions.len());
+        sync::par_map_ordered(
+            sessions,
+            sessions.len(),
+            |_| 1,
+            |s| self.detector.detect_session(s),
+            |r| reports.push(r),
+        );
+        JobReport { sessions: reports }
     }
 
     /// Genuinely sequential detection: a plain in-order loop over the

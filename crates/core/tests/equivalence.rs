@@ -226,19 +226,41 @@ fn run_ahead_equals_sequential_across_window_shapes() {
     );
 }
 
+/// `detect_job` (the ordered map, the whole job as its window) reports what
+/// `detect_job_sequential` does on every job shape: a faulted job, no
+/// sessions, one session (no helper starts), an empty session placed first,
+/// and the sessions of one faulted job per fault kind in one call.
 #[test]
 fn parallel_and_sequential_reports_agree_on_faulted_job() {
     let train = corpus(SystemKind::MapReduce, 11, 2);
     let par = IntelLog::train(&train);
     let seq = IntelLog::train_sequential(&train);
-    let mut gen = WorkloadGen::new(23, 6);
-    let cfg = gen.detection_config(SystemKind::MapReduce, 1);
-    let plan = gen.fault_plan(FaultKind::NetworkFailure);
-    let job = dlasim::generate(&cfg, Some(&plan));
-    let sessions = sessions_from_job(&job);
-    let rp = par.detect_job(&sessions);
-    let rs = seq.detect_job_sequential(&sessions);
-    assert_eq!(rp, rs);
+    let job = faulted_job(SystemKind::MapReduce, 23, FaultKind::NetworkFailure);
+    let empty_first: Vec<Session> = [Session::new("no_lines", Vec::new())]
+        .into_iter()
+        .chain(job.iter().cloned())
+        .collect();
+    let every_fault: Vec<Session> = FAULTS
+        .iter()
+        .zip(23..)
+        .flat_map(|(&fault, seed)| faulted_job(SystemKind::MapReduce, seed, fault))
+        .collect();
+    let shapes: [(&str, &[Session]); 5] = [
+        ("faulted job", &job),
+        ("no sessions", &[]),
+        ("one session", &job[..1]),
+        ("empty session first", &empty_first),
+        ("one job per fault kind", &every_fault),
+    ];
+    for (shape, sessions) in shapes {
+        let rp = par.detect_job(sessions);
+        assert_eq!(rp, seq.detect_job_sequential(sessions), "{shape}");
+        assert_eq!(rp.total_count(), sessions.len(), "{shape}");
+    }
+    assert!(
+        par.detect_job(&every_fault).problematic_count() > 0,
+        "the faulted jobs flag sessions"
+    );
 }
 
 proptest! {

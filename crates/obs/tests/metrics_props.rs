@@ -113,14 +113,15 @@ fn counter_and_histogram_sum_saturate_instead_of_wrapping() {
 }
 
 #[test]
-fn concurrent_increments_are_not_lost_under_par_map() {
+fn concurrent_increments_are_not_lost_under_par_map_ordered() {
     static C: Counter = Counter::new();
     static H: Histogram = Histogram::new();
     let items: Vec<u64> = (0..10_000).collect();
-    sync::par_map(&items, |i| {
+    let each = |i: &u64| {
         C.inc();
         H.record_us(*i);
-    });
+    };
+    sync::par_map_ordered(&items, items.len(), |_| 1, each, |()| {});
     assert_eq!(C.get(), 10_000);
     assert_eq!(H.count(), 10_000);
     assert_eq!(H.bucket_counts().iter().sum::<u64>(), 10_000);

@@ -2,11 +2,10 @@
 //!
 //! Every crate in the workspace takes its `Mutex`, `Condvar`, atomics,
 //! channels and threads from here instead of `std::sync` /
-//! `std::thread` (enforced by `scripts/lint_invariants.py`), and its two
-//! parallel maps too: [`par_map`], which detection's per-session map runs
-//! on, and [`par_map_ordered`], which runs training's two ordered stages —
-//! the Spell stream and the HW-graph's merge — with their state-free
-//! halves computed ahead.
+//! `std::thread` (enforced by `scripts/lint_invariants.py`), and its one
+//! parallel map too: [`par_map_ordered`], which runs detection's
+//! per-session map and training's two ordered stages — the Spell stream and
+//! the HW-graph's merge — with their state-free halves computed ahead.
 //! The facade has three personalities, chosen at compile time:
 //!
 //! * **release** — a zero-cost passthrough. Types are thin newtypes over
@@ -45,7 +44,7 @@ mod par;
 pub mod poll;
 pub mod thread;
 
-pub use par::{par_map, par_map_ordered, Handoff, Turn};
+pub use par::{par_map_ordered, Handoff, Turn};
 
 #[cfg(any(debug_assertions, intellog_check))]
 pub(crate) mod order;

@@ -1,33 +1,24 @@
-//! The workspace's two parallel maps.
+//! The workspace's one parallel map.
 //!
-//! [`par_map`] runs `f` over a slice on the calling thread plus
-//! `available_parallelism() − 1` scoped workers (never more participants than
-//! items). Every participant claims the next index off one atomic cursor, so
-//! a costly item holds back only the thread running it, and the workers are
-//! joined before the call returns: no thread outlives it. Each participant
-//! keeps the `(index, result)` pairs it ran and the caller places them at
-//! their input index, so the result equals `items.iter().map(f).collect()`
-//! in content and order. A panic in any item is re-raised on the calling
-//! thread once every participant has stopped.
-//!
-//! [`par_map_ordered`] is its sibling for a stage whose consumer must see
-//! results in input order: it hands each result to a consumer on the calling
-//! thread, item after item. Helpers compute items ahead, at most a fixed
-//! weight of them in flight; the caller takes each next result, and computes
-//! the item itself whenever no helper has claimed it yet — so a helper that
-//! starts late, or never, costs nothing. While a helper is still computing
-//! the caller's next item, the caller computes a later one instead of
-//! waiting, so a map slower than the consumer keeps both threads busy.
-//! Helpers are joined before the call
-//! returns, and a panic in the map or the consumer is re-raised once every
-//! participant has stopped. The claim / store / take / wait state behind it
-//! is [`Handoff`].
+//! [`par_map_ordered`] maps a slice and hands each result to a consumer on
+//! the calling thread, in input order. Helpers — `available_parallelism() −
+//! 1` scoped threads, never more participants than items — compute items
+//! ahead, at most a fixed weight of them in flight; the caller takes each
+//! next result, and computes the item itself whenever no helper has claimed
+//! it yet — so a helper that starts late, or never, costs nothing. While a
+//! helper is still computing the caller's next item, the caller computes a
+//! later one instead of waiting, so a map slower than the consumer keeps
+//! every thread busy. With a window as large as the input no helper ever
+//! waits for room, which is how detection maps a job's sessions. Helpers
+//! are joined before the call returns, so no thread outlives it, and a
+//! panic in the map or the consumer is re-raised once every participant has
+//! stopped. The claim / store / take / wait state behind it is
+//! [`Handoff`].
 //!
 //! Scoped threads are real OS threads under `--cfg intellog_check` too (see
-//! [`crate::thread`]), so no exploration runs either map; the model-check
+//! [`crate::thread`]), so no exploration runs the map; the model-check
 //! suite drives a [`Handoff`] from scheduler tasks instead.
 
-use crate::atomic::{AtomicUsize, Ordering};
 use crate::thread;
 use crate::{Condvar, Mutex, OnceLock};
 use std::collections::VecDeque;
@@ -54,68 +45,12 @@ fn spawn_worker<'scope, R: Send + 'scope>(
     thread::Builder::new().spawn_scoped(s, run).ok()
 }
 
-/// Map `f` over `items` in parallel; results in input order. A call made
-/// from inside `f` starts its own workers.
-pub fn par_map<'a, T: Sync, R: Send>(items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> Vec<R> {
-    par_map_on(host_threads(), items, f)
-}
-
-fn par_map_on<'a, T: Sync, R: Send>(
-    threads: usize,
-    items: &'a [T],
-    f: impl Fn(&'a T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.min(items.len());
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-
-    // `Relaxed`: the cursor hands out indices and publishes nothing; results
-    // reach the caller through `join`.
-    let cursor = AtomicUsize::new(0);
-    let run = || {
-        // Sized to an even share, so a participant rarely reallocates.
-        let mut ran = Vec::with_capacity(items.len().div_ceil(threads));
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else { return ran };
-            ran.push((i, f(item)));
-        }
-    };
-    let shares: Vec<_> = thread::scope(|s| {
-        // A worker the OS refuses leaves its items to the threads that did
-        // start: the cursor hands out whatever is left.
-        let workers: Vec<_> = (1..threads).filter_map(|_| spawn_worker(s, run)).collect();
-        let mine = catch_unwind(AssertUnwindSafe(run));
-        std::iter::once(mine)
-            .chain(workers.into_iter().map(|w| w.join()))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    let mut panic = None;
-    for share in shares {
-        match share {
-            Ok(ran) => ran.into_iter().for_each(|(i, r)| slots[i] = Some(r)),
-            Err(payload) => {
-                panic.get_or_insert(payload);
-            }
-        }
-    }
-    if let Some(payload) = panic {
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index was claimed"))
-        .collect()
-}
-
 /// Map `f` over `items` and hand each result to `consume`, on the calling
 /// thread and in input order. Helpers run ahead while at most `window` of
 /// `weight` is in flight — claimed and not yet consumed; an item heavier
 /// than the window runs when nothing else is in flight. While its next
 /// result is not ready, the caller computes the next unclaimed item itself.
+/// A call made from inside `f` starts its own helpers.
 pub fn par_map_ordered<'a, T: Sync, R: Send>(
     items: &'a [T],
     window: usize,
@@ -372,6 +307,7 @@ mod tests {
     //! every thread count from 1 to 8.
 
     use super::*;
+    use crate::atomic::{AtomicUsize, Ordering};
     use std::cell::Cell;
     use std::collections::BTreeSet;
     use std::path::Path;
@@ -405,145 +341,6 @@ mod tests {
         }
         acc
     }
-
-    #[test]
-    fn order_equals_sequential_over_sizes_and_threads() {
-        let f = |x: &u64| x.wrapping_mul(31).rotate_left(7);
-        for threads in THREADS {
-            for len in 0..=300 {
-                let items = values(len, (threads * 1000 + len) as u64);
-                let seq: Vec<u64> = items.iter().map(f).collect();
-                assert_eq!(
-                    par_map_on(threads, &items, f),
-                    seq,
-                    "{threads} threads, {len} items"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn owned_results_survive_the_slot_round_trip() {
-        let f = |x: &u64| format!("v{x:020}");
-        for threads in THREADS {
-            for len in (0..200).step_by(7) {
-                let items = values(len, len as u64);
-                let seq: Vec<String> = items.iter().map(f).collect();
-                assert_eq!(
-                    par_map_on(threads, &items, f),
-                    seq,
-                    "{threads} threads, {len} items"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn panic_propagates_and_next_op_runs() {
-        let items: Vec<u32> = (0..500).collect();
-        for threads in THREADS {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                par_map_on(threads, &items, |&x| {
-                    if x == 250 {
-                        panic!("par_map test panic at {x}");
-                    }
-                    x * 2
-                })
-            }));
-            let payload = result.expect_err("an item's panic must reach the caller");
-            let msg = payload.downcast_ref::<String>().expect("formatted message");
-            assert!(msg.contains("par_map test panic"), "{msg}");
-            let ok = par_map_on(threads, &items, |&x| x + 1);
-            assert_eq!(ok, (1..501).collect::<Vec<u32>>(), "{threads} threads");
-        }
-    }
-
-    /// The heavy items sit at the front of the input, the worst case for one
-    /// contiguous chunk per thread, so participants finish out of order.
-    #[test]
-    fn skewed_cost_stays_correct() {
-        let items: Vec<u64> = (0..400).collect();
-        let cost = |&x: &u64| if x < 4 { 2_000_000 } else { 2_000 };
-        let f = |x: &u64| burn(cost(x)).wrapping_add(*x);
-        let seq: Vec<u64> = items.iter().map(f).collect();
-        for threads in [2, 4, 8] {
-            assert_eq!(par_map_on(threads, &items, f), seq, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn a_nested_call_completes_in_order() {
-        let items: Vec<u64> = (0..64).collect();
-        let expected: Vec<u64> = items
-            .iter()
-            .map(|&x| x * 1000 + (0..x % 7).sum::<u64>())
-            .collect();
-        for threads in THREADS {
-            let nested = par_map_on(threads, &items, |&x| {
-                let inner: Vec<u64> = (0..x % 7).collect();
-                x * 1000 + par_map_on(threads, &inner, |&y| y).iter().sum::<u64>()
-            });
-            assert_eq!(nested, expected, "{threads} threads");
-        }
-    }
-
-    /// After an op returns, every thread that ran one of its items — the
-    /// caller aside — is gone from `/proc/self/task`. Threads are told apart
-    /// by task id, not counted, so tests running alongside cannot disturb
-    /// the check; exit gets a grace period, because `join` returns a moment
-    /// before the kernel drops the task entry. Skipped where `/proc` is
-    /// absent.
-    #[test]
-    fn no_thread_outlives_an_op() {
-        let Some(caller) = task_id() else { return };
-        let items: Vec<u64> = (0..64).collect();
-        for threads in [2, 4, 8] {
-            let ran_on = par_map_on(threads, &items, |&x| {
-                // long enough per item that every participant claims some
-                burn(200_000 + x);
-                task_id().expect("/proc/thread-self")
-            });
-            assert_all_exited(ran_on.into_iter().filter(|t| *t != caller).collect());
-        }
-    }
-
-    /// The kernel's id of the running thread; `None` without `/proc`.
-    fn task_id() -> Option<String> {
-        let link = std::fs::read_link("/proc/thread-self").ok()?;
-        Some(link.file_name()?.to_string_lossy().into_owned())
-    }
-
-    /// Every one of `helpers` is gone from `/proc/self/task`. Exit gets a
-    /// grace period, because `join` returns a moment before the kernel drops
-    /// the task entry.
-    fn assert_all_exited(helpers: BTreeSet<String>) {
-        let alive = |t: &&String| Path::new("/proc/self/task").join(t).exists();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while helpers.iter().any(|t| alive(&t)) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let left: Vec<&String> = helpers.iter().filter(alive).collect();
-        assert!(left.is_empty(), "threads {left:?} outlived their op");
-    }
-
-    #[test]
-    fn a_refused_spawn_leaves_the_caller_to_finish_alone() {
-        let items: Vec<u64> = (0..200).collect();
-        let f = |x: &u64| (x * 7, std::thread::current().id());
-        let caller = std::thread::current().id();
-        REFUSE_SPAWNS.with(|r| r.set(true));
-        let unordered = par_map_on(4, &items, f);
-        let mut ordered = Vec::new();
-        par_map_ordered_on(4, &items, 8, |_| 1, f, |r| ordered.push(r));
-        REFUSE_SPAWNS.with(|r| r.set(false));
-        for ran in [unordered, ordered] {
-            assert!(ran.iter().all(|&(_, t)| t == caller), "only the caller ran");
-            let values: Vec<u64> = ran.into_iter().map(|(v, _)| v).collect();
-            assert_eq!(values, items.iter().map(|x| x * 7).collect::<Vec<_>>());
-        }
-    }
-
-    // ---- par_map_ordered ----
 
     /// `par_map_ordered_on` collected: what the consumer saw, in order.
     fn ordered<'a, T: Sync, R: Send>(
@@ -682,6 +479,10 @@ mod tests {
         }
     }
 
+    /// After an op returns, every thread that ran one of its items — the
+    /// caller aside — is gone from `/proc/self/task`. Threads are told apart
+    /// by task id, not counted, so tests running alongside cannot disturb
+    /// the check. Skipped where `/proc` is absent.
     #[test]
     fn ordered_no_thread_outlives_an_op() {
         let Some(caller) = task_id() else { return };
@@ -699,5 +500,73 @@ mod tests {
             );
             assert_all_exited(ran_on.into_iter().filter(|t| *t != caller).collect());
         }
+    }
+
+    /// The heavy items sit at the front of the input, so helpers finish out
+    /// of order and the caller runs ahead of them — in a small window and in
+    /// one as large as the input, the shape detection maps a job in.
+    #[test]
+    fn skewed_cost_stays_correct() {
+        let items: Vec<u64> = (0..400).collect();
+        let cost = |&x: &u64| if x < 4 { 2_000_000 } else { 2_000 };
+        let f = |x: &u64| burn(cost(x)).wrapping_add(*x);
+        let seq: Vec<u64> = items.iter().map(f).collect();
+        for threads in [2, 4, 8] {
+            for window in [8, items.len()] {
+                let got = ordered(threads, &items, window, |_| 1, f);
+                assert_eq!(got, seq, "{threads} threads, window {window}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nested_call_completes_in_order() {
+        let items: Vec<u64> = (0..64).collect();
+        let expected: Vec<u64> = items
+            .iter()
+            .map(|&x| x * 1000 + (0..x % 7).sum::<u64>())
+            .collect();
+        for threads in THREADS {
+            let inner_sum = |x: u64| {
+                let inner: Vec<u64> = (0..x % 7).collect();
+                ordered(threads, &inner, 4, |_| 1, |&y| y)
+                    .iter()
+                    .sum::<u64>()
+            };
+            let nested = ordered(threads, &items, 8, |_| 1, |&x| x * 1000 + inner_sum(x));
+            assert_eq!(nested, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_refused_spawn_leaves_the_caller_to_finish_alone() {
+        let items: Vec<u64> = (0..200).collect();
+        let f = |x: &u64| (x * 7, std::thread::current().id());
+        let caller = std::thread::current().id();
+        REFUSE_SPAWNS.with(|r| r.set(true));
+        let ran = ordered(4, &items, 8, |_| 1, f);
+        REFUSE_SPAWNS.with(|r| r.set(false));
+        assert!(ran.iter().all(|&(_, t)| t == caller), "only the caller ran");
+        let values: Vec<u64> = ran.into_iter().map(|(v, _)| v).collect();
+        assert_eq!(values, items.iter().map(|x| x * 7).collect::<Vec<_>>());
+    }
+
+    /// The kernel's id of the running thread; `None` without `/proc`.
+    fn task_id() -> Option<String> {
+        let link = std::fs::read_link("/proc/thread-self").ok()?;
+        Some(link.file_name()?.to_string_lossy().into_owned())
+    }
+
+    /// Every one of `helpers` is gone from `/proc/self/task`. Exit gets a
+    /// grace period, because `join` returns a moment before the kernel drops
+    /// the task entry.
+    fn assert_all_exited(helpers: BTreeSet<String>) {
+        let alive = |t: &&String| Path::new("/proc/self/task").join(t).exists();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while helpers.iter().any(|t| alive(&t)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let left: Vec<&String> = helpers.iter().filter(alive).collect();
+        assert!(left.is_empty(), "threads {left:?} outlived their op");
     }
 }

@@ -12,9 +12,9 @@
 //! Scoped threads are the exception: `scope` is std's under the cfg too, and
 //! `Builder::spawn_scoped` always starts a real OS thread. They are not
 //! scheduler tasks — a facade op on one runs on the std fallback — so no
-//! exploration runs a parallel map ([`crate::par_map`] and
-//! [`crate::par_map_ordered`], their only users); a scenario drives the
-//! ordered map's [`crate::Handoff`] from [`spawn`]ed tasks instead.
+//! exploration runs the parallel map ([`crate::par_map_ordered`], their
+//! only user); a scenario drives the map's [`crate::Handoff`] from
+//! [`spawn`]ed tasks instead.
 
 #[cfg(not(intellog_check))]
 pub use std::thread::*;

@@ -8,7 +8,7 @@ Eight rules over the workspace's Rust sources:
                    stubs — all workspace concurrency must route through
                    the `sync` facade or the model checker cannot see it.
                    Parallelism included: the one parallel map is
-                   `sync::par_map`, so no pipeline crate opens a
+                   `sync::par_map_ordered`, so no pipeline crate opens a
                    `std::thread::scope` of its own.
   R2  safety-doc   every `unsafe` block / fn / impl needs a comment
                    containing `SAFETY` within the 5 preceding lines.

@@ -1,12 +1,13 @@
-//! The executor's contract seen from outside `crates/sync`, through the two
-//! public entry points the pipeline uses: `sync::par_map` and
-//! `sync::par_map_ordered` at the host's parallelism
-//! (`crates/sync/src/par.rs` runs the same properties over 1–8 threads).
+//! The executor's contract seen from outside `crates/sync`, through the
+//! one public entry point the pipeline uses: `sync::par_map_ordered` at the
+//! host's parallelism (`crates/sync/src/par.rs` runs the same properties
+//! over 1–8 threads).
 //!
 //! The pipeline's byte-identical parallel/sequential guarantee rests on
-//! `par_map` returning, and `par_map_ordered` consuming, the sequential
-//! map's results in input order for any input size and per-item cost
-//! distribution, and on no call leaving a thread behind.
+//! `par_map_ordered` consuming the sequential map's results in input order
+//! for any input size, window and per-item cost distribution, and on no
+//! call leaving a thread behind. Detection maps a job with the whole job
+//! as its window and every item weighing 1; `whole` below is that shape.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -14,16 +15,25 @@ use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::time::{Duration, Instant};
 use sync::atomic::{AtomicUsize, Ordering};
-use sync::{par_map, par_map_ordered};
+use sync::par_map_ordered;
+
+/// `par_map_ordered` in detection's shape — the whole input as the window,
+/// every item weighing 1 — collected in the order the consumer saw.
+fn whole<'a, T: Sync, R: Send>(items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> Vec<R> {
+    let mut seen = Vec::with_capacity(items.len());
+    par_map_ordered(items, items.len(), |_| 1, f, |r| seen.push(r));
+    seen
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `par_map` equals the sequential map in both content and order.
+    /// With the whole input as its window, the map equals the sequential
+    /// map in both content and order.
     #[test]
     fn par_map_equals_sequential(items in prop::collection::vec(0u64..1 << 40, 0..300)) {
         let f = |x: &u64| x.wrapping_mul(31).rotate_left(7);
-        prop_assert_eq!(par_map(&items, f), items.iter().map(f).collect::<Vec<_>>());
+        prop_assert_eq!(whole(&items, f), items.iter().map(f).collect::<Vec<_>>());
     }
 
     /// `par_map_ordered` hands the consumer the sequential map's results,
@@ -43,7 +53,7 @@ proptest! {
     #[test]
     fn par_map_preserves_owned_results(items in prop::collection::vec(any::<u32>(), 0..200)) {
         let f = |x: &u32| format!("v{x:08}");
-        prop_assert_eq!(par_map(&items, f), items.iter().map(f).collect::<Vec<_>>());
+        prop_assert_eq!(whole(&items, f), items.iter().map(f).collect::<Vec<_>>());
     }
 }
 
@@ -53,7 +63,7 @@ proptest! {
 #[test]
 fn global_pool_par_map_is_order_exact() {
     let items: Vec<u64> = (0..10_000).collect();
-    let par = par_map(&items, |x| x * 3 + 1);
+    let par = whole(&items, |x| x * 3 + 1);
     let seq: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
     assert_eq!(par, seq);
 }
@@ -64,7 +74,7 @@ fn global_pool_par_map_is_order_exact() {
 fn panic_propagates_and_next_op_runs() {
     let items: Vec<u32> = (0..500).collect();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        par_map(&items, |&x| {
+        whole(&items, |&x| {
             if x == 250 {
                 panic!("executor-test panic at {x}");
             }
@@ -76,14 +86,14 @@ fn panic_propagates_and_next_op_runs() {
         .downcast_ref::<String>()
         .expect("panic payload should be the formatted message");
     assert!(msg.contains("executor-test panic"), "{msg}");
-    let ok = par_map(&items, |&x| x + 1);
+    let ok = whole(&items, |&x| x + 1);
     assert_eq!(ok, (1..501).collect::<Vec<u32>>());
 }
 
 /// A handful of items ~1000x costlier than the rest, at the front of the
 /// input — the worst case for one contiguous chunk per thread. Claimed one
-/// at a time off a shared cursor, every item runs exactly once and the
-/// result stays in order.
+/// at a time, by a helper or by the caller while its next result is not
+/// ready, every item runs exactly once and the result stays in order.
 #[test]
 fn skewed_cost_stays_correct_and_spreads() {
     fn burn(iters: u64) -> u64 {
@@ -97,7 +107,7 @@ fn skewed_cost_stays_correct_and_spreads() {
     let cost = |&x: &u64| if x < 4 { 2_000_000 } else { 2_000 };
     let value = |x: &u64| burn(cost(x)).wrapping_add(*x);
     let runs = AtomicUsize::new(0);
-    let par = par_map(&items, |x| {
+    let par = whole(&items, |x| {
         runs.fetch_add(1, Ordering::Relaxed);
         value(x)
     });
@@ -105,7 +115,7 @@ fn skewed_cost_stays_correct_and_spreads() {
     assert_eq!(runs.load(Ordering::Relaxed), items.len());
 }
 
-/// No thread outlives the call that started it: after `par_map` returns,
+/// No thread outlives the call that started it: after the map returns,
 /// every thread that ran one of its items — other than the caller — is gone
 /// from `/proc/self/task`. Threads are told apart by task id, not counted,
 /// so tests running alongside cannot disturb the check. Exit is given a
@@ -119,7 +129,7 @@ fn no_thread_outlives_a_parallel_op() {
     }
     let Some(caller) = task_id() else { return };
     let items: Vec<u64> = (0..64).collect();
-    let ran_on = par_map(&items, |&x| {
+    let ran_on = whole(&items, |&x| {
         // long enough per item that every participant claims some
         let mut acc = x;
         for i in 0..200_000u64 {

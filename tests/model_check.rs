@@ -21,12 +21,11 @@
 //! map's wake of its caller, deleted, the same scenarios that are silent
 //! here must report forced timeouts.
 //!
-//! No scenario runs a parallel map itself: both maps run on scoped
-//! threads, which are real OS threads rather than scheduler tasks.
-//! `sync::par_map` has no wait or wakeup to check — its workers are
-//! joined, never parked. `sync::par_map_ordered` does wait and wake, so the
-//! state its caller and helpers share, `sync::Handoff`, is driven here from
-//! scheduler tasks the way the map drives it.
+//! No scenario runs the parallel map itself: `sync::par_map_ordered` runs
+//! on scoped threads, which are real OS threads rather than scheduler
+//! tasks. Its caller and helpers do wait and wake, so the state they share,
+//! `sync::Handoff`, is driven here from scheduler tasks the way the map
+//! drives it.
 #![cfg(intellog_check)]
 
 use anomaly::SessionReport;
