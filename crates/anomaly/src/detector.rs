@@ -15,7 +15,7 @@
 //!    must hold on the instance lifespans.
 
 use crate::instance::{GroupInstance, HwInstance};
-use crate::report::{Anomaly, JobReport, SessionReport};
+use crate::report::{Anomaly, SessionReport};
 use crate::stream::StreamState;
 use extract::{IntelKey, SessionLog};
 use hwgraph::{rows_by_group, split_instances_into, FirstSeen, GroupRel, HwGraph, InstanceSplit};
@@ -240,13 +240,6 @@ impl Detector {
         obs::add!("hwgraph.instances", split.len() as u64);
     }
 
-    /// Detect anomalies across a whole job.
-    pub fn detect_job(&self, sessions: &[Session]) -> JobReport {
-        JobReport {
-            sessions: sessions.iter().map(|s| self.detect_session(s)).collect(),
-        }
-    }
-
     /// Map entity phrases to group names via the trained grouping: the
     /// `groups` an unexpected message is reported with.
     pub fn groups_of_entities<S: AsRef<str>>(&self, entities: &[S]) -> Vec<String> {
@@ -269,6 +262,7 @@ impl Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::JobReport;
     use crate::train::Trainer;
     use spell::{Level, LogLine};
 
@@ -426,7 +420,12 @@ mod tests {
         let d = trained();
         let mut bad = normal_session("c8", "host1", &[9]);
         bad.lines.truncate(4);
-        let job = d.detect_job(&[normal_session("c9", "host1", &[7]), bad]);
+        let job = JobReport {
+            sessions: vec![
+                d.detect_session(&normal_session("c9", "host1", &[7])),
+                d.detect_session(&bad),
+            ],
+        };
         assert_eq!(job.total_count(), 2);
         assert_eq!(job.problematic_count(), 1);
     }

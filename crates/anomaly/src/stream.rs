@@ -29,8 +29,9 @@
 //! tagger and the dependency parser, ten times a matched line. A faulted job
 //! repeats a few unknown templates, so the state memoises the extraction per
 //! *shape* — the message with every ASCII digit folded to `0`, lengths kept.
-//! Extraction looks at whether a character is a digit, never at which, so the
-//! lines of a shape tokenise, tag and classify alike;
+//! Extraction looks at whether a character is a digit, never at which (an EC2
+//! host name's octets aside), so the lines of a shape tokenise, tag and
+//! classify alike;
 //! [`IntelKey::across_digits`] rewrites what does differ and refuses the
 //! shapes it cannot vouch for, which are extracted anew each time. What a
 //! session retains of unexpected lines is bounded by [`MAX_FULL_UNEXPECTED`]

@@ -72,6 +72,12 @@ const SPLIT_WINDOW_ROWS: usize = 4096;
 
 /// The Spell stream hands sessions to its helper in batches of at least
 /// this many lines, so one hand-off is cheap beside the batch's tokenising.
+/// Handing over one session per item instead, with the same window and
+/// weights, cost `Trainer::train` more process CPU per call in 7 of 8
+/// alternating pairs, in each of two sets (medians +8.4 % and +8.2 %), and
+/// more wall time in 7 and 8 of 8 (+9.4 %, +10.1 %): 10 Spark + 15
+/// MapReduce training jobs, 2 vCPUs (EXPERIMENTS.md, "The Spell stream's
+/// batch").
 const STREAM_BATCH_LINES: usize = 512;
 
 /// Consecutive sessions cut into batches of at least

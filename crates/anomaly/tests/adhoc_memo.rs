@@ -218,6 +218,7 @@ const TOKENS: &[&str] = &[
     "10.0.0.3:50010",
     "hdfs://nn1:8020/user/x7",
     "node3.dc1.example.com",
+    "ip-10-0-0-255",
     "2.5",
     "1,024",
     "7",
@@ -339,4 +340,7 @@ fn reusable_and_refused_shapes() {
     assert!(key("Failed to connect to Worker1:41101 while fetching").is_none());
     // an identifier type taken from the identifier-shaped noun before it
     assert!(key("lost exec7 3 on host2").is_none());
+    // a host name by its octets' values: `ip-10-0-0-256` shares the shape
+    assert!(key("Lost connection to ip-10-0-0-1 while fetching").is_some());
+    assert!(key("Lost connection to ip-10-0-0-255 while fetching").is_none());
 }

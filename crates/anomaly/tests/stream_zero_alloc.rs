@@ -20,58 +20,11 @@
 
 use anomaly::{Anomaly, Detector, StreamState, Trainer};
 use spell::{Level, LogLine, Session};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    /// Allocations made by this thread. Const-initialised and without a
-    /// destructor, so reading it from inside the allocator neither allocates
-    /// nor registers anything.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // A thread being torn down has no counter left; nothing measures there.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-// SAFETY: every method delegates verbatim to `System`, which upholds the
-// GlobalAlloc contract; the only addition is a thread-local counter bump,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwarded to `System.alloc` with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    // SAFETY: forwarded to `System.dealloc`; `ptr`/`layout` come straight
-    // from the caller, whose contract matches System's.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: forwarded to `System.realloc` with the caller's arguments.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // SAFETY: forwarded to `System.alloc_zeroed` with the caller's layout.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::allocations;
 
 /// Trained values per variable position.
 const VALUES: u64 = 16;

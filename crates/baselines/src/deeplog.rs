@@ -13,30 +13,16 @@ use serde::{Deserialize, Serialize};
 use spell::KeyId;
 use std::collections::HashMap;
 
-/// Configuration of the predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeepLogConfig {
-    /// History window length `h` (DeepLog's default window is 10).
-    pub history: usize,
-    /// Accept the observed key if it is among the top `g` predictions
-    /// (DeepLog's default g = 9).
-    pub top_g: usize,
-}
+/// History window length `h` (DeepLog's default window is 10).
+const HISTORY: usize = 10;
 
-impl Default for DeepLogConfig {
-    fn default() -> DeepLogConfig {
-        DeepLogConfig {
-            history: 10,
-            top_g: 9,
-        }
-    }
-}
+/// Accept the observed key if it is among the top `g` predictions
+/// (DeepLog's default g = 9).
+const TOP_G: usize = 9;
 
 /// N-gram next-key model with back-off to shorter histories.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DeepLog {
-    /// Model configuration.
-    pub config: DeepLogConfig,
     /// `(history …) → next-key → count`, keyed by stringified history for
     /// JSON friendliness.
     counts: HashMap<String, HashMap<u32, u64>>,
@@ -52,20 +38,11 @@ fn hist_key(window: &[KeyId]) -> String {
 }
 
 impl DeepLog {
-    /// New model with the given configuration.
-    pub fn new(config: DeepLogConfig) -> DeepLog {
-        DeepLog {
-            config,
-            counts: HashMap::new(),
-        }
-    }
-
     /// Train on one normal session (a sequence of log keys).
     pub fn train_session(&mut self, keys: &[KeyId]) {
         obs::inc!("baselines.deeplog.sessions_trained");
-        let h = self.config.history;
         for i in 0..keys.len() {
-            let start = i.saturating_sub(h);
+            let start = i.saturating_sub(HISTORY);
             // every suffix of the window, for back-off
             for w in start..=i {
                 let entry = self
@@ -86,11 +63,7 @@ impl DeepLog {
             if let Some(m) = self.counts.get(&hist_key(&window[start..])) {
                 let mut v: Vec<(u32, u64)> = m.iter().map(|(k, c)| (*k, *c)).collect();
                 v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                return v
-                    .into_iter()
-                    .take(self.config.top_g)
-                    .map(|(k, _)| k)
-                    .collect();
+                return v.into_iter().take(TOP_G).map(|(k, _)| k).collect();
             }
         }
         Vec::new()
@@ -99,10 +72,9 @@ impl DeepLog {
     /// Number of positions in `keys` where the observed key was not among
     /// the top-g predictions.
     pub fn count_misses(&self, keys: &[KeyId]) -> usize {
-        let h = self.config.history;
         let mut misses = 0;
         for i in 0..keys.len() {
-            let start = i.saturating_sub(h);
+            let start = i.saturating_sub(HISTORY);
             if !self.predictions(&keys[start..i]).contains(&keys[i].0) {
                 misses += 1;
             }
@@ -132,10 +104,7 @@ mod tests {
     #[test]
     fn fixed_order_sequences_are_learned_perfectly() {
         // Infrastructure-style logs: same short sequence every time.
-        let mut m = DeepLog::new(DeepLogConfig {
-            history: 3,
-            top_g: 2,
-        });
+        let mut m = DeepLog::default();
         for _ in 0..5 {
             m.train_session(&ks(&[1, 2, 3, 4, 5]));
         }
@@ -147,12 +116,11 @@ mod tests {
     #[test]
     fn interleaving_destroys_precision() {
         // Analytics-style logs: two concurrent actors interleave at random,
-        // so a tight top-g model flags clean sessions too (the paper's 8.81%
-        // precision collapse).
-        let mut m = DeepLog::new(DeepLogConfig {
-            history: 4,
-            top_g: 1,
-        });
+        // so the model flags clean sessions too (the paper's 8.81% precision
+        // collapse): an interleaving puts a key after a history it never
+        // followed in training, and even g = 9 cannot accept a successor
+        // that history never had.
+        let mut m = DeepLog::default();
         m.train_session(&ks(&[1, 10, 2, 20, 3, 30]));
         m.train_session(&ks(&[1, 2, 10, 20, 30, 3]));
         // a third benign interleaving still trips the predictor
@@ -161,10 +129,7 @@ mod tests {
 
     #[test]
     fn larger_g_restores_recall_on_seen_variation() {
-        let mut m = DeepLog::new(DeepLogConfig {
-            history: 2,
-            top_g: 9,
-        });
+        let mut m = DeepLog::default();
         m.train_session(&ks(&[1, 2, 3]));
         m.train_session(&ks(&[1, 3, 2]));
         assert!(!m.is_anomalous(&ks(&[1, 2, 3])));
@@ -180,10 +145,7 @@ mod tests {
 
     #[test]
     fn miss_counts_are_monotone_in_corruption() {
-        let mut m = DeepLog::new(DeepLogConfig {
-            history: 3,
-            top_g: 3,
-        });
+        let mut m = DeepLog::default();
         for _ in 0..3 {
             m.train_session(&ks(&[1, 2, 3, 4, 5, 6]));
         }

@@ -22,7 +22,7 @@ pub mod logcluster;
 pub mod semvec;
 pub mod stitch;
 
-pub use deeplog::{DeepLog, DeepLogConfig};
-pub use logcluster::{LogCluster, LogClusterConfig};
-pub use semvec::{SemVec, SemVecConfig};
+pub use deeplog::DeepLog;
+pub use logcluster::LogCluster;
+pub use semvec::SemVec;
 pub use stitch::{S3Graph, S3Rel};

@@ -11,18 +11,8 @@ use serde::{Deserialize, Serialize};
 use spell::KeyId;
 use std::collections::HashMap;
 
-/// Configuration of the clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LogClusterConfig {
-    /// Cosine-similarity threshold for joining an existing cluster.
-    pub threshold: f64,
-}
-
-impl Default for LogClusterConfig {
-    fn default() -> LogClusterConfig {
-        LogClusterConfig { threshold: 0.7 }
-    }
-}
+/// Cosine-similarity threshold for joining an existing cluster.
+const THRESHOLD: f64 = 0.7;
 
 /// An IDF-weighted key-count vector.
 type Vector = HashMap<u32, f64>;
@@ -44,8 +34,6 @@ fn cosine(a: &Vector, b: &Vector) -> f64 {
 /// The trained knowledge base.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LogCluster {
-    /// Configuration.
-    pub config: LogClusterConfig,
     /// Inverse document frequency per key.
     idf: HashMap<u32, f64>,
     /// Cluster representatives (centroids).
@@ -54,7 +42,7 @@ pub struct LogCluster {
 
 impl LogCluster {
     /// Train the knowledge base on normal sessions (key sequences).
-    pub fn train(config: LogClusterConfig, sessions: &[Vec<KeyId>]) -> LogCluster {
+    pub fn train(sessions: &[Vec<KeyId>]) -> LogCluster {
         obs::add!(
             "baselines.logcluster.sessions_trained",
             sessions.len() as u64
@@ -74,14 +62,13 @@ impl LogCluster {
             .map(|(k, d)| (k, (n / d as f64).ln() + 1.0))
             .collect();
         let mut kb = LogCluster {
-            config,
             idf,
             representatives: Vec::new(),
         };
         for s in sessions {
             let v = kb.vectorize(s);
             match kb.nearest(&v) {
-                Some((i, sim)) if sim >= config.threshold => {
+                Some((i, sim)) if sim >= THRESHOLD => {
                     // online centroid update
                     let rep = &mut kb.representatives[i];
                     for (k, val) in v {
@@ -131,7 +118,7 @@ impl LogCluster {
 
     /// Verdict: a session in no known cluster is surfaced for examination.
     pub fn is_anomalous(&self, keys: &[KeyId]) -> bool {
-        self.best_similarity(keys) < self.config.threshold
+        self.best_similarity(keys) < THRESHOLD
     }
 }
 
@@ -151,7 +138,7 @@ mod tests {
             ks(&[1, 2, 2, 3, 4]),
             ks(&[5, 6, 7]),
         ];
-        let kb = LogCluster::train(LogClusterConfig::default(), &train);
+        let kb = LogCluster::train(&train);
         assert!(kb.cluster_count() >= 2);
         assert!(!kb.is_anomalous(&ks(&[1, 2, 3, 4])));
         assert!(!kb.is_anomalous(&ks(&[5, 6, 7])));
@@ -160,7 +147,7 @@ mod tests {
     #[test]
     fn novel_key_mix_is_flagged() {
         let train: Vec<Vec<KeyId>> = vec![ks(&[1, 2, 3, 4]); 5];
-        let kb = LogCluster::train(LogClusterConfig::default(), &train);
+        let kb = LogCluster::train(&train);
         assert!(kb.is_anomalous(&ks(&[9, 9, 9])));
         assert!(kb.is_anomalous(&ks(&[1, 9, 9, 9, 9, 9])));
     }
@@ -170,7 +157,7 @@ mod tests {
         // LogCluster tolerates repetition-count variation — analytics
         // sessions of different input sizes still map to the same cluster.
         let train: Vec<Vec<KeyId>> = vec![ks(&[1, 2, 2, 3]), ks(&[1, 2, 2, 2, 2, 3])];
-        let kb = LogCluster::train(LogClusterConfig::default(), &train);
+        let kb = LogCluster::train(&train);
         assert!(!kb.is_anomalous(&ks(&[1, 2, 2, 2, 3])));
     }
 
@@ -179,7 +166,7 @@ mod tests {
         // A killed session shares most of its key mix with a clean one —
         // LogCluster can miss it (the recall N/A story of Table 8).
         let train: Vec<Vec<KeyId>> = vec![ks(&[1, 2, 2, 2, 3, 4]); 4];
-        let kb = LogCluster::train(LogClusterConfig::default(), &train);
+        let kb = LogCluster::train(&train);
         let truncated = ks(&[1, 2, 2, 2]); // lost tail keys 3,4
                                            // not asserting a specific verdict is the point: similarity stays
                                            // high even though the session is anomalous
@@ -188,7 +175,7 @@ mod tests {
 
     #[test]
     fn empty_kb_flags_all() {
-        let kb = LogCluster::train(LogClusterConfig::default(), &[]);
+        let kb = LogCluster::train(&[]);
         assert!(kb.is_anomalous(&ks(&[1])));
     }
 }

@@ -23,30 +23,18 @@ use serde::{Deserialize, Serialize};
 /// iteration order anywhere near a verdict.
 pub const BUCKETS: usize = 256;
 
-/// Configuration of the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SemVecConfig {
-    /// Margin subtracted from the leave-one-out calibration floor: the
-    /// threshold is `(min over training sessions of similarity to the
-    /// nearest *other* training session) - margin`.
-    pub margin: f64,
-    /// Lower bound on the calibrated threshold, so degenerate corpora
-    /// (every training session identical → calibration floor 1.0) still
-    /// leave room for benign variation.
-    pub floor: f64,
-    /// Upper bound on the calibrated threshold.
-    pub ceiling: f64,
-}
+/// Margin subtracted from the leave-one-out calibration floor: the
+/// threshold is `(min over training sessions of similarity to the nearest
+/// *other* training session) - MARGIN`.
+const MARGIN: f64 = 0.05;
 
-impl Default for SemVecConfig {
-    fn default() -> SemVecConfig {
-        SemVecConfig {
-            margin: 0.05,
-            floor: 0.60,
-            ceiling: 0.995,
-        }
-    }
-}
+/// Lower bound on the calibrated threshold, so degenerate corpora (every
+/// training session identical → calibration floor 1.0) still leave room
+/// for benign variation.
+const FLOOR: f64 = 0.60;
+
+/// Upper bound on the calibrated threshold.
+const CEILING: f64 = 0.995;
 
 /// One L2-normalised session vector.
 type Vector = [f64; BUCKETS];
@@ -111,8 +99,6 @@ fn dot(a: &Vector, b: &Vector) -> f64 {
 /// The trained parsing-free detector.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SemVec {
-    /// Configuration.
-    pub config: SemVecConfig,
     /// Unit vectors of the training sessions.
     reference: Vec<Vec<f64>>,
     /// Calibrated decision threshold.
@@ -123,7 +109,7 @@ impl SemVec {
     /// Train on normal sessions, each a slice of **raw log lines** — no
     /// parsing, headers and all. Calibrates the threshold leave-one-out:
     /// every training session must itself clear it against the others.
-    pub fn train<S: AsRef<str>>(config: SemVecConfig, sessions: &[Vec<S>]) -> SemVec {
+    pub fn train<S: AsRef<str>>(sessions: &[Vec<S>]) -> SemVec {
         obs::add!("baselines.semvec.sessions_trained", sessions.len() as u64);
         let vectors: Vec<Vector> = sessions.iter().map(|s| vectorize(s)).collect();
         let mut calib = 1.0f64;
@@ -138,9 +124,8 @@ impl SemVec {
                 calib = calib.min(nearest_other);
             }
         }
-        let threshold = (calib - config.margin).clamp(config.floor, config.ceiling);
+        let threshold = (calib - MARGIN).clamp(FLOOR, CEILING);
         SemVec {
-            config,
             reference: vectors.into_iter().map(|v| v.to_vec()).collect(),
             threshold,
         }
@@ -207,14 +192,14 @@ mod tests {
         let train: Vec<Vec<String>> = (0..6)
             .map(|_| session("19/06/22 INFO Executor:", 8))
             .collect();
-        let d = SemVec::train(SemVecConfig::default(), &train);
+        let d = SemVec::train(&train);
         assert!(!d.is_anomalous(&session("19/06/22 INFO Executor:", 10)));
     }
 
     #[test]
     fn foreign_key_mix_is_flagged() {
         let train: Vec<Vec<String>> = (0..6).map(|_| session("INFO Executor:", 8)).collect();
-        let d = SemVec::train(SemVecConfig::default(), &train);
+        let d = SemVec::train(&train);
         let alien: Vec<String> = (0..10)
             .map(|i| format!("kernel panic unrecoverable fs corruption sector {i}"))
             .collect();
@@ -238,38 +223,35 @@ mod tests {
             .map(|i| format!("<134>Jun 22 01:02:{i:02} host{i} Executor: Starting task {i}"))
             .collect();
         let train = vec![with_headers.clone(), with_headers.clone()];
-        let d = SemVec::train(SemVecConfig::default(), &train);
+        let d = SemVec::train(&train);
         assert!(!d.is_anomalous(&with_headers));
     }
 
     #[test]
     fn threshold_is_calibrated_and_clamped() {
         let identical: Vec<Vec<String>> = vec![session("x", 4); 3];
-        let d = SemVec::train(SemVecConfig::default(), &identical);
-        // identical sessions calibrate to 1.0 - margin, clamped by ceiling
-        assert!(d.threshold() <= d.config.ceiling);
-        assert!(d.threshold() >= d.config.floor);
+        let d = SemVec::train(&identical);
+        // identical sessions calibrate to 1.0 - MARGIN, clamped by CEILING
+        assert!(d.threshold() <= CEILING);
+        assert!(d.threshold() >= FLOOR);
     }
 
     #[test]
     fn empty_reference_flags_everything() {
-        let d = SemVec::train(SemVecConfig::default(), &Vec::<Vec<String>>::new());
+        let d = SemVec::train(&Vec::<Vec<String>>::new());
         assert!(d.is_anomalous(&["anything".to_string()]));
     }
 
     #[test]
     fn skewed_persisted_model_errors_instead_of_panicking() {
         let train: Vec<Vec<String>> = (0..3).map(|_| session("INFO X:", 4)).collect();
-        let d = SemVec::train(SemVecConfig::default(), &train);
+        let d = SemVec::train(&train);
         assert!(d.validate().is_ok());
         // Simulate a version-skewed persisted model: a reference vector of
         // the wrong width survives serde (Vec<Vec<f64>> carries no length
         // invariant) but must not panic scoring.
-        let skewed: SemVec = serde_json::from_str(
-            r#"{"config":{"margin":0.05,"floor":0.6,"ceiling":0.995},
-                "reference":[[1.0,2.0,3.0]],"threshold":0.9}"#,
-        )
-        .unwrap();
+        let skewed: SemVec =
+            serde_json::from_str(r#"{"reference":[[1.0,2.0,3.0]],"threshold":0.9}"#).unwrap();
         assert!(skewed.validate().is_err());
         let sim = skewed.best_similarity(&session("INFO X:", 4));
         assert!(sim.is_finite());
@@ -278,8 +260,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let train: Vec<Vec<String>> = (0..4).map(|_| session("INFO X:", 6)).collect();
-        let a = SemVec::train(SemVecConfig::default(), &train);
-        let b = SemVec::train(SemVecConfig::default(), &train);
+        let a = SemVec::train(&train);
+        let b = SemVec::train(&train);
         assert_eq!(a.threshold(), b.threshold());
         assert_eq!(
             a.best_similarity(&session("INFO X:", 5)),

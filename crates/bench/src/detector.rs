@@ -5,7 +5,7 @@
 
 use crate::corpus::{EvalJob, JobScore};
 use crate::keyseq::{match_keyseq, train_keyseqs};
-use baselines::{DeepLog, LogCluster, LogClusterConfig, SemVec, SemVecConfig};
+use baselines::{DeepLog, LogCluster, SemVec};
 use dlasim::{ForeignFormat, GenJob, GenSession, RawFormat, SystemKind};
 use intellog_core::{session_from_gen, sessions_from_job, IntelLog};
 use spell::{Session, SpellParser};
@@ -119,7 +119,7 @@ impl SessionDetector for KeySeqTool<LogCluster> {
     fn fit(&mut self, _: SystemKind, train: &[GenJob]) {
         let (parser, seqs) = train_keyseqs(&sessions_of(train));
         self.parser = parser;
-        self.model = LogCluster::train(LogClusterConfig::default(), &seqs);
+        self.model = LogCluster::train(&seqs);
     }
     fn flags(&self, session: &GenSession) -> bool {
         let keys = match_keyseq(&self.parser, &session_from_gen(session));
@@ -150,7 +150,7 @@ impl SessionDetector for SemVecTool {
         let native = RawFormat::for_system(system);
         let sessions = train.iter().flat_map(|j| &j.sessions);
         let lines: Vec<_> = sessions.map(|s| self.render(native, s)).collect();
-        self.fitted = Some((native, SemVec::train(SemVecConfig::default(), &lines)));
+        self.fitted = Some((native, SemVec::train(&lines)));
     }
     fn flags(&self, session: &GenSession) -> bool {
         let (native, model) = self.fitted.as_ref().expect("fit before flags");

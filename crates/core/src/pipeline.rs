@@ -77,8 +77,9 @@ impl IntelLog {
     /// must produce the identical [`JobReport`] (asserted in
     /// `crates/core/tests/equivalence.rs` and in this module's tests).
     pub fn detect_job_sequential(&self, sessions: &[Session]) -> JobReport {
-        // `Detector::detect_job` is the sequential implementation.
-        self.detector.detect_job(sessions)
+        JobReport {
+            sessions: sessions.iter().map(|s| self.detect_session(s)).collect(),
+        }
     }
 
     /// Run the case-study diagnosis procedure over a report.

@@ -17,7 +17,7 @@
 
 use crate::entity::{extract_entities, Entity};
 use crate::fields::{classify_field, FieldCategory, VarField};
-use crate::locality::LocalityMatcher;
+use crate::locality::{reads_digit_values, LocalityMatcher};
 use crate::operation::{extract_operations, Operation};
 use lognlp::pos::{tag_key_with_sample, TaggedToken};
 use lognlp::tags::PosTag;
@@ -81,8 +81,9 @@ impl IntelKey {
     /// This *ad hoc* key ([`IntelExtractor::extract_adhoc`]) made good for
     /// every message that differs from its own only in which ASCII digit
     /// stands where, or `None` if it cannot be. Extraction looks at whether a
-    /// character is a digit, never at which, so such messages agree on tags,
-    /// entities and fields — but an ad hoc key has no `*`, so an operation
+    /// character is a digit, never at which — save an EC2 host name's octets
+    /// (`ip-10-0-0-255`), whose key is refused — so such messages agree on
+    /// tags, entities and fields. But an ad hoc key has no `*`, so an operation
     /// quotes the line's own token (`worker5:41105`) as its argument. That
     /// argument becomes `*`, which [`IntelMessage::instantiate`] refills from
     /// the line, if the token is spelled as quoted (operations quote in lower
@@ -104,7 +105,8 @@ impl IntelKey {
         let names = |f: &VarField| named(&f.id_type) || named(&f.name);
         let placed = !self.fields.iter().any(names)
             && !self.entities.iter().any(|e| digit(&e.phrase))
-            && !self.operations.iter().any(|op| digit(&op.predicate));
+            && !self.operations.iter().any(|op| digit(&op.predicate))
+            && !self.tokens.iter().any(|t| reads_digit_values(t));
         placed.then_some(self)
     }
 }

@@ -26,7 +26,7 @@ pub enum LocalityKind {
 /// Host-name word prefixes recognised by the built-in host pattern
 /// (`host1`, `worker12`, `nm4`, …).
 const HOST_PREFIXES: &[&str] = &[
-    "host", "node", "worker", "slave", "server", "machine", "nm", "dn", "vm", "ip-",
+    "host", "node", "worker", "slave", "server", "machine", "nm", "dn", "vm",
 ];
 
 /// Configurable locality matcher: built-in patterns plus user extensions.
@@ -69,6 +69,7 @@ impl LocalityMatcher {
         }
         let lower = text.to_ascii_lowercase();
         if looks_like_numbered_host(&lower, HOST_PREFIXES)
+            || is_ec2_host_name(text)
             || self
                 .extra_host_prefixes
                 .iter()
@@ -96,6 +97,28 @@ fn looks_like_numbered_host<S: AsRef<str>>(lower: &str, prefixes: &[S]) -> bool 
         }
     }
     false
+}
+
+/// The octets of an EC2-style host name, which spells out its private
+/// address: `ip-` and four dash-separated runs of one to three digits
+/// (`ip-10-0-0-1`).
+fn ec2_octets(text: &str) -> Option<Vec<&str>> {
+    let prefix = text.get(..3).filter(|p| p.eq_ignore_ascii_case("ip-"))?;
+    let octets: Vec<&str> = text[prefix.len()..].split('-').collect();
+    let digits = |o: &&str| (1..=3).contains(&o.len()) && o.bytes().all(|b| b.is_ascii_digit());
+    (octets.len() == 4 && octets.iter().all(digits)).then_some(octets)
+}
+
+/// An EC2-style host name whose octets are each 0–255.
+fn is_ec2_host_name(text: &str) -> bool {
+    ec2_octets(text).is_some_and(|o| o.iter().all(|o| o.parse::<u8>().is_ok()))
+}
+
+/// `true` if whether `token` is a locality depends on which digits it
+/// holds, not only on where: an EC2-style name with a three-digit octet
+/// (`ip-10-0-0-255` is a host name, `ip-10-0-0-256` is not).
+pub(crate) fn reads_digit_values(token: &str) -> bool {
+    ec2_octets(token).is_some_and(|o| o.iter().any(|o| o.len() == 3))
 }
 
 /// `a.b.c`-style dotted names where every label starts with a letter.
@@ -129,6 +152,9 @@ mod tests {
         );
         assert_eq!(m.classify("host7"), Some(LocalityKind::HostName));
         assert_eq!(m.classify("worker12"), Some(LocalityKind::HostName));
+        assert_eq!(m.classify("ip-10-0-0-1"), Some(LocalityKind::HostName));
+        assert_eq!(m.classify("ip-10-0-0"), None);
+        assert_eq!(m.classify("ip-10-0-0-256"), None);
         assert_eq!(
             m.classify("node3.dc1.example.com"),
             Some(LocalityKind::HostName)

@@ -46,25 +46,6 @@ impl Grouping {
     }
 }
 
-/// Options for Algorithm 1 (the ablation test toggles the rule that
-/// distinguishes it from naive common-substring grouping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupingOptions {
-    /// Apply the "common last few words" rule: two multi-word phrases that
-    /// share only their trailing words (`block manager` / `security
-    /// manager`) are *not* correlated. Disabling this reverts to plain
-    /// longest-common-substring grouping.
-    pub last_words_rule: bool,
-}
-
-impl Default for GroupingOptions {
-    fn default() -> GroupingOptions {
-        GroupingOptions {
-            last_words_rule: true,
-        }
-    }
-}
-
 /// `LongestCommonPhrase` of Algorithm 1 (lines 23–30).
 ///
 /// * If either operand is a single word, the result is that word when it
@@ -75,11 +56,6 @@ impl Default for GroupingOptions {
 ///   considered correlated and the result is empty.
 /// * Otherwise the result is the longest common contiguous word subsequence.
 pub fn longest_common_phrase(g: &str, e: &str) -> Option<String> {
-    longest_common_phrase_with(g, e, GroupingOptions::default())
-}
-
-/// [`longest_common_phrase`] with explicit options.
-pub fn longest_common_phrase_with(g: &str, e: &str, opts: GroupingOptions) -> Option<String> {
     let gw: Vec<&str> = g.split(' ').collect();
     let ew: Vec<&str> = e.split(' ').collect();
     if gw.len() == 1 || ew.len() == 1 {
@@ -102,7 +78,7 @@ pub fn longest_common_phrase_with(g: &str, e: &str, opts: GroupingOptions) -> Op
         && common.len() < ew.len()
         && gw.ends_with(&common)
         && ew.ends_with(&common);
-    if opts.last_words_rule && is_proper_suffix_of_both {
+    if is_proper_suffix_of_both {
         return None;
     }
     Some(common.join(" "))
@@ -147,15 +123,6 @@ where
     I: IntoIterator<Item = S>,
     S: Into<String>,
 {
-    group_entities_with(entities, GroupingOptions::default())
-}
-
-/// [`group_entities`] with explicit options (ablation hook).
-pub fn group_entities_with<I, S>(entities: I, opts: GroupingOptions) -> Grouping
-where
-    I: IntoIterator<Item = S>,
-    S: Into<String>,
-{
     let mut list: Vec<String> = entities.into_iter().map(Into::into).collect();
     list.sort_by_key(|e| (e.split(' ').count(), e.clone()));
     list.dedup();
@@ -168,7 +135,7 @@ where
                 grouped = true;
                 continue;
             }
-            if let Some(common) = longest_common_phrase_with(&g.name, e, opts) {
+            if let Some(common) = longest_common_phrase(&g.name, e) {
                 g.entities.insert(e.clone());
                 g.name = common;
                 grouped = true;
@@ -310,19 +277,17 @@ mod tests {
 
     #[test]
     fn ablation_last_words_rule() {
-        // With the rule (Algorithm 1): two groups. Without it: one merged
-        // group labelled by the general-meaning tail — exactly the
-        // over-grouping the paper's rule prevents.
-        let with_rule = group_entities(["block manager", "security manager"]);
-        assert_eq!(with_rule.len(), 2);
-        let without = group_entities_with(
-            ["block manager", "security manager"],
-            GroupingOptions {
-                last_words_rule: false,
-            },
+        // Plain common-substring grouping would merge the two managers under
+        // their general-meaning tail `manager`; Algorithm 1's rule rejects
+        // that match, so they stay in two groups.
+        let (a, b) = ("block manager", "security manager");
+        let words = |p: &'static str| p.split(' ').collect::<Vec<_>>();
+        assert_eq!(
+            longest_common_word_substring(&words(a), &words(b)),
+            Some(vec!["manager"])
         );
-        assert_eq!(without.len(), 1);
-        assert_eq!(without.groups[0].name, "manager");
+        assert_eq!(longest_common_phrase(a, b), None);
+        assert_eq!(group_entities([a, b]).len(), 2);
     }
 
     #[test]

@@ -24,10 +24,7 @@ pub mod profile;
 pub mod subroutine;
 
 pub use graph::{rows_by_group, GraphBuilder, GraphStats, GroupModel, HwGraph, SessionPart};
-pub use group::{
-    group_entities, group_entities_with, longest_common_phrase, longest_common_phrase_with,
-    EntityGroup, Grouping, GroupingOptions,
-};
+pub use group::{group_entities, longest_common_phrase, EntityGroup, Grouping};
 pub use hierarchy::{Hierarchy, HierarchyNode};
 pub use lifespan::{GroupRel, GroupRelations, Lifespan};
 pub use profile::{ProfileSet, SessionProfile};

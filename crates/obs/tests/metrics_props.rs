@@ -10,60 +10,12 @@
 
 use obs::{Counter, Histogram, MetricSnapshot, HISTOGRAM_BUCKETS};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use sync::{Mutex, MutexGuard, OnceLock};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    /// Allocations made by this thread. Per thread, so that what the test
-    /// harness or another test allocates meanwhile is not counted against
-    /// the macros being measured; a `const` cell without a destructor, so
-    /// reading it from inside the allocator allocates nothing itself.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-// SAFETY: every method delegates verbatim to `System`, which upholds the
-// GlobalAlloc contract; the only addition is a thread-local counter bump,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwarded to `System.alloc` with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    // SAFETY: forwarded to `System.dealloc`; `ptr`/`layout` come straight
-    // from the caller, whose contract matches System's.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: forwarded to `System.realloc` with the caller's arguments.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // SAFETY: forwarded to `System.alloc_zeroed` with the caller's layout.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::allocations;
 
 /// All tests in this binary share the process-global obs state.
 fn lock() -> MutexGuard<'static, ()> {

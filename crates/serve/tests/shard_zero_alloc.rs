@@ -18,57 +18,14 @@ use intellog_serve::{
     ShardQueue, TenantEntry, TenantRegistry,
 };
 use spell::{Level, LogLine, Session};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 use sync::atomic::{AtomicU64, Ordering};
 use sync::{mpsc, Arc};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    /// Allocations made by this thread. Const-initialised and without a
-    /// destructor, so reading it from inside the allocator neither allocates
-    /// nor registers anything.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // A thread being torn down has no counter left; nothing measures there.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method delegates verbatim to `System`, which upholds the
-// GlobalAlloc contract; the only addition is a thread-local counter bump,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwarded to `System.alloc` with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    // SAFETY: forwarded to `System.dealloc`; `ptr`/`layout` come straight
-    // from the caller, whose contract matches System's.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: forwarded to `System.realloc` with the caller's arguments.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // SAFETY: forwarded to `System.alloc_zeroed` with the caller's layout.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::allocations;
 
 const SESSIONS: u64 = 64;
 const LINES: u64 = 4096;
@@ -139,7 +96,7 @@ fn the_per_record_body_allocates_only_to_open_a_session() {
         Arc::clone(&metrics),
         sink,
         Duration::from_secs(600),
-        Arc::new(move || publish.store(ALLOCATIONS.with(Cell::get), Ordering::SeqCst)),
+        Arc::new(move || publish.store(allocations(), Ordering::SeqCst)),
     )
     .expect("spawn the shard worker");
     let (ack, acks) = mpsc::channel();

@@ -150,8 +150,8 @@ fn cli_train_graph_detect_roundtrip() {
             Session::new(id.to_string_lossy(), records.map(LogLine::from).collect())
         })
         .collect();
-    let reference: Vec<String> = detector
-        .detect_job(&sessions)
+    let reference: Vec<String> = intellog::core::IntelLog::from_detector(detector)
+        .detect_job_sequential(&sessions)
         .sessions
         .iter()
         .map(|r| serde_json::to_string(r).expect("a report serialises"))
@@ -280,8 +280,8 @@ fn cli_reads_invalid_utf8_as_replacement_characters() {
         "the CLI trained on other lines than the lossy decoding holds"
     );
     let detector = intellog::serve::ModelStore::load(Path::new(model)).expect("load the model");
-    let reports: Vec<String> = detector
-        .detect_job(&sessions)
+    let reports: Vec<String> = intellog::core::IntelLog::from_detector(detector)
+        .detect_job_sequential(&sessions)
         .sessions
         .iter()
         .map(|r| serde_json::to_string(r).expect("a report serialises"))

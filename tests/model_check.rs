@@ -29,16 +29,23 @@
 #![cfg(intellog_check)]
 
 use anomaly::SessionReport;
-use intellog_serve::{
-    session_key, AnomalySink, Backpressure, IdleGate, Ring, ShardHandle, ShardMetrics, ShardMsg,
-    ShardQueue, TenantRegistry, DEFAULT_VNODES,
-};
+use intellog_serve::{AnomalySink, Backpressure, ShardQueue, TenantRegistry};
 use spell::{Level, LogLine};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
-use sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
+use sync::atomic::{AtomicU64, Ordering};
 use sync::check::{explore, replay, CheckConfig};
 use sync::{thread, Arc, Handoff, Turn};
+
+// Used only by scenarios whose tests the lost-wakeup mutant build leaves out.
+#[cfg(not(intellog_mutant_lost_wakeup))]
+use {
+    intellog_serve::{
+        session_key, IdleGate, Ring, ShardHandle, ShardMetrics, ShardMsg, DEFAULT_VNODES,
+    },
+    std::time::Instant,
+    sync::atomic::AtomicUsize,
+};
 
 /// Iteration budget, divided by 10 when `INTELLOG_MC_SMOKE=1` (the CI
 /// smoke job) so the bounded run stays well under its time box while the
@@ -105,6 +112,7 @@ fn shard_queue_block_policy_under_all_interleavings() {
 /// and every control message arrives and nothing is shed — a batch that
 /// does not fit waits (the oversized one until the queue holds no lines)
 /// and is woken by the drain.
+#[cfg(not(intellog_mutant_lost_wakeup))]
 fn weighted_queue_scenario() {
     const CONTROL: usize = 0; // data messages are their own weight
     let q = Arc::new(ShardQueue::new(4, Backpressure::Block));
@@ -278,12 +286,14 @@ fn shard_worker_shutdown_always_emits_final_report() {
 /// condvar wait, so a sleep nobody ends shows up as a forced timeout. Like
 /// the descriptor it is level-triggered: a kick before the sleep makes the
 /// sleep return at once, and it stays readable until consumed.
+#[cfg(not(intellog_mutant_lost_wakeup))]
 #[derive(Default)]
 struct ModelBell {
     readable: sync::Mutex<bool>,
     cv: sync::Condvar,
 }
 
+#[cfg(not(intellog_mutant_lost_wakeup))]
 impl ModelBell {
     /// A gate whose kick rings this bell.
     fn gate(self: &Arc<ModelBell>) -> Arc<IdleGate> {
@@ -309,6 +319,7 @@ impl ModelBell {
 /// work), and when a sweep found nothing new sleeps until kicked, consumes
 /// the kick and clears the gate's flag — before its next sweep, or, in the
 /// broken variant, after it.
+#[cfg(not(intellog_mutant_lost_wakeup))]
 fn gate_scenario(clear_after_sweep: bool) {
     let bell = Arc::new(ModelBell::default());
     let gate = bell.gate();
@@ -415,6 +426,7 @@ fn drain_ack_always_wakes_a_parking_loop() {
 /// queue's condvars cannot reach it, reads `room()`, marks the queue, and —
 /// unless this is the broken variant — reads `room()` again; the shard
 /// drains, tests and clears the mark, and wakes the gate if it was set.
+#[cfg(not(intellog_mutant_lost_wakeup))]
 fn room_scenario(reread: bool) {
     let bell = Arc::new(ModelBell::default());
     let gate = bell.gate();

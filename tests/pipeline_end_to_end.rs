@@ -122,7 +122,7 @@ fn baselines_run_on_the_same_corpus() {
     }
     assert!(dl.count_misses(&corrupted) > clean_misses);
 
-    let lc = LogCluster::train(Default::default(), &key_sessions);
+    let lc = LogCluster::train(&key_sessions);
     assert!(!lc.is_anomalous(&key_sessions[0]));
     assert!(lc.cluster_count() >= 1);
 
