@@ -1,15 +1,14 @@
 //! Diagnosis helpers: the query workflow of the paper's case studies (§6.4).
 //!
 //! IntelLog does not claim to find root causes; it narrows them down. The
-//! helpers here reproduce the case-study procedure: gather the unexpected
-//! messages of a job report into an [`IntelStore`], GroupBy identifiers,
-//! GroupBy locality, and summarise which entity groups / hosts concentrate
-//! the anomalies.
+//! helpers here reproduce the case-study procedure over the unexpected
+//! messages of a job report: GroupBy identifiers, GroupBy locality, and
+//! summarise which entity groups / hosts concentrate the anomalies.
 
 use crate::report::{Anomaly, JobReport};
-use extract::IntelStore;
+use extract::host_of;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A diagnosis summary distilled from a job report.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -36,47 +35,46 @@ pub struct Diagnosis {
 /// spot *new* entities in unexpected messages.
 ///
 /// An [`Anomaly::UnexpectedRepeats`] counts towards its `groups` once, however
-/// many lines it stands for; the [`IntelStore`] — so the GroupBys and the new
-/// entities — is fed only the messages a session kept in full.
+/// many lines it stands for; the GroupBys and the new entities read only the
+/// messages a session kept in full. A message counts once towards each host
+/// it names, however many ports of that host it names.
 pub fn diagnose(report: &JobReport, known_entities: &[String]) -> Diagnosis {
-    let mut store = IntelStore::new();
-    let mut group_counts: BTreeMap<String, usize> = BTreeMap::new();
+    let mut groups: BTreeMap<String, usize> = BTreeMap::new();
+    let mut hosts: BTreeMap<String, usize> = BTreeMap::new();
+    let mut identifiers: BTreeSet<String> = BTreeSet::new();
+    let mut new_entities: BTreeSet<&String> = BTreeSet::new();
     for a in report.anomalies() {
         for g in a.groups() {
-            *group_counts.entry(g.to_string()).or_insert(0) += 1;
+            *groups.entry(g.to_string()).or_insert(0) += 1;
         }
-        if let Anomaly::UnexpectedMessage { intel, .. } = a {
-            store.push(intel.clone());
+        let Anomaly::UnexpectedMessage { intel: m, .. } = a else {
+            continue;
+        };
+        // GroupBy identifier: each `type:value` spelling is a group.
+        identifiers.extend(m.identifiers.iter().map(|(ty, v)| format!("{ty}:{v}")));
+        // GroupBy locality, folded to hosts.
+        let named: BTreeSet<String> = m.localities.iter().map(|l| host_of(l)).collect();
+        for h in named {
+            *hosts.entry(h).or_insert(0) += 1;
         }
+        new_entities.extend(m.entities.iter().filter(|e| !known_entities.contains(e)));
     }
-
-    let mut hosts: Vec<(String, usize)> = store
-        .group_by_locality()
-        .into_iter()
-        .map(|(h, v)| (h, v.len()))
-        .collect();
-    hosts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-    let mut groups: Vec<(String, usize)> = group_counts.into_iter().collect();
-    groups.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-    let mut new_entities: Vec<String> = store
-        .messages
-        .iter()
-        .flat_map(|m| m.entities.iter().cloned())
-        .filter(|e| !known_entities.iter().any(|k| k == e))
-        .collect();
-    new_entities.sort();
-    new_entities.dedup();
 
     Diagnosis {
         problematic_sessions: report.problematic_count(),
         total_sessions: report.total_count(),
-        groups,
-        hosts,
-        new_entities,
-        identifier_groups: store.group_by_identifier().len(),
+        groups: by_count(groups),
+        hosts: by_count(hosts),
+        new_entities: new_entities.into_iter().cloned().collect(),
+        identifier_groups: identifiers.len(),
     }
+}
+
+/// Counts in descending order, ties by name.
+fn by_count(counts: BTreeMap<String, usize>) -> Vec<(String, usize)> {
+    let mut out: Vec<(String, usize)> = counts.into_iter().collect();
+    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    out
 }
 
 impl Diagnosis {
@@ -120,13 +118,9 @@ impl Diagnosis {
 mod tests {
     use super::*;
     use crate::report::SessionReport;
-    use extract::IntelExtractor;
+    use extract::{IntelExtractor, IntelMessage};
 
-    fn unexpected(text: &str, session: &str) -> Anomaly {
-        let ex = IntelExtractor::new();
-        let key = ex.extract_adhoc(text);
-        let tokens = spell::tokenize_message(text);
-        let intel = extract::IntelMessage::instantiate(&key, &tokens, session, 0);
+    fn reported(text: &str, intel: IntelMessage) -> Anomaly {
         let entities = intel.entities.clone();
         Anomaly::UnexpectedMessage {
             ts_ms: 0,
@@ -134,6 +128,73 @@ mod tests {
             intel,
             groups: entities,
         }
+    }
+
+    fn unexpected(text: &str, session: &str) -> Anomaly {
+        let key = IntelExtractor::new().extract_adhoc(text);
+        let tokens = spell::tokenize_message(text);
+        reported(text, IntelMessage::instantiate(&key, &tokens, session, 0))
+    }
+
+    #[test]
+    fn case_study_1_groupby_pipeline() {
+        // 11 fetchers fail against host4, the messages read through trained
+        // keys: GroupBy identifier then locality must converge on host4
+        // (paper §6.4 case 1).
+        let rendered: Vec<String> = (1..=11)
+            .map(|i| format!("fetcher # {i} failed to connect to host4:13562"))
+            .collect();
+        let mut parser = spell::SpellParser::default();
+        let (mut spans, mut ids) = (Vec::new(), Vec::new());
+        let key_ids: Vec<_> = rendered
+            .iter()
+            .map(|r| parser.parse_spans(r, &mut spans, &mut ids).0)
+            .collect();
+        let ex = IntelExtractor::new();
+        let keys: Vec<_> = parser.keys().iter().map(|k| ex.build(k)).collect();
+        let anomalies = rendered
+            .iter()
+            .zip(key_ids)
+            .enumerate()
+            .map(|(i, (r, id))| {
+                let tokens = spell::tokenize_message(r);
+                let intel = IntelMessage::instantiate(
+                    &keys[id.0 as usize],
+                    &tokens,
+                    "container_01",
+                    i as u64,
+                );
+                reported(r, intel)
+            })
+            .collect();
+        let mut job = JobReport::default();
+        job.sessions.push(SessionReport {
+            session: "container_01".into(),
+            lines: 11,
+            anomalies,
+        });
+        let d = diagnose(&job, &[]);
+        assert_eq!(d.identifier_groups, 11, "{d:?}");
+        assert_eq!(d.hosts, vec![("host4".to_string(), 11)]);
+    }
+
+    #[test]
+    fn two_ports_of_one_host_count_once() {
+        let text = "connection from host4:54106 to host4:50010 reset";
+        let a = unexpected(text, "c0");
+        let Anomaly::UnexpectedMessage { intel, .. } = &a else {
+            unreachable!()
+        };
+        assert_eq!(intel.localities, ["host4:54106", "host4:50010"]);
+        let mut job = JobReport::default();
+        job.sessions.push(SessionReport {
+            session: "c0".into(),
+            lines: 1,
+            anomalies: vec![a],
+        });
+        let d = diagnose(&job, &[]);
+        assert_eq!(d.hosts, vec![("host4".to_string(), 1)]);
+        assert!(d.render().contains("host4: 1 messages"), "{}", d.render());
     }
 
     #[test]

@@ -45,7 +45,9 @@ use sync::par_map_ordered;
 pub struct Trainer {
     /// Spell matching threshold `t` (paper default 1.7).
     pub spell_threshold: f64,
-    /// Locality matcher (user-extensible patterns).
+    /// The locality matcher. It carries no setting (detection always
+    /// extracts with the built-in patterns); the field is kept because the
+    /// benchmark package names it.
     pub matcher: LocalityMatcher,
 }
 

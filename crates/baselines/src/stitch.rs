@@ -35,18 +35,15 @@ pub struct S3Graph {
 }
 
 impl S3Graph {
-    /// Build the S³ graph from Intel Messages (only their identifier
-    /// `(type, value)` pairs are consulted — Stitch sees nothing else).
-    /// Host localities participate as `HOST` identifiers, which is how
+    /// Build the S³ graph from the Intel Messages of several independent
+    /// executions (jobs), each a list of sessions. Only the messages'
+    /// identifier `(type, value)` pairs are consulted — Stitch sees nothing
+    /// else. Host localities participate as `HOST` identifiers, which is how
     /// Stitch's own extraction treats them (Fig. 9 has a `{HOST/IP}` node).
-    pub fn build(sessions: &[Vec<IntelMessage>]) -> S3Graph {
-        S3Graph::build_scoped(std::slice::from_ref(&sessions.to_vec()))
-    }
-
-    /// Build from several independent executions (jobs). Identifier values
-    /// are scoped per execution, since e.g. TIDs restart from 0 in every
-    /// job — Stitch analyses each execution's logs separately.
-    pub fn build_scoped(jobs: &[Vec<Vec<IntelMessage>>]) -> S3Graph {
+    /// Identifier values are scoped per execution, since e.g. TIDs restart
+    /// from 0 in every job — Stitch analyses each execution's logs
+    /// separately.
+    pub fn build(jobs: &[Vec<Vec<IntelMessage>>]) -> S3Graph {
         let _span = obs::span!("baselines.stitch.build");
         // For each type pair co-occurring in a message, record the value
         // mappings in both directions.
@@ -208,7 +205,7 @@ mod tests {
             msg(&[("HOST", "h1"), ("EXECUTOR", "e1")]),
             msg(&[("HOST", "h2"), ("EXECUTOR", "e2")]),
         ]];
-        let g = S3Graph::build(&sessions);
+        let g = S3Graph::build(&[sessions]);
         assert_eq!(
             g.edges,
             vec![("EXECUTOR".into(), "HOST".into(), S3Rel::OneToOne)]
@@ -223,7 +220,7 @@ mod tests {
             msg(&[("STAGE", "s1"), ("TID", "t2")]),
             msg(&[("STAGE", "s2"), ("TID", "t3")]),
         ]];
-        let g = S3Graph::build(&sessions);
+        let g = S3Graph::build(&[sessions]);
         assert_eq!(
             g.edges,
             vec![("STAGE".into(), "TID".into(), S3Rel::OneToMany)]
@@ -239,7 +236,7 @@ mod tests {
             msg(&[("STAGE", "s1"), ("TASK", "1")]),
             msg(&[("STAGE", "s2"), ("TASK", "0")]),
         ]];
-        let g = S3Graph::build(&sessions);
+        let g = S3Graph::build(&[sessions]);
         assert_eq!(
             g.edges,
             vec![("STAGE".into(), "TASK".into(), S3Rel::ManyToMany)]
@@ -249,7 +246,7 @@ mod tests {
     #[test]
     fn non_cooccurring_types_have_no_edge() {
         let sessions = vec![vec![msg(&[("A", "1")]), msg(&[("B", "2")])]];
-        let g = S3Graph::build(&sessions);
+        let g = S3Graph::build(&[sessions]);
         assert!(g.edges.is_empty());
         let r = g.render();
         assert!(r.contains("isolated"), "{r}");
@@ -266,7 +263,7 @@ mod tests {
             msg(&[("EXECUTOR", "e2"), ("TID", "t3")]),
             msg(&[("BROADCAST", "b0")]),
         ]];
-        let g = S3Graph::build(&sessions);
+        let g = S3Graph::build(&[sessions]);
         let r = g.render();
         assert!(r.contains("EXECUTOR / HOST"), "{r}");
         assert!(r.contains("-> {TID}"), "{r}");

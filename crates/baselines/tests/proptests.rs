@@ -88,7 +88,7 @@ proptest! {
                 text: String::new(),
             })
             .collect();
-        let g = S3Graph::build(&[msgs]);
+        let g = S3Graph::build(&[vec![msgs]]);
         for (a, b, rel) in &g.edges {
             prop_assert!(g.types.contains(a), "{a} missing from types");
             prop_assert!(g.types.contains(b));
@@ -162,7 +162,7 @@ fn s3_rel_is_directional_for_one_to_many() {
         mk(vec![("AAA_CHILD", "c2"), ("ZZZ_PARENT", "p1")]),
         mk(vec![("AAA_CHILD", "c3"), ("ZZZ_PARENT", "p2")]),
     ];
-    let g = S3Graph::build(&[msgs]);
+    let g = S3Graph::build(&[vec![msgs]]);
     assert_eq!(
         g.edges,
         vec![(

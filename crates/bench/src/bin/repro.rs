@@ -9,8 +9,8 @@ use baselines::{DeepLog, LogCluster, S3Graph};
 use dlasim::{FaultKind, FaultPlan, JobConfig, SystemKind, WorkloadGen};
 use extract::{FieldCategory, IntelExtractor};
 use intellog_bench::{
-    evaluate, intel_messages, score, table6_jobs, train_keyseqs, Confusion, FieldCounts,
-    IntelLogTool, KeySeqTool, SemVecTool, SessionDetector,
+    evaluate, intel_messages, score, table6_jobs, table6_row, train_keyseqs, Confusion,
+    FieldCounts, IntelLogTool, KeySeqTool, SemVecTool, SessionDetector,
 };
 use intellog_core::{sessions_from_job, training_jobs, training_sessions, IntelLog};
 use lognlp::{is_natural_language, tag, tag_key_with_sample, tokenize};
@@ -174,12 +174,6 @@ fn table5(jobs: usize) {
     println!("\npaper: Spark 347, 45/10, 10/1.2/2.3 | MapReduce 137, 35/13, 19/1.7/2.8 | Tez 304, 59/27, 14/2.7/4.6");
 }
 
-/// `min~max` of a non-empty series.
-fn range(values: impl Iterator<Item = usize> + Clone) -> String {
-    let (min, max) = (values.clone().min(), values.max());
-    format!("{}~{}", min.unwrap_or(0), max.unwrap_or(0))
-}
-
 /// Table 6 — accuracy of anomaly detection by IntelLog.
 ///
 /// Protocol (§6.4): per system, five configuration sets × (three injected
@@ -194,26 +188,10 @@ fn table6(train_jobs: usize) {
     );
 
     let mut total = Confusion::default();
-    let mut tool = IntelLogTool::default();
     for system in SystemKind::ANALYTICS {
-        tool.fit(
-            system,
-            &training_jobs(system, train_jobs, 100 + system as u64),
-        );
-        let eval = table6_jobs(system, 200 + system as u64);
-        let sessions = eval.iter().flat_map(|j| &j.job.sessions);
-        let (_, found) = score(&tool, &eval);
-        println!(
-            "{:<11} {:>12} {:>16} {:>20}",
-            system.name(),
-            range(eval.iter().map(|j| j.job.sessions.len())),
-            range(sessions.map(|s| s.lines.len())),
-            format!(
-                "{} / {} / {} / ({})",
-                found.jobs.tp, found.jobs.fp, found.jobs.fn_, found.latent_found
-            ),
-        );
-        total += found.jobs;
+        let (row, jobs) = table6_row(system, train_jobs);
+        println!("{row}");
+        total += jobs;
     }
     let (p, r, f) = total.prf();
     println!(
@@ -623,7 +601,7 @@ fn figure9(jobs: usize) {
         .iter()
         .map(|sessions| intel_messages(&parser, sessions))
         .collect();
-    let g = S3Graph::build_scoped(&per_job);
+    let g = S3Graph::build(&per_job);
     println!("Figure 9: the S3 graph of Spark built by Stitch\n");
     println!("identifier types: {:?}\n", g.types);
     print!("{}", g.render());

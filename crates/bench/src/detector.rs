@@ -3,11 +3,11 @@
 //! is the only place a verdict meets the simulator's ground truth. A further
 //! tool, corpus shape or noise level is one more row in a caller's loop.
 
-use crate::corpus::{EvalJob, JobScore};
+use crate::corpus::{table6_jobs, EvalJob, JobScore};
 use crate::keyseq::{match_keyseq, train_keyseqs};
 use baselines::{DeepLog, LogCluster, SemVec};
 use dlasim::{ForeignFormat, GenJob, GenSession, RawFormat, SystemKind};
-use intellog_core::{session_from_gen, sessions_from_job, IntelLog};
+use intellog_core::{session_from_gen, sessions_from_job, training_jobs, IntelLog};
 use spell::{Session, SpellParser};
 
 /// A tool that learns from clean jobs and flags single sessions.
@@ -74,6 +74,39 @@ pub fn score(tool: &dyn SessionDetector, eval: &[EvalJob]) -> (Confusion, JobSco
         }
     }
     (sessions, jobs)
+}
+
+/// One Table 6 row: IntelLog fitted on `train_jobs` clean jobs of `system`
+/// (seed 100 + system) and scored per job on its Table 6 corpus (seed 200 +
+/// system). Returns the printed row — framework, session-count range,
+/// session-length range and D / FP / FN / (P/B) — and the per-job confusion
+/// the table's overall line sums.
+pub fn table6_row(system: SystemKind, train_jobs: usize) -> (String, Confusion) {
+    let mut tool = IntelLogTool::default();
+    tool.fit(
+        system,
+        &training_jobs(system, train_jobs, 100 + system as u64),
+    );
+    let eval = table6_jobs(system, 200 + system as u64);
+    let (_, found) = score(&tool, &eval);
+    let sessions = eval.iter().flat_map(|j| &j.job.sessions);
+    let row = format!(
+        "{:<11} {:>12} {:>16} {:>20}",
+        system.name(),
+        range(eval.iter().map(|j| j.job.sessions.len())),
+        range(sessions.map(|s| s.lines.len())),
+        format!(
+            "{} / {} / {} / ({})",
+            found.jobs.tp, found.jobs.fp, found.jobs.fn_, found.latent_found
+        ),
+    );
+    (row, found.jobs)
+}
+
+/// `min~max` of a non-empty series.
+fn range(values: impl Iterator<Item = usize> + Clone) -> String {
+    let (min, max) = (values.clone().min(), values.max());
+    format!("{}~{}", min.unwrap_or(0), max.unwrap_or(0))
 }
 
 fn sessions_of(train: &[GenJob]) -> Vec<Session> {

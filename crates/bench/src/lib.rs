@@ -10,7 +10,8 @@
 //!   fault-injection matrix; training corpora are
 //!   `intellog_core::training_jobs`);
 //! * [`detector`] — one [`SessionDetector`] seam over IntelLog and the
-//!   baselines, and [`score`], the one routine behind Tables 6 and 8;
+//!   baselines, [`score`], the one routine behind Tables 6 and 8, and
+//!   [`table6_row`], the Table 6 row `repro` prints and a golden pins;
 //! * [`accuracy`] — the Table 4 extraction-accuracy evaluation against the
 //!   simulator's template ground truth.
 
@@ -23,5 +24,7 @@ pub mod keyseq;
 
 pub use accuracy::{evaluate, AccuracyRow, FieldCounts};
 pub use corpus::{intern_probes, synthetic_keyset, table6_jobs, EvalJob, JobScore};
-pub use detector::{score, Confusion, IntelLogTool, KeySeqTool, SemVecTool, SessionDetector};
+pub use detector::{
+    score, table6_row, Confusion, IntelLogTool, KeySeqTool, SemVecTool, SessionDetector,
+};
 pub use keyseq::{intel_messages, match_keyseq, train_keyseqs, UNKNOWN_KEY};

@@ -9,11 +9,11 @@
 //! in JSON or a time-series database).
 //!
 //! The owned [`IntelMessage`] is the form for whoever wants those strings: a
-//! reported unexpected message, the [`crate::IntelStore`] queries, the
-//! baselines. Detection and training keep [`crate::SessionLog`] rows instead
-//! (key id, timestamp, identifier numbers — all Algorithm 2 and the lifespan
-//! checks read), and [`IntelMessage::instantiate`] is the oracle a row is
-//! tested against.
+//! reported unexpected message (which diagnosis groups by identifier and
+//! locality), the Stitch baseline. Detection and training keep
+//! [`crate::SessionLog`] rows instead (key id, timestamp, identifier numbers
+//! — all Algorithm 2 and the lifespan checks read), and
+//! [`IntelMessage::instantiate`] is the oracle a row is tested against.
 
 use crate::entity::{extract_entities, Entity};
 use crate::fields::{classify_field, FieldCategory, VarField};
@@ -111,7 +111,7 @@ impl IntelKey {
     }
 }
 
-/// Builds Intel Keys from log keys; owns the configurable locality matcher.
+/// Builds Intel Keys from log keys with the built-in locality patterns.
 #[derive(Debug, Clone, Default)]
 pub struct IntelExtractor {
     matcher: LocalityMatcher,
@@ -123,14 +123,10 @@ impl IntelExtractor {
         IntelExtractor::default()
     }
 
-    /// Extractor with a user-extended locality matcher.
+    /// The same extractor as [`IntelExtractor::new`]: a [`LocalityMatcher`]
+    /// carries no setting. Kept because the benchmark package names it.
     pub fn with_matcher(matcher: LocalityMatcher) -> IntelExtractor {
         IntelExtractor { matcher }
-    }
-
-    /// The locality matcher in use.
-    pub fn matcher(&self) -> &LocalityMatcher {
-        &self.matcher
     }
 
     /// Transform a log key into an Intel Key (paper Fig. 4, left to right).

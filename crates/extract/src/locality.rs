@@ -2,8 +2,10 @@
 //!
 //! The paper defines patterns for the locality information commonly found in
 //! distributed-system logs: 1) host names, 2) IP addresses and ports,
-//! 3) local directory paths, 4) distributed-file-system paths. Users can add
-//! patterns for their own systems — [`LocalityMatcher::with_pattern`].
+//! 3) local directory paths, 4) distributed-file-system paths. The patterns
+//! are fixed: training, streaming detection and ad hoc extraction all match
+//! with the same ones, so a key and an unexpected line agree on what is a
+//! locality.
 
 use lognlp::token::{classify, TokenShape};
 use serde::{Deserialize, Serialize};
@@ -29,23 +31,14 @@ const HOST_PREFIXES: &[&str] = &[
     "host", "node", "worker", "slave", "server", "machine", "nm", "dn", "vm",
 ];
 
-/// Configurable locality matcher: built-in patterns plus user extensions.
+/// The locality matcher: the built-in patterns above.
 #[derive(Debug, Clone, Default)]
-pub struct LocalityMatcher {
-    /// Extra literal prefixes that mark a token as a host name.
-    extra_host_prefixes: Vec<String>,
-}
+pub struct LocalityMatcher;
 
 impl LocalityMatcher {
-    /// A matcher with only the built-in patterns.
+    /// The matcher.
     pub fn new() -> LocalityMatcher {
-        LocalityMatcher::default()
-    }
-
-    /// Register an additional host-name prefix (user-defined pattern hook).
-    pub fn with_pattern(mut self, host_prefix: impl Into<String>) -> LocalityMatcher {
-        self.extra_host_prefixes.push(host_prefix.into());
-        self
+        LocalityMatcher
     }
 
     /// Classify a token as locality information, if it matches any pattern.
@@ -68,13 +61,7 @@ impl LocalityMatcher {
             return Some(LocalityKind::HostName);
         }
         let lower = text.to_ascii_lowercase();
-        if looks_like_numbered_host(&lower, HOST_PREFIXES)
-            || is_ec2_host_name(text)
-            || self
-                .extra_host_prefixes
-                .iter()
-                .any(|p| looks_like_numbered_host(&lower, std::slice::from_ref(&p.as_str())))
-        {
+        if looks_like_numbered_host(&lower, HOST_PREFIXES) || is_ec2_host_name(text) {
             return Some(LocalityKind::HostName);
         }
         None
@@ -87,9 +74,8 @@ impl LocalityMatcher {
 }
 
 /// `prefixNN` host names: an allow-listed prefix followed by digits only.
-fn looks_like_numbered_host<S: AsRef<str>>(lower: &str, prefixes: &[S]) -> bool {
+fn looks_like_numbered_host(lower: &str, prefixes: &[&str]) -> bool {
     for p in prefixes {
-        let p = p.as_ref();
         if let Some(rest) = lower.strip_prefix(p) {
             if !rest.is_empty() && rest.chars().all(|c| c.is_ascii_digit()) {
                 return true;
@@ -119,6 +105,19 @@ fn is_ec2_host_name(text: &str) -> bool {
 /// (`ip-10-0-0-255` is a host name, `ip-10-0-0-256` is not).
 pub(crate) fn reads_digit_values(token: &str) -> bool {
     ec2_octets(token).is_some_and(|o| o.iter().any(|o| o.len() == 3))
+}
+
+/// Normalise a locality to its host part (`host1:13562` → `host1`), so that
+/// GroupBy-locality groups all ports of one machine together — exactly what
+/// case study 1 needs to converge on 'host A'. Paths stay whole.
+pub fn host_of(locality: &str) -> String {
+    if locality.starts_with('/') || locality.contains("://") {
+        return locality.to_string();
+    }
+    match locality.rsplit_once(':') {
+        Some((host, port)) if port.chars().all(|c| c.is_ascii_digit()) => host.to_string(),
+        _ => locality.to_string(),
+    }
 }
 
 /// `a.b.c`-style dotted names where every label starts with a letter.
@@ -172,10 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn user_defined_pattern() {
-        let m = LocalityMatcher::new().with_pattern("rack");
-        assert_eq!(m.classify("rack42"), Some(LocalityKind::HostName));
-        assert_eq!(LocalityMatcher::new().classify("rack42"), None);
+    fn host_normalisation() {
+        assert_eq!(host_of("host1:13562"), "host1");
+        assert_eq!(host_of("10.0.0.3:50010"), "10.0.0.3");
+        assert_eq!(host_of("host1"), "host1");
+        assert_eq!(host_of("/tmp/x:y"), "/tmp/x:y");
+        assert_eq!(host_of("hdfs://nn:8020/x"), "hdfs://nn:8020/x");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! value kept once in one buffer. [`SessionLog::push_line`] fills a row
 //! straight from the line's token spans; no token `String` and no
 //! [`IntelMessage`] is built. The owned `IntelMessage` stays for the
-//! consumers that want strings (an unexpected message being reported, the
-//! `IntelStore` queries) and as the oracle a row is tested against.
+//! consumers that want strings (an unexpected message being reported and
+//! diagnosed, the Stitch baseline) and as the oracle a row is tested
+//! against.
 //!
 //! # Numbering
 //!

@@ -17,7 +17,8 @@
 
 use dlasim::{ForeignFormat, RawFormat, SystemKind};
 use intellog_bench::{
-    evaluate, score, table6_jobs, AccuracyRow, IntelLogTool, JobScore, SemVecTool, SessionDetector,
+    evaluate, score, table6_jobs, table6_row, AccuracyRow, IntelLogTool, JobScore, SemVecTool,
+    SessionDetector,
 };
 use intellog_core::{sessions_from_job, sessions_from_text, training_jobs, IntelLog};
 use intellog_serve::store::{crc32, ModelStore};
@@ -281,6 +282,18 @@ fn model_bytes_are_stable() {
         golden_check(
             &format!("model_{}.crc", system_slug(system)),
             &render_model_crc(system),
+        );
+    }
+}
+
+/// Each Table 6 row `repro table6` prints at its default 20 training jobs.
+#[test]
+fn table6_rows_are_stable() {
+    for system in SystemKind::ANALYTICS {
+        let (row, _) = table6_row(system, 20);
+        golden_check(
+            &format!("table6_{}.txt", system_slug(system)),
+            &format!("{row}\n"),
         );
     }
 }

@@ -127,7 +127,7 @@ fn baselines_run_on_the_same_corpus() {
     assert!(lc.cluster_count() >= 1);
 
     // Stitch S3 over Intel Messages.
-    let s3 = S3Graph::build(&intel_messages(&parser, &sessions));
+    let s3 = S3Graph::build(&[intel_messages(&parser, &sessions)]);
     assert!(!s3.types.is_empty());
     // the S3 graph carries identifier types but no entity semantics —
     // that's the Fig. 9 contrast
