@@ -6,7 +6,7 @@
 //!   reporting *unexpected log messages* and *erroneous HW-graph instances*;
 //! * [`report`] — the typed anomaly taxonomy and per-session / per-job
 //!   reports;
-//! * [`diagnose`] — the GroupBy-based diagnosis workflow of the paper's
+//! * [`mod@diagnose`] — the GroupBy-based diagnosis workflow of the paper's
 //!   case studies.
 
 #![forbid(unsafe_code)]

@@ -28,7 +28,7 @@
 //!   dropped in order. No stage holds every session's log.
 //!
 //! Intel-Key extraction, one pass over the keys, is a plain loop.
-//! What runs ahead is bounded by [`SPLIT_WINDOW_ROWS`] lines, never the
+//! What runs ahead is bounded by `SPLIT_WINDOW_ROWS` lines, never the
 //! whole corpus. [`Trainer::train_sequential`] is the reference: the same
 //! stages as plain loops on one thread, the same two Spell halves line by
 //! line; tests assert `train` produces a byte-identical detector.

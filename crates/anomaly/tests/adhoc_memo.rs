@@ -24,14 +24,6 @@ const ALL_SYSTEMS: [SystemKind; 6] = [
     SystemKind::TensorFlow,
 ];
 
-const ALL_FAULTS: [FaultKind; 5] = [
-    FaultKind::SessionKill,
-    FaultKind::NetworkFailure,
-    FaultKind::NodeFailure,
-    FaultKind::MemorySpill,
-    FaultKind::Starvation,
-];
-
 fn sessions_of(job: &GenJob) -> Vec<Session> {
     let line = |l: &dlasim::SimLine| LogLine {
         ts_ms: l.ts_ms,
@@ -55,7 +47,9 @@ fn corpus() -> Vec<(Detector, Vec<Session>)> {
             let train: Vec<Session> = (0..2)
                 .flat_map(|_| sessions_of(&dlasim::generate(&gen.training_config(system), None)))
                 .collect();
-            let runs = ALL_FAULTS.iter().flat_map(|&f| [(f, 1), (f, 2), (f, 3)]);
+            let runs = FaultKind::ALL
+                .iter()
+                .flat_map(|&f| [(f, 1), (f, 2), (f, 3)]);
             let faulted = runs.flat_map(|(fault, set)| {
                 let cfg = gen.detection_config(system, set);
                 let plan = gen.fault_plan(fault);

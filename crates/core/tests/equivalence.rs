@@ -73,14 +73,6 @@ fn assert_matcher_equivalence(train: &[Session], probes: &[Session]) {
     }
 }
 
-const FAULTS: [FaultKind; 5] = [
-    FaultKind::SessionKill,
-    FaultKind::NetworkFailure,
-    FaultKind::NodeFailure,
-    FaultKind::MemorySpill,
-    FaultKind::Starvation,
-];
-
 /// One detection job of `system` with `fault` injected.
 fn faulted_job(system: SystemKind, seed: u64, fault: FaultKind) -> Vec<Session> {
     let mut gen = WorkloadGen::new(seed, 6);
@@ -131,7 +123,7 @@ fn logged_rows_equal_instantiate_on_all_systems_and_faults() {
     for system in SYSTEMS.into_iter().chain([SystemKind::TensorFlow]) {
         let il = IntelLog::train(&corpus(system, 42, 2));
         let mut identified = 0;
-        for fault in FAULTS {
+        for fault in FaultKind::ALL {
             let probes = faulted_job(system, 1337, fault);
             identified += assert_rows_equal_instantiate(il.detector(), &probes);
         }
@@ -240,7 +232,7 @@ fn parallel_and_sequential_reports_agree_on_faulted_job() {
         .into_iter()
         .chain(job.iter().cloned())
         .collect();
-    let every_fault: Vec<Session> = FAULTS
+    let every_fault: Vec<Session> = FaultKind::ALL
         .iter()
         .zip(23..)
         .flat_map(|(&fault, seed)| faulted_job(SystemKind::MapReduce, seed, fault))
@@ -290,7 +282,7 @@ proptest! {
         fault in 0usize..5,
     ) {
         let il = IntelLog::train(&corpus(SYSTEMS[sys], seed, 1));
-        let probes = faulted_job(SYSTEMS[sys], probe_seed, FAULTS[fault]);
+        let probes = faulted_job(SYSTEMS[sys], probe_seed, FaultKind::ALL[fault]);
         assert_rows_equal_instantiate(il.detector(), &probes);
     }
 

@@ -27,6 +27,15 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [FaultKind; 5] = [
+        FaultKind::SessionKill,
+        FaultKind::NetworkFailure,
+        FaultKind::NodeFailure,
+        FaultKind::MemorySpill,
+        FaultKind::Starvation,
+    ];
+
     /// The three injected problems of Table 6.
     pub const INJECTED: [FaultKind; 3] = [
         FaultKind::SessionKill,
@@ -95,16 +104,7 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let mut names: Vec<&str> = [
-            FaultKind::SessionKill,
-            FaultKind::NetworkFailure,
-            FaultKind::NodeFailure,
-            FaultKind::MemorySpill,
-            FaultKind::Starvation,
-        ]
-        .iter()
-        .map(|k| k.name())
-        .collect();
+        let mut names = FaultKind::ALL.map(FaultKind::name).to_vec();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 5);

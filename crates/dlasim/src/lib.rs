@@ -3,7 +3,7 @@
 //! A log-producing model of the paper's 27-node YARN testbed (DESIGN.md §1):
 //! Spark, Hadoop MapReduce and Tez+Hive jobs, plus YARN and nova-compute
 //! streams for the Table 1 census. Each emitted line carries its template
-//! id, and [`catalog`] records the human ground truth per template —
+//! id, and [`mod@catalog`] records the human ground truth per template —
 //! entities, field categories and operations — replacing the paper's manual
 //! source-code inspection for the Table 4 accuracy evaluation.
 //!

@@ -13,7 +13,7 @@ use crate::types::{GenJob, GenSession, SystemKind};
 use crate::workload::JobConfig;
 
 /// Ground truth for the Spark templates (see module docs of
-/// [`crate::catalog`] for the annotation rules).
+/// [`mod@crate::catalog`] for the annotation rules).
 pub const TRUTHS: &[Truth] = &[
     Truth::new(
         "sp.acl.view",

@@ -3,7 +3,7 @@
 //!
 //! It is the only splitting loop — `lognlp::tokenize` and
 //! `spell::tokenize_message` copy its spans out — and the entry point of
-//! the zero-alloc ingest path (DESIGN.md §13), so what it splits is
+//! the zero-alloc ingest path (DESIGN.md §7), so what it splits is
 //! specified by `token.rs`'s concrete cases; here the spans themselves are
 //! checked over adversarial log-line material — bracket/quote nests,
 //! trailing punctuation runs, `key=value` chains, paths, URLs, host:port

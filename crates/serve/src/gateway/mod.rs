@@ -21,7 +21,7 @@
 //! Unix only: the loop sleeps in `poll(2)` and is woken over a
 //! `UnixStream` pair.
 //!
-//! Design invariants (DESIGN.md §12):
+//! Design invariants (DESIGN.md §8):
 //!
 //! * **The loop blocks in one place, and only with nothing to do.** A
 //!   sweep that did work is followed by another; one that did none by

@@ -1,7 +1,7 @@
 //! Shard workers: the threads that own the live sessions.
 //!
 //! Each incoming log line is routed — by the gateway's consistent-hash
-//! [`Ring`](crate::ring::Ring) over the tenant-qualified session key — to
+//! [`Ring`] over the tenant-qualified session key — to
 //! exactly one shard, so a session's whole stream is processed by a single
 //! thread and the per-session [`StreamState`] needs no locking. A session
 //! pins its tenant's model version at open (a [`ModelLease`]), so hot

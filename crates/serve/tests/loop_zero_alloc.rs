@@ -120,8 +120,11 @@ fn write_of(from: u64) -> Vec<u8> {
     bytes
 }
 
-/// Times the loop is woken for nothing in the idle phase.
+/// Sleep-and-wake cycles the idle phases must hold between them.
 const EMPTY_WAKES: u64 = 16;
+/// Idle phases to try before giving up: a loaded host may read several
+/// empty lines in one wake, so a phase can hold fewer cycles than lines.
+const IDLE_PHASES: u64 = 8;
 
 struct Measured {
     writes: u64,
@@ -179,15 +182,24 @@ fn drive(addr: String) -> Measured {
 
     // Sleep-and-wake cycles: an empty line is read, framed, and asks for
     // nothing — the loop wakes, sweeps every connection, finds no more
-    // work, refills the descriptor array and sleeps again.
-    let sleeps_before = wire.stats().loop_waits;
-    let asleep = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..EMPTY_WAKES {
-        wire.stream.write_all(b"\n").expect("an empty line");
-        sync::thread::sleep(Duration::from_millis(5));
+    // work, refills the descriptor array and sleeps again. Idle phases
+    // repeat until `loop_waits` has counted enough cycles; allocations are
+    // counted inside the phases only, not in the `STATS` between them.
+    let (mut sleeps, mut while_asleep_and_woken) = (0, 0);
+    for _ in 0..IDLE_PHASES {
+        if sleeps >= EMPTY_WAKES {
+            break;
+        }
+        let sleeps_before = wire.stats().loop_waits;
+        let asleep = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..EMPTY_WAKES {
+            wire.stream.write_all(b"\n").expect("an empty line");
+            sync::thread::sleep(Duration::from_millis(5));
+        }
+        while_asleep_and_woken += ALLOCATIONS.load(Ordering::Relaxed) - asleep;
+        // The `STATS` that reads the count ends one sleep of its own.
+        sleeps += (wire.stats().loop_waits - sleeps_before).saturating_sub(1);
     }
-    let woken = ALLOCATIONS.load(Ordering::Relaxed);
-    let sleeps = wire.stats().loop_waits - sleeps_before;
 
     assert_eq!(wire.round_trip(b"DRAIN\n"), format!("OK {SESSIONS}\n"));
     let ingested = wire.stats().ingested;
@@ -195,7 +207,7 @@ fn drive(addr: String) -> Measured {
     Measured {
         writes,
         during_lines: after_lines - before,
-        while_asleep_and_woken: woken - asleep,
+        while_asleep_and_woken,
         sleeps,
         ingested,
     }

@@ -14,7 +14,7 @@
 //! interned, so the dictionary holds what the keys can name and nothing
 //! else — a parameter value seen once (a task id, a byte count) resolves to
 //! [`UNKNOWN_ID`] and costs no memory, in training as in detection.
-//! Matching consults a [`MatchIndex`] — a prefix tree for the
+//! Matching consults a `MatchIndex` — a prefix tree for the
 //! exact-instance fast path plus an inverted `token → key` index whose
 //! overlap bound prunes keys before the LCS dynamic program runs (see
 //! `index.rs` for the soundness argument).

@@ -11,16 +11,16 @@
 //! * **release** — a zero-cost passthrough. Types are thin newtypes over
 //!   the std primitives (or straight re-exports) and every method inlines
 //!   to the std call.
-//! * **debug** (`debug_assertions`) — adds the [`mod@order`] lock-order
+//! * **debug** (`debug_assertions`) — adds the `order` lock-order
 //!   deadlock detector: a global lock-acquisition-order graph; creating a
 //!   cycle panics immediately with both acquisition sites, turning a
 //!   maybe-someday deadlock into a deterministic test failure.
 //! * **model checking** (`--cfg intellog_check`) — routes every
-//!   synchronization operation through the [`check`] scheduler, which owns
+//!   synchronization operation through the `check` scheduler, which owns
 //!   all interleaving decisions and can explore schedules exhaustively
 //!   (bounded DFS) or probabilistically (seeded uniform + PCT), replaying
 //!   any failure byte-identically from its recorded schedule. Code outside
-//!   a [`check::explore`] closure still runs on the std fallback, so the
+//!   a `check::explore` closure still runs on the std fallback, so the
 //!   regular test suite passes under the cfg too.
 //!
 //! One more thing lives here because it, too, is a way to block: [`poll`],
@@ -31,7 +31,7 @@
 //! `deny` can, and the single `allow` below is that module's (lint rule R3
 //! counts them).
 //!
-//! See DESIGN.md §11 for the scheduler design and replay workflow, §12 for
+//! See DESIGN.md §10 for the scheduler design and replay workflow, §8 for
 //! what sleeps in `poll`.
 
 #![deny(unsafe_code)]

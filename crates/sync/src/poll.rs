@@ -4,7 +4,7 @@
 //! `extern "C"` rule of `scripts/lint_invariants.py` keep it so). `std` can
 //! block on one socket or on a condition variable, never on "whichever of
 //! these sockets speaks first"; the gateway's event loop needs exactly that
-//! (DESIGN.md §12), and the facade every blocking operation of the workspace
+//! (DESIGN.md §8), and the facade every blocking operation of the workspace
 //! already goes through is where the one system call lives. There is no
 //! `libc` crate behind it: `std` links the C library on every unix target,
 //! so declaring the symbol is enough.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI-gated concurrency-invariant linter (DESIGN.md §11).
+"""CI-gated concurrency-invariant linter (DESIGN.md §10).
 
 Eight rules over the workspace's Rust sources:
 
@@ -126,7 +126,7 @@ R3_EXEMPT: tuple[str, ...] = (
     # safe wrapper over poll(2) in `crates/sync/src/poll.rs`. std can block
     # on one socket or on a condvar, never on several sockets at once, and
     # an event loop that cannot sleep on its sockets answers in multiples of
-    # its back-off (DESIGN.md §12). The exemption is one module wide: the
+    # its back-off (DESIGN.md §8). The exemption is one module wide: the
     # root must deny, and the crate may allow once.
     "crates/sync/src/lib.rs",
 )

@@ -69,13 +69,13 @@ const USAGE: &str = "usage:
                   [--tenant NAME] [--tenant-model NAME=MODEL.ilm]...
   intellog replay --model MODEL.ilm --addr HOST:PORT [--system spark|mapreduce|tez|tensorflow]
                   [--jobs N] [--seed N] [--hosts N] [--rate LINES_PER_S]
-                  [--fault session-kill|network-failure|node-failure]
+                  [--fault session-kill|network-failure|node-failure|memory-spill|starvation-bug]
                   [--connections N] [--tenant NAME]
                   [--format native|spark|hadoop|hdfs|syslog|json]
                   [--no-verify] [--expect-anomalies] [--shutdown]
   intellog emit   --sim spark|mapreduce|tez|tensorflow --out DIR
                   [--format spark|hadoop|hdfs|syslog|json] [--sim-jobs N] [--seed N]
-                  [--fault session-kill|network-failure|node-failure]
+                  [--fault session-kill|network-failure|node-failure|memory-spill|starvation-bug]
   intellog demo
 
 'train', 'detect' and 'replay' also accept [--metrics PATH|-] to dump
@@ -153,15 +153,12 @@ fn parse_system(s: &str) -> Result<SystemKind, String> {
     }
 }
 
-fn parse_fault(s: &str) -> Result<FaultKind, String> {
-    Ok(match s {
-        "session-kill" => FaultKind::SessionKill,
-        "network-failure" => FaultKind::NetworkFailure,
-        "node-failure" => FaultKind::NodeFailure,
-        "memory-spill" => FaultKind::MemorySpill,
-        "starvation-bug" => FaultKind::Starvation,
-        other => return Err(format!("unknown --fault '{other}'")),
-    })
+fn parse_fault(name: &str) -> Result<FaultKind, String> {
+    let names = FaultKind::ALL.map(FaultKind::name);
+    FaultKind::ALL
+        .into_iter()
+        .find(|k| k.name() == name)
+        .ok_or_else(|| format!("unknown --fault '{name}' (use {})", names.join(", ")))
 }
 
 /// Read one log file as a session; lines the adapter rejects (stack-trace

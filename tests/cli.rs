@@ -312,3 +312,41 @@ fn cli_rejects_bad_usage() {
         .expect("failed to spawn the intellog binary");
     assert!(!out.status.success());
 }
+
+/// `--fault` takes every `FaultKind` by its `name()`, and an unknown name
+/// is refused with all five listed.
+#[test]
+fn cli_fault_names_come_from_fault_kind() {
+    let bin = env!("CARGO_BIN_EXE_intellog");
+    let dir = std::env::temp_dir().join(format!("intellog-cli-fault-{}", std::process::id()));
+    let emit = |fault: &str| {
+        Command::new(bin)
+            .args([
+                "emit",
+                "--sim",
+                "spark",
+                "--sim-jobs",
+                "1",
+                "--fault",
+                fault,
+                "--out",
+            ])
+            .arg(&dir)
+            .output()
+            .expect("failed to spawn the intellog binary")
+    };
+    let out = emit("memory-spill");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "emit --fault memory-spill failed: {stderr}"
+    );
+    let out = emit("disk-fire");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for kind in FaultKind::ALL {
+        assert!(stderr.contains(kind.name()), "{stderr}");
+    }
+    assert!(stderr.contains("starvation-bug"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

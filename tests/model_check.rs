@@ -1,6 +1,6 @@
 //! Deterministic concurrency checking of the workspace's real sync code.
 //!
-//! Compiled only under `--cfg intellog_check` (see DESIGN.md §11):
+//! Compiled only under `--cfg intellog_check` (see DESIGN.md §10):
 //!
 //! ```text
 //! RUSTFLAGS="--cfg intellog_check" cargo test --test model_check --target-dir target/check

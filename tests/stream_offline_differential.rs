@@ -37,14 +37,6 @@ const ALL_SYSTEMS: [SystemKind; 6] = [
     SystemKind::TensorFlow,
 ];
 
-const ALL_FAULTS: [FaultKind; 5] = [
-    FaultKind::SessionKill,
-    FaultKind::NetworkFailure,
-    FaultKind::NodeFailure,
-    FaultKind::MemorySpill,
-    FaultKind::Starvation,
-];
-
 /// Algorithm 2 (§4.1) read off the paper: scan the open instances in
 /// creation order, join the first whose value set is ⊆-comparable.
 fn split_by_scanning(messages: &[&IntelMessage]) -> Vec<SubroutineInstance> {
@@ -182,7 +174,7 @@ fn stream_and_offline_agree_on_every_system_and_fault() {
         let detector = il.detector();
 
         let mut faulted_jobs: Vec<(&str, dlasim::GenJob)> = Vec::new();
-        for fault in ALL_FAULTS {
+        for fault in FaultKind::ALL {
             let cfg = gen.detection_config(system, 1);
             let plan = gen.fault_plan(fault);
             faulted_jobs.push((fault.name(), dlasim::generate(&cfg, Some(&plan))));
@@ -223,7 +215,7 @@ fn stream_and_offline_agree_on_adapted_foreign_corpus() {
     let detector = il.detector();
 
     let mut jobs: Vec<(&str, dlasim::GenJob)> = Vec::new();
-    for fault in ALL_FAULTS {
+    for fault in FaultKind::ALL {
         let cfg = gen.detection_config(system, 1);
         let plan = gen.fault_plan(fault);
         jobs.push((fault.name(), dlasim::generate(&cfg, Some(&plan))));
