@@ -29,6 +29,6 @@ pub use hierarchy::{Hierarchy, HierarchyNode};
 pub use lifespan::{GroupRel, GroupRelations, Lifespan};
 pub use profile::{ProfileSet, SessionProfile};
 pub use subroutine::{
-    split_instances, split_instances_into, FirstSeen, Instance, InstanceSplit, Signature,
-    Subroutine, SubroutineInstance, SubroutineSet,
+    split_instances_into, FirstSeen, Instance, InstanceSplit, Signature, Subroutine,
+    SubroutineInstance, SubroutineSet,
 };

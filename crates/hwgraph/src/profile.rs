@@ -122,8 +122,7 @@ impl ProfileSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subroutine::split_instances;
-    use crate::subroutine::tests::{all_rows, msg};
+    use crate::subroutine::tests::{all_rows, msg, split_instances};
     use extract::{IntelMessage, SessionLog};
 
     fn session(groups: &[(usize, Vec<IntelMessage>)]) -> BTreeMap<usize, SessionLog> {

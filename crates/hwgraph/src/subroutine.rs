@@ -18,6 +18,7 @@ use extract::record::{number, Run};
 use extract::SessionLog;
 use serde::{Deserialize, Serialize};
 use spell::KeyId;
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 
@@ -268,19 +269,38 @@ impl<'s> Instance<'s> {
 /// Lists of instance numbers, one per scoped value, linked through one
 /// array (a value held by one instance costs no allocation of its own).
 struct InstanceLists {
-    /// Per list: its newest link (`NIL` if empty) and its length.
+    /// Per list: its newest link (`NIL` if empty) and its length. As long
+    /// as the most lists a call on this thread asked for; every list not in
+    /// `touched` is empty.
     heads: Vec<(u32, u32)>,
     /// `(instance, next link)`.
     links: Vec<(u32, u32)>,
+    /// The lists made non-empty since the last [`InstanceLists::reset`].
+    touched: Vec<u32>,
 }
 
 const NIL: u32 = u32::MAX;
 
 impl InstanceLists {
-    fn new(lists: usize) -> InstanceLists {
+    const fn new() -> InstanceLists {
         InstanceLists {
-            heads: vec![(NIL, 0); lists],
+            heads: Vec::new(),
             links: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    // lint: ingest-hot(begin)
+    /// Empty every list and make room for `lists` of them: only the lists
+    /// the last call touched are reset, not one head per value.
+    fn reset(&mut self, lists: usize) {
+        for &list in &self.touched {
+            self.heads[list as usize] = (NIL, 0);
+        }
+        self.touched.clear();
+        self.links.clear();
+        if self.heads.len() < lists {
+            self.heads.resize(lists, (NIL, 0));
         }
     }
 
@@ -290,25 +310,69 @@ impl InstanceLists {
 
     fn push(&mut self, list: u32, instance: u32) {
         let (head, len) = &mut self.heads[list as usize];
+        if *len == 0 {
+            self.touched.push(list);
+        }
         self.links.push((instance, *head));
         *head = number(self.links.len() - 1);
         *len += 1;
     }
 
+    /// The instances in `list`, newest first: as many links as its length
+    /// says, so a head left over from another call cannot walk forever.
     fn iter(&self, list: u32) -> impl Iterator<Item = u32> + '_ {
-        let mut link = self.heads[list as usize].0;
-        std::iter::from_fn(move || {
-            let (instance, next) = *self.links.get(link as usize)?;
+        let (mut link, len) = self.heads[list as usize];
+        (0..len).map(move |_| {
+            let (instance, next) = self.links[link as usize];
             link = next;
-            Some(instance)
+            instance
         })
     }
+    // lint: ingest-hot(end)
+}
+
+/// The working arrays of [`split_instances_into`], kept by each thread that
+/// splits: grown to the largest call it made, cleared by the next, never
+/// dropped while the thread lives. The split runs once per (session, group)
+/// in training and at every session close in detection; arrays owned by the
+/// call would be allocated that often, and the heads, sized to the whole
+/// session's values, zero-filled that often.
+struct SplitScratch {
+    postings: InstanceLists,
+    anchored: InstanceLists,
+    /// This call's instances; instance 0 is the NONE bucket.
+    instances: Vec<Numbered>,
+    /// Per message, the instance it joined.
+    owner: Vec<u32>,
+    /// The current message's distinct values and types.
+    ids: Vec<u32>,
+    tys: Vec<u32>,
+    /// Per instance, its next free place in `out`'s message arrays.
+    fill: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<SplitScratch> = const {
+        RefCell::new(SplitScratch {
+            postings: InstanceLists::new(),
+            anchored: InstanceLists::new(),
+            instances: Vec::new(),
+            owner: Vec::new(),
+            ids: Vec::new(),
+            tys: Vec::new(),
+            fill: Vec::new(),
+        })
+    };
 }
 
 /// Split one session's group-local message sequence — `rows` of `log`, in
-/// order — into subroutine instances (Algorithm 2 lines 4–15): a message
-/// joins the first instance whose value set `S_v` is ⊆-comparable with its
-/// own identifier values `ids`, else opens one.
+/// order — into subroutine instances (Algorithm 2 lines 4–15), appended to
+/// `out`, which must hold only splits of the same log: returns the numbers
+/// its instances were given. A message joins the first instance whose value
+/// set `S_v` is ⊆-comparable with its own identifier values `ids`, else
+/// opens one. A session's groups split into one `InstanceSplit` share five
+/// arrays instead of owning five each — what the trainer hands, with the
+/// log, from the thread that split a session to the one that learns from it.
 ///
 /// Values are scoped by their identifier type: bare numerals collide across
 /// types ('executor 3' vs 'task 3'), while real-world ids like
@@ -332,35 +396,46 @@ impl InstanceLists {
 /// in creation order would have stopped at. A value that every instance
 /// shares (one STAGE for a session of TASKs) is in a long posting list but is
 /// never the rarest of a message with a fresher value, so it costs nothing.
-pub fn split_instances(log: &SessionLog, rows: &[u32]) -> InstanceSplit {
-    let mut split = InstanceSplit::default();
-    split_instances_into(log, rows, &mut split);
-    split
-}
-
-/// [`split_instances`] of `rows` of `log`, appended to `out` — which must
-/// hold only splits of the same log: returns the numbers its instances were
-/// given. A session's groups split into one `InstanceSplit` share five
-/// arrays instead of owning five each — what the trainer hands, with the
-/// log, from the thread that split a session to the one that learns from it.
+///
+/// Everything but `out` lives in the calling thread's `SplitScratch`, so
+/// on a warm thread a call allocates only for the growth of `out`.
+// lint: ingest-hot(begin)
 pub fn split_instances_into(
     log: &SessionLog,
     rows: &[u32],
     out: &mut InstanceSplit,
 ) -> Range<usize> {
-    let mut postings = InstanceLists::new(log.value_count());
-    let mut anchored = InstanceLists::new(log.value_count());
+    SCRATCH.with(|scratch| split_with(&mut scratch.borrow_mut(), log, rows, out))
+}
+
+/// [`split_instances_into`] on the working arrays `scratch`.
+fn split_with(
+    scratch: &mut SplitScratch,
+    log: &SessionLog,
+    rows: &[u32],
+    out: &mut InstanceSplit,
+) -> Range<usize> {
+    let SplitScratch {
+        postings,
+        anchored,
+        instances,
+        owner,
+        ids,
+        tys,
+        fill,
+    } = scratch;
+    postings.reset(log.value_count());
+    anchored.reset(log.value_count());
     let InstanceSplit {
         value_sets,
         type_sets,
         ..
     } = out;
     // Instance 0 is the NONE bucket, held by no list.
-    let mut instances = vec![Numbered::default()];
+    instances.clear();
+    instances.push(Numbered::default());
     number(rows.len()); // positions among the messages are 32-bit too
-    let mut owner: Vec<u32> = Vec::with_capacity(rows.len());
-    let mut ids: Vec<u32> = Vec::new();
-    let mut tys: Vec<u32> = Vec::new();
+    owner.clear();
     let row = |r: &u32| &log.rows()[*r as usize];
 
     for m in rows.iter().map(row) {
@@ -387,7 +462,7 @@ pub fn split_instances_into(
                 found = i;
             }
         }
-        for &v in &ids {
+        for &v in ids.iter() {
             for i in anchored.iter(v) {
                 let held = instances[i as usize].values.of(value_sets);
                 if i < found && held.iter().all(|v| ids.contains(v)) {
@@ -409,13 +484,13 @@ pub fn split_instances_into(
                 postings.push(v, found);
             }
             let start = value_sets.len();
-            value_sets.extend_from_slice(&ids);
+            value_sets.extend_from_slice(ids);
             inst.values = Run::tail_of(value_sets, start);
         }
         if tys.iter().any(|t| !inst.types.of(type_sets).contains(t)) {
             let start = type_sets.len();
             type_sets.extend_from_within(inst.types.range());
-            for &t in &tys {
+            for &t in tys.iter() {
                 if !type_sets[start..].contains(&t) {
                     type_sets.push(t);
                 }
@@ -430,14 +505,15 @@ pub fn split_instances_into(
     // the messages `out` already holds.
     let base = out.keys.len();
     let mut next = number(base);
-    for inst in &mut instances {
+    for inst in instances.iter_mut() {
         inst.messages.start = next;
         next += inst.messages.len;
     }
     number(base + rows.len());
     out.message_indices.resize(base + rows.len(), 0);
     out.keys.resize(base + rows.len(), KeyId(0));
-    let mut fill: Vec<u32> = instances.iter().map(|inst| inst.messages.start).collect();
+    fill.clear();
+    fill.extend(instances.iter().map(|inst| inst.messages.start));
     for (mi, (&o, m)) in owner.iter().zip(rows.iter().map(row)).enumerate() {
         let at = &mut fill[o as usize];
         out.message_indices[*at as usize] = mi;
@@ -447,9 +523,10 @@ pub fn split_instances_into(
     let none_is_empty = instances[0].messages.len == 0;
     let first = out.instances.len();
     out.instances
-        .extend(instances.into_iter().skip(none_is_empty as usize));
+        .extend_from_slice(&instances[none_is_empty as usize..]);
     first..out.instances.len()
 }
+// lint: ingest-hot(end)
 
 /// The per-group subroutine learner: `D_ti` of Algorithm 2, one
 /// [`Subroutine`] per signature. (Stored as a vector rather than a
@@ -512,7 +589,8 @@ impl SubroutineSet {
 }
 
 /// Algorithm 2 as first written — a scan over every open instance with
-/// string sets — kept as the reference [`split_instances`] is tested against.
+/// string sets — kept as the reference [`split_instances_into`] is tested
+/// against.
 #[cfg(test)]
 pub(crate) fn split_instances_oracle(
     messages: &[&extract::IntelMessage],
@@ -591,6 +669,13 @@ pub(crate) mod tests {
     /// Every row of `log`, the way a one-group session routes them.
     pub(crate) fn all_rows(log: &SessionLog) -> Vec<u32> {
         (0..log.len() as u32).collect()
+    }
+
+    /// [`split_instances_into`] of `rows` of `log`, into a split of its own.
+    pub(crate) fn split_instances(log: &SessionLog, rows: &[u32]) -> InstanceSplit {
+        let mut split = InstanceSplit::default();
+        split_instances_into(log, rows, &mut split);
+        split
     }
 
     pub(crate) fn msg(key: u32, ids: &[(&str, &str)]) -> IntelMessage {
@@ -789,7 +874,10 @@ pub(crate) mod tests {
         /// what they render to. Every third message is another group's, so
         /// the log numbers values the split never meets — and splitting
         /// that other group into the same arrays first, as the trainer does
-        /// with a session's groups, changes nothing about this one.
+        /// with a session's groups, changes nothing about this one. Before
+        /// either, the thread splits another log with more values, numbered
+        /// in another order: nothing it leaves in the thread's working
+        /// arrays reaches this case.
         #[test]
         fn split_equals_oracle(
             raw in prop::collection::vec(
@@ -799,6 +887,13 @@ pub(crate) mod tests {
         ) {
             let ms: Vec<IntelMessage> = raw.iter().map(|(k, ids)| msg(*k, ids)).collect();
             let log = SessionLog::from_messages(&ms);
+            let fresh: Vec<String> = (0..8).map(|i| format!("p{i}")).collect();
+            let mut wider: Vec<IntelMessage> = ms.iter().rev().cloned().collect();
+            wider.extend(fresh.iter().map(|v| msg(6, &[("TASK", v), ("STAGE", "1")])));
+            let wider = SessionLog::from_messages(&wider);
+            prop_assert!(wider.value_count() > log.value_count());
+            split_instances(&wider, &all_rows(&wider));
+
             let rows: Vec<u32> = all_rows(&log).into_iter().filter(|r| r % 3 != 2).collect();
             let refs: Vec<&IntelMessage> = rows.iter().map(|&r| &ms[r as usize]).collect();
             let split = split_instances(&log, &rows);

@@ -39,9 +39,11 @@ Eight rules over the workspace's Rust sources:
                    ingest-hot regions (`// lint: ingest-hot(begin)` …
                    `// lint: ingest-hot(end)`): tokenise, intern-lookup
                    and match code on the zero-alloc byte-level ingest
-                   path, the gateway's line loop and router and the
-                   shard's per-record body must use caller/scratch
-                   buffers. Patterns caught:
+                   path, the gateway's line loop and router, the
+                   shard's per-record body and Algorithm 2's split
+                   (`hwgraph::split_instances_into` and its per-value
+                   lists, run per group at every session close) must use
+                   caller/scratch buffers. Patterns caught:
                    `.to_string()`, `String::from(`, `String::new()`,
                    `.to_owned()`, `Vec::new()`, `vec![`, `.to_vec()`,
                    `format!(`, `Box::new(`, `with_capacity(`. Escape per
