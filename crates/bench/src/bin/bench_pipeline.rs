@@ -60,7 +60,6 @@ struct SpellStats {
     /// Linear seconds per message ÷ automaton seconds per message.
     index_speedup: f64,
     automaton_states: usize,
-    automaton_dense_buckets: usize,
     automaton_buckets: usize,
 }
 
@@ -127,8 +126,9 @@ fn main() {
         "keyset under-filled: {}",
         parser.len()
     );
-    // Freeze: compiles the key set into the prefix-DFA automaton, the
-    // production read-path configuration (detection, replay, serving).
+    // Freeze: compiles the key set into the key automaton (per-length
+    // prefix trees and CSR postings), the production read-path
+    // configuration (detection, replay, serving).
     parser.freeze();
     let auto_stats = parser.automaton_stats().expect("frozen parser");
     let probe_ids = intern_probes(&parser, &probe_msgs);
@@ -170,7 +170,6 @@ fn main() {
         match_linear_rep_s: linear_s,
         index_speedup: indexed_rate / linear_rate,
         automaton_states: auto_stats.states,
-        automaton_dense_buckets: auto_stats.dense_buckets,
         automaton_buckets: auto_stats.buckets,
     };
     eprintln!(

@@ -32,14 +32,10 @@ pub struct ReplayConfig {
     pub jobs: usize,
     /// Workload seed — the same seed always replays the same bytes.
     pub seed: u64,
-    /// Cluster hosts for the simulated jobs.
-    pub hosts: u32,
     /// Target ingest rate in lines/second; `None` sends at full speed.
     pub rate: Option<u64>,
     /// Inject this fault into the first job.
     pub fault: Option<FaultKind>,
-    /// Compare server verdicts against offline detection.
-    pub verify: bool,
     /// Concurrent sender connections. Sessions are partitioned across
     /// them (a session's lines all flow over one socket, preserving
     /// per-session order); >1 is what makes shard scaling visible instead
@@ -62,10 +58,8 @@ impl Default for ReplayConfig {
             system: SystemKind::Spark,
             jobs: 1,
             seed: 7,
-            hosts: 8,
             rate: None,
             fault: None,
-            verify: true,
             connections: 1,
             tenant: None,
             adapter: None,
@@ -86,8 +80,7 @@ pub struct ReplayOutcome {
     pub lines_per_s: f64,
     /// Problematic sessions according to the server.
     pub online_problematic: usize,
-    /// Problematic sessions according to offline detection (only when
-    /// verifying, else 0).
+    /// Problematic sessions according to offline detection.
     pub offline_problematic: usize,
     /// Human-readable verdict mismatches (empty = exact agreement).
     pub mismatches: Vec<String>,
@@ -99,7 +92,8 @@ pub struct ReplayOutcome {
 /// config always replays the same bytes (session ids are prefixed with the
 /// job index so multi-job replays never collide).
 fn generate_jobs(cfg: &ReplayConfig) -> Vec<dlasim::GenJob> {
-    let mut gen = WorkloadGen::new(cfg.seed, cfg.hosts);
+    // Eight hosts, as `intellog emit` and `training_sessions` simulate.
+    let mut gen = WorkloadGen::new(cfg.seed, 8);
     let mut jobs = Vec::new();
     for j in 0..cfg.jobs.max(1) {
         let job_cfg = gen.detection_config(cfg.system, j);
@@ -273,38 +267,35 @@ pub fn run_replay(
         online.iter().map(|r| (r.session.as_str(), r)).collect();
     let online_problematic = online.iter().filter(|r| r.is_problematic()).count();
 
+    // offline reference: the exact same sessions through the batch
+    // detector (parallel across sessions)
     let mut mismatches = Vec::new();
-    let mut offline_problematic = 0;
-    if cfg.verify {
-        // offline reference: the exact same sessions through the batch
-        // detector (parallel across sessions)
-        let il = IntelLog::from_detector(detector.clone());
-        let offline = il.detect_job(&offline_sessions);
-        offline_problematic = offline.problematic_count();
-        for report in &offline.sessions {
-            match by_id.get(report.session.as_str()) {
-                None => mismatches.push(format!("session {}: no server report", report.session)),
-                Some(served) => {
-                    if served.anomalies != report.anomalies {
-                        mismatches.push(format!(
-                            "session {}: server saw {} anomalies, offline {} — server {:?} vs offline {:?}",
-                            report.session,
-                            served.anomalies.len(),
-                            report.anomalies.len(),
-                            served.anomalies,
-                            report.anomalies,
-                        ));
-                    }
+    let il = IntelLog::from_detector(detector.clone());
+    let offline = il.detect_job(&offline_sessions);
+    let offline_problematic = offline.problematic_count();
+    for report in &offline.sessions {
+        match by_id.get(report.session.as_str()) {
+            None => mismatches.push(format!("session {}: no server report", report.session)),
+            Some(served) => {
+                if served.anomalies != report.anomalies {
+                    mismatches.push(format!(
+                        "session {}: server saw {} anomalies, offline {} — server {:?} vs offline {:?}",
+                        report.session,
+                        served.anomalies.len(),
+                        report.anomalies.len(),
+                        served.anomalies,
+                        report.anomalies,
+                    ));
                 }
             }
         }
-        if online.len() != offline_sessions.len() {
-            mismatches.push(format!(
-                "server returned {} reports for {} sessions (idle-timeout eviction mid-replay?)",
-                online.len(),
-                offline_sessions.len()
-            ));
-        }
+    }
+    if online.len() != offline_sessions.len() {
+        mismatches.push(format!(
+            "server returned {} reports for {} sessions (idle-timeout eviction mid-replay?)",
+            online.len(),
+            offline_sessions.len()
+        ));
     }
 
     Ok(ReplayOutcome {

@@ -212,7 +212,6 @@ fn lines_held_back_for_room_keep_verdicts_exact() {
         seed: 11,
         fault: Some(FaultKind::NetworkFailure),
         connections: 2,
-        verify: true,
         ..ReplayConfig::default()
     };
     let outcome = run_replay(&addr.to_string(), &detector, &replay_cfg).expect("replay");

@@ -9,16 +9,16 @@
 //! * keys are grouped into per-message-length **buckets** (only same-length
 //!   keys can match), each with a **sorted token dictionary** of the
 //!   constant tokens its keys use — one binary search per message token
-//!   resolves both the DFA edge label *and* the postings slice for the
-//!   inverted-index prune, fusing the two lookups the live path pays
+//!   resolves both the prefix-tree edge label *and* the postings row for
+//!   the inverted-index prune, fusing the two lookups the live path pays
 //!   separately (trie-edge HashMap probe + postings HashMap probe);
-//! * the exact-instance prefix tree is determinised into a **prefix DFA**
-//!   (subset construction over the garbage-free trie, wildcard edges as
-//!   per-state default transitions), so the exact phase is one transition
-//!   per token with no frontier management; buckets whose subset
-//!   construction would blow past a state budget keep the flattened trie
-//!   and walk it NFA-style (`Machine::Frontier`) — same verdicts, bounded
-//!   memory;
+//! * the exact phase walks the bucket's **prefix tree** — Spell's
+//!   exact-instance fast path — flattened garbage-free: per-node edge runs
+//!   sorted by local token id, one wildcard child per node. The walk keeps
+//!   a frontier of live nodes; a message token follows its constant edge
+//!   and the `*` edge of each. A node has one parent, so no node enters
+//!   the frontier twice. The tree has one node per distinct key prefix, so
+//!   a bucket compiles in space linear in its key tokens, with no budget;
 //! * postings are stored garbage-free in CSR layout over **bucket-local
 //!   key ids**, so the scoring pass runs on dense arrays with touched-list
 //!   resets instead of hash maps (see `scratch.rs::AutoScratch`).
@@ -30,7 +30,7 @@
 //! `tests/automaton_equivalence.rs`):
 //!
 //! * the exact phase accepts exactly the keys the message instantiates
-//!   (every path of the garbage-free trie corresponds to a live key, so no
+//!   (every path of the garbage-free tree corresponds to a live key, so no
 //!   verification step is needed), and returns the lowest such key id —
 //!   an exact instance has the maximal LCS `n`, so it is the final answer;
 //! * the scoring phase uses the same sound upper bound
@@ -45,14 +45,8 @@ use crate::lcs::{lcs_len_wild_ids, positional_matches_wild_ids};
 use crate::scratch::{self, AutoScratch};
 use std::collections::{BTreeMap, HashMap};
 
-/// Sentinel for "no state / no token / no terminal" in the packed tables.
+/// Sentinel for "no node / no token / no terminal" in the packed tables.
 const NONE: u32 = u32::MAX;
-
-/// Hard ceilings for subset construction, scaled to the bucket's trie.
-/// Blowing past either falls back to the frontier walk (correct, compact).
-fn dfa_budget(nfa_nodes: usize, nfa_edges: usize) -> (usize, usize) {
-    (4 * nfa_nodes + 256, 16 * nfa_edges + 1024)
-}
 
 /// Outcome of one automaton match, tagged with the phase that decided it
 /// (the parser mirrors the live path's observability counters from this).
@@ -72,9 +66,7 @@ pub(crate) enum AutoMatch {
 pub struct AutomatonStats {
     /// Number of length buckets.
     pub buckets: usize,
-    /// Buckets whose exact phase is a determinised DFA.
-    pub dense_buckets: usize,
-    /// Total exact-phase states across buckets (DFA states or trie nodes).
+    /// Total prefix-tree nodes across buckets.
     pub states: usize,
     /// Total keys compiled in.
     pub keys: usize,
@@ -106,42 +98,27 @@ struct Bucket {
     high_star: Vec<u32>,
     /// Sorted distinct constant tokens of this bucket's keys. Binary
     /// searching a message token here yields its local id — the label used
-    /// by the DFA edges *and* the postings row below.
+    /// by the prefix-tree edges *and* the postings row below.
     dict: Vec<TokenId>,
     /// CSR offsets into `postings`, length `dict.len() + 1`.
     post_start: Vec<u32>,
     /// (local key, multiplicity) pairs, grouped by dictionary token.
     postings: Vec<(u32, u32)>,
-    /// Exact-instance machine over local token ids.
-    machine: Machine,
+    /// Exact-instance prefix tree over local token ids.
+    tree: PrefixTree,
 }
 
+/// Flattened garbage-free prefix tree. All tables are indexed by node id
+/// (the root is 0); `edges` is CSR with per-node runs sorted by local
+/// token id.
 #[derive(Debug, Clone)]
-enum Machine {
-    Dense(Dfa),
-    Frontier(Nfa),
-}
-
-/// Determinised prefix automaton. All tables are indexed by state id;
-/// `edges` is CSR with per-state runs sorted by local token id.
-#[derive(Debug, Clone)]
-struct Dfa {
+struct PrefixTree {
     edge_start: Vec<u32>,
     edges: Vec<(u32, u32)>,
-    /// Default transition (wildcard key positions); `NONE` if absent.
-    star_next: Vec<u32>,
-    /// Lowest local key terminating at this state (`NONE` unless the state
-    /// is at full depth).
-    terminal: Vec<u32>,
-}
-
-/// Flattened garbage-free trie for the frontier fallback. Same table
-/// layout as [`Dfa`], but a walk maintains a node frontier.
-#[derive(Debug, Clone)]
-struct Nfa {
-    edge_start: Vec<u32>,
-    edges: Vec<(u32, u32)>,
+    /// Child along a wildcard key position; `NONE` if absent.
     star_child: Vec<u32>,
+    /// Lowest local key ending at this node (`NONE` unless the node is at
+    /// full depth).
     terminal: Vec<u32>,
 }
 
@@ -166,13 +143,7 @@ impl KeyAutomaton {
         for (len, keys) in by_len {
             let bucket = Bucket::compile(len, keys, ikeys, required_for(len));
             stats.buckets += 1;
-            match &bucket.machine {
-                Machine::Dense(d) => {
-                    stats.dense_buckets += 1;
-                    stats.states += d.star_next.len();
-                }
-                Machine::Frontier(n) => stats.states += n.star_child.len(),
-            }
+            stats.states += bucket.tree.star_child.len();
             buckets[len] = Some(bucket);
         }
         KeyAutomaton { buckets, stats }
@@ -247,12 +218,7 @@ impl Bucket {
         for i in 0..dict.len() {
             post_start[i + 1] += post_start[i];
         }
-        // Exact-phase machine: garbage-free trie, then determinisation.
-        let nfa = Nfa::build(len, nkeys, &key_toks, &dict);
-        let machine = match Dfa::determinise(&nfa) {
-            Some(dfa) => Machine::Dense(dfa),
-            None => Machine::Frontier(nfa),
-        };
+        let tree = PrefixTree::build(len, nkeys, &key_toks, &dict);
         Bucket {
             len,
             required,
@@ -263,7 +229,7 @@ impl Bucket {
             dict,
             post_start,
             postings,
-            machine,
+            tree,
         }
     }
 
@@ -271,7 +237,7 @@ impl Bucket {
 
     fn match_in(&self, ids: &[TokenId], auto: &mut AutoScratch) -> AutoMatch {
         debug_assert_eq!(ids.len(), self.len);
-        // One binary search per message token resolves the DFA edge label
+        // One binary search per message token resolves the tree edge label
         // and the postings row at once. Stars, unknowns and out-of-dict
         // tokens map to NONE: they can equal no constant key token.
         auto.ltoks.clear();
@@ -282,10 +248,7 @@ impl Bucket {
             });
         }
         // Exact phase: every terminal reached is a live instance.
-        let exact = match &self.machine {
-            Machine::Dense(dfa) => dfa.walk(&auto.ltoks),
-            Machine::Frontier(nfa) => nfa.walk(&auto.ltoks, &mut auto.frontier),
-        };
+        let exact = self.tree.walk(&auto.ltoks, &mut auto.frontier);
         if exact != NONE {
             return AutoMatch::Exact(self.keys[exact as usize]);
         }
@@ -369,11 +332,11 @@ impl Bucket {
     // lint: ingest-hot(end)
 }
 
-impl Nfa {
-    /// Build the garbage-free trie over local token ids. Terminals hold the
+impl PrefixTree {
+    /// Build the garbage-free tree over local token ids. Terminals hold the
     /// lowest local key ending at the node (keys are inserted in ascending
     /// order, so first write wins).
-    fn build(len: usize, nkeys: usize, key_toks: &[TokenId], dict: &[TokenId]) -> Nfa {
+    fn build(len: usize, nkeys: usize, key_toks: &[TokenId], dict: &[TokenId]) -> PrefixTree {
         struct Node {
             edges: BTreeMap<u32, u32>,
             star: u32,
@@ -432,7 +395,7 @@ impl Nfa {
             star_child.push(node.star);
             terminal.push(node.terminal);
         }
-        Nfa {
+        PrefixTree {
             edge_start,
             edges,
             star_child,
@@ -454,8 +417,9 @@ impl Nfa {
 
     // lint: ingest-hot(begin)
 
-    /// Frontier walk: the fallback exact phase for buckets whose DFA would
-    /// blow the state budget. Returns the lowest terminating local key.
+    /// Walk the tree along the message, keeping every live node: a token
+    /// follows its constant edge and the `*` edge. Returns the lowest
+    /// local key ending at a node the whole message reaches, or `NONE`.
     fn walk(&self, ltoks: &[u32], frontier: &mut (Vec<u32>, Vec<u32>)) -> u32 {
         let (active, next) = frontier;
         active.clear();
@@ -463,14 +427,17 @@ impl Nfa {
         for &lt in ltoks {
             next.clear();
             for &node in active.iter() {
+                // A node has one parent, so `next` never holds a node
+                // twice; `NONE` (no constant of this bucket) only takes
+                // the `*` edge.
                 if lt != NONE {
                     let via = self.edge(node, lt);
-                    if via != NONE && !next.contains(&via) {
+                    if via != NONE {
                         next.push(via);
                     }
                 }
                 let star = self.star_child[node as usize];
-                if star != NONE && !next.contains(&star) {
+                if star != NONE {
                     next.push(star);
                 }
             }
@@ -484,136 +451,6 @@ impl Nfa {
             best = best.min(self.terminal[node as usize]);
         }
         best
-    }
-
-    // lint: ingest-hot(end)
-}
-
-impl Dfa {
-    /// Subset construction over the trie. Wildcard children become the
-    /// per-state default transition and are folded into every labelled
-    /// transition (a message token matches a key's constant *or* its `*`).
-    /// Returns `None` when the state or edge budget is exceeded.
-    fn determinise(nfa: &Nfa) -> Option<Dfa> {
-        let (max_states, max_edges) = dfa_budget(nfa.star_child.len(), nfa.edges.len());
-        let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut members: Vec<Vec<u32>> = Vec::new();
-        let mut queue: Vec<u32> = Vec::new();
-        let start = vec![0u32];
-        ids.insert(start.clone(), 0);
-        members.push(start);
-        queue.push(0);
-        let mut edge_start = vec![0u32];
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut star_next: Vec<u32> = Vec::new();
-        let mut terminal: Vec<u32> = Vec::new();
-        let mut qi = 0usize;
-        // `labels` reused across states: distinct outgoing labels of the set.
-        let mut labels: Vec<u32> = Vec::new();
-        while qi < queue.len() {
-            let state = queue[qi] as usize;
-            qi += 1;
-            // members are processed in BFS order, so all states of one
-            // depth are numbered before any of the next; the tables below
-            // are pushed in that same order.
-            let set = members[state].clone();
-            labels.clear();
-            for &node in &set {
-                let (lo, hi) = (
-                    nfa.edge_start[node as usize] as usize,
-                    nfa.edge_start[node as usize + 1] as usize,
-                );
-                for &(lt, _) in &nfa.edges[lo..hi] {
-                    labels.push(lt);
-                }
-            }
-            labels.sort_unstable();
-            labels.dedup();
-            // Star-only successor set (the default transition).
-            let mut star_set: Vec<u32> = set
-                .iter()
-                .map(|&n| nfa.star_child[n as usize])
-                .filter(|&c| c != NONE)
-                .collect();
-            star_set.sort_unstable();
-            star_set.dedup();
-            let intern_set = |s: Vec<u32>,
-                              ids: &mut HashMap<Vec<u32>, u32>,
-                              members: &mut Vec<Vec<u32>>,
-                              queue: &mut Vec<u32>|
-             -> u32 {
-                if s.is_empty() {
-                    return NONE;
-                }
-                if let Some(&id) = ids.get(&s) {
-                    return id;
-                }
-                let id = members.len() as u32;
-                ids.insert(s.clone(), id);
-                members.push(s);
-                queue.push(id);
-                id
-            };
-            let sn = intern_set(star_set.clone(), &mut ids, &mut members, &mut queue);
-            star_next.push(sn);
-            for &lt in &labels {
-                let mut tset = star_set.clone();
-                for &node in &set {
-                    let via = nfa.edge(node, lt);
-                    if via != NONE {
-                        tset.push(via);
-                    }
-                }
-                tset.sort_unstable();
-                tset.dedup();
-                let tid = intern_set(tset, &mut ids, &mut members, &mut queue);
-                edges.push((lt, tid));
-            }
-            edge_start.push(edges.len() as u32);
-            let mut term = NONE;
-            for &node in &set {
-                term = term.min(nfa.terminal[node as usize]);
-            }
-            terminal.push(term);
-            if members.len() > max_states || edges.len() > max_edges {
-                return None;
-            }
-        }
-        Some(Dfa {
-            edge_start,
-            edges,
-            star_next,
-            terminal,
-        })
-    }
-
-    // lint: ingest-hot(begin)
-
-    /// One transition per message token: binary search the state's sorted
-    /// edge run, falling back to the wildcard default. Returns the lowest
-    /// terminating local key, or `NONE`.
-    #[inline]
-    fn walk(&self, ltoks: &[u32]) -> u32 {
-        let mut state = 0u32;
-        for &lt in ltoks {
-            let next = if lt == NONE {
-                self.star_next[state as usize]
-            } else {
-                let (lo, hi) = (
-                    self.edge_start[state as usize] as usize,
-                    self.edge_start[state as usize + 1] as usize,
-                );
-                match self.edges[lo..hi].binary_search_by_key(&lt, |&(l, _)| l) {
-                    Ok(at) => self.edges[lo + at].1,
-                    Err(_) => self.star_next[state as usize],
-                }
-            };
-            if next == NONE {
-                return NONE;
-            }
-            state = next;
-        }
-        self.terminal[state as usize]
     }
 
     // lint: ingest-hot(end)
@@ -683,14 +520,69 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_dense_buckets() {
+    fn stats_count_tree_nodes() {
         let (ikeys, _it) = keyset(&["a b c", "a b d", "p q"]);
         let auto = KeyAutomaton::compile(&ikeys, &req(1.7));
         let s = auto.stats();
         assert_eq!(s.buckets, 2);
         assert_eq!(s.keys, 3);
-        assert!(s.dense_buckets >= 1);
-        assert!(s.states > 0);
+        // Root, a, a b, a b c, a b d; root, p, p q.
+        assert_eq!(s.states, 8);
+    }
+
+    /// Eight positions that are `c{i}` or `*` in every combination: 256
+    /// keys of one length, numbered so that the lowest id is not the first
+    /// terminal a constant-first walk reaches.
+    fn forked_keyset() -> (Vec<Vec<TokenId>>, Interner) {
+        let keys: Vec<String> = (0..256u32)
+            .map(|k| {
+                let mask = (k * 37 + 11) % 256;
+                (0..8)
+                    .map(|i| {
+                        if (mask >> i) & 1 == 1 {
+                            format!("c{i}")
+                        } else {
+                            "*".to_string()
+                        }
+                    })
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        keyset(&keys.iter().map(String::as_str).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn wide_frontier_returns_the_lowest_key() {
+        let (ikeys, it) = forked_keyset();
+        let auto = KeyAutomaton::compile(&ikeys, &req(1.7));
+        let Some(Some(bucket)) = auto.buckets.get(8) else {
+            panic!("one bucket of length 8");
+        };
+        let walk = |msg: &str| {
+            let ltoks: Vec<u32> = ids(&it, msg)
+                .iter()
+                .map(|t| bucket.dict.binary_search(t).map_or(NONE, |lt| lt as u32))
+                .collect();
+            let mut frontier = (Vec::new(), Vec::new());
+            let found = bucket.tree.walk(&ltoks, &mut frontier);
+            (found, frontier.0.len())
+        };
+        // Every key is an instance: all 256 leaves stay live, and key 0
+        // (constants at positions 0, 1 and 3) is the answer.
+        assert_eq!(walk("c0 c1 c2 c3 c4 c5 c6 c7"), (0, 256));
+        // Two unknown tokens keep only the `*` branch there: 64 leaves,
+        // the keys with no constant at positions 2 and 5.
+        let (found, live) = walk("c0 c1 zz c3 c4 yy c6 c7");
+        assert_eq!(live, 64);
+        let lowest = (0..256u32)
+            .find(|k| ((k * 37 + 11) % 256) & 0b0010_0100 == 0)
+            .expect("some key");
+        assert_eq!(found, lowest);
+        assert_eq!(
+            auto.match_ids(&ids(&it, "c0 c1 zz c3 c4 yy c6 c7")),
+            AutoMatch::Exact(lowest)
+        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub(crate) struct AutoScratch {
     pub(crate) touched_keys: Vec<u32>,
     /// (local key, LCS upper bound) candidates surviving the prune.
     pub(crate) cands: Vec<(u32, usize)>,
-    /// Active/next NFA frontiers for the fallback trie walk.
+    /// Active/next node frontiers for the exact phase's prefix-tree walk.
     pub(crate) frontier: (Vec<u32>, Vec<u32>),
 }
 

@@ -6,7 +6,8 @@
 //!
 //! * `match_line` against a frozen parser performs **zero** heap
 //!   allocations — tokenise to spans, intern-lookup by byte slice, and
-//!   the compiled automaton all run out of per-thread scratch;
+//!   the compiled automaton all run out of per-thread scratch — also when
+//!   the exact phase's walk holds 256 tree nodes at once;
 //! * the `lognlp::format` adapters normalise raw lines (Hadoop, Spark,
 //!   HDFS/BGL header, RFC-3164 syslog, JSON) with **zero** heap allocations — the
 //!   returned record borrows from the input — and feeding an adapted
@@ -29,6 +30,9 @@ use spell::SpellParser;
 mod counting_alloc;
 
 use counting_alloc::allocations;
+
+#[path = "../../../tests/support/forked_keys.rs"]
+mod forked_keys;
 
 /// Training corpus: several templates, two instances each so real `*`
 /// positions exist, plus host:port and bracket shapes so the span
@@ -62,38 +66,50 @@ fn probes() -> Vec<String> {
 
 #[test]
 fn frozen_match_line_is_allocation_free() {
-    let mut parser = SpellParser::default();
+    let mut trained = SpellParser::default();
     for line in corpus() {
-        parser.parse_message(&line);
+        trained.parse_message(&line);
     }
-    parser.freeze();
-    assert!(parser.is_frozen());
-    let probes = probes();
+    trained.freeze();
+    // The trained templates, and a key set whose prefix tree forks at
+    // every position (one probe keeps 256 nodes live).
+    let inputs = [
+        (trained, probes(), corpus().len()),
+        (
+            forked_keys::forked_parser(),
+            forked_keys::forked_probes(),
+            4,
+        ),
+    ];
+    for (parser, probes, min_hits) in &inputs {
+        assert!(parser.is_frozen());
 
-    // Warmup: grow every scratch buffer to its high-water mark and record
-    // the expected verdicts.
-    let expected: Vec<Option<spell::KeyId>> = probes.iter().map(|l| parser.match_line(l)).collect();
-    assert!(
-        expected.iter().filter(|v| v.is_some()).count() >= corpus().len(),
-        "probe mix must exercise the hit path"
-    );
-    assert!(
-        expected.iter().any(|v| v.is_none()),
-        "probe mix must exercise the miss path"
-    );
+        // Warmup: grow every scratch buffer to its high-water mark and
+        // record the expected verdicts.
+        let expected: Vec<Option<spell::KeyId>> =
+            probes.iter().map(|l| parser.match_line(l)).collect();
+        assert!(
+            expected.iter().filter(|v| v.is_some()).count() >= *min_hits,
+            "probe mix must exercise the hit path"
+        );
+        assert!(
+            expected.iter().any(|v| v.is_none()),
+            "probe mix must exercise the miss path"
+        );
 
-    let before = allocations();
-    for _ in 0..3 {
-        for (line, want) in probes.iter().zip(&expected) {
-            assert_eq!(parser.match_line(line), *want);
+        let before = allocations();
+        for _ in 0..3 {
+            for (line, want) in probes.iter().zip(&expected) {
+                assert_eq!(parser.match_line(line), *want);
+            }
         }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "frozen match_line allocated on the steady-state read path"
+        );
     }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "frozen match_line allocated on the steady-state read path"
-    );
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //!
 //! Every `intellog` subcommand pulls its flags through [`FlagSet`], which
 //! accepts both `--flag value` and `--flag=value` spellings and leaves the
-//! remaining positionals untouched and in order.
+//! remaining positionals untouched and in order. A `--flag` that no
+//! subcommand asked for is refused by name, so a misspelt flag and its
+//! value are never read as positionals.
 
 /// An argument list being consumed flag by flag.
 pub struct FlagSet {
@@ -71,9 +73,26 @@ impl FlagSet {
         }
     }
 
-    /// The remaining (positional) arguments.
-    pub fn finish(self) -> Vec<String> {
-        self.args
+    /// The remaining (positional) arguments, or an error naming the
+    /// first leftover `--flag`.
+    pub fn finish(self) -> Result<Vec<String>, String> {
+        match self.args.iter().find(|a| a.starts_with("--")) {
+            Some(flag) => {
+                let name = flag.split_once('=').map_or(flag.as_str(), |(name, _)| name);
+                Err(format!("unknown flag {name}"))
+            }
+            None => Ok(self.args),
+        }
+    }
+
+    /// [`FlagSet::finish`] for a subcommand that takes no positionals.
+    pub fn finish_empty(self) -> Result<(), String> {
+        let extra = self.finish()?;
+        if extra.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("unexpected arguments: {extra:?}"))
+        }
     }
 }
 
@@ -89,11 +108,11 @@ mod tests {
     fn space_and_equals_forms_both_work() {
         let mut f = FlagSet::new(&args(&["--model", "m.json", "a.log"]));
         assert_eq!(f.value("--model").as_deref(), Some("m.json"));
-        assert_eq!(f.finish(), args(&["a.log"]));
+        assert_eq!(f.finish(), Ok(args(&["a.log"])));
 
         let mut f = FlagSet::new(&args(&["--model=m.json", "a.log"]));
         assert_eq!(f.value("--model").as_deref(), Some("m.json"));
-        assert_eq!(f.finish(), args(&["a.log"]));
+        assert_eq!(f.finish(), Ok(args(&["a.log"])));
     }
 
     #[test]
@@ -109,7 +128,7 @@ mod tests {
         let mut f = FlagSet::new(&args(&["a.log", "b.log"]));
         assert_eq!(f.value("--model"), None);
         assert!(!f.bool("--json"));
-        assert_eq!(f.finish(), args(&["a.log", "b.log"]));
+        assert_eq!(f.finish(), Ok(args(&["a.log", "b.log"])));
     }
 
     #[test]
@@ -125,14 +144,14 @@ mod tests {
             args(&["acme=a.ilm", "globex=g.ilm"])
         );
         assert_eq!(f.values("--tenant-model"), Vec::<String>::new());
-        assert_eq!(f.finish(), args(&["x"]));
+        assert_eq!(f.finish(), Ok(args(&["x"])));
     }
 
     #[test]
     fn bool_flags_are_removed() {
         let mut f = FlagSet::new(&args(&["--json", "a.log"]));
         assert!(f.bool("--json"));
-        assert_eq!(f.finish(), args(&["a.log"]));
+        assert_eq!(f.finish(), Ok(args(&["a.log"])));
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(rest),
         "replay" => cmd_replay(rest),
         "emit" => cmd_emit(rest),
-        "demo" => cmd_demo(),
+        "demo" => cmd_demo(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -68,11 +68,11 @@ const USAGE: &str = "usage:
                   [--idle-timeout-ms N] [--ring-cap N] [--sink FILE.jsonl] [--addr-file PATH]
                   [--tenant NAME] [--tenant-model NAME=MODEL.ilm]...
   intellog replay --model MODEL.ilm --addr HOST:PORT [--system spark|mapreduce|tez|tensorflow]
-                  [--jobs N] [--seed N] [--hosts N] [--rate LINES_PER_S]
+                  [--jobs N] [--seed N] [--rate LINES_PER_S]
                   [--fault session-kill|network-failure|node-failure|memory-spill|starvation-bug]
                   [--connections N] [--tenant NAME]
                   [--format native|spark|hadoop|hdfs|syslog|json]
-                  [--no-verify] [--expect-anomalies] [--shutdown]
+                  [--expect-anomalies] [--shutdown]
   intellog emit   --sim spark|mapreduce|tez|tensorflow --out DIR
                   [--format spark|hadoop|hdfs|syslog|json] [--sim-jobs N] [--seed N]
                   [--fault session-kill|network-failure|node-failure|memory-spill|starvation-bug]
@@ -207,7 +207,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let sim_jobs: usize = flags.parse("--sim-jobs", 4)?;
     let seed: u64 = flags.parse("--seed", 7)?;
     let format = flags.value("--format");
-    let files = flags.finish();
+    let files = flags.finish()?;
     let model = PathBuf::from(model.ok_or("--model is required")?);
     let sessions = match sim {
         Some(system) => {
@@ -242,10 +242,11 @@ fn load_model(model: Option<String>) -> Result<Detector, String> {
 fn cmd_detect(args: &[String]) -> Result<(), String> {
     let mut flags = FlagSet::new(args);
     let obs_out = obs_setup(&mut flags)?;
-    let il = IntelLog::from_detector(load_model(flags.value("--model"))?);
+    let model = flags.value("--model");
     let json = flags.bool("--json");
     let format = flags.value("--format");
-    let files = flags.finish();
+    let files = flags.finish()?;
+    let il = IntelLog::from_detector(load_model(model)?);
     let sessions = read_sessions(&files, format)?;
     let report = il.detect_job(&sessions);
     if json {
@@ -284,7 +285,10 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_graph(args: &[String]) -> Result<(), String> {
-    let detector = load_model(FlagSet::new(args).value("--model"))?;
+    let mut flags = FlagSet::new(args);
+    let model = flags.value("--model");
+    flags.finish_empty()?;
+    let detector = load_model(model)?;
     print!("{}", detector.graph.render_text(&detector.keys));
     Ok(())
 }
@@ -317,10 +321,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         ..GatewayConfig::default()
     };
     let addr_file = flags.value("--addr-file").filter(|v| !v.is_empty());
-    let extra = flags.finish();
-    if !extra.is_empty() {
-        return Err(format!("unexpected arguments: {extra:?}"));
-    }
+    flags.finish_empty()?;
     let registry = Arc::new(TenantRegistry::new());
     registry.register(&default_tenant, Arc::new(load_model(model)?));
     for spec in &tenant_models {
@@ -357,7 +358,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_replay(args: &[String]) -> Result<(), String> {
     let mut flags = FlagSet::new(args);
     let obs_out = obs_setup(&mut flags)?;
-    let detector = load_model(flags.value("--model"))?;
+    let model = flags.value("--model");
     let addr = flags
         .value("--addr")
         .filter(|v| !v.is_empty())
@@ -367,13 +368,11 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         system: parse_system(&flags.value("--system").unwrap_or_else(|| "spark".into()))?,
         jobs: flags.parse("--jobs", 1)?,
         seed: flags.parse("--seed", 7)?,
-        hosts: flags.parse("--hosts", 8)?,
         rate: (rate > 0).then_some(rate),
         fault: match flags.value("--fault") {
             Some(f) => Some(parse_fault(&f)?),
             None => None,
         },
-        verify: !flags.bool("--no-verify"),
         connections: flags.parse("--connections", 1)?,
         tenant: flags.value("--tenant").filter(|v| !v.is_empty()),
         adapter: flags
@@ -384,10 +383,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     };
     let expect_anomalies = flags.bool("--expect-anomalies");
     let shutdown = flags.bool("--shutdown");
-    let extra = flags.finish();
-    if !extra.is_empty() {
-        return Err(format!("unexpected arguments: {extra:?}"));
-    }
+    flags.finish_empty()?;
+    let detector = load_model(model)?;
     let outcome = intellog_serve::run_replay(&addr, &detector, &cfg)?;
     println!(
         "replayed {} lines across {} sessions in {:.2}s ({:.0} lines/s)",
@@ -426,12 +423,10 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             outcome.mismatches.join("\n")
         ));
     }
-    if cfg.verify {
-        println!(
-            "verified: online verdicts match offline detect_session for all {} sessions",
-            outcome.sessions
-        );
-    }
+    println!(
+        "verified: online verdicts match offline detect_session for all {} sessions",
+        outcome.sessions
+    );
     if expect_anomalies && outcome.online_problematic == 0 {
         return Err("expected anomalies, but every session came back clean".into());
     }
@@ -461,10 +456,7 @@ fn cmd_emit(args: &[String]) -> Result<(), String> {
         Some(f) => Some(parse_fault(&f)?),
         None => None,
     };
-    let extra = flags.finish();
-    if !extra.is_empty() {
-        return Err(format!("unexpected arguments: {extra:?}"));
-    }
+    flags.finish_empty()?;
     let out_dir = PathBuf::from(out_dir);
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
 
@@ -495,9 +487,10 @@ fn cmd_emit(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_demo() -> Result<(), String> {
+fn cmd_demo(args: &[String]) -> Result<(), String> {
     use intellog::core::sessions_from_job;
     use intellog::dlasim::{self, FaultPlan, WorkloadGen};
+    FlagSet::new(args).finish_empty()?;
     println!("training on simulated Spark jobs…");
     let mut gen = WorkloadGen::new(7, 8);
     let mut train = Vec::new();

@@ -10,12 +10,16 @@
 //! Tez, Yarn, Nova and TensorFlow — on trained lines, held-out evaluation
 //! lines (fresh parameter values, unseen tokens) and adversarial probes,
 //! plus every adapter-normalised rendering (Hadoop, Spark, HDFS header,
-//! RFC-3164 syslog, JSON lines) of each system's detection corpus.
+//! RFC-3164 syslog, JSON lines) of each system's detection corpus, and a
+//! key set whose prefix tree forks at every position.
 
 use dlasim::SystemKind;
 use intellog_core::{sessions_from_text, training_sessions};
 use lognlp::format::AdapterKind;
 use spell::SpellParser;
+
+#[path = "support/forked_keys.rs"]
+mod forked_keys;
 
 const ALL_SYSTEMS: [SystemKind; 6] = [
     SystemKind::Spark,
@@ -125,6 +129,35 @@ fn adapter_normalized_corpora_agree_across_matchers() {
             let hits = assert_three_way(&detector.parser, &probes, &ctx);
             assert!(hits > 0, "{ctx}: adapted corpus never hit a key");
         }
+    }
+}
+
+/// A wide walk: one probe keeps all 256 leaves of a length bucket's
+/// prefix tree live, others 64 or a few, and the near misses fall through
+/// to the scored phase over every key of the bucket.
+#[test]
+fn forked_key_set_agrees_across_matchers() {
+    let parser = forked_keys::forked_parser();
+    assert_eq!(parser.len(), 256);
+    let stats = parser.automaton_stats().expect("a loaded parser is frozen");
+    assert_eq!(stats.buckets, 1);
+    // Every prefix of a fork pattern is a node; the tail adds two per leaf.
+    assert_eq!(stats.states, (1 << 9) - 1 + 2 * 256);
+    let probes = forked_keys::forked_probes();
+    let hits = assert_three_way(&parser, &probes, "forked");
+    assert_eq!(hits, probes.len() - 1, "only the nine-token probe misses");
+    for line in &probes[..4] {
+        let key = parser.match_line(line).expect("an instance");
+        assert!(
+            parser
+                .key(key)
+                .tokens
+                .iter()
+                .zip(line.split(' '))
+                .all(|(k, m)| k == "*" || k == m),
+            "{line:?} matched {:?}, not an instance",
+            parser.key(key).render()
+        );
     }
 }
 

@@ -311,6 +311,49 @@ fn cli_rejects_bad_usage() {
         .output()
         .expect("failed to spawn the intellog binary");
     assert!(!out.status.success());
+    // A flag no subcommand takes is refused by name, before any file is
+    // read; a subcommand without positionals refuses extra arguments.
+    let cases = [
+        (
+            "train --sim spark --formt json --model /nonexistent/m.ilm",
+            "unknown flag --formt",
+        ),
+        (
+            "train --format=json --model /nonexistent/m.ilm --sim-job=2 a.log",
+            "unknown flag --sim-job",
+        ),
+        (
+            "detect --model /nonexistent/m.ilm --jsn a.log",
+            "unknown flag --jsn",
+        ),
+        (
+            "graph --model /nonexistent/m.ilm --bogus",
+            "unknown flag --bogus",
+        ),
+        (
+            "graph --model /nonexistent/m.ilm extra",
+            "unexpected arguments",
+        ),
+        ("demo --bogus", "unknown flag --bogus"),
+        ("demo extra", "unexpected arguments"),
+        (
+            "replay --model /nonexistent/m.ilm --addr 127.0.0.1:9 --hosts 4",
+            "unknown flag --hosts",
+        ),
+        (
+            "replay --model /nonexistent/m.ilm --addr 127.0.0.1:9 --no-verify",
+            "unknown flag --no-verify",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = Command::new(bin)
+            .args(args.split(' '))
+            .output()
+            .expect("failed to spawn the intellog binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
 }
 
 /// `--fault` takes every `FaultKind` by its `name()`, and an unknown name
