@@ -1,6 +1,6 @@
 //! The IntelLog anomaly detector (paper §4.2).
 //!
-//! A trained [`Detector`] holds the frozen Spell key set, the Intel Keys and
+//! A trained [`Detector`] holds the final Spell key set, the Intel Keys and
 //! the HW-graph. For each incoming session it instantiates a HW-graph
 //! instance and checks it against the model:
 //!
@@ -26,7 +26,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// A trained IntelLog model ready for detection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Detector {
-    /// Frozen Spell parser (key matching only, no refinement).
+    /// The trained Spell parser. Detection only matches on it (no
+    /// refinement), on the same prefix tree and inverted index that
+    /// training used.
     pub parser: SpellParser,
     /// Intel Keys indexed by [`KeyId`].
     pub keys: Vec<IntelKey>,
@@ -38,16 +40,17 @@ pub struct Detector {
 }
 
 impl Detector {
-    /// Assemble a detector from trained components. The parser is frozen
-    /// here — training is over, so the key set is compiled into the dense
-    /// matching automaton that detection, replay and serving run against.
+    /// Assemble a detector from trained components. Training is over, so
+    /// the parser's match index is rebuilt here, once, without the garbage
+    /// that key refinement left in it; detection, replay and serving match
+    /// on that index.
     pub fn new(
         mut parser: SpellParser,
         keys: Vec<IntelKey>,
         graph: HwGraph,
         ignored_keys: BTreeSet<KeyId>,
     ) -> Detector {
-        parser.freeze();
+        parser.rebuild_index();
         Detector {
             parser,
             keys,

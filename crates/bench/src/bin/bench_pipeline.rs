@@ -2,11 +2,11 @@
 //! see `BENCHMARK.json`) has no equivalent for, emitted as a
 //! machine-readable `BENCH_pipeline.json`:
 //!
-//! * `spell` — frozen `match_ids` (the compiled key automaton, the
-//!   production read path) vs the `match_ids_linear` oracle over
+//! * `spell` — `match_ids` on a rebuilt index (the prefix tree + inverted
+//!   index detection matches on) vs the `match_ids_linear` oracle over
 //!   pre-interned probes against a ≥1k-key set, and their per-message
 //!   ratio `spell.index_speedup` (regression bar: ≥3×). `benchmark/` times
-//!   the automaton inside its workloads but never the linear scan;
+//!   the matcher inside its workloads but never the linear scan;
 //! * `adapters[]` — per `lognlp::format` adapter (Hadoop, Spark, HDFS
 //!   header, RFC-3164 syslog, JSON lines): raw-line ingest throughput
 //!   (adapter header parse + streaming Spell, the `train --format` verb)
@@ -33,10 +33,10 @@ use std::time::Instant;
 const REPS: usize = 5;
 /// Keys in the synthetic key set the matchers run against.
 const KEYSET: usize = 1200;
-/// Probes per automaton pass (≈ 1.2 M matches/s on the reference host).
+/// Probes per matcher pass (≈ 1.2 M matches/s on the reference host).
 const PROBES: usize = 400_000;
 /// Leading probes the linear oracle is timed on, over 3 reps: it scans every
-/// key per message (≈ 9 k msgs/s), so the automaton's probe set would take it
+/// key per message (≈ 9 k msgs/s), so the matcher's probe set would take it
 /// a minute.
 const LINEAR_PROBES: usize = 4_000;
 /// MapReduce training jobs rendered per adapter (≈ 2 k lines each).
@@ -50,15 +50,15 @@ struct SpellStats {
     keyset_size: usize,
     probe_msgs: usize,
     linear_probe_msgs: usize,
-    /// Frozen-parser matching: the compiled key automaton (the production
-    /// read path). The name predates the automaton — kept stable for
-    /// downstream tooling.
+    /// `match_ids` on the rebuilt index (the detection read path). The
+    /// field names are kept stable for downstream tooling.
     match_indexed_msgs_per_s: f64,
     match_indexed_rep_s: f64,
     match_linear_msgs_per_s: f64,
     match_linear_rep_s: f64,
-    /// Linear seconds per message ÷ automaton seconds per message.
+    /// Linear seconds per message ÷ matcher seconds per message.
     index_speedup: f64,
+    /// Prefix-tree nodes and length buckets of the index.
     automaton_states: usize,
     automaton_buckets: usize,
 }
@@ -119,30 +119,29 @@ fn main() {
             }
         }
     }
-    // --- spell: automaton vs linear matching at >=1k keys -----------------
+    // --- spell: matcher vs linear matching at >=1k keys -------------------
     let (mut parser, probe_msgs) = synthetic_keyset(KEYSET, PROBES);
     assert!(
         parser.len() >= KEYSET,
         "keyset under-filled: {}",
         parser.len()
     );
-    // Freeze: compiles the key set into the key automaton (per-length
-    // prefix trees and CSR postings), the production read-path
-    // configuration (detection, replay, serving).
-    parser.freeze();
-    let auto_stats = parser.automaton_stats().expect("frozen parser");
+    // Rebuild the index without refinement garbage, as `Detector::new`
+    // does when training ends: the read-path configuration (detection,
+    // replay, serving).
+    let unrebuilt = parser.clone();
+    parser.rebuild_index();
+    let index_stats = parser.automaton_stats().expect("index stats");
     let probe_ids = intern_probes(&parser, &probe_msgs);
     drop(probe_msgs);
     let linear_ids = &probe_ids[..LINEAR_PROBES];
-    // Equivalence before timing: the automaton, the live prefix-tree +
-    // inverted index (a thawed clone), and — on the probes it is timed on —
-    // the linear-scan reference must agree; a wrong matcher's throughput is
-    // meaningless.
-    let mut thawed = parser.clone();
-    thawed.thaw();
+    // Equivalence before timing: the rebuilt index, the garbage-carrying
+    // one it replaced, and — on the probes it is timed on — the linear-scan
+    // reference must agree; a wrong matcher's throughput is meaningless.
     for ids in &probe_ids {
-        assert_eq!(parser.match_ids(ids), thawed.match_ids(ids));
+        assert_eq!(parser.match_ids(ids), unrebuilt.match_ids(ids));
     }
+    drop(unrebuilt);
     for ids in linear_ids {
         assert_eq!(parser.match_ids(ids), parser.match_ids_linear(ids));
     }
@@ -169,11 +168,11 @@ fn main() {
         match_linear_msgs_per_s: linear_rate,
         match_linear_rep_s: linear_s,
         index_speedup: indexed_rate / linear_rate,
-        automaton_states: auto_stats.states,
-        automaton_buckets: auto_stats.buckets,
+        automaton_states: index_stats.states,
+        automaton_buckets: index_stats.buckets,
     };
     eprintln!(
-        "spell: match automaton {:.0} msgs/s ({:.3} s/rep) vs linear {:.0} msgs/s ({:.3} s/rep): {:.1}x",
+        "spell: matcher {:.0} msgs/s ({:.3} s/rep) vs linear {:.0} msgs/s ({:.3} s/rep): {:.1}x",
         spell.match_indexed_msgs_per_s,
         spell.match_indexed_rep_s,
         spell.match_linear_msgs_per_s,

@@ -382,11 +382,6 @@ impl HwGraph {
         self.key_groups.get(&k).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Group index by name.
-    pub fn group_by_name(&self, name: &str) -> Option<usize> {
-        self.groups.iter().position(|g| g.name == name)
-    }
-
     /// Serialise to pretty JSON (paper §5: HW-graphs are output as JSON).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("HwGraph is always serialisable")
@@ -550,7 +545,11 @@ mod tests {
             g.groups.iter().map(|x| &x.name).collect::<Vec<_>>()
         );
         // task group exists and is critical (repeats within a session)
-        let tg = g.group_by_name("task").expect("task group");
+        let tg = g
+            .groups
+            .iter()
+            .position(|gr| gr.name == "task")
+            .expect("task group");
         assert!(g.groups[tg].critical);
         assert_eq!(g.hierarchy.nodes.len(), g.groups.len());
         assert!(!g.hierarchy.roots.is_empty());
@@ -571,7 +570,7 @@ mod tests {
     fn task_subroutine_orders_start_before_finish() {
         let (keys, sessions) = mini_corpus();
         let g = HwGraph::build(&keys, &sessions);
-        let tg = &g.groups[g.group_by_name("task").unwrap()];
+        let tg = g.groups.iter().find(|gr| gr.name == "task").unwrap();
         // find the TASK-signature subroutine
         let sub = tg
             .subroutines

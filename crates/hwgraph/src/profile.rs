@@ -112,11 +112,6 @@ impl ProfileSet {
             .map(|(i, p)| (i, p, p.similarity(fingerprint)))
             .max_by(|a, b| a.2.total_cmp(&b.2))
     }
-
-    /// Best-matching profile for a fingerprint (detection time).
-    pub fn best_match(&self, fingerprint: &BTreeSet<usize>) -> Option<(usize, &SessionProfile)> {
-        self.best_match_scored(fingerprint).map(|(i, p, _)| (i, p))
-    }
 }
 
 #[cfg(test)]
@@ -157,10 +152,11 @@ mod tests {
         }
         assert_eq!(ps.len(), 2);
         let fp_map: BTreeSet<usize> = [0, 1].into();
-        let (i, p) = ps.best_match(&fp_map).unwrap();
+        let (i, p, score) = ps.best_match_scored(&fp_map).unwrap();
         assert_eq!(p.mandatory, fp_map);
+        assert_eq!(score, 1.0, "the fingerprint the profile was learned from");
         let fp_red: BTreeSet<usize> = [5, 6, 7].into();
-        let (j, _) = ps.best_match(&fp_red).unwrap();
+        let (j, _, _) = ps.best_match_scored(&fp_red).unwrap();
         assert_ne!(i, j);
     }
 
@@ -199,7 +195,7 @@ mod tests {
             train(&mut ps, &am_s);
         }
         let fp: BTreeSet<usize> = [0].into();
-        let (_, p) = ps.best_match(&fp).unwrap();
+        let (_, p, _) = ps.best_match_scored(&fp).unwrap();
         let sub = p.subroutines[&0]
             .get(&BTreeSet::from(["A".to_string()]))
             .expect("A-signature subroutine");
@@ -211,7 +207,7 @@ mod tests {
     #[test]
     fn empty_profileset_matches_nothing() {
         let ps = ProfileSet::new();
-        assert!(ps.best_match(&BTreeSet::new()).is_none());
+        assert!(ps.best_match_scored(&BTreeSet::new()).is_none());
         assert!(ps.is_empty());
     }
 }

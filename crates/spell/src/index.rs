@@ -1,15 +1,16 @@
-//! Candidate index for the Spell matcher.
+//! The Spell matcher's candidate index — training, detection and serving
+//! all match on it.
 //!
 //! Two structures cut the per-message matching cost from "LCS against every
 //! same-length key" to "LCS against a handful of survivors":
 //!
-//! * a **prefix tree** over the current key token sequences (with wildcard
-//!   edges for `*` positions) answers the overwhelmingly common case — the
-//!   message is an exact instance of an existing key — in O(message length)
-//!   steps per active path. A node keeps its `*` child in a field and its
-//!   constant edges in a vector sorted by token, so a step is one load and
-//!   one binary search over (usually) one or two entries — nothing is
-//!   hashed on the walk, which every training line takes;
+//! * a **prefix tree** per key length over the current key token sequences
+//!   (with wildcard edges for `*` positions) answers the overwhelmingly
+//!   common case — the message is an exact instance of an existing key — in
+//!   O(message length) steps per active path. A node keeps its `*` child
+//!   in a field and its constant edges in a vector sorted by token, so a
+//!   step is one load and one binary search over (usually) one or two
+//!   entries — nothing is hashed on the walk;
 //! * an **inverted index** `token → (key, multiplicity)` yields, per key,
 //!   an upper bound on the wildcard LCS:
 //!
@@ -18,33 +19,52 @@
 //!   — a `*` position can contribute at most 1 regardless of the message,
 //!   and a constant position can only pair with an equal message token.
 //!   Keys whose bound is below the matching threshold are pruned without
-//!   running the LCS dynamic program.
+//!   running the LCS dynamic program. The scoring pass counts the message's
+//!   tokens by sorting them and sums overlaps in a dense per-key array reset
+//!   through its touched list, so it hashes once per distinct token.
 //!
 //! Key refinement (constant position → `*`) leaves the old postings and
 //! trie paths in place as garbage: stale postings only *overestimate* the
 //! bound (never pruning a true match) and stale trie paths are verified
 //! against the live key before use. The index is rebuilt from scratch once
-//! garbage passes a threshold, restoring full pruning precision.
+//! garbage passes a threshold, restoring full pruning precision, and once
+//! more when training ends (`SpellParser::rebuild_index`).
 
 use crate::intern::{TokenId, STAR_ID, UNKNOWN_ID};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 pub(crate) struct MatchIndex {
-    /// Per message-length bucket (only same-length keys can match).
-    buckets: HashMap<usize, LenBucket>,
+    /// Indexed by key length: only same-length keys can match.
+    buckets: Vec<Option<LenBucket>>,
     /// Current `*` count per key index (grows monotonically).
     stars: Vec<u32>,
-    /// Prefix tree over key token sequences; terminals hold key indices.
+    /// The buckets' prefix trees over key token sequences, one arena;
+    /// terminals hold key indices.
     trie: Trie,
     /// Stale postings entries / trie paths accumulated by refinement.
     garbage: usize,
+}
+
+/// Size of the match index, reported by
+/// [`crate::parser::SpellParser::automaton_stats`]. The names predate the
+/// one matcher: `states` counts prefix-tree nodes, stale paths included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AutomatonStats {
+    /// Number of length buckets.
+    pub buckets: usize,
+    /// Prefix-tree nodes, each bucket's root included.
+    pub states: usize,
+    /// Keys indexed.
+    pub keys: usize,
 }
 
 #[derive(Debug, Clone)]
 struct LenBucket {
     /// Minimum LCS required for a message of this length to match.
     required: usize,
+    /// Root of this length's prefix tree.
+    root: u32,
     /// Constant token → (key index, multiplicity in that key).
     postings: HashMap<TokenId, Vec<(u32, u32)>>,
     /// Keys whose star count alone meets `required`: always candidates,
@@ -53,9 +73,10 @@ struct LenBucket {
 }
 
 impl LenBucket {
-    fn new(required: usize) -> LenBucket {
+    fn new(required: usize, root: u32) -> LenBucket {
         LenBucket {
             required,
+            root,
             postings: HashMap::new(),
             high_star: Vec::new(),
         }
@@ -76,7 +97,7 @@ struct TrieNode {
     terminals: Vec<u32>,
 }
 
-/// "No child": the root is node 0 and is nobody's child.
+/// "No child": node 0 is the first bucket's root and nobody's child.
 const NO_NODE: u32 = 0;
 
 impl TrieNode {
@@ -91,13 +112,16 @@ impl TrieNode {
 
 impl Trie {
     fn new() -> Trie {
-        Trie {
-            nodes: vec![TrieNode::default()],
-        }
+        Trie { nodes: Vec::new() }
     }
 
-    fn insert(&mut self, ki: u32, ids: &[TokenId]) {
-        let mut node = 0u32;
+    fn add_root(&mut self) -> u32 {
+        self.nodes.push(TrieNode::default());
+        self.nodes.len() as u32 - 1
+    }
+
+    fn insert(&mut self, root: u32, ki: u32, ids: &[TokenId]) {
+        let mut node = root;
         for &tok in ids {
             node = match self.nodes[node as usize].child(tok) {
                 Some(next) => next,
@@ -122,16 +146,16 @@ impl Trie {
         }
     }
 
-    /// Key indices whose trie path matches `ids` (star edges match any
-    /// token), written into `out` (cleared first). May contain stale
+    /// Key indices whose path from `root` matches `ids` (star edges match
+    /// any token), written into `out` (cleared first). May contain stale
     /// entries — callers verify against the live key. Ascending order. The
     /// node frontiers live in per-thread scratch and `out` is
     /// caller-provided, so a walk allocates nothing in the steady state.
-    fn walk_into(&self, ids: &[TokenId], out: &mut Vec<u32>) {
+    fn walk_into(&self, root: u32, ids: &[TokenId], out: &mut Vec<u32>) {
         out.clear();
         crate::scratch::with_walk(|active, next| {
             active.clear();
-            active.push(0);
+            active.push(root);
             for &tok in ids {
                 next.clear();
                 for &n in active.iter() {
@@ -161,7 +185,7 @@ impl Trie {
 impl MatchIndex {
     pub(crate) fn new() -> MatchIndex {
         MatchIndex {
-            buckets: HashMap::new(),
+            buckets: Vec::new(),
             stars: Vec::new(),
             trie: Trie::new(),
             garbage: 0,
@@ -171,10 +195,12 @@ impl MatchIndex {
     /// Register a brand-new key (index `ki` == `stars.len()`).
     pub(crate) fn insert_key(&mut self, ki: u32, ids: &[TokenId], required: usize) {
         debug_assert_eq!(ki as usize, self.stars.len());
-        let bucket = self
-            .buckets
-            .entry(ids.len())
-            .or_insert_with(|| LenBucket::new(required));
+        if self.buckets.len() <= ids.len() {
+            self.buckets.resize_with(ids.len() + 1, || None);
+        }
+        let trie = &mut self.trie;
+        let bucket = self.buckets[ids.len()]
+            .get_or_insert_with(|| LenBucket::new(required, trie.add_root()));
         let mut star_count = 0u32;
         let mut counts: HashMap<TokenId, u32> = HashMap::new();
         for &tok in ids {
@@ -191,7 +217,7 @@ impl MatchIndex {
         if star_count as usize >= required {
             bucket.high_star.push(ki);
         }
-        self.trie.insert(ki, ids);
+        trie.insert(bucket.root, ki, ids);
     }
 
     /// Record that key `ki` gained `flipped` new `*` positions; `ids` is its
@@ -199,16 +225,15 @@ impl MatchIndex {
     pub(crate) fn note_refinement(&mut self, ki: u32, ids: &[TokenId], flipped: u32) {
         self.stars[ki as usize] += flipped;
         self.garbage += flipped as usize;
-        let bucket = self
-            .buckets
-            .get_mut(&ids.len())
+        let bucket = self.buckets[ids.len()]
+            .as_mut()
             .expect("refined key has a bucket");
         if self.stars[ki as usize] as usize >= bucket.required {
             if let Err(at) = bucket.high_star.binary_search(&ki) {
                 bucket.high_star.insert(at, ki);
             }
         }
-        self.trie.insert(ki, ids);
+        self.trie.insert(bucket.root, ki, ids);
     }
 
     /// `true` once enough refinement garbage accumulated that a rebuild
@@ -236,8 +261,25 @@ impl MatchIndex {
     /// stale entries — verify against the live key), written into `out`
     /// (cleared first). Ascending order.
     pub(crate) fn exact_candidates_into(&self, ids: &[TokenId], out: &mut Vec<u32>) {
-        self.trie.walk_into(ids, out);
+        match self.bucket(ids.len()) {
+            Some(bucket) => self.trie.walk_into(bucket.root, ids, out),
+            None => out.clear(),
+        }
     }
+
+    fn bucket(&self, len: usize) -> Option<&LenBucket> {
+        self.buckets.get(len)?.as_ref()
+    }
+
+    pub(crate) fn stats(&self) -> AutomatonStats {
+        AutomatonStats {
+            buckets: self.buckets.iter().flatten().count(),
+            states: self.trie.nodes.len(),
+            keys: self.stars.len(),
+        }
+    }
+
+    // lint: ingest-hot(begin)
 
     /// Candidate keys for the LCS phase, with a sound upper bound on their
     /// wildcard LCS against `ids`, written into `out` (cleared first). Only
@@ -245,41 +287,55 @@ impl MatchIndex {
     /// Ascending key order.
     pub(crate) fn scored_candidates_into(&self, ids: &[TokenId], out: &mut Vec<(u32, usize)>) {
         out.clear();
-        let Some(bucket) = self.buckets.get(&ids.len()) else {
+        let Some(bucket) = self.bucket(ids.len()) else {
             return;
         };
-        // The count/overlap maps come from per-thread scratch: scoring runs
-        // once per non-exact match, and clearing a warm map is far cheaper
-        // than growing a fresh one.
+        let n = ids.len();
         crate::scratch::with_scored(|scratch| {
-            let msg_counts = &mut scratch.msg_counts;
-            let overlap = &mut scratch.overlap;
-            msg_counts.clear();
-            overlap.clear();
-            for &tok in ids {
-                if tok != STAR_ID && tok != UNKNOWN_ID {
-                    *msg_counts.entry(tok).or_default() += 1;
-                }
+            let (toks, overlap, touched) = (
+                &mut scratch.toks,
+                &mut scratch.overlap,
+                &mut scratch.touched,
+            );
+            if overlap.len() < self.stars.len() {
+                // lint: allow(alloc) — grows to the key count once per thread.
+                overlap.resize(self.stars.len(), 0);
             }
-            for (&tok, &cm) in msg_counts.iter() {
-                if let Some(list) = bucket.postings.get(&tok) {
-                    for &(ki, ck) in list {
-                        *overlap.entry(ki).or_default() += ck.min(cm) as usize;
+            // Sorted, the message's tokens form one run per distinct token:
+            // its multiplicity, and one postings lookup.
+            toks.clear();
+            toks.extend(ids.iter().filter(|&&t| t != STAR_ID && t != UNKNOWN_ID));
+            toks.sort_unstable();
+            for run in toks.chunk_by(|a, b| a == b) {
+                let Some(list) = bucket.postings.get(&run[0]) else {
+                    continue;
+                };
+                let cm = run.len() as u32;
+                for &(ki, ck) in list {
+                    if overlap[ki as usize] == 0 {
+                        touched.push(ki);
                     }
+                    overlap[ki as usize] += ck.min(cm);
                 }
             }
-            for (&ki, &ov) in overlap.iter() {
-                let bound = (self.stars[ki as usize] as usize + ov).min(ids.len());
+            for &ki in touched.iter() {
+                let bound = ((self.stars[ki as usize] + overlap[ki as usize]) as usize).min(n);
                 if bound >= bucket.required {
                     out.push((ki, bound));
                 }
             }
             for &ki in &bucket.high_star {
-                if !overlap.contains_key(&ki) {
-                    out.push((ki, (self.stars[ki as usize] as usize).min(ids.len())));
+                if overlap[ki as usize] == 0 {
+                    out.push((ki, (self.stars[ki as usize] as usize).min(n)));
                 }
             }
+            for &ki in touched.iter() {
+                overlap[ki as usize] = 0;
+            }
+            touched.clear();
             out.sort_unstable_by_key(|&(ki, _)| ki);
         })
     }
+
+    // lint: ingest-hot(end)
 }

@@ -12,7 +12,6 @@
 
 #![forbid(unsafe_code)]
 
-mod automaton;
 pub mod format;
 mod index;
 pub mod intern;
@@ -21,8 +20,8 @@ pub mod lcs;
 pub mod parser;
 mod scratch;
 
-pub use automaton::AutomatonStats;
 pub use format::{Level, LogFormat, LogLine};
+pub use index::AutomatonStats;
 pub use intern::{Interner, TokenId, STAR_ID, UNKNOWN_ID};
 pub use key::{KeyId, LogKey, STAR};
 pub use lognlp::{tokenize_spans, Span};

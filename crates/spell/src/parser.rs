@@ -14,10 +14,12 @@
 //! interned, so the dictionary holds what the keys can name and nothing
 //! else — a parameter value seen once (a task id, a byte count) resolves to
 //! [`UNKNOWN_ID`] and costs no memory, in training as in detection.
-//! Matching consults a `MatchIndex` — a prefix tree for the
+//! Matching consults one `MatchIndex` — a prefix tree for the
 //! exact-instance fast path plus an inverted `token → key` index whose
 //! overlap bound prunes keys before the LCS dynamic program runs (see
-//! `index.rs` for the soundness argument).
+//! `index.rs` for the soundness argument). Training, detection and serving
+//! all match on it; when training ends, [`SpellParser::rebuild_index`]
+//! drops the garbage that key refinement left in it.
 //! [`SpellParser::match_ids_linear`] keeps the unindexed scan as the
 //! executable specification; property tests assert the two agree.
 //!
@@ -49,8 +51,7 @@
 //! LCS wins; ties go to the **lowest** [`KeyId`]. (An exact instance has
 //! LCS `n`, the maximum, so exact matches always win.)
 
-use crate::automaton::{AutoMatch, AutomatonStats, KeyAutomaton};
-use crate::index::MatchIndex;
+use crate::index::{AutomatonStats, MatchIndex};
 use crate::intern::{token_hash, Interner, TokenId, STAR_ID, UNKNOWN_ID};
 use crate::key::{KeyId, LogKey, STAR};
 use crate::lcs::{lcs_len_wild_ids, positional_matches_wild_ids};
@@ -104,9 +105,6 @@ pub struct SpellParser {
     ikeys: Vec<Vec<TokenId>>,
     /// Prefix tree + inverted token index for candidate pruning.
     index: MatchIndex,
-    /// Compiled matcher over the frozen key set ([`SpellParser::freeze`]);
-    /// `None` while training. Any structural mutation invalidates it.
-    automaton: Option<KeyAutomaton>,
 }
 
 impl Default for SpellParser {
@@ -133,32 +131,24 @@ impl SpellParser {
             interner: Interner::new(),
             ikeys: Vec::new(),
             index: MatchIndex::new(),
-            automaton: None,
         }
     }
 
-    /// Compile the current key set into the dense matching automaton (see
-    /// `automaton.rs`). Call when training is done — detection, replay and
-    /// the serving path all match against the compiled form. Any subsequent
-    /// training call invalidates the automaton automatically.
-    pub fn freeze(&mut self) {
+    /// Rebuild the match index from the live key set, dropping the stale
+    /// postings and prefix-tree paths that key refinement leaves behind.
+    /// Training calls it when that garbage passes a threshold;
+    /// `Detector::new` calls it once more when training ends, so detection
+    /// prunes at full precision. Verdicts are the same before and after.
+    pub fn rebuild_index(&mut self) {
         let t = self.threshold;
-        self.automaton = Some(KeyAutomaton::compile(&self.ikeys, &|n| required_for(t, n)));
+        self.index.rebuild(&self.ikeys, &|n| required_for(t, n));
     }
 
-    /// Drop the compiled automaton (training resumes on the live index).
-    pub fn thaw(&mut self) {
-        self.automaton = None;
-    }
-
-    /// `true` while a compiled automaton is active.
-    pub fn is_frozen(&self) -> bool {
-        self.automaton.is_some()
-    }
-
-    /// Compile-time statistics of the active automaton, if frozen.
+    /// Size of the match index: its prefix-tree nodes, length buckets and
+    /// keys. Always `Some`; the name and the `Option` are kept because
+    /// `benchmark/` reads them as the `spell.automaton_states` row.
     pub fn automaton_stats(&self) -> Option<AutomatonStats> {
-        self.automaton.as_ref().map(|a| a.stats())
+        Some(self.index.stats())
     }
 
     /// The matching threshold `t`.
@@ -195,32 +185,9 @@ impl SpellParser {
 
     /// The matcher: best key for a message of interned tokens, mutating
     /// nothing. See the module docs for the matching contract; equivalent
-    /// to [`SpellParser::match_ids_linear`]. Runs the compiled automaton
-    /// when frozen and the live prefix-tree + inverted index while
-    /// training.
+    /// to [`SpellParser::match_ids_linear`]. Training, detection and
+    /// serving all run it on the prefix tree + inverted index.
     pub fn match_ids(&self, ids: &[TokenId]) -> Option<KeyId> {
-        if let Some(auto) = &self.automaton {
-            return match auto.match_ids(ids) {
-                AutoMatch::Exact(ki) => {
-                    obs::inc!("spell.match.trie_hits");
-                    Some(self.keys[ki as usize].id)
-                }
-                AutoMatch::Scored(ki) => {
-                    obs::inc!("spell.match.index_hits");
-                    Some(self.keys[ki as usize].id)
-                }
-                AutoMatch::Miss => {
-                    obs::inc!("spell.match.misses");
-                    None
-                }
-            };
-        }
-        self.match_ids_index(ids)
-    }
-
-    /// The live-index matcher (prefix tree + inverted index): what
-    /// [`SpellParser::match_ids`] runs on a thawed parser.
-    fn match_ids_index(&self, ids: &[TokenId]) -> Option<KeyId> {
         // Exact-instance fast path: the prefix tree yields every key this
         // message instantiates (stale paths are filtered by verification);
         // an exact instance has the maximal LCS `n`, so the lowest such
@@ -390,9 +357,6 @@ impl SpellParser {
         hashes: &[u64],
         ids: &mut Vec<TokenId>,
     ) -> (KeyId, bool) {
-        // Training invalidates any compiled automaton (its key set would
-        // go stale on the first refinement or new key).
-        self.automaton = None;
         obs::inc!("spell.lines_parsed");
         ids.clear();
         for (s, &h) in spans.iter().zip(hashes) {
@@ -433,7 +397,6 @@ impl SpellParser {
     /// keys, same outcomes, line for line.
     #[doc(hidden)]
     pub fn parse_message_interning(&mut self, message: &str) -> ParseOutcome {
-        self.automaton = None;
         obs::inc!("spell.lines_parsed");
         let tokens = tokenize_message(message);
         let ids: Vec<TokenId> = tokens.iter().map(|t| self.interner.intern(t)).collect();
@@ -461,8 +424,8 @@ impl SpellParser {
 
     /// Match a raw line without mutating anything, through the zero-copy
     /// path: spans are resolved against the interner by byte slice
-    /// ([`Interner::lookup_bytes`]), so a match against a frozen parser
-    /// performs no allocation at all.
+    /// ([`Interner::lookup_bytes`]), so a match performs no allocation at
+    /// all once the per-thread scratch is warm.
     pub fn match_line(&self, message: &str) -> Option<KeyId> {
         crate::scratch::with_line(|line| {
             self.lookup_line_into(message, &mut line.spans, &mut line.ids);
@@ -489,17 +452,10 @@ impl SpellParser {
 
     // lint: ingest-hot(end)
 
-    fn rebuild_index(&mut self) {
-        let t = self.threshold;
-        self.index.rebuild(&self.ikeys, &|n| required_for(t, n));
-    }
-
     /// Reassemble a parser from its serialised parts (threshold + keys).
-    /// The interner, index and automaton are derived state and are rebuilt
-    /// here. Deserialised parsers arrive frozen: loading a model (the
-    /// model store, serve/gateway `LOAD`, replay) is exactly the moment
-    /// the key set stops changing, so the compiled matcher is active from
-    /// the first line served.
+    /// The interner and index are derived state and are rebuilt here; the
+    /// index is built from the final keys, so it carries no refinement
+    /// garbage.
     ///
     /// The parts come from a model file, so they are checked rather than
     /// trusted: every matcher indexes `keys` by `KeyId`, which is only
@@ -525,7 +481,6 @@ impl SpellParser {
             p.ikeys.push(ids);
             p.keys.push(key);
         }
-        p.freeze();
         Ok(p)
     }
 }
@@ -782,6 +737,72 @@ mod tests {
             p.parse_message(&m);
             assert_eq!(p.match_line(&m), match_linear(&p, &m));
         }
+    }
+
+    /// A parser loaded with `keys` (whitespace-separated tokens), the way
+    /// a model file is.
+    fn loaded(keys: &[&str]) -> SpellParser {
+        let keys = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let tokens: Vec<String> = k.split_whitespace().map(String::from).collect();
+                LogKey {
+                    id: KeyId(i as u32),
+                    sample: tokens.clone(),
+                    tokens,
+                    count: 1,
+                }
+            })
+            .collect();
+        SpellParser::from_parts(1.7, keys).expect("valid keys")
+    }
+
+    #[test]
+    fn exact_instance_hits_lowest_key() {
+        let p = loaded(&["a * c", "a b c", "x y z"]);
+        // "a b c" instantiates both key 0 (via *) and key 1 — lowest wins.
+        assert_eq!(p.match_line("a b c"), Some(KeyId(0)));
+        assert_eq!(p.match_line("x y z"), Some(KeyId(2)));
+        assert_eq!(p.match_line("a q c"), Some(KeyId(0)));
+    }
+
+    #[test]
+    fn length_mismatch_is_a_miss_and_empty_key_matches_empty_message() {
+        let p = loaded(&["a b c", ""]);
+        assert_eq!(p.match_line("a b"), None);
+        assert_eq!(p.match_line("a b c d"), None);
+        assert_eq!(p.match_line(""), Some(KeyId(1)));
+    }
+
+    #[test]
+    fn star_heavy_keys_stay_correct() {
+        // Keys whose stars alone reach the threshold are scoring candidates
+        // with no postings overlap at all. 4 tokens → LCS ≥ 3.
+        let p = loaded(&["* * * end", "* * * fin", "a b c end"]);
+        assert_eq!(p.match_line("q r s end"), Some(KeyId(0)));
+        assert_eq!(p.match_line("q r s fin"), Some(KeyId(1)));
+        // Unknown tokens throughout: the stars still carry key 0 over.
+        assert_eq!(p.match_line("zz yy xx ww"), Some(KeyId(0)));
+        assert_eq!(match_linear(&p, "zz yy xx ww"), Some(KeyId(0)));
+    }
+
+    #[test]
+    fn stats_count_tree_nodes_and_rebuild_drops_garbage() {
+        let p = loaded(&["a b c", "a b d", "p q"]);
+        let s = p.automaton_stats().expect("index stats");
+        assert_eq!((s.buckets, s.keys), (2, 3));
+        // One tree per length: root, a, a b, a b c, a b d; root, p, p q.
+        assert_eq!(s.states, 8);
+        // Refining "a b c" to "a * c" adds the path a * c and keeps the old
+        // one until the index is rebuilt.
+        let mut t = p.clone();
+        t.parse_message("a x c");
+        assert_eq!(t.key(KeyId(0)).render(), "a * c");
+        assert_eq!(t.automaton_stats().map(|s| s.states), Some(10));
+        t.rebuild_index();
+        // Root, a, a *, a * c, a b, a b d; root, p, p q.
+        assert_eq!(t.automaton_stats().map(|s| s.states), Some(9));
     }
 
     /// The oracle over a raw message.

@@ -1,7 +1,8 @@
 //! Per-thread reusable scratch buffers for the matching hot path.
 //!
-//! Matching one message runs an LCS dynamic program, a trie walk and an
-//! inverted-index scoring pass — each of which used to allocate its working
+//! Matching one message runs a trie walk, an inverted-index scoring pass
+//! and an LCS dynamic program on the one `MatchIndex` that training,
+//! detection and serving share — each of which used to allocate its working
 //! vectors/maps per call. One warm buffer per thread amortises to zero
 //! allocations per message over the messages that thread matches: every
 //! message of a streaming session or of a sequential pass, and every item a
@@ -17,15 +18,14 @@
 use crate::intern::TokenId;
 use lognlp::Span;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 thread_local! {
     /// DP row for the wildcard-LCS computation.
     static LCS_ROW: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     /// Active/next node frontiers for the trie walk.
     static WALK: RefCell<(Vec<u32>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Token-count and key-overlap maps for inverted-index scoring.
-    static SCORED: RefCell<ScoredScratch> = RefCell::new(ScoredScratch::default());
+    /// Sorted tokens and dense key overlaps for inverted-index scoring.
+    static SCORED: RefCell<ScoredScratch> = const { RefCell::new(ScoredScratch::new()) };
     /// Span + id buffers for the zero-copy line ingest path.
     static LINE: RefCell<LineScratch> = const { RefCell::new(LineScratch::new()) };
     /// Token hashes for the training door's two halves.
@@ -34,16 +34,28 @@ thread_local! {
     static EXACT: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
     /// Scored-candidate output buffer for inverted-index pruning.
     static CANDS: RefCell<Vec<(u32, usize)>> = const { RefCell::new(Vec::new()) };
-    /// Dense working set for the compiled key automaton.
-    static AUTO: RefCell<AutoScratch> = const { RefCell::new(AutoScratch::new()) };
 }
 
-#[derive(Default)]
+/// Working set for `MatchIndex::scored_candidates_into`. `overlap` is
+/// sized to the largest key set seen on this thread and reset through
+/// `touched`, so steady-state scoring never allocates.
 pub(crate) struct ScoredScratch {
-    /// Token → multiplicity in the message being scored.
-    pub(crate) msg_counts: HashMap<TokenId, u32>,
+    /// The message's constant-candidate tokens, sorted.
+    pub(crate) toks: Vec<TokenId>,
     /// Key index → LCS upper-bound contribution from postings overlap.
-    pub(crate) overlap: HashMap<u32, usize>,
+    pub(crate) overlap: Vec<u32>,
+    /// Key indices with nonzero `overlap`.
+    pub(crate) touched: Vec<u32>,
+}
+
+impl ScoredScratch {
+    const fn new() -> ScoredScratch {
+        ScoredScratch {
+            toks: Vec::new(),
+            overlap: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
 }
 
 /// Reusable buffers for tokenising and interning one raw line without
@@ -58,43 +70,6 @@ impl LineScratch {
         LineScratch {
             spans: Vec::new(),
             ids: Vec::new(),
-        }
-    }
-}
-
-/// Dense working set for [`crate::automaton::KeyAutomaton`] matching. The
-/// `counts`/`overlap` arrays are sized to the largest bucket seen on this
-/// thread and reset via the touched lists, so steady-state matching never
-/// hashes and never allocates.
-pub(crate) struct AutoScratch {
-    /// Message tokens mapped to bucket-local dictionary ids (`NONE` for
-    /// stars, unknowns and out-of-dictionary tokens).
-    pub(crate) ltoks: Vec<u32>,
-    /// Local token id → multiplicity in the message (dense, touched-reset).
-    pub(crate) counts: Vec<u32>,
-    /// Local token ids with nonzero `counts`.
-    pub(crate) touched_tokens: Vec<u32>,
-    /// Local key id → postings overlap bound contribution (dense,
-    /// touched-reset).
-    pub(crate) overlap: Vec<u32>,
-    /// Local key ids with nonzero `overlap`.
-    pub(crate) touched_keys: Vec<u32>,
-    /// (local key, LCS upper bound) candidates surviving the prune.
-    pub(crate) cands: Vec<(u32, usize)>,
-    /// Active/next node frontiers for the exact phase's prefix-tree walk.
-    pub(crate) frontier: (Vec<u32>, Vec<u32>),
-}
-
-impl AutoScratch {
-    const fn new() -> AutoScratch {
-        AutoScratch {
-            ltoks: Vec::new(),
-            counts: Vec::new(),
-            touched_tokens: Vec::new(),
-            overlap: Vec::new(),
-            touched_keys: Vec::new(),
-            cands: Vec::new(),
-            frontier: (Vec::new(), Vec::new()),
         }
     }
 }
@@ -129,8 +104,4 @@ pub(crate) fn with_exact<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
 
 pub(crate) fn with_cands<R>(f: impl FnOnce(&mut Vec<(u32, usize)>) -> R) -> R {
     CANDS.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-pub(crate) fn with_auto<R>(f: impl FnOnce(&mut AutoScratch) -> R) -> R {
-    AUTO.with(|cell| f(&mut cell.borrow_mut()))
 }

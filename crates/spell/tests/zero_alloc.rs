@@ -4,14 +4,17 @@
 //! `tests/support/counting_alloc.rs` so the claims in `parser.rs` are
 //! checked as stated, not approximated:
 //!
-//! * `match_line` against a frozen parser performs **zero** heap
-//!   allocations — tokenise to spans, intern-lookup by byte slice, and
-//!   the compiled automaton all run out of per-thread scratch — also when
-//!   the exact phase's walk holds 256 tree nodes at once;
+//! * `match_line` performs **zero** heap allocations — tokenise to spans,
+//!   intern-lookup by byte slice, the prefix-tree walk and the scoring pass
+//!   all run out of per-thread scratch — on each way a match ends (an exact
+//!   instance, a near miss the scoring pass decides, a line no key
+//!   matches), on an index that carries refinement garbage and on a
+//!   rebuilt one, also when the exact phase's walk holds 256 tree nodes at
+//!   once;
 //! * the `lognlp::format` adapters normalise raw lines (Hadoop, Spark,
 //!   HDFS/BGL header, RFC-3164 syslog, JSON) with **zero** heap allocations — the
 //!   returned record borrows from the input — and feeding an adapted
-//!   message to the frozen matcher stays allocation-free end to end;
+//!   message to the matcher stays allocation-free end to end;
 //! * `parse_spans`, the training door, performs **zero** heap allocations
 //!   for a line that matches a key without changing it — never-seen
 //!   parameter values included — and interns nothing for it; so do its two
@@ -19,12 +22,13 @@
 //!   buffers reused.
 //!
 //! The tests warm the per-thread scratch first: scratch buffers and the
-//! scoring hash maps grow to their high-water mark on the first pass and
+//! scoring pass's dense overlap array grow to their high-water mark on the
+//! first pass and
 //! are reused (cleared, capacity kept) afterwards. The measured passes run
 //! the exact same probes, so any allocation they observe is a genuine
 //! per-line cost, not warmup.
 
-use spell::SpellParser;
+use spell::{KeyId, SpellParser, STAR};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -64,51 +68,79 @@ fn probes() -> Vec<String> {
     p
 }
 
+/// How a match ends, each class measured apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// The prefix-tree walk finds a key the line instantiates.
+    Exact,
+    /// No instance: the scoring pass picks a key by LCS.
+    Scored,
+    /// No key matches.
+    Unknown,
+}
+
+/// The verdict on `line` and how it was reached.
+fn classify(parser: &SpellParser, line: &str) -> (Option<KeyId>, Class) {
+    let Some(id) = parser.match_line(line) else {
+        return (None, Class::Unknown);
+    };
+    let tokens = spell::tokenize_message(line);
+    let key = &parser.key(id).tokens;
+    let instance = key.iter().zip(&tokens).all(|(k, t)| k == STAR || k == t);
+    let class = if instance {
+        Class::Exact
+    } else {
+        Class::Scored
+    };
+    (Some(id), class)
+}
+
 #[test]
-fn frozen_match_line_is_allocation_free() {
+fn match_line_is_allocation_free_on_each_probe_class() {
     let mut trained = SpellParser::default();
     for line in corpus() {
         trained.parse_message(&line);
     }
-    trained.freeze();
-    // The trained templates, and a key set whose prefix tree forks at
-    // every position (one probe keeps 256 nodes live).
+    let mut rebuilt = trained.clone();
+    rebuilt.rebuild_index();
+    // The trained templates as training leaves them (stale postings and
+    // tree paths included) and as detection matches on them, and a key set
+    // whose prefix tree forks at every position (one probe keeps 256 nodes
+    // live).
     let inputs = [
-        (trained, probes(), corpus().len()),
+        ("trained", trained, probes()),
+        ("rebuilt", rebuilt, probes()),
         (
+            "forked",
             forked_keys::forked_parser(),
             forked_keys::forked_probes(),
-            4,
         ),
     ];
-    for (parser, probes, min_hits) in &inputs {
-        assert!(parser.is_frozen());
-
+    for (name, parser, probes) in &inputs {
         // Warmup: grow every scratch buffer to its high-water mark and
         // record the expected verdicts.
-        let expected: Vec<Option<spell::KeyId>> =
-            probes.iter().map(|l| parser.match_line(l)).collect();
-        assert!(
-            expected.iter().filter(|v| v.is_some()).count() >= *min_hits,
-            "probe mix must exercise the hit path"
-        );
-        assert!(
-            expected.iter().any(|v| v.is_none()),
-            "probe mix must exercise the miss path"
-        );
-
-        let before = allocations();
-        for _ in 0..3 {
-            for (line, want) in probes.iter().zip(&expected) {
-                assert_eq!(parser.match_line(line), *want);
+        let verdicts: Vec<(Option<KeyId>, Class)> =
+            probes.iter().map(|l| classify(parser, l)).collect();
+        for class in [Class::Exact, Class::Scored, Class::Unknown] {
+            let lines: Vec<(&String, Option<KeyId>)> = probes
+                .iter()
+                .zip(&verdicts)
+                .filter(|(_, (_, c))| *c == class)
+                .map(|(line, (want, _))| (line, *want))
+                .collect();
+            assert!(!lines.is_empty(), "{name}: no {class:?} probe");
+            let before = allocations();
+            for _ in 0..3 {
+                for (line, want) in &lines {
+                    assert_eq!(parser.match_line(line), *want);
+                }
             }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "{name}: match_line allocated on a steady-state {class:?} probe"
+            );
         }
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "frozen match_line allocated on the steady-state read path"
-        );
     }
 }
 
@@ -282,7 +314,7 @@ fn adapted_ingest_is_allocation_free() {
     for line in corpus() {
         parser.parse_message(&line);
     }
-    parser.freeze();
+    parser.rebuild_index();
     let foreign = foreign_probes();
 
     // Warmup: verify every foreign line adapts to its probe message and
@@ -320,6 +352,6 @@ fn adapted_ingest_is_allocation_free() {
     assert_eq!(
         after - before,
         0,
-        "adapter normalisation + frozen match allocated on the steady state"
+        "adapter normalisation + match allocated on the steady state"
     );
 }

@@ -8,7 +8,7 @@ Three fresh inputs, measured on the host that runs the gate:
 
   END_TO_END  `benchmark/ --seed 11 --seconds 3 --trace 0 --out ...`
   LAYERS      the same with `--trace 1`
-  PIPELINE    `bench_pipeline --out ...` (automaton/linear ratio and the
+  PIPELINE    `bench_pipeline --out ...` (matcher/linear ratio and the
               per-adapter ingest and header-parse rows, which `benchmark/`
               does not have)
 
@@ -41,7 +41,7 @@ sharply than the spread of that workload's own reps; the gateway drops
 no line and sees no protocol error, at the paced rate achieves
 ACHIEVED_MIN of what was offered, and with one connection open and nothing
 to do burns at most IDLE_CPU_MAX ms of CPU per second (it sleeps in
-poll(2); doing nothing costs the same on every host); the automaton beats
+poll(2); doing nothing costs the same on every host); the matcher beats
 the linear scan by RATIO_FLOOR.  Latencies of the paced probe are printed,
 not gated: one host stall inside a 3 s window moves a p99 tenfold.
 
@@ -70,7 +70,7 @@ ACHIEVED_MIN = 0.95  # serve_paced: achieved / offered rate
 # An idle gateway's CPU, ms per second: 0.7-0.8 asleep in poll(2), 19-23 for
 # the timed back-off it replaced (EXPERIMENTS.md "The loop sleeps in poll(2)")
 IDLE_CPU_MAX = 5.0
-RATIO_FLOOR = 3.0  # automaton vs linear matcher, per message
+RATIO_FLOOR = 3.0  # matcher vs linear scan, per message
 
 SERVE = ("serve_saturate", "serve_paced")
 PRINTED = ("gateway.verdict_p99_ms", "gateway.ping_p50_ms", "gateway.ping_p99_ms")
@@ -154,7 +154,7 @@ def check(end_to_end, layers, pipeline, ref_end_to_end, ref_pipeline, contract):
 
     # --- self-relative invariants -----------------------------------------
     ratio = pipeline["spell"]["index_speedup"]
-    gate("ratio", ratio >= RATIO_FLOOR, f"automaton/linear = {ratio:.1f}x >= {RATIO_FLOOR}x")
+    gate("ratio", ratio >= RATIO_FLOOR, f"matcher/linear = {ratio:.1f}x >= {RATIO_FLOOR}x")
 
     cpus = layers["host_cpus"]
     for stage, w in (("detect", "detect_batch"), ("train", "train_batch")):

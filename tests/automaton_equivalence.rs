@@ -1,11 +1,12 @@
-//! Cross-system matcher-equivalence suite for the compiled key automaton.
+//! Cross-system matcher-equivalence suite for Spell's one matcher.
 //!
-//! The frozen automaton is the production read path: `Detector::new`
-//! freezes the trained parser, and deserialised parsers
-//! (`SpellParser::from_parts` — model store, serving, replay) arrive
-//! frozen. A verdict that differs from the live prefix-tree + inverted
-//! index, or from the linear-scan reference, would silently change
-//! detection results, so all three matchers are run over realistic
+//! Training, detection and serving all match on the prefix tree +
+//! inverted index. Training leaves refinement garbage in it (stale postings
+//! and tree paths); `Detector::new` rebuilds it without, and deserialised
+//! parsers (`SpellParser::from_parts` — model store, serving, replay) build
+//! it from the final keys. A verdict that differs between the two, or from
+//! the linear-scan reference, would silently change detection results, so
+//! all three are run over realistic
 //! corpora from **every** dlasim workload generator — Spark, MapReduce,
 //! Tez, Yarn, Nova and TensorFlow — on trained lines, held-out evaluation
 //! lines (fresh parameter values, unseen tokens) and adversarial probes,
@@ -16,7 +17,7 @@
 use dlasim::SystemKind;
 use intellog_core::{sessions_from_text, training_sessions};
 use lognlp::format::AdapterKind;
-use spell::SpellParser;
+use spell::{Session, SpellParser};
 
 #[path = "support/forked_keys.rs"]
 mod forked_keys;
@@ -30,31 +31,51 @@ const ALL_SYSTEMS: [SystemKind; 6] = [
     SystemKind::TensorFlow,
 ];
 
-/// Assert the frozen automaton, the live index (a thawed clone's
-/// `match_ids`) and the linear reference agree on every probe line.
-/// Returns how many probes matched some key, so callers can sanity-check
-/// that the hit path was actually exercised.
-fn assert_three_way(parser: &SpellParser, probes: &[String], ctx: &str) -> usize {
-    assert!(parser.is_frozen(), "{ctx}: parser must be frozen");
-    let mut thawed = parser.clone();
-    thawed.thaw();
+/// Train on `train` and return the parser as training leaves it (its
+/// index never rebuilt) beside the trainer's detector. Holds the two key
+/// sets equal, and holds that `Detector::new` dropped the index garbage.
+fn train_both(train: &[Session], ctx: &str) -> (SpellParser, anomaly::Detector) {
+    let detector = anomaly::Trainer::default().train(train);
+    let mut unrebuilt = SpellParser::default();
+    let (mut spans, mut ids) = (Vec::new(), Vec::new());
+    for line in train.iter().flat_map(|s| &s.lines) {
+        unrebuilt.parse_spans(&line.message, &mut spans, &mut ids);
+    }
+    assert_eq!(unrebuilt.keys(), detector.parser.keys(), "{ctx}: key sets");
+    let mut rebuilt = unrebuilt.clone();
+    rebuilt.rebuild_index();
+    assert_eq!(
+        detector.parser.automaton_stats(),
+        rebuilt.automaton_stats(),
+        "{ctx}: Detector::new must rebuild the index"
+    );
+    (unrebuilt, detector)
+}
+
+/// Assert the never-rebuilt parser, a clone with its index rebuilt and the
+/// linear reference agree on every probe line. Returns how many probes
+/// matched some key, so callers can sanity-check that the hit path was
+/// actually exercised.
+fn assert_three_way(unrebuilt: &SpellParser, probes: &[String], ctx: &str) -> usize {
+    let mut rebuilt = unrebuilt.clone();
+    rebuilt.rebuild_index();
     let mut hits = 0;
     for line in probes {
         let mut spans = Vec::new();
         let mut ids = Vec::new();
-        parser.lookup_line_into(line, &mut spans, &mut ids);
-        let auto = parser.match_ids(&ids);
+        rebuilt.lookup_line_into(line, &mut spans, &mut ids);
+        let got = rebuilt.match_ids(&ids);
         assert_eq!(
-            auto,
-            thawed.match_ids(&ids),
-            "{ctx}: automaton vs live index diverged on {line:?}"
+            got,
+            unrebuilt.match_ids(&ids),
+            "{ctx}: rebuilt vs never-rebuilt index diverged on {line:?}"
         );
         assert_eq!(
-            auto,
-            parser.match_ids_linear(&ids),
-            "{ctx}: automaton vs linear diverged on {line:?}"
+            got,
+            rebuilt.match_ids_linear(&ids),
+            "{ctx}: index vs linear diverged on {line:?}"
         );
-        hits += auto.is_some() as usize;
+        hits += got.is_some() as usize;
     }
     hits
 }
@@ -63,18 +84,14 @@ fn assert_three_way(parser: &SpellParser, probes: &[String], ctx: &str) -> usize
 fn all_six_systems_agree_across_matchers() {
     for system in ALL_SYSTEMS {
         let train = training_sessions(system, 3, 7);
-        let detector = anomaly::Trainer::default().train(&train);
-        assert!(
-            detector.parser.is_frozen(),
-            "{system:?}: Detector::new must freeze the trained parser"
-        );
+        let (parser, _) = train_both(&train, &format!("{system:?}"));
 
         // Trained lines: every one must hit (it founded or refined a key).
         let train_lines: Vec<String> = train
             .iter()
             .flat_map(|s| s.lines.iter().map(|l| l.message.clone()))
             .collect();
-        let hits = assert_three_way(&detector.parser, &train_lines, &format!("{system:?}/train"));
+        let hits = assert_three_way(&parser, &train_lines, &format!("{system:?}/train"));
         assert_eq!(hits, train_lines.len(), "{system:?}: trained line missed");
 
         // Held-out evaluation corpus from a different seed: same templates,
@@ -83,7 +100,7 @@ fn all_six_systems_agree_across_matchers() {
             .iter()
             .flat_map(|s| s.lines.iter().map(|l| l.message.clone()))
             .collect();
-        let hits = assert_three_way(&detector.parser, &eval_lines, &format!("{system:?}/eval"));
+        let hits = assert_three_way(&parser, &eval_lines, &format!("{system:?}/eval"));
         assert!(hits > 0, "{system:?}: held-out corpus never hit");
 
         // Adversarial probes: empty, whitespace, single token, pure
@@ -98,25 +115,21 @@ fn all_six_systems_agree_across_matchers() {
                 .collect::<Vec<_>>()
                 .join(" "),
         ];
-        assert_three_way(
-            &detector.parser,
-            &adversarial,
-            &format!("{system:?}/adversarial"),
-        );
+        assert_three_way(&parser, &adversarial, &format!("{system:?}/adversarial"));
     }
 }
 
 /// Adapter-normalised corpora flow through the same three-way check:
 /// messages recovered from renderings of every system's detection corpus
 /// in each of the five line syntaxes must get identical verdicts from the
-/// automaton, the live index and the linear reference. The adapters hand
+/// never-rebuilt index, the rebuilt one and the linear reference. The adapters hand
 /// Spell byte-identical message bodies, so the held-out hit rate must be
 /// non-zero exactly as it is on the structural path.
 #[test]
 fn adapter_normalized_corpora_agree_across_matchers() {
     for system in ALL_SYSTEMS {
         let train = training_sessions(system, 2, 7);
-        let detector = anomaly::Trainer::default().train(&train);
+        let (parser, _) = train_both(&train, &format!("{system:?}"));
         let mut gen = dlasim::WorkloadGen::new(60 + system as u64, 8);
         let job = dlasim::generate(&gen.detection_config(system, 0), None);
         for format in AdapterKind::ALL {
@@ -126,10 +139,29 @@ fn adapter_normalized_corpora_agree_across_matchers() {
                 .collect();
             let ctx = format!("{system:?}/{}", format.name());
             assert!(!probes.is_empty(), "{ctx}: adapted corpus is empty");
-            let hits = assert_three_way(&detector.parser, &probes, &ctx);
+            let hits = assert_three_way(&parser, &probes, &ctx);
             assert!(hits > 0, "{ctx}: adapted corpus never hit a key");
         }
     }
+}
+
+/// `bench_pipeline`'s 1,200-key synthetic set, as its training left it:
+/// two instances per key, so every key was refined once and the index
+/// holds what the threshold rebuilds have not yet dropped. Exact
+/// instances, near misses and unknown lines all cross the three matchers.
+#[test]
+fn synthetic_key_set_agrees_across_matchers() {
+    let (parser, probes) = intellog_bench::synthetic_keyset(1200, 600);
+    assert_eq!(parser.len(), 1200);
+    let mut rebuilt = parser.clone();
+    rebuilt.rebuild_index();
+    let stats = |p: &SpellParser| p.automaton_stats().expect("index stats").states;
+    assert!(
+        stats(&parser) > stats(&rebuilt),
+        "the synthetic set must carry index garbage"
+    );
+    let hits = assert_three_way(&parser, &probes, "synthetic");
+    assert_eq!(hits, probes.len() * 9 / 10, "every unknown probe misses");
 }
 
 /// A wide walk: one probe keeps all 256 leaves of a length bucket's
@@ -139,7 +171,7 @@ fn adapter_normalized_corpora_agree_across_matchers() {
 fn forked_key_set_agrees_across_matchers() {
     let parser = forked_keys::forked_parser();
     assert_eq!(parser.len(), 256);
-    let stats = parser.automaton_stats().expect("a loaded parser is frozen");
+    let stats = parser.automaton_stats().expect("index stats");
     assert_eq!(stats.buckets, 1);
     // Every prefix of a fork pattern is a node; the tail adds two per leaf.
     assert_eq!(stats.states, (1 << 9) - 1 + 2 * 256);
@@ -161,22 +193,27 @@ fn forked_key_set_agrees_across_matchers() {
     }
 }
 
-/// Serialise → deserialise must land on a frozen parser whose verdicts are
-/// identical to the original — the model-store / serving load path.
+/// Serialise → deserialise must land on a parser whose verdicts are
+/// identical to the trained one's — the model-store / serving load path —
+/// with no index garbage to drop.
 #[test]
-fn deserialized_parser_is_frozen_and_equivalent() {
+fn deserialized_parser_is_equivalent() {
     let train = training_sessions(SystemKind::Spark, 3, 7);
     let detector = anomaly::Trainer::default().train(&train);
     let json = serde_json::to_string(&detector.parser).expect("serialize parser");
-    let thawed: SpellParser = serde_json::from_str(&json).expect("deserialize parser");
-    assert!(thawed.is_frozen(), "from_parts must freeze");
+    let loaded: SpellParser = serde_json::from_str(&json).expect("deserialize parser");
+    assert_eq!(
+        loaded.automaton_stats(),
+        detector.parser.automaton_stats(),
+        "from_parts builds the index the trainer's rebuild does"
+    );
     let probes: Vec<String> = training_sessions(SystemKind::Spark, 2, 91)
         .iter()
         .flat_map(|s| s.lines.iter().map(|l| l.message.clone()))
         .collect();
     for line in &probes {
         assert_eq!(
-            thawed.match_line(line),
+            loaded.match_line(line),
             detector.parser.match_line(line),
             "round-tripped parser diverged on {line:?}"
         );

@@ -24,7 +24,7 @@ fn forked_mask(k: u32) -> u32 {
     (k * 37 + 11) % (1 << FORKS)
 }
 
-/// A frozen parser over the 256 forked keys, loaded the way a model file
+/// A parser over the 256 forked keys, loaded the way a model file
 /// is (`SpellParser`'s serialised form).
 pub fn forked_parser() -> SpellParser {
     let keys: Vec<LogKey> = (0..1 << FORKS)
