@@ -18,10 +18,32 @@ use crate::instance::{GroupInstance, HwInstance};
 use crate::report::{Anomaly, SessionReport};
 use crate::stream::StreamState;
 use extract::{IntelKey, SessionLog};
-use hwgraph::{rows_by_group, split_instances_into, FirstSeen, GroupRel, HwGraph, InstanceSplit};
+use hwgraph::{
+    split_instances_into, FirstSeen, GroupRows, HwGraph, InstanceSplit, SignatureNumbers,
+};
 use serde::{Deserialize, Serialize};
 use spell::{KeyId, Session, SpellParser};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The working arrays of the end-of-session checks, kept by each thread
+/// that closes sessions (a serving shard, a detection helper, the verdict
+/// path): grown to the widest model and the longest session it has closed,
+/// refilled by the next close, never dropped while the thread lives. Owned
+/// by the close, they would be allocated at every one.
+#[derive(Default)]
+struct CloseScratch {
+    /// The session's rows by entity group.
+    groups: GroupRows,
+    /// Algorithm 2's instances of every group, one group after another.
+    split: InstanceSplit,
+    /// The current group's learned signatures in the log's type numbers.
+    sigs: SignatureNumbers,
+}
+
+thread_local! {
+    static CLOSE: RefCell<CloseScratch> = RefCell::default();
+}
 
 /// A trained IntelLog model ready for detection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -109,40 +131,59 @@ impl Detector {
 
     /// The end-of-session structural checks (§4.2 steps 2–5): subroutine
     /// instances, critical keys, BEFORE orders, mandatory groups, hierarchy.
-    /// Run over the session's log of matched lines. With `instance` given,
-    /// the per-group HW-graph instance material is rendered into it;
-    /// without, only what a reported anomaly quotes is.
+    /// Run over the session's log of matched lines, on the calling thread's
+    /// [`CloseScratch`]. With `instance` given, the per-group HW-graph
+    /// instance material is rendered into it; without, only what a reported
+    /// anomaly quotes is.
     pub(crate) fn structural_checks(
         &self,
         log: &SessionLog,
         report: &mut SessionReport,
+        instance: Option<&mut BTreeMap<usize, GroupInstance>>,
+    ) {
+        CLOSE.with(|scratch| self.check_with(&mut scratch.borrow_mut(), log, report, instance))
+    }
+
+    // lint: ingest-hot(begin)
+    /// [`Detector::structural_checks`] on the working arrays `scratch`.
+    fn check_with(
+        &self,
+        scratch: &mut CloseScratch,
+        log: &SessionLog,
+        report: &mut SessionReport,
         mut instance: Option<&mut BTreeMap<usize, GroupInstance>>,
     ) {
+        let CloseScratch {
+            groups: per_group,
+            split,
+            sigs,
+        } = scratch;
         let verdicts_before = report.anomalies.len();
         // 2. Route matched lines into groups; track lifespans.
-        let per_group = rows_by_group(&self.graph.key_groups, log);
-        let span_of = |g: usize| per_group.get(&g).map(|(span, _)| span);
+        per_group.fill(&self.graph.key_groups, log);
 
         // The session is checked against its best-matching *session
         // profile* (session type): heterogeneous containers (AM vs map vs
         // reduce) have different mandatory groups and subroutine shapes.
-        let fingerprint: BTreeSet<usize> = per_group.keys().copied().collect();
-        let matched = self.graph.profiles.best_match_scored(&fingerprint);
+        let matched = self.graph.profiles.best_match_scored(per_group.groups());
         let profile = matched.map(|(_, p, _)| p);
 
         // 3. Per-group subroutine-instance checks, the groups split one
         //    after the other into one set of arrays (as the trainer does).
-        let mut split = InstanceSplit::default();
-        for (&g, (span, rows)) in &per_group {
+        split.clear();
+        for (g, span, rows) in per_group.iter() {
             let gm = &self.graph.groups[g];
+            sigs.clear();
             let profile_subs = profile.and_then(|p| p.subroutines.get(&g));
-            let range = split_instances_into(log, rows, &mut split);
+            let profile_subs = profile_subs.map(|set| sigs.add(set));
+            let group_subs = sigs.add(&gm.subroutines);
+            let range = split_instances_into(log, rows, split);
             if let Some(groups) = instance.as_deref_mut() {
                 groups.insert(
                     g,
                     GroupInstance {
                         group: gm.name.clone(),
-                        lifespan: Some(*span),
+                        lifespan: Some(span),
                         subroutines: split
                             .instances(log, range.clone())
                             .map(|i| i.render())
@@ -156,8 +197,9 @@ impl Detector {
                 // one for signatures the profile never saw (a signature is
                 // only *unknown* if neither learner knows it).
                 let model = profile_subs
-                    .and_then(|s| s.of_instance(inst))
-                    .or_else(|| gm.subroutines.of_instance(inst));
+                    .as_ref()
+                    .and_then(|set| sigs.of_instance(set, inst))
+                    .or_else(|| sigs.of_instance(&group_subs, inst));
                 match model {
                     None => report.anomalies.push(Anomaly::UnknownSignature {
                         group: gm.name.clone(),
@@ -205,7 +247,7 @@ impl Detector {
                     // §6.3 definition) are load-bearing enough that their
                     // absence flags a session; single-key probabilistic
                     // groups (an occasional GC line) are not.
-                    if self.graph.groups[g].critical && !per_group.contains_key(&g) {
+                    if self.graph.groups[g].critical && !per_group.contains(g) {
                         report.anomalies.push(Anomaly::MissingGroup {
                             group: self.graph.groups[g].name.clone(),
                         });
@@ -214,10 +256,11 @@ impl Detector {
             }
         }
 
-        // 5. Hierarchy checks on instance lifespans.
+        // 5. Hierarchy checks on instance lifespans; relations other than
+        //    parent/before need no check.
         for (g, node) in self.graph.hierarchy.nodes.iter().enumerate() {
-            if let (Some(p), Some(lg)) = (node.parent, span_of(g)) {
-                if let Some(lp) = span_of(p) {
+            if let (Some(p), Some(lg)) = (node.parent, per_group.span(g)) {
+                if let Some(lp) = per_group.span(p) {
                     if !lg.within(lp) {
                         report.anomalies.push(Anomaly::HierarchyViolation {
                             parent: self.graph.groups[p].name.clone(),
@@ -227,7 +270,7 @@ impl Detector {
                 }
             }
             for &b in &node.before {
-                if let (Some(la), Some(lb)) = (span_of(g), span_of(b)) {
+                if let (Some(la), Some(lb)) = (per_group.span(g), per_group.span(b)) {
                     if !la.before(lb) {
                         report.anomalies.push(Anomaly::GroupOrderViolation {
                             before: self.graph.groups[g].name.clone(),
@@ -237,11 +280,11 @@ impl Detector {
                 }
             }
         }
-        let _ = GroupRel::Parallel; // relations other than parent/before need no check
         crate::report::count_verdicts(&report.anomalies[verdicts_before..]);
-        obs::add!("hwgraph.instance_groups", per_group.len() as u64);
+        obs::add!("hwgraph.instance_groups", per_group.groups().len() as u64);
         obs::add!("hwgraph.instances", split.len() as u64);
     }
+    // lint: ingest-hot(end)
 
     /// Map entity phrases to group names via the trained grouping: the
     /// `groups` an unexpected message is reported with.
@@ -333,7 +376,15 @@ mod tests {
         );
         let r = d.detect_session(&s);
         assert!(r.is_problematic());
-        let unexpected = r.unexpected_messages();
+        // the messages `diagnose` reads: the report's unexpected ones
+        let unexpected: Vec<_> = r
+            .anomalies
+            .iter()
+            .filter_map(|a| match a {
+                Anomaly::UnexpectedMessage { intel, .. } => Some(intel),
+                _ => None,
+            })
+            .collect();
         assert_eq!(unexpected.len(), 1);
         assert!(
             unexpected[0].entities.contains(&"spill".to_string()),

@@ -163,17 +163,6 @@ impl SessionReport {
     pub fn is_problematic(&self) -> bool {
         !self.anomalies.is_empty()
     }
-
-    /// All unexpected messages, for query-based diagnosis.
-    pub fn unexpected_messages(&self) -> Vec<&IntelMessage> {
-        self.anomalies
-            .iter()
-            .filter_map(|a| match a {
-                Anomaly::UnexpectedMessage { intel, .. } => Some(intel),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// The detection result for one job (many sessions).

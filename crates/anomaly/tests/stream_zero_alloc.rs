@@ -225,3 +225,49 @@ fn memo_hit_allocates_only_the_message_it_reports() {
         allocated / HITS
     );
 }
+
+/// A clean session of `tasks` tasks, each started and finished, their lines
+/// interleaved, with a key-value dump between them.
+fn clean_session(tasks: u64) -> Vec<LogLine> {
+    let starts = (0..tasks).map(|i| task_line(10 * i, i % VALUES, i % VALUES));
+    let dumps = (0..tasks).map(|i| resource_line(10 * i + 3, i % VALUES, 1, 2));
+    let finishes = (0..tasks).map(|i| {
+        let v = i % VALUES;
+        let text = format!("Finished task {v} in stage {v} and sent 9 bytes to driver");
+        line(10 * i + 5, text)
+    });
+    let mut lines: Vec<LogLine> = starts.chain(dumps).chain(finishes).collect();
+    lines.sort_by_key(|l| l.ts_ms);
+    lines
+}
+
+/// Closing a session runs the end-of-session checks on the thread's working
+/// arrays: once a thread has closed a session as wide, `finish` of a clean
+/// one allocates nothing — no map of rows by group, no fingerprint set, no
+/// split, no signature strings. (It made 66 allocations on a 36-line Spark
+/// session while each close owned its arrays.)
+#[test]
+fn finish_allocates_nothing_on_a_warm_thread() {
+    let detector = trained();
+    let close = |lines: &[LogLine]| {
+        let mut state = StreamState::begin("live");
+        fed(&mut state, &detector, lines);
+        let before = allocations();
+        let report = state.finish(&detector);
+        (allocations() - before, report)
+    };
+    // Warm-up: a wider session grows every working array past what the
+    // measured ones need.
+    let (_, report) = close(&clean_session(VALUES));
+    assert!(!report.is_problematic(), "{:?}", report.anomalies);
+
+    for tasks in [1, 4, VALUES] {
+        let (allocated, report) = close(&clean_session(tasks));
+        assert!(!report.is_problematic(), "{:?}", report.anomalies);
+        assert_eq!(report.lines as u64, 3 * tasks);
+        assert_eq!(
+            allocated, 0,
+            "finish of a clean {tasks}-task session allocated on a warm thread"
+        );
+    }
+}

@@ -132,20 +132,14 @@ impl SessionLog {
         self.rows.push(Row { key_id, ts_ms, ids });
     }
 
-    /// Number `name` among the type names, adding it if new. They are a
-    /// handful, so a scan beats hashing.
+    /// Number `name` among the type names, adding it if new.
     fn type_number(&mut self, name: &str) -> u32 {
-        let known = self
-            .types
-            .iter()
-            .position(|&t| self.text[t.range()] == *name);
-        let n = known.unwrap_or_else(|| {
+        self.find_type(name).unwrap_or_else(|| {
             let start = self.text.len();
             self.text.push_str(name);
             self.types.push(Run::tail_of(self.text.as_bytes(), start));
-            self.types.len() - 1
-        });
-        number(n)
+            number(self.types.len() - 1)
+        })
     }
 
     fn hash(&self, spelling: Run) -> usize {
@@ -244,6 +238,16 @@ impl SessionLog {
     /// How many distinct values the session has; value numbers are below it.
     pub fn value_count(&self) -> usize {
         self.values.len()
+    }
+
+    /// The number of the identifier type named `name`, if a row carries
+    /// one. They are a handful, so a scan beats hashing.
+    pub fn find_type(&self, name: &str) -> Option<u32> {
+        let (text, name) = (self.text.as_bytes(), name.as_bytes());
+        self.types
+            .iter()
+            .position(|&t| text[t.range()] == *name)
+            .map(number)
     }
 
     /// The identifier type numbered `ty`.

@@ -11,30 +11,115 @@ use crate::hierarchy::Hierarchy;
 use crate::lifespan::{GroupRelations, Lifespan};
 use crate::profile::ProfileSet;
 use crate::subroutine::{split_instances_into, InstanceSplit, SubroutineSet};
+use extract::record::{number, Run};
 use extract::{IntelKey, IntelMessage, SessionLog};
 use serde::{Deserialize, Serialize};
 use spell::KeyId;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// One session's rows routed to the entity groups their keys belong to: per
-/// group, its lifespan in the session and its rows of `log`, in order. (A
-/// BTreeMap, so whatever walks the groups does so in a fixed order.)
-pub fn rows_by_group(
-    key_groups: &BTreeMap<KeyId, Vec<usize>>,
-    log: &SessionLog,
-) -> BTreeMap<usize, (Lifespan, Vec<u32>)> {
-    let mut per_group: BTreeMap<usize, (Lifespan, Vec<u32>)> = BTreeMap::new();
-    for (r, m) in (0u32..).zip(log.rows()) {
-        for &g in key_groups.get(&m.key_id).map_or(&[][..], Vec::as_slice) {
-            let (span, rows) = per_group
-                .entry(g)
-                .or_insert_with(|| (Lifespan::at(m.ts_ms), Vec::new()));
-            span.extend(m.ts_ms);
-            rows.push(r);
+/// group present, its lifespan in the session and its rows of the log, in
+/// order; groups are walked in ascending order.
+///
+/// Working arrays, not a result: [`GroupRows::fill`] overwrites them, and
+/// whoever groups sessions keeps one and refills it — the end-of-session
+/// checks one per thread, [`SessionPart::new`] one per thread too — so a
+/// warm one allocates only to grow past the widest model and the longest
+/// session it has grouped. Arrays indexed by group are reset through the
+/// list of groups present, as the split's lists are through the lists
+/// touched: a refill costs the session, not the model.
+#[derive(Debug, Default)]
+pub struct GroupRows {
+    /// The groups present, ascending.
+    present: Vec<usize>,
+    /// Per group: `true` while it is in `present`.
+    member: Vec<bool>,
+    /// Per group present: its lifespan.
+    spans: Vec<Lifespan>,
+    /// Per group present: its run of `rows`.
+    runs: Vec<Run>,
+    /// Every present group's rows, group after group, in order within each.
+    rows: Vec<u32>,
+    /// `(group, row)` of every routing, in row order.
+    routed: Vec<(u32, u32)>,
+}
+
+impl GroupRows {
+    // lint: ingest-hot(begin)
+    /// Route `log`'s rows to the groups `key_groups` gives their keys.
+    pub fn fill(&mut self, key_groups: &BTreeMap<KeyId, Vec<usize>>, log: &SessionLog) {
+        let GroupRows {
+            present,
+            member,
+            spans,
+            runs,
+            rows,
+            routed,
+        } = self;
+        for &g in present.iter() {
+            member[g] = false;
+        }
+        present.clear();
+        routed.clear();
+        for (r, m) in (0u32..).zip(log.rows()) {
+            for &g in key_groups.get(&m.key_id).map_or(&[][..], Vec::as_slice) {
+                if g >= member.len() {
+                    member.resize(g + 1, false);
+                    spans.resize(g + 1, Lifespan::at(0));
+                    runs.resize(g + 1, Run::default());
+                }
+                if !member[g] {
+                    member[g] = true;
+                    present.push(g);
+                    spans[g] = Lifespan::at(m.ts_ms);
+                    runs[g].len = 0;
+                }
+                spans[g].extend(m.ts_ms);
+                runs[g].len += 1;
+                routed.push((number(g), r));
+            }
+        }
+        present.sort_unstable();
+        // Lay the groups' rows out in group order; each run's `len` counts
+        // its rows placed so far.
+        let mut start = 0;
+        for &g in present.iter() {
+            let run = &mut runs[g];
+            run.start = start;
+            start += run.len;
+            run.len = 0;
+        }
+        rows.resize(start as usize, 0);
+        for &(g, r) in routed.iter() {
+            let run = &mut runs[g as usize];
+            rows[(run.start + run.len) as usize] = r;
+            run.len += 1;
         }
     }
-    per_group
+    // lint: ingest-hot(end)
+
+    /// The groups present, ascending: the session's fingerprint.
+    pub fn groups(&self) -> &[usize] {
+        &self.present
+    }
+
+    /// `true` if group `g` is present.
+    pub fn contains(&self, g: usize) -> bool {
+        self.member.get(g).copied().unwrap_or(false)
+    }
+
+    /// Group `g`'s lifespan, if it is present.
+    pub fn span(&self, g: usize) -> Option<&Lifespan> {
+        self.contains(g).then(|| &self.spans[g])
+    }
+
+    /// Per group present, ascending: the group, its lifespan and its rows.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Lifespan, &[u32])> + '_ {
+        let of = |&g: &usize| (g, self.spans[g], self.runs[g].of(&self.rows));
+        self.present.iter().map(of)
+    }
 }
 
 /// One entity group of a HW-graph with its learned behaviour.
@@ -120,6 +205,8 @@ pub struct GraphBuilder {
     session_lifespans: Vec<Vec<(usize, Lifespan)>>,
     key_repeats_in_session: BTreeSet<KeyId>,
     total_msgs: usize,
+    /// The groups of the session being absorbed, ascending.
+    fingerprint: Vec<usize>,
 }
 
 /// One session's share of the training, computed by [`SessionPart::new`]
@@ -147,7 +234,6 @@ impl SessionPart {
     /// repeating keys (the critical-group criterion), from the session's
     /// log, which the part keeps, given the plan's key → groups map.
     pub fn new(key_groups: &BTreeMap<KeyId, Vec<usize>>, log: SessionLog) -> Self {
-        let per_group = rows_by_group(key_groups, &log);
         let mut keys: Vec<KeyId> = log.rows().iter().map(|m| m.key_id).collect();
         keys.sort_unstable();
         let mut repeating_keys: Vec<KeyId> = keys
@@ -157,18 +243,29 @@ impl SessionPart {
             .collect();
         repeating_keys.dedup();
         let mut split = InstanceSplit::default();
-        let instances = per_group
-            .iter()
-            .map(|(&g, (_, rows))| (g, split_instances_into(&log, rows, &mut split)))
-            .collect();
+        let (lifespans, instances) = GROUP_ROWS.with(|groups| {
+            let groups = &mut *groups.borrow_mut();
+            groups.fill(key_groups, &log);
+            let lifespans = groups.iter().map(|(g, span, _)| (g, span)).collect();
+            let instances = groups
+                .iter()
+                .map(|(g, _, rows)| (g, split_instances_into(&log, rows, &mut split)))
+                .collect();
+            (lifespans, instances)
+        });
         SessionPart {
-            lifespans: per_group.iter().map(|(&g, &(span, _))| (g, span)).collect(),
+            lifespans,
             repeating_keys,
             instances,
             split,
             log,
         }
     }
+}
+
+thread_local! {
+    /// The rows-by-group arrays of the sessions this thread cuts into parts.
+    static GROUP_ROWS: RefCell<GroupRows> = RefCell::default();
 }
 
 impl GraphBuilder {
@@ -215,6 +312,7 @@ impl GraphBuilder {
             session_lifespans: Vec::new(),
             key_repeats_in_session: BTreeSet::new(),
             total_msgs: 0,
+            fingerprint: Vec::new(),
         }
     }
 
@@ -229,7 +327,9 @@ impl GraphBuilder {
         let instances = |range| part.split.instances(&part.log, range);
         let rows = part.log.len();
         if rows > 0 {
-            let profile = self.profiles.join(groups().map(|(g, _)| g).collect());
+            self.fingerprint.clear();
+            self.fingerprint.extend(groups().map(|(g, _)| g));
+            let profile = self.profiles.join(&self.fingerprint);
             for (g, range) in groups() {
                 let learner = profile.subroutines.entry(g).or_default();
                 learner.train_instances(instances(range));
@@ -254,6 +354,7 @@ impl GraphBuilder {
             session_lifespans,
             key_repeats_in_session,
             total_msgs,
+            fingerprint: _,
         } = self;
         let sessions = session_lifespans.len();
 
@@ -608,7 +709,8 @@ mod tests {
                     per_group.entry(g).or_default().push(m);
                 }
             }
-            let profile = expected.profiles.join(per_group.keys().copied().collect());
+            let fingerprint: Vec<usize> = per_group.keys().copied().collect();
+            let profile = expected.profiles.join(&fingerprint);
             for (g, msgs) in &per_group {
                 let instances = split_instances_oracle(msgs);
                 let learner = profile.subroutines.entry(*g).or_default();

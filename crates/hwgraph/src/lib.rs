@@ -23,12 +23,12 @@ pub mod lifespan;
 pub mod profile;
 pub mod subroutine;
 
-pub use graph::{rows_by_group, GraphBuilder, GraphStats, GroupModel, HwGraph, SessionPart};
+pub use graph::{GraphBuilder, GraphStats, GroupModel, GroupRows, HwGraph, SessionPart};
 pub use group::{group_entities, longest_common_phrase, EntityGroup, Grouping};
 pub use hierarchy::{Hierarchy, HierarchyNode};
 pub use lifespan::{GroupRel, GroupRelations, Lifespan};
 pub use profile::{ProfileSet, SessionProfile};
 pub use subroutine::{
-    split_instances_into, FirstSeen, Instance, InstanceSplit, Signature, Subroutine,
-    SubroutineInstance, SubroutineSet,
+    split_instances_into, FirstSeen, Instance, InstanceSplit, NumberedSet, Signature,
+    SignatureNumbers, Subroutine, SubroutineInstance, SubroutineSet,
 };

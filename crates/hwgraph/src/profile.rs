@@ -30,14 +30,21 @@ pub struct SessionProfile {
 }
 
 impl SessionProfile {
-    /// Jaccard similarity between this profile's group set and a
-    /// fingerprint.
-    pub fn similarity(&self, fingerprint: &BTreeSet<usize>) -> f64 {
+    /// Jaccard similarity between this profile's group set and a session's
+    /// fingerprint: the groups it touches, ascending and distinct. The
+    /// shared groups are counted by walking both in order, so scoring a
+    /// session builds no set.
+    pub fn similarity(&self, fingerprint: &[usize]) -> f64 {
         if self.groups.is_empty() && fingerprint.is_empty() {
             return 1.0;
         }
-        let inter = self.groups.intersection(fingerprint).count();
-        let union = self.groups.union(fingerprint).count();
+        let mut rest = fingerprint.iter().peekable();
+        let shared = self.groups.iter().filter(|&&g| {
+            while rest.next_if(|&&f| f < g).is_some() {}
+            rest.next_if_eq(&&g).is_some()
+        });
+        let inter = shared.count();
+        let union = self.groups.len() + fingerprint.len() - inter;
         inter as f64 / union.max(1) as f64
     }
 }
@@ -70,23 +77,23 @@ impl ProfileSet {
         self.profiles.is_empty()
     }
 
-    /// Count one session with this group fingerprint into the profile it
-    /// clusters with (a new one if none is similar enough) and return that
-    /// profile, whose per-group learners the caller then trains on the
-    /// session's subroutine instances.
-    pub(crate) fn join(&mut self, fingerprint: BTreeSet<usize>) -> &mut SessionProfile {
+    /// Count one session with this group fingerprint (ascending, distinct)
+    /// into the profile it clusters with (a new one if none is similar
+    /// enough) and return that profile, whose per-group learners the caller
+    /// then trains on the session's subroutine instances.
+    pub(crate) fn join(&mut self, fingerprint: &[usize]) -> &mut SessionProfile {
         let best = self
             .profiles
             .iter()
             .enumerate()
-            .map(|(i, p)| (i, p.similarity(&fingerprint)))
+            .map(|(i, p)| (i, p.similarity(fingerprint)))
             .max_by(|a, b| a.1.total_cmp(&b.1));
         let idx = match best {
             Some((i, sim)) if sim >= self.threshold => i,
             _ => {
                 self.profiles.push(SessionProfile {
                     groups: BTreeSet::new(),
-                    mandatory: fingerprint.clone(),
+                    mandatory: fingerprint.iter().copied().collect(),
                     subroutines: BTreeMap::new(),
                     sessions_seen: 0,
                 });
@@ -95,16 +102,16 @@ impl ProfileSet {
         };
         let p = &mut self.profiles[idx];
         p.groups.extend(fingerprint.iter().copied());
-        p.mandatory.retain(|g| fingerprint.contains(g));
+        p.mandatory.retain(|g| fingerprint.binary_search(g).is_ok());
         p.sessions_seen += 1;
         p
     }
 
-    /// Best-matching profile for a fingerprint (detection time), with the
-    /// similarity score.
+    /// Best-matching profile for a fingerprint — the session's groups,
+    /// ascending and distinct (detection time) — with the similarity score.
     pub fn best_match_scored(
         &self,
-        fingerprint: &BTreeSet<usize>,
+        fingerprint: &[usize],
     ) -> Option<(usize, &SessionProfile, f64)> {
         self.profiles
             .iter()
@@ -128,7 +135,8 @@ mod tests {
     }
 
     fn train(ps: &mut ProfileSet, s: &BTreeMap<usize, SessionLog>) {
-        let profile = ps.join(s.keys().copied().collect());
+        let fingerprint: Vec<usize> = s.keys().copied().collect();
+        let profile = ps.join(&fingerprint);
         for (g, log) in s {
             let split = split_instances(log, &all_rows(log));
             let learner = profile.subroutines.entry(*g).or_default();
@@ -151,11 +159,11 @@ mod tests {
             train(&mut ps, &red_s);
         }
         assert_eq!(ps.len(), 2);
-        let fp_map: BTreeSet<usize> = [0, 1].into();
+        let fp_map = [0, 1];
         let (i, p, score) = ps.best_match_scored(&fp_map).unwrap();
-        assert_eq!(p.mandatory, fp_map);
+        assert_eq!(p.mandatory, fp_map.into());
         assert_eq!(score, 1.0, "the fingerprint the profile was learned from");
-        let fp_red: BTreeSet<usize> = [5, 6, 7].into();
+        let fp_red = [5, 6, 7];
         let (j, _, _) = ps.best_match_scored(&fp_red).unwrap();
         assert_ne!(i, j);
     }
@@ -194,8 +202,7 @@ mod tests {
             train(&mut ps, &map_s);
             train(&mut ps, &am_s);
         }
-        let fp: BTreeSet<usize> = [0].into();
-        let (_, p, _) = ps.best_match_scored(&fp).unwrap();
+        let (_, p, _) = ps.best_match_scored(&[0]).unwrap();
         let sub = p.subroutines[&0]
             .get(&BTreeSet::from(["A".to_string()]))
             .expect("A-signature subroutine");
@@ -207,7 +214,7 @@ mod tests {
     #[test]
     fn empty_profileset_matches_nothing() {
         let ps = ProfileSet::new();
-        assert!(ps.best_match_scored(&BTreeSet::new()).is_none());
+        assert!(ps.best_match_scored(&[]).is_none());
         assert!(ps.is_empty());
     }
 }

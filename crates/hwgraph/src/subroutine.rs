@@ -157,7 +157,8 @@ struct Numbered {
 /// them takes the log they number ([`InstanceSplit::instances`]), so a split
 /// and its log can travel together without one borrowing the other. The
 /// learners and the end-of-session checks read key sequences and compare
-/// signatures through it as they are; [`Instance::signature`] /
+/// signatures through it as they are ([`Instance::has_signature`],
+/// [`SignatureNumbers`]); [`Instance::signature`] /
 /// [`Instance::id_values`] build the strings of one instance (an anomaly
 /// being reported, a new signature) and [`InstanceSplit::render`] those of
 /// all of them (a [`SubroutineInstance`] list for inspection).
@@ -191,6 +192,15 @@ impl InstanceSplit {
     /// `true` for an empty message sequence.
     pub fn is_empty(&self) -> bool {
         self.instances.is_empty()
+    }
+
+    /// Empty the split, keeping its arrays' room for the next session.
+    pub fn clear(&mut self) {
+        self.value_sets.clear();
+        self.type_sets.clear();
+        self.message_indices.clear();
+        self.keys.clear();
+        self.instances.clear();
     }
 
     /// The instances over `log`, the one they were split from: the NONE
@@ -237,9 +247,13 @@ impl<'s> Instance<'s> {
         self.raw.messages.of(&self.split.keys)
     }
 
+    /// The log's numbers of the identifier types seen, each once.
+    fn type_numbers(&self) -> &'s [u32] {
+        self.raw.types.of(&self.split.type_sets)
+    }
+
     fn type_names(&self) -> impl Iterator<Item = &'s str> + '_ {
-        let types = self.raw.types.of(&self.split.type_sets);
-        types.iter().map(|&t| self.log.type_name(t))
+        self.type_numbers().iter().map(|&t| self.log.type_name(t))
     }
 
     /// `true` if the instance's identifier types are exactly `signature`.
@@ -543,11 +557,6 @@ impl SubroutineSet {
         self.subs.iter().find(|s| &s.signature == signature)
     }
 
-    /// The subroutine an instance belongs to (by signature), if learned.
-    pub fn of_instance(&self, inst: Instance<'_>) -> Option<&Subroutine> {
-        self.subs.iter().find(|s| inst.has_signature(&s.signature))
-    }
-
     /// Consume the instances of one session's group-local messages
     /// (training).
     pub fn train_instances<'s>(&mut self, instances: impl Iterator<Item = Instance<'s>>) {
@@ -581,11 +590,98 @@ impl SubroutineSet {
     pub fn is_empty(&self) -> bool {
         self.subs.is_empty()
     }
+}
 
-    /// Longest key skeleton length over all subroutines.
-    pub fn max_len(&self) -> usize {
-        self.subs.iter().map(|s| s.keys.len()).max().unwrap_or(0)
+/// The signatures of some [`SubroutineSet`]s spelt in one session log's
+/// type numbers, so that the end-of-session checks find an instance's
+/// subroutine by comparing integers. A signature's names are looked up
+/// among the log's few type names the first time an instance of its size
+/// meets it, once per set added, where [`Instance::has_signature`] looks
+/// each instance's names up in the signature's string set. Working arrays,
+/// like [`GroupRows`](crate::GroupRows): kept by the caller, emptied by
+/// [`SignatureNumbers::clear`].
+#[derive(Debug, Default)]
+pub struct SignatureNumbers {
+    /// Every spelt signature's type numbers, one run each.
+    types: Vec<u32>,
+    /// Per signature of the sets added, in order.
+    sigs: Vec<Spelt>,
+}
+
+/// One signature in a [`SignatureNumbers`].
+#[derive(Debug, Clone, Copy)]
+enum Spelt {
+    /// Not looked up yet.
+    Pending,
+    /// The log has no type of one of its names: no instance carries it.
+    Absent,
+    /// Its run of `types`.
+    Types(Run),
+}
+
+/// A [`SubroutineSet`] added to a [`SignatureNumbers`].
+#[derive(Debug, Clone)]
+pub struct NumberedSet<'m> {
+    set: &'m SubroutineSet,
+    sigs: Range<usize>,
+}
+
+impl SignatureNumbers {
+    /// Forget every set added, keeping the arrays' room.
+    pub fn clear(&mut self) {
+        self.types.clear();
+        self.sigs.clear();
     }
+
+    // lint: ingest-hot(begin)
+    /// Add `set`, to match instances of one log against.
+    pub fn add<'m>(&mut self, set: &'m SubroutineSet) -> NumberedSet<'m> {
+        let first = self.sigs.len();
+        self.sigs.resize(first + set.subs.len(), Spelt::Pending);
+        NumberedSet {
+            set,
+            sigs: first..self.sigs.len(),
+        }
+    }
+
+    /// The subroutine of `set` whose signature `inst` carries, if learned.
+    /// Every instance matched against one added set must be of one log.
+    pub fn of_instance<'m>(
+        &mut self,
+        set: &NumberedSet<'m>,
+        inst: Instance<'_>,
+    ) -> Option<&'m Subroutine> {
+        let types = inst.type_numbers();
+        let subs = set.set.subs.iter().zip(set.sigs.clone());
+        for (sub, at) in subs.filter(|(sub, _)| sub.signature.len() == types.len()) {
+            if let Spelt::Pending = self.sigs[at] {
+                self.sigs[at] = self.spell(&sub.signature, inst.log);
+            }
+            // Type numbers are distinct per instance and per signature, so
+            // equal sizes plus containment is set equality.
+            if let Spelt::Types(run) = self.sigs[at] {
+                if types.iter().all(|t| run.of(&self.types).contains(t)) {
+                    return Some(sub);
+                }
+            }
+        }
+        None
+    }
+
+    fn spell(&mut self, signature: &Signature, log: &SessionLog) -> Spelt {
+        let start = self.types.len();
+        for name in signature {
+            match log.find_type(name) {
+                Some(t) => self.types.push(t),
+                None => {
+                    self.types.truncate(start);
+                    return Spelt::Absent;
+                }
+            }
+        }
+        Spelt::Types(Run::tail_of(&self.types, start))
+    }
+    // lint: ingest-hot(end)
 }
 
 /// Algorithm 2 as first written — a scan over every open instance with
@@ -775,7 +871,6 @@ pub(crate) mod tests {
         let fet = set.get(&BTreeSet::from(["FETCHER".to_string()])).unwrap();
         assert_eq!(fet.keys, [KeyId(0), KeyId(1)]);
         assert!(fet.is_before(KeyId(0), KeyId(1)));
-        assert_eq!(set.max_len(), 2);
     }
 
     #[test]
@@ -913,6 +1008,52 @@ pub(crate) mod tests {
             for (view, inst) in shared.instances(&log, range).zip(&rendered) {
                 prop_assert_eq!(view.keys(), inst.keys.as_slice());
                 prop_assert!(view.has_signature(&inst.signature));
+            }
+        }
+    }
+
+    proptest! {
+        /// An instance's subroutine found through the signatures spelt in
+        /// the log's type numbers is the first whose string signature equals
+        /// the instance's. The learned set comes from another log, so some
+        /// of its names are not this log's types; an unlearned name and the
+        /// NONE signature are added; and another set is matched against in
+        /// the same arrays first.
+        #[test]
+        fn numbered_signatures_match_as_strings_do(
+            learned in prop::collection::vec(
+                (0u32..4, prop::collection::vec(identifier(), 0..3)),
+                0..20,
+            ),
+            checked in prop::collection::vec(
+                (0u32..4, prop::collection::vec(identifier(), 0..3)),
+                0..20,
+            ),
+        ) {
+            let session = |raw: &[(u32, Vec<(&str, &str)>)]| {
+                let ms: Vec<IntelMessage> = raw.iter().map(|(k, ids)| msg(*k, ids)).collect();
+                SessionLog::from_messages(&ms)
+            };
+            let (learned, checked) = (session(&learned), session(&checked));
+            let mut set = SubroutineSet::default();
+            set.train_instances(split_instances(&learned, &all_rows(&learned)).iter(&learned));
+            for names in [vec!["ATTEMPT"], vec!["TASK", "ATTEMPT"], vec![]] {
+                set.subs.push(Subroutine {
+                    signature: names.into_iter().map(str::to_string).collect(),
+                    ..Default::default()
+                });
+            }
+            let mut sigs = SignatureNumbers::default();
+            let split = split_instances(&checked, &all_rows(&checked));
+            let other = SubroutineSet { subs: set.subs[1..].to_vec() };
+            let other = sigs.add(&other);
+            for inst in split.iter(&checked) {
+                sigs.of_instance(&other, inst);
+            }
+            let numbered = sigs.add(&set);
+            for inst in split.iter(&checked) {
+                let by_strings = set.subs.iter().find(|s| s.signature == inst.signature());
+                prop_assert_eq!(sigs.of_instance(&numbered, inst), by_strings);
             }
         }
     }
