@@ -37,8 +37,10 @@ struct CloseScratch {
     groups: GroupRows,
     /// Algorithm 2's instances of every group, one group after another.
     split: InstanceSplit,
-    /// The current group's learned signatures in the log's type numbers.
-    sigs: SignatureNumbers,
+    /// The current group's learned signatures in the log's type numbers:
+    /// its session profile's learner's and its own learner's.
+    profile_sigs: SignatureNumbers,
+    group_sigs: SignatureNumbers,
 }
 
 thread_local! {
@@ -156,7 +158,8 @@ impl Detector {
         let CloseScratch {
             groups: per_group,
             split,
-            sigs,
+            profile_sigs,
+            group_sigs,
         } = scratch;
         let verdicts_before = report.anomalies.len();
         // 2. Route matched lines into groups; track lifespans.
@@ -173,10 +176,11 @@ impl Detector {
         split.clear();
         for (g, span, rows) in per_group.iter() {
             let gm = &self.graph.groups[g];
-            sigs.clear();
             let profile_subs = profile.and_then(|p| p.subroutines.get(&g));
-            let profile_subs = profile_subs.map(|set| sigs.add(set));
-            let group_subs = sigs.add(&gm.subroutines);
+            if let Some(set) = profile_subs {
+                profile_sigs.spell(set, log);
+            }
+            group_sigs.spell(&gm.subroutines, log);
             let range = split_instances_into(log, rows, split);
             if let Some(groups) = instance.as_deref_mut() {
                 groups.insert(
@@ -197,9 +201,8 @@ impl Detector {
                 // one for signatures the profile never saw (a signature is
                 // only *unknown* if neither learner knows it).
                 let model = profile_subs
-                    .as_ref()
-                    .and_then(|set| sigs.of_instance(set, inst))
-                    .or_else(|| sigs.of_instance(&group_subs, inst));
+                    .and_then(|set| set.of_instance(profile_sigs, inst))
+                    .or_else(|| gm.subroutines.of_instance(group_sigs, inst));
                 match model {
                     None => report.anomalies.push(Anomaly::UnknownSignature {
                         group: gm.name.clone(),

@@ -24,8 +24,10 @@
 //!   its share ([`hwgraph::SessionPart`]: rows routed to groups, lifespans,
 //!   Algorithm 2's split into subroutine instances) read only the session,
 //!   its line keys and the plan's key → groups map, so each session is
-//!   logged and split ahead, and its part, log included, is absorbed and
-//!   dropped in order. No stage holds every session's log.
+//!   logged and split ahead and its part, log included, is absorbed in
+//!   order. An absorbed part is refilled with a later session, not
+//!   dropped, so no part's arrays are freed across threads while the map
+//!   runs. No stage holds every session's log.
 //!
 //! Intel-Key extraction, one pass over the keys, is a plain loop.
 //! What runs ahead is bounded by `SPLIT_WINDOW_ROWS` lines, never the
@@ -38,7 +40,7 @@ use extract::{IntelExtractor, IntelKey, LocalityMatcher, SessionLog};
 use hwgraph::{GraphBuilder, HwGraph, SessionPart};
 use spell::{KeyId, Session, Span, SpellParser};
 use std::collections::BTreeSet;
-use sync::par_map_ordered;
+use sync::{par_map_ordered, Mutex};
 
 /// Configurable trainer for the IntelLog pipeline.
 #[derive(Debug, Clone)]
@@ -150,8 +152,6 @@ fn graph_keys(keys: &[IntelKey], ignored_keys: &BTreeSet<KeyId>) -> Vec<IntelKey
 }
 
 /// Stage 3 for one session: the log of its lines, ignored keys skipped.
-/// `line_keys` holds the Spell key of each line; the identifiers are read
-/// off the line's re-tokenised spans at the key's final field positions.
 fn log_session(
     session: &Session,
     line_keys: &[KeyId],
@@ -159,6 +159,20 @@ fn log_session(
     ignored_keys: &BTreeSet<KeyId>,
 ) -> SessionLog {
     let mut log = SessionLog::default();
+    log_into(&mut log, session, line_keys, keys, ignored_keys);
+    log
+}
+
+/// [`log_session`] into an empty `log`. `line_keys` holds the Spell key of
+/// each line; the identifiers are read off the line's re-tokenised spans at
+/// the key's final field positions.
+fn log_into(
+    log: &mut SessionLog,
+    session: &Session,
+    line_keys: &[KeyId],
+    keys: &[IntelKey],
+    ignored_keys: &BTreeSet<KeyId>,
+) {
     let mut spans = Vec::new();
     for (line, kid) in session.lines.iter().zip(line_keys) {
         if ignored_keys.contains(kid) {
@@ -167,7 +181,6 @@ fn log_session(
         lognlp::tokenize_spans(&line.message, &mut spans);
         log.push_line(&keys[kid.0 as usize], line.ts_ms, &line.message, &spans);
     }
-    log
 }
 
 impl Trainer {
@@ -184,15 +197,27 @@ impl Trainer {
         // Stage 3: each session logged and split ahead, merged in order.
         let mut graph = GraphBuilder::plan(&graph_keys(&keys, &ignored_keys));
         let key_groups = graph.key_groups().clone();
+        // Absorbed parts go back to be refilled: no part's arrays are freed
+        // while the map runs. Freed on this thread while the helper built
+        // the next ones, they made the helper wait in the allocator
+        // (EXPERIMENTS.md "The session close works in numbers").
+        let spent = Mutex::new(Vec::new());
         par_map_ordered(
             &parsed,
             SPLIT_WINDOW_ROWS,
             |(session, _)| session.len(),
             |(session, line_keys)| {
-                let log = log_session(session, line_keys, &keys, &ignored_keys);
-                SessionPart::new(&key_groups, log)
+                let spare = spent.lock().pop();
+                let mut part: SessionPart = spare.unwrap_or_default();
+                part.refill(&key_groups, |log| {
+                    log_into(log, session, line_keys, &keys, &ignored_keys)
+                });
+                part
             },
-            |part| graph.absorb(part),
+            |mut part| {
+                graph.absorb(&mut part);
+                spent.lock().push(part);
+            },
         );
         Detector::new(parser, keys, graph.finish(), ignored_keys)
     }

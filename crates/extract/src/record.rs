@@ -115,6 +115,17 @@ impl SessionLog {
         self.push_row(key.key_id, ts_ms, identifiers);
     }
 
+    /// Empty the log, keeping its arrays' room for the next session. The
+    /// next session is numbered as in a new log.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.ids.clear();
+        self.text.clear();
+        self.types.clear();
+        self.values.clear();
+        self.slots.fill(0);
+    }
+
     /// Append a row from its identifier `(type, value)` pairs.
     pub fn push_row<'s>(
         &mut self,

@@ -10,7 +10,7 @@ use crate::group::{group_entities, Grouping};
 use crate::hierarchy::Hierarchy;
 use crate::lifespan::{GroupRelations, Lifespan};
 use crate::profile::ProfileSet;
-use crate::subroutine::{split_instances_into, InstanceSplit, SubroutineSet};
+use crate::subroutine::{split_instances_into, InstanceSplit, SignatureNumbers, SubroutineSet};
 use extract::record::{number, Run};
 use extract::{IntelKey, IntelMessage, SessionLog};
 use serde::{Deserialize, Serialize};
@@ -188,10 +188,10 @@ pub struct HwGraph {
 ///    only the plan's key → groups map ([`GraphBuilder::key_groups`]) and
 ///    takes the session's log, so a session can be logged and split on any
 ///    thread, in any order, while the builder absorbs.
-/// 3. [`GraphBuilder::absorb`] — the learners consume a part, and with it
-///    its log. A session's profile depends on the profiles before it and
-///    BEFORE pairs on the instances before them, so parts are absorbed in
-///    session order.
+/// 3. [`GraphBuilder::absorb`] — the learners consume a part; its arrays,
+///    log included, are left for [`SessionPart::refill`]. A session's
+///    profile depends on the profiles before it and BEFORE pairs on the
+///    instances before them, so parts are absorbed in session order.
 /// 4. [`GraphBuilder::finish`] — flags, relations, hierarchy, statistics.
 ///
 /// [`HwGraph::build_from_logs`] is the loop over these, a log at a time; the
@@ -205,21 +205,23 @@ pub struct GraphBuilder {
     session_lifespans: Vec<Vec<(usize, Lifespan)>>,
     key_repeats_in_session: BTreeSet<KeyId>,
     total_msgs: usize,
-    /// The groups of the session being absorbed, ascending.
-    fingerprint: Vec<usize>,
 }
 
 /// One session's share of the training, computed by [`SessionPart::new`]
 /// and consumed by [`GraphBuilder::absorb`] — possibly on another thread, so
-/// it is the session's log and a few arrays, not a few per group: every
-/// block a part owns is allocated on one thread and freed on another, which
-/// costs the allocator memory beyond the block (EXPERIMENTS.md, "Training
-/// reads a line the way detection does"). `anomaly/tests/handoff_count.rs`
-/// holds the trainer to those blocks per session.
+/// it is the session's log and a few arrays, not a few per group: a block
+/// allocated on one thread and freed on another costs the allocator memory
+/// beyond the block (EXPERIMENTS.md, "Training reads a line the way
+/// detection does") and, freed while the other thread allocates, time
+/// ("The session close works in numbers"). So an absorbed part is kept and
+/// refilled with a later session ([`SessionPart::refill`]) rather than
+/// dropped. `anomaly/tests/handoff_count.rs` holds the trainer to the blocks
+/// it frees across threads per session.
+#[derive(Default)]
 pub struct SessionPart {
     /// The session's matched lines: what the split's numbers spell.
     log: SessionLog,
-    /// Per group present, ascending.
+    /// Per group present, ascending; taken by the builder when absorbed.
     lifespans: Vec<(usize, Lifespan)>,
     repeating_keys: Vec<KeyId>,
     /// Algorithm 2 runs once per (session, group); the profile learner and
@@ -234,32 +236,50 @@ impl SessionPart {
     /// repeating keys (the critical-group criterion), from the session's
     /// log, which the part keeps, given the plan's key → groups map.
     pub fn new(key_groups: &BTreeMap<KeyId, Vec<usize>>, log: SessionLog) -> Self {
-        let mut keys: Vec<KeyId> = log.rows().iter().map(|m| m.key_id).collect();
-        keys.sort_unstable();
-        let mut repeating_keys: Vec<KeyId> = keys
-            .windows(2)
-            .filter(|pair| pair[0] == pair[1])
-            .map(|pair| pair[0])
-            .collect();
-        repeating_keys.dedup();
-        let mut split = InstanceSplit::default();
-        let (lifespans, instances) = GROUP_ROWS.with(|groups| {
-            let groups = &mut *groups.borrow_mut();
-            groups.fill(key_groups, &log);
-            let lifespans = groups.iter().map(|(g, span, _)| (g, span)).collect();
-            let instances = groups
-                .iter()
-                .map(|(g, _, rows)| (g, split_instances_into(&log, rows, &mut split)))
-                .collect();
-            (lifespans, instances)
-        });
-        SessionPart {
+        let mut part = SessionPart {
+            log,
+            ..SessionPart::default()
+        };
+        part.cut(key_groups);
+        part
+    }
+
+    /// Make this part (absorbed, or new) the part of another session, in
+    /// its arrays: `fill` logs the session into the emptied log.
+    pub fn refill(
+        &mut self,
+        key_groups: &BTreeMap<KeyId, Vec<usize>>,
+        fill: impl FnOnce(&mut SessionLog),
+    ) {
+        self.log.clear();
+        fill(&mut self.log);
+        self.cut(key_groups);
+    }
+
+    /// Everything but the log, from the log.
+    fn cut(&mut self, key_groups: &BTreeMap<KeyId, Vec<usize>>) {
+        let SessionPart {
+            log,
             lifespans,
             repeating_keys,
-            instances,
             split,
-            log,
-        }
+            instances,
+        } = self;
+        let mut keys: Vec<KeyId> = log.rows().iter().map(|m| m.key_id).collect();
+        keys.sort_unstable();
+        repeating_keys.clear();
+        let repeats = keys.windows(2).filter(|pair| pair[0] == pair[1]);
+        repeating_keys.extend(repeats.map(|pair| pair[0]));
+        repeating_keys.dedup();
+        split.clear();
+        instances.clear();
+        GROUP_ROWS.with(|groups| {
+            let groups = &mut *groups.borrow_mut();
+            groups.fill(key_groups, log);
+            *lifespans = groups.iter().map(|(g, span, _)| (g, span)).collect();
+            let split_of = |(g, _, rows)| (g, split_instances_into(log, rows, split));
+            instances.extend(groups.iter().map(split_of));
+        });
     }
 }
 
@@ -312,7 +332,6 @@ impl GraphBuilder {
             session_lifespans: Vec::new(),
             key_repeats_in_session: BTreeSet::new(),
             total_msgs: 0,
-            fingerprint: Vec::new(),
         }
     }
 
@@ -321,27 +340,32 @@ impl GraphBuilder {
         &self.key_groups
     }
 
-    /// Train on the next session, given its part.
-    pub fn absorb(&mut self, part: SessionPart) {
+    /// Train on the next session, given its part; the part's lifespans stay
+    /// with the builder, the rest of it is left to refill.
+    pub fn absorb(&mut self, part: &mut SessionPart) {
         let groups = || part.instances.iter().cloned();
         let instances = |range| part.split.instances(&part.log, range);
+        // Each learner's signatures spelt in the session's type numbers.
+        let mut sigs = SignatureNumbers::default();
         let rows = part.log.len();
         if rows > 0 {
-            self.fingerprint.clear();
-            self.fingerprint.extend(groups().map(|(g, _)| g));
-            let profile = self.profiles.join(&self.fingerprint);
+            let fingerprint: Vec<usize> = groups().map(|(g, _)| g).collect();
+            let profile = self.profiles.join(&fingerprint);
             for (g, range) in groups() {
                 let learner = profile.subroutines.entry(g).or_default();
-                learner.train_instances(instances(range));
+                learner.train_instances(&mut sigs, instances(range));
             }
         }
         for (g, range) in groups() {
             self.groups[g].sessions_seen += 1;
-            self.groups[g].subroutines.train_instances(instances(range));
+            let learner = &mut self.groups[g].subroutines;
+            learner.train_instances(&mut sigs, instances(range));
         }
         self.total_msgs += rows;
-        self.session_lifespans.push(part.lifespans);
-        self.key_repeats_in_session.extend(part.repeating_keys);
+        self.session_lifespans
+            .push(std::mem::take(&mut part.lifespans));
+        self.key_repeats_in_session
+            .extend(part.repeating_keys.iter().copied());
     }
 
     /// Flags, relations, hierarchy and statistics over what was absorbed.
@@ -354,7 +378,6 @@ impl GraphBuilder {
             session_lifespans,
             key_repeats_in_session,
             total_msgs,
-            fingerprint: _,
         } = self;
         let sessions = session_lifespans.len();
 
@@ -437,8 +460,8 @@ impl HwGraph {
     ) -> HwGraph {
         let mut builder = GraphBuilder::plan(keys);
         for log in logs {
-            let part = SessionPart::new(builder.key_groups(), log);
-            builder.absorb(part);
+            let mut part = SessionPart::new(builder.key_groups(), log);
+            builder.absorb(&mut part);
         }
         builder.finish()
     }

@@ -29,6 +29,6 @@ pub use hierarchy::{Hierarchy, HierarchyNode};
 pub use lifespan::{GroupRel, GroupRelations, Lifespan};
 pub use profile::{ProfileSet, SessionProfile};
 pub use subroutine::{
-    split_instances_into, FirstSeen, Instance, InstanceSplit, NumberedSet, Signature,
-    SignatureNumbers, Subroutine, SubroutineInstance, SubroutineSet,
+    split_instances_into, FirstSeen, Instance, InstanceSplit, Signature, SignatureNumbers,
+    Subroutine, SubroutineInstance, SubroutineSet,
 };

@@ -35,6 +35,7 @@ impl SessionProfile {
     /// shared groups are counted by walking both in order, so scoring a
     /// session builds no set.
     pub fn similarity(&self, fingerprint: &[usize]) -> f64 {
+        debug_assert!(ascending(fingerprint), "fingerprint out of order");
         if self.groups.is_empty() && fingerprint.is_empty() {
             return 1.0;
         }
@@ -47,6 +48,12 @@ impl SessionProfile {
         let union = self.groups.len() + fingerprint.len() - inter;
         inter as f64 / union.max(1) as f64
     }
+}
+
+/// `true` if `groups` is ascending and distinct, as a fingerprint must be:
+/// the Jaccard counts and the mandatory set's lookup rely on it.
+fn ascending(groups: &[usize]) -> bool {
+    groups.windows(2).all(|w| w[0] < w[1])
 }
 
 /// The set of learned session profiles.
@@ -82,6 +89,8 @@ impl ProfileSet {
     /// enough) and return that profile, whose per-group learners the caller
     /// then trains on the session's subroutine instances.
     pub(crate) fn join(&mut self, fingerprint: &[usize]) -> &mut SessionProfile {
+        // the model's mandatory sets are kept through it
+        assert!(ascending(fingerprint), "fingerprint out of order");
         let best = self
             .profiles
             .iter()
@@ -125,6 +134,7 @@ impl ProfileSet {
 mod tests {
     use super::*;
     use crate::subroutine::tests::{all_rows, msg, split_instances};
+    use crate::subroutine::SignatureNumbers;
     use extract::{IntelMessage, SessionLog};
 
     fn session(groups: &[(usize, Vec<IntelMessage>)]) -> BTreeMap<usize, SessionLog> {
@@ -140,7 +150,7 @@ mod tests {
         for (g, log) in s {
             let split = split_instances(log, &all_rows(log));
             let learner = profile.subroutines.entry(*g).or_default();
-            learner.train_instances(split.iter(log));
+            learner.train_instances(&mut SignatureNumbers::default(), split.iter(log));
         }
     }
 

@@ -157,8 +157,8 @@ struct Numbered {
 /// them takes the log they number ([`InstanceSplit::instances`]), so a split
 /// and its log can travel together without one borrowing the other. The
 /// learners and the end-of-session checks read key sequences and compare
-/// signatures through it as they are ([`Instance::has_signature`],
-/// [`SignatureNumbers`]); [`Instance::signature`] /
+/// signatures through it as they are ([`SignatureNumbers`]);
+/// [`Instance::signature`] /
 /// [`Instance::id_values`] build the strings of one instance (an anomaly
 /// being reported, a new signature) and [`InstanceSplit::render`] those of
 /// all of them (a [`SubroutineInstance`] list for inspection).
@@ -254,14 +254,6 @@ impl<'s> Instance<'s> {
 
     fn type_names(&self) -> impl Iterator<Item = &'s str> + '_ {
         self.type_numbers().iter().map(|&t| self.log.type_name(t))
-    }
-
-    /// `true` if the instance's identifier types are exactly `signature`.
-    pub fn has_signature(&self, signature: &Signature) -> bool {
-        // Type numbers are distinct per instance and per spelling, so equal
-        // sizes plus containment is set equality.
-        signature.len() == self.raw.types.len as usize
-            && self.type_names().all(|t| signature.contains(t))
     }
 
     /// The identifier types seen (the signature this instance belongs to).
@@ -557,23 +549,38 @@ impl SubroutineSet {
         self.subs.iter().find(|s| &s.signature == signature)
     }
 
-    /// Consume the instances of one session's group-local messages
-    /// (training).
-    pub fn train_instances<'s>(&mut self, instances: impl Iterator<Item = Instance<'s>>) {
+    /// Consume the instances of one session's group-local messages, all
+    /// split from one log (training). `sigs` is working space for the set's
+    /// signatures spelt in that log's type numbers: an instance finds its
+    /// subroutine by comparing integers, as in the end-of-session checks.
+    pub fn train_instances<'s>(
+        &mut self,
+        sigs: &mut SignatureNumbers,
+        instances: impl Iterator<Item = Instance<'s>>,
+    ) {
+        let mut instances = instances.peekable();
+        if let Some(first) = instances.peek() {
+            sigs.spell(self, first.log);
+        }
         for inst in instances {
-            let known = self
-                .subs
-                .iter()
-                .position(|s| inst.has_signature(&s.signature));
-            let i = known.unwrap_or_else(|| {
+            let i = sigs.position(inst).unwrap_or_else(|| {
                 self.subs.push(Subroutine {
                     signature: inst.signature(),
                     ..Default::default()
                 });
+                sigs.push(inst.type_numbers());
                 self.subs.len() - 1
             });
             self.subs[i].update(inst.keys());
         }
+    }
+
+    /// The subroutine an instance belongs to (by signature), if learned.
+    /// `sigs` holds this set spelt in the instance's log
+    /// ([`SignatureNumbers::spell`]).
+    pub fn of_instance(&self, sigs: &SignatureNumbers, inst: Instance<'_>) -> Option<&Subroutine> {
+        debug_assert_eq!(sigs.sigs.len(), self.subs.len(), "spelt from another set");
+        sigs.position(inst).map(|i| &self.subs[i])
     }
 
     /// All learned subroutines.
@@ -592,94 +599,65 @@ impl SubroutineSet {
     }
 }
 
-/// The signatures of some [`SubroutineSet`]s spelt in one session log's
-/// type numbers, so that the end-of-session checks find an instance's
-/// subroutine by comparing integers. A signature's names are looked up
-/// among the log's few type names the first time an instance of its size
-/// meets it, once per set added, where [`Instance::has_signature`] looks
-/// each instance's names up in the signature's string set. Working arrays,
-/// like [`GroupRows`](crate::GroupRows): kept by the caller, emptied by
-/// [`SignatureNumbers::clear`].
+/// One [`SubroutineSet`]'s signatures spelt in one session log's type
+/// numbers, so that an instance of that log finds its subroutine by
+/// comparing integers, in training ([`SubroutineSet::train_instances`]) and
+/// in the end-of-session checks ([`SubroutineSet::of_instance`]) alike. Each
+/// signature's names are looked up among the log's few type names once per
+/// (set, log), not once per instance. Working arrays, like
+/// [`GroupRows`](crate::GroupRows): kept by the caller, refilled by
+/// [`SignatureNumbers::spell`].
 #[derive(Debug, Default)]
 pub struct SignatureNumbers {
     /// Every spelt signature's type numbers, one run each.
     types: Vec<u32>,
-    /// Per signature of the sets added, in order.
-    sigs: Vec<Spelt>,
-}
-
-/// One signature in a [`SignatureNumbers`].
-#[derive(Debug, Clone, Copy)]
-enum Spelt {
-    /// Not looked up yet.
-    Pending,
-    /// The log has no type of one of its names: no instance carries it.
-    Absent,
-    /// Its run of `types`.
-    Types(Run),
-}
-
-/// A [`SubroutineSet`] added to a [`SignatureNumbers`].
-#[derive(Debug, Clone)]
-pub struct NumberedSet<'m> {
-    set: &'m SubroutineSet,
-    sigs: Range<usize>,
+    /// Per subroutine of the set, in order: its signature's run of `types`,
+    /// or `None` when the log has no type of one of its names (no instance
+    /// of the log carries it).
+    sigs: Vec<Option<Run>>,
 }
 
 impl SignatureNumbers {
-    /// Forget every set added, keeping the arrays' room.
-    pub fn clear(&mut self) {
+    // lint: ingest-hot(begin)
+    /// Spell every signature of `set` in `log`'s type numbers, replacing
+    /// what was spelt before.
+    pub fn spell(&mut self, set: &SubroutineSet, log: &SessionLog) {
         self.types.clear();
         self.sigs.clear();
-    }
-
-    // lint: ingest-hot(begin)
-    /// Add `set`, to match instances of one log against.
-    pub fn add<'m>(&mut self, set: &'m SubroutineSet) -> NumberedSet<'m> {
-        let first = self.sigs.len();
-        self.sigs.resize(first + set.subs.len(), Spelt::Pending);
-        NumberedSet {
-            set,
-            sigs: first..self.sigs.len(),
+        for sub in &set.subs {
+            let start = self.types.len();
+            let spelt = sub.signature.iter().all(|name| {
+                let t = log.find_type(name);
+                self.types.extend(t);
+                t.is_some()
+            });
+            if !spelt {
+                self.types.truncate(start);
+            }
+            self.sigs
+                .push(spelt.then(|| Run::tail_of(&self.types, start)));
         }
     }
 
-    /// The subroutine of `set` whose signature `inst` carries, if learned.
-    /// Every instance matched against one added set must be of one log.
-    pub fn of_instance<'m>(
-        &mut self,
-        set: &NumberedSet<'m>,
-        inst: Instance<'_>,
-    ) -> Option<&'m Subroutine> {
-        let types = inst.type_numbers();
-        let subs = set.set.subs.iter().zip(set.sigs.clone());
-        for (sub, at) in subs.filter(|(sub, _)| sub.signature.len() == types.len()) {
-            if let Spelt::Pending = self.sigs[at] {
-                self.sigs[at] = self.spell(&sub.signature, inst.log);
-            }
-            // Type numbers are distinct per instance and per signature, so
-            // equal sizes plus containment is set equality.
-            if let Spelt::Types(run) = self.sigs[at] {
-                if types.iter().all(|t| run.of(&self.types).contains(t)) {
-                    return Some(sub);
-                }
-            }
-        }
-        None
-    }
-
-    fn spell(&mut self, signature: &Signature, log: &SessionLog) -> Spelt {
+    /// Spell one more signature, the `types` of an instance of the log: a
+    /// subroutine just learned from it.
+    fn push(&mut self, types: &[u32]) {
         let start = self.types.len();
-        for name in signature {
-            match log.find_type(name) {
-                Some(t) => self.types.push(t),
-                None => {
-                    self.types.truncate(start);
-                    return Spelt::Absent;
-                }
-            }
-        }
-        Spelt::Types(Run::tail_of(&self.types, start))
+        self.types.extend_from_slice(types);
+        self.sigs.push(Some(Run::tail_of(&self.types, start)));
+    }
+
+    /// The position of the first subroutine whose signature `inst` carries.
+    fn position(&self, inst: Instance<'_>) -> Option<usize> {
+        let types = inst.type_numbers();
+        // Type numbers are distinct per instance and per signature, so equal
+        // sizes plus containment is set equality.
+        let carries = |run: &Run| {
+            run.len as usize == types.len() && types.iter().all(|t| run.of(&self.types).contains(t))
+        };
+        self.sigs
+            .iter()
+            .position(|sig| sig.as_ref().is_some_and(carries))
     }
     // lint: ingest-hot(end)
 }
@@ -865,8 +843,9 @@ pub(crate) mod tests {
             msg(9, &[]),
         ];
         let log = SessionLog::from_messages(&s1);
-        set.train_instances(split_instances(&log, &all_rows(&log)).iter(&log));
-        set.train_instances(split_instances(&log, &all_rows(&log)).iter(&log));
+        let mut sigs = SignatureNumbers::default();
+        set.train_instances(&mut sigs, split_instances(&log, &all_rows(&log)).iter(&log));
+        set.train_instances(&mut sigs, split_instances(&log, &all_rows(&log)).iter(&log));
         assert_eq!(set.len(), 2); // FETCHER signature + NONE
         let fet = set.get(&BTreeSet::from(["FETCHER".to_string()])).unwrap();
         assert_eq!(fet.keys, [KeyId(0), KeyId(1)]);
@@ -928,8 +907,17 @@ pub(crate) mod tests {
             inst.signature(),
             BTreeSet::from(["T".to_string(), "T:1".to_string()])
         );
-        assert!(inst.has_signature(&inst.signature()));
-        assert!(!inst.has_signature(&BTreeSet::from(["T".to_string()])));
+        let set = SubroutineSet {
+            subs: [BTreeSet::from(["T".to_string()]), inst.signature()]
+                .map(|signature| Subroutine {
+                    signature,
+                    ..Default::default()
+                })
+                .into(),
+        };
+        let mut sigs = SignatureNumbers::default();
+        sigs.spell(&set, &log);
+        assert_eq!(set.of_instance(&sigs, inst), Some(&set.subs[1]));
     }
 
     /// One client's 20,000-line session — a distinct TASK value per line and
@@ -995,9 +983,21 @@ pub(crate) mod tests {
             let rendered = split.render(&log);
             prop_assert_eq!(&rendered, &split_instances_oracle(&refs));
             prop_assert_eq!(split.len(), rendered.len());
+            let signatures = SubroutineSet {
+                subs: rendered
+                    .iter()
+                    .map(|inst| Subroutine {
+                        signature: inst.signature.clone(),
+                        ..Default::default()
+                    })
+                    .collect(),
+            };
+            let mut sigs = SignatureNumbers::default();
+            sigs.spell(&signatures, &log);
+            let signature_of = |view| signatures.of_instance(&sigs, view).map(|s| &s.signature);
             for (view, inst) in split.iter(&log).zip(&rendered) {
                 prop_assert_eq!(view.keys(), inst.keys.as_slice());
-                prop_assert!(view.has_signature(&inst.signature));
+                prop_assert_eq!(signature_of(view), Some(&inst.signature));
             }
 
             let others: Vec<u32> = all_rows(&log).into_iter().filter(|r| r % 3 == 2).collect();
@@ -1007,7 +1007,7 @@ pub(crate) mod tests {
             prop_assert_eq!(&shared.render(&log)[range.clone()], &rendered[..]);
             for (view, inst) in shared.instances(&log, range).zip(&rendered) {
                 prop_assert_eq!(view.keys(), inst.keys.as_slice());
-                prop_assert!(view.has_signature(&inst.signature));
+                prop_assert_eq!(signature_of(view), Some(&inst.signature));
             }
         }
     }
@@ -1017,8 +1017,9 @@ pub(crate) mod tests {
         /// the log's type numbers is the first whose string signature equals
         /// the instance's. The learned set comes from another log, so some
         /// of its names are not this log's types; an unlearned name and the
-        /// NONE signature are added; and another set is matched against in
-        /// the same arrays first.
+        /// NONE signature are added; and another set is spelt in the same
+        /// arrays first. Training through the numbers learns what training
+        /// through the strings does.
         #[test]
         fn numbered_signatures_match_as_strings_do(
             learned in prop::collection::vec(
@@ -1035,26 +1036,32 @@ pub(crate) mod tests {
                 SessionLog::from_messages(&ms)
             };
             let (learned, checked) = (session(&learned), session(&checked));
+            let mut sigs = SignatureNumbers::default();
             let mut set = SubroutineSet::default();
-            set.train_instances(split_instances(&learned, &all_rows(&learned)).iter(&learned));
+            set.train_instances(&mut sigs, split_instances(&learned, &all_rows(&learned)).iter(&learned));
+            let mut by_strings = SubroutineSet::default();
+            by_strings.train_rendered(&split_instances(&learned, &all_rows(&learned)).render(&learned));
+            prop_assert_eq!(&set, &by_strings);
+
+            let mut matched = set.clone();
             for names in [vec!["ATTEMPT"], vec!["TASK", "ATTEMPT"], vec![]] {
-                set.subs.push(Subroutine {
+                matched.subs.push(Subroutine {
                     signature: names.into_iter().map(str::to_string).collect(),
                     ..Default::default()
                 });
             }
-            let mut sigs = SignatureNumbers::default();
             let split = split_instances(&checked, &all_rows(&checked));
-            let other = SubroutineSet { subs: set.subs[1..].to_vec() };
-            let other = sigs.add(&other);
+            let other = SubroutineSet { subs: matched.subs[1..].to_vec() };
+            sigs.spell(&other, &checked);
+            sigs.spell(&matched, &checked);
             for inst in split.iter(&checked) {
-                sigs.of_instance(&other, inst);
+                let by_strings = matched.subs.iter().find(|s| s.signature == inst.signature());
+                prop_assert_eq!(matched.of_instance(&sigs, inst), by_strings);
             }
-            let numbered = sigs.add(&set);
-            for inst in split.iter(&checked) {
-                let by_strings = set.subs.iter().find(|s| s.signature == inst.signature());
-                prop_assert_eq!(sigs.of_instance(&numbered, inst), by_strings);
-            }
+
+            set.train_instances(&mut sigs, split.iter(&checked));
+            by_strings.train_rendered(&split.render(&checked));
+            prop_assert_eq!(set, by_strings);
         }
     }
 

@@ -35,6 +35,15 @@ impl Logs {
     fn len(&self) -> usize {
         self.sessions.len()
     }
+
+    /// Log session `i`'s lines into `log`.
+    fn write(&self, i: usize, log: &mut SessionLog) {
+        let mut spans = Vec::new();
+        for (ts, (text, key)) in (0u64..).zip(&self.sessions[i]) {
+            spell::tokenize_spans(text, &mut spans);
+            log.push_line(&self.keys[key.0 as usize], ts * 10, text, &spans);
+        }
+    }
 }
 
 impl<'a> IntoIterator for &'a Logs {
@@ -42,13 +51,9 @@ impl<'a> IntoIterator for &'a Logs {
     type IntoIter = Box<dyn Iterator<Item = SessionLog> + 'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        let mut spans = Vec::new();
-        Box::new(self.sessions.iter().map(move |session| {
+        Box::new((0..self.len()).map(move |i| {
             let mut log = SessionLog::default();
-            for (ts, (text, key)) in (0u64..).zip(session) {
-                spell::tokenize_spans(text, &mut spans);
-                log.push_line(&self.keys[key.0 as usize], ts * 10, text, &spans);
-            }
+            self.write(i, &mut log);
             log
         }))
     }
@@ -84,21 +89,28 @@ fn train_inputs(sessions: &[Vec<(u32, u32, u32)>]) -> (Vec<IntelKey>, Logs) {
     (keys, logs)
 }
 
-/// Plan, then parts a window at a time — each window's logs all written
-/// and split into owned parts, from a copy of the plan's key → groups map,
-/// before the first of them is absorbed — then finish.
+/// Plan, then parts a window at a time — each window's sessions all logged
+/// and split into parts, from a copy of the plan's key → groups map, before
+/// the first of them is absorbed — then finish. Absorbed parts are refilled
+/// with later sessions, longer or shorter, as the trainer refills them.
 fn build_in_windows(keys: &[IntelKey], logs: &Logs, sizes: &[usize]) -> HwGraph {
     let mut builder = GraphBuilder::plan(keys);
     let key_groups = builder.key_groups().clone();
-    let (mut rest, mut sizes) = (logs.into_iter().peekable(), sizes.iter().cycle());
-    while rest.peek().is_some() {
-        let take = *sizes.next().expect("a cycle of sizes");
-        let parts: Vec<SessionPart> = rest
-            .by_ref()
-            .take(take)
-            .map(|log| SessionPart::new(&key_groups, log))
+    let (mut next, mut sizes) = (0, sizes.iter().cycle());
+    let mut spent: Vec<SessionPart> = Vec::new();
+    while next < logs.len() {
+        let take = (*sizes.next().expect("a cycle of sizes")).min(logs.len() - next);
+        let window = next..next + take;
+        next += take;
+        let mut parts: Vec<SessionPart> = window
+            .map(|i| {
+                let mut part = spent.pop().unwrap_or_default();
+                part.refill(&key_groups, |log| logs.write(i, log));
+                part
+            })
             .collect();
-        parts.into_iter().for_each(|part| builder.absorb(part));
+        parts.iter_mut().for_each(|part| builder.absorb(part));
+        spent.extend(parts);
     }
     builder.finish()
 }

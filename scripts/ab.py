@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Alternating A/B pairs of two built `benchmark/` binaries.
 
-    ab.py BIN_A BIN_B --workload W [--seed S] [--pairs N] [--seconds T]
-          [--read median|value] [--json]
+    ab.py BIN_A BIN_B --workload W [--seed S] [--pairs N] [--seconds T] [--json]
     ab.py --self-test
 
 BIN_A is the parent's `benchmark/target/release/benchmark`, BIN_B the
@@ -13,15 +12,14 @@ pairs, B first in odd ones, so a drift of the host over the session falls on
 both sides alike.  A run whose last stdout line says `correct` false or
 `failed` > 0 stops the session.
 
-What a run contributes per metric: with `--read median` (the default) the
-median over its reps from the stderr table, with `--read value` the value
-the run reports (its best rep); `peak_rss_mb` is one value per run either
-way.  Per metric the script prints the medians of A's and of B's runs, A's
-interquartile range, the median of the per-pair ratios B/A, a 95 %
-bootstrap interval of that median (resampling the pairs), and the pairs B
-won, in the metric's `better` direction as BENCHMARK.json declares it.
-`--json` prints the same as one JSON document, with both readings of every
-run.
+What a run contributes per metric is the median over its reps, from the
+stderr table; `peak_rss_mb` is one value per run.  Per metric the script
+prints the medians of A's and of B's runs, A's interquartile range, the
+median of the per-pair ratios B/A, a 95 % bootstrap interval of that median
+(resampling the pairs), and the pairs B won, in the metric's `better`
+direction as BENCHMARK.json declares it.  `--json` prints the same as one
+JSON document, with every run's medians and also the value it reports (its
+best rep).
 
 `--self-test` runs the parsing and the statistics on synthetic run
 documents and needs no binary.
@@ -90,12 +88,12 @@ def quartiles(xs):
     return q[0], statistics.median(xs), q[2]
 
 
-def summarise(pairs, better, read, rng_seed=0):
+def summarise(pairs, better, rng_seed=0):
     """`pairs` is a list of (a_run, b_run) readings as `parse_run` returns
-    them; `read` picks "median" or "value". Per metric: medians, A's IQR,
-    median pair ratio, its bootstrap interval and B's wins."""
+    them, summarised on each run's median reading. Per metric: medians, A's
+    IQR, median pair ratio, its bootstrap interval and B's wins."""
     rng = random.Random(rng_seed)
-    pairs = [(a[read], b[read]) for a, b in pairs]
+    pairs = [(a["median"], b["median"]) for a, b in pairs]
     out = {}
     for name in sorted(pairs[0][0]):
         a = [p[0][name] for p in pairs]
@@ -210,7 +208,7 @@ def self_test():
     session(spy, "A", "B", "w", 1, 4, 1, quiet)
     expect("ABBA order", order == ["A", "B", "B", "A", "A", "B", "B", "A"])
 
-    faster = summarise(session(fake(0.8, 0.03), "A", "B", "w", 1, 10, 1, quiet), better, "median")
+    faster = summarise(session(fake(0.8, 0.03), "A", "B", "w", 1, 10, 1, quiet), better)
     v = faster["verdict_p50_ms"]
     expect("gain: ratio", 0.75 < v["ratio_median"] < 0.85)
     expect("gain: interval below 1", v["ratio_ci95"][1] < 1.0)
@@ -218,7 +216,7 @@ def self_test():
     expect("gain: rate wins higher", faster["lines_per_s"]["wins"] == 10)
     expect("gain: rate ratio", faster["lines_per_s"]["ratio_median"] > 1.15)
 
-    same = summarise(session(fake(1.0, 0.05), "A", "B", "w", 1, 10, 1, quiet), better, "median")
+    same = summarise(session(fake(1.0, 0.05), "A", "B", "w", 1, 10, 1, quiet), better)
     s = same["verdict_p50_ms"]
     expect("A/A: interval covers 1", s["ratio_ci95"][0] <= 1.0 <= s["ratio_ci95"][1])
     expect("A/A: iqr positive", s["a_iqr"] > 0)
@@ -241,7 +239,6 @@ def main():
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=3)
-    ap.add_argument("--read", choices=["median", "value"], default="median")
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
     if args.pairs < 1:
@@ -253,10 +250,10 @@ def main():
     except ValueError as e:
         print(f"ab.py: {e}", file=sys.stderr)
         return 1
-    summary = summarise(pairs, directions(), args.read)
+    summary = summarise(pairs, directions())
     if args.json:
         doc = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-               "read": args.read, "metrics": summary,
+               "metrics": summary,
                "runs": [{"a": a, "b": b} for a, b in pairs]}
         print(json.dumps(doc, indent=1))
     else:
